@@ -16,12 +16,6 @@ generators:
    points, Coudert-Madre frontier simplification, and greedy
    support-overlap clustering (``cluster_size="auto"``), measured
    against PR 1's fixed-order chained engine.
-4. **Parallel sweep** — the ``partitioned-mp`` engine over a
-   workers ∈ {1, 2, 4} grid against the serial partitioned sweep.
-   The report records ``cpus`` and each row's pool ``mode`` so readers
-   (and the regression gate) can tell a genuine parallel measurement
-   from one taken on a single-CPU box, where the ratio can only show
-   IPC overhead, never a speedup.
 
 Results are written to ``BENCH_relprod.json`` at the repository root so
 the speedups land in the perf trajectory.  Run either way::
@@ -45,8 +39,7 @@ import pytest
 
 from repro.encoding import ImprovedEncoding
 from repro.petri.generators import philosophers, slotted_ring
-from repro.symbolic import (ImageEngine, ParallelPartitionedImageEngine,
-                            RelationalNet, traverse_relational)
+from repro.symbolic import ImageEngine, RelationalNet, traverse_relational
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 JSON_PATH = os.path.join(REPO_ROOT, "BENCH_relprod.json")
@@ -72,7 +65,6 @@ elif os.environ.get("REPRO_FULL"):
 ENGINES = ("monolithic", "partitioned", "chained")
 CLUSTER_SIZE = 1
 OLD_ENGINE = "monolithic-materialised"
-PARALLEL_WORKERS = (1, 2, 4)
 
 # Threshold for the reorder-enabled configurations: low enough that the
 # first sifting pass runs before the state sets blow up (the whole point
@@ -252,58 +244,6 @@ def measure_adaptive(factory: Callable) -> Dict[str, Dict]:
     return rows
 
 
-def measure_parallel(factory: Callable) -> Dict[str, Dict]:
-    """The ``partitioned-mp`` workers grid against the serial sweep.
-
-    Every row runs the full fixpoint on a fresh manager with
-    ``cluster_size="auto"``.  The ``serial`` row is the in-process
-    partitioned engine; the ``workers-N`` rows run the same step with
-    per-block products in N worker processes.  ``ratio_vs_serial`` is
-    wall clock over the serial row (lower is better; < 1 is a genuine
-    speedup and only achievable with >= 2 CPUs).  Each worker row also
-    records the pool ``mode`` — ``serial-fallback`` marks environments
-    where no processes could be spawned, in which case the ratio is
-    meaningless and the gate skips it.
-    """
-    rows: Dict[str, Dict] = {}
-    grid = [("serial", None)]
-    grid += [(f"workers-{n}", n) for n in PARALLEL_WORKERS]
-    for label, workers in grid:
-        relnet = RelationalNet(ImprovedEncoding(factory()))
-        if workers is None:
-            result = traverse_relational(relnet, engine="partitioned",
-                                         cluster_size="auto")
-            extra = {}
-        else:
-            engine = ParallelPartitionedImageEngine(
-                relnet, cluster_size="auto", workers=workers)
-            try:
-                result = traverse_relational(relnet, engine=engine)
-                stats = engine.parallel_stats()
-            finally:
-                engine.close()
-            extra = {
-                "mode": stats["mode"],
-                "pool_workers": stats["workers"],
-                "pin_ships": stats["pin_ships"],
-                "ship_bytes": stats["ship_bytes"],
-            }
-        rows[label] = dict({
-            "markings": result.marking_count,
-            "iterations": result.iterations,
-            "image_seconds": result.seconds,
-            "peak_live_nodes": result.peak_live_nodes,
-        }, **extra)
-    serial_seconds = rows["serial"]["image_seconds"]
-    for label, row in rows.items():
-        if label == "serial":
-            continue
-        row["ratio_vs_serial"] = (
-            row["image_seconds"] / serial_seconds
-            if serial_seconds > 0 else float("inf"))
-    return rows
-
-
 def collect() -> Dict:
     """All measurements, in the JSON layout of ``BENCH_relprod.json``."""
     report: Dict = {
@@ -321,13 +261,6 @@ def collect() -> Dict:
             "engines": measure_engines(factory),
             "adaptive": measure_adaptive(factory),
         }
-    # Second pass: the worker-pool grid churns far more memory than the
-    # serial measurements (per-step serialization, forked pools), which
-    # measurably slows *later* serial rows in this long-lived process.
-    # Running it after every acceptance-gated measurement keeps those
-    # rows in the same process state they were originally bounded in.
-    for name, factory in CONFIGS:
-        report["instances"][name]["parallel"] = measure_parallel(factory)
     return report
 
 
@@ -449,48 +382,6 @@ def test_adaptive_beats_pr1_chained_on_two_families(report):
                 or row["peak_reduction_vs_pr1_chained"] >= 2.0), (name, row)
 
 
-def test_parallel_rows_reach_same_fixpoint(report):
-    """Every workers count computes the same reachable set as the serial
-    partitioned sweep — whatever ``mode`` the pool ended up in."""
-    for name, rows in report["instances"].items():
-        counts = {row["markings"] for row in rows["parallel"].values()}
-        reference = rows["engines"]["chained"]["markings"]
-        assert counts == {reference}, (name, rows["parallel"])
-
-
-def test_parallel_rows_record_pool_mode(report):
-    """The honesty fields the gate relies on are always present: the
-    report-level CPU count and a ``mode`` on every worker row."""
-    assert report["cpus"] >= 1
-    for name, rows in report["instances"].items():
-        for workers in PARALLEL_WORKERS:
-            assert rows["parallel"][f"workers-{workers}"]["mode"] \
-                in ("process", "serial-fallback"), name
-
-
-@pytest.mark.skipif(QUICK, reason="acceptance instances excluded in "
-                                  "quick mode")
-def test_workers2_beats_serial_on_largest(report):
-    """The PR 8 acceptance bound: workers=2 finishes the largest
-    instance's image fixpoint in <= 0.9x the serial partitioned time.
-
-    A parallel speedup physically requires a second CPU and a live
-    worker pool, so the bound is only *enforced* when both hold; on a
-    single-CPU or pool-less box the grid still runs and the report
-    still records the honest ratio (typically ~1x plus IPC overhead)
-    together with ``cpus`` and ``mode``, and this test skips rather
-    than asserting a number the hardware cannot produce.
-    """
-    if report["cpus"] < 2:
-        pytest.skip(f"{report['cpus']} CPU(s): no parallel speedup is "
-                    f"physically possible; ratio recorded but not gated")
-    largest = CONFIGS[-1][0]
-    row = report["instances"][largest]["parallel"]["workers-2"]
-    if row["mode"] != "process":
-        pytest.skip("worker pool unavailable (serial-fallback mode)")
-    assert row["ratio_vs_serial"] <= 0.9, row
-
-
 def main() -> None:
     report = collect()
     path = write_report(report)
@@ -516,13 +407,6 @@ def main() -> None:
                   f"({row['peak_reduction_vs_pr1_chained']:.2f}x) "
                   f"iters={row['iterations']} "
                   f"reorders={row['reorder_count']}")
-        print(f"  parallel sweep ({report['cpus']} CPU(s)):")
-        for label, row in rows["parallel"].items():
-            ratio = row.get("ratio_vs_serial")
-            suffix = (f" ratio={ratio:.2f}x mode={row['mode']}"
-                      if ratio is not None else "")
-            print(f"    {label:<12} t={row['image_seconds']:.3f}s "
-                  f"peak={row['peak_live_nodes']}{suffix}")
     print(f"wrote {path}")
 
 

@@ -3,10 +3,7 @@
 Runs the benchmarks in quick mode (the two smallest instances each) and
 compares image-fixpoint times against the committed
 ``BENCH_relprod.json`` baseline — the BDD chained rows, the ZDD chained
-rows, the ``partitioned-mp`` workers-2/serial ratio (the latter
-only on machines where the ratio is evidence: >= 2 CPUs and a live
-worker pool on both sides, see :func:`check_parallel`), the
-analysis service's cache-hit speedup (an absolute >= 10x floor, see
+rows, the analysis service's cache-hit speedup (an absolute >= 10x floor, see
 :func:`check_service`), and the complement-edge negation wins (the
 ISSUE 10 acceptance floors plus structural peak-live-node drift, see
 :func:`check_negation`).  Engine rows are read through :func:`image_seconds`, which
@@ -59,14 +56,6 @@ PEAK_REDUCTION_MIN = 1.5
 #: fresh ratio under this floor means real work leaked back into
 #: ``apply_not``.
 NOT_SPEEDUP_MIN = 50.0
-
-
-def parallel_ratio(rows: dict) -> float:
-    """workers-2 over serial image time (lower is better)."""
-    serial = image_seconds(rows["serial"])
-    if serial <= 0:
-        return float("inf")
-    return image_seconds(rows["workers-2"]) / serial
 
 
 def image_seconds(entry: dict) -> float:
@@ -150,70 +139,6 @@ def check_zdd(baseline: dict) -> "tuple[list, int, int]":
         checked += 1
         if verdict == "REGRESSION":
             failures.append(f"zdd/{name}")
-    return failures, checked, shared
-
-
-def check_parallel(baseline: dict) -> "tuple[list, int, int]":
-    """Gate the ``partitioned-mp`` engine: the fresh workers-2/serial
-    time ratio must not exceed the committed one by ``TOLERANCE``.
-
-    The ratio is only evidence when both sides actually raced a worker
-    pool, so an instance is skipped — never failed — when this machine
-    has fewer than 2 CPUs (the ratio can only measure IPC overhead
-    there), when the committed row or the fresh run degraded to
-    ``serial-fallback`` mode, or when the committed serial fixpoint sat
-    under the noise floor.  Skips print their reason so a silently
-    green gate is distinguishable from a vacuously green one.
-    """
-    failures = []
-    checked = 0
-    shared = 0
-    cpus = os.cpu_count() or 1
-    for name, factory in bench_relprod.CONFIGS:
-        committed = (baseline["instances"].get(name) or {}).get("parallel")
-        if committed is None:
-            print(f"parallel/{name}: not in committed baseline, skipped")
-            continue
-        shared += 1
-        if cpus < 2:
-            print(f"parallel/{name}: {cpus} CPU(s) — the workers-2/serial "
-                  f"ratio only measures IPC overhead here, skipped")
-            continue
-        if committed["workers-2"].get("mode") != "process":
-            print(f"parallel/{name}: committed baseline ran without a "
-                  f"worker pool "
-                  f"(mode={committed['workers-2'].get('mode')}), skipped")
-            continue
-        committed_seconds = image_seconds(committed["serial"])
-        if committed_seconds < MIN_SECONDS:
-            print(f"parallel/{name}: committed serial fixpoint took "
-                  f"{committed_seconds:.3f}s (< {MIN_SECONDS}s noise "
-                  f"floor), skipped")
-            continue
-        old_ratio = parallel_ratio(committed)
-        bound = old_ratio * (1 + TOLERANCE)
-        new_ratio = float("inf")
-        degraded = False
-        for attempt in range(1, ATTEMPTS + 1):
-            fresh = bench_relprod.measure_parallel(factory)
-            if fresh["workers-2"].get("mode") != "process":
-                degraded = True
-                break
-            new_ratio = min(new_ratio, parallel_ratio(fresh))
-            if new_ratio <= bound:
-                break
-        if degraded:
-            print(f"parallel/{name}: worker pool unavailable on this "
-                  f"machine (serial-fallback), skipped")
-            continue
-        change = (new_ratio - old_ratio) / old_ratio if old_ratio else 0.0
-        verdict = "OK" if new_ratio <= bound else "REGRESSION"
-        print(f"parallel/{name}: workers-2/serial time ratio "
-              f"{old_ratio:.3f} -> {new_ratio:.3f} "
-              f"({change:+.1%}, {attempt} attempt(s)) {verdict}")
-        checked += 1
-        if verdict == "REGRESSION":
-            failures.append(f"parallel/{name}")
     return failures, checked, shared
 
 
@@ -391,11 +316,6 @@ def main() -> int:
     failures += zdd_failures
     checked += zdd_checked
     shared += zdd_shared
-
-    par_failures, par_checked, par_shared = check_parallel(baseline)
-    failures += par_failures
-    checked += par_checked
-    shared += par_shared
 
     svc_failures, svc_checked, svc_shared = check_service(baseline)
     failures += svc_failures

@@ -24,6 +24,9 @@ The one way to run a symbolic analysis::
   ``resume=True`` continues from the last safe point; resource budgets
   (``node_budget`` / ``deadline``) turn exhaustion into a ``partial``
   :class:`AnalysisResult` instead of a crash.
+* :mod:`repro.analysis.workers` — the one process supervisor
+  (:class:`WorkerHarness`, dead-worker grace, respawn/retire, reaping)
+  under both the portfolio race and the service pool.
 
 The legacy entry points (``traverse``, ``traverse_relational``,
 ``traverse_zdd``, ``traverse_kbounded``) remain as deprecation shims in
@@ -40,7 +43,7 @@ from .checkpoint import (CheckpointData, CheckpointError, CheckpointStore,
                          net_fingerprint, spec_fingerprint)
 from .facade import Analysis, analyze
 from .portfolio import (MemberFailure, PortfolioBackend, PortfolioError,
-                        WorkerHarness, member_checkpoint_path, member_spec)
+                        member_checkpoint_path, member_spec)
 from .result import SCHEMA_MINOR, SCHEMA_VERSION, AnalysisResult
 from .spec import (BACKEND_FAMILIES, CHAIN_ORDERS, DEFAULT_CLUSTER_SIZE,
                    DEFAULT_FORM, DEFAULT_PORTFOLIO_MEMBERS,
@@ -48,6 +51,7 @@ from .spec import (BACKEND_FAMILIES, CHAIN_ORDERS, DEFAULT_CLUSTER_SIZE,
                    PORTFOLIO_MEMBERS, RELATIONAL_ENGINES, SCHEMES,
                    SEMANTIC_FIELDS, STRATEGIES, AnalysisSpec, SpecError,
                    SpecWarning)
+from .workers import WorkerHarness
 
 __all__ = [
     "AnalysisSpec", "SpecError", "SpecWarning",

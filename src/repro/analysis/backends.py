@@ -21,8 +21,7 @@ Four adapters wrap the existing machinery:
 * :class:`KBoundedBackend` — count-bit encodings for k-bounded nets
   (:class:`~repro.symbolic.kbounded.KBoundedNet`).
 
-New backends (multiprocess partitions, interval-vector sets, ...)
-implement the same two-method surface and register in :data:`BACKENDS`;
+New backends (interval-vector sets, ...) implement the same two-method surface and register in :data:`BACKENDS`;
 nothing above this layer changes.
 """
 
@@ -180,7 +179,6 @@ class SolverSession:
             while not self.at_fixpoint():
                 if limit is not None and self.iterations >= limit:
                     self._write_checkpoint()
-                    self._close()
                     raise TraversalLimitError(
                         f"traversal exceeded {limit} iterations",
                         reached=getattr(self, "reached", None),
@@ -193,11 +191,9 @@ class SolverSession:
             result.status = "partial"
             result.extras["budget"] = exc.telemetry()
             self._result = result
-            self._close()
             return result
         self._write_checkpoint()
         self._result = self._finish()
-        self._close()
         return self._result
 
     def stats(self) -> Dict[str, Any]:
@@ -309,23 +305,6 @@ class SolverSession:
                 f"{type(exc).__name__}: {exc}",
                 reason="malformed") from exc
         self.iterations = data.iteration
-
-    # -- engine-held resources -----------------------------------------
-
-    def _close(self) -> None:
-        """Release engine-held resources (e.g. the partitioned-mp
-        worker pool) — called on every :meth:`run` exit path, *after*
-        :meth:`_finish` so the final stats still see the pool."""
-        engine = getattr(self, "image_engine", None)
-        if engine is not None and hasattr(engine, "close"):
-            engine.close()
-
-    def _parallel_stats(self) -> Optional[Dict[str, Any]]:
-        """Worker-pool telemetry when the engine runs one, else None."""
-        engine = getattr(self, "image_engine", None)
-        if engine is not None and hasattr(engine, "parallel_stats"):
-            return engine.parallel_stats()
-        return None
 
     # -- subclass surface ----------------------------------------------
 
@@ -469,8 +448,7 @@ class _BddRelationalSession(SolverSession):
             reorder_threshold=spec.reorder_threshold)
         self.image_engine = make_image_engine(
             self.symbolic_net, spec.resolved_engine,
-            spec.resolved_cluster_size, spec.simplify_frontier,
-            workers=spec.resolved_workers)
+            spec.resolved_cluster_size, spec.simplify_frontier)
         self.reached = self.symbolic_net.initial
         self.frontier = self.symbolic_net.initial
         super().__init__(BddRelationalBackend.name, spec,
@@ -485,32 +463,20 @@ class _BddRelationalSession(SolverSession):
         self.symbolic_net.bdd.checkpoint()
 
     def _peak_nodes(self) -> int:
-        peak = self.symbolic_net.bdd.peak_live_nodes
-        parallel = self._parallel_stats()
-        if parallel is not None:
-            # The pool's managers hold real memory too: report the
-            # whole process tree's occupancy, not just the parent's.
-            peak += parallel["peak_live_nodes"]
-        return peak
+        return self.symbolic_net.bdd.peak_live_nodes
 
     def _finish(self) -> AnalysisResult:
         relnet = self.symbolic_net
         bdd = relnet.bdd
-        extras = {"cluster_size": self.spec.resolved_cluster_size,
-                  "ae_calls": bdd.ae_calls,
-                  "ae_cache_hits": bdd.ae_cache_hits}
-        reorder_count = bdd.reorder_count
-        parallel = self._parallel_stats()
-        if parallel is not None:
-            extras["parallel"] = parallel
-            reorder_count += parallel["reorder_count"]
         return self._base_result(
             markings=relnet.count_markings(self.reached),
             variables=len(relnet.current),
             final_nodes=self.reached.size(),
-            reorder_count=reorder_count,
+            reorder_count=bdd.reorder_count,
             reachable=self.reached,
-            extras=extras)
+            extras={"cluster_size": self.spec.resolved_cluster_size,
+                    "ae_calls": bdd.ae_calls,
+                    "ae_cache_hits": bdd.ae_cache_hits})
 
 
 class BddRelationalBackend(SolverBackend):
@@ -544,8 +510,7 @@ class _ZddSession(SolverSession):
                 reorder_threshold=spec.reorder_threshold)
             self.image_engine = make_zdd_image_engine(
                 self.symbolic_net, engine_name,
-                spec.resolved_cluster_size,
-                workers=spec.resolved_workers)
+                spec.resolved_cluster_size)
         self.zdd = self.symbolic_net.zdd
         # The fixpoint roots stay referenced for the session's lifetime:
         # the per-iteration safe point may garbage collect (the shared
@@ -588,28 +553,18 @@ class _ZddSession(SolverSession):
 
     def _peak_nodes(self) -> int:
         self.zdd.live_nodes()  # fold the current occupancy into the peak
-        peak = self.zdd.peak_live_nodes
-        parallel = self._parallel_stats()
-        if parallel is not None:
-            peak += parallel["peak_live_nodes"]
-        return peak
+        return self.zdd.peak_live_nodes
 
     def _finish(self) -> AnalysisResult:
-        extras = {"total_nodes": self.zdd.total_nodes(),
-                  "ae_calls": self.zdd.ae_calls,
-                  "ae_cache_hits": self.zdd.ae_cache_hits}
-        reorder_count = self.zdd.reorder_count
-        parallel = self._parallel_stats()
-        if parallel is not None:
-            extras["parallel"] = parallel
-            reorder_count += parallel["reorder_count"]
         return self._base_result(
             markings=self.image_engine.count_markings(self.reached),
             variables=len(self.symbolic_net.net.places),
             final_nodes=self.zdd.size(self.reached),
-            reorder_count=reorder_count,
+            reorder_count=self.zdd.reorder_count,
             reachable=self.reached,
-            extras=extras)
+            extras={"total_nodes": self.zdd.total_nodes(),
+                    "ae_calls": self.zdd.ae_calls,
+                    "ae_cache_hits": self.zdd.ae_cache_hits})
 
 
 class ZddBackend(SolverBackend):

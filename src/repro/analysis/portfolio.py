@@ -8,38 +8,29 @@ as ``multiprocessing`` worker processes, streams their verdicts over a
 :class:`~repro.analysis.result.AnalysisResult` and terminates the
 losers (the SMPT ``Parallelizer`` pattern).
 
-The race is robust by construction:
+Process mechanics — the injectable :class:`~repro.analysis.workers.
+WorkerHarness`, crash detection, reaping — are the shared supervisor's
+(:mod:`repro.analysis.workers`); this module keeps the race policy:
 
-* **Per-member and global timeouts** (``spec.member_timeout`` /
-  ``spec.timeout``) — a worker past its deadline is terminated and
-  recorded as a :class:`MemberFailure`; the race continues with the
-  survivors.
-* **Crashed-worker detection** — a worker that dies without reporting
-  (segfault, ``SIGKILL``, OOM) surfaces its exit code in a structured
-  :class:`MemberFailure`; the race continues with the survivors.
-* **Poisoned-queue tolerance** — a payload that fails to unpickle or
-  does not follow the worker protocol is recorded and skipped; after
-  :data:`MAX_QUEUE_POISON` strikes the queue is considered unusable and
-  the race aborts cleanly.
+* **Timeouts** — a member past ``spec.member_timeout`` is terminated
+  and recorded as a :class:`MemberFailure`, the race continuing with
+  the survivors; past ``spec.timeout`` the whole race fails.
+* **Failures** — crashes (with their exit code), member errors and
+  unreadable or malformed queue payloads become structured
+  :class:`MemberFailure` records; a queue that keeps delivering poison
+  aborts the race cleanly.
 * **Checkpoint-resume retries** — with ``spec.checkpoint_path`` set,
-  every member checkpoints to its own file
-  (:func:`member_checkpoint_path`); a member that crashes or times out
-  while such a checkpoint exists is restarted from it, up to
-  :data:`MEMBER_MAX_RETRIES` times with linear backoff, instead of
-  being written off.  Retry events are surfaced in the race telemetry
+  every member checkpoints to :func:`member_checkpoint_path`; a member
+  that crashes or times out while that file exists is restarted from
+  it, up to :data:`MEMBER_MAX_RETRIES` times with linear backoff
   (``extras["portfolio"]["retries"]``).
-* **Graceful degradation** — when the platform rules out worker
-  processes (no usable start method, semaphores unavailable, spawn
-  failures), the race falls back to running members serially in
-  process, first success wins (timeouts are unenforceable there and
-  are reported as such).
-* **No orphans** — every spawned worker is terminated and joined
-  before the race returns, winner found or not.
+* **Serial degradation** — when worker processes are ruled out, members
+  run one at a time in process and the first success wins (timeouts
+  cannot be enforced there).
 
-Everything the race does to processes goes through an injectable
-:class:`WorkerHarness`, so the fault-injection suite can simulate
-hangs, crashes and poisoned queues deterministically on a virtual
-clock (``tests/analysis/test_portfolio_faults.py``).
+Every spawned worker is reaped before the race returns.  The
+fault-injection suite (``tests/analysis/test_portfolio_faults.py``)
+drives all of this on a virtual clock through a fake harness.
 
 The winning member's result is returned with portfolio extras::
 
@@ -67,27 +58,15 @@ from ..petri.net import PetriNet
 from ..petri.parser import dumps, loads
 from .backends import BACKENDS, SolverBackend, SolverSession, backend_for
 from .result import AnalysisResult
-from .spec import (DEFAULT_PORTFOLIO_MEMBERS, PORTFOLIO_MEMBERS,
-                   AnalysisSpec, SpecError)
+from .spec import PORTFOLIO_MEMBERS, AnalysisSpec, SpecError
+from .workers import (MAX_QUEUE_POISON, WorkerHarness, WorkerSlot,
+                      reap_processes)
 
 __all__ = [
     "PortfolioBackend", "PortfolioError", "MemberFailure",
     "WorkerHarness", "member_spec", "member_checkpoint_path",
 ]
 
-# How long the parent sleeps on the queue per loop pass: bounds the
-# latency of crash/deadline detection, not of verdict delivery (a
-# verdict wakes the ``get`` immediately).
-POLL_INTERVAL = 0.1
-# A dead worker gets this many further queue polls before it is
-# declared crashed, so a verdict it flushed on the way out is not
-# misread as a crash.
-DEAD_WORKER_GRACE_POLLS = 2
-# Unreadable/malformed queue payloads tolerated before the race
-# concludes the queue itself is unusable.
-MAX_QUEUE_POISON = 3
-# Seconds to wait for a terminated loser before escalating to kill().
-JOIN_TIMEOUT = 2.0
 # When the portfolio checkpoints (``spec.checkpoint_path``), a member
 # that crashes or times out while holding a checkpoint is restarted
 # from it — at most this many times, with a linear backoff per attempt.
@@ -135,6 +114,15 @@ class MemberFailure:
                    exitcode=data.get("exitcode"))
 
 
+def _crash(member: str, exitcode: Optional[int]) -> MemberFailure:
+    return MemberFailure(member, "crash", f"worker died without reporting "
+                                          f"(exitcode {exitcode})",
+                         exitcode=exitcode)
+
+
+_QUEUE_UNUSABLE = "race aborted: result queue unusable"
+
+
 # ----------------------------------------------------------------------
 # Member catalog
 # ----------------------------------------------------------------------
@@ -180,15 +168,6 @@ def member_spec(spec: AnalysisSpec, member: str) -> AnalysisSpec:
     if member in ("bdd-chained", "bdd-partitioned", "bdd-monolithic"):
         return AnalysisSpec(form="relational",
                             engine=member.split("-", 1)[1], **bdd)
-    if member == "bdd-partitioned-mp":
-        # The member itself runs in a daemonic worker process, which
-        # cannot spawn children — its pool degrades to the serial
-        # partitioned sweep there (recorded in extras["parallel"]).
-        # Running it standalone (or in the portfolio's serial degraded
-        # mode) does use worker processes, sized by the portfolio's
-        # workers setting.
-        return AnalysisSpec(form="relational", engine="partitioned-mp",
-                            workers=spec.workers, **bdd)
     if member == "zdd-chained":
         return AnalysisSpec(backend="zdd", form="relational",
                             engine="chained", **shared)
@@ -233,96 +212,24 @@ def _worker_main(member: str, net_text: str, spec_values: Dict[str, Any],
 
 
 # ----------------------------------------------------------------------
-# The harness seam
-# ----------------------------------------------------------------------
-
-class WorkerHarness:
-    """The process primitives the race runs on — the injection seam.
-
-    The default implementation spawns real daemonic
-    ``multiprocessing`` processes; the fault-injection tests substitute
-    fakes driven by a virtual clock.  A replacement must provide:
-
-    * :meth:`available` — whether worker processes can run at all.
-    * :meth:`create_queue` — a queue whose ``get(timeout=...)`` raises
-      ``queue.Empty`` on timeout (any other exception is treated as a
-      poisoned payload).
-    * :meth:`spawn` — start ``target(*args)`` for ``member`` and return
-      a process-like handle (``is_alive()``, ``exitcode``,
-      ``terminate()``, ``kill()``, ``join(timeout)``).
-    * :meth:`now` — the race's clock (monotonic seconds).
-    """
-
-    def __init__(self, start_method: Optional[str] = None) -> None:
-        self.start_method = start_method
-        self._ctx = None
-
-    def _context(self):
-        if self._ctx is None:
-            import multiprocessing
-            self._ctx = (multiprocessing.get_context(self.start_method)
-                         if self.start_method
-                         else multiprocessing.get_context())
-        return self._ctx
-
-    def available(self) -> bool:
-        """Whether this platform can run the worker-process race.
-
-        Sandboxed environments commonly refuse the semaphores a
-        ``multiprocessing.Queue`` needs; probing here is what lets the
-        race degrade to serial instead of crashing mid-build.
-        """
-        try:
-            probe = self._context().Queue()
-        except Exception:
-            return False
-        # Release the probe's feeder thread; some platforms leak it
-        # otherwise.
-        try:
-            probe.close()
-            probe.join_thread()
-        except Exception:
-            pass
-        return True
-
-    def create_queue(self):
-        return self._context().Queue()
-
-    def spawn(self, member: str, target, args):
-        process = self._context().Process(
-            target=target, args=args, name=f"portfolio-{member}",
-            daemon=True)
-        process.start()
-        return process
-
-    def now(self) -> float:
-        return time.monotonic()
-
-    def poll_interval(self) -> float:
-        return POLL_INTERVAL
-
-
-# ----------------------------------------------------------------------
 # The race
 # ----------------------------------------------------------------------
 
-class _MemberState:
-    """Book-keeping for one spawned member.
+class _MemberState(WorkerSlot):
+    """Book-keeping for one raced member.
 
-    ``handle is None`` with ``outcome is None`` means the member is
+    ``process is None`` with ``outcome is None`` means the member is
     awaiting a checkpoint-resume restart at ``restart_at``; ``attempt``
     counts launches (1 = the original run).
     """
 
-    def __init__(self, member: str, handle, started: float,
-                 deadline: Optional[float]) -> None:
+    def __init__(self, member: str) -> None:
+        super().__init__(member)
         self.member = member
-        self.handle = handle
-        self.started = started
-        self.deadline = deadline
+        self.started = 0.0
+        self.deadline: Optional[float] = None
         self.outcome: Optional[str] = None
         self.seconds: Optional[float] = None
-        self.dead_polls = 0
         self.attempt = 1
         self.restart_at: Optional[float] = None
 
@@ -343,7 +250,7 @@ class _Race:
         self.failures: List[MemberFailure] = []
         self.outcomes: List[Dict[str, Any]] = []
         self.retries: List[Dict[str, Any]] = []
-        self._discarded: List[Any] = []  # handles of retried attempts
+        self._processes: List[Any] = []  # every worker ever spawned
         self.winner: Optional[str] = None
         self.winner_result: Optional[AnalysisResult] = None
         self.mode = "process"
@@ -361,7 +268,9 @@ class _Race:
             self._run_serial()
             return
         start = self.harness.now()
-        states = self._spawn_all(result_queue)
+        states = {member: _MemberState(member) for member in self.members}
+        for state in states.values():
+            self._launch(state, result_queue)
         if not any(s.outcome is None for s in states.values()):
             # Every spawn failed before a single worker ran: the
             # platform ruled processes out after all — degrade.
@@ -372,34 +281,34 @@ class _Race:
             self._drive(result_queue, states, start)
             self._classify_unresolved(states)
         finally:
-            self._reap(states)
+            reap_processes(self._processes)
         self.seconds = self.harness.now() - start
         self.outcomes = [
             {"member": s.member, "outcome": s.outcome or "cancelled",
              "seconds": s.seconds, "attempts": s.attempt}
             for s in states.values()]
 
-    def _spawn_all(self, result_queue) -> Dict[str, _MemberState]:
-        states: Dict[str, _MemberState] = {}
-        for member in self.members:
-            mspec = member_spec(self.spec, member)
-            now = self.harness.now()
-            deadline = (now + self.spec.member_timeout
-                        if self.spec.member_timeout else None)
-            try:
-                handle = self.harness.spawn(
-                    member, _worker_main,
-                    (member, dumps(self.net), mspec.to_dict(),
-                     result_queue))
-            except Exception as exc:
-                self.failures.append(MemberFailure(
-                    member, "spawn", f"{type(exc).__name__}: {exc}"))
-                state = _MemberState(member, None, now, None)
-                state.resolve("spawn", now)
-                states[member] = state
-                continue
-            states[member] = _MemberState(member, handle, now, deadline)
-        return states
+    def _launch(self, state: _MemberState, result_queue,
+                resume: bool = False) -> None:
+        """Start a member's worker (``resume``: restart it from its
+        checkpoint) with a fresh member deadline; a spawn failure
+        resolves the member."""
+        mspec = member_spec(self.spec, state.member)
+        if resume:
+            mspec = mspec.replace(resume=True)
+        now = state.started = self.harness.now()
+        state.restart_at = None
+        state.deadline = (now + self.spec.member_timeout
+                          if self.spec.member_timeout else None)
+        try:
+            self._processes.append(state.spawn(
+                self.harness, _worker_main,
+                (state.member, dumps(self.net), mspec.to_dict(),
+                 result_queue)))
+        except Exception as exc:
+            self.failures.append(MemberFailure(
+                state.member, "spawn", f"{type(exc).__name__}: {exc}"))
+            state.resolve("spawn", now)
 
     def _drive(self, result_queue, states: Dict[str, _MemberState],
                start: float) -> None:
@@ -407,26 +316,18 @@ class _Race:
                            if self.spec.timeout else None)
         poison = 0
         while self.winner is None:
-            live = [s for s in states.values()
-                    if s.outcome is None]
-            if not live:
-                break
             now = self.harness.now()
-            for state in live:
-                if (state.handle is None and state.restart_at is not None
+            for state in states.values():
+                if (state.outcome is None and state.process is None
+                        and state.restart_at is not None
                         and now >= state.restart_at):
-                    self._respawn(state, result_queue)
+                    self._launch(state, result_queue, resume=True)
             live = [s for s in states.values() if s.outcome is None]
             if not live:
                 break
             if global_deadline is not None and now >= global_deadline:
-                for state in live:
-                    if state.handle is not None:
-                        state.handle.terminate()
-                    state.resolve("timeout", now)
-                    self.failures.append(MemberFailure(
-                        state.member, "timeout",
-                        f"global timeout after {self.spec.timeout}s"))
+                self._end_live(states, "timeout", f"global timeout after "
+                                                  f"{self.spec.timeout}s")
                 break
             timeout = self.harness.poll_interval()
             if global_deadline is not None:
@@ -447,27 +348,28 @@ class _Race:
                     f"unreadable queue payload: "
                     f"{type(exc).__name__}: {exc}"))
                 if poison >= MAX_QUEUE_POISON:
-                    self._abort_poisoned(states)
+                    self._end_live(states, "error", _QUEUE_UNUSABLE)
                     break
                 continue
             if message is not None and not self._dispatch(message, states):
                 poison += 1
                 if poison >= MAX_QUEUE_POISON:
-                    self._abort_poisoned(states)
+                    self._end_live(states, "error", _QUEUE_UNUSABLE)
                     break
             self._check_deadlines_and_crashes(states)
 
-    def _abort_poisoned(self, states: Dict[str, _MemberState]) -> None:
-        """The queue is unusable: no further verdict can arrive."""
+    def _end_live(self, states: Dict[str, _MemberState], kind: str,
+                  detail: str) -> None:
+        """Stop every unresolved member and record why (global timeout,
+        or a queue too poisoned to deliver any further verdict)."""
         now = self.harness.now()
         for state in states.values():
             if state.outcome is None:
-                if state.handle is not None:
-                    state.handle.terminate()
-                state.resolve("error", now)
-                self.failures.append(MemberFailure(
-                    state.member, "error",
-                    "race aborted: result queue unusable"))
+                if state.process is not None:
+                    state.process.terminate()
+                state.resolve(kind, now)
+                self.failures.append(MemberFailure(state.member, kind,
+                                                   detail))
 
     def _schedule_retry(self, state: _MemberState, reason: str,
                         now: float) -> bool:
@@ -486,11 +388,8 @@ class _Race:
         if state.attempt > MEMBER_MAX_RETRIES:
             return False
         backoff = RETRY_BACKOFF_SECONDS * state.attempt
-        if state.handle is not None:
-            self._discarded.append(state.handle)
-        state.handle = None
+        state.process = None
         state.deadline = None
-        state.dead_polls = 0
         state.restart_at = now + backoff
         self.retries.append({
             "member": state.member, "attempt": state.attempt,
@@ -498,25 +397,6 @@ class _Race:
             "checkpoint": path})
         state.attempt += 1
         return True
-
-    def _respawn(self, state: _MemberState, result_queue) -> None:
-        """Restart a retried member, resuming from its checkpoint."""
-        member = state.member
-        mspec = member_spec(self.spec, member).replace(resume=True)
-        now = self.harness.now()
-        state.restart_at = None
-        state.started = now
-        state.deadline = (now + self.spec.member_timeout
-                          if self.spec.member_timeout else None)
-        try:
-            state.handle = self.harness.spawn(
-                member, _worker_main,
-                (member, dumps(self.net), mspec.to_dict(),
-                 result_queue))
-        except Exception as exc:
-            self.failures.append(MemberFailure(
-                member, "spawn", f"{type(exc).__name__}: {exc}"))
-            state.resolve("spawn", now)
 
     def _dispatch(self, message, states: Dict[str, _MemberState]) -> bool:
         """Apply one queue message; ``False`` if it was malformed."""
@@ -554,29 +434,21 @@ class _Race:
             self, states: Dict[str, _MemberState]) -> None:
         now = self.harness.now()
         for state in states.values():
-            if state.outcome is not None or state.handle is None:
+            if state.outcome is not None or state.process is None:
                 continue
             if state.deadline is not None and now >= state.deadline:
-                state.handle.terminate()
+                state.process.terminate()
                 self.failures.append(MemberFailure(
                     state.member, "timeout",
                     f"member timeout after "
                     f"{self.spec.member_timeout}s"))
                 if not self._schedule_retry(state, "timeout", now):
                     state.resolve("timeout", now)
-            elif not state.handle.is_alive():
-                # Grace: the worker may have flushed its verdict into
-                # the queue on the way out; give the next polls a
-                # chance to deliver it before declaring a crash.
-                state.dead_polls += 1
-                if state.dead_polls > DEAD_WORKER_GRACE_POLLS:
-                    exitcode = state.handle.exitcode
-                    self.failures.append(MemberFailure(
-                        state.member, "crash",
-                        f"worker died without reporting "
-                        f"(exitcode {exitcode})", exitcode=exitcode))
-                    if not self._schedule_retry(state, "crash", now):
-                        state.resolve("crash", now)
+            elif state.crashed():
+                self.failures.append(
+                    _crash(state.member, state.process.exitcode))
+                if not self._schedule_retry(state, "crash", now):
+                    state.resolve("crash", now)
 
     def _classify_unresolved(self, states: Dict[str, _MemberState]) -> None:
         """Settle members the verdict outran.
@@ -590,45 +462,18 @@ class _Race:
         for state in states.values():
             if state.outcome is not None:
                 continue
-            if state.handle is None:
+            if state.process is None:
                 # Awaiting a checkpoint-resume restart when the verdict
                 # arrived: the retry is moot, not a failure.
                 state.resolve("cancelled", now)
                 continue
-            exitcode = None if state.handle.is_alive() \
-                else state.handle.exitcode
+            exitcode = None if state.process.is_alive() \
+                else state.process.exitcode
             if exitcode not in (None, 0):
                 state.resolve("crash", now)
-                self.failures.append(MemberFailure(
-                    state.member, "crash",
-                    f"worker died without reporting "
-                    f"(exitcode {exitcode})", exitcode=exitcode))
+                self.failures.append(_crash(state.member, exitcode))
             else:
                 state.resolve("cancelled", now)
-
-    def _reap(self, states: Dict[str, _MemberState]) -> None:
-        """Terminate and join every worker — losers included, always.
-
-        Handles discarded by checkpoint-resume retries are reaped too:
-        the replaced attempt was terminated when its retry was
-        scheduled, but it still needs joining here.
-        """
-        handles = [s.handle for s in states.values()
-                   if s.handle is not None] + self._discarded
-        for handle in handles:
-            try:
-                if handle.is_alive():
-                    handle.terminate()
-            except Exception:
-                pass
-        for handle in handles:
-            try:
-                handle.join(JOIN_TIMEOUT)
-                if handle.is_alive():
-                    handle.kill()
-                    handle.join(JOIN_TIMEOUT)
-            except Exception:
-                pass
 
     # -- serial degraded mode ------------------------------------------
 

@@ -56,8 +56,7 @@ ClusterSize = Union[int, str]
 SCHEMES = ("sparse", "dense", "improved")
 BACKEND_FAMILIES = ("bdd", "zdd", "portfolio")
 FORMS = ("functional", "relational")
-RELATIONAL_ENGINES = ("monolithic", "partitioned", "chained",
-                      "partitioned-mp")
+RELATIONAL_ENGINES = ("monolithic", "partitioned", "chained")
 STRATEGIES = ("bfs", "chaining")
 CHAIN_ORDERS = ("net", "support")
 
@@ -68,8 +67,7 @@ CHAIN_ORDERS = ("net", "support")
 # mid-race.
 PORTFOLIO_MEMBERS = (
     "bdd-functional", "bdd-chained", "bdd-partitioned",
-    "bdd-monolithic", "bdd-partitioned-mp", "zdd-chained",
-    "zdd-classic", "kbounded",
+    "bdd-monolithic", "zdd-chained", "zdd-classic", "kbounded",
 )
 # No single engine wins everywhere (the point of the race): the paper's
 # functional sweep, both relational-product families and the count-bit
@@ -91,9 +89,9 @@ DEFAULT_REORDER_THRESHOLD = 2_000
 # the states it visits).  :meth:`AnalysisSpec.semantic_fingerprint` —
 # the one identity both the checkpoint headers and the
 # ``repro.service`` result cache key on — excludes them, so a
-# ``resume=True`` run, one retrying with a larger iteration allowance
-# or different budget, or one sized to a different worker pool still
-# matches the checkpoint/cache entry its ancestor wrote.  Every spec
+# ``resume=True`` run, or one retrying with a larger iteration
+# allowance or different budget, still matches the checkpoint/cache
+# entry its ancestor wrote.  Every spec
 # field must appear in exactly one of the two tuples below;
 # ``tests/analysis/test_spec.py`` enumerates the full field list so a
 # new field cannot silently fracture (or silently merge) cache and
@@ -101,7 +99,7 @@ DEFAULT_REORDER_THRESHOLD = 2_000
 NONSEMANTIC_FIELDS = (
     "checkpoint_path", "checkpoint_every", "checkpoint_every_seconds",
     "resume", "node_budget", "deadline", "max_iterations",
-    "timeout", "member_timeout", "workers",
+    "timeout", "member_timeout",
 )
 # The complement: every field that *does* pick the trajectory (and so
 # the result).  Declared explicitly rather than computed so adding a
@@ -231,16 +229,6 @@ class AnalysisSpec:
         when checkpointing, writes a final checkpoint first.  The
         portfolio backend rejects them (its members are whole worker
         processes — use ``timeout``/``member_timeout`` there).
-    workers:
-        Worker-process pool size for the ``partitioned-mp`` engine: a
-        positive integer or ``"auto"`` (the CPU count, capped at the
-        block count).  Requires ``engine="partitioned-mp"`` — or the
-        portfolio backend, which threads it to its
-        ``bdd-partitioned-mp`` member; anywhere else it is a
-        :class:`SpecError` (the serial engines have no pool to size).
-        Non-semantic: the pool evaluates the same partitioned step, so
-        the trajectory — and the checkpoint fingerprint — is identical
-        at any worker count.
     """
 
     scheme: str = "improved"
@@ -265,7 +253,6 @@ class AnalysisSpec:
     resume: bool = False
     node_budget: Optional[int] = None
     deadline: Optional[float] = None
-    workers: Optional[Union[int, str]] = None
 
     def __post_init__(self) -> None:
         # JSON round trips hand lists back; normalize before validation
@@ -313,16 +300,6 @@ class AnalysisSpec:
         """The clustering granularity, defaulted when unset."""
         return self.cluster_size if self.cluster_size is not None \
             else DEFAULT_CLUSTER_SIZE
-
-    @property
-    def resolved_workers(self) -> Union[int, str]:
-        """The worker-pool sizing, defaulted to ``"auto"`` when unset.
-
-        CPU-count resolution happens inside the pool
-        (:func:`repro.symbolic.parallel.resolve_workers`), where the
-        block count is known.
-        """
-        return self.workers if self.workers is not None else "auto"
 
     @property
     def resolved_members(self) -> Tuple[str, ...]:
@@ -407,20 +384,6 @@ class AnalysisSpec:
                     f"engine={self.engine!r} is a relational image "
                     f"engine; it requires form='relational' (got "
                     f"form={self.form!r})")
-        if self.workers is not None:
-            if self.workers != "auto" and (
-                    not isinstance(self.workers, int)
-                    or isinstance(self.workers, bool)
-                    or self.workers < 1):
-                raise SpecError(
-                    f"workers must be a positive integer or 'auto', "
-                    f"got {self.workers!r}")
-            if (self.backend != "portfolio"
-                    and self.resolved_engine != "partitioned-mp"):
-                raise SpecError(
-                    f"workers sizes the partitioned-mp worker pool; "
-                    f"the {self.resolved_engine!r} engine runs in "
-                    f"process and has no pool to size")
         if self.cluster_size is not None:
             try:
                 validate_cluster_size(self.cluster_size)
@@ -544,10 +507,6 @@ class AnalysisSpec:
             if self.k_bound is not None and "kbounded" not in members:
                 warn("k_bound", "no kbounded member in the portfolio "
                                 "to apply the bound to")
-            if (self.workers is not None
-                    and "bdd-partitioned-mp" not in members):
-                warn("workers", "no bdd-partitioned-mp member in the "
-                                "portfolio to size a worker pool for")
         if self.k_bound is not None and self.backend != "portfolio":
             if self.scheme != "improved":
                 warn("scheme", "the k-bounded engine uses count-bit "
@@ -583,7 +542,7 @@ class AnalysisSpec:
         ``k_bound``, ``portfolio_members`` (comma-separated member
         ids), ``timeout``, ``member_timeout``, ``checkpoint`` (the
         checkpoint path), ``checkpoint_every``, ``resume``,
-        ``node_budget``, ``deadline``, ``workers``.
+        ``node_budget``, ``deadline``.
         """
         values: Dict[str, Any] = {}
         if getattr(args, "scheme", None) is not None:
@@ -626,8 +585,6 @@ class AnalysisSpec:
             values["node_budget"] = args.node_budget
         if getattr(args, "deadline", None) is not None:
             values["deadline"] = args.deadline
-        if getattr(args, "workers", None) is not None:
-            values["workers"] = args.workers
         return cls(**values)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -639,8 +596,8 @@ class AnalysisSpec:
         """The fields that pick the analysis trajectory.
 
         The :meth:`to_dict` dump minus :data:`NONSEMANTIC_FIELDS` — the
-        durability, budget and pool-sizing knobs, which change how a
-        run is supervised but never which states it visits.
+        durability and budget knobs, which change how a run is
+        supervised but never which states it visits.
         """
         return {key: value for key, value in self.to_dict().items()
                 if key not in NONSEMANTIC_FIELDS}
@@ -653,7 +610,7 @@ class AnalysisSpec:
         (:func:`repro.analysis.checkpoint.spec_fingerprint` delegates
         here), the ``repro.service`` result cache key, and its
         in-flight request dedupe.  Two specs that differ only in
-        non-semantic fields (``workers``, checkpoint paths, budgets,
+        non-semantic fields (checkpoint paths, budgets,
         ``max_iterations``) share a fingerprint by construction.
         """
         blob = json.dumps(self.semantic_fields(), sort_keys=True,

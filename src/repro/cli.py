@@ -104,21 +104,6 @@ def _cluster_size(value: str):
     return size
 
 
-def _workers(value: str):
-    """Parse ``--workers``: a positive integer or ``auto``."""
-    if value == "auto":
-        return "auto"
-    try:
-        count = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer or 'auto', got {value!r}")
-    if count < 1:
-        raise argparse.ArgumentTypeError(
-            f"workers must be >= 1, got {count}")
-    return count
-
-
 def _service_workers(value: str):
     """Parse a service ``--workers``: a non-negative integer or
     ``auto`` (0 skips worker processes; every miss solves serially)."""
@@ -215,12 +200,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           "partitioned/chained image engines (a positive "
                           "integer, or 'auto' for adaptive support-overlap "
                           "clustering, the default)")
-    ana.add_argument("--workers", type=_workers, default=None,
-                     help="worker-process pool size for --image "
-                          "partitioned-mp (a positive integer, or "
-                          "'auto' for the CPU count capped at the "
-                          "block count); with --engine portfolio it "
-                          "sizes the bdd-partitioned-mp member's pool")
     ana.add_argument("--portfolio-members", default=None,
                      metavar="M1,M2,...",
                      help="comma-separated member ids for the portfolio "

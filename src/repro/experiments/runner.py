@@ -181,20 +181,15 @@ def run_relational(name: str, net: PetriNet, engine: str = "partitioned",
                    simplify_frontier: bool = False,
                    reorder: bool = False,
                    reorder_threshold: int = 2_000,
-                   encoding_factory: Optional[Callable] = None,
-                   workers=None) -> ExperimentRow:
+                   encoding_factory: Optional[Callable] = None
+                   ) -> ExperimentRow:
     """Relation-based BDD traversal through a chosen image engine
-    (wrapper); the reported engine column is ``rel-<engine>``.
-
-    ``workers`` sizes the ``partitioned-mp`` engine's process pool
-    (int or ``"auto"``; leave ``None`` for the serial engines).
-    """
+    (wrapper); the reported engine column is ``rel-<engine>``."""
     spec = AnalysisSpec(form="relational", engine=engine,
                         cluster_size=cluster_size,
                         simplify_frontier=simplify_frontier,
                         reorder=reorder,
-                        reorder_threshold=reorder_threshold,
-                        workers=workers)
+                        reorder_threshold=reorder_threshold)
     return run(name, net, spec, encoding_factory=encoding_factory)
 
 

@@ -13,8 +13,8 @@ The serving layer over :mod:`repro.analysis` — the ROADMAP's
   cache keyed by ``(net_fingerprint, semantic spec fingerprint)``,
   content-hash sealed, torn-write safe, size-bounded.
 * :class:`AnalysisWorkerPool` — persistent ``analyze()`` worker
-  processes with PR 8's crash/respawn/retire discipline and serial
-  degradation.
+  processes on the shared supervisor (:mod:`repro.analysis.workers`),
+  with serial degradation.
 * :class:`AnalysisService` / :class:`AnalysisHandle` — async
   submit/result API with in-flight dedupe, cache consultation,
   checkpoint-resume injection and per-request service telemetry.

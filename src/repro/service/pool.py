@@ -1,51 +1,39 @@
 """Warm worker pool running whole analyses in persistent processes.
 
-The DD kernel is single-threaded by design (ROADMAP: the process pool
-*is* the concurrency model), so the serving layer's unit of parallelism
-is one whole ``analyze()`` call per worker process.  Each worker is
-persistent — spawned once, kept warm across requests, holding a small
-parsed-net cache so repeat requests against the same net skip the
-parse — and speaks the same wire idiom as the portfolio workers: nets
-cross the process boundary as canonical ``.pnet`` text, specs as
-``AnalysisSpec.to_dict()`` payloads, results as
-``AnalysisResult.to_dict()`` dicts.
+The serving layer's unit of parallelism is one whole ``analyze()`` call
+per worker process.  Workers are persistent — warm across requests,
+with a small parsed-net cache — and speak the portfolio's wire idiom:
+nets as canonical ``.pnet`` text, specs and results as their
+``to_dict()`` payloads.
 
-The failure discipline is PR 8's, verbatim:
+The process mechanics are the shared supervisor's
+(:mod:`repro.analysis.workers`); this module multiplexes requests:
 
-* a worker that raises *inside* a request reports a structured
-  ``("error", ...)`` reply and stays alive for the next request;
-* a worker that dies (SIGKILL, BDD kernel abort) is detected by the
-  poll loop after :data:`~repro.symbolic.parallel.
-  DEAD_WORKER_GRACE_POLLS` empty polls — its queued reply may still be
-  buffered — and is respawned with a **fresh task queue** (a dead
-  worker's undrained tasks must not leak into its replacement), its
-  pending requests resubmitted;
-* after :data:`~repro.symbolic.parallel.MAX_RESPAWNS` respawns the slot
-  is retired and its pending requests are redistributed over the
-  surviving workers;
-* when no workers survive (or none could ever spawn — daemonic parent,
-  sandbox without semaphores) the pool reports
-  ``mode="serial-fallback"`` and hands every pending request back to
-  the caller as an ``("orphan", ...)`` event — the
-  :class:`~repro.service.server.AnalysisService` then solves those
-  in-process.
+* a worker that raises *inside* a request replies ``("error", ...)``
+  and lives on;
+* a worker that dies — busy or idle — is respawned with a **fresh task
+  queue** (its undrained tasks must not leak into the replacement) and
+  its pending requests resubmitted; past the respawn budget the slot is
+  retired and its requests redistributed over the survivors;
+* with no worker left (or none spawnable) the pool reports
+  ``mode="serial-fallback"`` and hands pending requests back as
+  ``("orphan", ...)`` events, which the
+  :class:`~repro.service.server.AnalysisService` solves in-process.
 
-Shutdown is polite-then-forceful via
-:func:`~repro.symbolic.parallel.reap_processes`, with a
-``weakref.finalize`` safety net so a leaked pool cannot strand
-processes.
+Shutdown is polite-then-forceful, with a ``weakref.finalize`` safety
+net so a leaked pool cannot strand processes.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import queue
 import weakref
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..symbolic.parallel import (DEAD_WORKER_GRACE_POLLS, MAX_QUEUE_POISON,
-                                 MAX_RESPAWNS, SweepHarness, reap_processes,
-                                 resolve_workers)
+from ..analysis.workers import (MAX_QUEUE_POISON, WorkerHarness, WorkerSlot,
+                                reap_processes)
 
 __all__ = ["AnalysisWorkerPool", "PoolEvent"]
 
@@ -116,20 +104,16 @@ def _service_worker_main(worker_id: int, task_queue, result_queue) -> None:
         pass
 
 
-class _ServiceSlot:
-    """One pool slot: its process, queue and pending-request ledger."""
+class _ServiceSlot(WorkerSlot):
+    """One pool slot: a supervised worker, its task queue and its
+    pending-request ledger."""
 
     def __init__(self, worker_id: int) -> None:
+        super().__init__(f"service-{worker_id}")
         self.worker_id = worker_id
-        self.process = None
         self.task_queue = None
         self.pending: Dict[Any, Tuple[str, Dict[str, Any]]] = {}
-        self.respawns = 0
         self.completed = 0
-        self.retired = False
-
-    def alive(self) -> bool:
-        return self.process is not None and self.process.is_alive()
 
 
 class AnalysisWorkerPool:
@@ -143,23 +127,22 @@ class AnalysisWorkerPool:
         caller solves serially — the deterministic mode the benchmarks
         use).
     harness:
-        Process-primitive seam (:class:`~repro.symbolic.parallel.
-        SweepHarness`); tests inject fakes or force the serial
+        Process-primitive seam (:class:`~repro.analysis.workers.
+        WorkerHarness`); tests inject fakes or force the serial
         degradation here.
 
     The pool is lazy: processes spawn on the first :meth:`submit`.
     """
 
     def __init__(self, workers: "int | str" = "auto",
-                 harness: Optional[SweepHarness] = None) -> None:
+                 harness: Optional[WorkerHarness] = None) -> None:
         self.requested_workers = workers
-        self.harness = harness if harness is not None else SweepHarness()
+        self.harness = harness if harness is not None else WorkerHarness()
         self.mode: Optional[str] = None
         self.slots: List[_ServiceSlot] = []
         self.crashes: List[Dict[str, Any]] = []
         self.poison = 0
         self._result_queue = None
-        self._grace: Dict[int, int] = {}
         self._inflight: Dict[Any, int] = {}  # request_id -> worker_id
         self._processes: List = []           # every process ever spawned
         self._finalizer = weakref.finalize(self, reap_processes,
@@ -169,8 +152,9 @@ class AnalysisWorkerPool:
     # -- lifecycle -----------------------------------------------------
 
     def _activate(self) -> None:
-        count = resolve_workers(self.requested_workers) \
-            if self.requested_workers != 0 else 0
+        count = (os.cpu_count() or 1) \
+            if self.requested_workers in (None, "auto") \
+            else int(self.requested_workers)
         if count < 1 or not self.harness.available():
             self.mode = "serial-fallback"
             return
@@ -181,8 +165,7 @@ class AnalysisWorkerPool:
                 self._spawn(slot)
                 self.slots.append(slot)
         except Exception:
-            reap_processes([s.process for s in self.slots
-                            if s.process is not None])
+            reap_processes(self._processes)
             self.slots = []
             self.mode = "serial-fallback"
             return
@@ -191,10 +174,9 @@ class AnalysisWorkerPool:
     def _spawn(self, slot: _ServiceSlot) -> None:
         # Fresh task queue per (re)spawn — see module docstring.
         slot.task_queue = self.harness.create_queue()
-        slot.process = self.harness.spawn(
-            slot.worker_id, _service_worker_main,
-            (slot.worker_id, slot.task_queue, self._result_queue))
-        self._processes.append(slot.process)
+        self._processes.append(slot.spawn(
+            self.harness, _service_worker_main,
+            (slot.worker_id, slot.task_queue, self._result_queue)))
 
     def close(self) -> None:
         """Stop the pool: polite stop, then terminate → join → kill."""
@@ -207,8 +189,7 @@ class AnalysisWorkerPool:
                     slot.task_queue.put(("stop",))
                 except Exception:
                     pass
-        reap_processes([s.process for s in self.slots
-                        if s.process is not None])
+        reap_processes(self._processes)
 
     def __enter__(self) -> "AnalysisWorkerPool":
         return self
@@ -222,6 +203,21 @@ class AnalysisWorkerPool:
         return [slot for slot in self.slots
                 if not slot.retired and slot.alive()]
 
+    def _dispatch(self, request_id, net_text: str,
+                  spec_dict: Dict[str, Any]) -> bool:
+        """Queue one request on the least-loaded live worker."""
+        live = self._live_slots()
+        if not live:
+            return False
+        slot = min(live, key=lambda s: len(s.pending))
+        try:
+            slot.task_queue.put(("run", request_id, net_text, spec_dict))
+        except Exception:
+            return False
+        slot.pending[request_id] = (net_text, spec_dict)
+        self._inflight[request_id] = slot.worker_id
+        return True
+
     def submit(self, request_id, net_text: str,
                spec_dict: Dict[str, Any]) -> bool:
         """Dispatch one request to the least-loaded live worker.
@@ -234,18 +230,10 @@ class AnalysisWorkerPool:
             self._activate()
         if self.mode == "serial-fallback":
             return False
-        live = self._live_slots()
-        if not live:
+        if not self._live_slots():
             self.mode = "serial-fallback"
             return False
-        slot = min(live, key=lambda s: len(s.pending))
-        try:
-            slot.task_queue.put(("run", request_id, net_text, spec_dict))
-        except Exception:
-            return False
-        slot.pending[request_id] = (net_text, spec_dict)
-        self._inflight[request_id] = slot.worker_id
-        return True
+        return self._dispatch(request_id, net_text, spec_dict)
 
     @property
     def inflight(self) -> int:
@@ -257,7 +245,7 @@ class AnalysisWorkerPool:
         """One poll round: drain ready replies, detect dead workers.
 
         Blocks at most one
-        :meth:`~repro.symbolic.parallel.SweepHarness.poll_interval`;
+        :meth:`~repro.analysis.workers.WorkerHarness.poll_interval`;
         returns the events that became available (possibly none).
         Callers loop while they have unresolved requests.
         """
@@ -299,27 +287,20 @@ class AnalysisWorkerPool:
     def _check_crashes(self, events: List[PoolEvent]) -> None:
         # Idle slots (empty pending) are checked too: a worker that
         # crashes between requests still needs its respawn-or-retire.
-        for slot in list(self.slots):
-            if slot.retired or slot.alive():
-                continue
-            count = self._grace.get(slot.worker_id, 0) + 1
-            self._grace[slot.worker_id] = count
-            if count < DEAD_WORKER_GRACE_POLLS:
-                continue  # its final reply may still be buffered
-            del self._grace[slot.worker_id]
-            self._recover(slot, events)
+        for slot in self.slots:
+            if not slot.retired and slot.crashed():
+                self._recover(slot, events)
 
     def _recover(self, slot: _ServiceSlot,
                  events: List[PoolEvent]) -> None:
         """Respawn a crashed slot (bounded) or retire it."""
-        action = "respawn" if slot.respawns < MAX_RESPAWNS else "retire"
+        action = slot.recover()
         self.crashes.append({
             "worker": slot.worker_id,
             "pending": len(slot.pending),
             "action": action,
         })
         if action == "respawn":
-            slot.respawns += 1
             try:
                 self._spawn(slot)
                 for request_id, (net_text, spec_dict) in \
@@ -339,18 +320,8 @@ class AnalysisWorkerPool:
         slot.pending.clear()
         for request_id, (net_text, spec_dict) in pending:
             self._inflight.pop(request_id, None)
-            live = self._live_slots()
-            if live:
-                target = min(live, key=lambda s: len(s.pending))
-                try:
-                    target.task_queue.put(
-                        ("run", request_id, net_text, spec_dict))
-                    target.pending[request_id] = (net_text, spec_dict)
-                    self._inflight[request_id] = target.worker_id
-                    continue
-                except Exception:
-                    pass
-            events.append(("orphan", request_id))
+            if not self._dispatch(request_id, net_text, spec_dict):
+                events.append(("orphan", request_id))
         if not self._live_slots():
             self.mode = "serial-fallback"
 

@@ -55,9 +55,9 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..analysis.facade import analyze
 from ..analysis.result import AnalysisResult
 from ..analysis.spec import AnalysisSpec
+from ..analysis.workers import WorkerHarness
 from ..petri.net import PetriNet
 from ..petri.parser import dumps
-from ..symbolic.parallel import SweepHarness
 from .cache import CacheLookup, ResultCache, cache_key
 from .pool import AnalysisWorkerPool
 
@@ -196,7 +196,8 @@ class AnalysisService:
         When set, cache misses run with an injected per-key checkpoint
         path + ``resume=True`` (see module docstring).
     harness:
-        Process seam forwarded to the pool (tests).
+        :class:`~repro.analysis.workers.WorkerHarness` forwarded to the
+        pool (tests inject fakes here).
 
     Use as a context manager or call :meth:`close` to stop the pool.
     """
@@ -205,7 +206,7 @@ class AnalysisService:
                  cache_dir: Optional[str] = None,
                  workers: "int | str" = "auto",
                  checkpoint_dir: Optional[str] = None,
-                 harness: Optional[SweepHarness] = None) -> None:
+                 harness: Optional[WorkerHarness] = None) -> None:
         self.cache = cache if cache is not None \
             else ResultCache(directory=cache_dir)
         self.checkpoint_dir = checkpoint_dir

@@ -5,11 +5,8 @@
 * :mod:`repro.symbolic.partition` — the *generic* relational layer:
   support clustering, disjunctive partitions, reorder-aware
   reclustering, the chained sweep with diff-based narrowing and the
-  pluggable image engines (monolithic | partitioned | chained |
-  partitioned-mp), written once over the shared ``repro.dd`` kernel.
-* :mod:`repro.symbolic.parallel` — the ``partitioned-mp`` engine's
-  worker-process pool (blocks pinned to warm managers, bddio/zddio
-  wire format, crash fallback to serial evaluation).
+  pluggable image engines (monolithic | partitioned | chained), written
+  once over the shared ``repro.dd`` kernel.
 * :class:`RelationalNet` / :func:`traverse_relational` — the BDD
   encoding shim over that layer (Eq. 3 transition-relation traversal).
 * :class:`ZddRelationalNet` / :func:`traverse_zdd` — the sparse-ZDD
@@ -24,8 +21,6 @@ here remain its building blocks.
 
 from .checker import CheckReport, ModelChecker
 from .kbounded import KBoundedNet, KBoundedResult, traverse_kbounded
-from .parallel import (ParallelPartitionedImageEngine, ParallelSweep,
-                       SweepHarness)
 from .partition import PartitionedNet, RelationPartition
 from .relational import RelationalNet
 from .transition import SymbolicNet, cluster_by_support
@@ -38,7 +33,7 @@ from .zdd_relational import (ZddRelationPartition, ZddRelationalNet,
                              ZddSparseRelation, ZddStateOps)
 from .zdd_traversal import (ZDD_IMAGE_ENGINES, ChainedZddEngine,
                             ClassicZddEngine, MonolithicZddEngine,
-                            ParallelZddEngine, PartitionedZddEngine,
+                            PartitionedZddEngine,
                             ZddImageEngine, ZddNet, ZddTraversalResult,
                             make_zdd_image_engine, traverse_zdd)
 
@@ -49,8 +44,6 @@ __all__ = [
     "TraversalLimitError",
     "IMAGE_ENGINES", "ImageEngine", "make_image_engine",
     "MonolithicImageEngine", "PartitionedImageEngine", "ChainedImageEngine",
-    "ParallelPartitionedImageEngine", "ParallelSweep", "SweepHarness",
-    "ParallelZddEngine",
     "ModelChecker", "CheckReport",
     "ZddNet", "ZddTraversalResult", "traverse_zdd",
     "ZddRelationalNet", "ZddRelationPartition", "ZddSparseRelation",

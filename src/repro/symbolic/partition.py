@@ -46,8 +46,7 @@ __all__ = [
 
 ClusterSize = Union[int, str]
 
-IMAGE_ENGINES = ("monolithic", "partitioned", "chained",
-                 "partitioned-mp")
+IMAGE_ENGINES = ("monolithic", "partitioned", "chained")
 
 
 # ---------------------------------------------------------------------
@@ -377,8 +376,8 @@ class PartitionedNet:
     def block_size(self, block) -> int:
         """Node count of a block's built relation(s).
 
-        The load-balancing / union-scheduling weight: encoding shims
-        override it with their manager's size measure.
+        The union-scheduling weight: encoding shims override it with
+        their manager's size measure.
         """
         raise NotImplementedError
 
@@ -387,9 +386,7 @@ class PartitionedNet:
 
         Blocks are applied smallest relation first: the union is
         commutative so the result is order-independent, but accumulating
-        the small images first keeps the intermediate union DDs small
-        (the previous dict-insertion order made the sweep's memory
-        profile depend on transition declaration order).
+        the small images first keeps the intermediate union DDs small.
         """
         result = self.state_empty()
         for block in sorted(blocks, key=self.block_size):
@@ -483,14 +480,6 @@ class ImageEngine:
             return frontier
         return self.relnet.narrow_frontier(frontier, reached)
 
-    def close(self) -> None:
-        """Release engine-held resources (worker pools); idempotent.
-
-        Serial engines hold nothing — sessions call this on every exit
-        path so resource-backed engines (``partitioned-mp``) can rely
-        on it.
-        """
-
 
 class MonolithicImageEngine(ImageEngine):
     """Single image through the all-transitions relation per step."""
@@ -544,17 +533,13 @@ class ChainedImageEngine(PartitionedImageEngine):
 
 def make_image_engine(relnet: PartitionedNet, engine: str = "partitioned",
                       cluster_size: ClusterSize = 1,
-                      simplify_frontier: bool = False,
-                      workers: "int | str" = "auto",
-                      harness=None) -> ImageEngine:
+                      simplify_frontier: bool = False) -> ImageEngine:
     """Factory for the relational image engines by name.
 
     ``cluster_size`` must be a positive integer or ``"auto"`` (adaptive
     support-overlap clustering); ``engine`` one of :data:`IMAGE_ENGINES`.
     Both are validated here so misconfigurations fail fast with a clear
-    message instead of deep inside ``partitions()``.  ``workers`` and
-    ``harness`` only apply to ``"partitioned-mp"`` (see
-    :class:`repro.symbolic.parallel.ParallelSweep`).
+    message instead of deep inside ``partitions()``.
     """
     validate_cluster_size(cluster_size)
     if engine == "monolithic":
@@ -564,11 +549,5 @@ def make_image_engine(relnet: PartitionedNet, engine: str = "partitioned",
                                       simplify_frontier)
     if engine == "chained":
         return ChainedImageEngine(relnet, cluster_size, simplify_frontier)
-    if engine == "partitioned-mp":
-        # Imported here: parallel.py imports this module at top level.
-        from .parallel import ParallelPartitionedImageEngine
-        return ParallelPartitionedImageEngine(
-            relnet, cluster_size, simplify_frontier,
-            workers=workers, harness=harness)
     raise ValueError(f"unknown image engine {engine!r}; "
                      f"expected one of {IMAGE_ENGINES}")

@@ -37,14 +37,12 @@ from ..bdd.zdd import ZDD
 from ..dd.manager import DEFAULT_REORDER_GROWTH
 from ..petri.marking import Marking
 from ..petri.net import PetriNet
-from .parallel import ParallelPartitionedImageEngine
 from .partition import (ChainedImageEngine, ImageEngine,
                         MonolithicImageEngine, PartitionedImageEngine,
                         validate_cluster_size)
 from .zdd_relational import ZddRelationalNet, ZddStateOps
 
-ZDD_IMAGE_ENGINES = ("classic", "monolithic", "partitioned", "chained",
-                     "partitioned-mp")
+ZDD_IMAGE_ENGINES = ("classic", "monolithic", "partitioned", "chained")
 
 
 @dataclass
@@ -180,14 +178,8 @@ class ChainedZddEngine(ZddImageEngine, ChainedImageEngine):
     working-set narrowing per step."""
 
 
-class ParallelZddEngine(ZddImageEngine, ParallelPartitionedImageEngine):
-    """Per-block images evaluated in worker processes (zddio wire)."""
-
-
 def make_zdd_image_engine(zddnet, engine: str = "chained",
-                          cluster_size: "int | str" = 1,
-                          workers: "int | str" = "auto",
-                          harness=None) -> ImageEngine:
+                          cluster_size: "int | str" = 1) -> ImageEngine:
     """Factory for the ZDD image engines by name.
 
     ``zddnet`` must match the chosen engine's form — a :class:`ZddNet`
@@ -220,9 +212,6 @@ def make_zdd_image_engine(zddnet, engine: str = "chained",
         return MonolithicZddEngine(zddnet)
     if engine == "partitioned":
         return PartitionedZddEngine(zddnet, cluster_size)
-    if engine == "partitioned-mp":
-        return ParallelZddEngine(zddnet, cluster_size,
-                                 workers=workers, harness=harness)
     return ChainedZddEngine(zddnet, cluster_size)
 
 

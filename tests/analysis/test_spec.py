@@ -300,7 +300,7 @@ class TestFieldClassification:
     EXPECTED_NONSEMANTIC = {
         "checkpoint_path", "checkpoint_every", "checkpoint_every_seconds",
         "resume", "node_budget", "deadline", "max_iterations",
-        "timeout", "member_timeout", "workers",
+        "timeout", "member_timeout",
     }
 
     def test_every_field_classified_exactly_once(self):
@@ -319,9 +319,9 @@ class TestFieldClassification:
             checkpoint_path="/tmp/x.ckpt", checkpoint_every=7,
             checkpoint_every_seconds=1.5, resume=True,
             node_budget=10_000, deadline=3.0, max_iterations=5,
-            workers=4, form="relational", engine="partitioned-mp")
+            form="relational", engine="partitioned")
         # Same semantics modulo the relational switch...
-        rel = AnalysisSpec(form="relational", engine="partitioned-mp")
+        rel = AnalysisSpec(form="relational", engine="partitioned")
         assert varied.semantic_fingerprint() == rel.semantic_fingerprint()
         # ...and the durability knobs alone change nothing.
         assert base.semantic_fingerprint() == AnalysisSpec(
@@ -366,3 +366,76 @@ class TestFieldClassification:
         from repro.analysis import spec_fingerprint
         spec = AnalysisSpec(backend="zdd")
         assert spec_fingerprint(spec) == spec.semantic_fingerprint()
+
+
+class TestIdentityAcrossFieldRemoval:
+    """Removing the non-semantic ``workers`` field must not move cache
+    or checkpoint identity: entries written before the removal stay
+    valid."""
+
+    # semantic_fingerprint() values recorded while the spec still had
+    # the ``workers`` field.
+    PINNED = [
+        (dict(), "d7b8967606abd9af"),
+        (dict(backend="zdd"), "e269d4c0f6edbfc6"),
+        (dict(form="relational"), "1dfd5f449f324cf9"),
+        (dict(backend="portfolio"), "e8c589da453b9cd3"),
+    ]
+
+    @pytest.mark.parametrize("overrides,fingerprint", PINNED)
+    def test_fingerprint_is_unchanged(self, overrides, fingerprint):
+        from repro.analysis import spec_fingerprint
+        spec = AnalysisSpec(**overrides)
+        assert spec.semantic_fingerprint() == fingerprint
+        assert spec_fingerprint(spec) == fingerprint
+
+    def test_result_written_with_workers_field_still_loads(self):
+        from repro.analysis import AnalysisResult
+        spec_fields = dict(AnalysisSpec().to_dict(), workers=None)
+        payload = {
+            "schema": 1, "schema_minor": 1, "spec": spec_fields,
+            "engine": "functional", "markings": 8, "iterations": 2,
+            "variables": 4, "final_nodes": 8, "peak_nodes": 48,
+            "seconds": 0.01, "reorder_count": 0, "status": "complete",
+            "extras": {"strategy": "chaining", "chain_order": "support",
+                       "use_toggle": True, "build_seconds": 0.005,
+                       "fixpoint_seconds": 0.005},
+        }
+        result = AnalysisResult.from_dict(payload)
+        assert result.spec == AnalysisSpec()
+        assert result.spec.semantic_fingerprint() == "d7b8967606abd9af"
+        assert result.markings == 8
+        assert "workers" not in result.to_dict()["spec"]
+
+
+class TestSerialEngineCatalogue:
+    """The multiprocess partition sweep and its ``workers`` field are
+    gone: the engine catalogues are serial and asking for ``workers``
+    on an analysis fails loudly instead of being silently ignored."""
+
+    def test_engine_catalogues_are_serial(self):
+        from repro.analysis import PORTFOLIO_MEMBERS, RELATIONAL_ENGINES
+        from repro.symbolic import IMAGE_ENGINES, ZDD_IMAGE_ENGINES
+        serial = ("monolithic", "partitioned", "chained")
+        assert RELATIONAL_ENGINES == serial
+        assert IMAGE_ENGINES == serial
+        assert ZDD_IMAGE_ENGINES == ("classic",) + serial
+        assert not [m for m in PORTFOLIO_MEMBERS if m.endswith("-mp")]
+
+    def test_workers_is_not_a_spec_field(self):
+        with pytest.raises(TypeError):
+            AnalysisSpec(workers=2)
+        with pytest.raises(SpecError, match="unknown spec fields"):
+            AnalysisSpec.from_dict(dict(AnalysisSpec().to_dict(),
+                                        workers=2))
+
+    def test_analyze_has_no_workers_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(
+                ["analyze", "x.pnet", "--workers", "2"])
+
+    @pytest.mark.parametrize("argv", [["batch", "requests.jsonl"],
+                                      ["serve"]])
+    def test_service_commands_keep_their_workers_flag(self, argv):
+        args = _build_parser().parse_args(argv + ["--workers", "2"])
+        assert args.workers == 2

@@ -33,15 +33,11 @@ class TestKey:
                                         spec_fingerprint(spec))
 
     def test_nonsemantic_fields_share_one_entry(self, solved, tmp_path):
-        """workers / checkpoints / budgets must not fracture the key."""
+        """Checkpoints / budgets must not fracture the key."""
         net, spec, payload = solved
         cache = ResultCache(directory=tmp_path)
         cache.put_for(net, spec, payload)
         for variant in (
-                spec.replace(workers=4, form="relational",
-                             engine="partitioned-mp").replace(
-                                 form=spec.form, engine=spec.engine,
-                                 workers=None),
                 spec.replace(checkpoint_path="x.ckpt", resume=True),
                 spec.replace(node_budget=10_000, deadline=60.0),
                 spec.replace(max_iterations=3)):

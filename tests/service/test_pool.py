@@ -7,13 +7,13 @@ import time
 import pytest
 
 from repro.analysis import AnalysisSpec, analyze
+from repro.analysis.workers import WorkerHarness
 from repro.petri.generators import philosophers
 from repro.petri.parser import dumps
 from repro.service import AnalysisWorkerPool
-from repro.symbolic.parallel import SweepHarness
 
 
-class _NoWorkersHarness(SweepHarness):
+class _NoWorkersHarness(WorkerHarness):
     """Pins the serial degradation: no process is ever spawned."""
 
     def available(self):
@@ -137,7 +137,7 @@ def test_idle_worker_crash_is_detected_and_respawned(make_net):
 def test_worker_retired_after_respawn_budget_orphans_requests(make_net):
     """Kill the worker past MAX_RESPAWNS: the slot is retired and, with
     nobody left, the pending request comes back as an orphan."""
-    from repro.symbolic.parallel import MAX_RESPAWNS
+    from repro.analysis.workers import MAX_RESPAWNS
     net_text = dumps(philosophers(4))
     spec = AnalysisSpec().to_dict()
     with AnalysisWorkerPool(workers=1) as pool:

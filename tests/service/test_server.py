@@ -14,11 +14,11 @@ import signal
 import pytest
 
 from repro.analysis import AnalysisSpec, analyze
+from repro.analysis.workers import WorkerHarness
 from repro.service import AnalysisService, ResultCache, ServiceError
-from repro.symbolic.parallel import SweepHarness
 
 
-class _NoWorkersHarness(SweepHarness):
+class _NoWorkersHarness(WorkerHarness):
     def available(self):
         return False
 

@@ -281,116 +281,37 @@ def test_kill_and_resume_matches_oracle(name, make_net, explicit_counts,
 
 
 # ---------------------------------------------------------------------------
-# Parallel partitioned-mp differential: the worker pool vs the serial
-# partitioned engine vs the explicit oracle, on every generator family.
-
-from repro.symbolic import ParallelPartitionedImageEngine, ParallelZddEngine
-
-
-def _sweep_workers_available():
-    import multiprocessing
-    if multiprocessing.current_process().daemon:
-        return False
-    return _workers_available()
+# Finest disjunctive partition: one block per transition (Eq. 3), swept
+# serially — the configuration ``engine="partitioned"`` runs in place of
+# the removed multiprocess sweep.
 
 
 @pytest.mark.parametrize("name", SMALL_NETS)
-def test_partitioned_mp_agrees_small(name, make_net):
-    """Acceptance: ``partitioned-mp`` with workers=2 (BDD and ZDD)
-    computes the identical reachable marking *set* as the serial
-    partitioned engine and the explicit oracle on every family."""
-    if not _sweep_workers_available():
-        pytest.skip("multiprocessing unavailable in this environment")
+def test_per_transition_partition_agrees_small(name, make_net):
+    """With ``cluster_size=1`` every transition is its own block, so the
+    serial sweep unions the most independent per-block images; BDD and
+    ZDD must still land on the explicit oracle's marking *set*, and the
+    spec-level migration target reports the same count."""
     net = make_net(name)
     explicit = explicit_marking_set(net)
     assert explicit
 
-    serial_net = RelationalNet(ImprovedEncoding(make_net(name)))
-    serial = traverse_relational(serial_net, engine="partitioned",
-                                 cluster_size="auto")
-    assert serial.marking_count == len(explicit), (name, "serial")
-
     relnet = RelationalNet(ImprovedEncoding(make_net(name)))
-    engine = ParallelPartitionedImageEngine(relnet, cluster_size="auto",
-                                            workers=2)
-    try:
-        result = traverse_relational(relnet, engine=engine)
-        stats = engine.parallel_stats()
-    finally:
-        engine.close()
-    assert stats["mode"] == "process", (name, stats)
-    assert result.marking_count == serial.marking_count
-    assert_bdd_set_matches(relnet, result.reachable,
-                           result.marking_count, explicit,
-                           (name, "bdd/partitioned-mp"))
+    assert all(len(block.transitions) == 1
+               for block in relnet.partitions(1))
+    result = traverse_relational(relnet, engine="partitioned",
+                                 cluster_size=1)
+    assert_bdd_set_matches(relnet, result.reachable, result.marking_count,
+                           explicit, (name, "bdd/partitioned/1"))
 
     zrelnet = ZddRelationalNet(make_net(name))
-    zengine = ParallelZddEngine(zrelnet, cluster_size="auto", workers=2)
-    try:
-        zresult = traverse_zdd(zrelnet, engine=zengine)
-        zstats = zengine.parallel_stats()
-    finally:
-        zengine.close()
-    assert zstats["mode"] == "process", (name, zstats)
-    assert zresult.marking_count == len(explicit), \
-        (name, "zdd/partitioned-mp")
+    zresult = traverse_zdd(zrelnet, engine="partitioned", cluster_size=1)
     decoded = {m.support for m in zrelnet.markings_of(zresult.reachable)}
-    assert decoded == explicit, (name, "zdd/partitioned-mp")
+    assert decoded == explicit, (name, "zdd/partitioned/1")
 
-
-def test_partitioned_mp_sigkill_worker_falls_back_serial(make_net,
-                                                         explicit_counts):
-    """Satellite acceptance: SIGKILL one pool worker mid-fixpoint; its
-    blocks are evaluated serially in the parent (structured crash
-    record), the slot respawns (then retires on a second kill) and the
-    reached set still lands exactly on the oracle."""
-    if not _sweep_workers_available():
-        pytest.skip("multiprocessing unavailable in this environment")
-    name = "phil3"
-    relnet = RelationalNet(ImprovedEncoding(make_net(name)))
-    engine = ParallelPartitionedImageEngine(relnet, cluster_size="auto",
-                                            workers=2)
-    try:
-        reached = frontier = engine.initial
-        reached, frontier = engine.advance(reached, frontier)
-        sweep = engine.sweep
-        assert sweep.mode == "process"
-
-        def kill_worker_zero():
-            victim = sweep.slots[0].process
-            os.kill(victim.pid, signal.SIGKILL)
-            victim.join(10.0)
-            assert not victim.is_alive()
-
-        # First kill: the dead worker's blocks fall back to serial
-        # evaluation this step and the slot respawns.
-        kill_worker_zero()
-        assert not frontier.is_zero(), "net fixpointed too early for " \
-                                       "the kill to be observable"
-        reached, frontier = engine.advance(reached, frontier)
-        stats = engine.parallel_stats()
-        crash = stats["crashes"][0]
-        assert crash["worker"] == 0
-        assert crash["action"] == "respawn"
-        assert crash["blocks"] > 0
-        if stats["queue_resets"]:
-            # Rare race: the SIGKILL caught worker 0's queue feeder
-            # thread holding the shared result queue's write lock, so
-            # the survivor could never reply.  The pool declares the
-            # queue wedged, rebuilds it, and recycles the survivor
-            # through the same crash path.
-            assert [c["worker"] for c in stats["crashes"]] == [0, 1]
-        else:
-            assert len(stats["crashes"]) == 1
-
-        # Second kill: past MAX_RESPAWNS the slot retires and its
-        # blocks re-pin onto the survivor.
-        kill_worker_zero()
-        while not frontier.is_zero():
-            reached, frontier = engine.advance(reached, frontier)
-        stats = engine.parallel_stats()
-        assert [c["action"] for c in stats["crashes"]
-                if c["worker"] == 0] == ["respawn", "retire"]
-    finally:
-        engine.close()
-    assert relnet.count_markings(reached) == explicit_counts[name]
+    for backend in ("bdd", "zdd"):
+        spec = AnalysisSpec(backend=backend, form="relational",
+                            engine="partitioned")
+        migrated = analyze(make_net(name), spec)
+        assert migrated.engine == spec.engine_id
+        assert migrated.markings == len(explicit), (name, backend)

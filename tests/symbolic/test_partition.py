@@ -4,8 +4,11 @@ Covers the behaviours the unified layer added on top of the old
 per-manager copies: reorder-aware reclustering of ``"auto"`` partitions,
 diff-based working-set narrowing of the chained sweep, the size-gated
 once-per-sweep Coudert-Madre restriction, and the fact that one engine
-class hierarchy drives both managers.
+class hierarchy drives both managers.  It also pins the serial
+partitioned sweep's union order.
 """
+
+import random
 
 import pytest
 
@@ -227,3 +230,68 @@ class TestZddReorderTraversal:
         engine = make_zdd_image_engine(relnet, "chained")
         assert isinstance(engine, ChainedZddEngine)
         assert engine.name == "chained"
+
+
+# ---------------------------------------------------------------------------
+# image_partitioned ordering
+
+
+def test_image_partitioned_is_order_independent(make_net):
+    """Shuffling the block list never changes the computed image."""
+    relnet = RelationalNet(ImprovedEncoding(make_net("phil3")))
+    blocks = relnet.partitions("auto")
+    assert len(blocks) > 1
+    states = relnet.initial
+    baseline = relnet.image_partitioned(states, blocks)
+    rng = random.Random(7)
+    for _ in range(5):
+        shuffled = list(blocks)
+        rng.shuffle(shuffled)
+        assert relnet.image_partitioned(states, shuffled) == baseline
+
+
+def test_image_partitioned_unions_smallest_first(make_net):
+    """The serial sweep applies blocks by ascending relation size, so
+    intermediate union BDDs stay small regardless of declaration
+    order."""
+    relnet = RelationalNet(ImprovedEncoding(make_net("slot2")))
+    blocks = relnet.partitions(1)
+    visited = []
+    original = relnet.image_partition
+
+    def spy(states, block):
+        visited.append(block)
+        return original(states, block)
+
+    relnet.image_partition = spy
+    try:
+        relnet.image_partitioned(relnet.initial, list(reversed(blocks)))
+    finally:
+        del relnet.image_partition
+    sizes = [relnet.block_size(block) for block in visited]
+    assert sizes == sorted(sizes)
+    assert len(visited) == len(blocks)
+
+
+def test_zdd_block_size_counts_member_relations(make_net):
+    relnet = ZddRelationalNet(make_net("slot2"))
+    for block in relnet.partitions("auto"):
+        assert relnet.block_size(block) == sum(
+            relnet.zdd.size(member.relation) for member in block.members)
+
+
+@pytest.mark.parametrize("family", ["bdd", "zdd"])
+def test_engine_factories_take_no_worker_options(family, make_net):
+    """Every image engine runs in-process; the factories accept only
+    the engine name, granularity (and, for BDDs, frontier
+    simplification)."""
+    if family == "bdd":
+        relnet = RelationalNet(ImprovedEncoding(make_net("figure1")))
+        factory = make_image_engine
+    else:
+        relnet = ZddRelationalNet(make_net("figure1"))
+        factory = make_zdd_image_engine
+    assert factory(relnet, "partitioned", cluster_size=1).name \
+        == "partitioned"
+    with pytest.raises(TypeError):
+        factory(relnet, "partitioned", workers=2)
