@@ -10,11 +10,16 @@ Regenerate the printed study with ``python -m repro.experiments.ablation``.
 
 import pytest
 
+from repro.analysis import AnalysisSpec, analyze
 from repro.encoding import DenseEncoding, ImprovedEncoding, SparseEncoding
 from repro.petri.generators import figure4_net, muller, slotted_ring
 from repro.petri.smc import find_smcs
-from repro.symbolic import (RelationalNet, SymbolicNet, traverse,
-                            traverse_relational)
+
+# Plain BFS quantify-and-force firing on a fixed variable order, and
+# the relational engines on the same fixed order.
+BFS = AnalysisSpec(strategy="bfs", chain_order="net", use_toggle=False,
+                   reorder=False)
+RELATIONAL = AnalysisSpec(form="relational", reorder=False)
 
 INSTANCES = [("figure4", figure4_net),
              ("muller-6", lambda: muller(6)),
@@ -27,6 +32,12 @@ def instance(request):
     name, factory = request.param
     net = factory()
     return name, net, find_smcs(net)
+
+
+def analyze_improved(net, smcs, spec):
+    """Analyse with the improved encoding over pre-computed SMCs."""
+    return analyze(net, spec, encoding_factory=lambda n: ImprovedEncoding(
+        n, components=smcs))
 
 
 class TestEncodingRefinements:
@@ -61,40 +72,34 @@ class TestGrayCodes:
 class TestImageImplementations:
     def test_quantify_force(self, once, instance):
         _, net, smcs = instance
-        result = once(lambda: traverse(
-            SymbolicNet(ImprovedEncoding(net, components=smcs))))
-        assert result.marking_count > 0
+        result = once(analyze_improved, net, smcs, BFS)
+        assert result.markings > 0
 
     def test_toggle(self, once, instance):
         _, net, smcs = instance
-        result = once(lambda: traverse(
-            SymbolicNet(ImprovedEncoding(net, components=smcs)),
-            use_toggle=True))
-        assert result.marking_count > 0
+        result = once(analyze_improved, net, smcs,
+                      BFS.replace(use_toggle=True))
+        assert result.markings > 0
 
     def test_relational_partitioned(self, once, instance):
         _, net, smcs = instance
-        result = once(lambda: traverse_relational(
-            RelationalNet(ImprovedEncoding(net, components=smcs))))
-        assert result.marking_count > 0
+        result = once(analyze_improved, net, smcs, RELATIONAL.replace(
+            engine="partitioned", cluster_size=1))
+        assert result.markings > 0
 
     def test_relational_monolithic(self, once, instance):
         _, net, smcs = instance
-        result = once(lambda: traverse_relational(
-            RelationalNet(ImprovedEncoding(net, components=smcs)),
-            monolithic=True))
-        assert result.marking_count > 0
+        result = once(analyze_improved, net, smcs,
+                      RELATIONAL.replace(engine="monolithic"))
+        assert result.markings > 0
 
 
 class TestReordering:
     def test_reordering_shrinks_or_holds_final_bdd(self, once, instance):
         _, net, smcs = instance
-        with_reorder = once(lambda: traverse(
-            SymbolicNet(ImprovedEncoding(net, components=smcs),
-                        auto_reorder=True, reorder_threshold=1_000),
-            use_toggle=True))
-        without = traverse(
-            SymbolicNet(ImprovedEncoding(net, components=smcs)),
-            use_toggle=True)
-        assert with_reorder.marking_count == without.marking_count
-        assert with_reorder.final_bdd_nodes <= without.final_bdd_nodes * 1.1
+        toggle = BFS.replace(use_toggle=True)
+        with_reorder = once(analyze_improved, net, smcs, toggle.replace(
+            reorder=True, reorder_threshold=1_000))
+        without = analyze_improved(net, smcs, toggle)
+        assert with_reorder.markings == without.markings
+        assert with_reorder.final_nodes <= without.final_nodes * 1.1

@@ -38,10 +38,8 @@ from typing import Callable, Dict, List, Tuple
 
 import pytest
 
-from repro.encoding import ImprovedEncoding
+from repro.analysis import Analysis, AnalysisSpec
 from repro.petri.generators import philosophers
-from repro.symbolic import (ModelChecker, RelationalNet, SymbolicNet,
-                            traverse, traverse_relational)
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 JSON_PATH = os.path.join(REPO_ROOT, "BENCH_relprod.json")
@@ -110,14 +108,17 @@ def recursive_not(bdd, u: int) -> int:
 def measure_negation(factory: Callable) -> Dict:
     """Checker-query, narrowing-sweep and raw-negation timings."""
     # 1. Narrowing-on chained sweep (the peak-live-node workload).
-    relnet = RelationalNet(ImprovedEncoding(factory()))
-    sweep = traverse_relational(relnet, engine="chained",
-                                cluster_size="auto",
-                                simplify_frontier=True)
-    # 2. Checker queries over the functional backend.
-    symnet = SymbolicNet(ImprovedEncoding(factory()))
-    reachable = traverse(symnet).reachable
-    checker = ModelChecker(symnet, reachable=reachable)
+    sweep = Analysis(factory(), AnalysisSpec(
+        form="relational", engine="chained", cluster_size="auto",
+        simplify_frontier=True, reorder=False)).run()
+    # 2. Checker queries over the functional backend's plain BFS
+    # fixpoint (fixed order, quantify-and-force firing).
+    analysis = Analysis(factory(), AnalysisSpec(
+        strategy="bfs", chain_order="net", use_toggle=False,
+        reorder=False))
+    symnet = analysis.symbolic_net
+    reachable = analysis.reachable
+    checker = analysis.checker()
     initial = symnet.marking_function(symnet.net.initial_marking)
     start = time.perf_counter()
     deadlocks = checker.find_deadlocks()
@@ -139,11 +140,11 @@ def measure_negation(factory: Callable) -> Dict:
     assert rebuilt == negated
 
     return {
-        "markings": sweep.marking_count,
-        "sweep_seconds": sweep.seconds,
+        "markings": sweep.markings,
+        "sweep_seconds": sweep.extras["fixpoint_seconds"],
         "sweep_iterations": sweep.iterations,
-        "peak_live_nodes": sweep.peak_live_nodes,
-        "final_bdd_nodes": sweep.final_bdd_nodes,
+        "peak_live_nodes": sweep.peak_nodes,
+        "final_bdd_nodes": sweep.final_nodes,
         "checker_seconds": checker_seconds,
         "checker_deadlocks": bool(deadlocks),
         "checker_ag_markings": symnet.count_markings(no_deadlock),

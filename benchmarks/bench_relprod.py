@@ -10,13 +10,16 @@ generators:
    naive baseline it replaces.
 2. **Image engines** — monolithic vs. partitioned vs. chained traversal
    through the same disjunctive partition (see
-   :mod:`repro.symbolic.traversal`).
+   :mod:`repro.symbolic.partition`).
 3. **Adaptive traversal** — the engine × reorder × frontier-restrict ×
    auto-cluster grid: pair-grouped dynamic sifting at traversal safe
    points, Coudert-Madre frontier simplification, and greedy
    support-overlap clustering (``cluster_size="auto"``), measured
    against PR 1's fixed-order chained engine.
 
+Every engine row runs through ``repro.analysis.Analysis`` on a fixed
+variable order unless the row turns sifting on, and records the
+session's ``extras["fixpoint_seconds"]`` (the build is not included).
 Results are written to ``BENCH_relprod.json`` at the repository root so
 the speedups land in the perf trajectory.  Run either way::
 
@@ -37,9 +40,10 @@ from typing import Callable, Dict, List, Tuple
 
 import pytest
 
+from repro.analysis import Analysis, AnalysisSpec
 from repro.encoding import ImprovedEncoding
 from repro.petri.generators import philosophers, slotted_ring
-from repro.symbolic import ImageEngine, RelationalNet, traverse_relational
+from repro.symbolic import ImageEngine, RelationalNet
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 JSON_PATH = os.path.join(REPO_ROOT, "BENCH_relprod.json")
@@ -103,6 +107,17 @@ def largest_per_family(instances) -> Dict[str, str]:
     return largest
 
 
+def relational_spec(engine: str, **options) -> AnalysisSpec:
+    """The relational spec one engine row runs (fixed order unless
+    ``reorder`` is set)."""
+    return AnalysisSpec(
+        form="relational", engine=engine,
+        cluster_size=options.get("cluster_size", CLUSTER_SIZE),
+        simplify_frontier=options.get("simplify_frontier", False),
+        reorder=options.get("reorder", False),
+        reorder_threshold=REORDER_THRESHOLD)
+
+
 class MaterialisedMonolithicEngine(ImageEngine):
     """The pre-``and_exists`` baseline: build ``frontier AND R`` in full,
     then quantify — one intermediate conjunction BDD per step."""
@@ -122,6 +137,29 @@ class MaterialisedMonolithicEngine(ImageEngine):
         return self._absorb(reached, successors)
 
 
+def materialised_fixpoint(factory: Callable) -> Dict:
+    """The materialised baseline row: the analysis sessions only run
+    the library's own engines, so this one steps its engine here."""
+    relnet = RelationalNet(ImprovedEncoding(factory()))
+    engine = MaterialisedMonolithicEngine(relnet)
+    start = time.perf_counter()
+    reached = frontier = relnet.initial
+    iterations = 0
+    while not frontier.is_zero():
+        reached, frontier = engine.advance(reached, frontier)
+        iterations += 1
+        relnet.bdd.checkpoint()
+    return {
+        "markings": relnet.count_markings(reached),
+        "iterations": iterations,
+        "image_seconds": time.perf_counter() - start,
+        "peak_live_nodes": relnet.bdd.peak_live_nodes,
+        "final_bdd_nodes": reached.size(),
+        "ae_calls": relnet.bdd.ae_calls,
+        "ae_cache_hits": relnet.bdd.ae_cache_hits,
+    }
+
+
 def measure_image(factory: Callable) -> Dict:
     """Time one full-reachable-set image, materialised vs. fused.
 
@@ -131,11 +169,11 @@ def measure_image(factory: Callable) -> Dict:
     node counts are sampled right after the image to expose the
     footprint of the materialised intermediate conjunction.
     """
-    relnet = RelationalNet(ImprovedEncoding(factory()))
+    analysis = Analysis(factory(), relational_spec("chained"))
+    relnet = analysis.symbolic_net
     bdd = relnet.bdd
     relation = relnet.monolithic_relation()
-    reached = traverse_relational(relnet, engine="chained",
-                                  cluster_size=CLUSTER_SIZE).reachable
+    reached = analysis.reachable
 
     bdd.collect_garbage()
     base_nodes = bdd.live_nodes()
@@ -175,23 +213,17 @@ def measure_engines(factory: Callable,
     materialise-then-quantify baseline (fresh manager per engine, so
     caches and peaks are not shared).  ``engines`` narrows the measured
     set (the CI regression gate only needs ``("chained",)``)."""
-    rows: Dict[str, Dict] = {}
-    for engine in (OLD_ENGINE,) + tuple(engines):
-        relnet = RelationalNet(ImprovedEncoding(factory()))
-        if engine == OLD_ENGINE:
-            chosen = MaterialisedMonolithicEngine(relnet)
-        else:
-            chosen = engine
-        result = traverse_relational(relnet, engine=chosen,
-                                     cluster_size=CLUSTER_SIZE)
+    rows: Dict[str, Dict] = {OLD_ENGINE: materialised_fixpoint(factory)}
+    for engine in engines:
+        result = Analysis(factory(), relational_spec(engine)).run()
         rows[engine] = {
-            "markings": result.marking_count,
+            "markings": result.markings,
             "iterations": result.iterations,
-            "image_seconds": result.seconds,
-            "peak_live_nodes": result.peak_live_nodes,
-            "final_bdd_nodes": result.final_bdd_nodes,
-            "ae_calls": relnet.bdd.ae_calls,
-            "ae_cache_hits": relnet.bdd.ae_cache_hits,
+            "image_seconds": result.extras["fixpoint_seconds"],
+            "peak_live_nodes": result.peak_nodes,
+            "final_bdd_nodes": result.final_nodes,
+            "ae_calls": result.extras["ae_calls"],
+            "ae_cache_hits": result.extras["ae_cache_hits"],
         }
     old_seconds = rows[OLD_ENGINE]["image_seconds"]
     for engine in engines:
@@ -205,32 +237,26 @@ def measure_engines(factory: Callable,
 def measure_adaptive(factory: Callable) -> Dict[str, Dict]:
     """The engine × reorder × restrict × auto-cluster grid.
 
-    Every row runs on a fresh manager.  ``reorder`` rows construct the
-    :class:`RelationalNet` with ``auto_reorder=True`` (pair-grouped
-    sifting at the traversal safe points, partition metadata refreshed
-    through the reorder hook); speedups and peak-live-node ratios are
-    relative to the first row, PR 1's fixed-order chained engine.
+    Every row runs on a fresh manager.  ``reorder`` rows sift in
+    current/next pair groups at the traversal safe points (partition
+    metadata refreshed through the reorder hook); speedups and
+    peak-live-node ratios are relative to the first row, PR 1's
+    fixed-order chained engine.
     """
     rows: Dict[str, Dict] = {}
     for label, engine, options in ADAPTIVE_GRID:
-        reorder = options.get("reorder", False)
-        relnet = RelationalNet(ImprovedEncoding(factory()),
-                               auto_reorder=reorder,
-                               reorder_threshold=REORDER_THRESHOLD)
-        result = traverse_relational(
-            relnet, engine=engine,
-            cluster_size=options.get("cluster_size", CLUSTER_SIZE),
-            simplify_frontier=options.get("simplify_frontier", False))
+        spec = relational_spec(engine, **options)
+        result = Analysis(factory(), spec).run()
         rows[label] = {
             "engine": engine,
-            "reorder": reorder,
-            "simplify_frontier": options.get("simplify_frontier", False),
-            "cluster_size": options.get("cluster_size", CLUSTER_SIZE),
-            "markings": result.marking_count,
+            "reorder": spec.reorder,
+            "simplify_frontier": spec.simplify_frontier,
+            "cluster_size": spec.cluster_size,
+            "markings": result.markings,
             "iterations": result.iterations,
-            "image_seconds": result.seconds,
-            "peak_live_nodes": result.peak_live_nodes,
-            "final_bdd_nodes": result.final_bdd_nodes,
+            "image_seconds": result.extras["fixpoint_seconds"],
+            "peak_live_nodes": result.peak_nodes,
+            "final_bdd_nodes": result.final_nodes,
             "reorder_count": result.reorder_count,
         }
     base = rows[PR1_BASELINE]

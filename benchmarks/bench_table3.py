@@ -10,9 +10,9 @@ Regenerate the printed table with ``python -m repro.experiments.table3``.
 
 import pytest
 
-from repro.experiments.runner import run_dense, run_sparse
+from repro.analysis import AnalysisSpec
+from repro.experiments.runner import full_scale, run
 from repro.experiments.table3 import FACTORIES, HARNESS_SIZES, PAPER_SIZES
-from repro.experiments.runner import full_scale
 
 SIZES = PAPER_SIZES if full_scale() else HARNESS_SIZES
 CASES = [(family, size)
@@ -21,6 +21,10 @@ IDS = [f"{family}-{size}" for family, size in CASES]
 
 _results = {}
 
+# The Table 3 cells: BFS with toggle firing and dynamic reordering.
+SPARSE = AnalysisSpec(scheme="sparse", strategy="bfs")
+DENSE = AnalysisSpec(scheme="improved", strategy="bfs")
+
 
 def _net(family, size):
     return FACTORIES[family](size)
@@ -28,7 +32,8 @@ def _net(family, size):
 
 @pytest.mark.parametrize("family,size", CASES, ids=IDS)
 def test_sparse_traversal(once, family, size):
-    row = once(run_sparse, f"{family}-{size}", _net(family, size))
+    row = once(run, f"{family}-{size}", _net(family, size), SPARSE,
+               label="sparse")
     _results[(family, size, "sparse")] = row
     assert row.markings > 0
     assert row.variables == len(_net(family, size).places)
@@ -36,7 +41,8 @@ def test_sparse_traversal(once, family, size):
 
 @pytest.mark.parametrize("family,size", CASES, ids=IDS)
 def test_dense_traversal(once, family, size):
-    row = once(run_dense, f"{family}-{size}", _net(family, size))
+    row = once(run, f"{family}-{size}", _net(family, size), DENSE,
+               label="dense")
     _results[(family, size, "dense")] = row
     assert row.markings > 0
     # Table 3 shape: dense needs ~half the sparse variables — exactly

@@ -10,7 +10,8 @@ Regenerate the printed table with ``python -m repro.experiments.table4``.
 
 import pytest
 
-from repro.experiments.runner import run_dense, run_zdd
+from repro.analysis import AnalysisSpec
+from repro.experiments.runner import run
 from repro.experiments.table4 import instances
 
 CASES = instances()
@@ -18,10 +19,14 @@ IDS = [name for name, _ in CASES]
 
 _results = {}
 
+# The project-default ZDD engine and the Table 3 dense BDD cell.
+ZDD = AnalysisSpec(backend="zdd")
+DENSE = AnalysisSpec(scheme="improved", strategy="bfs")
+
 
 @pytest.mark.parametrize("name,net", CASES, ids=IDS)
 def test_zdd_traversal(once, name, net):
-    row = once(run_zdd, name, net)
+    row = once(run, name, net, ZDD)
     _results[(name, "zdd")] = row
     assert row.markings > 0
     assert row.variables == len(net.places)
@@ -29,7 +34,7 @@ def test_zdd_traversal(once, name, net):
 
 @pytest.mark.parametrize("name,net", CASES, ids=IDS)
 def test_dense_traversal(once, name, net):
-    row = once(run_dense, name, net)
+    row = once(run, name, net, DENSE, label="dense")
     _results[(name, "dense")] = row
     assert row.markings > 0
     # Table 4 shape: the dense encoding cuts the variable count by

@@ -12,9 +12,10 @@ narrows per-block working sets by set difference (the ROADMAP "ZDD
 frontier narrowing", implemented once for both managers).  This
 benchmark answers, on the slotted-ring and philosophers generators:
 
-1. **Engines** — classic vs. monolithic vs. partitioned vs. chained
-   fixpoints (fresh manager per engine, so caches are not shared).
-   Chained rows include the diff-based working-set narrowing.
+1. **Engines** — classic vs. chained fixpoints (fresh manager per
+   engine, so caches are not shared).  Chained rows include the
+   diff-based working-set narrowing.  The monolithic and partitioned
+   ZDD engines lost every row here to chained and were retired.
 2. **Reorder grid** — the chained engine with pair-grouped dynamic
    sifting at the per-iteration safe points (``auto_reorder``), the
    configuration the shared kernel unlocked for ZDDs.
@@ -23,7 +24,9 @@ benchmark answers, on the slotted-ring and philosophers generators:
    reorder+narrowing chained rows must be no slower (classic-normalised)
    than the committed PR 3 chained baseline.
 
-Results are merged into the ``"zdd"`` section of ``BENCH_relprod.json``
+Every row runs through ``repro.analysis.Analysis`` and records the
+session's ``extras["fixpoint_seconds"]``.  Results are merged into the
+``"zdd"`` section of ``BENCH_relprod.json``
 at the repository root (the BDD numbers keep their own sections); the
 PR 3 chained baseline is carried forward in the section so later
 regenerations keep gating against it.  Run either way::
@@ -44,8 +47,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import pytest
 
+from repro.analysis import Analysis, AnalysisSpec
 from repro.petri.generators import philosophers, slotted_ring
-from repro.symbolic import ZddNet, ZddRelationalNet, traverse_zdd
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
@@ -84,9 +87,6 @@ REORDER_THRESHOLD = 20_000
 # "chained+auto" is the narrowing acceptance row; the "+reorder" rows
 # exercise the kernel's pair-grouped ZDD sifting.
 ENGINE_GRID: List[Tuple[str, str, "int | str", bool]] = [
-    ("monolithic", "monolithic", 1, False),
-    ("partitioned", "partitioned", 1, False),
-    ("partitioned+auto", "partitioned", "auto", False),
     ("chained", "chained", 1, False),
     ("chained+auto", "chained", "auto", False),
     ("chained+reorder", "chained", 1, True),
@@ -127,34 +127,33 @@ def measure_engines(factory: Callable) -> Dict[str, Dict]:
     now actually lower).
     """
     rows: Dict[str, Dict] = {}
-    zddnet = ZddNet(factory())
-    result = traverse_zdd(zddnet, engine="classic")
+    result = Analysis(factory(), AnalysisSpec(
+        backend="zdd", form="functional", reorder=False)).run()
     rows[OLD_ENGINE] = {
-        "markings": result.marking_count,
+        "markings": result.markings,
         "iterations": result.iterations,
-        "image_seconds": result.seconds,
-        "final_zdd_nodes": result.final_zdd_nodes,
-        "total_nodes": zddnet.zdd.total_nodes(),
-        "peak_live_nodes": result.peak_live_nodes,
+        "image_seconds": result.extras["fixpoint_seconds"],
+        "final_zdd_nodes": result.final_nodes,
+        "total_nodes": result.extras["total_nodes"],
+        "peak_live_nodes": result.peak_nodes,
     }
     for label, engine, cluster_size, reorder in ENGINE_GRID:
-        relnet = ZddRelationalNet(factory(), auto_reorder=reorder,
-                                  reorder_threshold=REORDER_THRESHOLD)
-        result = traverse_zdd(relnet, engine=engine,
-                              cluster_size=cluster_size)
+        result = Analysis(factory(), AnalysisSpec(
+            backend="zdd", engine=engine, cluster_size=cluster_size,
+            reorder=reorder, reorder_threshold=REORDER_THRESHOLD)).run()
         rows[label] = {
             "engine": engine,
             "cluster_size": cluster_size,
             "reorder": reorder,
-            "markings": result.marking_count,
+            "markings": result.markings,
             "iterations": result.iterations,
-            "image_seconds": result.seconds,
-            "final_zdd_nodes": result.final_zdd_nodes,
-            "total_nodes": relnet.zdd.total_nodes(),
-            "peak_live_nodes": result.peak_live_nodes,
+            "image_seconds": result.extras["fixpoint_seconds"],
+            "final_zdd_nodes": result.final_nodes,
+            "total_nodes": result.extras["total_nodes"],
+            "peak_live_nodes": result.peak_nodes,
             "reorder_count": result.reorder_count,
-            "ae_calls": relnet.zdd.ae_calls,
-            "ae_cache_hits": relnet.zdd.ae_cache_hits,
+            "ae_calls": result.extras["ae_calls"],
+            "ae_cache_hits": result.extras["ae_cache_hits"],
         }
     classic_seconds = rows[OLD_ENGINE]["image_seconds"]
     for label, _, _, _ in ENGINE_GRID:

@@ -28,9 +28,10 @@ The one way to run a symbolic analysis::
   (:class:`WorkerHarness`, dead-worker grace, respawn/retire, reaping)
   under both the portfolio race and the service pool.
 
-The legacy entry points (``traverse``, ``traverse_relational``,
-``traverse_zdd``, ``traverse_kbounded``) remain as deprecation shims in
-:mod:`repro.symbolic`; new code should route through :func:`analyze`.
+There is no second fixpoint driver: the :class:`SolverSession`
+subclasses are the only code that iterates images to the reachability
+fixpoint.  The migration table in ``docs/api.md`` maps every removed
+legacy entry point to the exact spec that reproduces its trajectory.
 """
 
 from ..dd import ResourceBudgetExceeded

@@ -16,8 +16,8 @@ Four adapters wrap the existing machinery:
   RelationalNet` through the pluggable relational image engines
   (monolithic | partitioned | chained).
 * :class:`ZddBackend` — the sparse-ZDD representation, classic
-  per-transition rewriting or the relational-product engines over
-  :class:`~repro.symbolic.zdd_relational.ZddRelationalNet`.
+  per-transition rewriting or the chained relational-product engine
+  over :class:`~repro.symbolic.zdd_relational.ZddRelationalNet`.
 * :class:`KBoundedBackend` — count-bit encodings for k-bounded nets
   (:class:`~repro.symbolic.kbounded.KBoundedNet`).
 
@@ -38,9 +38,9 @@ from ..petri.net import PetriNet
 from ..symbolic.kbounded import KBoundedNet
 from ..symbolic.relational import RelationalNet
 from ..symbolic.transition import SymbolicNet
-from ..symbolic.traversal import TraversalLimitError, make_image_engine
+from ..symbolic.partition import TraversalLimitError, make_image_engine
 from ..symbolic.zdd_relational import ZddRelationalNet
-from ..symbolic.zdd_traversal import ZddNet, make_zdd_image_engine
+from ..symbolic.zdd_traversal import ClassicZddEngine, ZddNet
 from .checkpoint import (CheckpointData, CheckpointError, CheckpointStore,
                          net_fingerprint, spec_fingerprint)
 from .result import AnalysisResult
@@ -160,7 +160,7 @@ class SolverSession:
 
         ``max_iterations`` (falling back to the spec's) aborts beyond
         that many frontier steps with a
-        :class:`~repro.symbolic.traversal.TraversalLimitError` carrying
+        :class:`~repro.symbolic.TraversalLimitError` carrying
         the partial state — after writing a checkpoint when one is
         configured, so the partial work survives.  Budget exhaustion
         (:class:`~repro.dd.ResourceBudgetExceeded`) does not raise: it
@@ -502,13 +502,14 @@ class _ZddSession(SolverSession):
             self.symbolic_net = ZddNet(
                 net, auto_reorder=spec.reorder,
                 reorder_threshold=spec.reorder_threshold)
-            self.image_engine = make_zdd_image_engine(
-                self.symbolic_net, "classic")
+            self.image_engine = ClassicZddEngine(self.symbolic_net)
         else:
+            # ZddRelationalNet is a PartitionedNet, so the generic
+            # factory builds its (chained) engine like the BDD side's.
             self.symbolic_net = ZddRelationalNet(
                 net, auto_reorder=spec.reorder,
                 reorder_threshold=spec.reorder_threshold)
-            self.image_engine = make_zdd_image_engine(
+            self.image_engine = make_image_engine(
                 self.symbolic_net, engine_name,
                 spec.resolved_cluster_size)
         self.zdd = self.symbolic_net.zdd
@@ -568,8 +569,8 @@ class _ZddSession(SolverSession):
 
 
 class ZddBackend(SolverBackend):
-    """Sparse-ZDD representation (Yoneda baseline plus the relational
-    engines)."""
+    """Sparse-ZDD representation (Yoneda baseline plus the chained
+    relational engine)."""
 
     name = "zdd"
 

@@ -1,7 +1,6 @@
 """The unified analysis result: one schema for every backend.
 
-:class:`AnalysisResult` supersedes the per-engine result dataclasses
-(``TraversalResult``, ``ZddTraversalResult``, ``KBoundedResult``) with a
+:class:`AnalysisResult` is the one result schema: a
 common core every backend fills — marking count, iterations, variable
 count, final and peak decision-diagram nodes, wall-clock seconds,
 reorder count, the engine identifier and an echo of the spec that

@@ -24,7 +24,7 @@ Two kinds of misconfiguration are distinguished:
   default: defaults are always silently correct.
 
 The defaults below are the *single* definition for the whole project —
-the CLI, ``experiments/runner.py`` and the legacy wrappers all resolve
+the CLI, ``experiments/runner.py`` and the service all resolve
 through them, which is what keeps the engine defaults from skewing
 apart again (``tests/analysis/test_spec.py`` pins this down).
 """
@@ -37,7 +37,8 @@ import logging
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Optional, Tuple, Union
 
-from ..symbolic.partition import validate_cluster_size
+from ..symbolic.partition import (IMAGE_ENGINES, ZDD_RELATIONAL_ENGINES,
+                                   validate_cluster_size)
 
 __all__ = [
     "AnalysisSpec", "SpecError", "SpecWarning",
@@ -56,7 +57,8 @@ ClusterSize = Union[int, str]
 SCHEMES = ("sparse", "dense", "improved")
 BACKEND_FAMILIES = ("bdd", "zdd", "portfolio")
 FORMS = ("functional", "relational")
-RELATIONAL_ENGINES = ("monolithic", "partitioned", "chained")
+# The engine catalogue is defined once, next to the engines themselves.
+RELATIONAL_ENGINES = IMAGE_ENGINES
 STRATEGIES = ("bfs", "chaining")
 CHAIN_ORDERS = ("net", "support")
 
@@ -156,18 +158,28 @@ class AnalysisSpec:
         resolves per backend through :data:`DEFAULT_FORM`.
     engine:
         Relational image engine: ``monolithic``, ``partitioned`` or
-        ``chained``.  ``None`` resolves to
-        :data:`DEFAULT_RELATIONAL_ENGINE` for the relational form; must
-        be ``None`` with the functional form.
+        ``chained`` on the BDD backend; the ZDD backend runs only
+        ``chained`` (its monolithic and partitioned forms lost every
+        ``BENCH_relprod.json`` row and were retired).  ``None``
+        resolves to :data:`DEFAULT_RELATIONAL_ENGINE` for the
+        relational form; must be ``None`` with the functional form.
     cluster_size:
         Partition granularity for the partitioned/chained engines — a
         positive integer or ``"auto"``.  ``None`` (default) resolves to
         :data:`DEFAULT_CLUSTER_SIZE`; setting it with the functional
         form is a :class:`SpecError`.
     strategy, chain_order, use_toggle:
-        Functional-BDD traversal knobs (see
-        :func:`repro.symbolic.traversal.traverse`); inapplicable
-        elsewhere (structured warning when moved off the default).
+        Functional-BDD traversal knobs, run by
+        :class:`~repro.analysis.backends.BddFunctionalBackend`:
+        ``strategy="bfs"`` takes one synchronous image per iteration,
+        ``"chaining"`` feeds each transition's successors to the next
+        one within the sweep; ``chain_order`` sweeps transitions in net
+        declaration order (``"net"``) or support-sorted order
+        (``"support"``); ``use_toggle`` fires with the Section 5.2
+        toggle operator instead of quantify-and-force.  Together with
+        ``reorder`` they pick the fixpoint trajectory (iteration count,
+        peak nodes).  Inapplicable elsewhere (structured warning when
+        moved off the default).
     reorder, reorder_threshold:
         Dynamic variable reordering at traversal safe points.  Applies
         to the BDD backends *and*, since the managers share the
@@ -184,7 +196,9 @@ class AnalysisSpec:
         keeps a fixed interleaved count-bit order; besides
         ``max_iterations``, every other option is inapplicable.
     max_iterations:
-        Abort the fixpoint (``RuntimeError``) beyond this many steps.
+        Abort the fixpoint beyond this many steps with
+        :class:`~repro.symbolic.TraversalLimitError` (a
+        ``RuntimeError`` subclass carrying the partial state).
     portfolio_members:
         Member ids the portfolio backend races (each one of
         :data:`PORTFOLIO_MEMBERS`).  ``None`` resolves to
@@ -384,6 +398,14 @@ class AnalysisSpec:
                     f"engine={self.engine!r} is a relational image "
                     f"engine; it requires form='relational' (got "
                     f"form={self.form!r})")
+            if (self.backend == "zdd"
+                    and self.engine not in ZDD_RELATIONAL_ENGINES):
+                raise SpecError(
+                    f"engine={self.engine!r} is retired on the ZDD "
+                    f"backend, which offers {ZDD_RELATIONAL_ENGINES}: "
+                    f"chained beats it on time and peak nodes on every "
+                    f"benchmarked net; use that, or form='functional' "
+                    f"for the classic baseline")
         if self.cluster_size is not None:
             try:
                 validate_cluster_size(self.cluster_size)

@@ -19,7 +19,7 @@ Public entry points:
 from ..dd import DDError, DDManager
 from .function import Function, cube, false, true, variable
 from .manager import BDD, BDDError, ONE, ZERO
-from .reorder import sift, sift_to_convergence
+from ..dd.reorder import sift, sift_to_convergence
 from .zdd import BASE, EMPTY, ZDD, ZDDError
 
 __all__ = [

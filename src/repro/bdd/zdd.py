@@ -87,10 +87,6 @@ class ZDD(DDManager):
     # Bookkeeping
     # ------------------------------------------------------------------
 
-    def clear_cache(self) -> None:
-        """Historical alias for :meth:`DDManager.clear_caches`."""
-        self.clear_caches()
-
     def total_nodes(self) -> int:
         """High-water node-slot count (plus the 2 terminals).
 

@@ -190,9 +190,9 @@ def _build_parser() -> argparse.ArgumentParser:
                           "operators or a relational product engine over "
                           "partitioned transition relations (with "
                           "--engine zdd, 'functional' selects the classic "
-                          "per-transition rewrite and the relational "
-                          "names select the sparse ZDD relational "
-                          "engines); when omitted, each backend's default "
+                          "per-transition rewrite and 'chained' the "
+                          "sparse ZDD relational engine, its only one); "
+                          "when omitted, each backend's default "
                           "from AnalysisSpec applies (functional for bdd, "
                           "chained for zdd)")
     ana.add_argument("--cluster-size", type=_cluster_size, default=None,

@@ -10,11 +10,9 @@ Each module has a ``main()`` entry point (``python -m ...``) and pure
 """
 
 from .runner import (ExperimentRow, compare_engines, engine_label,
-                     format_table, full_scale, run, run_dense,
-                     run_relational, run_sparse, run_zdd)
+                     format_table, full_scale, run)
 
 __all__ = [
     "ExperimentRow", "run", "engine_label",
-    "run_sparse", "run_dense", "run_relational", "run_zdd",
     "format_table", "compare_engines", "full_scale",
 ]

@@ -4,10 +4,8 @@ Runs one benchmark instance under a declarative
 :class:`~repro.analysis.spec.AnalysisSpec` and collects the columns the
 paper's tables report: number of boolean variables, reachable marking
 count, final decision-diagram size, peak live nodes and CPU seconds.
-Everything routes through :func:`repro.analysis.analyze` — the
-spec-driven :func:`run` is the one entry point; ``run_sparse`` /
-``run_dense`` / ``run_relational`` / ``run_zdd`` survive as thin
-spec-building wrappers for existing callers.
+Everything routes through :func:`repro.analysis.analyze`; the
+spec-driven :func:`run` is the one entry point.
 
 Both BDD schemes run with dynamic variable reordering enabled, as in
 the paper ("no special initial order has been used, while dynamic
@@ -23,9 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..analysis import AnalysisSpec, analyze
-from ..encoding import ImprovedEncoding
 from ..petri.net import PetriNet
-from ..petri.smc import find_smcs
 
 
 @dataclass
@@ -139,96 +135,6 @@ def run(name: str, net: PetriNet, spec: AnalysisSpec,
                          seconds=result.seconds,
                          peak_nodes=result.peak_nodes,
                          status=result.status)
-
-
-def run_sparse(name: str, net: PetriNet, reorder: bool = True,
-               reorder_threshold: int = 2_000,
-               use_toggle: bool = True) -> ExperimentRow:
-    """Sparse (one-variable-per-place) BDD traversal (wrapper)."""
-    spec = AnalysisSpec(scheme="sparse", reorder=reorder,
-                        reorder_threshold=reorder_threshold,
-                        use_toggle=use_toggle, strategy="bfs")
-    return run(name, net, spec, label="sparse")
-
-
-def run_dense(name: str, net: PetriNet, reorder: bool = True,
-              reorder_threshold: int = 2_000,
-              use_toggle: bool = True,
-              smc_strategy: str = "auto",
-              encoding_factory: Optional[Callable] = None) -> ExperimentRow:
-    """Dense (improved SMC-based) BDD traversal (wrapper).
-
-    ``encoding_factory``, when given, is called as
-    ``factory(net, components)`` with the discovered SMCs — the legacy
-    two-argument shape, adapted onto the facade's single-argument one.
-    """
-    if encoding_factory is None:
-        def build(n):
-            return ImprovedEncoding(
-                n, components=find_smcs(n, strategy=smc_strategy))
-    else:
-        def build(n):
-            return encoding_factory(
-                n, find_smcs(n, strategy=smc_strategy))
-    spec = AnalysisSpec(scheme="improved", reorder=reorder,
-                        reorder_threshold=reorder_threshold,
-                        use_toggle=use_toggle, strategy="bfs")
-    return run(name, net, spec, label="dense", encoding_factory=build)
-
-
-def run_relational(name: str, net: PetriNet, engine: str = "partitioned",
-                   cluster_size="auto",
-                   simplify_frontier: bool = False,
-                   reorder: bool = False,
-                   reorder_threshold: int = 2_000,
-                   encoding_factory: Optional[Callable] = None
-                   ) -> ExperimentRow:
-    """Relation-based BDD traversal through a chosen image engine
-    (wrapper); the reported engine column is ``rel-<engine>``."""
-    spec = AnalysisSpec(form="relational", engine=engine,
-                        cluster_size=cluster_size,
-                        simplify_frontier=simplify_frontier,
-                        reorder=reorder,
-                        reorder_threshold=reorder_threshold)
-    return run(name, net, spec, encoding_factory=encoding_factory)
-
-
-def run_zdd(name: str, net: PetriNet, engine: Optional[str] = None,
-            cluster_size=None) -> ExperimentRow:
-    """Sparse ZDD traversal (the Table 4 baseline; wrapper).
-
-    ``engine`` selects the image computation: ``"classic"`` (the
-    per-transition subset1/change rewrite, reported as ``zdd``) or one
-    of ``monolithic | partitioned | chained`` (reported as
-    ``zdd-<engine>``).  ``None`` takes the project-wide default from
-    :class:`~repro.analysis.spec.AnalysisSpec` — the same engine the
-    CLI's ``--engine zdd`` runs, so the defaults cannot skew apart.
-    """
-    if engine == "classic":
-        spec = AnalysisSpec(backend="zdd", form="functional")
-    else:
-        spec = AnalysisSpec(backend="zdd", form="relational",
-                            engine=engine, cluster_size=cluster_size)
-    return run(name, net, spec)
-
-
-def run_portfolio(name: str, net: PetriNet,
-                  members: Optional[Sequence[str]] = None,
-                  timeout: Optional[float] = None,
-                  member_timeout: Optional[float] = None
-                  ) -> ExperimentRow:
-    """Race the portfolio members in worker processes (wrapper).
-
-    The row reports the *winner's* columns under the ``portfolio``
-    label; its seconds are the race's wall clock (spawn included), so
-    a portfolio row is directly comparable against the single-engine
-    rows of the same instance — the race costs what the user waits.
-    """
-    spec = AnalysisSpec(
-        backend="portfolio",
-        portfolio_members=tuple(members) if members is not None else None,
-        timeout=timeout, member_timeout=member_timeout)
-    return run(name, net, spec)
 
 
 def format_table(title: str, rows: Sequence[ExperimentRow],

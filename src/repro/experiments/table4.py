@@ -60,8 +60,8 @@ def run(reorder: bool = True,
     """Measure every instance under the ZDD baseline(s) and the dense BDD.
 
     ``zdd_engines`` selects which sparse-ZDD image engines to run —
-    ``"classic"`` is the per-transition Yoneda baseline, the relational
-    names (``chained`` by default) add the partitioned-relation form so
+    ``"classic"`` is the per-transition Yoneda baseline, ``"chained"``
+    (the one relational ZDD engine) adds the partitioned-relation form so
     the sparse baseline rides the same fused-image machinery as the
     BDD engines.  Everything routes through ``analyze()``; the ZDD rows
     carry peak-live-node counts, so the table can finally print the

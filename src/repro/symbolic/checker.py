@@ -19,7 +19,6 @@ from typing import Iterable, List, Optional
 from ..bdd import Function, false, true
 from ..petri.marking import Marking
 from .transition import SymbolicNet
-from .traversal import traverse
 
 
 @dataclass
@@ -35,14 +34,15 @@ class CheckReport:
 
 
 class ModelChecker:
-    """Verification queries over a symbolic net's reachable set."""
+    """Verification queries over a symbolic net's reachable set.
 
-    def __init__(self, symnet: SymbolicNet,
-                 reachable: Optional[Function] = None,
-                 use_toggle: bool = False) -> None:
+    The checker never traverses on its own: ``reachable`` is the
+    fixpoint an analysis session already computed.  The usual way to
+    get one is ``Analysis(net, spec).checker()``.
+    """
+
+    def __init__(self, symnet: SymbolicNet, reachable: Function) -> None:
         self.symnet = symnet
-        if reachable is None:
-            reachable = traverse(symnet, use_toggle=use_toggle).reachable
         self.reachable = reachable
 
     # -- helpers -----------------------------------------------------------

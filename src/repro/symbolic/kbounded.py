@@ -20,30 +20,11 @@ as the explicit token game.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..bdd import BDD, Function, cube, false, true, variable
 from ..petri.marking import Marking
 from ..petri.net import PetriNet
-
-
-@dataclass
-class KBoundedResult:
-    """Statistics of a k-bounded symbolic reachability computation."""
-
-    reachable: Function
-    marking_count: int
-    iterations: int
-    variable_count: int
-    final_bdd_nodes: int
-    seconds: float
-
-    def __repr__(self) -> str:
-        return (f"<KBoundedResult markings={self.marking_count} "
-                f"V={self.variable_count} BDD={self.final_bdd_nodes} "
-                f"t={self.seconds:.3f}s>")
 
 
 class KBoundedNet:
@@ -211,31 +192,3 @@ class KBoundedNet:
         """Number of distinct markings in a state set."""
         return states.satcount(len(self.current_vars))
 
-
-def traverse_kbounded(knet: KBoundedNet,
-                      max_iterations: Optional[int] = None
-                      ) -> KBoundedResult:
-    """BFS frontier fixpoint over the k-bounded encoding."""
-    start = time.perf_counter()
-    reached = knet.initial
-    frontier = knet.initial
-    iterations = 0
-    while not frontier.is_zero():
-        if max_iterations is not None and iterations >= max_iterations:
-            from .traversal import TraversalLimitError
-            raise TraversalLimitError(
-                f"traversal exceeded {max_iterations} iterations",
-                reached=reached, frontier=frontier, iterations=iterations)
-        successors = knet.image_all(frontier)
-        frontier = successors - reached
-        reached = reached | successors
-        iterations += 1
-        knet.bdd.checkpoint()
-    seconds = time.perf_counter() - start
-    return KBoundedResult(
-        reachable=reached,
-        marking_count=knet.count_markings(reached),
-        iterations=iterations,
-        variable_count=len(knet.current_vars),
-        final_bdd_nodes=reached.size(),
-        seconds=seconds)

@@ -40,13 +40,17 @@ __all__ = [
     "cluster_greedily",
     "AUTO_MIN_OVERLAP", "AUTO_NODE_BUDGET", "AUTO_MAX_CLUSTER",
     "RelationPartition", "PartitionedNet",
-    "IMAGE_ENGINES", "ImageEngine", "MonolithicImageEngine",
-    "PartitionedImageEngine", "ChainedImageEngine", "make_image_engine",
+    "IMAGE_ENGINES", "ZDD_RELATIONAL_ENGINES", "ImageEngine",
+    "MonolithicImageEngine", "PartitionedImageEngine", "ChainedImageEngine",
+    "make_image_engine", "TraversalLimitError",
 ]
 
 ClusterSize = Union[int, str]
 
 IMAGE_ENGINES = ("monolithic", "partitioned", "chained")
+# The engines a ZDD relational net offers: chained beats monolithic and
+# partitioned on time and peak nodes on every benchmarked net.
+ZDD_RELATIONAL_ENGINES = ("chained",)
 
 
 # ---------------------------------------------------------------------
@@ -224,6 +228,8 @@ class PartitionedNet:
 
     net: "PetriNet"
     manager: "DDManager"
+    # The image engines :func:`make_image_engine` builds for this net.
+    image_engines: Tuple[str, ...] = IMAGE_ENGINES
 
     def _init_partition_layer(self) -> None:
         self._partitions: Dict[ClusterSize, List] = {}
@@ -437,6 +443,28 @@ class PartitionedNet:
 # Image engines
 # ---------------------------------------------------------------------
 
+class TraversalLimitError(RuntimeError):
+    """A fixpoint overran ``max_iterations``.
+
+    Subclasses ``RuntimeError`` for compatibility with callers that
+    caught the old generic exception, but carries the partial state the
+    old message discarded: ``reached`` and ``frontier`` are the sets at
+    the moment of the overrun (a :class:`~repro.bdd.Function` on the
+    BDD paths, a raw node id on the ZDD path, ``None`` when no state
+    applies) and ``iterations`` the completed step count.  The partial
+    reached set is a genuine under-approximation — every marking in it
+    is reachable — so callers can checkpoint it or report progress
+    instead of losing the work.
+    """
+
+    def __init__(self, message: str, *, reached=None, frontier=None,
+                 iterations: int = 0) -> None:
+        super().__init__(message)
+        self.reached = reached
+        self.frontier = frontier
+        self.iterations = iterations
+
+
 class ImageEngine:
     """Strategy object advancing a reachability fixpoint by one step.
 
@@ -537,17 +565,22 @@ def make_image_engine(relnet: PartitionedNet, engine: str = "partitioned",
     """Factory for the relational image engines by name.
 
     ``cluster_size`` must be a positive integer or ``"auto"`` (adaptive
-    support-overlap clustering); ``engine`` one of :data:`IMAGE_ENGINES`.
-    Both are validated here so misconfigurations fail fast with a clear
+    support-overlap clustering); ``engine`` one of the net's
+    ``image_engines`` (:data:`IMAGE_ENGINES` for a BDD relational net,
+    :data:`ZDD_RELATIONAL_ENGINES` for a ZDD one).  Both are validated here so misconfigurations fail fast with a clear
     message instead of deep inside ``partitions()``.
     """
     validate_cluster_size(cluster_size)
+    if engine not in IMAGE_ENGINES:
+        raise ValueError(f"unknown image engine {engine!r}; "
+                         f"expected one of {IMAGE_ENGINES}")
+    if engine not in relnet.image_engines:
+        raise ValueError(f"image engine {engine!r} is not offered by "
+                         f"{type(relnet).__name__}; expected one of "
+                         f"{relnet.image_engines}")
     if engine == "monolithic":
         return MonolithicImageEngine(relnet, simplify_frontier)
     if engine == "partitioned":
         return PartitionedImageEngine(relnet, cluster_size,
                                       simplify_frontier)
-    if engine == "chained":
-        return ChainedImageEngine(relnet, cluster_size, simplify_frontier)
-    raise ValueError(f"unknown image engine {engine!r}; "
-                     f"expected one of {IMAGE_ENGINES}")
+    return ChainedImageEngine(relnet, cluster_size, simplify_frontier)

@@ -32,12 +32,9 @@ from typing import Dict, FrozenSet, Optional, Tuple
 from ..bdd import BDD, Function, cube, false, true, variable
 from ..encoding.characteristic import initial_function
 from ..encoding.scheme import Encoding
-from .partition import (AUTO_MAX_CLUSTER, AUTO_MIN_OVERLAP,
-                        AUTO_NODE_BUDGET, ClusterSize, PartitionedNet,
-                        RelationPartition)
+from .partition import ClusterSize, PartitionedNet, RelationPartition
 
-__all__ = ["RelationPartition", "RelationalNet", "AUTO_MIN_OVERLAP",
-           "AUTO_NODE_BUDGET", "AUTO_MAX_CLUSTER",
+__all__ = ["RelationPartition", "RelationalNet",
            "SIMPLIFY_MIN_FRONTIER_NODES"]
 
 # Frontier-size gate for the Coudert-Madre restriction

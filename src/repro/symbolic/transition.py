@@ -26,12 +26,7 @@ from ..encoding.characteristic import (declare_variables,
                                        place_functions)
 from ..encoding.scheme import Encoding, TransitionSpec
 from ..petri.marking import Marking
-# Clustering policies live in the shared generic relational layer;
-# re-exported here because this module is their historical home (the
-# functional path's support-sorted chaining uses them too).
-from .partition import (AUTO_MAX_CLUSTER, AUTO_MIN_OVERLAP,  # noqa: F401
-                        AUTO_NODE_BUDGET, cluster_by_support,
-                        cluster_greedily, validate_cluster_size)
+from .partition import cluster_by_support
 
 
 class SymbolicNet:

@@ -41,13 +41,13 @@ order-monotone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..bdd.zdd import EMPTY, ZDD
 from ..dd.manager import DEFAULT_REORDER_GROWTH
 from ..petri.marking import Marking
 from ..petri.net import PetriNet
-from .partition import ClusterSize, PartitionedNet, cluster_by_support
+from .partition import ZDD_RELATIONAL_ENGINES, ClusterSize, PartitionedNet
 
 __all__ = ["ZddSparseRelation", "ZddRelationPartition", "ZddStateOps",
            "ZddRelationalNet", "ClusterSize"]
@@ -154,6 +154,8 @@ class ZddRelationalNet(ZddStateOps, PartitionedNet):
         Live-node threshold for the automatic sifting trigger.
     """
 
+    image_engines = ZDD_RELATIONAL_ENGINES
+
     def __init__(self, net: PetriNet, zdd: Optional[ZDD] = None,
                  auto_reorder: bool = False,
                  reorder_threshold: int = 50_000) -> None:
@@ -185,7 +187,6 @@ class ZddRelationalNet(ZddStateOps, PartitionedNet):
         self.initial = zdd.ref(zdd.singleton(net.initial_marking.support))
         self._sparse: Dict[str, ZddSparseRelation] = {
             t: self._build_sparse(t) for t in net.transitions}
-        self._monolithic: Optional[ZddRelationPartition] = None
 
     def _build_sparse(self, transition: str) -> ZddSparseRelation:
         zdd = self.zdd
@@ -246,18 +247,6 @@ class ZddRelationalNet(ZddStateOps, PartitionedNet):
             members=block.members, rename=block.rename,
             support=block.support, top_level=top)
 
-    def monolithic_block(self) -> ZddRelationPartition:
-        """All transitions merged into one block (the textbook baseline:
-        one sweep position, one shared rename)."""
-        if self._monolithic is None:
-            order = [t for group in
-                     cluster_by_support(self.net.transitions,
-                                        self.transition_support,
-                                        self.zdd.level_of_var, 1)
-                     for t in group]
-            self._monolithic = self._build_partition(order)
-        return self._monolithic
-
     # ------------------------------------------------------------------
     # Images
     # ------------------------------------------------------------------
@@ -283,10 +272,6 @@ class ZddRelationalNet(ZddStateOps, PartitionedNet):
         if accumulated == EMPTY:
             return EMPTY
         return zdd.rename(accumulated, block.rename)
-
-    def image_monolithic(self, states: int) -> int:
-        """Image through the single all-transitions block."""
-        return self.image_partition(states, self.monolithic_block())
 
     def image_all(self, states: int) -> int:
         """Successor family under all transitions (per-transition

@@ -1,14 +1,13 @@
-"""analyze()/Analysis: cross-backend agreement with the legacy entry
-points, session reuse, and the backend protocol surface."""
+"""analyze()/Analysis: cross-backend agreement with the explicit
+oracle, session reuse, and the backend protocol surface."""
 
 import pytest
 
 from repro.analysis import (Analysis, AnalysisSpec, KBoundedBackend,
                             SpecError, ZddBackend, analyze, backend_for)
 from repro.encoding import ImprovedEncoding
-from repro.symbolic import (RelationalNet, SymbolicNet, ZddNet,
-                            ZddRelationalNet, traverse,
-                            traverse_relational, traverse_zdd)
+from repro.petri import ReachabilityGraph
+from repro.symbolic import RelationalNet, SymbolicNet, ZddNet
 
 NETS = ("figure1", "phil4")
 
@@ -35,6 +34,10 @@ def marking_sets(symbolic_net, reachable):
             symbolic_net.markings_of(reachable)}
 
 
+def explicit_set(net):
+    return {frozenset(m.support) for m in ReachabilityGraph(net).markings}
+
+
 class TestCrossBackend:
     @pytest.mark.parametrize("net_name", NETS)
     @pytest.mark.parametrize("label", sorted(SPECS))
@@ -46,23 +49,17 @@ class TestCrossBackend:
         assert result.engine == SPECS[label].engine_id
 
     @pytest.mark.parametrize("net_name", NETS)
-    def test_matches_legacy_functional(self, make_net, net_name):
+    def test_functional_matches_explicit_set(self, make_net, net_name):
         net = make_net(net_name)
-        legacy_net = SymbolicNet(ImprovedEncoding(net))
-        legacy = traverse(legacy_net, use_toggle=True,
-                          strategy="chaining", chain_order="support")
         analysis = Analysis(net, AnalysisSpec(reorder=False))
         result = analysis.run()
-        assert result.markings == legacy.marking_count
         assert marking_sets(analysis.symbolic_net, result.reachable) \
-            == marking_sets(legacy_net, legacy.reachable)
+            == explicit_set(net)
 
     @pytest.mark.parametrize("net_name", NETS)
-    def test_matches_legacy_relational(self, make_net, net_name):
+    def test_relational_matches_explicit_count(self, make_net, net_name,
+                                               explicit_counts):
         net = make_net(net_name)
-        legacy_net = RelationalNet(ImprovedEncoding(net))
-        legacy = traverse_relational(legacy_net, engine="chained",
-                                     cluster_size="auto")
         analysis = Analysis(net, AnalysisSpec(form="relational",
                                               engine="chained",
                                               cluster_size="auto",
@@ -71,31 +68,22 @@ class TestCrossBackend:
         # RelationalNet exposes no marking decoder; count equality here,
         # set-level equality across engines is pinned by the
         # differential harness (tests/symbolic/test_engine_diff.py).
-        assert result.markings == legacy.marking_count
-        assert result.variables == legacy.variable_count
-        assert result.engine == legacy.engine
+        assert result.markings == explicit_counts[net_name]
+        assert result.variables == ImprovedEncoding(net).num_variables
+        assert result.engine == "relational/chained"
 
     @pytest.mark.parametrize("net_name", NETS)
-    @pytest.mark.parametrize("engine", ["classic", "chained"])
-    def test_matches_legacy_zdd(self, make_net, net_name, engine):
+    @pytest.mark.parametrize("spec", [
+        AnalysisSpec(backend="zdd", form="functional", reorder=False),
+        AnalysisSpec(backend="zdd", cluster_size="auto", reorder=False)],
+        ids=["classic", "chained"])
+    def test_zdd_matches_explicit_set(self, make_net, net_name, spec):
         net = make_net(net_name)
-        if engine == "classic":
-            legacy_net = ZddNet(net)
-            spec = AnalysisSpec(backend="zdd", form="functional")
-        else:
-            legacy_net = ZddRelationalNet(net)
-            spec = AnalysisSpec(backend="zdd", engine=engine,
-                                cluster_size="auto")
-        legacy = traverse_zdd(legacy_net, engine=engine,
-                              cluster_size="auto"
-                              if engine != "classic" else 1)
         analysis = Analysis(net, spec)
         result = analysis.run()
-        assert result.markings == legacy.marking_count
         assert marking_sets(analysis.symbolic_net, result.reachable) \
-            == marking_sets(legacy_net, legacy.reachable)
+            == explicit_set(net)
         assert result.peak_nodes > 0
-        assert legacy.peak_live_nodes > 0
 
 
 class TestSession:

@@ -34,13 +34,14 @@ class TestDefaults:
             == DEFAULT_CLUSTER_SIZE
 
     def test_runner_default_matches_spec_default(self):
-        # The historical skew: runner.run_zdd defaulted to classic
-        # while the CLI favored the chained path.  Both now resolve
-        # through AnalysisSpec.
-        from repro.experiments.runner import engine_label, run_zdd
+        # The historical skew: the runner's ZDD wrapper defaulted to
+        # classic while the CLI favored the chained path.  Both now
+        # resolve through AnalysisSpec.
+        from repro.experiments.runner import engine_label, run
         from repro.petri.generators import figure1_net
-        row = run_zdd("fig1", figure1_net())
-        assert row.engine == engine_label(AnalysisSpec(backend="zdd"))
+        spec = AnalysisSpec(backend="zdd")
+        row = run("fig1", figure1_net(), spec)
+        assert row.engine == engine_label(spec) == "zdd-chained"
 
     def test_cli_default_matches_spec_default(self):
         args = _build_parser().parse_args(["analyze", "x.pnet"])
@@ -410,16 +411,16 @@ class TestIdentityAcrossFieldRemoval:
 
 class TestSerialEngineCatalogue:
     """The multiprocess partition sweep and its ``workers`` field are
-    gone: the engine catalogues are serial and asking for ``workers``
+    gone: the engine catalogue is serial and asking for ``workers``
     on an analysis fails loudly instead of being silently ignored."""
 
     def test_engine_catalogues_are_serial(self):
         from repro.analysis import PORTFOLIO_MEMBERS, RELATIONAL_ENGINES
-        from repro.symbolic import IMAGE_ENGINES, ZDD_IMAGE_ENGINES
+        from repro.symbolic import IMAGE_ENGINES
         serial = ("monolithic", "partitioned", "chained")
-        assert RELATIONAL_ENGINES == serial
+        # One catalogue, defined next to the engines.
+        assert RELATIONAL_ENGINES is IMAGE_ENGINES
         assert IMAGE_ENGINES == serial
-        assert ZDD_IMAGE_ENGINES == ("classic",) + serial
         assert not [m for m in PORTFOLIO_MEMBERS if m.endswith("-mp")]
 
     def test_workers_is_not_a_spec_field(self):
@@ -439,3 +440,42 @@ class TestSerialEngineCatalogue:
     def test_service_commands_keep_their_workers_flag(self, argv):
         args = _build_parser().parse_args(argv + ["--workers", "2"])
         assert args.workers == 2
+
+
+class TestRetiredZddEngines:
+    """ZDD ``monolithic`` and ``partitioned`` lost every benchmark row
+    to ``chained`` and were retired: the ZDD backend accepts only the
+    chained relational engine (or the classic functional form)."""
+
+    @pytest.mark.parametrize("engine", ["monolithic", "partitioned"])
+    def test_spec_rejects_retired_zdd_engine(self, engine):
+        with pytest.raises(SpecError, match="retired"):
+            AnalysisSpec(backend="zdd", form="relational", engine=engine)
+
+    def test_cli_rejects_retired_zdd_engine(self, tmp_path, capsys):
+        from repro.cli import main
+        path = tmp_path / "muller2.pnet"
+        assert main(["generate", "muller", "2", "-o", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(path), "--engine", "zdd",
+                     "--image", "partitioned"]) == 2
+        assert "retired" in capsys.readouterr().err
+
+    def test_result_naming_a_retired_engine_raises_spec_error(self):
+        """A result an older build wrote for ``engine="partitioned"``
+        on the ZDD backend fails to load with the spec's own error, not
+        a ``TypeError``/``KeyError`` from deeper down."""
+        from repro.analysis import AnalysisResult
+        spec_fields = dict(AnalysisSpec().to_dict(), backend="zdd",
+                           engine="partitioned")
+        payload = {
+            "schema": 1, "schema_minor": 1, "spec": spec_fields,
+            "engine": "zdd/partitioned", "markings": 8, "iterations": 4,
+            "variables": 7, "final_nodes": 12, "peak_nodes": 59,
+            "seconds": 0.0014, "reorder_count": 0, "status": "complete",
+            "extras": {"total_nodes": 59, "ae_calls": 11,
+                       "ae_cache_hits": 0, "build_seconds": 0.0004,
+                       "fixpoint_seconds": 0.0009},
+        }
+        with pytest.raises(SpecError, match="retired"):
+            AnalysisResult.from_dict(payload)

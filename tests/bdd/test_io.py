@@ -70,11 +70,13 @@ class TestRoundTrip:
 
     def test_reachable_set_round_trip(self):
         """The practical use: persist a computed reachability set."""
-        from repro.encoding import ImprovedEncoding
+        from repro.analysis import Analysis, AnalysisSpec
         from repro.petri.generators import figure4_net
-        from repro.symbolic import SymbolicNet, traverse
-        symnet = SymbolicNet(ImprovedEncoding(figure4_net()))
-        reached = traverse(symnet).reachable
+        analysis = Analysis(figure4_net(), AnalysisSpec(
+            strategy="bfs", chain_order="net", use_toggle=False,
+            reorder=False))
+        symnet = analysis.symbolic_net
+        reached = analysis.reachable
         text = dump_functions({"reachable": reached})
         target = BDD(var_names=list(symnet.encoding.variables))
         loaded = load_functions(text, target)["reachable"]

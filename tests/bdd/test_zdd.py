@@ -219,7 +219,7 @@ class TestRelationalCore:
         before = zdd.ae_cache_hits
         assert zdd.and_exists(f, g, ["q"]) == first
         assert zdd.ae_cache_hits > before
-        zdd.clear_cache()
+        zdd.clear_caches()
         assert not zdd._ae_cache
 
     def test_and_exists_empty_quantifier_degenerates_to_product(self, zdd):

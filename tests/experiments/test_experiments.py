@@ -3,18 +3,31 @@
 import pytest
 
 from repro.experiments.figure2 import run as figure2_run
+from repro.analysis import AnalysisSpec
 from repro.experiments.runner import (ExperimentRow, compare_engines,
-                                      format_table, run_dense, run_sparse,
-                                      run_zdd)
+                                      format_table, run)
 from repro.experiments.table3 import (HARNESS_SIZES, PAPER_SIZES,
                                       PAPER_TABLE3, instances)
 from repro.experiments.table4 import PAPER_TABLE4
 from repro.petri.generators import figure1_net, muller
 
 
+# The Table 3 specs: BFS with toggle firing, per scheme.
+SPARSE = AnalysisSpec(scheme="sparse", strategy="bfs", reorder=False)
+DENSE = AnalysisSpec(scheme="improved", strategy="bfs", reorder=False)
+
+
+def sparse_row(name, net):
+    return run(name, net, SPARSE, label="sparse")
+
+
+def dense_row(name, net, **options):
+    return run(name, net, DENSE, label="dense", **options)
+
+
 class TestRunner:
     def test_run_sparse_row(self):
-        row = run_sparse("fig1", figure1_net(), reorder=False)
+        row = sparse_row("fig1", figure1_net())
         assert row.engine == "sparse"
         assert row.markings == 8
         assert row.variables == 7
@@ -22,7 +35,7 @@ class TestRunner:
         assert row.seconds >= 0
 
     def test_run_dense_row(self):
-        row = run_dense("fig1", figure1_net(), reorder=False)
+        row = dense_row("fig1", figure1_net())
         assert row.engine == "dense"
         assert row.markings == 8
         assert row.variables == 4
@@ -31,16 +44,16 @@ class TestRunner:
         # The default ZDD engine comes from AnalysisSpec (chained), the
         # same default the CLI's --engine zdd resolves to — the old
         # classic-vs-chained skew between runner and CLI is gone.
-        from repro.analysis import AnalysisSpec
-        row = run_zdd("fig1", figure1_net())
         default = AnalysisSpec(backend="zdd")
+        row = run("fig1", figure1_net(), default)
         assert row.engine == f"zdd-{default.resolved_engine}"
         assert row.engine == "zdd-chained"
         assert row.markings == 8
         assert row.variables == 7
 
     def test_run_zdd_row_classic_baseline(self):
-        row = run_zdd("fig1", figure1_net(), engine="classic")
+        row = run("fig1", figure1_net(),
+                  AnalysisSpec(backend="zdd", form="functional"))
         assert row.engine == "zdd"
         assert row.markings == 8
         assert row.variables == 7
@@ -53,17 +66,16 @@ class TestRunner:
 
     def test_dense_supports_custom_factory(self):
         from repro.encoding import DenseEncoding
-        row = run_dense(
-            "fig1", figure1_net(), reorder=False,
-            encoding_factory=lambda net, smcs: DenseEncoding(
-                net, components=smcs))
+        from repro.petri.smc import find_smcs
+        row = dense_row(
+            "fig1", figure1_net(),
+            encoding_factory=lambda net: DenseEncoding(
+                net, components=find_smcs(net)))
         assert row.variables == 4
 
     def test_run_through_result_cache(self, tmp_path):
         """A second sweep over a shared cache re-runs nothing, and the
         cached row reports the original solve's measurements."""
-        from repro.analysis import AnalysisSpec
-        from repro.experiments.runner import run
         from repro.service import ResultCache
         cache = ResultCache(directory=tmp_path)
         net, spec = figure1_net(), AnalysisSpec()
@@ -82,21 +94,21 @@ class TestRunner:
 
 class TestFormatting:
     def test_format_table_groups_instances(self):
-        rows = [run_sparse("fig1", figure1_net(), reorder=False),
-                run_dense("fig1", figure1_net(), reorder=False)]
+        rows = [sparse_row("fig1", figure1_net()),
+                dense_row("fig1", figure1_net())]
         text = format_table("demo", rows, engines=("sparse", "dense"))
         assert "demo" in text
         assert "fig1" in text
         assert text.count("fig1") == 1  # one line per instance
 
     def test_format_table_missing_engine(self):
-        rows = [run_sparse("fig1", figure1_net(), reorder=False)]
+        rows = [sparse_row("fig1", figure1_net())]
         text = format_table("demo", rows, engines=("sparse", "dense"))
         assert "-" in text
 
     def test_compare_engines(self):
-        rows = [run_sparse("fig1", figure1_net(), reorder=False),
-                run_dense("fig1", figure1_net(), reorder=False)]
+        rows = [sparse_row("fig1", figure1_net()),
+                dense_row("fig1", figure1_net())]
         ratios = compare_engines(rows, "sparse", "dense")
         assert ratios["fig1"]["variables"] == pytest.approx(7 / 4)
         assert ratios["fig1"]["nodes"] > 1

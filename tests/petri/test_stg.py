@@ -117,12 +117,13 @@ class TestPipelineStage:
             == SparseEncoding(net).num_variables // 2
 
     def test_symbolic_traversal_matches_explicit(self):
-        from repro.encoding import ImprovedEncoding
-        from repro.symbolic import SymbolicNet, traverse
+        from repro.analysis import AnalysisSpec, analyze
         net = pipeline_stage().to_petri_net()
         expected = len(ReachabilityGraph(net))
-        result = traverse(SymbolicNet(ImprovedEncoding(net)))
-        assert result.marking_count == expected
+        result = analyze(net, AnalysisSpec(
+            strategy="bfs", chain_order="net", use_toggle=False,
+            reorder=False))
+        assert result.markings == expected
 
     def test_handshake_order(self):
         """a_in never acknowledges before r_out has risen."""

@@ -12,7 +12,7 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from repro.bdd import BDD, ONE, ZERO, variable
-from repro.bdd.reorder import sift
+from repro.dd.reorder import sift
 
 NUM_VARS = 5
 NAMES = [f"v{i}" for i in range(NUM_VARS)]

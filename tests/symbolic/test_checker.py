@@ -2,21 +2,26 @@
 
 import pytest
 
-from repro.encoding import ImprovedEncoding, SparseEncoding
+from repro.analysis import Analysis, AnalysisSpec
+from repro.encoding import SparseEncoding
 from repro.petri import Marking
 from repro.petri.generators import (dme_spec, figure1_net, figure4_net,
                                     muller, slotted_ring)
 from repro.symbolic import ModelChecker, SymbolicNet
 
+# Plain BFS on a fixed variable order.
+BFS = AnalysisSpec(strategy="bfs", chain_order="net", use_toggle=False,
+                   reorder=False)
+
 
 @pytest.fixture(scope="module")
 def fig1():
-    return ModelChecker(SymbolicNet(ImprovedEncoding(figure1_net())))
+    return Analysis(figure1_net(), BFS).checker()
 
 
 @pytest.fixture(scope="module")
 def fig4():
-    return ModelChecker(SymbolicNet(ImprovedEncoding(figure4_net())))
+    return Analysis(figure4_net(), BFS).checker()
 
 
 class TestReachability:
@@ -49,7 +54,7 @@ class TestDeadlocks:
                 or witness.support >= {"p7", "p13"})
 
     def test_muller_deadlock_free(self):
-        checker = ModelChecker(SymbolicNet(ImprovedEncoding(muller(3))))
+        checker = Analysis(muller(3), BFS).checker()
         assert not checker.find_deadlocks()
 
 
@@ -65,7 +70,7 @@ class TestMutualExclusion:
 
     def test_dme_critical_sections_exclusive(self):
         net = dme_spec(3)
-        checker = ModelChecker(SymbolicNet(ImprovedEncoding(net)))
+        checker = Analysis(net, BFS).checker()
         critical = [f"c{i}_uc" for i in range(3)]
         assert checker.check_mutual_exclusion(critical)
 
@@ -123,8 +128,12 @@ class TestCtl:
 
 class TestPrecomputedReachable:
     def test_reuse_reachable_set(self):
-        symnet = SymbolicNet(SparseEncoding(slotted_ring(2)))
-        from repro.symbolic import traverse
-        reached = traverse(symnet).reachable
-        checker = ModelChecker(symnet, reachable=reached)
+        analysis = Analysis(slotted_ring(2), BFS.replace(scheme="sparse"))
+        checker = ModelChecker(analysis.symbolic_net,
+                               reachable=analysis.reachable)
         assert checker.marking_count() == 40
+
+    def test_checker_never_traverses_on_its_own(self):
+        symnet = SymbolicNet(SparseEncoding(slotted_ring(2)))
+        with pytest.raises(TypeError):
+            ModelChecker(symnet)

@@ -2,10 +2,10 @@
 
 Runs each generator family through the BDD relational engines
 (monolithic / partitioned / chained over ``RelationalNet``) and every
-ZDD engine (classic per-transition plus the relational
-monolithic / partitioned / chained over ``ZddRelationalNet``) and
-asserts they all compute *identical* reachable sets — identical counts
-and identical marking sets — against the explicit-enumeration oracle.
+ZDD engine (classic per-transition plus the relational chained engine
+over ``ZddRelationalNet``), all through ``analyze()``, and asserts they
+compute *identical* reachable sets — identical counts and identical
+marking sets — against the explicit-enumeration oracle.
 
 Set identity, not just cardinality: the ZDD families are decoded to
 marking supports and compared exactly; the BDD sets are checked by
@@ -18,19 +18,30 @@ Small instances run in tier-1; the large configurations are marked
 
 import pytest
 
+from repro.analysis import (DEFAULT_PORTFOLIO_MEMBERS, Analysis,
+                            AnalysisSpec, PortfolioBackend,
+                            WorkerHarness, analyze, member_spec)
 from repro.bdd import cube
-from repro.encoding import ImprovedEncoding
 from repro.petri import Marking, ReachabilityGraph
-from repro.symbolic import (RelationalNet, ZddNet, ZddRelationalNet,
-                            traverse_relational, traverse_zdd)
+from repro.symbolic import IMAGE_ENGINES
+from repro.symbolic.checker import ModelChecker
 
 # Every generator family in tier-1 reach, at small sizes.
 SMALL_NETS = ["figure1", "phil3", "slot2", "muller3", "dme2", "jjreg-a2"]
 # Larger configurations of the same families, outside tier-1.
 LARGE_NETS = ["phil6", "slot3", "muller5", "dme3", "dmecir2", "jjreg-a3"]
 
-BDD_ENGINES = ("monolithic", "partitioned", "chained")
-ZDD_RELATIONAL_ENGINES = ("monolithic", "partitioned", "chained")
+BDD_ENGINES = IMAGE_ENGINES
+ZDD_RELATIONAL_ENGINES = ("chained",)
+
+# Every surviving configuration on a fixed variable order; the reorder
+# variants below switch sifting on.
+BDD_RELATIONAL = AnalysisSpec(form="relational", cluster_size="auto",
+                              reorder=False)
+ZDD_CLASSIC = AnalysisSpec(backend="zdd", form="functional",
+                           reorder=False)
+ZDD_RELATIONAL = AnalysisSpec(backend="zdd", form="relational",
+                              cluster_size="auto", reorder=False)
 
 
 def explicit_marking_set(net):
@@ -50,6 +61,23 @@ def assert_bdd_set_matches(relnet, reached, count, explicit, context):
             (context, sorted(support))
 
 
+def assert_bdd_run_matches(net, spec, explicit, context):
+    analysis = Analysis(net, spec)
+    result = analysis.run()
+    assert_bdd_set_matches(analysis.symbolic_net, result.reachable,
+                           result.markings, explicit, context)
+    return analysis
+
+
+def assert_zdd_run_matches(net, spec, explicit, context):
+    analysis = Analysis(net, spec)
+    result = analysis.run()
+    assert result.markings == len(explicit), context
+    decoded = {m.support for m in
+               analysis.symbolic_net.markings_of(result.reachable)}
+    assert decoded == explicit, context
+
+
 def run_differential_matrix(name, make_net):
     # One explicit enumeration per net serves as both the marking-set
     # oracle and (via len) the count oracle.
@@ -58,26 +86,17 @@ def run_differential_matrix(name, make_net):
     assert explicit
 
     for engine in BDD_ENGINES:
-        relnet = RelationalNet(ImprovedEncoding(make_net(name)))
-        result = traverse_relational(relnet, engine=engine,
-                                     cluster_size="auto")
-        assert_bdd_set_matches(relnet, result.reachable,
-                               result.marking_count, explicit,
-                               (name, f"bdd/{engine}"))
+        assert_bdd_run_matches(make_net(name),
+                               BDD_RELATIONAL.replace(engine=engine),
+                               explicit, (name, f"bdd/{engine}"))
 
-    classic = ZddNet(make_net(name))
-    result = traverse_zdd(classic)
-    assert result.marking_count == len(explicit), (name, "zdd/classic")
-    decoded = {m.support for m in classic.markings_of(result.reachable)}
-    assert decoded == explicit, (name, "zdd/classic")
+    assert_zdd_run_matches(make_net(name), ZDD_CLASSIC, explicit,
+                           (name, "zdd/classic"))
 
     for engine in ZDD_RELATIONAL_ENGINES:
-        relnet = ZddRelationalNet(make_net(name))
-        result = traverse_zdd(relnet, engine=engine, cluster_size="auto")
-        assert result.marking_count == len(explicit), \
-            (name, f"zdd/{engine}")
-        decoded = {m.support for m in relnet.markings_of(result.reachable)}
-        assert decoded == explicit, (name, f"zdd/{engine}")
+        assert_zdd_run_matches(make_net(name),
+                               ZDD_RELATIONAL.replace(engine=engine),
+                               explicit, (name, f"zdd/{engine}"))
 
 
 @pytest.mark.parametrize("name", SMALL_NETS)
@@ -102,39 +121,27 @@ def test_zdd_engines_agree_with_reorder_enabled(name, make_net):
     explicit = explicit_marking_set(net)
     assert explicit
 
-    classic = ZddNet(make_net(name), auto_reorder=True,
-                     reorder_threshold=50)
-    result = traverse_zdd(classic)
-    decoded = {m.support for m in classic.markings_of(result.reachable)}
-    assert decoded == explicit, (name, "zdd/classic+reorder")
+    sifting = dict(reorder=True, reorder_threshold=50)
+    assert_zdd_run_matches(make_net(name), ZDD_CLASSIC.replace(**sifting),
+                           explicit, (name, "zdd/classic+reorder"))
 
     for engine in ZDD_RELATIONAL_ENGINES:
-        relnet = ZddRelationalNet(make_net(name), auto_reorder=True,
-                                  reorder_threshold=50)
-        result = traverse_zdd(relnet, engine=engine, cluster_size="auto")
-        assert result.marking_count == len(explicit), \
-            (name, f"zdd/{engine}+reorder")
-        decoded = {m.support for m in relnet.markings_of(result.reachable)}
-        assert decoded == explicit, (name, f"zdd/{engine}+reorder")
+        assert_zdd_run_matches(
+            make_net(name), ZDD_RELATIONAL.replace(engine=engine, **sifting),
+            explicit, (name, f"zdd/{engine}+reorder"))
 
 
 def test_cluster_sizes_do_not_change_the_set(make_net, explicit_counts):
     """Granularity sweep on one net: every cluster_size, same set."""
     expected = explicit_counts["slot2"]
     for cluster_size in (1, 2, 8, "auto"):
-        relnet = ZddRelationalNet(make_net("slot2"))
-        result = traverse_zdd(relnet, engine="chained",
-                              cluster_size=cluster_size)
-        assert result.marking_count == expected, cluster_size
+        result = analyze(make_net("slot2"), ZDD_RELATIONAL.replace(
+            engine="chained", cluster_size=cluster_size))
+        assert result.markings == expected, cluster_size
 
 
 # ---------------------------------------------------------------------------
 # Portfolio differential: the race's verdict vs every member's.
-
-from repro.analysis import (DEFAULT_PORTFOLIO_MEMBERS, Analysis,
-                            AnalysisSpec, PortfolioBackend,
-                            WorkerHarness, analyze, member_spec)
-from repro.symbolic.checker import ModelChecker
 
 
 class _SerialOnlyHarness(WorkerHarness):
@@ -289,29 +296,21 @@ def test_kill_and_resume_matches_oracle(name, make_net, explicit_counts,
 @pytest.mark.parametrize("name", SMALL_NETS)
 def test_per_transition_partition_agrees_small(name, make_net):
     """With ``cluster_size=1`` every transition is its own block, so the
-    serial sweep unions the most independent per-block images; BDD and
-    ZDD must still land on the explicit oracle's marking *set*, and the
-    spec-level migration target reports the same count."""
+    serial sweep unions the most independent per-block images; the BDD
+    engine must still land on the explicit oracle's marking *set*, and
+    the spec-level default granularity reports the same count."""
     net = make_net(name)
     explicit = explicit_marking_set(net)
     assert explicit
 
-    relnet = RelationalNet(ImprovedEncoding(make_net(name)))
+    analysis = assert_bdd_run_matches(
+        make_net(name), BDD_RELATIONAL.replace(engine="partitioned",
+                                               cluster_size=1),
+        explicit, (name, "bdd/partitioned/1"))
     assert all(len(block.transitions) == 1
-               for block in relnet.partitions(1))
-    result = traverse_relational(relnet, engine="partitioned",
-                                 cluster_size=1)
-    assert_bdd_set_matches(relnet, result.reachable, result.marking_count,
-                           explicit, (name, "bdd/partitioned/1"))
+               for block in analysis.symbolic_net.partitions(1))
 
-    zrelnet = ZddRelationalNet(make_net(name))
-    zresult = traverse_zdd(zrelnet, engine="partitioned", cluster_size=1)
-    decoded = {m.support for m in zrelnet.markings_of(zresult.reachable)}
-    assert decoded == explicit, (name, "zdd/partitioned/1")
-
-    for backend in ("bdd", "zdd"):
-        spec = AnalysisSpec(backend=backend, form="relational",
-                            engine="partitioned")
-        migrated = analyze(make_net(name), spec)
-        assert migrated.engine == spec.engine_id
-        assert migrated.markings == len(explicit), (name, backend)
+    spec = AnalysisSpec(form="relational", engine="partitioned")
+    migrated = analyze(make_net(name), spec)
+    assert migrated.engine == spec.engine_id
+    assert migrated.markings == len(explicit), name

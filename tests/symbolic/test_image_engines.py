@@ -9,18 +9,25 @@ all image engines reach the same fixpoint on the generator nets.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.encoding import DenseEncoding, ImprovedEncoding, SparseEncoding
+from repro.analysis import Analysis, AnalysisSpec, analyze
+from repro.encoding import ImprovedEncoding, SparseEncoding
 from repro.petri import ReachabilityGraph
 from repro.petri.generators import (figure1_net, figure4_net, muller,
                                     philosophers, slotted_ring)
 from repro.symbolic import (IMAGE_ENGINES, RelationalNet, SymbolicNet,
-                            cluster_by_support, make_image_engine, traverse,
-                            traverse_relational)
+                            cluster_by_support, make_image_engine)
 
 # Net instances come from the shared fixtures in tests/conftest.py
 # (make_net builds them, explicit_counts is the enumeration oracle).
 FAMILIES = ["figure1", "figure4", "muller4", "slot2", "phil3"]
-SCHEMES = [SparseEncoding, DenseEncoding, ImprovedEncoding]
+SCHEMES = ["sparse", "dense", "improved"]
+
+
+def relational(engine="partitioned", cluster_size=1, **changes):
+    """A relational spec on a fixed variable order unless overridden."""
+    return AnalysisSpec(form="relational", engine=engine,
+                        cluster_size=cluster_size,
+                        **dict(dict(reorder=False), **changes))
 
 
 # ---------------------------------------------------------------------
@@ -48,10 +55,11 @@ class TestAndExists:
         """The one-pass product must not conjoin the operands wholesale;
         only strict subproblems may reach ``apply_and`` (via the
         below-quantification fallback)."""
-        relnet = RelationalNet(ImprovedEncoding(muller(4)))
+        analysis = Analysis(muller(4), relational("chained"))
+        relnet = analysis.symbolic_net
         bdd = relnet.bdd
         relation = relnet.monolithic_relation()
-        states = traverse_relational(relnet, engine="chained").reachable
+        states = analysis.reachable
         bdd.clear_caches()
         conjoined = []
         original = bdd.apply_and
@@ -179,66 +187,46 @@ class TestImageEngines:
     @pytest.mark.parametrize("engine", IMAGE_ENGINES)
     def test_engines_reach_explicit_fixpoint(self, name, engine, make_net,
                                              explicit_counts):
-        relnet = RelationalNet(ImprovedEncoding(make_net(name)))
-        result = traverse_relational(relnet, engine=engine, cluster_size=3)
-        assert result.marking_count == explicit_counts[name]
+        result = analyze(make_net(name), relational(engine, 3))
+        assert result.markings == explicit_counts[name]
         assert result.engine == f"relational/{engine}"
 
-    @pytest.mark.parametrize("scheme", SCHEMES,
-                             ids=[s.__name__ for s in SCHEMES])
+    @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("cluster_size", [1, 4])
     def test_engines_agree_across_schemes(self, scheme, cluster_size,
                                           make_net, explicit_counts):
         for name in ("figure4", "slot2"):
             counts = {
-                traverse_relational(RelationalNet(scheme(make_net(name))),
-                                    engine=engine,
-                                    cluster_size=cluster_size).marking_count
+                analyze(make_net(name),
+                        relational(engine, cluster_size,
+                                   scheme=scheme)).markings
                 for engine in IMAGE_ENGINES}
             assert counts == {explicit_counts[name]}
 
     def test_engines_match_functional_traversal(self, make_net,
                                                 explicit_counts):
         for name in FAMILIES:
-            functional = traverse(
-                SymbolicNet(ImprovedEncoding(make_net(name))),
-                use_toggle=True, strategy="chaining",
-                chain_order="support")
-            relational = traverse_relational(
-                RelationalNet(ImprovedEncoding(make_net(name))),
-                engine="chained", cluster_size=2)
-            assert functional.marking_count == relational.marking_count \
+            functional = analyze(make_net(name),
+                                 AnalysisSpec(strategy="chaining",
+                                              chain_order="support",
+                                              reorder=False))
+            chained = analyze(make_net(name), relational("chained", 2))
+            assert functional.markings == chained.markings \
                 == explicit_counts[name]
 
     def test_chained_cuts_iterations(self):
-        relnet_bfs = RelationalNet(ImprovedEncoding(slotted_ring(3)))
-        bfs = traverse_relational(relnet_bfs, engine="partitioned")
-        relnet_chained = RelationalNet(ImprovedEncoding(slotted_ring(3)))
-        chained = traverse_relational(relnet_chained, engine="chained")
+        bfs = analyze(slotted_ring(3), relational("partitioned"))
+        chained = analyze(slotted_ring(3), relational("chained"))
         assert chained.iterations < bfs.iterations
-        assert chained.marking_count == bfs.marking_count
-
-    def test_engine_instance_accepted(self):
-        relnet = RelationalNet(ImprovedEncoding(figure4_net()))
-        engine = make_image_engine(relnet, "chained", cluster_size=2)
-        result = traverse_relational(relnet, engine=engine)
-        assert result.engine == "relational/chained"
+        assert chained.markings == bfs.markings
 
     def test_unknown_engine_rejected(self):
-        relnet = RelationalNet(ImprovedEncoding(figure4_net()))
         with pytest.raises(ValueError):
-            traverse_relational(relnet, engine="quantum")
+            relational("quantum")
 
     def test_max_iterations_guard(self):
-        relnet = RelationalNet(ImprovedEncoding(slotted_ring(2)))
         with pytest.raises(RuntimeError):
-            traverse_relational(relnet, engine="partitioned",
-                                max_iterations=1)
-
-    def test_monolithic_flag_still_works(self):
-        relnet = RelationalNet(ImprovedEncoding(figure4_net()))
-        result = traverse_relational(relnet, monolithic=True)
-        assert result.engine == "relational/monolithic"
+            analyze(slotted_ring(2), relational(max_iterations=1))
 
     @pytest.mark.parametrize("junk", [0, -3, 2.5, "junk", None, True])
     def test_bad_cluster_size_rejected_up_front(self, junk):
@@ -266,12 +254,10 @@ class TestAdaptiveTraversal:
                                                    explicit_counts):
         """Acceptance: identical reachable sets with dynamic reordering
         (pair-grouped sifting + partition refresh) and auto clustering."""
-        relnet = RelationalNet(ImprovedEncoding(make_net(name)),
-                               auto_reorder=True, reorder_threshold=200)
-        result = traverse_relational(relnet, engine=engine,
-                                     cluster_size="auto",
-                                     simplify_frontier=True)
-        assert result.marking_count == explicit_counts[name]
+        result = analyze(make_net(name), relational(
+            engine, "auto", simplify_frontier=True, reorder=True,
+            reorder_threshold=200))
+        assert result.markings == explicit_counts[name]
 
     def test_auto_reorder_honored_on_supplied_manager(self,
                                                       explicit_counts):
@@ -280,22 +266,27 @@ class TestAdaptiveTraversal:
                                bdd=BDD(), auto_reorder=True,
                                reorder_threshold=100)
         assert relnet.bdd.auto_reorder
-        result = traverse_relational(relnet, engine="chained")
-        assert result.reorder_count > 0
-        assert result.marking_count == explicit_counts["phil3"]
+        # Step the engine by hand: the fixpoint runs on this net's own
+        # manager, with its safe point after every step.
+        engine = make_image_engine(relnet, "chained")
+        reached = frontier = relnet.initial
+        while not frontier.is_zero():
+            reached, frontier = engine.advance(reached, frontier)
+            relnet.bdd.checkpoint()
+        assert relnet.bdd.reorder_count > 0
+        assert relnet.count_markings(reached) == explicit_counts["phil3"]
 
     def test_reordering_actually_happens(self, explicit_counts):
-        relnet = RelationalNet(ImprovedEncoding(philosophers(3)),
-                               auto_reorder=True, reorder_threshold=100)
-        result = traverse_relational(relnet, engine="chained",
-                                     cluster_size=2)
+        result = analyze(philosophers(3), relational(
+            "chained", 2, reorder=True, reorder_threshold=100))
         assert result.reorder_count > 0
-        assert result.marking_count == explicit_counts["phil3"]
+        assert result.markings == explicit_counts["phil3"]
 
     def test_pairs_stay_adjacent_after_traversal_reorder(self):
-        relnet = RelationalNet(ImprovedEncoding(slotted_ring(2)),
-                               auto_reorder=True, reorder_threshold=100)
-        traverse_relational(relnet, engine="chained")
+        analysis = Analysis(slotted_ring(2), relational(
+            "chained", reorder=True, reorder_threshold=100))
+        analysis.run()
+        relnet = analysis.symbolic_net
         assert relnet.bdd.reorder_count > 0
         for name in relnet.current:
             current = relnet.bdd.level_of_var(name)
@@ -323,10 +314,9 @@ class TestAdaptiveTraversal:
 
     def test_simplify_frontier_fixpoints_agree(self, explicit_counts):
         for engine in IMAGE_ENGINES:
-            relnet = RelationalNet(ImprovedEncoding(slotted_ring(2)))
-            result = traverse_relational(relnet, engine=engine,
-                                         simplify_frontier=True)
-            assert result.marking_count == explicit_counts["slot2"]
+            result = analyze(slotted_ring(2), relational(
+                engine, simplify_frontier=True))
+            assert result.markings == explicit_counts["slot2"]
 
     def test_sparse_relations_cached_across_engine_builds(self):
         """Repeated engine construction (ablation sweeps) must reuse the
@@ -367,15 +357,14 @@ class TestPartitionRefresh:
             assert block.relation is relations_before[block.label]
 
     def test_images_correct_after_set_order(self, explicit_counts):
-        relnet = RelationalNet(ImprovedEncoding(slotted_ring(2)))
+        analysis = Analysis(slotted_ring(2), relational("chained", 2))
+        relnet = analysis.symbolic_net
         blocks = relnet.partitions(2)
         expected = relnet.image_all(relnet.initial)
         relnet.bdd.set_order(self.reversed_pair_order(relnet))
         blocks = relnet.partitions(2)
         assert relnet.image_partitioned(relnet.initial, blocks) == expected
-        result = traverse_relational(relnet, engine="chained",
-                                     cluster_size=2)
-        assert result.marking_count == explicit_counts["slot2"]
+        assert analysis.result.markings == explicit_counts["slot2"]
 
     def test_refresh_fires_for_every_cached_granularity(self):
         relnet = RelationalNet(ImprovedEncoding(figure4_net()))
@@ -418,11 +407,11 @@ class TestFunctionalClusters:
     def test_support_chain_order_reaches_fixpoint(self, make_net,
                                                   explicit_counts):
         for name in FAMILIES:
-            result = traverse(SymbolicNet(ImprovedEncoding(make_net(name))),
-                              strategy="chaining", chain_order="support")
-            assert result.marking_count == explicit_counts[name]
+            result = analyze(make_net(name), AnalysisSpec(
+                strategy="chaining", chain_order="support",
+                use_toggle=False, reorder=False))
+            assert result.markings == explicit_counts[name]
 
     def test_unknown_chain_order_rejected(self):
-        symnet = SymbolicNet(ImprovedEncoding(figure4_net()))
         with pytest.raises(ValueError):
-            traverse(symnet, strategy="chaining", chain_order="random")
+            AnalysisSpec(strategy="chaining", chain_order="random")

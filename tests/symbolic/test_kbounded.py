@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.analysis import Analysis, AnalysisSpec, analyze
 from repro.petri import Marking, PetriNet, ReachabilityGraph
 from repro.petri.generators import figure1_net, figure4_net
-from repro.symbolic.kbounded import KBoundedNet, traverse_kbounded
+from repro.symbolic.kbounded import KBoundedNet
 
 
 def two_token_cycle():
@@ -84,52 +85,49 @@ class TestImage:
 
     def test_image_respects_bound(self):
         """The producer cannot exceed the configured buffer bound."""
-        knet = KBoundedNet(producer_consumer(3), bound=3)
-        result = traverse_kbounded(knet)
-        for marking in knet.markings_of(result.reachable):
+        analysis = Analysis(producer_consumer(3), AnalysisSpec(k_bound=3))
+        knet = analysis.symbolic_net
+        for marking in knet.markings_of(analysis.reachable):
             assert marking["buffer"] <= 3
 
 
 class TestTraversal:
     def test_two_token_cycle_counts(self):
         """Token counts over 3 places summing to 2: C(4,2) = 6 markings."""
-        knet = KBoundedNet(two_token_cycle(), bound=2)
-        result = traverse_kbounded(knet)
+        result = analyze(two_token_cycle(), AnalysisSpec(k_bound=2))
         explicit = ReachabilityGraph(two_token_cycle(), require_safe=False)
-        assert result.marking_count == len(explicit) == 6
+        assert result.markings == len(explicit) == 6
 
     def test_matches_explicit_markings(self):
-        knet = KBoundedNet(two_token_cycle(), bound=2)
-        result = traverse_kbounded(knet)
+        analysis = Analysis(two_token_cycle(), AnalysisSpec(k_bound=2))
         explicit = ReachabilityGraph(two_token_cycle(), require_safe=False)
-        assert set(knet.markings_of(result.reachable)) \
+        assert set(analysis.symbolic_net.markings_of(analysis.reachable)) \
             == set(explicit.markings)
 
     @pytest.mark.parametrize("factory,expected", [
         (figure1_net, 8), (figure4_net, 22)])
     def test_safe_nets_at_bound_one(self, factory, expected):
         """With k = 1 the engine reproduces the safe engines' counts."""
-        result = traverse_kbounded(KBoundedNet(factory(), bound=1))
-        assert result.marking_count == expected
+        result = analyze(factory(), AnalysisSpec(k_bound=1))
+        assert result.markings == expected
 
     def test_safe_net_at_higher_bound_same_counts(self):
         """A safe net stays safe under a looser bound."""
-        result = traverse_kbounded(KBoundedNet(figure1_net(), bound=3))
-        assert result.marking_count == 8
+        result = analyze(figure1_net(), AnalysisSpec(k_bound=3))
+        assert result.markings == 8
 
     def test_producer_consumer_buffer_levels(self):
-        knet = KBoundedNet(producer_consumer(2), bound=2)
-        result = traverse_kbounded(knet)
+        result = analyze(producer_consumer(2), AnalysisSpec(k_bound=2))
         # idle always 1; buffer in {0, 1, 2}: three markings.
-        assert result.marking_count == 3
+        assert result.markings == 3
 
     def test_statistics(self):
-        result = traverse_kbounded(KBoundedNet(two_token_cycle(), bound=2))
+        result = analyze(two_token_cycle(), AnalysisSpec(k_bound=2))
         assert result.iterations > 0
-        assert result.variable_count == 6
-        assert "markings=6" in repr(result)
+        assert result.variables == 6
+        assert result.markings == 6
 
     def test_max_iterations_guard(self):
-        knet = KBoundedNet(two_token_cycle(), bound=2)
         with pytest.raises(RuntimeError):
-            traverse_kbounded(knet, max_iterations=1)
+            analyze(two_token_cycle(),
+                    AnalysisSpec(k_bound=2, max_iterations=1))

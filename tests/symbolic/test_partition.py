@@ -12,15 +12,18 @@ import random
 
 import pytest
 
+from repro.analysis import Analysis, AnalysisSpec, analyze
 from repro.encoding import ImprovedEncoding
 from repro.petri.generators import figure4_net, philosophers, slotted_ring
-from repro.symbolic import (ChainedImageEngine, ChainedZddEngine,
-                            ImageEngine, RelationalNet, ZddNet,
-                            ZddRelationalNet, ZddImageEngine,
-                            make_image_engine, make_zdd_image_engine,
-                            traverse_relational, traverse_zdd)
+from repro.symbolic import (IMAGE_ENGINES, ZDD_RELATIONAL_ENGINES,
+                            ChainedImageEngine, ImageEngine, RelationalNet,
+                            ZddRelationalNet, make_image_engine)
 from repro.symbolic.partition import PartitionedNet
 from repro.symbolic.relational import SIMPLIFY_MIN_FRONTIER_NODES
+
+# Relational fixpoints on a fixed variable order (BDD and ZDD).
+BDD_RELATIONAL = AnalysisSpec(form="relational", reorder=False)
+ZDD_CHAINED = AnalysisSpec(backend="zdd", engine="chained", reorder=False)
 
 
 class TestUnifiedLayer:
@@ -29,14 +32,14 @@ class TestUnifiedLayer:
         assert issubclass(ZddRelationalNet, PartitionedNet)
 
     def test_zdd_engines_are_the_generic_engines(self):
-        """The relational ZDD engines are the same classes that drive
-        the BDD net — only the alias surface differs."""
-        relnet = ZddRelationalNet(figure4_net())
-        engine = make_zdd_image_engine(relnet, "chained", 2)
-        assert isinstance(engine, ChainedImageEngine)
-        assert isinstance(engine, ZddImageEngine)
-        assert engine.zddnet is engine.relnet is relnet
-        assert engine.zdd is relnet.zdd
+        """The relational ZDD session runs the same engine class that
+        drives the BDD net."""
+        analysis = Analysis(figure4_net(), ZDD_CHAINED.replace(
+            cluster_size=2))
+        engine = analysis.session.image_engine
+        assert type(engine) is ChainedImageEngine
+        assert engine.name == "chained"
+        assert engine.relnet is analysis.symbolic_net
 
     def test_generic_factory_serves_the_zdd_net_too(self):
         """make_image_engine is manager-agnostic: handing it a ZDD
@@ -44,8 +47,11 @@ class TestUnifiedLayer:
         relnet = ZddRelationalNet(slotted_ring(2))
         engine = make_image_engine(relnet, "chained", cluster_size=2)
         assert isinstance(engine, ImageEngine)
-        result = traverse_zdd(relnet, engine=engine)
-        assert result.marking_count == 40
+        reached = frontier = relnet.initial
+        while not relnet.state_is_empty(frontier):
+            reached, frontier = engine.advance(reached, frontier)
+            relnet.zdd.checkpoint()
+        assert relnet.count_markings(reached) == 40
 
 
 class TestChainedNarrowing:
@@ -70,7 +76,7 @@ class TestChainedNarrowing:
         earlier iterations: successors of the already-expanded states
         may be dropped from the sweep result (they are in reached)."""
         relnet = ZddRelationalNet(slotted_ring(2))
-        engine = make_zdd_image_engine(relnet, "chained", 1)
+        engine = make_image_engine(relnet, "chained", 1)
         reached = frontier = relnet.initial
         seen_work = []
         original = relnet.image_partition
@@ -93,20 +99,17 @@ class TestChainedNarrowing:
         assert all(count < full for count in seen_work)
         assert first_counts  # sanity: the spy actually measured
 
-    @pytest.mark.parametrize("engine", ["monolithic", "partitioned",
-                                        "chained"])
-    def test_fixpoints_agree_across_narrowing_paths(self, engine,
-                                                    make_net,
+    @pytest.mark.parametrize("spec", [
+        BDD_RELATIONAL.replace(engine=engine, cluster_size=2,
+                               simplify_frontier=True)
+        for engine in IMAGE_ENGINES] + [
+        ZDD_CHAINED.replace(cluster_size=2)],
+        ids=[f"bdd-{engine}" for engine in IMAGE_ENGINES] + ["zdd-chained"])
+    def test_fixpoints_agree_across_narrowing_paths(self, spec, make_net,
                                                     explicit_counts):
         for name in ("figure4", "slot2", "phil3"):
-            bdd_result = traverse_relational(
-                RelationalNet(ImprovedEncoding(make_net(name))),
-                engine=engine, cluster_size=2, simplify_frontier=True)
-            zdd_result = traverse_zdd(
-                ZddRelationalNet(make_net(name)), engine=engine,
-                cluster_size=2)
-            assert bdd_result.marking_count == explicit_counts[name]
-            assert zdd_result.marking_count == explicit_counts[name]
+            result = analyze(make_net(name), spec)
+            assert result.markings == explicit_counts[name]
 
 
 class TestSimplifyGate:
@@ -124,8 +127,10 @@ class TestSimplifyGate:
 
     def test_restriction_applies_above_the_gate(self, monkeypatch):
         import repro.symbolic.relational as relational
-        relnet = RelationalNet(ImprovedEncoding(slotted_ring(2)))
-        reached = traverse_relational(relnet, engine="chained").reachable
+        analysis = Analysis(slotted_ring(2), BDD_RELATIONAL.replace(
+            engine="chained", cluster_size=1))
+        relnet = analysis.symbolic_net
+        reached = analysis.reachable
         frontier = reached
         monkeypatch.setattr(relational, "SIMPLIFY_MIN_FRONTIER_NODES", 1)
         narrowed = relnet.narrow_frontier(frontier, reached)
@@ -134,11 +139,10 @@ class TestSimplifyGate:
 
     def test_gated_simplify_reaches_fixpoint(self, make_net,
                                              explicit_counts):
-        for engine in ("monolithic", "partitioned", "chained"):
-            relnet = RelationalNet(ImprovedEncoding(make_net("slot2")))
-            result = traverse_relational(relnet, engine=engine,
-                                         simplify_frontier=True)
-            assert result.marking_count == explicit_counts["slot2"]
+        for engine in IMAGE_ENGINES:
+            result = analyze(make_net("slot2"), BDD_RELATIONAL.replace(
+                engine=engine, cluster_size=1, simplify_frontier=True))
+            assert result.markings == explicit_counts["slot2"]
 
 
 class TestReorderAwareReclustering:
@@ -190,46 +194,37 @@ class TestReorderAwareReclustering:
 
     def test_traversal_correct_with_reclustering(self, make_net,
                                                  explicit_counts):
-        relnet = RelationalNet(ImprovedEncoding(make_net("phil3")),
-                               auto_reorder=True, reorder_threshold=100)
-        result = traverse_relational(relnet, engine="chained",
-                                     cluster_size="auto")
+        result = analyze(make_net("phil3"), BDD_RELATIONAL.replace(
+            engine="chained", cluster_size="auto", reorder=True,
+            reorder_threshold=100))
         assert result.reorder_count > 0
-        assert result.marking_count == explicit_counts["phil3"]
+        assert result.markings == explicit_counts["phil3"]
 
 
 class TestZddReorderTraversal:
-    @pytest.mark.parametrize("engine", ["monolithic", "partitioned",
-                                        "chained"])
-    def test_relational_engines_with_reorder(self, engine, make_net,
+    @pytest.mark.parametrize("cluster_size", [1, 2, "auto"])
+    def test_relational_engines_with_reorder(self, cluster_size, make_net,
                                              explicit_counts):
         """ZDD relational traversal with pair-grouped sifting enabled
         still pins the explicit counts."""
+        spec = ZDD_CHAINED.replace(cluster_size=cluster_size, reorder=True,
+                                   reorder_threshold=50)
         for name in ("figure4", "slot2", "phil3"):
-            relnet = ZddRelationalNet(make_net(name), auto_reorder=True,
-                                      reorder_threshold=50)
-            result = traverse_zdd(relnet, engine=engine,
-                                  cluster_size="auto")
-            assert result.marking_count == explicit_counts[name], \
-                (name, engine)
-            assert result.reorder_count > 0, (name, engine)
+            analysis = Analysis(make_net(name), spec)
+            result = analysis.run()
+            relnet = analysis.symbolic_net
+            assert result.markings == explicit_counts[name], name
+            assert result.reorder_count > 0, name
             for place in relnet.current:
                 cur = relnet.zdd.level_of_var(place)
                 nxt = relnet.zdd.level_of_var(place + "'")
                 assert nxt == cur + 1
 
     def test_classic_engine_with_reorder(self, make_net, explicit_counts):
-        zddnet = ZddNet(make_net("muller3"), auto_reorder=True,
-                        reorder_threshold=20)
-        result = traverse_zdd(zddnet)
-        assert result.marking_count == explicit_counts["muller3"]
+        result = analyze(make_net("muller3"), AnalysisSpec(
+            backend="zdd", form="functional", reorder_threshold=20))
+        assert result.markings == explicit_counts["muller3"]
         assert result.reorder_count > 0
-
-    def test_chained_engine_is_chained_zdd_engine(self):
-        relnet = ZddRelationalNet(figure4_net())
-        engine = make_zdd_image_engine(relnet, "chained")
-        assert isinstance(engine, ChainedZddEngine)
-        assert engine.name == "chained"
 
 
 # ---------------------------------------------------------------------------
@@ -280,18 +275,28 @@ def test_zdd_block_size_counts_member_relations(make_net):
             relnet.zdd.size(member.relation) for member in block.members)
 
 
-@pytest.mark.parametrize("family", ["bdd", "zdd"])
-def test_engine_factories_take_no_worker_options(family, make_net):
-    """Every image engine runs in-process; the factories accept only
-    the engine name, granularity (and, for BDDs, frontier
-    simplification)."""
+@pytest.mark.parametrize("family, engine", [("bdd", "partitioned"),
+                                            ("zdd", "chained")])
+def test_engine_factories_take_no_worker_options(family, engine, make_net):
+    """Every image engine runs in-process; the one factory accepts only
+    the engine name, granularity and frontier simplification, for
+    either manager."""
     if family == "bdd":
         relnet = RelationalNet(ImprovedEncoding(make_net("figure1")))
-        factory = make_image_engine
     else:
         relnet = ZddRelationalNet(make_net("figure1"))
-        factory = make_zdd_image_engine
-    assert factory(relnet, "partitioned", cluster_size=1).name \
-        == "partitioned"
+    assert make_image_engine(relnet, engine, cluster_size=1).name == engine
     with pytest.raises(TypeError):
-        factory(relnet, "partitioned", workers=2)
+        make_image_engine(relnet, engine, workers=2)
+
+
+@pytest.mark.parametrize("engine", ["monolithic", "partitioned"])
+def test_factory_refuses_retired_zdd_engines(engine, make_net):
+    """A ZDD relational net offers only the engines in
+    ZDD_RELATIONAL_ENGINES; the BDD net offers the whole catalogue."""
+    relnet = ZddRelationalNet(make_net("figure1"))
+    assert relnet.image_engines == ZDD_RELATIONAL_ENGINES
+    with pytest.raises(ValueError, match="not offered by ZddRelationalNet"):
+        make_image_engine(relnet, engine)
+    assert RelationalNet(ImprovedEncoding(make_net("figure1"))) \
+        .image_engines == IMAGE_ENGINES

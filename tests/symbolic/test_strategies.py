@@ -2,10 +2,14 @@
 
 import pytest
 
-from repro.encoding import ImprovedEncoding, SparseEncoding
+from repro.analysis import Analysis, AnalysisSpec, analyze
 from repro.petri import ReachabilityGraph
 from repro.petri.generators import figure4_net, muller, slotted_ring
-from repro.symbolic import SymbolicNet, traverse
+
+# Quantify-and-force firing in net declaration order, fixed variable
+# order; tests move single knobs off it.
+PLAIN = AnalysisSpec(strategy="bfs", chain_order="net", use_toggle=False,
+                     reorder=False)
 
 FAMILIES = [
     ("figure4", figure4_net, 22),
@@ -20,41 +24,36 @@ FAMILIES = [
 @pytest.mark.parametrize("simplify", [False, True])
 def test_all_strategies_reach_same_fixpoint(name, factory, expected,
                                             strategy, simplify):
-    symnet = SymbolicNet(ImprovedEncoding(factory()))
-    result = traverse(symnet, use_toggle=True, strategy=strategy,
-                      simplify_frontier=simplify)
-    assert result.marking_count == expected
+    result = analyze(factory(), PLAIN.replace(
+        use_toggle=True, strategy=strategy, simplify_frontier=simplify))
+    assert result.markings == expected
 
 
 def test_chaining_needs_fewer_iterations():
     net = muller(6)
-    bfs = traverse(SymbolicNet(ImprovedEncoding(net)), strategy="bfs")
-    chain = traverse(SymbolicNet(ImprovedEncoding(net)),
-                     strategy="chaining")
+    bfs = analyze(net, PLAIN)
+    chain = analyze(net, PLAIN.replace(strategy="chaining"))
     assert chain.iterations < bfs.iterations
-    assert chain.marking_count == bfs.marking_count
+    assert chain.markings == bfs.markings
 
 
 def test_chaining_respects_transition_order_semantics():
     """Chaining explores more per iteration but never invents states."""
     net = figure4_net()
     explicit = {m.support for m in ReachabilityGraph(net).markings}
-    symnet = SymbolicNet(SparseEncoding(net))
-    result = traverse(symnet, strategy="chaining")
-    assert {m.support for m in symnet.markings_of(result.reachable)} \
-        == explicit
+    analysis = Analysis(net, PLAIN.replace(scheme="sparse",
+                                           strategy="chaining"))
+    reached = analysis.symbolic_net.markings_of(analysis.reachable)
+    assert {m.support for m in reached} == explicit
 
 
 def test_unknown_strategy_rejected():
-    symnet = SymbolicNet(SparseEncoding(figure4_net()))
     with pytest.raises(ValueError):
-        traverse(symnet, strategy="dfs")
+        PLAIN.replace(strategy="dfs")
 
 
 def test_simplified_frontier_with_reordering():
-    net = slotted_ring(3)
-    symnet = SymbolicNet(ImprovedEncoding(net), auto_reorder=True,
-                         reorder_threshold=500)
-    result = traverse(symnet, use_toggle=True, strategy="chaining",
-                      simplify_frontier=True)
-    assert result.marking_count == 224
+    result = analyze(slotted_ring(3), PLAIN.replace(
+        use_toggle=True, strategy="chaining", simplify_frontier=True,
+        reorder=True, reorder_threshold=500))
+    assert result.markings == 224

@@ -2,17 +2,27 @@
 
 import pytest
 
-from repro.encoding import (DenseEncoding, ImprovedEncoding, SparseEncoding)
+from repro.analysis import Analysis, AnalysisSpec
+from repro.encoding import SparseEncoding
 from repro.petri import Marking
 from repro.petri.generators import figure1_net, figure4_net
 from repro.symbolic import SymbolicNet
 
-ALL_SCHEMES = [SparseEncoding, DenseEncoding, ImprovedEncoding]
+ALL_SCHEMES = ["sparse", "dense", "improved"]
+# Plain BFS on a fixed variable order.
+BFS = AnalysisSpec(strategy="bfs", chain_order="net", use_toggle=False,
+                   reorder=False)
 
 
 @pytest.fixture(params=ALL_SCHEMES)
-def symnet(request):
-    return SymbolicNet(request.param(figure1_net()))
+def analysis(request):
+    """A not-yet-run session; its reachable set runs on first use."""
+    return Analysis(figure1_net(), BFS.replace(scheme=request.param))
+
+
+@pytest.fixture
+def symnet(analysis):
+    return analysis.symbolic_net
 
 
 class TestConstruction:
@@ -67,9 +77,8 @@ class TestPreimage:
     token-game predecessors."""
 
     @pytest.fixture
-    def reachable(self, symnet):
-        from repro.symbolic import traverse
-        return traverse(symnet).reachable
+    def reachable(self, analysis):
+        return analysis.reachable
 
     def test_preimage_inverts_image(self, symnet, reachable):
         target = symnet.marking_function(Marking(["p2", "p3"]))
@@ -110,17 +119,16 @@ class TestPreimage:
 
 
 class TestDeadlockCondition:
-    def test_figure1_has_no_deadlock_state(self, symnet):
+    def test_figure1_has_no_deadlock_state(self, symnet, analysis):
         # Every reachable marking enables something; the deadlock condition
         # itself is not empty over the whole boolean space, though.
-        from repro.symbolic import traverse
-        reached = traverse(symnet).reachable
+        reached = analysis.reachable
         assert (reached & symnet.deadlock_condition()).is_zero()
 
     def test_figure4_deadlock_detected(self):
-        symnet = SymbolicNet(ImprovedEncoding(figure4_net()))
-        from repro.symbolic import traverse
-        reached = traverse(symnet).reachable
+        analysis = Analysis(figure4_net(), BFS)
+        symnet = analysis.symbolic_net
+        reached = analysis.reachable
         dead = reached & symnet.deadlock_condition()
         assert symnet.count_markings(dead) == 2
 

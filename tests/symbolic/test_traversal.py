@@ -2,53 +2,56 @@
 
 import pytest
 
-from repro.encoding import DenseEncoding, ImprovedEncoding, SparseEncoding
+from repro.analysis import Analysis, AnalysisSpec, analyze
+from repro.encoding import ImprovedEncoding, SparseEncoding
 from repro.petri import ReachabilityGraph
 from repro.petri.generators import figure1_net, figure4_net, slotted_ring
-from repro.symbolic import (RelationalNet, SymbolicNet, traverse,
-                            traverse_relational)
 
 # Net instances come from the shared fixtures in tests/conftest.py
 # (make_net builds them, explicit_counts is the enumeration oracle).
 FAMILIES = ["figure1", "figure4", "muller3", "slot2", "phil3", "dme2",
             "jjreg-a2"]
-SCHEMES = [SparseEncoding, DenseEncoding, ImprovedEncoding]
+SCHEMES = ["sparse", "dense", "improved"]
+
+# The plain BFS quantify-and-force fixpoint on a fixed variable order.
+BFS = AnalysisSpec(strategy="bfs", chain_order="net", use_toggle=False,
+                   reorder=False)
+# The per-transition partitioned relational fixpoint, fixed order.
+PARTITIONED = AnalysisSpec(form="relational", engine="partitioned",
+                           cluster_size=1, reorder=False)
 
 
 @pytest.mark.parametrize("name", FAMILIES)
-@pytest.mark.parametrize("scheme", SCHEMES,
-                         ids=[s.__name__ for s in SCHEMES])
+@pytest.mark.parametrize("scheme", SCHEMES)
 def test_marking_count_matches_explicit(name, scheme, make_net,
                                         explicit_counts):
-    result = traverse(SymbolicNet(scheme(make_net(name))))
-    assert result.marking_count == explicit_counts[name]
+    result = analyze(make_net(name), BFS.replace(scheme=scheme))
+    assert result.markings == explicit_counts[name]
 
 
-@pytest.mark.parametrize("scheme", SCHEMES,
-                         ids=[s.__name__ for s in SCHEMES])
+@pytest.mark.parametrize("scheme", SCHEMES)
 def test_toggle_firing_agrees(scheme, make_net, explicit_counts):
     """The Section 5.2 toggle path reaches the same fixpoint."""
     for name in FAMILIES[:5]:
-        result = traverse(SymbolicNet(scheme(make_net(name))),
-                          use_toggle=True)
-        assert result.marking_count == explicit_counts[name]
+        result = analyze(make_net(name),
+                         BFS.replace(scheme=scheme, use_toggle=True))
+        assert result.markings == explicit_counts[name]
 
 
-@pytest.mark.parametrize("scheme", SCHEMES,
-                         ids=[s.__name__ for s in SCHEMES])
+@pytest.mark.parametrize("scheme", SCHEMES)
 def test_relational_engine_agrees(scheme, explicit_counts):
     """The Eq. 3 relational path reaches the same fixpoint."""
     for name, factory in [("figure1", figure1_net),
                           ("figure4", figure4_net),
                           ("slot2", lambda: slotted_ring(2))]:
-        result = traverse_relational(RelationalNet(scheme(factory())))
-        assert result.marking_count == explicit_counts[name]
+        result = analyze(factory(), PARTITIONED.replace(scheme=scheme))
+        assert result.markings == explicit_counts[name]
 
 
 def test_monolithic_relation_agrees(explicit_counts):
-    relnet = RelationalNet(ImprovedEncoding(figure4_net()))
-    result = traverse_relational(relnet, monolithic=True)
-    assert result.marking_count == explicit_counts["figure4"]
+    result = analyze(figure4_net(), AnalysisSpec(
+        form="relational", engine="monolithic", reorder=False))
+    assert result.markings == explicit_counts["figure4"]
 
 
 def test_reachable_sets_decode_identically():
@@ -56,45 +59,35 @@ def test_reachable_sets_decode_identically():
     net = figure4_net()
     explicit = {m.support for m in ReachabilityGraph(net).markings}
     for scheme in SCHEMES:
-        symnet = SymbolicNet(scheme(net))
-        reached = traverse(symnet).reachable
-        symbolic = {m.support for m in symnet.markings_of(reached)}
+        analysis = Analysis(net, BFS.replace(scheme=scheme))
+        symbolic = {m.support for m in
+                    analysis.symbolic_net.markings_of(analysis.reachable)}
         assert symbolic == explicit
 
 
 def test_traversal_statistics_sane():
-    symnet = SymbolicNet(ImprovedEncoding(figure4_net()))
-    result = traverse(symnet)
+    result = analyze(figure4_net(), BFS)
     assert result.iterations > 0
-    assert result.variable_count == 8
-    assert result.final_bdd_nodes >= 3
-    assert result.peak_live_nodes >= result.final_bdd_nodes
+    assert result.variables == 8
+    assert result.final_nodes >= 3
+    assert result.peak_nodes >= result.final_nodes
     assert result.seconds >= 0
-    assert "markings=22" in repr(result)
-
-
-def test_on_iteration_observer():
-    steps = []
-    symnet = SymbolicNet(SparseEncoding(figure1_net()))
-    traverse(symnet, on_iteration=lambda i, r: steps.append(i))
-    assert steps == list(range(1, len(steps) + 1))
-    assert steps  # at least one frontier step
+    assert result.markings == 22
 
 
 def test_max_iterations_guard():
-    symnet = SymbolicNet(SparseEncoding(figure4_net()))
     with pytest.raises(RuntimeError):
-        traverse(symnet, max_iterations=1)
+        analyze(figure4_net(), BFS.replace(scheme="sparse",
+                                           max_iterations=1))
 
 
 def test_traversal_with_dynamic_reordering():
     """Auto-reordering during traversal must not change the result."""
     net = slotted_ring(3)
     expected = len(ReachabilityGraph(net))
-    symnet = SymbolicNet(ImprovedEncoding(net), auto_reorder=True,
-                         reorder_threshold=500)
-    result = traverse(symnet, use_toggle=True)
-    assert result.marking_count == expected
+    result = analyze(net, BFS.replace(use_toggle=True, reorder=True,
+                                      reorder_threshold=500))
+    assert result.markings == expected
     assert result.reorder_count > 0
 
 
@@ -112,32 +105,27 @@ def test_limit_error_carries_partial_state():
     partial reached set is a genuine under-approximation."""
     from repro.symbolic import TraversalLimitError
     net = figure4_net()
-    symnet = SymbolicNet(SparseEncoding(net))
+    spec = BFS.replace(scheme="sparse")
+    analysis = Analysis(net, spec)
     with pytest.raises(TraversalLimitError) as excinfo:
-        traverse(symnet, max_iterations=1)
+        analysis.run(max_iterations=1)
     exc = excinfo.value
     assert isinstance(exc, RuntimeError)
     assert exc.iterations == 1
     assert exc.reached is not None
-    partial = exc.reached.satcount(symnet.encoding.num_variables)
-    total = traverse(symnet).reachable.satcount(
-        symnet.encoding.num_variables)
+    variables = analysis.symbolic_net.encoding.num_variables
+    partial = exc.reached.satcount(variables)
+    total = Analysis(net, spec).reachable.satcount(variables)
     assert 0 < partial < total
 
 
 def test_limit_error_from_relational_and_zdd_and_kbounded():
-    from repro.symbolic import (KBoundedNet, RelationalNet,
-                                TraversalLimitError, ZddNet,
-                                traverse_kbounded, traverse_relational,
-                                traverse_zdd)
+    from repro.symbolic import TraversalLimitError
     net = figure4_net()
-    with pytest.raises(TraversalLimitError) as rel:
-        traverse_relational(RelationalNet(SparseEncoding(net)),
-                            max_iterations=1)
-    assert rel.value.reached is not None
-    with pytest.raises(TraversalLimitError) as zdd:
-        traverse_zdd(ZddNet(net), max_iterations=1)
-    assert zdd.value.reached is not None
-    with pytest.raises(TraversalLimitError) as kb:
-        traverse_kbounded(KBoundedNet(net, 1), max_iterations=1)
-    assert kb.value.reached is not None
+    for spec in (PARTITIONED.replace(scheme="sparse"),
+                 AnalysisSpec(backend="zdd", form="functional",
+                              reorder=False),
+                 AnalysisSpec(k_bound=1)):
+        with pytest.raises(TraversalLimitError) as excinfo:
+            analyze(net, spec.replace(max_iterations=1))
+        assert excinfo.value.reached is not None, spec.engine_id

@@ -6,10 +6,16 @@ the cross-engine set-identity matrix lives in ``test_engine_diff.py``.
 
 import pytest
 
+from repro.analysis import Analysis, AnalysisSpec, SpecError, analyze
 from repro.petri import Marking, ReachabilityGraph
-from repro.petri.generators import figure1_net, figure4_net, muller
-from repro.symbolic import (ZDD_IMAGE_ENGINES, ZddNet, ZddRelationalNet,
-                            make_zdd_image_engine, traverse_zdd)
+from repro.petri.generators import figure1_net, figure4_net
+from repro.symbolic import ZddNet, ZddRelationalNet, make_image_engine
+
+# The classic per-transition rewrite and the chained relational engine,
+# both on a fixed element order.
+CLASSIC = AnalysisSpec(backend="zdd", form="functional", reorder=False)
+CHAINED = AnalysisSpec(backend="zdd", engine="chained", cluster_size=1,
+                       reorder=False)
 
 
 class TestZddNet:
@@ -140,13 +146,6 @@ class TestZddRelationalNet:
             assert relnet.image_partitioned(states, blocks) \
                 == relnet.image_all(states)
 
-    def test_monolithic_block_is_all_transitions(self):
-        relnet = ZddRelationalNet(figure4_net())
-        block = relnet.monolithic_block()
-        assert sorted(block.transitions) == sorted(relnet.net.transitions)
-        assert relnet.image_monolithic(relnet.initial) \
-            == relnet.image_all(relnet.initial)
-
     def test_rename_maps_are_order_monotone(self):
         relnet = ZddRelationalNet(figure4_net())
         for block in relnet.partitions("auto"):
@@ -164,93 +163,74 @@ class TestTraversal:
         ("muller3", 30),
         ("slot2", 40),
     ])
-    @pytest.mark.parametrize("engine", ZDD_IMAGE_ENGINES)
-    def test_counts_match_explicit(self, name, expected, engine, make_net):
-        net = make_net(name)
-        zddnet = ZddNet(net) if engine == "classic" \
-            else ZddRelationalNet(net)
-        result = traverse_zdd(zddnet, engine=engine, cluster_size=2)
-        assert result.marking_count == expected
-        assert result.engine == f"zdd/{engine}"
+    @pytest.mark.parametrize("spec", [
+        CLASSIC,
+        CHAINED,
+        CHAINED.replace(cluster_size=2),
+        CHAINED.replace(cluster_size="auto"),
+    ], ids=["classic", "chained-1", "chained", "chained-auto"])
+    def test_counts_match_explicit(self, name, expected, spec, make_net):
+        result = analyze(make_net(name), spec)
+        assert result.markings == expected
+        assert result.engine == spec.engine_id
 
     def test_reachable_family_decodes_exactly(self):
         net = figure4_net()
-        zddnet = ZddNet(net)
-        result = traverse_zdd(zddnet)
+        analysis = Analysis(net, CLASSIC)
         explicit = {m.support for m in ReachabilityGraph(net).markings}
-        symbolic = {m.support
-                    for m in zddnet.markings_of(result.reachable)}
+        symbolic = {m.support for m in
+                    analysis.symbolic_net.markings_of(analysis.reachable)}
         assert symbolic == explicit
 
     def test_statistics(self):
-        result = traverse_zdd(ZddNet(figure1_net()))
-        assert result.variable_count == 7
-        assert result.final_zdd_nodes > 2
+        result = analyze(figure1_net(), CLASSIC)
+        assert result.variables == 7
+        assert result.final_nodes > 2
         assert result.iterations > 0
         assert result.engine == "zdd/classic"
-        assert "markings=8" in repr(result)
+        assert result.markings == 8
 
     def test_chained_cuts_iterations(self, make_net):
-        bfs = traverse_zdd(ZddRelationalNet(make_net("slot2")),
-                           engine="partitioned")
-        chained = traverse_zdd(ZddRelationalNet(make_net("slot2")),
-                               engine="chained")
-        assert chained.iterations < bfs.iterations
-        assert chained.marking_count == bfs.marking_count
-
-    def test_engine_instance_accepted(self):
-        relnet = ZddRelationalNet(figure4_net())
-        engine = make_zdd_image_engine(relnet, "chained", cluster_size=2)
-        result = traverse_zdd(relnet, engine=engine)
-        assert result.engine == "zdd/chained"
-
-    def test_engine_instance_for_other_net_rejected(self):
-        """An engine built for net B must not run under net A's name —
-        the result's node ids would belong to B's manager."""
-        engine = make_zdd_image_engine(ZddRelationalNet(figure4_net()),
-                                       "chained")
-        other = ZddRelationalNet(figure4_net())
-        with pytest.raises(ValueError, match="different net"):
-            traverse_zdd(other, engine=engine)
-
-    def test_mismatched_net_form_rejected(self, make_net):
-        """Engine and net form must match — a silent bridge would hand
-        back node ids from a manager the caller never sees, making
-        ``markings_of`` on the caller's net decode garbage."""
-        with pytest.raises(TypeError, match="ZddRelationalNet"):
-            traverse_zdd(ZddNet(make_net("figure4")), engine="chained")
-        with pytest.raises(TypeError, match="ZddNet"):
-            traverse_zdd(ZddRelationalNet(make_net("figure4")),
-                         engine="classic")
+        classic = analyze(make_net("slot2"), CLASSIC)
+        chained = analyze(make_net("slot2"), CHAINED)
+        assert chained.iterations < classic.iterations
+        assert chained.markings == classic.markings
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="classic"):
-            traverse_zdd(ZddNet(figure1_net()), engine="quantum")
+        with pytest.raises(SpecError, match="chained"):
+            CHAINED.replace(engine="quantum")
+
+    @pytest.mark.parametrize("junk", [0, -3, 2.5, "junk", True])
+    def test_bad_cluster_size_rejected_up_front(self, junk):
+        with pytest.raises(SpecError, match="auto"):
+            CHAINED.replace(cluster_size=junk)
 
     @pytest.mark.parametrize("junk", [0, -3, 2.5, "junk", None, True])
-    def test_bad_cluster_size_rejected_up_front(self, junk):
+    def test_factory_rejects_bad_cluster_size(self, junk):
+        """The engine factory validates on its own, whatever the spec
+        let through."""
         with pytest.raises(ValueError, match="auto"):
-            make_zdd_image_engine(ZddNet(figure1_net()), "chained",
-                                  cluster_size=junk)
+            make_image_engine(ZddRelationalNet(figure1_net()), "chained",
+                              cluster_size=junk)
 
     def test_max_iterations_guard(self):
         with pytest.raises(RuntimeError):
-            traverse_zdd(ZddNet(figure4_net()), max_iterations=1)
+            analyze(figure4_net(), CLASSIC.replace(max_iterations=1))
         with pytest.raises(RuntimeError):
-            traverse_zdd(ZddRelationalNet(figure4_net()),
-                         engine="partitioned", max_iterations=1)
+            analyze(figure4_net(), CHAINED.replace(cluster_size=1,
+                                                   max_iterations=1))
 
     def test_fused_cache_counters_exposed(self, make_net):
-        relnet = ZddRelationalNet(make_net("phil3"))
-        traverse_zdd(relnet, engine="chained", cluster_size="auto")
-        assert relnet.zdd.ae_calls > 0
-        assert relnet.zdd.ae_cache_hits > 0
+        analysis = Analysis(make_net("phil3"),
+                            CHAINED.replace(cluster_size="auto"))
+        analysis.run()
+        zdd = analysis.symbolic_net.zdd
+        assert zdd.ae_calls > 0
+        assert zdd.ae_cache_hits > 0
 
     def test_zdd_smaller_than_place_count_blowup(self, make_net):
         """ZDD nodes stay near-linear for these structured families —
         the Yoneda effect that motivates Table 4's baseline."""
-        small = traverse_zdd(
-            ZddNet(make_net("slot2"))).final_zdd_nodes
-        large = traverse_zdd(
-            ZddNet(make_net("slot4"))).final_zdd_nodes
+        small = analyze(make_net("slot2"), CLASSIC).final_nodes
+        large = analyze(make_net("slot4"), CLASSIC).final_nodes
         assert large < small * 8  # mild growth, not explosion

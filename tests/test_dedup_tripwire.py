@@ -5,8 +5,14 @@ of ``symbolic/relational.py``'s clustering/partition/sweep machinery;
 PR 5 collapsed both onto :mod:`repro.symbolic.partition`.  This test
 fails CI if either encoding shim regrows its own copy of that logic —
 the one place it may live is the shared layer.
+
+The same holds for the reachability fixpoint: the
+:mod:`repro.analysis` sessions drive it, and no module under
+``repro/symbolic`` may grow a second driver (a ``traverse*`` function
+or its own frontier loop) next to them.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -102,3 +108,74 @@ def test_negation_lives_once_as_a_bit_flip():
             f"{path.relative_to(SRC)} regrew a recursive negation "
             f"({match.group(1)}); negation is an O(1) bit flip in "
             f"BDD.apply_not")
+
+
+# Frontier loops that are not the reachability fixpoint, with why.
+FRONTIER_LOOP_ALLOWLIST = {
+    # The backward EF fixpoint over pre-images, run on a reachable set
+    # a session already computed.
+    ("checker.py", "ModelChecker.ef"),
+}
+
+
+def frontier_loops(path):
+    """``(module, qualified function)`` of every ``while`` loop whose
+    condition reads a variable named ``frontier``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.While) and any(
+                    isinstance(name, ast.Name) and name.id == "frontier"
+                    for name in ast.walk(child.test)):
+                found.append((path.name, ".".join(scope)))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), [])
+    return found
+
+
+def test_symbolic_layer_has_no_fixpoint_driver():
+    """``analyze()`` is the one way in: the ``SolverSession`` subclasses
+    in ``repro/analysis/backends.py`` run the reachability fixpoint, so
+    no symbolic module may define a module-level ``traverse*`` function
+    or its own ``while not frontier...`` loop beside them."""
+    for path in sorted((SRC / "symbolic").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        drivers = [node.name for node in tree.body
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name.startswith("traverse")]
+        assert not drivers, (
+            f"symbolic/{path.name} regrew a legacy fixpoint driver "
+            f"{drivers}; run analyze()/Analysis instead")
+        loops = [loop for loop in frontier_loops(path)
+                 if loop not in FRONTIER_LOOP_ALLOWLIST]
+        assert not loops, (
+            f"symbolic/{path.name} runs its own frontier fixpoint loop "
+            f"in {[scope for _, scope in loops]}; the analysis sessions "
+            f"are the only fixpoint driver")
+
+
+def test_tripwire_sees_a_traverse_loop(tmp_path):
+    """The loop detector itself: the shape of the deleted drivers is
+    caught, a loop on anything else is not."""
+    module = tmp_path / "legacy.py"
+    module.write_text(
+        "def legacy_fixpoint(net):\n"
+        "    frontier = reached = net.initial\n"
+        "    while not frontier.is_zero():\n"
+        "        frontier = net.step(frontier)\n"
+        "    while pending:\n"
+        "        pass\n")
+    assert frontier_loops(module) == [("legacy.py", "legacy_fixpoint")]
+
+
+def test_bdd_reorder_reexport_stays_deleted():
+    """Sifting lives in ``repro.dd.reorder``; the old re-export module
+    ``bdd/reorder.py`` must not come back."""
+    assert not (SRC / "bdd" / "reorder.py").exists(), (
+        "repro/bdd/reorder.py reappeared; import from repro.dd.reorder")
