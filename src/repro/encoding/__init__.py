@@ -12,7 +12,7 @@
 
 from .characteristic import (declare_variables, enabling_functions,
                              initial_function, marking_function,
-                             place_functions)
+                             place_functions, variable_order)
 from .covering import CoverOption, CoveringError, solve_cover
 from .dense import DenseEncoding
 from .improved import ImprovedEncoding, encoding_variable_summary
@@ -26,5 +26,5 @@ __all__ = [
     "encoding_variable_summary",
     "CoverOption", "CoveringError", "solve_cover",
     "declare_variables", "place_functions", "enabling_functions",
-    "marking_function", "initial_function",
+    "marking_function", "initial_function", "variable_order",
 ]

@@ -13,17 +13,42 @@ These are the raw ingredients of the symbolic traversal in
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, FrozenSet, Tuple
 
 from ..bdd import BDD, Function, cube, true
 from ..petri.marking import Marking
+from ..petri.order import force_order
 from .scheme import Encoding
 
 
+def variable_order(encoding: Encoding) -> Tuple[str, ...]:
+    """The encoding's variables in FORCE order (:mod:`repro.petri.order`).
+
+    Each transition is one hyperedge: its ``quantify`` variables plus
+    the support of every preset place, where a place's support is its
+    owner-code variables and, recursively, its partners' (Eq. 4).
+    Purely structural — no BDD is built.
+    """
+    memo: Dict[str, FrozenSet[str]] = {}
+
+    def support(place: str) -> FrozenSet[str]:
+        if place not in memo:
+            memo[place] = frozenset(
+                var for var, _ in encoding.owner_code(place)).union(
+                    *map(support, encoding.partners(place)))
+        return memo[place]
+
+    net = encoding.net
+    return force_order(encoding.variables, (
+        set(encoding.transition_spec(t).quantify).union(
+            *map(support, net.preset(t)))
+        for t in net.transitions))
+
+
 def declare_variables(encoding: Encoding, bdd: BDD) -> None:
-    """Declare the encoding's variables (in its order) on a BDD manager."""
-    for name in encoding.variables:
-        bdd.add_var(name)
+    """Declare the encoding's variables on a BDD manager, in
+    :func:`variable_order`."""
+    bdd.add_vars(variable_order(encoding))
 
 
 def place_functions(encoding: Encoding, bdd: BDD) -> Dict[str, Function]:

@@ -89,7 +89,11 @@ class Encoding(ABC):
     @property
     @abstractmethod
     def variables(self) -> Tuple[str, ...]:
-        """The boolean variables, in the suggested BDD order."""
+        """The boolean variables, in naming (Table 1) order.
+
+        Managers declare them in the structural order of
+        :func:`~repro.encoding.characteristic.variable_order`.
+        """
 
     @abstractmethod
     def owner_code(self, place: str) -> Tuple[Tuple[str, bool], ...]:

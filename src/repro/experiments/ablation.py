@@ -9,7 +9,8 @@ Four questions, answered on the same mid-size instances:
 3. **Quantify-force vs. toggle firing vs. relational image** — traversal
    time of the image implementations, including the partitioned and
    chained relational-product engines.
-4. **Dynamic reordering on/off** — final BDD size and time.
+4. **Dynamic reordering on/off** — final BDD size and time, sifting
+   from the structural initial order, not the paper's (see ``runner``).
 
 Run with ``python -m repro.experiments.ablation``.
 """

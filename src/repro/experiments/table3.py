@@ -3,7 +3,8 @@
 The paper's Table 3 runs three scalable families — Muller pipelines,
 dining philosophers and the slotted ring — under the conventional sparse
 encoding and the SMC-based dense encoding, reporting the reachable
-marking count, variable count, final reachability-BDD size and CPU time.
+marking count, variable count, final reachability-BDD size and CPU time
+(from the structural initial order, not the paper's; see ``runner``).
 
 Default sizes are scaled to what pure-Python BDDs traverse in seconds;
 ``REPRO_FULL=1`` switches to the paper's sizes (muller-30/40/50,

@@ -5,12 +5,14 @@
 * :mod:`repro.petri.invariants` — minimal semi-positive P-invariants
   (Farkas elimination, exact arithmetic).
 * :mod:`repro.petri.smc` — State Machine Components (Theorem 2.1).
+* :mod:`repro.petri.order` — FORCE structural variable orders.
 * :class:`ReachabilityGraph` — explicit enumeration for cross-validation.
 * :mod:`repro.petri.generators` — the benchmark families of Section 6.
 """
 
 from .marking import Marking
 from .net import PetriNet, PetriNetError
+from .order import force_order, place_order
 from .reachability import (ReachabilityGraph, StateExplosion, UnsafeNet,
                            assert_safe, count_reachable_markings,
                            find_deadlock)
@@ -19,7 +21,7 @@ from .smc import (StateMachineComponent, coverage, find_smcs,
                   smcs_from_invariants)
 
 __all__ = [
-    "PetriNet", "PetriNetError", "Marking",
+    "PetriNet", "PetriNetError", "Marking", "force_order", "place_order",
     "ReachabilityGraph", "StateExplosion", "UnsafeNet",
     "count_reachable_markings", "assert_safe", "find_deadlock",
     "StateMachineComponent", "smc_from_places", "smcs_from_invariants",

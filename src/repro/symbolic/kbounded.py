@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Tuple
 from ..bdd import BDD, Function, cube, false, true, variable
 from ..petri.marking import Marking
 from ..petri.net import PetriNet
+from ..petri.order import place_order
 
 
 class KBoundedNet:
@@ -52,16 +53,15 @@ class KBoundedNet:
         self.bdd = bdd
         self.bits = max(1, math.ceil(math.log2(bound + 1)))
 
-        # Interleave current and next bits per place for monotone renames.
+        # Current/next bits interleaved per place_order: monotone renames.
         self._current: Dict[str, List[str]] = {}
         self._next: Dict[str, List[str]] = {}
-        for place in net.places:
+        for place in place_order(net):
             cur_bits, nxt_bits = [], []
             for bit in range(self.bits):
                 cur = f"{place}#{bit}"
                 nxt = f"{place}#{bit}'"
-                bdd.add_var(cur)
-                bdd.add_var(nxt)
+                bdd.add_vars((cur, nxt))
                 cur_bits.append(cur)
                 nxt_bits.append(nxt)
             self._current[place] = cur_bits

@@ -29,8 +29,10 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Optional, Tuple
 
-from ..bdd import BDD, Function, cube, false, true, variable
-from ..encoding.characteristic import initial_function
+from ..bdd import BDD, Function, cube, false, variable
+from ..encoding.characteristic import (enabling_functions,
+                                       initial_function, place_functions,
+                                       variable_order)
 from ..encoding.scheme import Encoding
 from .partition import ClusterSize, PartitionedNet, RelationPartition
 
@@ -84,11 +86,10 @@ class RelationalNet(PartitionedNet):
         self.net = encoding.net
         self.bdd = bdd
         self.manager = bdd
-        # Interleave current and next variables so that renaming either
-        # way is order-monotone.
-        for name in encoding.variables:
-            bdd.add_var(name)
-            bdd.add_var(_next_name(name))
+        # Interleave current and next variables, in the structural
+        # order, so that renaming either way is order-monotone.
+        for name in variable_order(encoding):
+            bdd.add_vars((name, _next_name(name)))
         self.current = tuple(encoding.variables)
         self.next = tuple(_next_name(v) for v in self.current)
         self._to_next = dict(zip(self.current, self.next))
@@ -103,28 +104,9 @@ class RelationalNet(PartitionedNet):
         self._subscribe_reorder()
 
         # Rebuild place/enabling functions over this manager.
-        self.places: Dict[str, Function] = {}
-        memo: Dict[str, Function] = {}
-
-        def place_fn(place: str) -> Function:
-            cached = memo.get(place)
-            if cached is not None:
-                return cached
-            func = cube(bdd, dict(encoding.owner_code(place)))
-            for partner in encoding.partners(place):
-                func = func & ~place_fn(partner)
-            memo[place] = func
-            return func
-
-        for place in self.net.places:
-            self.places[place] = place_fn(place)
-        self.enabling: Dict[str, Function] = {}
-        for transition in self.net.transitions:
-            func = true(bdd)
-            for place in sorted(self.net.preset(transition)):
-                func = func & self.places[place]
-            self.enabling[transition] = func
-
+        self.places: Dict[str, Function] = place_functions(encoding, bdd)
+        self.enabling: Dict[str, Function] = enabling_functions(
+            encoding, bdd, self.places)
         self.initial: Function = initial_function(encoding, bdd)
         self._relations: Optional[Dict[str, Function]] = None
         self._identities: Dict[str, Function] = {}

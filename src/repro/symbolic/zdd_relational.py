@@ -47,6 +47,7 @@ from ..bdd.zdd import EMPTY, ZDD
 from ..dd.manager import DEFAULT_REORDER_GROWTH
 from ..petri.marking import Marking
 from ..petri.net import PetriNet
+from ..petri.order import place_order
 from .partition import ZDD_RELATIONAL_ENGINES, ClusterSize, PartitionedNet
 
 __all__ = ["ZddSparseRelation", "ZddRelationPartition", "ZddStateOps",
@@ -139,9 +140,9 @@ class ZddRelationalNet(ZddStateOps, PartitionedNet):
     net:
         A safe :class:`~repro.petri.net.PetriNet`.
     zdd:
-        An empty ZDD manager to use; created fresh when omitted.  The
-        manager is populated with ``2 |P|`` elements — place ``p`` at an
-        even index, its next-state copy ``p'`` right below it.
+        An empty ZDD manager to use; created fresh when omitted.  It
+        gets ``2 |P|`` elements: the places in ``place_order``, each with
+        its next-state copy ``p'`` right below it.
     auto_reorder:
         Enable threshold-triggered sifting at traversal safe points —
         the same dynamic reordering the BDD relational net has had since
@@ -169,9 +170,8 @@ class ZddRelationalNet(ZddStateOps, PartitionedNet):
         self.net = net
         self.zdd = zdd
         self.manager = zdd
-        for place in net.places:
-            zdd.add_var(place)
-            zdd.add_var(_next_name(place))
+        for place in place_order(net):
+            zdd.add_vars((place, _next_name(place)))
         self.current = tuple(net.places)
         self._cur_index = {p: zdd.var_index(p) for p in net.places}
         self._next_index = {p: zdd.var_index(_next_name(p))

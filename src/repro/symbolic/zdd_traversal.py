@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Tuple
 from ..bdd.zdd import ZDD
 from ..dd.manager import DEFAULT_REORDER_GROWTH
 from ..petri.net import PetriNet
+from ..petri.order import place_order
 from .partition import ImageEngine
 from .zdd_relational import ZddStateOps
 
@@ -54,8 +55,7 @@ class ZddNet(ZddStateOps):
                               growth=DEFAULT_REORDER_GROWTH)
         self.net = net
         self.zdd = zdd
-        for place in net.places:
-            zdd.add_var(place)
+        zdd.add_vars(place_order(net))
         self._moves: Dict[str, Tuple[List[str], List[str], List[str]]] = {}
         for transition in net.transitions:
             pre = net.preset(transition)

@@ -19,11 +19,12 @@ import os
 
 import pytest
 
-from repro.analysis import (AnalysisSpec, CheckpointData, CheckpointError,
-                            CheckpointStore, SpecError,
+from repro.analysis import (Analysis, AnalysisSpec, CheckpointData,
+                            CheckpointError, CheckpointStore, SpecError,
                             TraversalLimitError, analyze, net_fingerprint,
                             spec_fingerprint)
 from repro.analysis.checkpoint import dump_checkpoint, parse_checkpoint
+from repro.petri.generators import philosophers
 
 # One spec per backend family; every one must checkpoint and resume.
 BACKEND_SPECS = {
@@ -351,6 +352,29 @@ class TestResumeEveryBackend:
         assert warm.extras["resume"]["status"] == "resumed"
         assert warm.extras["resume"]["iteration"] == 1
         assert warm.markings == explicit_counts["phil4"]
+
+    def test_resume_from_a_declaration_order_checkpoint(self, tmp_path):
+        """A checkpoint whose header order is the encoding's naming
+        order (the layout written before the structural initial order)
+        still resumes: the saved order is restored before the payload.
+        No sifting, so the header keeps exactly that order."""
+        net = philosophers(6)
+        path = str(tmp_path / "phil6.ckpt")
+        spec = AnalysisSpec(checkpoint_path=path, reorder=False)
+        old = Analysis(net, spec)
+        variables = old.symbolic_net.encoding.variables
+        assert tuple(old.symbolic_net.bdd.order()) != variables
+        old.symbolic_net.bdd.set_order(variables)
+        assert old.step() and old.step()
+        with open(path) as handle:
+            data = parse_checkpoint(handle.read())
+        assert data.order == list(variables)
+        assert data.iteration == 2
+
+        warm = analyze(net, spec.replace(resume=True))
+        assert warm.extras["resume"]["status"] == "resumed"
+        assert warm.extras["resume"]["iteration"] == 2
+        assert warm.markings == analyze(net).markings == 10_054
 
 
 class TestColdStartFallback:

@@ -7,7 +7,7 @@ the cross-engine set-identity matrix lives in ``test_engine_diff.py``.
 import pytest
 
 from repro.analysis import Analysis, AnalysisSpec, SpecError, analyze
-from repro.petri import Marking, ReachabilityGraph
+from repro.petri import Marking, ReachabilityGraph, place_order
 from repro.petri.generators import figure1_net, figure4_net
 from repro.symbolic import ZddNet, ZddRelationalNet, make_image_engine
 
@@ -65,12 +65,15 @@ class TestZddRelationalNet:
             ZddRelationalNet(figure1_net(), zdd=zdd)
 
     def test_paired_interleaved_elements(self):
+        """Pair *k* of the structural place order sits at levels 2k
+        (current) and 2k+1 (next)."""
         relnet = ZddRelationalNet(figure1_net())
         zdd = relnet.zdd
         assert zdd.num_vars == 2 * len(relnet.net.places)
-        for index, place in enumerate(relnet.net.places):
-            assert zdd.var_index(place) == 2 * index
-            assert zdd.var_index(place + "'") == 2 * index + 1
+        order = zdd.order()
+        for index, place in enumerate(place_order(relnet.net)):
+            assert order[2 * index] == place
+            assert order[2 * index + 1] == place + "'"
 
     def test_initial_family_over_current_elements(self):
         relnet = ZddRelationalNet(figure1_net())

@@ -10,6 +10,10 @@ The same holds for the reachability fixpoint: the
 :mod:`repro.analysis` sessions drive it, and no module under
 ``repro/symbolic`` may grow a second driver (a ``traverse*`` function
 or its own frontier loop) next to them.
+
+Variable declaration has one door too: every manager declares its
+variables in the structural order of :mod:`repro.petri.order`, never by
+walking ``encoding.variables`` or ``net.places``.
 """
 
 import ast
@@ -179,3 +183,80 @@ def test_bdd_reorder_reexport_stays_deleted():
     ``bdd/reorder.py`` must not come back."""
     assert not (SRC / "bdd" / "reorder.py").exists(), (
         "repro/bdd/reorder.py reappeared; import from repro.dd.reorder")
+
+
+# The naming orders a declaration loop must not walk: the managers place
+# their variables with variable_order/place_order (repro.petri.order).
+NAMING_ORDERS = (("encoding", "variables"), ("net", "places"))
+DECLARING_CALLS = ("add_var", "add_vars")
+
+
+def _naming_order(node):
+    """Whether ``node`` reads ``[...]encoding.variables`` or
+    ``[...]net.places``."""
+    if not isinstance(node, ast.Attribute):
+        return False
+    owner = node.value
+    owner_name = (owner.id if isinstance(owner, ast.Name)
+                  else owner.attr if isinstance(owner, ast.Attribute)
+                  else None)
+    return (owner_name, node.attr) in NAMING_ORDERS
+
+
+def naming_order_declarations(path):
+    """``(module, line)`` of every ``add_var``/``add_vars`` call that
+    declares variables in a naming order: inside a loop (or
+    comprehension) over one, or handed one directly."""
+    def declaring(node):
+        return (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in DECLARING_CALLS)
+
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.For):
+            walked = [node.iter]
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
+                               ast.GeneratorExp)):
+            walked = [generator.iter for generator in node.generators]
+        elif declaring(node):
+            walked = node.args
+        else:
+            continue
+        if any(_naming_order(iterable) for iterable in walked):
+            found.update((path.name, call.lineno)
+                         for call in ast.walk(node) if declaring(call))
+    return sorted(found)
+
+
+def test_variables_are_declared_through_the_structural_order():
+    """One door for variable declaration: every manager declares its
+    variables in ``variable_order``/``place_order``, never by walking
+    ``encoding.variables`` or ``net.places``."""
+    modules = sorted((SRC / "symbolic").glob("*.py")) + [
+        SRC / "encoding" / "characteristic.py"]
+    for path in modules:
+        found = naming_order_declarations(path)
+        assert not found, (
+            f"{path.relative_to(SRC)} declares variables in a naming "
+            f"order at lines {[line for _, line in found]}; declare "
+            f"them in variable_order(encoding) / place_order(net)")
+
+
+def test_tripwire_sees_a_naming_order_declaration(tmp_path):
+    """The declaration detector itself: loops, comprehensions and
+    direct calls over a naming order are caught, the structural order
+    is not."""
+    module = tmp_path / "legacy.py"
+    module.write_text(
+        "def declare(encoding, bdd, net, self):\n"
+        "    for name in encoding.variables:\n"
+        "        bdd.add_var(name)\n"
+        "    [bdd.add_var(p) for p in self.net.places]\n"
+        "    bdd.add_vars(net.places)\n"
+        "    for name in variable_order(encoding):\n"
+        "        bdd.add_var(name)\n"
+        "    for place in net.places:\n"
+        "        print(place)\n")
+    assert naming_order_declarations(module) == [
+        ("legacy.py", 3), ("legacy.py", 4), ("legacy.py", 5)]
