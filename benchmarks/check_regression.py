@@ -207,11 +207,13 @@ def check_negation(baseline: dict) -> "tuple[list, int, int]":
       committed numbers, so all instances gate regardless of quick
       mode or machine speed.
     * **Fresh drift** — the quick-mode instances are re-measured:
-      ``peak_live_nodes`` is structural (deterministic for a code
-      version), so a fresh peak above the committed one by
-      ``TOLERANCE`` is a real narrowing regression; and the in-process
-      O(1)-vs-recursive negation ratio must stay above
-      ``NOT_SPEEDUP_MIN`` (machine-normalised: both sides run here).
+      ``peak_live_nodes`` (the narrowing sweep) and
+      ``checker_default_peak_live_nodes`` (the default-spec checker
+      queries) are structural (deterministic for a code version), so a
+      fresh peak above the committed one by ``TOLERANCE`` is a real
+      regression; and the in-process O(1)-vs-recursive negation ratio
+      must stay above ``NOT_SPEEDUP_MIN`` (machine-normalised: both
+      sides run here).
     """
     failures = []
     checked = 0
@@ -244,27 +246,29 @@ def check_negation(baseline: dict) -> "tuple[list, int, int]":
             print(f"negation/{name}: not in committed baseline, skipped")
             continue
         shared += 1
-        committed_peak = committed["peak_live_nodes"]
-        peak_bound = committed_peak * (1 + TOLERANCE)
-        fresh_peak = float("inf")
+        peaks = ("peak_live_nodes", "checker_default_peak_live_nodes")
+        bounds = {key: committed[key] * (1 + TOLERANCE) for key in peaks}
+        fresh_peaks = {key: float("inf") for key in peaks}
         not_speedup = 0.0
         for attempt in range(1, ATTEMPTS + 1):
             fresh = bench_negation.measure_negation(factory)
-            fresh_peak = min(fresh_peak, fresh["peak_live_nodes"])
+            for key in peaks:
+                fresh_peaks[key] = min(fresh_peaks[key], fresh[key])
             not_speedup = max(not_speedup, fresh["not_speedup"])
-            if fresh_peak <= peak_bound and not_speedup >= NOT_SPEEDUP_MIN:
+            peaks_ok = all(fresh_peaks[key] <= bounds[key] for key in peaks)
+            if peaks_ok and not_speedup >= NOT_SPEEDUP_MIN:
                 break
         checked += 1
-        peak_ok = fresh_peak <= peak_bound
         not_ok = not_speedup >= NOT_SPEEDUP_MIN
-        verdict = "OK" if peak_ok and not_ok else "REGRESSION"
-        print(f"negation/{name}: peak live nodes "
-              f"{committed_peak} -> {fresh_peak}, "
+        verdict = "OK" if peaks_ok and not_ok else "REGRESSION"
+        drift = ", ".join(f"{key} {committed[key]} -> {fresh_peaks[key]}"
+                          for key in peaks)
+        print(f"negation/{name}: {drift}, "
               f"O(1)-vs-recursive negation {not_speedup:.0f}x "
               f"(floor {NOT_SPEEDUP_MIN:.0f}x, {attempt} attempt(s)) "
               f"{verdict}")
-        if not peak_ok:
-            failures.append(f"negation/{name}:peak_live_nodes")
+        failures += [f"negation/{name}:{key}" for key in peaks
+                     if fresh_peaks[key] > bounds[key]]
         if not not_ok:
             failures.append(f"negation/{name}:not_speedup")
     return failures, checked, shared

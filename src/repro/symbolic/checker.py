@@ -14,7 +14,7 @@ the pre-image operator:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..bdd import Function, false, true
 from ..petri.marking import Marking
@@ -44,6 +44,8 @@ class ModelChecker:
     def __init__(self, symnet: SymbolicNet, reachable: Function) -> None:
         self.symnet = symnet
         self.reachable = reachable
+        self._care: List[Tuple[Dict, Function]] = []
+        self._care_for: Optional[Function] = None
 
     # -- helpers -----------------------------------------------------------
 
@@ -98,38 +100,47 @@ class ModelChecker:
         return CheckReport(holds=False, witness=self._witness(violation),
                            detail="invariant violated")
 
+    def _care_enabling(self) -> List[Tuple[Dict, Function]]:
+        """``(forced values, E_t & reachable)`` per transition, in
+        support order; built once per reachable set."""
+        if self._care_for != self.reachable:
+            symnet = self.symnet
+            self._care = [(dict(symnet.specs[t].force),
+                           symnet.enabling[t] & self.reachable)
+                          for t in symnet.support_sorted_transitions()]
+            self._care_for = self.reachable
+        return self._care
+
     def ef(self, target: Function) -> Function:
         """Backward fixpoint: reachable states that can reach ``target``.
 
         The result is intersected with the reachable set, i.e. this is
         ``reachable AND EF(target)``.
 
-        The fixpoint is frontier-based: ``preimage_all`` distributes
-        over union (per-transition preimages are cofactor-and-constrain,
-        both union homomorphisms), so each round only preimages the
-        states added in the previous round instead of the whole
-        accumulated set.  The frontier subtraction is an AND plus a
-        complement-bit flip, and — as in the forward relational engines
-        — the frontier is narrowed against ``frontier | ~current``
-        (Coudert-Madre restrict) before preimaging: any states it picks
-        up are already in ``current``, so their preimages are members
-        of the fixpoint and at worst arrive a round early.
-        """
-        from .relational import SIMPLIFY_MIN_FRONTIER_NODES
+        The fixpoint is chained over care-restricted enabling functions:
+        each pass applies the pre-image of one transition at a time,
+        ``current |= current|forced & (E_t & reachable)``, in support
+        order, so states one transition adds feed the next transition
+        of the same pass.  Pre-images distribute over union and the
+        reachable set is intersected per transition, so the least
+        fixpoint (a canonical BDD) is the one breadth-first ``EF`` over
+        ``preimage_all`` reaches.  The loop stops after a pass that adds
+        nothing, or as soon as ``current`` is the whole reachable set
+        (one edge compare).
 
-        current = target & self.reachable
-        frontier = current
-        while not frontier.is_zero():
-            if frontier.size() >= SIMPLIFY_MIN_FRONTIER_NODES:
-                frontier = frontier.restrict(frontier | ~current)
-            frontier = (self.symnet.preimage_all(frontier)
-                        & self.reachable) - current
-            current = current | frontier
-            if current == self.reachable:
-                # Canonicity makes the saturation test one edge compare;
-                # it skips the final (largest-frontier) preimage round.
+        The loop runs no safe point: a collection would clear the op
+        caches every pass, and a reorder trigger would start sifting in
+        the middle of a query.
+        """
+        reachable = self.reachable
+        steps = self._care_enabling()
+        current = target & reachable
+        while True:
+            previous = current
+            for force, care in steps:
+                current = current | (current.cofactor(force) & care)
+            if current == previous or current == reachable:
                 return current
-        return current
 
     def ag(self, predicate: Function) -> Function:
         """Reachable states all of whose reachable futures satisfy

@@ -1,12 +1,16 @@
 """Unit tests for the symbolic model checker."""
 
+from collections import defaultdict, deque
+
 import pytest
 
 from repro.analysis import Analysis, AnalysisSpec
 from repro.encoding import SparseEncoding
 from repro.petri import Marking
 from repro.petri.generators import (dme_spec, figure1_net, figure4_net,
-                                    muller, slotted_ring)
+                                    jj_register, muller, philosophers,
+                                    slotted_ring)
+from repro.petri.reachability import ReachabilityGraph
 from repro.symbolic import ModelChecker, SymbolicNet
 
 # Plain BFS on a fixed variable order.
@@ -133,7 +137,147 @@ class TestPrecomputedReachable:
                                reachable=analysis.reachable)
         assert checker.marking_count() == 40
 
+    def test_reassigned_reachable_set_is_honoured(self, fig4):
+        """``ef``'s care sets follow ``reachable``, not the first one
+        it saw."""
+        symnet = fig4.symnet
+        checker = ModelChecker(symnet, fig4.reachable)
+        assert checker.ef(symnet.initial) != symnet.initial
+        checker.reachable = symnet.initial
+        assert checker.ef(symnet.initial) == symnet.initial
+
     def test_checker_never_traverses_on_its_own(self):
         symnet = SymbolicNet(SparseEncoding(slotted_ring(2)))
         with pytest.raises(TypeError):
             ModelChecker(symnet)
+
+
+# Small nets the explicit oracle enumerates in well under a second.
+SMALL_NETS = {
+    "figure1": figure1_net,
+    "figure4": figure4_net,
+    "phil-4": lambda: philosophers(4),
+    "slot-3": lambda: slotted_ring(3),
+    "muller-3": lambda: muller(3),
+    "dme-3": lambda: dme_spec(3),
+    "jjreg-a2": lambda: jj_register("a", bits=2),
+}
+SPECS = {"default": AnalysisSpec(), "bfs": BFS}
+
+
+@pytest.fixture(scope="module", params=list(SMALL_NETS))
+def net_name(request):
+    return request.param
+
+
+@pytest.fixture(scope="module", params=list(SPECS))
+def small_checker(request, net_name):
+    return Analysis(SMALL_NETS[net_name](), SPECS[request.param]).checker()
+
+
+def frontier_ef(checker, target):
+    """Reference: breadth-first ``reachable AND EF target``, one
+    ``preimage_all`` of the frontier per round."""
+    reachable = checker.reachable
+    current = frontier = target & reachable
+    while not frontier.is_zero():
+        frontier = (checker.symnet.preimage_all(frontier)
+                    & reachable) - current
+        current = current | frontier
+    return current
+
+
+def targets(checker):
+    symnet = checker.symnet
+    place = symnet.net.places[-1]
+    return {"deadlock": checker.reachable & symnet.deadlock_condition(),
+            "initial": symnet.initial,
+            place: checker.place_predicate(place)}
+
+
+class TestChainedEfMatchesFrontierBfs:
+    """The chained, care-restricted ``ef`` reaches the same least
+    fixpoint as breadth-first ``EF``: the BDDs are edge-equal."""
+
+    def test_ef(self, small_checker):
+        for name, target in targets(small_checker).items():
+            assert small_checker.ef(target) == frontier_ef(
+                small_checker, target), name
+
+    def test_ag(self, small_checker):
+        reachable = small_checker.reachable
+        for name, target in targets(small_checker).items():
+            expected = reachable - frontier_ef(small_checker,
+                                               reachable - target)
+            assert small_checker.ag(target) == expected, name
+
+    def test_can_always_recover(self, small_checker):
+        initial = small_checker.symnet.initial
+        stuck = small_checker.reachable - frontier_ef(small_checker,
+                                                      initial)
+        report = small_checker.can_always_recover(initial)
+        assert report.holds == stuck.is_zero()
+
+
+def backward_closure(graph, targets):
+    """Indices of the markings that can reach one of ``targets``."""
+    predecessors = defaultdict(list)
+    for src, _, dst in graph.edges:
+        predecessors[dst].append(src)
+    seen = set(targets)
+    queue = deque(seen)
+    while queue:
+        for src in predecessors[queue.popleft()]:
+            if src not in seen:
+                seen.add(src)
+                queue.append(src)
+    return seen
+
+
+class TestVerdictsMatchExplicitOracle:
+    """Backward search over the explicit reachability graph."""
+
+    @pytest.fixture(scope="class")
+    def graph(self, net_name):
+        return ReachabilityGraph(SMALL_NETS[net_name]())
+
+    def markings(self, graph, indices):
+        return {graph.markings[i] for i in indices}
+
+    def test_home_marking(self, small_checker, graph):
+        recover = backward_closure(graph, [0])
+        report = small_checker.can_always_recover(small_checker.symnet.initial)
+        assert report.holds == (len(recover) == len(graph))
+        ef = small_checker.ef(small_checker.symnet.initial)
+        assert small_checker.symnet.count_markings(ef) == len(recover)
+        assert set(small_checker.symnet.markings_of(ef)) == self.markings(
+            graph, recover)
+
+    def test_ag_not_deadlock(self, small_checker, graph):
+        dead = [graph.index[m] for m in graph.deadlocks()]
+        doomed = backward_closure(graph, dead)
+        safe = small_checker.ag(~small_checker.symnet.deadlock_condition())
+        assert small_checker.symnet.count_markings(safe) == (
+            len(graph) - len(doomed))
+        assert set(small_checker.symnet.markings_of(safe)) == (
+            set(graph.markings) - self.markings(graph, doomed))
+        holds_initially = not (safe & small_checker.symnet.initial).is_zero()
+        assert holds_initially == (0 not in doomed)
+
+
+def test_phil6_query_peak_nodes_tripwire():
+    """The three perfbench queries on default phil-6 stay small: the
+    chained ``ef`` peaks near 36k nodes, breadth-first ``EF`` over
+    ``preimage_all`` with frontier narrowing near 120k."""
+    analysis = Analysis(philosophers(6))
+    checker = analysis.checker()
+    symnet = analysis.symbolic_net
+    deadlock = checker.find_deadlocks()
+    safe = checker.ag(~symnet.deadlock_condition())
+    home = checker.can_always_recover(symnet.initial)
+    symnet.bdd.live_nodes()  # fold the query phase into the peak
+    assert symnet.bdd.peak_live_nodes <= 60_000
+    assert deadlock.holds and deadlock.detail == "2 deadlocked marking(s)"
+    assert (safe & symnet.initial).is_zero()
+    assert symnet.count_markings(safe) == 0
+    assert not home.holds

@@ -114,14 +114,6 @@ def test_negation_lives_once_as_a_bit_flip():
             f"BDD.apply_not")
 
 
-# Frontier loops that are not the reachability fixpoint, with why.
-FRONTIER_LOOP_ALLOWLIST = {
-    # The backward EF fixpoint over pre-images, run on a reachable set
-    # a session already computed.
-    ("checker.py", "ModelChecker.ef"),
-}
-
-
 def frontier_loops(path):
     """``(module, qualified function)`` of every ``while`` loop whose
     condition reads a variable named ``frontier``."""
@@ -156,8 +148,7 @@ def test_symbolic_layer_has_no_fixpoint_driver():
         assert not drivers, (
             f"symbolic/{path.name} regrew a legacy fixpoint driver "
             f"{drivers}; run analyze()/Analysis instead")
-        loops = [loop for loop in frontier_loops(path)
-                 if loop not in FRONTIER_LOOP_ALLOWLIST]
+        loops = frontier_loops(path)
         assert not loops, (
             f"symbolic/{path.name} runs its own frontier fixpoint loop "
             f"in {[scope for _, scope in loops]}; the analysis sessions "
