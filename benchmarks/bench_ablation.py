@@ -81,10 +81,10 @@ class TestImageImplementations:
                       BFS.replace(use_toggle=True))
         assert result.markings > 0
 
-    def test_relational_partitioned(self, once, instance):
+    def test_relational_per_transition(self, once, instance):
         _, net, smcs = instance
         result = once(analyze_improved, net, smcs, RELATIONAL.replace(
-            engine="partitioned", cluster_size=1))
+            engine="chained", cluster_size=1))
         assert result.markings > 0
 
     def test_relational_monolithic(self, once, instance):

@@ -8,13 +8,12 @@ generators:
    ``R AND S`` and quantifying afterwards.  The fused form is the hot
    path of every relational traversal; the materialised form is the
    naive baseline it replaces.
-2. **Image engines** — monolithic vs. partitioned vs. chained traversal
-   through the same disjunctive partition (see
+2. **Image engines** — the monolithic relation vs. the chained sweep
+   through the disjunctive partition (see
    :mod:`repro.symbolic.partition`).
-3. **Adaptive traversal** — the engine × reorder × frontier-restrict ×
-   auto-cluster grid: pair-grouped dynamic sifting at traversal safe
-   points, Coudert-Madre frontier simplification, and greedy
-   support-overlap clustering (``cluster_size="auto"``), measured
+3. **Adaptive traversal** — the chained engine × reorder × auto-cluster
+   grid: pair-grouped dynamic sifting at traversal safe points and
+   greedy support-overlap clustering (``cluster_size="auto"``), measured
    against the baseline fixed-order chained engine, declared in the
    encoding's naming order.
    The ``chained@structural`` row runs that engine on the structural
@@ -73,7 +72,7 @@ if QUICK:
 elif os.environ.get("REPRO_FULL"):
     CONFIGS += [("phil-12", lambda: philosophers(12))]
 
-ENGINES = ("monolithic", "partitioned", "chained")
+ENGINES = ("monolithic", "chained")
 CLUSTER_SIZE = 1
 OLD_ENGINE = "monolithic-materialised"
 # Wall-clock acceptance ratios re-measure a failing instance up to this
@@ -96,15 +95,10 @@ PR1_BASELINE = "chained"
 ADAPTIVE_GRID: List[Tuple[str, str, Dict]] = [
     ("chained", "chained", {}),
     ("chained@structural", "chained", {}),
-    ("chained+restrict", "chained", dict(simplify_frontier=True)),
     ("chained+auto", "chained", dict(cluster_size="auto")),
     ("chained+reorder", "chained", dict(reorder=True)),
     ("chained+adaptive", "chained",
-     dict(cluster_size="auto", simplify_frontier=True, reorder=True)),
-    ("partitioned+adaptive", "partitioned",
-     dict(cluster_size="auto", simplify_frontier=True, reorder=True)),
-    ("monolithic+restrict+reorder", "monolithic",
-     dict(simplify_frontier=True, reorder=True)),
+     dict(cluster_size="auto", reorder=True)),
 ]
 
 
@@ -127,7 +121,6 @@ def relational_spec(engine: str, **options) -> AnalysisSpec:
     return AnalysisSpec(
         form="relational", engine=engine,
         cluster_size=options.get("cluster_size", CLUSTER_SIZE),
-        simplify_frontier=options.get("simplify_frontier", False),
         reorder=options.get("reorder", False),
         reorder_threshold=REORDER_THRESHOLD)
 
@@ -268,7 +261,7 @@ def measure_engines(factory: Callable,
 
 
 def measure_adaptive(factory: Callable) -> Dict[str, Dict]:
-    """The engine × reorder × restrict × auto-cluster grid.
+    """The chained engine × reorder × auto-cluster grid.
 
     Every row runs on a fresh manager.  ``reorder`` rows sift in
     current/next pair groups at the traversal safe points (partition
@@ -285,7 +278,6 @@ def measure_adaptive(factory: Callable) -> Dict[str, Dict]:
         rows[label] = {
             "engine": engine,
             "reorder": spec.reorder,
-            "simplify_frontier": spec.simplify_frontier,
             "cluster_size": spec.cluster_size,
             "markings": result.markings,
             "iterations": result.iterations,
@@ -403,20 +395,21 @@ def test_partitioned_engines_use_fewer_live_nodes(report):
     largest = CONFIGS[-1][0]
     engines = report["instances"][largest]["engines"]
     old_peak = engines[OLD_ENGINE]["peak_live_nodes"]
-    for engine in ("partitioned", "chained"):
-        assert engines[engine]["peak_live_nodes"] < old_peak, engines
+    assert engines["chained"]["peak_live_nodes"] < old_peak, engines
 
 
 def test_chained_engine_iterates_less(report):
+    """The chained sweep against the one-image-per-step BFS trajectory
+    of the monolithic relation."""
     for name, rows in report["instances"].items():
         engines = rows["engines"]
         assert engines["chained"]["iterations"] \
-            <= engines["partitioned"]["iterations"], name
+            <= engines["monolithic"]["iterations"], name
 
 
 def test_adaptive_rows_reach_same_fixpoint(report):
-    """Every engine × reorder × restrict × auto-cluster configuration
-    computes the same reachable set."""
+    """Every engine × reorder × auto-cluster configuration computes the
+    same reachable set."""
     for name, rows in report["instances"].items():
         counts = {row["markings"] for row in rows["adaptive"].values()}
         reference = rows["engines"]["chained"]["markings"]

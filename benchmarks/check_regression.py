@@ -207,7 +207,7 @@ def check_negation(baseline: dict) -> "tuple[list, int, int]":
       committed numbers, so all instances gate regardless of quick
       mode or machine speed.
     * **Fresh drift** — the quick-mode instances are re-measured:
-      ``peak_live_nodes`` (the narrowing sweep) and
+      ``peak_live_nodes`` (the chained sweep) and
       ``checker_default_peak_live_nodes`` (the default-spec checker
       queries) are structural (deterministic for a code version), so a
       fresh peak above the committed one by ``TOLERANCE`` is a real

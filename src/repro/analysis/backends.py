@@ -14,7 +14,7 @@ Four adapters wrap the existing machinery:
   or toggle firing, BFS or chaining sweeps).
 * :class:`BddRelationalBackend` — :class:`~repro.symbolic.relational.
   RelationalNet` through the pluggable relational image engines
-  (monolithic | partitioned | chained).
+  (monolithic | chained).
 * :class:`ZddBackend` — the sparse-ZDD representation, classic
   per-transition rewriting or the chained relational-product engine
   over :class:`~repro.symbolic.zdd_relational.ZddRelationalNet`.
@@ -391,17 +391,18 @@ class _BddFunctionalSession(SolverSession):
     def _advance(self) -> None:
         spec = self.spec
         symnet = self.symbolic_net
-        work = self.frontier
-        if spec.simplify_frontier:
-            work = self.frontier.restrict(self.frontier | ~self.reached)
+        # The previous frontier stays referenced through the safe point
+        # below, which fixes what that collection can free (and so the
+        # sifting trajectory and peak every benchmark row records).
+        frontier = self.frontier
         if spec.strategy == "chaining":
             fire = symnet.image_toggle if spec.use_toggle else symnet.image
-            current = work
+            current = frontier
             for transition in self._sweep_order:
                 current = current | fire(current, transition)
             successors = current
         else:
-            successors = symnet.image_all(work,
+            successors = symnet.image_all(frontier,
                                           use_toggle=spec.use_toggle)
         self.frontier = successors - self.reached
         self.reached = self.reached | successors
@@ -448,7 +449,7 @@ class _BddRelationalSession(SolverSession):
             reorder_threshold=spec.reorder_threshold)
         self.image_engine = make_image_engine(
             self.symbolic_net, spec.resolved_engine,
-            spec.resolved_cluster_size, spec.simplify_frontier)
+            spec.resolved_cluster_size)
         self.reached = self.symbolic_net.initial
         self.frontier = self.symbolic_net.initial
         super().__init__(BddRelationalBackend.name, spec,

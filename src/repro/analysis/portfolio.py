@@ -145,7 +145,7 @@ def member_spec(spec: AnalysisSpec, member: str) -> AnalysisSpec:
     """The single-engine spec a portfolio member runs.
 
     Options meaningful to a member are threaded through from the
-    portfolio spec (scheme / frontier handling for the BDD members, the
+    portfolio spec (the scheme for the BDD members, the
     functional sweep knobs for ``bdd-functional``, ``k_bound`` for
     ``kbounded``, reordering and ``max_iterations`` for everyone).
     Durability knobs thread through too: each member checkpoints to
@@ -158,14 +158,12 @@ def member_spec(spec: AnalysisSpec, member: str) -> AnalysisSpec:
         checkpoint_every=spec.checkpoint_every,
         checkpoint_every_seconds=spec.checkpoint_every_seconds,
         resume=spec.resume)
-    bdd: Dict[str, Any] = dict(
-        scheme=spec.scheme, simplify_frontier=spec.simplify_frontier,
-        **shared)
+    bdd: Dict[str, Any] = dict(scheme=spec.scheme, **shared)
     if member == "bdd-functional":
         return AnalysisSpec(strategy=spec.strategy,
                             chain_order=spec.chain_order,
                             use_toggle=spec.use_toggle, **bdd)
-    if member in ("bdd-chained", "bdd-partitioned", "bdd-monolithic"):
+    if member in ("bdd-chained", "bdd-monolithic"):
         return AnalysisSpec(form="relational",
                             engine=member.split("-", 1)[1], **bdd)
     if member == "zdd-chained":

@@ -68,8 +68,8 @@ CHAIN_ORDERS = ("net", "support")
 # here so a bad ``portfolio_members`` fails at spec construction, not
 # mid-race.
 PORTFOLIO_MEMBERS = (
-    "bdd-functional", "bdd-chained", "bdd-partitioned",
-    "bdd-monolithic", "zdd-chained", "zdd-classic", "kbounded",
+    "bdd-functional", "bdd-chained", "bdd-monolithic", "zdd-chained",
+    "zdd-classic", "kbounded",
 )
 # No single engine wins everywhere (the point of the race): the paper's
 # functional sweep, both relational-product families and the count-bit
@@ -85,6 +85,18 @@ DEFAULT_FORM: Dict[str, str] = {"bdd": "functional", "zdd": "relational"}
 DEFAULT_RELATIONAL_ENGINE = "chained"
 DEFAULT_CLUSTER_SIZE: ClusterSize = "auto"
 DEFAULT_REORDER_THRESHOLD = 2_000
+
+# Catalogue names retired because they won no benchmark row on the
+# structural variable order (docs/encodings.md has the numbers), per
+# field, each mapped to its replacement: naming one is a SpecError that
+# says so, never a bare "unknown" that reads like a typo.
+RETIRED_NAMES = {"engine": {"partitioned": "chained"},
+                 "portfolio member": {"bdd-partitioned": "bdd-chained"}}
+# Retired semantic fields, at the one value that still loads.  They stay
+# in semantic_fields() so fingerprints written before the retirement
+# keep matching; a stored spec that set one elsewhere describes a run
+# this build cannot reproduce and fails to load.
+RETIRED_FIELD_DEFAULTS = {"simplify_frontier": False}
 
 # Fields that do not change the analysis trajectory: the durability and
 # budget knobs, plus ``max_iterations`` (bounds how far a run gets, not
@@ -109,7 +121,7 @@ NONSEMANTIC_FIELDS = (
 SEMANTIC_FIELDS = (
     "scheme", "backend", "form", "engine", "cluster_size", "strategy",
     "chain_order", "use_toggle", "reorder", "reorder_threshold",
-    "simplify_frontier", "k_bound", "portfolio_members",
+    "k_bound", "portfolio_members",
 )
 
 
@@ -157,14 +169,14 @@ class AnalysisSpec:
         ``relational`` (partitioned transition relations).  ``None``
         resolves per backend through :data:`DEFAULT_FORM`.
     engine:
-        Relational image engine: ``monolithic``, ``partitioned`` or
-        ``chained`` on the BDD backend; the ZDD backend runs only
-        ``chained`` (its monolithic and partitioned forms lost every
-        ``BENCH_relprod.json`` row and were retired).  ``None``
+        Relational image engine: ``chained`` or the ``monolithic``
+        baseline on the BDD backend; the ZDD backend runs only
+        ``chained``.  Engines that lost every ``BENCH_relprod.json``
+        row were retired (:data:`RETIRED_NAMES`).  ``None``
         resolves to :data:`DEFAULT_RELATIONAL_ENGINE` for the
         relational form; must be ``None`` with the functional form.
     cluster_size:
-        Partition granularity for the partitioned/chained engines — a
+        Partition granularity for the chained engine — a
         positive integer or ``"auto"``.  ``None`` (default) resolves to
         :data:`DEFAULT_CLUSTER_SIZE`; setting it with the functional
         form is a :class:`SpecError`.
@@ -185,10 +197,6 @@ class AnalysisSpec:
         to the BDD backends *and*, since the managers share the
         ``repro.dd`` kernel, to the ZDD backend (pair-grouped sifting
         for the relational engines, per-element sifting for classic).
-    simplify_frontier:
-        Coudert-Madre frontier restriction before images (BDD only; the
-        ZDD chained sweep narrows working sets by set difference
-        unconditionally).
     k_bound:
         When set (``k >= 1``), analyse the net as ``k``-bounded with
         count-bit encodings (the paper's unsafe-net extension) through
@@ -255,7 +263,6 @@ class AnalysisSpec:
     use_toggle: bool = True
     reorder: bool = True
     reorder_threshold: int = DEFAULT_REORDER_THRESHOLD
-    simplify_frontier: bool = False
     k_bound: Optional[int] = None
     max_iterations: Optional[int] = None
     portfolio_members: Optional[Tuple[str, ...]] = None
@@ -340,6 +347,12 @@ class AnalysisSpec:
 
     def _validate(self) -> None:
         def require(value, allowed, label):
+            replacement = RETIRED_NAMES.get(label, {}).get(value)
+            if replacement is not None:
+                raise SpecError(
+                    f"{label} {value!r} is retired: it won no benchmark "
+                    f"row on the structural variable order "
+                    f"(docs/encodings.md); use {replacement!r}")
             if value not in allowed:
                 raise SpecError(f"unknown {label} {value!r}; expected one "
                                 f"of {allowed}")
@@ -371,10 +384,7 @@ class AnalysisSpec:
                 raise SpecError("a portfolio needs at least one member")
             seen = set()
             for member in self.portfolio_members:
-                if member not in PORTFOLIO_MEMBERS:
-                    raise SpecError(
-                        f"unknown portfolio member {member!r}; expected "
-                        f"one of {PORTFOLIO_MEMBERS}")
+                require(member, PORTFOLIO_MEMBERS, "portfolio member")
                 if member in seen:
                     raise SpecError(
                         f"duplicate portfolio member {member!r}")
@@ -414,9 +424,9 @@ class AnalysisSpec:
             if self.k_bound is not None \
                     or self.resolved_form == "functional":
                 raise SpecError(
-                    "cluster_size only applies to the partitioned/"
-                    "chained relational engines; this configuration "
-                    "has no partitions to cluster")
+                    "cluster_size only applies to the chained "
+                    "relational engine; this configuration has no "
+                    "partitions to cluster")
         if self.reorder_threshold < 1:
             raise SpecError(
                 f"reorder_threshold must be positive, got "
@@ -505,27 +515,16 @@ class AnalysisSpec:
                 warn("scheme", "the ZDD backend encodes token sets "
                                "directly (one element per place); "
                                "encoding schemes do not apply")
-            if self.simplify_frontier:
-                warn("simplify_frontier", "the ZDD chained sweep "
-                                          "narrows working sets with "
-                                          "set difference by default; "
-                                          "Coudert-Madre restriction "
-                                          "is a BDD operation")
         if self.backend == "portfolio":
             members = self.resolved_members
             if len(members) == 1:
                 warn("portfolio_members",
                      f"a one-member portfolio races nobody; run the "
                      f"{members[0]} configuration directly")
-            has_bdd = any(m.startswith("bdd-") for m in members)
-            if not has_bdd:
-                if self.scheme != "improved":
-                    warn("scheme", "no BDD member in the portfolio "
-                                   "consumes an encoding scheme")
-                if self.simplify_frontier:
-                    warn("simplify_frontier",
-                         "no BDD member in the portfolio applies "
-                         "Coudert-Madre restriction")
+            if (self.scheme != "improved"
+                    and not any(m.startswith("bdd-") for m in members)):
+                warn("scheme", "no BDD member in the portfolio consumes "
+                               "an encoding scheme")
             if self.k_bound is not None and "kbounded" not in members:
                 warn("k_bound", "no kbounded member in the portfolio "
                                 "to apply the bound to")
@@ -533,9 +532,6 @@ class AnalysisSpec:
             if self.scheme != "improved":
                 warn("scheme", "the k-bounded engine uses count-bit "
                                "encodings, not the safe-net schemes")
-            if self.simplify_frontier:
-                warn("simplify_frontier", "the k-bounded engine sweeps "
-                                          "raw frontiers")
             if not self.reorder:
                 warn("reorder", "the k-bounded engine keeps the fixed "
                                 "interleaved count-bit order; there is "
@@ -560,8 +556,8 @@ class AnalysisSpec:
         default): ``scheme``, ``engine`` (the backend family flag),
         ``image`` (``functional`` or a relational engine name; ``None``
         resolves per backend), ``cluster_size``, ``strategy``,
-        ``chain_order``, ``no_reorder``, ``simplify_frontier``,
-        ``k_bound``, ``portfolio_members`` (comma-separated member
+        ``chain_order``, ``no_reorder``, ``k_bound``,
+        ``portfolio_members`` (comma-separated member
         ids), ``timeout``, ``member_timeout``, ``checkpoint`` (the
         checkpoint path), ``checkpoint_every``, ``resume``,
         ``node_budget``, ``deadline``.
@@ -585,8 +581,6 @@ class AnalysisSpec:
             values["chain_order"] = args.chain_order
         if getattr(args, "no_reorder", False):
             values["reorder"] = False
-        if getattr(args, "simplify_frontier", False):
-            values["simplify_frontier"] = True
         if getattr(args, "k_bound", None) is not None:
             values["k_bound"] = args.k_bound
         members = getattr(args, "portfolio_members", None)
@@ -619,10 +613,14 @@ class AnalysisSpec:
 
         The :meth:`to_dict` dump minus :data:`NONSEMANTIC_FIELDS` — the
         durability and budget knobs, which change how a run is
-        supervised but never which states it visits.
+        supervised but never which states it visits — plus
+        :data:`RETIRED_FIELD_DEFAULTS`, so retiring a field never moves
+        a fingerprint.
         """
-        return {key: value for key, value in self.to_dict().items()
-                if key not in NONSEMANTIC_FIELDS}
+        semantic = {key: value for key, value in self.to_dict().items()
+                    if key not in NONSEMANTIC_FIELDS}
+        semantic.update(RETIRED_FIELD_DEFAULTS)
+        return semantic
 
     def semantic_fingerprint(self) -> str:
         """Digest of :meth:`semantic_fields` — the spec's identity.
@@ -649,7 +647,19 @@ class AnalysisSpec:
         :meth:`repro.analysis.result.AnalysisResult.from_dict` uses so
         a cached result written by a newer build, whose spec may carry
         new fields, does not poison an older reader.
+
+        A retired field (:data:`RETIRED_FIELD_DEFAULTS`) loads only at
+        its old default; any other value is a :class:`SpecError` in
+        both modes, because the loaded spec would claim the wrong run.
         """
+        data = dict(data)
+        for name, default in RETIRED_FIELD_DEFAULTS.items():
+            if name in data and data.pop(name) != default:
+                raise SpecError(
+                    f"spec field {name!r} is retired: it won no benchmark "
+                    f"row on the structural variable order, and only "
+                    f"{name}={default!r} still loads; run the chained "
+                    f"relational engine instead")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:

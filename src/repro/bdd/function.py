@@ -133,11 +133,6 @@ class Function:
         """Substitute ``inner`` for variable ``var``."""
         return self._wrap(self.bdd.compose(self.node, var, _unwrap(inner)))
 
-    def restrict(self, care: "Function") -> "Function":
-        """Coudert-Madre simplification against a care set: the result
-        agrees with ``self`` on ``care`` and is usually smaller."""
-        return self._wrap(self.bdd.restrict_cm(self.node, _unwrap(care)))
-
     # -- inspection ------------------------------------------------------
 
     def __call__(self, assignment: Dict) -> bool:

@@ -45,7 +45,7 @@ share cache lines: OR is De Morgan'd onto the AND cache, XOR factors
 both complement bits out of its key, ITE applies the standard-triple
 rules (regular first argument, regular then-branch, terminal cases
 delegated to AND/XOR), and the unary structural ops (cofactor, rename,
-toggle, restrict) cache on the regular edge because they commute with
+toggle) cache on the regular edge because they commute with
 negation.
 
 A node's fields may be mutated in place by variable reordering, but the
@@ -106,7 +106,6 @@ class BDD(DDManager):
         self._ex_cache: Dict[FrozenSet[int], Dict[int, int]] = \
             self.register_cache({})
         self._cof_cache: Dict[tuple, Dict[int, int]] = self.register_cache({})
-        self._rcm_cache: Dict[int, int] = self.register_cache({})
 
     # ------------------------------------------------------------------
     # Kernel hooks: the boolean reduction rule and canonical form
@@ -672,54 +671,6 @@ class BDD(DDManager):
             result = self._mk(var, low, high)
         self._cache[key] = result
         return result ^ c
-
-    def restrict_cm(self, u: int, care: int) -> int:
-        """Coudert-Madre generalized cofactor (sibling substitution).
-
-        Returns a function ``r`` with ``r AND care == u AND care`` that is
-        usually smaller than ``u``: branches outside the care set are
-        replaced by their siblings.  Used to simplify traversal frontiers
-        against the already-reached set.
-        """
-        if care == ZERO:
-            raise BDDError("care set must not be empty")
-        return self._restrict_cm(u, care)
-
-    def _restrict_cm(self, u: int, care: int) -> int:
-        if care == ONE or u == ZERO or u == ONE:
-            return u
-        # Sibling substitution commutes with negation of the restricted
-        # function (NOT of the care set does not factor): cache on the
-        # regular edge of ``u`` with the full ``care`` edge.
-        uc = u & 1
-        u ^= uc
-        key = (u << _PACK) | care
-        cached = self._rcm_cache.get(key)
-        if cached is not None:
-            return cached ^ uc
-        un = u >> 1
-        cn, cc = care >> 1, care & 1
-        ulvl, clvl = self._level(u), self._level(care)
-        if clvl < ulvl:
-            # u does not depend on the care set's top variable.
-            result = self._restrict_cm(
-                u, self.apply_or(self._low[cn] ^ cc, self._high[cn] ^ cc))
-        else:
-            var = self._var[un]
-            if ulvl < clvl:
-                c0 = c1 = care
-            else:
-                c0, c1 = self._low[cn] ^ cc, self._high[cn] ^ cc
-            if c0 == ZERO:
-                result = self._restrict_cm(self._high[un], c1)
-            elif c1 == ZERO:
-                result = self._restrict_cm(self._low[un], c0)
-            else:
-                result = self._mk(var,
-                                  self._restrict_cm(self._low[un], c0),
-                                  self._restrict_cm(self._high[un], c1))
-        self._rcm_cache[key] = result
-        return result ^ uc
 
     def compose(self, u: int, var, g: int) -> int:
         """Substitute function ``g`` for variable ``var`` in ``u``."""

@@ -197,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           "chained for zdd)")
     ana.add_argument("--cluster-size", type=_cluster_size, default=None,
                      help="transitions per partition block for the "
-                          "partitioned/chained image engines (a positive "
+                          "chained image engine (a positive "
                           "integer, or 'auto' for adaptive support-overlap "
                           "clustering, the default)")
     ana.add_argument("--portfolio-members", default=None,
@@ -261,12 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           "both sift at traversal safe points by default; "
                           "ZDD relational engines sift in current/next "
                           "pair groups)")
-    ana.add_argument("--simplify-frontier", action="store_true",
-                     help="simplify the frontier by its Coudert-Madre "
-                          "restriction against frontier | ~reached before "
-                          "each image computation (BDD engines; applied "
-                          "once per step and only to frontiers large "
-                          "enough to profit)")
     ana.add_argument("--deadlocks", action="store_true",
                      help="also report reachable deadlocks")
 

@@ -7,8 +7,8 @@ Four questions, answered on the same mid-size instances:
 2. **Gray vs. arbitrary codes** — toggle activity per fired transition
    (Section 5.2).
 3. **Quantify-force vs. toggle firing vs. relational image** — traversal
-   time of the image implementations, including the partitioned and
-   chained relational-product engines.
+   time of the image implementations: the monolithic relation and the
+   chained relational-product sweep at several granularities.
 4. **Dynamic reordering on/off** — final BDD size and time, sifting
    from the structural initial order, not the paper's (see ``runner``).
 
@@ -86,25 +86,15 @@ IMAGE_CONFIGURATIONS: List[Tuple[str, AnalysisSpec]] = [
      AnalysisSpec(strategy="bfs", use_toggle=False, reorder=False)),
     ("image=toggle",
      AnalysisSpec(strategy="bfs", use_toggle=True, reorder=False)),
-    ("image=relational",
-     AnalysisSpec(form="relational", engine="partitioned",
-                  cluster_size=1, reorder=False)),
     ("image=rel-monolithic",
      AnalysisSpec(form="relational", engine="monolithic",
                   reorder=False)),
-    ("image=rel-clustered(4)",
-     AnalysisSpec(form="relational", engine="partitioned",
-                  cluster_size=4, reorder=False)),
     ("image=rel-chained(4)",
      AnalysisSpec(form="relational", engine="chained", cluster_size=4,
                   reorder=False)),
     ("image=rel-chained(auto)",
      AnalysisSpec(form="relational", engine="chained",
                   cluster_size="auto", reorder=False)),
-    ("image=rel-chained(auto)+restrict",
-     AnalysisSpec(form="relational", engine="chained",
-                  cluster_size="auto", simplify_frontier=True,
-                  reorder=False)),
     ("image=rel-chained(auto)+reorder",
      AnalysisSpec(form="relational", engine="chained",
                   cluster_size="auto", reorder=True,

@@ -62,9 +62,9 @@ def run(reorder: bool = True,
 
     ``zdd_engines`` selects which sparse-ZDD image engines to run —
     ``"classic"`` is the per-transition Yoneda baseline, ``"chained"``
-    (the one relational ZDD engine) adds the partitioned-relation form so
-    the sparse baseline rides the same fused-image machinery as the
-    BDD engines.  Everything routes through ``analyze()``; the ZDD rows
+    (the one relational ZDD engine) sweeps the disjunctive partition of
+    Eq. 3, so the sparse baseline rides the same fused-image machinery
+    as the BDD engines.  Everything routes through ``analyze()``; the ZDD rows
     carry peak-live-node counts, so the table can finally print the
     paper's memory column.
     """

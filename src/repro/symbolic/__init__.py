@@ -4,7 +4,7 @@
 * :mod:`repro.symbolic.partition` — the *generic* relational layer:
   support clustering, disjunctive partitions, reorder-aware
   reclustering, the chained sweep with diff-based narrowing and the
-  pluggable image engines (monolithic | partitioned | chained), written
+  image engines (monolithic | chained), written
   once over the shared ``repro.dd`` kernel.
 * :class:`RelationalNet` — the BDD encoding shim over that layer
   (Eq. 3 transition relations).
@@ -23,10 +23,9 @@ from .checker import CheckReport, ModelChecker
 from .kbounded import KBoundedNet
 from .partition import (IMAGE_ENGINES, ZDD_RELATIONAL_ENGINES,
                         ChainedImageEngine, ImageEngine,
-                        MonolithicImageEngine, PartitionedImageEngine,
-                        PartitionedNet, RelationPartition,
-                        TraversalLimitError, cluster_by_support,
-                        make_image_engine)
+                        MonolithicImageEngine, PartitionedNet,
+                        RelationPartition, TraversalLimitError,
+                        cluster_by_support, make_image_engine)
 from .relational import RelationalNet
 from .transition import SymbolicNet
 from .zdd_relational import (ZddRelationPartition, ZddRelationalNet,
@@ -38,7 +37,7 @@ __all__ = [
     "cluster_by_support", "TraversalLimitError",
     "IMAGE_ENGINES", "ZDD_RELATIONAL_ENGINES", "ImageEngine",
     "make_image_engine",
-    "MonolithicImageEngine", "PartitionedImageEngine", "ChainedImageEngine",
+    "MonolithicImageEngine", "ChainedImageEngine",
     "ModelChecker", "CheckReport",
     "ZddNet", "ClassicZddEngine",
     "ZddRelationalNet", "ZddRelationPartition", "ZddSparseRelation",

@@ -10,10 +10,10 @@ module is that machinery, written once and parameterized by the manager:
 * the disjunctive-partition layer :class:`PartitionedNet` — block
   construction, per-granularity caching, reorder-driven metadata
   refresh *and* reorder-aware reclustering of ``"auto"`` partitions,
-* the partitioned/chained sweep algorithms, including the
-  ``diff``-based frontier narrowing of the chained sweep,
-* the pluggable image engines (monolithic | partitioned | chained)
-  behind :func:`make_image_engine`.
+* the chained sweep with its ``diff``-based frontier narrowing, and
+  the plain Eq. 3 union of per-block images it is checked against,
+* the image engines (monolithic | chained) behind
+  :func:`make_image_engine`.
 
 :class:`~repro.symbolic.relational.RelationalNet` (boolean encodings on
 a BDD manager) and
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, List,
-                    Optional, Sequence, Tuple, Union)
+                    Sequence, Tuple, Union)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..bdd import Function
@@ -41,15 +41,17 @@ __all__ = [
     "AUTO_MIN_OVERLAP", "AUTO_NODE_BUDGET", "AUTO_MAX_CLUSTER",
     "RelationPartition", "PartitionedNet",
     "IMAGE_ENGINES", "ZDD_RELATIONAL_ENGINES", "ImageEngine",
-    "MonolithicImageEngine", "PartitionedImageEngine", "ChainedImageEngine",
+    "MonolithicImageEngine", "ChainedImageEngine",
     "make_image_engine", "TraversalLimitError",
 ]
 
 ClusterSize = Union[int, str]
 
-IMAGE_ENGINES = ("monolithic", "partitioned", "chained")
-# The engines a ZDD relational net offers: chained beats monolithic and
-# partitioned on time and peak nodes on every benchmarked net.
+# ``chained`` is the one relational sweep; ``monolithic`` is the
+# textbook single-relation baseline.
+IMAGE_ENGINES = ("monolithic", "chained")
+# The engines a ZDD relational net offers: chained beats monolithic on
+# time and peak nodes on every benchmarked net.
 ZDD_RELATIONAL_ENGINES = ("chained",)
 
 
@@ -216,13 +218,10 @@ class PartitionedNet:
     * the state-set algebra ``state_empty`` / ``state_union`` /
       ``state_diff`` / ``state_is_empty`` over whatever representation
       the subclass uses for state sets (``Function`` handles on the BDD
-      side, raw node ids on the ZDD side),
-    * optionally :meth:`narrow_frontier` — a representation-specific
-      frontier simplification used by the engines when
-      ``simplify_frontier`` is set (default: identity).
+      side, raw node ids on the ZDD side).
 
-    Everything else — clustering, per-granularity caching, the
-    partitioned/chained sweeps with frontier narrowing, reorder-driven
+    Everything else — clustering, per-granularity caching, the chained
+    sweep with frontier narrowing, reorder-driven
     metadata refresh and reorder-aware reclustering — is shared.
     """
 
@@ -266,14 +265,6 @@ class PartitionedNet:
 
     def state_is_empty(self, states) -> bool:
         raise NotImplementedError
-
-    def narrow_frontier(self, frontier, reached):
-        """Simplify a frontier against the reached set (engine opt-in).
-
-        The default keeps the frontier as-is; the BDD net overrides this
-        with the (size-gated) Coudert-Madre restriction.
-        """
-        return frontier
 
     # -- partition construction and caching ----------------------------
 
@@ -379,23 +370,14 @@ class PartitionedNet:
 
     # -- sweep algorithms ----------------------------------------------
 
-    def block_size(self, block) -> int:
-        """Node count of a block's built relation(s).
-
-        The union-scheduling weight: encoding shims override it with
-        their manager's size measure.
-        """
-        raise NotImplementedError
-
     def image_partitioned(self, states, blocks) -> "object":
         """Image as the union of per-block images (Eq. 3).
 
-        Blocks are applied smallest relation first: the union is
-        commutative so the result is order-independent, but accumulating
-        the small images first keeps the intermediate union DDs small.
+        The reference one-step image the chained sweep and the tests
+        are checked against; no engine runs it.
         """
         result = self.state_empty()
-        for block in sorted(blocks, key=self.block_size):
+        for block in blocks:
             result = self.state_union(result,
                                       self.image_partition(states, block))
         return result
@@ -474,19 +456,12 @@ class ImageEngine:
     relational net: all state-set algebra goes through the net's
     ``state_*`` hooks, so the same engine classes drive the BDD and ZDD
     relational nets.
-
-    ``simplify_frontier`` opts into the net's :meth:`PartitionedNet.
-    narrow_frontier` — on the BDD side the (size-gated) Coudert-Madre
-    restriction of the frontier against ``frontier | ~reached``, applied
-    once per step (once per chained *sweep*, not once per block).
     """
 
     name = "abstract"
 
-    def __init__(self, relnet: PartitionedNet,
-                 simplify_frontier: bool = False) -> None:
+    def __init__(self, relnet: PartitionedNet) -> None:
         self.relnet = relnet
-        self.simplify_frontier = simplify_frontier
 
     @property
     def initial(self):
@@ -503,11 +478,6 @@ class ImageEngine:
         return (net.state_union(reached, successors),
                 net.state_diff(successors, reached))
 
-    def _simplify(self, reached, frontier):
-        if not self.simplify_frontier:
-            return frontier
-        return self.relnet.narrow_frontier(frontier, reached)
-
 
 class MonolithicImageEngine(ImageEngine):
     """Single image through the all-transitions relation per step."""
@@ -515,19 +485,22 @@ class MonolithicImageEngine(ImageEngine):
     name = "monolithic"
 
     def advance(self, reached, frontier):
-        work = self._simplify(reached, frontier)
-        return self._absorb(reached, self.relnet.image_monolithic(work))
+        return self._absorb(reached, self.relnet.image_monolithic(frontier))
 
 
-class PartitionedImageEngine(ImageEngine):
-    """Union of per-block relational products (Eq. 3) per step."""
+class ChainedImageEngine(ImageEngine):
+    """Support-sorted sweep with frontier accumulation per step.
 
-    name = "partitioned"
+    The sweep narrows per-block working sets against the states
+    expanded in earlier iterations (see
+    :meth:`PartitionedNet.image_chained`).
+    """
+
+    name = "chained"
 
     def __init__(self, relnet: PartitionedNet,
-                 cluster_size: ClusterSize = 1,
-                 simplify_frontier: bool = False) -> None:
-        super().__init__(relnet, simplify_frontier)
+                 cluster_size: ClusterSize = 1) -> None:
+        super().__init__(relnet)
         self.cluster_size = cluster_size
 
     @property
@@ -535,40 +508,21 @@ class PartitionedImageEngine(ImageEngine):
         return self.relnet.partitions(self.cluster_size)
 
     def advance(self, reached, frontier):
-        work = self._simplify(reached, frontier)
-        successors = self.relnet.image_partitioned(work, self.partitions)
-        return self._absorb(reached, successors)
+        swept = self.relnet.image_chained(frontier, self.partitions,
+                                          reached=reached)
+        return self._absorb(reached, swept)
 
 
-class ChainedImageEngine(PartitionedImageEngine):
-    """Support-sorted sweep with frontier accumulation per step.
-
-    The sweep always narrows per-block working sets against the states
-    expanded in earlier iterations (see
-    :meth:`PartitionedNet.image_chained`); ``simplify_frontier``
-    additionally restricts the sweep's input once per step.
-    """
-
-    name = "chained"
-
-    def advance(self, reached, frontier):
-        net = self.relnet
-        work = self._simplify(reached, frontier)
-        swept = net.image_chained(work, self.partitions, reached=reached)
-        return (net.state_union(reached, swept),
-                net.state_diff(swept, reached))
-
-
-def make_image_engine(relnet: PartitionedNet, engine: str = "partitioned",
-                      cluster_size: ClusterSize = 1,
-                      simplify_frontier: bool = False) -> ImageEngine:
+def make_image_engine(relnet: PartitionedNet, engine: str = "chained",
+                      cluster_size: ClusterSize = 1) -> ImageEngine:
     """Factory for the relational image engines by name.
 
     ``cluster_size`` must be a positive integer or ``"auto"`` (adaptive
     support-overlap clustering); ``engine`` one of the net's
     ``image_engines`` (:data:`IMAGE_ENGINES` for a BDD relational net,
-    :data:`ZDD_RELATIONAL_ENGINES` for a ZDD one).  Both are validated here so misconfigurations fail fast with a clear
-    message instead of deep inside ``partitions()``.
+    :data:`ZDD_RELATIONAL_ENGINES` for a ZDD one).  Both are validated
+    here so misconfigurations fail fast with a clear message instead of
+    deep inside ``partitions()``.
     """
     validate_cluster_size(cluster_size)
     if engine not in IMAGE_ENGINES:
@@ -579,8 +533,5 @@ def make_image_engine(relnet: PartitionedNet, engine: str = "partitioned",
                          f"{type(relnet).__name__}; expected one of "
                          f"{relnet.image_engines}")
     if engine == "monolithic":
-        return MonolithicImageEngine(relnet, simplify_frontier)
-    if engine == "partitioned":
-        return PartitionedImageEngine(relnet, cluster_size,
-                                      simplify_frontier)
-    return ChainedImageEngine(relnet, cluster_size, simplify_frontier)
+        return MonolithicImageEngine(relnet)
+    return ChainedImageEngine(relnet, cluster_size)

@@ -11,18 +11,16 @@ All clustering, partition caching, reorder refresh and sweep algorithms
 live in the shared generic layer
 (:class:`~repro.symbolic.partition.PartitionedNet`); this module
 supplies only the boolean-encoding specifics — how a sparse relation
-BDD is built, how a block's image is computed, and the Coudert-Madre
-frontier restriction.  Three relation granularities feed the pluggable
-image engines of :mod:`repro.symbolic.partition`:
+BDD is built and how a block's image is computed.  Two relation forms
+feed the image engines of :mod:`repro.symbolic.partition`:
 
 * **monolithic** — one relation ``R = OR_t R_t`` (the textbook baseline;
   the relation BDD itself is often huge),
-* **partitioned** — the disjunctive partition of Eq. 3, kept per
-  transition or clustered by support into groups of a configurable size
-  (small relations, one relational product each),
-* **chained** — the same partition applied in support-sorted order while
-  accumulating successors, so states discovered by an early partition are
-  expanded by later ones within the same sweep.
+* **chained** — the disjunctive partition of Eq. 3, kept per transition
+  or clustered by support into groups of a configurable size (small
+  relations, one relational product each), applied in support-sorted
+  order while accumulating successors, so states discovered by an early
+  block are expanded by later ones within the same sweep.
 """
 
 from __future__ import annotations
@@ -34,18 +32,9 @@ from ..encoding.characteristic import (enabling_functions,
                                        initial_function, place_functions,
                                        variable_order)
 from ..encoding.scheme import Encoding
-from .partition import ClusterSize, PartitionedNet, RelationPartition
+from .partition import PartitionedNet, RelationPartition
 
-__all__ = ["RelationPartition", "RelationalNet",
-           "SIMPLIFY_MIN_FRONTIER_NODES"]
-
-# Frontier-size gate for the Coudert-Madre restriction
-# (``simplify_frontier``): per BENCH_relprod.json the restriction only
-# pays off once frontier BDDs are big enough that sibling substitution
-# can actually remove structure — on tiny frontiers the restrict walk
-# plus the extra ``frontier | ~reached`` care set cost more than they
-# save.  Frontiers below this node count are passed through unchanged.
-SIMPLIFY_MIN_FRONTIER_NODES = 128
+__all__ = ["RelationPartition", "RelationalNet"]
 
 
 def _next_name(name: str) -> str:
@@ -124,7 +113,7 @@ class RelationalNet(PartitionedNet):
     def relations(self) -> Dict[str, Function]:
         """The identity-complete per-transition relations ``R_t(P, Q)``.
 
-        Built lazily: the partitioned/chained engines work from the much
+        Built lazily: the chained engine works from the much
         smaller sparse relations and never need these, so constructing
         them eagerly would pay exactly the cost those engines avoid.
         """
@@ -234,9 +223,6 @@ class RelationalNet(PartitionedNet):
     def _relation_size(self, transition: str) -> int:
         return self.sparse_relations()[transition][0].size()
 
-    def block_size(self, block: "RelationPartition") -> int:
-        return block.relation.size()
-
     def _make_block(self, group: Tuple[str, ...],
                     label: str) -> RelationPartition:
         """Pad, merge and annotate one cluster of sparse relations."""
@@ -299,23 +285,6 @@ class RelationalNet(PartitionedNet):
 
     def state_is_empty(self, states: Function) -> bool:
         return states.is_zero()
-
-    def narrow_frontier(self, frontier: Function,
-                        reached: Function) -> Function:
-        """Size-gated Coudert-Madre restriction of the frontier.
-
-        Restricts once per step against the care set ``frontier |
-        ~reached`` (everything else is already reached and not in the
-        working set).  The simplified set may pick up already-reached
-        states — their successors are reachable, so traversal stays
-        inside the closure — while its BDD is usually much smaller.
-        Frontiers below :data:`SIMPLIFY_MIN_FRONTIER_NODES` nodes are
-        returned unchanged: on tiny frontiers the restriction costs more
-        than it saves (see ``BENCH_relprod.json``).
-        """
-        if frontier.size() < SIMPLIFY_MIN_FRONTIER_NODES:
-            return frontier
-        return frontier.restrict(frontier | ~reached)
 
     def count_markings(self, states: Function) -> int:
         """Number of markings represented (over current variables)."""

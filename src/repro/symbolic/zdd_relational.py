@@ -218,10 +218,6 @@ class ZddRelationalNet(ZddStateOps, PartitionedNet):
     def _relation_size(self, transition: str) -> int:
         return self.zdd.size(self._sparse[transition].relation)
 
-    def block_size(self, block: "ZddRelationPartition") -> int:
-        return sum(self.zdd.size(member.relation)
-                   for member in block.members)
-
     def _make_block(self, group: Tuple[str, ...],
                     label: str) -> ZddRelationPartition:
         members = tuple(self._sparse[t] for t in group)

@@ -17,12 +17,10 @@ SPECS = {
                                           strategy="bfs"),
     "rel-monolithic": AnalysisSpec(form="relational",
                                    engine="monolithic"),
-    "rel-partitioned": AnalysisSpec(form="relational",
-                                    engine="partitioned",
-                                    cluster_size=2),
+    "rel-chained-2": AnalysisSpec(form="relational", engine="chained",
+                                  cluster_size=2),
     "rel-chained-auto": AnalysisSpec(form="relational", engine="chained",
-                                     cluster_size="auto",
-                                     simplify_frontier=True),
+                                     cluster_size="auto"),
     "zdd-classic": AnalysisSpec(backend="zdd", form="functional"),
     "zdd-chained": AnalysisSpec(backend="zdd"),
     "kbounded": AnalysisSpec(k_bound=1),

@@ -95,7 +95,7 @@ class TestValidationErrors:
 
     def test_error_message_names_the_fix(self):
         with pytest.raises(SpecError, match="form='relational'"):
-            AnalysisSpec(engine="partitioned")
+            AnalysisSpec(engine="monolithic")
         with pytest.raises(SpecError, match="no partitions to cluster"):
             AnalysisSpec(cluster_size=8)
 
@@ -115,12 +115,11 @@ class TestWarnings:
         # reorder=False no longer warns on zdd: the shared repro.dd
         # kernel made reordering real for the ZDD manager.
         spec = AnalysisSpec(backend="zdd", scheme="sparse",
-                            reorder=False, simplify_frontier=True)
+                            reorder=False, strategy="bfs")
         warnings = spec.warnings()
         assert capsys.readouterr() == ("", "")
         assert all(isinstance(w, SpecWarning) for w in warnings)
-        assert {w.option for w in warnings} == {
-            "scheme", "simplify_frontier"}
+        assert {w.option for w in warnings} == {"scheme", "strategy"}
         sparse = next(w for w in warnings if w.option == "scheme")
         assert sparse.value == "sparse"
         assert "element per place" in sparse.reason
@@ -140,9 +139,9 @@ class TestWarnings:
 
     def test_k_bound_warns_on_inapplicable_options(self):
         spec = AnalysisSpec(k_bound=2, scheme="sparse", reorder=False,
-                            simplify_frontier=True, strategy="bfs")
+                            strategy="bfs")
         assert {w.option for w in spec.warnings()} == {
-            "scheme", "reorder", "simplify_frontier", "strategy"}
+            "scheme", "reorder", "strategy"}
 
 
 class TestPortfolioSpec:
@@ -230,9 +229,8 @@ class TestSerialization:
     @pytest.mark.parametrize("spec", [
         AnalysisSpec(),
         AnalysisSpec(backend="zdd"),
-        AnalysisSpec(form="relational", engine="partitioned",
-                     cluster_size=2, simplify_frontier=True,
-                     reorder=False),
+        AnalysisSpec(form="relational", engine="chained",
+                     cluster_size=2, reorder=False),
         AnalysisSpec(k_bound=3, max_iterations=50),
     ])
     def test_round_trip(self, spec):
@@ -255,13 +253,11 @@ class TestFromArgs:
     def test_full_relational_namespace(self):
         args = _build_parser().parse_args(
             ["analyze", "x.pnet", "--scheme", "dense", "--image",
-             "partitioned", "--cluster-size", "auto", "--no-reorder",
-             "--simplify-frontier"])
+             "chained", "--cluster-size", "auto", "--no-reorder"])
         spec = AnalysisSpec.from_args(args)
         assert spec == AnalysisSpec(scheme="dense", form="relational",
-                                    engine="partitioned",
-                                    cluster_size="auto", reorder=False,
-                                    simplify_frontier=True)
+                                    engine="chained",
+                                    cluster_size="auto", reorder=False)
 
     def test_explicit_functional_image(self):
         args = _build_parser().parse_args(
@@ -295,8 +291,7 @@ class TestFieldClassification:
     EXPECTED_SEMANTIC = {
         "scheme", "backend", "form", "engine", "cluster_size",
         "strategy", "chain_order", "use_toggle", "reorder",
-        "reorder_threshold", "simplify_frontier", "k_bound",
-        "portfolio_members",
+        "reorder_threshold", "k_bound", "portfolio_members",
     }
     EXPECTED_NONSEMANTIC = {
         "checkpoint_path", "checkpoint_every", "checkpoint_every_seconds",
@@ -320,9 +315,9 @@ class TestFieldClassification:
             checkpoint_path="/tmp/x.ckpt", checkpoint_every=7,
             checkpoint_every_seconds=1.5, resume=True,
             node_budget=10_000, deadline=3.0, max_iterations=5,
-            form="relational", engine="partitioned")
+            form="relational", engine="monolithic")
         # Same semantics modulo the relational switch...
-        rel = AnalysisSpec(form="relational", engine="partitioned")
+        rel = AnalysisSpec(form="relational", engine="monolithic")
         assert varied.semantic_fingerprint() == rel.semantic_fingerprint()
         # ...and the durability knobs alone change nothing.
         assert base.semantic_fingerprint() == AnalysisSpec(
@@ -339,7 +334,7 @@ class TestFieldClassification:
             "backend": (dict(), dict(backend="zdd")),
             "form": (dict(), dict(form="relational")),
             "engine": (dict(form="relational"),
-                       dict(form="relational", engine="partitioned")),
+                       dict(form="relational", engine="monolithic")),
             "cluster_size": (dict(form="relational", engine="chained"),
                              dict(form="relational", engine="chained",
                                   cluster_size=3)),
@@ -348,7 +343,6 @@ class TestFieldClassification:
             "use_toggle": (dict(), dict(use_toggle=False)),
             "reorder": (dict(), dict(reorder=False)),
             "reorder_threshold": (dict(), dict(reorder_threshold=999)),
-            "simplify_frontier": (dict(), dict(simplify_frontier=True)),
             "k_bound": (dict(), dict(k_bound=3)),
             "portfolio_members": (
                 dict(backend="portfolio"),
@@ -370,12 +364,13 @@ class TestFieldClassification:
 
 
 class TestIdentityAcrossFieldRemoval:
-    """Removing the non-semantic ``workers`` field must not move cache
-    or checkpoint identity: entries written before the removal stay
+    """Removing the non-semantic ``workers`` field and the retired
+    semantic ``simplify_frontier`` field must not move cache or
+    checkpoint identity: entries written before the removals stay
     valid."""
 
     # semantic_fingerprint() values recorded while the spec still had
-    # the ``workers`` field.
+    # the ``workers`` and ``simplify_frontier`` fields.
     PINNED = [
         (dict(), "d7b8967606abd9af"),
         (dict(backend="zdd"), "e269d4c0f6edbfc6"),
@@ -408,6 +403,58 @@ class TestIdentityAcrossFieldRemoval:
         assert result.markings == 8
         assert "workers" not in result.to_dict()["spec"]
 
+    @pytest.mark.parametrize("overrides,fingerprint", PINNED)
+    def test_spec_written_with_simplify_frontier_off_still_loads(
+            self, overrides, fingerprint):
+        spec_fields = dict(AnalysisSpec(**overrides).to_dict(),
+                           simplify_frontier=False)
+        loaded = AnalysisSpec.from_dict(spec_fields)
+        assert loaded == AnalysisSpec(**overrides)
+        assert loaded.semantic_fingerprint() == fingerprint
+
+    def test_result_written_with_simplify_frontier_off_still_loads(self):
+        from repro.analysis import AnalysisResult
+        spec_fields = dict(AnalysisSpec(form="relational").to_dict(),
+                           simplify_frontier=False)
+        payload = {
+            "schema": 1, "schema_minor": 1, "spec": spec_fields,
+            "engine": "relational/chained", "markings": 8,
+            "iterations": 2, "variables": 4, "final_nodes": 8,
+            "peak_nodes": 48, "seconds": 0.01, "reorder_count": 0,
+            "status": "complete",
+            "extras": {"cluster_size": "auto", "build_seconds": 0.005,
+                       "fixpoint_seconds": 0.005},
+        }
+        result = AnalysisResult.from_dict(payload)
+        assert result.spec == AnalysisSpec(form="relational")
+        assert result.spec.semantic_fingerprint() == "1dfd5f449f324cf9"
+        assert "simplify_frontier" not in result.to_dict()["spec"]
+
+    @pytest.mark.parametrize("ignore_unknown", [False, True])
+    def test_spec_with_simplify_frontier_on_fails_loudly(
+            self, ignore_unknown):
+        """Dropping the field would load a spec that claims the wrong
+        run, so a stored ``simplify_frontier: true`` is refused even in
+        the forward-compatible mode."""
+        spec_fields = dict(AnalysisSpec().to_dict(),
+                           simplify_frontier=True)
+        with pytest.raises(SpecError, match="retired.*chained"):
+            AnalysisSpec.from_dict(spec_fields,
+                                   ignore_unknown=ignore_unknown)
+
+    def test_result_with_simplify_frontier_on_fails_loudly(self):
+        from repro.analysis import AnalysisResult
+        payload = {
+            "schema": 1, "schema_minor": 1,
+            "spec": dict(AnalysisSpec().to_dict(), simplify_frontier=True),
+            "engine": "functional", "markings": 8, "iterations": 2,
+            "variables": 4, "final_nodes": 8, "peak_nodes": 48,
+            "seconds": 0.01, "reorder_count": 0, "status": "complete",
+            "extras": {},
+        }
+        with pytest.raises(SpecError, match="retired.*chained"):
+            AnalysisResult.from_dict(payload)
+
 
 class TestSerialEngineCatalogue:
     """The multiprocess partition sweep and its ``workers`` field are
@@ -417,7 +464,7 @@ class TestSerialEngineCatalogue:
     def test_engine_catalogues_are_serial(self):
         from repro.analysis import PORTFOLIO_MEMBERS, RELATIONAL_ENGINES
         from repro.symbolic import IMAGE_ENGINES
-        serial = ("monolithic", "partitioned", "chained")
+        serial = ("monolithic", "chained")
         # One catalogue, defined next to the engines.
         assert RELATIONAL_ENGINES is IMAGE_ENGINES
         assert IMAGE_ENGINES == serial
@@ -458,7 +505,7 @@ class TestRetiredZddEngines:
         assert main(["generate", "muller", "2", "-o", str(path)]) == 0
         capsys.readouterr()
         assert main(["analyze", str(path), "--engine", "zdd",
-                     "--image", "partitioned"]) == 2
+                     "--image", "monolithic"]) == 2
         assert "retired" in capsys.readouterr().err
 
     def test_result_naming_a_retired_engine_raises_spec_error(self):
@@ -479,3 +526,48 @@ class TestRetiredZddEngines:
         }
         with pytest.raises(SpecError, match="retired"):
             AnalysisResult.from_dict(payload)
+
+
+class TestRetiredPartitionedEngine:
+    """The BDD ``partitioned`` engine, its ``bdd-partitioned`` portfolio
+    member and the ``simplify_frontier`` option won no benchmark row on
+    the structural order and were retired: naming one fails loudly and
+    points at ``chained``."""
+
+    def test_spec_rejects_partitioned_engine(self):
+        with pytest.raises(SpecError, match="retired.*'chained'"):
+            AnalysisSpec(form="relational", engine="partitioned")
+
+    def test_spec_rejects_partitioned_member(self):
+        with pytest.raises(SpecError, match="retired.*'bdd-chained'"):
+            AnalysisSpec(backend="portfolio",
+                         portfolio_members=("bdd-partitioned",))
+
+    def test_result_naming_partitioned_engine_raises_spec_error(self):
+        """A result an older build wrote for the BDD ``partitioned``
+        engine fails to load and points at ``chained``."""
+        from repro.analysis import AnalysisResult
+        spec_fields = dict(AnalysisSpec().to_dict(), form="relational",
+                           engine="partitioned", simplify_frontier=False)
+        payload = {
+            "schema": 1, "schema_minor": 1, "spec": spec_fields,
+            "engine": "relational/partitioned", "markings": 8,
+            "iterations": 4, "variables": 4, "final_nodes": 8,
+            "peak_nodes": 48, "seconds": 0.01, "reorder_count": 0,
+            "status": "complete", "extras": {},
+        }
+        with pytest.raises(SpecError, match="retired.*'chained'"):
+            AnalysisResult.from_dict(payload)
+
+    def test_simplify_frontier_is_not_a_spec_field(self):
+        with pytest.raises(TypeError):
+            AnalysisSpec(simplify_frontier=True)
+
+    @pytest.mark.parametrize("flags", [["--image", "partitioned"],
+                                       ["--simplify-frontier"]])
+    def test_cli_rejects_retired_flags(self, flags, capsys):
+        from repro.cli import main
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", "--net", "muller", "--n", "2"] + flags)
+        assert excinfo.value.code == 2
+        assert flags[-1] in capsys.readouterr().err

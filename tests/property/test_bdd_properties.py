@@ -204,6 +204,61 @@ def test_cofactor_matches_brute_force(expr, assignment):
         assert bdd.eval_node(restricted, env) == eval_expr(expr, fixed)
 
 
+@settings(max_examples=80, deadline=None)
+@given(exprs(), st.integers(min_value=0, max_value=NUM_VARS - 1), exprs())
+def test_compose_matches_brute_force(expr, var, substitute):
+    bdd = BDD(var_names=NAMES)
+    node = build_bdd(bdd, expr)
+    composed = bdd.compose(node, var, build_bdd(bdd, substitute))
+    for env in all_envs():
+        replaced = dict(env)
+        replaced[var] = eval_expr(substitute, env)
+        assert bdd.eval_node(composed, env) == eval_expr(expr, replaced)
+
+
+@settings(max_examples=80, deadline=None)
+@given(exprs())
+def test_rename_to_primed_copy_matches_brute_force(expr):
+    """Renaming onto an order-preserving copy of the variables (the
+    current-to-next shift of the image computation) evaluates the copy
+    exactly as the original."""
+    primed = [f"{name}'" for name in NAMES]
+    bdd = BDD(var_names=NAMES + primed)
+    node = build_bdd(bdd, expr)
+    renamed = bdd.rename(node, dict(zip(NAMES, primed)))
+    for env in all_envs():
+        shifted = {NUM_VARS + v: val for v, val in env.items()}
+        shifted.update({v: not val for v, val in env.items()})
+        assert bdd.eval_node(renamed, shifted) == eval_expr(expr, env)
+
+
+@settings(max_examples=80, deadline=None)
+@given(exprs())
+def test_sat_one_cube_implies_function(expr):
+    bdd = BDD(var_names=NAMES)
+    node = build_bdd(bdd, expr)
+    cube = bdd.sat_one(node)
+    satisfiable = any(eval_expr(expr, env) for env in all_envs())
+    assert (cube is not None) == satisfiable
+    if cube is not None:
+        for env in all_envs():
+            if all(env[v] == val for v, val in cube.items()):
+                assert eval_expr(expr, env)
+
+
+@settings(max_examples=80, deadline=None)
+@given(exprs())
+def test_iter_minterms_enumerates_exactly_the_models(expr):
+    bdd = BDD(var_names=NAMES)
+    node = build_bdd(bdd, expr)
+    minterms = [tuple(m[v] for v in range(NUM_VARS))
+                for m in bdd.iter_minterms(node)]
+    models = [tuple(env[v] for v in range(NUM_VARS))
+              for env in all_envs() if eval_expr(expr, env)]
+    assert len(minterms) == len(set(minterms))
+    assert sorted(minterms) == sorted(models)
+
+
 @settings(max_examples=60, deadline=None)
 @given(exprs(), st.permutations(list(range(NUM_VARS))))
 def test_set_order_preserves_semantics(expr, order):
@@ -263,55 +318,3 @@ def test_negation_is_complement(expr):
     assert bdd.apply_or(node, negated) == ONE
     count = bdd.satcount(node, nvars=NUM_VARS)
     assert bdd.satcount(negated, nvars=NUM_VARS) == 2 ** NUM_VARS - count
-
-
-@settings(max_examples=80, deadline=None)
-@given(exprs(), exprs())
-def test_restrict_agrees_on_care_set(func_expr, care_expr):
-    """Coudert-Madre restrict: r & c == f & c for every care set."""
-    bdd = BDD(var_names=NAMES)
-    f = build_bdd(bdd, func_expr)
-    care = build_bdd(bdd, care_expr)
-    if care == ZERO:
-        return
-    r = bdd.restrict_cm(f, care)
-    assert bdd.apply_and(r, care) == bdd.apply_and(f, care)
-
-
-@settings(max_examples=60, deadline=None)
-@given(exprs())
-def test_restrict_by_self_is_tautological(expr):
-    """f restricted to f is 1 wherever f holds."""
-    bdd = BDD(var_names=NAMES)
-    f = build_bdd(bdd, expr)
-    if f == ZERO:
-        return
-    r = bdd.restrict_cm(f, f)
-    assert bdd.apply_and(r, f) == f
-
-
-@settings(max_examples=80, deadline=None)
-@given(exprs(), exprs())
-def test_restrict_is_idempotent(func_expr, care_expr):
-    """Sibling substitution only reads f on the care set, so restricting
-    an already-restricted function changes nothing."""
-    bdd = BDD(var_names=NAMES)
-    f = build_bdd(bdd, func_expr)
-    care = build_bdd(bdd, care_expr)
-    if care == ZERO:
-        return
-    r = bdd.restrict_cm(f, care)
-    assert bdd.restrict_cm(r, care) == r
-
-
-@settings(max_examples=60, deadline=None)
-@given(exprs())
-def test_restrict_constant_care_and_constant_function(expr):
-    """A tautological care set is the identity; constants are fixpoints."""
-    bdd = BDD(var_names=NAMES)
-    f = build_bdd(bdd, expr)
-    assert bdd.restrict_cm(f, ONE) == f
-    care = build_bdd(bdd, expr)
-    if care != ZERO:
-        assert bdd.restrict_cm(ZERO, care) == ZERO
-        assert bdd.restrict_cm(ONE, care) == ONE

@@ -1,7 +1,7 @@
 """Cross-engine differential harness: every engine, same marking sets.
 
 Runs each generator family through the BDD relational engines
-(monolithic / partitioned / chained over ``RelationalNet``) and every
+(monolithic / chained over ``RelationalNet``) and every
 ZDD engine (classic per-transition plus the relational chained engine
 over ``ZddRelationalNet``), all through ``analyze()``, and asserts they
 compute *identical* reachable sets — identical counts and identical
@@ -289,28 +289,29 @@ def test_kill_and_resume_matches_oracle(name, make_net, explicit_counts,
 
 # ---------------------------------------------------------------------------
 # Finest disjunctive partition: one block per transition (Eq. 3), swept
-# serially — the configuration ``engine="partitioned"`` runs in place of
-# the removed multiprocess sweep.
+# serially by the chained engine — the configuration that runs in place
+# of the removed multiprocess and per-block union sweeps.
 
 
 @pytest.mark.parametrize("name", SMALL_NETS)
 def test_per_transition_partition_agrees_small(name, make_net):
     """With ``cluster_size=1`` every transition is its own block, so the
-    serial sweep unions the most independent per-block images; the BDD
-    engine must still land on the explicit oracle's marking *set*, and
-    the spec-level default granularity reports the same count."""
+    chained sweep feeds the most independent per-block images to each
+    other; the BDD engine must still land on the explicit oracle's
+    marking *set*, and the spec-level default granularity reports the
+    same count."""
     net = make_net(name)
     explicit = explicit_marking_set(net)
     assert explicit
 
     analysis = assert_bdd_run_matches(
-        make_net(name), BDD_RELATIONAL.replace(engine="partitioned",
+        make_net(name), BDD_RELATIONAL.replace(engine="chained",
                                                cluster_size=1),
-        explicit, (name, "bdd/partitioned/1"))
+        explicit, (name, "bdd/chained/1"))
     assert all(len(block.transitions) == 1
                for block in analysis.symbolic_net.partitions(1))
 
-    spec = AnalysisSpec(form="relational", engine="partitioned")
+    spec = AnalysisSpec(form="relational", engine="chained")
     migrated = analyze(make_net(name), spec)
     assert migrated.engine == spec.engine_id
     assert migrated.markings == len(explicit), name

@@ -23,7 +23,7 @@ FAMILIES = ["figure1", "figure4", "muller4", "slot2", "phil3"]
 SCHEMES = ["sparse", "dense", "improved"]
 
 
-def relational(engine="partitioned", cluster_size=1, **changes):
+def relational(engine="monolithic", cluster_size=1, **changes):
     """A relational spec on a fixed variable order unless overridden."""
     return AnalysisSpec(form="relational", engine=engine,
                         cluster_size=cluster_size,
@@ -191,6 +191,21 @@ class TestImageEngines:
         assert result.markings == explicit_counts[name]
         assert result.engine == f"relational/{engine}"
 
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_per_transition_union_reaches_explicit_fixpoint(
+            self, name, make_net, explicit_counts):
+        """Breadth-first iteration of the Eq. 3 reference image (the
+        union of the per-transition images) reaches the explicit
+        fixpoint."""
+        relnet = RelationalNet(ImprovedEncoding(make_net(name)))
+        blocks = relnet.partitions(1)
+        reached = frontier = relnet.initial
+        while not relnet.state_is_empty(frontier):
+            image = relnet.image_partitioned(frontier, blocks)
+            frontier = relnet.state_diff(image, reached)
+            reached = relnet.state_union(reached, frontier)
+        assert relnet.count_markings(reached) == explicit_counts[name]
+
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("cluster_size", [1, 4])
     def test_engines_agree_across_schemes(self, scheme, cluster_size,
@@ -215,7 +230,7 @@ class TestImageEngines:
                 == explicit_counts[name]
 
     def test_chained_cuts_iterations(self):
-        bfs = analyze(slotted_ring(3), relational("partitioned"))
+        bfs = analyze(slotted_ring(3), relational("monolithic", None))
         chained = analyze(slotted_ring(3), relational("chained"))
         assert chained.iterations < bfs.iterations
         assert chained.markings == bfs.markings
@@ -226,7 +241,7 @@ class TestImageEngines:
 
     def test_max_iterations_guard(self):
         with pytest.raises(RuntimeError):
-            analyze(slotted_ring(2), relational(max_iterations=1))
+            analyze(slotted_ring(2), relational(None, max_iterations=1))
 
     @pytest.mark.parametrize("junk", [0, -3, 2.5, "junk", None, True])
     def test_bad_cluster_size_rejected_up_front(self, junk):
@@ -243,7 +258,7 @@ class TestImageEngines:
 
 
 # ---------------------------------------------------------------------
-# Adaptive traversal: reordering, frontier restriction, auto clusters
+# Adaptive traversal: reordering and auto clusters
 # ---------------------------------------------------------------------
 
 class TestAdaptiveTraversal:
@@ -255,8 +270,16 @@ class TestAdaptiveTraversal:
         """Acceptance: identical reachable sets with dynamic reordering
         (pair-grouped sifting + partition refresh) and auto clustering."""
         result = analyze(make_net(name), relational(
-            engine, "auto", simplify_frontier=True, reorder=True,
-            reorder_threshold=200))
+            engine, "auto", reorder=True, reorder_threshold=200))
+        assert result.markings == explicit_counts[name]
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_per_transition_chained_agrees_with_reordering_enabled(
+            self, name, make_net, explicit_counts):
+        """With one block per transition, every reorder refreshes the
+        whole per-transition partition; the fixpoint must not move."""
+        result = analyze(make_net(name), relational(
+            "chained", 1, reorder=True, reorder_threshold=200))
         assert result.markings == explicit_counts[name]
 
     def test_auto_reorder_honored_on_supplied_manager(self,
@@ -312,18 +335,12 @@ class TestAdaptiveTraversal:
         assert relnet.image_partitioned(states, blocks) \
             == relnet.image_all(states)
 
-    def test_simplify_frontier_fixpoints_agree(self, explicit_counts):
-        for engine in IMAGE_ENGINES:
-            result = analyze(slotted_ring(2), relational(
-                engine, simplify_frontier=True))
-            assert result.markings == explicit_counts["slot2"]
-
     def test_sparse_relations_cached_across_engine_builds(self):
         """Repeated engine construction (ablation sweeps) must reuse the
         sparse relations and supports instead of re-walking them."""
         relnet = RelationalNet(ImprovedEncoding(philosophers(3)))
         first = relnet.sparse_relations()
-        make_image_engine(relnet, "partitioned", 1).partitions
+        make_image_engine(relnet, "chained", 1).partitions
         make_image_engine(relnet, "chained", 4).partitions
         make_image_engine(relnet, "chained", "auto").partitions
         assert relnet.sparse_relations() is first

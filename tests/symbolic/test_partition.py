@@ -2,10 +2,9 @@
 
 Covers the behaviours the unified layer added on top of the old
 per-manager copies: reorder-aware reclustering of ``"auto"`` partitions,
-diff-based working-set narrowing of the chained sweep, the size-gated
-once-per-sweep Coudert-Madre restriction, and the fact that one engine
-class hierarchy drives both managers.  It also pins the serial
-partitioned sweep's union order.
+diff-based working-set narrowing of the chained sweep, and the fact that
+one engine class hierarchy drives both managers.  It also pins the
+order independence of the Eq. 3 union of per-block images.
 """
 
 import random
@@ -19,7 +18,6 @@ from repro.symbolic import (IMAGE_ENGINES, ZDD_RELATIONAL_ENGINES,
                             ChainedImageEngine, ImageEngine, RelationalNet,
                             ZddRelationalNet, make_image_engine)
 from repro.symbolic.partition import PartitionedNet
-from repro.symbolic.relational import SIMPLIFY_MIN_FRONTIER_NODES
 
 # Relational fixpoints on a fixed variable order (BDD and ZDD).
 BDD_RELATIONAL = AnalysisSpec(form="relational", reorder=False)
@@ -100,8 +98,7 @@ class TestChainedNarrowing:
         assert first_counts  # sanity: the spy actually measured
 
     @pytest.mark.parametrize("spec", [
-        BDD_RELATIONAL.replace(engine=engine, cluster_size=2,
-                               simplify_frontier=True)
+        BDD_RELATIONAL.replace(engine=engine, cluster_size=2)
         for engine in IMAGE_ENGINES] + [
         ZDD_CHAINED.replace(cluster_size=2)],
         ids=[f"bdd-{engine}" for engine in IMAGE_ENGINES] + ["zdd-chained"])
@@ -110,39 +107,6 @@ class TestChainedNarrowing:
         for name in ("figure4", "slot2", "phil3"):
             result = analyze(make_net(name), spec)
             assert result.markings == explicit_counts[name]
-
-
-class TestSimplifyGate:
-    def test_small_frontiers_pass_through_unrestricted(self):
-        relnet = RelationalNet(ImprovedEncoding(slotted_ring(2)))
-        frontier = relnet.initial
-        reached = relnet.initial
-        assert frontier.size() < SIMPLIFY_MIN_FRONTIER_NODES
-        assert relnet.narrow_frontier(frontier, reached) is frontier
-
-    def test_zdd_narrow_frontier_is_identity(self):
-        relnet = ZddRelationalNet(slotted_ring(2))
-        assert relnet.narrow_frontier(relnet.initial, relnet.initial) \
-            == relnet.initial
-
-    def test_restriction_applies_above_the_gate(self, monkeypatch):
-        import repro.symbolic.relational as relational
-        analysis = Analysis(slotted_ring(2), BDD_RELATIONAL.replace(
-            engine="chained", cluster_size=1))
-        relnet = analysis.symbolic_net
-        reached = analysis.reachable
-        frontier = reached
-        monkeypatch.setattr(relational, "SIMPLIFY_MIN_FRONTIER_NODES", 1)
-        narrowed = relnet.narrow_frontier(frontier, reached)
-        care = frontier | ~reached
-        assert (narrowed & care) == (frontier & care)
-
-    def test_gated_simplify_reaches_fixpoint(self, make_net,
-                                             explicit_counts):
-        for engine in IMAGE_ENGINES:
-            result = analyze(make_net("slot2"), BDD_RELATIONAL.replace(
-                engine=engine, cluster_size=1, simplify_frontier=True))
-            assert result.markings == explicit_counts["slot2"]
 
 
 class TestReorderAwareReclustering:
@@ -245,42 +209,11 @@ def test_image_partitioned_is_order_independent(make_net):
         assert relnet.image_partitioned(states, shuffled) == baseline
 
 
-def test_image_partitioned_unions_smallest_first(make_net):
-    """The serial sweep applies blocks by ascending relation size, so
-    intermediate union BDDs stay small regardless of declaration
-    order."""
-    relnet = RelationalNet(ImprovedEncoding(make_net("slot2")))
-    blocks = relnet.partitions(1)
-    visited = []
-    original = relnet.image_partition
-
-    def spy(states, block):
-        visited.append(block)
-        return original(states, block)
-
-    relnet.image_partition = spy
-    try:
-        relnet.image_partitioned(relnet.initial, list(reversed(blocks)))
-    finally:
-        del relnet.image_partition
-    sizes = [relnet.block_size(block) for block in visited]
-    assert sizes == sorted(sizes)
-    assert len(visited) == len(blocks)
-
-
-def test_zdd_block_size_counts_member_relations(make_net):
-    relnet = ZddRelationalNet(make_net("slot2"))
-    for block in relnet.partitions("auto"):
-        assert relnet.block_size(block) == sum(
-            relnet.zdd.size(member.relation) for member in block.members)
-
-
-@pytest.mark.parametrize("family, engine", [("bdd", "partitioned"),
+@pytest.mark.parametrize("family, engine", [("bdd", "monolithic"),
                                             ("zdd", "chained")])
 def test_engine_factories_take_no_worker_options(family, engine, make_net):
     """Every image engine runs in-process; the one factory accepts only
-    the engine name, granularity and frontier simplification, for
-    either manager."""
+    the engine name and granularity, for either manager."""
     if family == "bdd":
         relnet = RelationalNet(ImprovedEncoding(make_net("figure1")))
     else:
@@ -290,13 +223,24 @@ def test_engine_factories_take_no_worker_options(family, engine, make_net):
         make_image_engine(relnet, engine, workers=2)
 
 
-@pytest.mark.parametrize("engine", ["monolithic", "partitioned"])
-def test_factory_refuses_retired_zdd_engines(engine, make_net):
+@pytest.mark.parametrize("engine, message", [
+    ("monolithic", "not offered by ZddRelationalNet"),
+    ("partitioned", "unknown image engine")],
+    ids=["monolithic", "partitioned"])
+def test_factory_refuses_retired_zdd_engines(engine, message, make_net):
     """A ZDD relational net offers only the engines in
     ZDD_RELATIONAL_ENGINES; the BDD net offers the whole catalogue."""
     relnet = ZddRelationalNet(make_net("figure1"))
     assert relnet.image_engines == ZDD_RELATIONAL_ENGINES
-    with pytest.raises(ValueError, match="not offered by ZddRelationalNet"):
+    with pytest.raises(ValueError, match=message):
         make_image_engine(relnet, engine)
     assert RelationalNet(ImprovedEncoding(make_net("figure1"))) \
         .image_engines == IMAGE_ENGINES
+
+
+def test_bdd_factory_refuses_retired_partitioned_engine(make_net):
+    """The retired per-block union engine is gone from the BDD
+    catalogue too; the error lists the engines that remain."""
+    relnet = RelationalNet(ImprovedEncoding(make_net("figure1")))
+    with pytest.raises(ValueError, match="unknown image engine.*chained"):
+        make_image_engine(relnet, "partitioned")

@@ -1,4 +1,4 @@
-"""Unit tests for traversal strategies and frontier simplification."""
+"""Unit tests for traversal strategies."""
 
 import pytest
 
@@ -21,11 +21,22 @@ FAMILIES = [
 @pytest.mark.parametrize("name,factory,expected", FAMILIES,
                          ids=[f[0] for f in FAMILIES])
 @pytest.mark.parametrize("strategy", ["bfs", "chaining"])
-@pytest.mark.parametrize("simplify", [False, True])
 def test_all_strategies_reach_same_fixpoint(name, factory, expected,
-                                            strategy, simplify):
+                                            strategy):
     result = analyze(factory(), PLAIN.replace(
-        use_toggle=True, strategy=strategy, simplify_frontier=simplify))
+        use_toggle=True, strategy=strategy))
+    assert result.markings == expected
+
+
+@pytest.mark.parametrize("name,factory,expected", FAMILIES,
+                         ids=[f[0] for f in FAMILIES])
+@pytest.mark.parametrize("strategy", ["bfs", "chaining"])
+def test_strategies_reach_same_fixpoint_with_reordering(name, factory,
+                                                        expected,
+                                                        strategy):
+    result = analyze(factory(), PLAIN.replace(
+        use_toggle=True, strategy=strategy, reorder=True,
+        reorder_threshold=500))
     assert result.markings == expected
 
 
@@ -50,10 +61,3 @@ def test_chaining_respects_transition_order_semantics():
 def test_unknown_strategy_rejected():
     with pytest.raises(ValueError):
         PLAIN.replace(strategy="dfs")
-
-
-def test_simplified_frontier_with_reordering():
-    result = analyze(slotted_ring(3), PLAIN.replace(
-        use_toggle=True, strategy="chaining", simplify_frontier=True,
-        reorder=True, reorder_threshold=500))
-    assert result.markings == 224

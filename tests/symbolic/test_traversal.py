@@ -16,9 +16,9 @@ SCHEMES = ["sparse", "dense", "improved"]
 # The plain BFS quantify-and-force fixpoint on a fixed variable order.
 BFS = AnalysisSpec(strategy="bfs", chain_order="net", use_toggle=False,
                    reorder=False)
-# The per-transition partitioned relational fixpoint, fixed order.
-PARTITIONED = AnalysisSpec(form="relational", engine="partitioned",
-                           cluster_size=1, reorder=False)
+# The per-transition chained relational fixpoint, fixed order.
+PER_TRANSITION = AnalysisSpec(form="relational", engine="chained",
+                              cluster_size=1, reorder=False)
 
 
 @pytest.mark.parametrize("name", FAMILIES)
@@ -44,7 +44,7 @@ def test_relational_engine_agrees(scheme, explicit_counts):
     for name, factory in [("figure1", figure1_net),
                           ("figure4", figure4_net),
                           ("slot2", lambda: slotted_ring(2))]:
-        result = analyze(factory(), PARTITIONED.replace(scheme=scheme))
+        result = analyze(factory(), PER_TRANSITION.replace(scheme=scheme))
         assert result.markings == explicit_counts[name]
 
 
@@ -122,7 +122,7 @@ def test_limit_error_carries_partial_state():
 def test_limit_error_from_relational_and_zdd_and_kbounded():
     from repro.symbolic import TraversalLimitError
     net = figure4_net()
-    for spec in (PARTITIONED.replace(scheme="sparse"),
+    for spec in (PER_TRANSITION.replace(scheme="sparse"),
                  AnalysisSpec(backend="zdd", form="functional",
                               reorder=False),
                  AnalysisSpec(k_bound=1)):

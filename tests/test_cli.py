@@ -80,14 +80,22 @@ class TestAnalyze:
         assert "variables=12" in out
         assert "markings=30" in out
 
-    @pytest.mark.parametrize("image", ["monolithic", "partitioned",
-                                       "chained"])
+    @pytest.mark.parametrize("image", ["monolithic", "chained"])
     def test_relational_image_engines(self, muller_file, capsys, image):
         assert main(["analyze", str(muller_file), "--image", image,
                      "--cluster-size", "2"]) == 0
         out = capsys.readouterr().out
         assert "markings=30" in out
         assert f"image=relational/{image}" in out
+
+    @pytest.mark.parametrize("cluster_size", ["1", "auto"])
+    def test_chained_cluster_sizes(self, muller_file, capsys,
+                                   cluster_size):
+        assert main(["analyze", str(muller_file), "--image", "chained",
+                     "--cluster-size", cluster_size]) == 0
+        out = capsys.readouterr().out
+        assert "markings=30" in out
+        assert "image=relational/chained" in out
 
     def test_functional_support_chaining(self, muller_file, capsys):
         assert main(["analyze", str(muller_file),
@@ -118,10 +126,10 @@ class TestAnalyze:
 
     def test_structured_warnings_go_to_stderr(self, muller_file, capsys):
         assert main(["analyze", str(muller_file), "--engine", "zdd",
-                     "--scheme", "sparse", "--simplify-frontier"]) == 0
+                     "--scheme", "sparse", "--strategy", "bfs"]) == 0
         err = capsys.readouterr().err
         assert "warning: scheme='sparse' ignored" in err
-        assert "warning: simplify_frontier=True ignored" in err
+        assert "warning: strategy='bfs' ignored" in err
 
     def test_no_reorder_applies_to_zdd(self, muller_file, capsys):
         # --no-reorder is a real knob on the ZDD backend now (shared

@@ -14,6 +14,10 @@ or its own frontier loop) next to them.
 Variable declaration has one door too: every manager declares its
 variables in the structural order of :mod:`repro.petri.order`, never by
 walking ``encoding.variables`` or ``net.places``.
+
+And code retired for winning no benchmark row stays retired: the
+per-block union engine (``partitioned``), the Coudert-Madre frontier
+restriction and its ``simplify_frontier`` option.
 """
 
 import ast
@@ -251,3 +255,77 @@ def test_tripwire_sees_a_naming_order_declaration(tmp_path):
         "        print(place)\n")
     assert naming_order_declarations(module) == [
         ("legacy.py", 3), ("legacy.py", 4), ("legacy.py", 5)]
+
+
+# Identifiers of the retired per-block union engine and Coudert-Madre
+# frontier restriction; none may reappear anywhere under src/repro.
+RETIRED_IDENTIFIERS = ("restrict_cm", "narrow_frontier",
+                       "PartitionedImageEngine",
+                       "SIMPLIFY_MIN_FRONTIER_NODES")
+
+
+def _constant_lines(tree, name):
+    """Line numbers spanned by the module-level assignment to ``name``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == name
+                for target in node.targets):
+            return set(range(node.lineno, node.end_lineno + 1))
+    return set()
+
+
+def retired_name_uses(root):
+    """``(module, line, name)`` of every line under ``root`` that names
+    a retired identifier, or ``simplify_frontier`` outside the
+    ``RETIRED_FIELD_DEFAULTS`` constant of ``analysis/spec.py``."""
+    spec_path = root / "analysis" / "spec.py"
+    allowed = (_constant_lines(ast.parse(spec_path.read_text()),
+                               "RETIRED_FIELD_DEFAULTS")
+               if spec_path.exists() else set())
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        module = path.relative_to(root).as_posix()
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            found.extend((module, lineno, name)
+                         for name in RETIRED_IDENTIFIERS if name in line)
+            if "simplify_frontier" in line and not (
+                    path == spec_path and lineno in allowed):
+                found.append((module, lineno, "simplify_frontier"))
+    return found
+
+
+def test_retired_engine_and_restriction_stay_deleted():
+    """The ``partitioned`` engine, ``restrict_cm`` and the frontier
+    restriction won no benchmark row on the structural order and were
+    deleted; ``simplify_frontier`` may only be named as a retired
+    field at its old default (which keeps old fingerprints stable)."""
+    from repro.analysis import PORTFOLIO_MEMBERS
+    from repro.symbolic import IMAGE_ENGINES
+    assert "partitioned" not in IMAGE_ENGINES
+    assert not [m for m in PORTFOLIO_MEMBERS if "partitioned" in m]
+    assert _constant_lines(
+        ast.parse((SRC / "analysis" / "spec.py").read_text()),
+        "RETIRED_FIELD_DEFAULTS"), \
+        "spec.py lost its RETIRED_FIELD_DEFAULTS constant"
+    found = retired_name_uses(SRC)
+    assert not found, (
+        f"{found} brings back retired code; run the chained engine "
+        f"instead")
+
+
+def test_tripwire_sees_retired_names(tmp_path):
+    """The retired-name detector itself: a retired identifier anywhere,
+    or ``simplify_frontier`` outside the retired-defaults constant, is
+    caught; the constant itself is not."""
+    (tmp_path / "analysis").mkdir()
+    (tmp_path / "analysis" / "spec.py").write_text(
+        "RETIRED_FIELD_DEFAULTS = {\n"
+        "    \"simplify_frontier\": False}\n"
+        "simplify_frontier = True\n")
+    (tmp_path / "kernel.py").write_text(
+        "def restrict_cm(u, care):\n"
+        "    return narrow_frontier(u, care)\n")
+    assert retired_name_uses(tmp_path) == [
+        ("analysis/spec.py", 3, "simplify_frontier"),
+        ("kernel.py", 1, "restrict_cm"),
+        ("kernel.py", 2, "narrow_frontier")]
