@@ -13,7 +13,8 @@ enabled``).  This benchmark times exactly those paths:
    complement-edge >= 1.3x acceptance floor is measured on it);
    ``checker_default_seconds`` and ``checker_default_peak_live_nodes``
    run them on the path users run, ``Analysis(net).checker()`` on the
-   default spec.
+   default spec.  phil-12 is the full-scale row: it has no seed-commit
+   numbers, so it records the default-spec checker without ratios.
 2. **Chained sweep** — the chained relational fixpoint with
    ``cluster_size="auto"`` on a fixed order; its ``peak_live_nodes``
    carries the >= 1.5x node-count reduction bound.
@@ -57,6 +58,7 @@ QUICK = bool(os.environ.get("REPRO_QUICK"))
 CONFIGS: List[Tuple[str, Callable]] = [
     ("phil-6", lambda: philosophers(6)),
     ("phil-8", lambda: philosophers(8)),
+    ("phil-12", lambda: philosophers(12)),
 ]
 if QUICK:
     CONFIGS = CONFIGS[:1]

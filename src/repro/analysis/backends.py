@@ -396,10 +396,11 @@ class _BddFunctionalSession(SolverSession):
         # sifting trajectory and peak every benchmark row records).
         frontier = self.frontier
         if spec.strategy == "chaining":
-            fire = symnet.image_toggle if spec.use_toggle else symnet.image
+            step = (symnet.image_toggle_into if spec.use_toggle
+                    else lambda acc, s, t: acc | symnet.image(s, t))
             current = frontier
             for transition in self._sweep_order:
-                current = current | fire(current, transition)
+                current = step(current, current, transition)
             successors = current
         else:
             successors = symnet.image_all(frontier,

@@ -115,6 +115,23 @@ class Function:
         return self._wrap(self.bdd.and_exists(
             self.node, _unwrap(other), _var_list(variables)))
 
+    # -- fused chained steps ---------------------------------------------
+
+    def or_and_toggle(self, states: "Function", care: "Function",
+                      variables: Iterable) -> "Function":
+        """``self | (states & care).toggle(variables)`` in one pass:
+        toggle firing of one transition into an accumulator."""
+        return self._wrap(self.bdd.or_and_toggle(
+            self.node, _unwrap(states), _unwrap(care),
+            _var_list(variables)))
+
+    def or_cofactor_and(self, states: "Function", assignment: Dict,
+                        care: "Function") -> "Function":
+        """``self | (states.cofactor(assignment) & care)`` in one pass:
+        the pre-image of one transition into an accumulator."""
+        return self._wrap(self.bdd.or_cofactor_and(
+            self.node, _unwrap(states), assignment, _unwrap(care)))
+
     # -- structural operations -------------------------------------------
 
     def cofactor(self, assignment: Dict) -> "Function":

@@ -48,6 +48,19 @@ delegated to AND/XOR), and the unary structural ops (cofactor, rename,
 toggle) cache on the regular edge because they commute with
 negation.
 
+Each memoised operation owns one cache, registered with the kernel so
+every safe point clears them all:
+
+* ``_and_cache`` — AND (and OR, DIFF through it), packed edge pair;
+* ``_ex_cache`` — ``exists``/``forall``, per quantified set;
+* ``_cof_cache`` — ``cofactor``, per assignment;
+* ``_ae_cache`` (kernel) — ``and_exists``, per quantified set;
+* ``_oat_cache`` — the fused toggle step ``or_and_toggle``, per toggle
+  set, packed edge triple;
+* ``_oca_cache`` — the fused pre-image step ``or_cofactor_and``, per
+  assignment, packed edge triple;
+* ``_cache`` (kernel) — XOR, ITE, rename and toggle, tuple-keyed.
+
 A node's fields may be mutated in place by variable reordering, but the
 function represented by an edge never changes; external code can
 therefore hold edges across reordering (see
@@ -106,6 +119,11 @@ class BDD(DDManager):
         self._ex_cache: Dict[FrozenSet[int], Dict[int, int]] = \
             self.register_cache({})
         self._cof_cache: Dict[tuple, Dict[int, int]] = self.register_cache({})
+        # The fused chained steps, one cache each, nested per toggle
+        # set / assignment and keyed by the packed edge triple.
+        self._oat_cache: Dict[FrozenSet[int], Dict[int, int]] = \
+            self.register_cache({})
+        self._oca_cache: Dict[tuple, Dict[int, int]] = self.register_cache({})
 
     # ------------------------------------------------------------------
     # Kernel hooks: the boolean reduction rule and canonical form
@@ -529,6 +547,146 @@ class BDD(DDManager):
         self.ae_recursions += recs
         self.ae_cache_hits += hits
         return result
+
+    # ------------------------------------------------------------------
+    # Fused chained steps: accumulate one transition's firing in one pass
+    # ------------------------------------------------------------------
+
+    def or_and_toggle(self, u: int, w: int, v: int,
+                      variables: Iterable) -> int:
+        """Chained toggle firing ``u OR toggle(variables, w AND v)``.
+
+        One memoised recursion over the triple: neither ``w AND v`` nor
+        its toggled copy is materialised.  At the level of a toggled
+        variable the result's else branch pairs ``u``'s else branch with
+        the then branches of ``w`` and ``v`` (and the reverse); below
+        the deepest toggled variable what remains is ``u OR (w AND v)``,
+        which ends early when ``u`` already covers it.
+        """
+        tvars = self._intern_vars(variables)
+        cache = self._oat_cache.get(tvars)
+        if cache is None:
+            cache = self._oat_cache[tvars] = {}
+        bottom = max((self._var2level[var] for var in tvars), default=-1)
+        return self._or_and_rec(u, w, v, cache, bottom, None, tvars)
+
+    def or_cofactor_and(self, u: int, w: int, assignment: Dict,
+                        v: int) -> int:
+        """Chained pre-image step ``u OR (w|assignment AND v)``.
+
+        One memoised recursion over the triple: ``w`` follows its
+        assigned branch past every assigned variable, while ``u`` and
+        ``v`` split normally, so neither the cofactor nor the
+        conjunction is materialised.  Below the deepest assigned
+        variable what remains is ``u OR (w AND v)``.
+        """
+        values = {self.var_index(var): bool(val)
+                  for var, val in assignment.items()}
+        key_vals = tuple(sorted(values.items()))
+        cache = self._oca_cache.get(key_vals)
+        if cache is None:
+            cache = self._oca_cache[key_vals] = {}
+        bottom = max((self._var2level[var] for var in values), default=-1)
+        return self._or_and_rec(u, w, v, cache, bottom, values, ())
+
+    def _or_and_rec(self, u: int, w: int, v: int, cache: Dict[int, int],
+                    bottom: int, values: Optional[Dict[int, bool]],
+                    tvars) -> int:
+        """The recursion behind both fused steps: ``u OR (w' AND v)``
+        where ``w'`` is ``w`` cofactored by ``values`` (when given) and
+        the conjunction is toggled on ``tvars``.  ``bottom`` is the
+        deepest level either touches; below it the step is a plain
+        ``u OR (w AND v)``."""
+        var_arr = self._var
+        low_arr = self._low
+        high_arr = self._high
+        var2level = self._var2level
+        level2var = self._level2var
+        node_fn = self._node
+        apply_and = self.apply_and
+        terminal = len(var2level)
+        symmetric = values is None
+
+        def rec(u: int, w: int, v: int) -> int:
+            if u == ONE:
+                return ONE
+            if values is not None:
+                # ``w`` takes its assigned branch past assigned tops.
+                while w > ZERO:
+                    wn = w >> 1
+                    value = values.get(var_arr[wn])
+                    if value is None:
+                        break
+                    w = (high_arr[wn] if value else low_arr[wn]) ^ (w & 1)
+            if w == ZERO or v == ZERO:
+                return u
+            if w == ONE and v == ONE:
+                return ONE
+            if symmetric:
+                # (A cofactored ``w`` may meet ``NOT v`` above ``bottom``
+                # and still leave models, so this waits for the tail.)
+                if w ^ v == 1:
+                    return u
+                if w > v:
+                    w, v = v, w
+            ulvl = terminal if u == ZERO else var2level[var_arr[u >> 1]]
+            wlvl = terminal if w == ONE else var2level[var_arr[w >> 1]]
+            vlvl = terminal if v == ONE else var2level[var_arr[v >> 1]]
+            level = ulvl if ulvl < wlvl else wlvl
+            if vlvl < level:
+                level = vlvl
+            if level > bottom:
+                # Past every toggled/assigned variable: u OR (w AND v).
+                if u == w or u == v or w ^ v == 1:
+                    return u
+                if u == ZERO:
+                    return apply_and(w, v)
+                if w == ONE or u ^ w == 1:
+                    return apply_and(u ^ 1, v ^ 1) ^ 1
+                if v == ONE or u ^ v == 1:
+                    return apply_and(u ^ 1, w ^ 1) ^ 1
+            key = (((u << _PACK) | w) << _PACK) | v
+            result = cache.get(key)
+            if result is not None:
+                return result
+            var = level2var[level]
+            if ulvl == level:
+                un = u >> 1
+                uc = u & 1
+                u0 = low_arr[un] ^ uc
+                u1 = high_arr[un] ^ uc
+            else:
+                u0 = u1 = u
+            if wlvl == level:
+                wn = w >> 1
+                wc = w & 1
+                w0 = low_arr[wn] ^ wc
+                w1 = high_arr[wn] ^ wc
+            else:
+                w0 = w1 = w
+            if vlvl == level:
+                vn = v >> 1
+                vc = v & 1
+                v0 = low_arr[vn] ^ vc
+                v1 = high_arr[vn] ^ vc
+            else:
+                v0 = v1 = v
+            if var in tvars:
+                r0 = rec(u0, w1, v1)
+                r1 = rec(u1, w0, v0)
+            else:
+                r0 = rec(u0, w0, v0)
+                r1 = rec(u1, w1, v1)
+            if r0 == r1:
+                result = r0
+            elif r0 & 1:
+                result = (node_fn(var, r0 ^ 1, r1 ^ 1) << 1) | 1
+            else:
+                result = node_fn(var, r0, r1) << 1
+            cache[key] = result
+            return result
+
+        return rec(u, w, v)
 
     # ------------------------------------------------------------------
     # Cofactor, rename, toggle, compose

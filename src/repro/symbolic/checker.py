@@ -80,12 +80,12 @@ class ModelChecker:
     def check_mutual_exclusion(self, places: Iterable[str]) -> CheckReport:
         """No reachable marking marks two of the given places at once."""
         places = list(places)
-        violation = false(self.symnet.bdd)
+        pairs = false(self.symnet.bdd)
         for i, place_a in enumerate(places):
             for place_b in places[i + 1:]:
-                both = (self.symnet.places[place_a]
-                        & self.symnet.places[place_b])
-                violation = violation | (self.reachable & both)
+                pairs = pairs | (self.symnet.places[place_a]
+                                 & self.symnet.places[place_b])
+        violation = self.reachable & pairs
         if violation.is_zero():
             return CheckReport(holds=True,
                                detail=f"places {places} mutually exclusive")
@@ -121,7 +121,9 @@ class ModelChecker:
         each pass applies the pre-image of one transition at a time,
         ``current |= current|forced & (E_t & reachable)``, in support
         order, so states one transition adds feed the next transition
-        of the same pass.  Pre-images distribute over union and the
+        of the same pass.  Each step is one fused kernel recursion
+        (``or_cofactor_and``) that builds neither the cofactor nor the
+        conjunction.  Pre-images distribute over union and the
         reachable set is intersected per transition, so the least
         fixpoint (a canonical BDD) is the one breadth-first ``EF`` over
         ``preimage_all`` reaches.  The loop stops after a pass that adds
@@ -138,7 +140,7 @@ class ModelChecker:
         while True:
             previous = current
             for force, care in steps:
-                current = current | (current.cofactor(force) & care)
+                current = current.or_cofactor_and(current, force, care)
             if current == previous or current == reachable:
                 return current
 

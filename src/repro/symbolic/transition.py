@@ -14,6 +14,11 @@ and the preimage is a plain cofactor:
 The Section 5.2 toggle-based firing — valid on the reachable set of a
 safe net — is also provided (``image_toggle``), as is a relational
 cross-check implementation in :mod:`repro.symbolic.relational`.
+
+Toggle images and pre-images accumulate into a running set one
+transition at a time (``image_toggle_into``, ``preimage_all``), each
+step one fused kernel recursion that builds neither the conjunction
+nor the toggled copy or cofactor.
 """
 
 from __future__ import annotations
@@ -70,12 +75,9 @@ class SymbolicNet:
     def image(self, states: Function, transition: str) -> Function:
         """Successors of ``states`` under one transition (Eq. 2/6)."""
         spec = self.specs[transition]
-        enabled = states & self.enabling[transition]
-        if enabled.is_zero():
-            return enabled
         if not spec.quantify:
-            return enabled
-        shifted = enabled.exists(spec.quantify)
+            return states & self.enabling[transition]
+        shifted = states.and_exists(self.enabling[transition], spec.quantify)
         return shifted & self._force_cubes[transition]
 
     def image_toggle(self, states: Function, transition: str) -> Function:
@@ -86,26 +88,31 @@ class SymbolicNet:
         code of its marked place, and output places of the sparse part
         are empty).
         """
-        spec = self.specs[transition]
-        enabled = states & self.enabling[transition]
-        if enabled.is_zero() or not spec.toggle:
-            return enabled
-        return enabled.toggle(spec.toggle)
+        return self.image_toggle_into(false(self.bdd), states, transition)
+
+    def image_toggle_into(self, acc: Function, states: Function,
+                          transition: str) -> Function:
+        """``acc | image_toggle(states, transition)`` in one fused
+        kernel recursion (``or_and_toggle``): the chained step of the
+        toggle fixpoint, with no intermediate diagram."""
+        return acc.or_and_toggle(states, self.enabling[transition],
+                                 self.specs[transition].toggle)
 
     def preimage(self, states: Function, transition: str) -> Function:
         """Predecessors of ``states`` under one transition."""
-        spec = self.specs[transition]
-        restricted = states.cofactor(dict(spec.force))
-        return restricted & self.enabling[transition]
+        return false(self.bdd).or_cofactor_and(
+            states, dict(self.specs[transition].force),
+            self.enabling[transition])
 
     def image_all(self, states: Function, use_toggle: bool = False,
                   order: Optional[Sequence[str]] = None) -> Function:
         """Successors under all transitions (disjunctively partitioned,
         Eq. 3), fired in ``order`` (net order by default)."""
-        fire = self.image_toggle if use_toggle else self.image
+        step = (self.image_toggle_into if use_toggle
+                else lambda acc, s, t: acc | self.image(s, t))
         result = false(self.bdd)
         for transition in (self.net.transitions if order is None else order):
-            result = result | fire(states, transition)
+            result = step(result, states, transition)
         return result
 
     # ------------------------------------------------------------------
@@ -141,7 +148,9 @@ class SymbolicNet:
         """Predecessors under all transitions."""
         result = false(self.bdd)
         for transition in self.net.transitions:
-            result = result | self.preimage(states, transition)
+            result = result.or_cofactor_and(
+                states, dict(self.specs[transition].force),
+                self.enabling[transition])
         return result
 
     # ------------------------------------------------------------------

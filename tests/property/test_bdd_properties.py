@@ -318,3 +318,120 @@ def test_negation_is_complement(expr):
     assert bdd.apply_or(node, negated) == ONE
     count = bdd.satcount(node, nvars=NUM_VARS)
     assert bdd.satcount(negated, nvars=NUM_VARS) == 2 ** NUM_VARS - count
+
+
+# --- fused chained steps ------------------------------------------------
+
+# Operand shapes of the chained callers: the fixpoint and ``ef`` pass
+# the running set as both ``u`` and ``w``, the single-step images pass
+# ``u = ZERO``, and a care set may be the constant ``ONE``.
+ALIASES = ("distinct", "u_is_w", "u_zero", "v_one")
+
+
+def level_sets():
+    """Levels a toggle set or assignment touches: none, the top, the
+    middle or the bottom level alone, or any subset."""
+    return st.one_of(
+        st.sampled_from([(), (0,), (NUM_VARS // 2,), (NUM_VARS - 1,)]),
+        st.sets(st.integers(min_value=0, max_value=NUM_VARS - 1),
+                max_size=NUM_VARS).map(tuple))
+
+
+def fused_operands(bdd, exprs_uwv, alias, flips):
+    """Build ``(u, w, v)``, complement the flagged ones, then alias."""
+    u, w, v = (build_bdd(bdd, expr) ^ flip
+               for expr, flip in zip(exprs_uwv, flips))
+    if alias == "u_is_w":
+        u = w
+    elif alias == "u_zero":
+        u = ZERO
+    elif alias == "v_one":
+        v = ONE
+    return u, w, v
+
+
+def composed_toggle_step(bdd, u, w, v, variables):
+    return bdd.apply_or(u, bdd.toggle(bdd.apply_and(w, v), variables))
+
+
+def composed_cofactor_step(bdd, u, w, assignment, v):
+    return bdd.apply_or(u, bdd.apply_and(bdd.cofactor(w, assignment), v))
+
+
+fused_inputs = (st.tuples(exprs(), exprs(), exprs()),
+                st.sampled_from(ALIASES),
+                st.tuples(st.booleans(), st.booleans(), st.booleans()),
+                level_sets(), st.permutations(list(range(NUM_VARS))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(*fused_inputs)
+def test_or_and_toggle_equals_composition(exprs_uwv, alias, flips, levels,
+                                          order):
+    bdd = BDD(var_names=NAMES)
+    bdd.set_order(order)
+    u, w, v = fused_operands(bdd, exprs_uwv, alias, flips)
+    variables = [bdd.var_at_level(level) for level in levels]
+    assert (bdd.or_and_toggle(u, w, v, variables)
+            == composed_toggle_step(bdd, u, w, v, variables))
+
+
+@settings(max_examples=150, deadline=None)
+@given(*fused_inputs, st.lists(st.booleans(), min_size=NUM_VARS,
+                               max_size=NUM_VARS))
+def test_or_cofactor_and_equals_composition(exprs_uwv, alias, flips, levels,
+                                            order, values):
+    bdd = BDD(var_names=NAMES)
+    bdd.set_order(order)
+    u, w, v = fused_operands(bdd, exprs_uwv, alias, flips)
+    assignment = {bdd.var_at_level(level): values[level] for level in levels}
+    assert (bdd.or_cofactor_and(u, w, assignment, v)
+            == composed_cofactor_step(bdd, u, w, assignment, v))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(exprs(), exprs(), exprs()),
+       st.sets(st.integers(min_value=0, max_value=NUM_VARS - 1), max_size=3),
+       st.dictionaries(st.integers(min_value=0, max_value=NUM_VARS - 1),
+                       st.booleans(), max_size=3))
+def test_fused_steps_match_brute_force(exprs_uwv, variables, assignment):
+    """Semantic check against direct evaluation of both formulas."""
+    bdd = BDD(var_names=NAMES)
+    u, w, v = (build_bdd(bdd, expr) for expr in exprs_uwv)
+    toggled = bdd.or_and_toggle(u, w, v, variables)
+    restricted = bdd.or_cofactor_and(u, w, assignment, v)
+    left, middle, right = exprs_uwv
+    for env in all_envs():
+        flipped = {var: (not val if var in variables else val)
+                   for var, val in env.items()}
+        fixed = dict(env)
+        fixed.update(assignment)
+        assert bdd.eval_node(toggled, env) == (
+            eval_expr(left, env) or (eval_expr(middle, flipped)
+                                     and eval_expr(right, flipped)))
+        assert bdd.eval_node(restricted, env) == (
+            eval_expr(left, env) or (eval_expr(middle, fixed)
+                                     and eval_expr(right, env)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(exprs(), exprs(), exprs()),
+       st.sets(st.integers(min_value=0, max_value=NUM_VARS - 1), max_size=3),
+       st.dictionaries(st.integers(min_value=0, max_value=NUM_VARS - 1),
+                       st.booleans(), max_size=3),
+       st.permutations(list(range(NUM_VARS))))
+def test_fused_step_caches_cleared_by_set_order(exprs_uwv, variables,
+                                                assignment, order):
+    """Both fused caches are registered with the kernel: ``set_order``
+    empties them, and the steps taken after it still equal the
+    composed formulas."""
+    bdd = BDD(var_names=NAMES)
+    u, w, v = (bdd.ref(build_bdd(bdd, expr)) for expr in exprs_uwv)
+    toggled = bdd.ref(bdd.or_and_toggle(u, w, v, variables))
+    restricted = bdd.ref(bdd.or_cofactor_and(u, w, assignment, v))
+    bdd.set_order(order)
+    assert not bdd._oat_cache and not bdd._oca_cache
+    assert bdd.or_and_toggle(u, w, v, variables) == toggled
+    assert bdd.or_cofactor_and(u, w, assignment, v) == restricted
+    assert toggled == composed_toggle_step(bdd, u, w, v, variables)
+    assert restricted == composed_cofactor_step(bdd, u, w, assignment, v)

@@ -72,6 +72,30 @@ class TestMutualExclusion:
         assert not report
         assert report.witness == Marking(["p2", "p3"])
 
+    def test_violation_among_many_places_pins_witness(self, fig1):
+        """Four places, one concurrent pair: the union of the pairs is
+        intersected with the reachable set once, and the witness is the
+        one the per-pair union gave."""
+        report = fig1.check_mutual_exclusion(["p2", "p4", "p6", "p7"])
+        assert not report
+        assert report.witness == Marking(["p2", "p7"])
+        assert report.detail == "simultaneously marked"
+
+    def test_philosophers_eating_places(self):
+        """Three philosophers on a ring of three forks never eat
+        together; on four, two opposite ones can."""
+        three = Analysis(philosophers(3)).checker()
+        eating = [f"ph{i}_eating" for i in range(3)]
+        report = three.check_mutual_exclusion(eating)
+        assert report and report.witness is None
+        assert report.detail == f"places {eating} mutually exclusive"
+        four = Analysis(philosophers(4)).checker()
+        report = four.check_mutual_exclusion(
+            [f"ph{i}_eating" for i in range(4)])
+        assert not report
+        assert report.witness == Marking(
+            ["ph0_idle", "ph1_eating", "ph2_idle", "ph3_eating"])
+
     def test_dme_critical_sections_exclusive(self):
         net = dme_spec(3)
         checker = Analysis(net, BFS).checker()
@@ -267,8 +291,9 @@ class TestVerdictsMatchExplicitOracle:
 
 def test_phil6_query_peak_nodes_tripwire():
     """The three perfbench queries on default phil-6 stay small: the
-    chained ``ef`` peaks near 36k nodes, breadth-first ``EF`` over
-    ``preimage_all`` with frontier narrowing near 120k."""
+    fused chained ``ef`` peaks near 10k nodes, the composed chained
+    step near 36k, breadth-first ``EF`` over ``preimage_all`` with
+    frontier narrowing near 120k."""
     analysis = Analysis(philosophers(6))
     checker = analysis.checker()
     symnet = analysis.symbolic_net

@@ -18,6 +18,10 @@ walking ``encoding.variables`` or ``net.places``.
 And code retired for winning no benchmark row stays retired: the
 per-block union engine (``partitioned``), the Coudert-Madre frontier
 restriction and its ``simplify_frontier`` option.
+
+The chained per-transition steps have one form as well: the fused
+kernel operations ``or_and_toggle`` and ``or_cofactor_and``, never a
+composed ``|`` over ``.toggle(...)`` or ``.cofactor(...) & ...``.
 """
 
 import ast
@@ -329,3 +333,110 @@ def test_tripwire_sees_retired_names(tmp_path):
         ("analysis/spec.py", 3, "simplify_frontier"),
         ("kernel.py", 1, "restrict_cm"),
         ("kernel.py", 2, "narrow_frontier")]
+
+
+# Where a chained per-transition step is taken, and the class it is
+# confined to (``None``: the whole module).
+STEP_SITES = ((SRC / "symbolic" / "transition.py", None),
+              (SRC / "symbolic" / "checker.py", None),
+              (SRC / "analysis" / "backends.py", "_BddFunctionalSession"))
+
+
+def _is_method_call(node, methods):
+    return (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in methods)
+
+
+def _calls_method(node, methods, bound=frozenset()):
+    """Whether ``node`` calls one of ``.methods(...)`` or reads a name
+    in ``bound`` (a local assigned from such a call)."""
+    return any(_is_method_call(sub, methods)
+               or (isinstance(sub, ast.Name) and sub.id in bound)
+               for sub in ast.walk(node))
+
+
+def composed_steps(path, scope=None):
+    """``(module, line, shape)`` of every step built from composed
+    operations: ``.cofactor(...)`` joined by ``&``, or ``.toggle(...)``
+    (or the single-step ``image_toggle``/``preimage``) joined by ``|``
+    — as a binary operator or an augmented assignment, directly or
+    through a local bound to the call — inside class ``scope`` when one
+    is given."""
+    tree = ast.parse(path.read_text())
+    roots = ([tree] if scope is None else
+             [node for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) and node.name == scope])
+    assert roots, f"{path.name} has no class {scope}"
+    shapes = ((ast.BitAnd, {"cofactor"}, "cofactor-and"),
+              (ast.BitOr, {"toggle", "image_toggle"}, "toggle-or"),
+              (ast.BitOr, {"preimage"}, "preimage-or"))
+    found = set()
+    for function in (node for root in roots for node in ast.walk(root)
+                     if isinstance(node, ast.FunctionDef)):
+        assigns = [node for node in ast.walk(function)
+                   if isinstance(node, ast.Assign)]
+        for op, methods, shape in shapes:
+            bound = frozenset(
+                target.id for node in assigns
+                if _is_method_call(node.value, methods)
+                for target in node.targets if isinstance(target, ast.Name))
+            for node in ast.walk(function):
+                if isinstance(node, ast.BinOp):
+                    operands = (node.left, node.right)
+                elif isinstance(node, ast.AugAssign):
+                    operands = (node.target, node.value)
+                else:
+                    continue
+                if isinstance(node.op, op) and any(
+                        _calls_method(side, methods, bound)
+                        for side in operands):
+                    found.add((path.name, node.lineno, shape))
+    return sorted(found)
+
+
+def test_chained_steps_use_the_fused_kernel_operations():
+    """The fixpoint's toggle firing, the single-step images and
+    pre-images, and ``ModelChecker.ef`` take each per-transition step
+    in one fused recursion; the composed forms built two or three dead
+    intermediate diagrams per step."""
+    for path, scope in STEP_SITES:
+        found = composed_steps(path, scope)
+        assert not found, (
+            f"{path.relative_to(SRC)} builds a chained step from composed "
+            f"operations at {found}; call or_and_toggle / "
+            f"or_cofactor_and instead")
+
+
+def test_tripwire_sees_a_composed_step(tmp_path):
+    """The step detector itself: both composed shapes are caught, in
+    expressions, augmented assignments and through a local bound to the
+    call, and only inside the scoped class; the fused calls and
+    unrelated ``|``/``&`` are not."""
+    module = tmp_path / "steps.py"
+    module.write_text(
+        "class Session:\n"
+        "    def step(self, current, care, force, toggled):\n"
+        "        current = current | (current & care).toggle(toggled)\n"
+        "        current = current | (current.cofactor(force) & care)\n"
+        "        current |= current.toggle(toggled)\n"
+        "        current &= current.cofactor(force)\n"
+        "        restricted = current.cofactor(force)\n"
+        "        current = current | (restricted & care)\n"
+        "        current = current | self.net.preimage(current, force)\n"
+        "        current = current.or_and_toggle(current, care, toggled)\n"
+        "        current = current.or_cofactor_and(current, force, care)\n"
+        "        return current | care & force\n"
+        "\n"
+        "\n"
+        "def elsewhere(current, care, toggled):\n"
+        "    return current | current.toggle(toggled)\n")
+    in_session = [("steps.py", 3, "toggle-or"),
+                  ("steps.py", 4, "cofactor-and"),
+                  ("steps.py", 5, "toggle-or"),
+                  ("steps.py", 6, "cofactor-and"),
+                  ("steps.py", 8, "cofactor-and"),
+                  ("steps.py", 9, "preimage-or")]
+    assert composed_steps(module, "Session") == in_session
+    assert composed_steps(module) == in_session + [
+        ("steps.py", 16, "toggle-or")]
