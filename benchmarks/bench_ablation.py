@@ -17,8 +17,7 @@ from repro.petri.smc import find_smcs
 
 # Plain BFS quantify-and-force firing on a fixed variable order, and
 # the relational engines on the same fixed order.
-BFS = AnalysisSpec(strategy="bfs", chain_order="net", use_toggle=False,
-                   reorder=False)
+BFS = AnalysisSpec(strategy="bfs", use_toggle=False, reorder=False)
 RELATIONAL = AnalysisSpec(form="relational", reorder=False)
 
 INSTANCES = [("figure4", figure4_net),

@@ -145,8 +145,7 @@ def measure_negation(factory: Callable) -> Dict:
     # 2. Checker queries over the functional backend's plain BFS
     # fixpoint (fixed order, quantify-and-force firing).
     analysis = Analysis(factory(), AnalysisSpec(
-        strategy="bfs", chain_order="net", use_toggle=False,
-        reorder=False))
+        strategy="bfs", use_toggle=False, reorder=False))
     symnet = analysis.symbolic_net
     reachable = analysis.reachable
     checker = analysis.checker()

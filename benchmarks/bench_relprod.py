@@ -46,7 +46,7 @@ import pytest
 from repro.analysis import Analysis, AnalysisSpec
 from repro.encoding import ImprovedEncoding
 from repro.petri.generators import philosophers, slotted_ring
-from repro.symbolic import ImageEngine, RelationalNet, relational
+from repro.symbolic import RelationalNet, relational
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 JSON_PATH = os.path.join(REPO_ROOT, "BENCH_relprod.json")
@@ -125,25 +125,6 @@ def relational_spec(engine: str, **options) -> AnalysisSpec:
         reorder_threshold=REORDER_THRESHOLD)
 
 
-class MaterialisedMonolithicEngine(ImageEngine):
-    """The pre-``and_exists`` baseline: build ``frontier AND R`` in full,
-    then quantify — one intermediate conjunction BDD per step."""
-
-    name = OLD_ENGINE
-
-    def __init__(self, relnet: RelationalNet) -> None:
-        super().__init__(relnet)
-        self._relation = None
-
-    def advance(self, reached, frontier):
-        if self._relation is None:
-            self._relation = self.relnet.monolithic_relation()
-        conjunction = frontier & self._relation
-        successors = conjunction.exists(self.relnet.current).rename(
-            self.relnet._to_current)
-        return self._absorb(reached, successors)
-
-
 def declaration_order_analysis(net, spec: AnalysisSpec) -> Analysis:
     """An analysis whose manager declares the interleaved pairs in the
     encoding's naming order, as the baseline engine did, instead of the
@@ -164,15 +145,25 @@ def declaration_order_analysis(net, spec: AnalysisSpec) -> Analysis:
 
 
 def materialised_fixpoint(factory: Callable) -> Dict:
-    """The materialised baseline row: the analysis sessions only run
-    the library's own engines, so this one steps its engine here."""
+    """The materialised baseline row: the pre-``and_exists`` image,
+    which builds ``frontier AND R`` in full and then quantifies — one
+    intermediate conjunction BDD per step.  The analysis sessions only
+    run the library's own images, so this one is stepped here."""
     relnet = RelationalNet(ImprovedEncoding(factory()))
-    engine = MaterialisedMonolithicEngine(relnet)
     start = time.perf_counter()
+    relation = relnet.monolithic_relation()
+
+    def step(reached, frontier):
+        # The intermediates die on return, before the safe point.
+        conjunction = frontier & relation
+        successors = conjunction.exists(relnet.current).rename(
+            relnet._to_current)
+        return reached | successors, successors - reached
+
     reached = frontier = relnet.initial
     iterations = 0
     while not frontier.is_zero():
-        reached, frontier = engine.advance(reached, frontier)
+        reached, frontier = step(reached, frontier)
         iterations += 1
         relnet.bdd.checkpoint()
     return {

@@ -46,12 +46,12 @@ from .facade import Analysis, analyze
 from .portfolio import (MemberFailure, PortfolioBackend, PortfolioError,
                         member_checkpoint_path, member_spec)
 from .result import SCHEMA_MINOR, SCHEMA_VERSION, AnalysisResult
-from .spec import (BACKEND_FAMILIES, CHAIN_ORDERS, DEFAULT_CLUSTER_SIZE,
-                   DEFAULT_FORM, DEFAULT_PORTFOLIO_MEMBERS,
-                   DEFAULT_RELATIONAL_ENGINE, FORMS, NONSEMANTIC_FIELDS,
-                   PORTFOLIO_MEMBERS, RELATIONAL_ENGINES, SCHEMES,
-                   SEMANTIC_FIELDS, STRATEGIES, AnalysisSpec, SpecError,
-                   SpecWarning)
+from .spec import (BACKEND_FAMILIES, DEFAULT_CLUSTER_SIZE, DEFAULT_FORM,
+                   DEFAULT_PORTFOLIO_MEMBERS, DEFAULT_RELATIONAL_ENGINE,
+                   FORMS, NONSEMANTIC_FIELDS, PORTFOLIO_MEMBERS,
+                   RELATIONAL_ENGINES, SCHEMES, SEMANTIC_FIELDS,
+                   STRATEGIES, ZDD_RELATIONAL_ENGINES, AnalysisSpec,
+                   SpecError, SpecWarning)
 from .workers import WorkerHarness
 
 __all__ = [
@@ -67,7 +67,7 @@ __all__ = [
     "net_fingerprint", "spec_fingerprint",
     "ResourceBudgetExceeded", "TraversalLimitError",
     "SCHEMES", "BACKEND_FAMILIES", "FORMS", "RELATIONAL_ENGINES",
-    "STRATEGIES", "CHAIN_ORDERS", "DEFAULT_FORM",
+    "ZDD_RELATIONAL_ENGINES", "STRATEGIES", "DEFAULT_FORM",
     "DEFAULT_RELATIONAL_ENGINE", "DEFAULT_CLUSTER_SIZE",
     "PORTFOLIO_MEMBERS", "DEFAULT_PORTFOLIO_MEMBERS",
     "NONSEMANTIC_FIELDS", "SEMANTIC_FIELDS",

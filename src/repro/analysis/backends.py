@@ -13,13 +13,15 @@ Four adapters wrap the existing machinery:
   SymbolicNet` with the renaming-free functional image (quantify-force
   or toggle firing, BFS or chaining sweeps).
 * :class:`BddRelationalBackend` — :class:`~repro.symbolic.relational.
-  RelationalNet` through the pluggable relational image engines
-  (monolithic | chained).
+  RelationalNet`, one monolithic image or one chained sweep per step.
 * :class:`ZddBackend` — the sparse-ZDD representation, classic
-  per-transition rewriting or the chained relational-product engine
-  over :class:`~repro.symbolic.zdd_relational.ZddRelationalNet`.
+  per-transition rewriting or the chained sweep over
+  :class:`~repro.symbolic.zdd_relational.ZddRelationalNet`.
 * :class:`KBoundedBackend` — count-bit encodings for k-bounded nets
   (:class:`~repro.symbolic.kbounded.KBoundedNet`).
+
+Each session picks its successor function once, when it is built, from
+``spec.resolved_engine``, and calls the net's image methods directly.
 
 New backends (interval-vector sets, ...) implement the same two-method surface and register in :data:`BACKENDS`;
 nothing above this layer changes.
@@ -38,9 +40,9 @@ from ..petri.net import PetriNet
 from ..symbolic.kbounded import KBoundedNet
 from ..symbolic.relational import RelationalNet
 from ..symbolic.transition import SymbolicNet
-from ..symbolic.partition import TraversalLimitError, make_image_engine
+from ..symbolic.partition import TraversalLimitError
 from ..symbolic.zdd_relational import ZddRelationalNet
-from ..symbolic.zdd_traversal import ClassicZddEngine, ZddNet
+from ..symbolic.zdd_traversal import ZddNet
 from .checkpoint import (CheckpointData, CheckpointError, CheckpointStore,
                          net_fingerprint, spec_fingerprint)
 from .result import AnalysisResult
@@ -362,6 +364,14 @@ def _build_encoding(net: PetriNet, spec: AnalysisSpec,
     return SCHEME_CLASSES[spec.scheme](net)
 
 
+def _chained_sweep(relnet, cluster_size) -> Callable:
+    """``(frontier, reached) -> swept``: one chained sweep, narrowed
+    against ``reached``.  The partition is looked up on every call
+    because a reorder may recluster it."""
+    return lambda frontier, reached: relnet.image_chained(
+        frontier, relnet.partitions(cluster_size), reached=reached)
+
+
 # ----------------------------------------------------------------------
 # BDD functional
 # ----------------------------------------------------------------------
@@ -377,9 +387,7 @@ class _BddFunctionalSession(SolverSession):
             encoding, auto_reorder=spec.reorder,
             reorder_threshold=spec.reorder_threshold)
         symnet = self.symbolic_net
-        self._sweep_order = (symnet.support_sorted_transitions()
-                             if spec.chain_order == "support"
-                             else list(symnet.net.transitions))
+        self._sweep_order = symnet.support_sorted_transitions()
         self.reached = symnet.initial
         self.frontier = symnet.initial
         super().__init__(BddFunctionalBackend.name, spec,
@@ -423,7 +431,6 @@ class _BddFunctionalSession(SolverSession):
             reorder_count=symnet.bdd.reorder_count,
             reachable=self.reached,
             extras={"strategy": self.spec.strategy,
-                    "chain_order": self.spec.chain_order,
                     "use_toggle": self.spec.use_toggle})
 
 
@@ -445,14 +452,17 @@ class _BddRelationalSession(SolverSession):
                  encoding_factory: Optional[EncodingFactory]) -> None:
         start = time.perf_counter()
         encoding = _build_encoding(net, spec, encoding_factory)
-        self.symbolic_net = RelationalNet(
+        relnet = self.symbolic_net = RelationalNet(
             encoding, auto_reorder=spec.reorder,
             reorder_threshold=spec.reorder_threshold)
-        self.image_engine = make_image_engine(
-            self.symbolic_net, spec.resolved_engine,
-            spec.resolved_cluster_size)
-        self.reached = self.symbolic_net.initial
-        self.frontier = self.symbolic_net.initial
+        if spec.resolved_engine == "monolithic":
+            self._successors = \
+                lambda frontier, reached: relnet.image_monolithic(frontier)
+        else:
+            self._successors = _chained_sweep(relnet,
+                                              spec.resolved_cluster_size)
+        self.reached = relnet.initial
+        self.frontier = relnet.initial
         super().__init__(BddRelationalBackend.name, spec,
                          time.perf_counter() - start, net=net)
 
@@ -460,8 +470,14 @@ class _BddRelationalSession(SolverSession):
         return self.frontier.is_zero()
 
     def _advance(self) -> None:
-        self.reached, self.frontier = self.image_engine.advance(
-            self.reached, self.frontier)
+        reached = self.reached
+        swept = self._successors(self.frontier, reached)
+        self.reached = reached | swept
+        self.frontier = swept - reached
+        # Nothing but the new roots may stay referenced through the safe
+        # point: what it holds decides what the collection frees, and so
+        # the sifting trajectory and peak every benchmark row records.
+        del reached, swept
         self.symbolic_net.bdd.checkpoint()
 
     def _peak_nodes(self) -> int:
@@ -499,22 +515,19 @@ class _ZddSession(SolverSession):
 
     def __init__(self, net: PetriNet, spec: AnalysisSpec) -> None:
         start = time.perf_counter()
-        engine_name = spec.resolved_engine
-        if engine_name == "classic":
-            self.symbolic_net = ZddNet(
+        if spec.resolved_engine == "classic":
+            znet = self.symbolic_net = ZddNet(
                 net, auto_reorder=spec.reorder,
                 reorder_threshold=spec.reorder_threshold)
-            self.image_engine = ClassicZddEngine(self.symbolic_net)
+            self._successors = \
+                lambda frontier, reached: znet.image_all(frontier)
         else:
-            # ZddRelationalNet is a PartitionedNet, so the generic
-            # factory builds its (chained) engine like the BDD side's.
-            self.symbolic_net = ZddRelationalNet(
+            znet = self.symbolic_net = ZddRelationalNet(
                 net, auto_reorder=spec.reorder,
                 reorder_threshold=spec.reorder_threshold)
-            self.image_engine = make_image_engine(
-                self.symbolic_net, engine_name,
-                spec.resolved_cluster_size)
-        self.zdd = self.symbolic_net.zdd
+            self._successors = _chained_sweep(znet,
+                                              spec.resolved_cluster_size)
+        self.zdd = znet.zdd
         # The fixpoint roots stay referenced for the session's lifetime:
         # the per-iteration safe point may garbage collect (the shared
         # DDManager kernel gave the ZDD manager GC and sifting).
@@ -528,8 +541,9 @@ class _ZddSession(SolverSession):
 
     def _advance(self) -> None:
         zdd = self.zdd
-        reached, frontier = self.image_engine.advance(
-            self.reached, self.frontier)
+        swept = self._successors(self.frontier, self.reached)
+        reached = zdd.union(self.reached, swept)
+        frontier = zdd.diff(swept, self.reached)
         zdd.ref(reached)
         zdd.ref(frontier)
         zdd.deref(self.reached)
@@ -560,7 +574,7 @@ class _ZddSession(SolverSession):
 
     def _finish(self) -> AnalysisResult:
         return self._base_result(
-            markings=self.image_engine.count_markings(self.reached),
+            markings=self.symbolic_net.count_markings(self.reached),
             variables=len(self.symbolic_net.net.places),
             final_nodes=self.zdd.size(self.reached),
             reorder_count=self.zdd.reorder_count,

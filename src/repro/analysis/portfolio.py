@@ -161,7 +161,6 @@ def member_spec(spec: AnalysisSpec, member: str) -> AnalysisSpec:
     bdd: Dict[str, Any] = dict(scheme=spec.scheme, **shared)
     if member == "bdd-functional":
         return AnalysisSpec(strategy=spec.strategy,
-                            chain_order=spec.chain_order,
                             use_toggle=spec.use_toggle, **bdd)
     if member in ("bdd-chained", "bdd-monolithic"):
         return AnalysisSpec(form="relational",

@@ -37,14 +37,13 @@ import logging
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Optional, Tuple, Union
 
-from ..symbolic.partition import (IMAGE_ENGINES, ZDD_RELATIONAL_ENGINES,
-                                   validate_cluster_size)
+from ..symbolic.partition import validate_cluster_size
 
 __all__ = [
     "AnalysisSpec", "SpecError", "SpecWarning",
     "SCHEMES", "BACKEND_FAMILIES", "FORMS", "RELATIONAL_ENGINES",
-    "STRATEGIES",
-    "CHAIN_ORDERS", "DEFAULT_FORM", "DEFAULT_RELATIONAL_ENGINE",
+    "ZDD_RELATIONAL_ENGINES", "STRATEGIES",
+    "DEFAULT_FORM", "DEFAULT_RELATIONAL_ENGINE",
     "DEFAULT_CLUSTER_SIZE", "DEFAULT_REORDER_THRESHOLD",
     "PORTFOLIO_MEMBERS", "DEFAULT_PORTFOLIO_MEMBERS",
     "NONSEMANTIC_FIELDS", "SEMANTIC_FIELDS",
@@ -57,10 +56,13 @@ ClusterSize = Union[int, str]
 SCHEMES = ("sparse", "dense", "improved")
 BACKEND_FAMILIES = ("bdd", "zdd", "portfolio")
 FORMS = ("functional", "relational")
-# The engine catalogue is defined once, next to the engines themselves.
-RELATIONAL_ENGINES = IMAGE_ENGINES
+# The relational engine catalogue: ``chained`` is the one relational
+# sweep, ``monolithic`` the textbook single-relation baseline.  The ZDD
+# backend offers only ``chained``, which beats monolithic on time and
+# peak nodes on every benchmarked net.
+RELATIONAL_ENGINES = ("monolithic", "chained")
+ZDD_RELATIONAL_ENGINES = ("chained",)
 STRATEGIES = ("bfs", "chaining")
-CHAIN_ORDERS = ("net", "support")
 
 # Member catalog for the portfolio backend: each id names one
 # heterogeneous solver configuration the race can spawn (the spec
@@ -92,11 +94,19 @@ DEFAULT_REORDER_THRESHOLD = 2_000
 # says so, never a bare "unknown" that reads like a typo.
 RETIRED_NAMES = {"engine": {"partitioned": "chained"},
                  "portfolio member": {"bdd-partitioned": "bdd-chained"}}
-# Retired semantic fields, at the one value that still loads.  They stay
-# in semantic_fields() so fingerprints written before the retirement
-# keep matching; a stored spec that set one elsewhere describes a run
-# this build cannot reproduce and fails to load.
-RETIRED_FIELD_DEFAULTS = {"simplify_frontier": False}
+# Retired semantic fields, at the one value that still loads, each with
+# the advice its SpecError gives.  They stay in semantic_fields() so
+# fingerprints written before the retirement keep matching; a stored
+# spec that set one elsewhere describes a run this build cannot
+# reproduce and fails to load.
+RETIRED_FIELD_DEFAULTS = {
+    "simplify_frontier": (
+        False, "it won no benchmark row on the structural variable "
+               "order; run the chained relational engine instead"),
+    "chain_order": (
+        "support", "the chaining sweep always fires transitions in "
+                   "support-sorted order; drop the field"),
+}
 
 # Fields that do not change the analysis trajectory: the durability and
 # budget knobs, plus ``max_iterations`` (bounds how far a run gets, not
@@ -120,7 +130,7 @@ NONSEMANTIC_FIELDS = (
 # spec field forces a conscious classification decision here.
 SEMANTIC_FIELDS = (
     "scheme", "backend", "form", "engine", "cluster_size", "strategy",
-    "chain_order", "use_toggle", "reorder", "reorder_threshold",
+    "use_toggle", "reorder", "reorder_threshold",
     "k_bound", "portfolio_members",
 )
 
@@ -180,18 +190,16 @@ class AnalysisSpec:
         positive integer or ``"auto"``.  ``None`` (default) resolves to
         :data:`DEFAULT_CLUSTER_SIZE`; setting it with the functional
         form is a :class:`SpecError`.
-    strategy, chain_order, use_toggle:
+    strategy, use_toggle:
         Functional-BDD traversal knobs, run by
         :class:`~repro.analysis.backends.BddFunctionalBackend`:
         ``strategy="bfs"`` takes one synchronous image per iteration,
         ``"chaining"`` feeds each transition's successors to the next
-        one within the sweep; ``chain_order`` sweeps transitions in net
-        declaration order (``"net"``) or support-sorted order
-        (``"support"``); ``use_toggle`` fires with the Section 5.2
-        toggle operator instead of quantify-and-force.  Together with
-        ``reorder`` they pick the fixpoint trajectory (iteration count,
-        peak nodes).  Inapplicable elsewhere (structured warning when
-        moved off the default).
+        one within the sweep, in support-sorted order; ``use_toggle``
+        fires with the Section 5.2 toggle operator instead of
+        quantify-and-force.  Together with ``reorder`` they pick the
+        fixpoint trajectory (iteration count, peak nodes).  Inapplicable
+        elsewhere (structured warning when moved off the default).
     reorder, reorder_threshold:
         Dynamic variable reordering at traversal safe points.  Applies
         to the BDD backends *and*, since the managers share the
@@ -259,7 +267,6 @@ class AnalysisSpec:
     engine: Optional[str] = None
     cluster_size: Optional[ClusterSize] = None
     strategy: str = "chaining"
-    chain_order: str = "support"
     use_toggle: bool = True
     reorder: bool = True
     reorder_threshold: int = DEFAULT_REORDER_THRESHOLD
@@ -362,7 +369,6 @@ class AnalysisSpec:
         if self.form is not None:
             require(self.form, FORMS, "form")
         require(self.strategy, STRATEGIES, "strategy")
-        require(self.chain_order, CHAIN_ORDERS, "chain_order")
         if self.backend == "portfolio":
             if self.form is not None or self.engine is not None:
                 raise SpecError(
@@ -503,9 +509,6 @@ class AnalysisSpec:
             if self.strategy != "chaining":
                 warn("strategy", f"the {target} engine uses its own "
                                  f"sweep order")
-            if self.chain_order != "support":
-                warn("chain_order", f"the {target} engine uses its own "
-                                    f"sweep order")
             if not self.use_toggle:
                 warn("use_toggle", f"toggle firing only applies to the "
                                    f"functional BDD image, not "
@@ -556,7 +559,7 @@ class AnalysisSpec:
         default): ``scheme``, ``engine`` (the backend family flag),
         ``image`` (``functional`` or a relational engine name; ``None``
         resolves per backend), ``cluster_size``, ``strategy``,
-        ``chain_order``, ``no_reorder``, ``k_bound``,
+        ``no_reorder``, ``k_bound``,
         ``portfolio_members`` (comma-separated member
         ids), ``timeout``, ``member_timeout``, ``checkpoint`` (the
         checkpoint path), ``checkpoint_every``, ``resume``,
@@ -577,8 +580,6 @@ class AnalysisSpec:
             values["cluster_size"] = args.cluster_size
         if getattr(args, "strategy", None) is not None:
             values["strategy"] = args.strategy
-        if getattr(args, "chain_order", None) is not None:
-            values["chain_order"] = args.chain_order
         if getattr(args, "no_reorder", False):
             values["reorder"] = False
         if getattr(args, "k_bound", None) is not None:
@@ -619,7 +620,8 @@ class AnalysisSpec:
         """
         semantic = {key: value for key, value in self.to_dict().items()
                     if key not in NONSEMANTIC_FIELDS}
-        semantic.update(RETIRED_FIELD_DEFAULTS)
+        semantic.update((name, default) for name, (default, _)
+                        in RETIRED_FIELD_DEFAULTS.items())
         return semantic
 
     def semantic_fingerprint(self) -> str:
@@ -653,13 +655,11 @@ class AnalysisSpec:
         both modes, because the loaded spec would claim the wrong run.
         """
         data = dict(data)
-        for name, default in RETIRED_FIELD_DEFAULTS.items():
+        for name, (default, advice) in RETIRED_FIELD_DEFAULTS.items():
             if name in data and data.pop(name) != default:
                 raise SpecError(
-                    f"spec field {name!r} is retired: it won no benchmark "
-                    f"row on the structural variable order, and only "
-                    f"{name}={default!r} still loads; run the chained "
-                    f"relational engine instead")
+                    f"spec field {name!r} is retired, and only "
+                    f"{name}={default!r} still loads: {advice}")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:

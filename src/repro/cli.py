@@ -252,9 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           "ceil(log2(k+1)) count bits per place (the "
                           "paper's unsafe-net extension; BDD backend "
                           "only)")
-    ana.add_argument("--chain-order", default="support",
-                     choices=["net", "support"],
-                     help="sweep order for the chaining strategy")
     ana.add_argument("--no-reorder", action="store_true",
                      help="disable dynamic variable reordering (the BDD "
                           "and ZDD managers share one sifting kernel and "

@@ -1,11 +1,10 @@
-"""Symbolic analysis building blocks: encoded nets, image engines, checks.
+"""Symbolic analysis building blocks: encoded nets, images, checks.
 
 * :class:`SymbolicNet` — encoded net + BDD manager, image/preimage.
 * :mod:`repro.symbolic.partition` — the *generic* relational layer:
   support clustering, disjunctive partitions, reorder-aware
-  reclustering, the chained sweep with diff-based narrowing and the
-  image engines (monolithic | chained), written
-  once over the shared ``repro.dd`` kernel.
+  reclustering and the chained sweep with diff-based narrowing,
+  written once over the shared ``repro.dd`` kernel.
 * :class:`RelationalNet` — the BDD encoding shim over that layer
   (Eq. 3 transition relations).
 * :class:`ZddRelationalNet` — the sparse-ZDD shim over the same layer,
@@ -13,33 +12,27 @@
 * :class:`KBoundedNet` — count-bit encodings for k-bounded nets.
 * :class:`ModelChecker` — deadlock, mutual exclusion, EF/AG queries.
 
-Nothing here runs a reachability fixpoint: :mod:`repro.analysis`
-(``analyze(net, AnalysisSpec())`` or the :class:`~repro.analysis.
-Analysis` session) is the one driver, and these classes are its
-building blocks.
+Nothing here runs a reachability fixpoint or knows which engines
+exist: :mod:`repro.analysis` (``analyze(net, AnalysisSpec())`` or the
+:class:`~repro.analysis.Analysis` session) runs every fixpoint, and
+its sessions call these nets' image methods directly.
 """
 
 from .checker import CheckReport, ModelChecker
 from .kbounded import KBoundedNet
-from .partition import (IMAGE_ENGINES, ZDD_RELATIONAL_ENGINES,
-                        ChainedImageEngine, ImageEngine,
-                        MonolithicImageEngine, PartitionedNet,
-                        RelationPartition, TraversalLimitError,
-                        cluster_by_support, make_image_engine)
+from .partition import (PartitionedNet, RelationPartition,
+                        TraversalLimitError, cluster_by_support)
 from .relational import RelationalNet
 from .transition import SymbolicNet
 from .zdd_relational import (ZddRelationPartition, ZddRelationalNet,
                              ZddSparseRelation, ZddStateOps)
-from .zdd_traversal import ClassicZddEngine, ZddNet
+from .zdd_traversal import ZddNet
 
 __all__ = [
     "SymbolicNet", "RelationalNet", "RelationPartition", "PartitionedNet",
     "cluster_by_support", "TraversalLimitError",
-    "IMAGE_ENGINES", "ZDD_RELATIONAL_ENGINES", "ImageEngine",
-    "make_image_engine",
-    "MonolithicImageEngine", "ChainedImageEngine",
     "ModelChecker", "CheckReport",
-    "ZddNet", "ClassicZddEngine",
+    "ZddNet",
     "ZddRelationalNet", "ZddRelationPartition", "ZddSparseRelation",
     "ZddStateOps",
     "KBoundedNet",

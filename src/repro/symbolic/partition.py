@@ -1,4 +1,4 @@
-"""Generic relational layer: clustering, partitions and image engines.
+"""Generic relational layer: clustering, partitions and the chained sweep.
 
 The paper's central claim is that the encoding choice (dense BDD vs
 sparse ZDD) is orthogonal to the symbolic fixpoint machinery.  This
@@ -11,9 +11,7 @@ module is that machinery, written once and parameterized by the manager:
   construction, per-granularity caching, reorder-driven metadata
   refresh *and* reorder-aware reclustering of ``"auto"`` partitions,
 * the chained sweep with its ``diff``-based frontier narrowing, and
-  the plain Eq. 3 union of per-block images it is checked against,
-* the image engines (monolithic | chained) behind
-  :func:`make_image_engine`.
+  the plain Eq. 3 union of per-block images it is checked against.
 
 :class:`~repro.symbolic.relational.RelationalNet` (boolean encodings on
 a BDD manager) and
@@ -21,7 +19,9 @@ a BDD manager) and
 a ZDD manager) are thin encoding-specific shims over this layer: they
 supply how a sparse relation is built and how one block's image is
 computed; everything about *which* blocks exist, *when* they are
-rebuilt and *how* a sweep composes them lives here.
+rebuilt and *how* a sweep composes them lives here.  The analysis
+sessions (:mod:`repro.analysis.backends`) call the sweep directly and
+own the fixpoint loop around it.
 """
 
 from __future__ import annotations
@@ -39,20 +39,10 @@ __all__ = [
     "ClusterSize", "validate_cluster_size", "cluster_by_support",
     "cluster_greedily",
     "AUTO_MIN_OVERLAP", "AUTO_NODE_BUDGET", "AUTO_MAX_CLUSTER",
-    "RelationPartition", "PartitionedNet",
-    "IMAGE_ENGINES", "ZDD_RELATIONAL_ENGINES", "ImageEngine",
-    "MonolithicImageEngine", "ChainedImageEngine",
-    "make_image_engine", "TraversalLimitError",
+    "RelationPartition", "PartitionedNet", "TraversalLimitError",
 ]
 
 ClusterSize = Union[int, str]
-
-# ``chained`` is the one relational sweep; ``monolithic`` is the
-# textbook single-relation baseline.
-IMAGE_ENGINES = ("monolithic", "chained")
-# The engines a ZDD relational net offers: chained beats monolithic on
-# time and peak nodes on every benchmarked net.
-ZDD_RELATIONAL_ENGINES = ("chained",)
 
 
 # ---------------------------------------------------------------------
@@ -62,7 +52,7 @@ ZDD_RELATIONAL_ENGINES = ("chained",)
 def validate_cluster_size(cluster_size) -> "int | str":
     """Validate a clustering granularity: a positive int or ``"auto"``.
 
-    The single source of truth for every engine factory and
+    The single source of truth for ``AnalysisSpec`` and every
     ``partitions()`` implementation (BDD and ZDD alike), so
     misconfigurations fail fast with one consistent message.  Returns
     the value unchanged on success.
@@ -227,8 +217,6 @@ class PartitionedNet:
 
     net: "PetriNet"
     manager: "DDManager"
-    # The image engines :func:`make_image_engine` builds for this net.
-    image_engines: Tuple[str, ...] = IMAGE_ENGINES
 
     def _init_partition_layer(self) -> None:
         self._partitions: Dict[ClusterSize, List] = {}
@@ -374,7 +362,7 @@ class PartitionedNet:
         """Image as the union of per-block images (Eq. 3).
 
         The reference one-step image the chained sweep and the tests
-        are checked against; no engine runs it.
+        are checked against; no analysis session runs it.
         """
         result = self.state_empty()
         for block in blocks:
@@ -422,7 +410,7 @@ class PartitionedNet:
 
 
 # ---------------------------------------------------------------------
-# Image engines
+# Fixpoint limits
 # ---------------------------------------------------------------------
 
 class TraversalLimitError(RuntimeError):
@@ -445,93 +433,3 @@ class TraversalLimitError(RuntimeError):
         self.reached = reached
         self.frontier = frontier
         self.iterations = iterations
-
-
-class ImageEngine:
-    """Strategy object advancing a reachability fixpoint by one step.
-
-    Subclasses implement :meth:`advance`, mapping ``(reached, frontier)``
-    to the next ``(reached, frontier)`` pair; the fixpoint is hit when
-    the returned frontier is empty.  Engines are generic over the
-    relational net: all state-set algebra goes through the net's
-    ``state_*`` hooks, so the same engine classes drive the BDD and ZDD
-    relational nets.
-    """
-
-    name = "abstract"
-
-    def __init__(self, relnet: PartitionedNet) -> None:
-        self.relnet = relnet
-
-    @property
-    def initial(self):
-        return self.relnet.initial
-
-    def count_markings(self, states) -> int:
-        return self.relnet.count_markings(states)
-
-    def advance(self, reached, frontier):
-        raise NotImplementedError
-
-    def _absorb(self, reached, successors):
-        net = self.relnet
-        return (net.state_union(reached, successors),
-                net.state_diff(successors, reached))
-
-
-class MonolithicImageEngine(ImageEngine):
-    """Single image through the all-transitions relation per step."""
-
-    name = "monolithic"
-
-    def advance(self, reached, frontier):
-        return self._absorb(reached, self.relnet.image_monolithic(frontier))
-
-
-class ChainedImageEngine(ImageEngine):
-    """Support-sorted sweep with frontier accumulation per step.
-
-    The sweep narrows per-block working sets against the states
-    expanded in earlier iterations (see
-    :meth:`PartitionedNet.image_chained`).
-    """
-
-    name = "chained"
-
-    def __init__(self, relnet: PartitionedNet,
-                 cluster_size: ClusterSize = 1) -> None:
-        super().__init__(relnet)
-        self.cluster_size = cluster_size
-
-    @property
-    def partitions(self):
-        return self.relnet.partitions(self.cluster_size)
-
-    def advance(self, reached, frontier):
-        swept = self.relnet.image_chained(frontier, self.partitions,
-                                          reached=reached)
-        return self._absorb(reached, swept)
-
-
-def make_image_engine(relnet: PartitionedNet, engine: str = "chained",
-                      cluster_size: ClusterSize = 1) -> ImageEngine:
-    """Factory for the relational image engines by name.
-
-    ``cluster_size`` must be a positive integer or ``"auto"`` (adaptive
-    support-overlap clustering); ``engine`` one of the net's
-    ``image_engines`` (:data:`IMAGE_ENGINES` for a BDD relational net,
-    :data:`ZDD_RELATIONAL_ENGINES` for a ZDD one).  Both are validated
-    here so misconfigurations fail fast with a clear message instead of
-    deep inside ``partitions()``.
-    """
-    validate_cluster_size(cluster_size)
-    if engine not in IMAGE_ENGINES:
-        raise ValueError(f"unknown image engine {engine!r}; "
-                         f"expected one of {IMAGE_ENGINES}")
-    if engine not in relnet.image_engines:
-        raise ValueError(f"image engine {engine!r} is not offered by "
-                         f"{type(relnet).__name__}; expected one of "
-                         f"{relnet.image_engines}")
-    if engine == "monolithic":
-        return MonolithicImageEngine(relnet)
-    return ChainedImageEngine(relnet, cluster_size)

@@ -11,16 +11,19 @@ All clustering, partition caching, reorder refresh and sweep algorithms
 live in the shared generic layer
 (:class:`~repro.symbolic.partition.PartitionedNet`); this module
 supplies only the boolean-encoding specifics — how a sparse relation
-BDD is built and how a block's image is computed.  Two relation forms
-feed the image engines of :mod:`repro.symbolic.partition`:
+BDD is built and how a block's image is computed.  The relational
+analysis session calls one of two images per fixpoint step:
 
-* **monolithic** — one relation ``R = OR_t R_t`` (the textbook baseline;
-  the relation BDD itself is often huge),
-* **chained** — the disjunctive partition of Eq. 3, kept per transition
-  or clustered by support into groups of a configurable size (small
-  relations, one relational product each), applied in support-sorted
-  order while accumulating successors, so states discovered by an early
-  block are expanded by later ones within the same sweep.
+* **monolithic** — :meth:`RelationalNet.image_monolithic` through one
+  relation ``R = OR_t R_t`` (the textbook baseline; the relation BDD
+  itself is often huge),
+* **chained** — :meth:`~repro.symbolic.partition.PartitionedNet.
+  image_chained` over the disjunctive partition of Eq. 3, kept per
+  transition or clustered by support into groups of a configurable size
+  (small relations, one relational product each), applied in
+  support-sorted order while accumulating successors, so states
+  discovered by an early block are expanded by later ones within the
+  same sweep.
 """
 
 from __future__ import annotations

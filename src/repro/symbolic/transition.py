@@ -23,7 +23,7 @@ nor the toggled copy or cofactor.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence
+from typing import Dict, FrozenSet, List, Optional
 
 from ..bdd import BDD, Function, cube, false
 from ..encoding.characteristic import (declare_variables,
@@ -104,14 +104,14 @@ class SymbolicNet:
             states, dict(self.specs[transition].force),
             self.enabling[transition])
 
-    def image_all(self, states: Function, use_toggle: bool = False,
-                  order: Optional[Sequence[str]] = None) -> Function:
+    def image_all(self, states: Function,
+                  use_toggle: bool = False) -> Function:
         """Successors under all transitions (disjunctively partitioned,
-        Eq. 3), fired in ``order`` (net order by default)."""
+        Eq. 3), fired in net order."""
         step = (self.image_toggle_into if use_toggle
                 else lambda acc, s, t: acc | self.image(s, t))
         result = false(self.bdd)
-        for transition in (self.net.transitions if order is None else order):
+        for transition in self.net.transitions:
             result = step(result, states, transition)
         return result
 
@@ -129,20 +129,10 @@ class SymbolicNet:
 
     def support_sorted_transitions(self) -> List[str]:
         """Transitions ordered by the top level of their support."""
-        return [t for cluster in self.transition_clusters(1)
+        return [t for cluster in cluster_by_support(
+                    self.net.transitions, self.transition_support,
+                    self.bdd.level_of_var, 1)
                 for t in cluster]
-
-    def transition_clusters(self, cluster_size: int = 1) -> List[List[str]]:
-        """Support-sorted transition clusters of at most ``cluster_size``."""
-        return cluster_by_support(self.net.transitions,
-                                  self.transition_support,
-                                  self.bdd.level_of_var, cluster_size)
-
-    def image_cluster(self, states: Function, transitions: Sequence[str],
-                      use_toggle: bool = False) -> Function:
-        """Successors under one cluster of transitions."""
-        return self.image_all(states, use_toggle=use_toggle,
-                              order=transitions)
 
     def preimage_all(self, states: Function) -> Function:
         """Predecessors under all transitions."""

@@ -48,7 +48,7 @@ from ..dd.manager import DEFAULT_REORDER_GROWTH
 from ..petri.marking import Marking
 from ..petri.net import PetriNet
 from ..petri.order import place_order
-from .partition import ZDD_RELATIONAL_ENGINES, ClusterSize, PartitionedNet
+from .partition import ClusterSize, PartitionedNet
 
 __all__ = ["ZddSparseRelation", "ZddRelationPartition", "ZddStateOps",
            "ZddRelationalNet", "ClusterSize"]
@@ -154,8 +154,6 @@ class ZddRelationalNet(ZddStateOps, PartitionedNet):
     reorder_threshold:
         Live-node threshold for the automatic sifting trigger.
     """
-
-    image_engines = ZDD_RELATIONAL_ENGINES
 
     def __init__(self, net: PetriNet, zdd: Optional[ZDD] = None,
                  auto_reorder: bool = False,

@@ -6,12 +6,12 @@ the sparse encoding, but in a structure that charges nothing for absent
 places).  :class:`ZddNet` is that baseline's *classic* image: firing a
 transition on a family is a chain of element operations (``subset1``
 over every input place, ``change`` over self-loops and outputs), one
-pass per place per transition, advanced one fixpoint step at a time by
-:class:`ClassicZddEngine`.
+pass per place per transition, one :meth:`ZddNet.image_all` per
+fixpoint step.
 
 The relational-product form lives in
-:class:`~repro.symbolic.zdd_relational.ZddRelationalNet`, driven by the
-generic chained engine of :mod:`repro.symbolic.partition`.  Both run
+:class:`~repro.symbolic.zdd_relational.ZddRelationalNet`, swept by the
+generic chained sweep of :mod:`repro.symbolic.partition`.  Both run
 behind ``repro.analysis.analyze(net, AnalysisSpec(backend="zdd"))``,
 whose session owns the fixpoint loop and its per-iteration safe point.
 """
@@ -24,7 +24,6 @@ from ..bdd.zdd import ZDD
 from ..dd.manager import DEFAULT_REORDER_GROWTH
 from ..petri.net import PetriNet
 from ..petri.order import place_order
-from .partition import ImageEngine
 from .zdd_relational import ZddStateOps
 
 
@@ -87,11 +86,3 @@ class ZddNet(ZddStateOps):
             result = self.zdd.union(result, self.image(states, transition))
         return result
 
-
-class ClassicZddEngine(ImageEngine):
-    """Per-transition subset1/change rewriting (the original loop)."""
-
-    name = "classic"
-
-    def advance(self, reached, frontier):
-        return self._absorb(reached, self.relnet.image_all(frontier))

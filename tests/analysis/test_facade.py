@@ -7,7 +7,8 @@ from repro.analysis import (Analysis, AnalysisSpec, KBoundedBackend,
                             SpecError, ZddBackend, analyze, backend_for)
 from repro.encoding import ImprovedEncoding
 from repro.petri import ReachabilityGraph
-from repro.symbolic import RelationalNet, SymbolicNet, ZddNet
+from repro.symbolic import (RelationalNet, SymbolicNet, ZddNet,
+                            ZddRelationalNet)
 
 NETS = ("figure1", "phil4")
 
@@ -173,6 +174,70 @@ class TestBackendRouting:
             Analysis(net, AnalysisSpec(backend="zdd",
                                        form="functional")).symbolic_net,
             ZddNet)
+
+
+class TestSiftingTrajectory:
+    """A relational session holds only its new roots through each safe
+    point.  What stays referenced there decides what the collection
+    frees, and with sifting on that moves the whole trajectory, so each
+    session is stepped against a reference loop that drops the swept
+    set before ``checkpoint()``."""
+
+    @staticmethod
+    def bdd_reference(net, threshold):
+        relnet = RelationalNet(ImprovedEncoding(net), auto_reorder=True,
+                               reorder_threshold=threshold)
+        bdd = relnet.bdd
+        reached = frontier = relnet.initial
+        iterations = 0
+        while not frontier.is_zero():
+            swept = relnet.image_chained(
+                frontier, relnet.partitions("auto"), reached=reached)
+            reached, frontier = reached | swept, swept - reached
+            del swept
+            bdd.checkpoint()
+            iterations += 1
+        return (iterations, bdd.peak_live_nodes, bdd.reorder_count,
+                reached.node)
+
+    @staticmethod
+    def zdd_reference(net, threshold):
+        relnet = ZddRelationalNet(net, auto_reorder=True,
+                                  reorder_threshold=threshold)
+        zdd = relnet.zdd
+        reached = zdd.ref(relnet.initial)
+        frontier = zdd.ref(relnet.initial)
+        iterations = 0
+        while frontier != zdd.empty():
+            swept = relnet.image_chained(
+                frontier, relnet.partitions("auto"), reached=reached)
+            new_reached = zdd.ref(zdd.union(reached, swept))
+            new_frontier = zdd.ref(zdd.diff(swept, reached))
+            zdd.deref(reached)
+            zdd.deref(frontier)
+            reached, frontier = new_reached, new_frontier
+            zdd.checkpoint()
+            iterations += 1
+        zdd.live_nodes()
+        return (iterations, zdd.peak_live_nodes, zdd.reorder_count,
+                reached)
+
+    @pytest.mark.parametrize("net_name, spec", [
+        ("slot4", AnalysisSpec(form="relational")),
+        ("phil6", AnalysisSpec(form="relational")),
+        ("dme3", AnalysisSpec(backend="zdd"))],
+        ids=["slot4-relational", "phil6-relational", "dme3-zdd"])
+    def test_session_matches_the_reference_loop(self, make_net, net_name,
+                                                spec):
+        result = Analysis(make_net(net_name), spec).run()
+        assert result.reorder_count > 0
+        reference = (self.zdd_reference if spec.backend == "zdd"
+                     else self.bdd_reference)(make_net(net_name),
+                                              spec.reorder_threshold)
+        reached = result.reachable
+        assert (result.iterations, result.peak_nodes,
+                result.reorder_count,
+                getattr(reached, "node", reached)) == reference
 
 
 class TestRunnerIntegration:

@@ -56,13 +56,11 @@ class TestMemberCatalog:
 
     def test_options_thread_through_to_members(self):
         parent = AnalysisSpec(backend="portfolio", scheme="sparse",
-                              strategy="bfs", chain_order="net",
-                              use_toggle=False, reorder=False,
-                              max_iterations=50, k_bound=2)
+                              strategy="bfs", use_toggle=False,
+                              reorder=False, max_iterations=50, k_bound=2)
         functional = member_spec(parent, "bdd-functional")
         assert functional.scheme == "sparse"
         assert functional.strategy == "bfs"
-        assert functional.chain_order == "net"
         assert functional.use_toggle is False
         chained = member_spec(parent, "bdd-chained")
         assert chained.engine == "chained"

@@ -63,7 +63,6 @@ class TestValidationErrors:
         {"form": "algebraic"},
         {"engine": "quantum"},
         {"strategy": "dfs"},
-        {"chain_order": "random"},
         {"engine": "chained"},                       # functional form
         {"form": "functional", "engine": "chained"},
         {"cluster_size": 4},                         # functional form
@@ -126,10 +125,8 @@ class TestWarnings:
         assert "scheme='sparse' ignored" in sparse.render()
 
     def test_strategy_warns_off_the_functional_path(self):
-        spec = AnalysisSpec(form="relational", strategy="bfs",
-                            chain_order="net")
-        assert {w.option for w in spec.warnings()} == {"strategy",
-                                                       "chain_order"}
+        spec = AnalysisSpec(form="relational", strategy="bfs")
+        assert {w.option for w in spec.warnings()} == {"strategy"}
         assert AnalysisSpec(strategy="bfs").warnings() == ()
 
     def test_monolithic_cluster_size_warns(self):
@@ -290,7 +287,7 @@ class TestFieldClassification:
 
     EXPECTED_SEMANTIC = {
         "scheme", "backend", "form", "engine", "cluster_size",
-        "strategy", "chain_order", "use_toggle", "reorder",
+        "strategy", "use_toggle", "reorder",
         "reorder_threshold", "k_bound", "portfolio_members",
     }
     EXPECTED_NONSEMANTIC = {
@@ -339,7 +336,6 @@ class TestFieldClassification:
                              dict(form="relational", engine="chained",
                                   cluster_size=3)),
             "strategy": (dict(), dict(strategy="bfs")),
-            "chain_order": (dict(), dict(chain_order="net")),
             "use_toggle": (dict(), dict(use_toggle=False)),
             "reorder": (dict(), dict(reorder=False)),
             "reorder_threshold": (dict(), dict(reorder_threshold=999)),
@@ -462,12 +458,13 @@ class TestSerialEngineCatalogue:
     on an analysis fails loudly instead of being silently ignored."""
 
     def test_engine_catalogues_are_serial(self):
-        from repro.analysis import PORTFOLIO_MEMBERS, RELATIONAL_ENGINES
-        from repro.symbolic import IMAGE_ENGINES
-        serial = ("monolithic", "chained")
-        # One catalogue, defined next to the engines.
-        assert RELATIONAL_ENGINES is IMAGE_ENGINES
-        assert IMAGE_ENGINES == serial
+        import repro.symbolic
+        from repro.analysis import (PORTFOLIO_MEMBERS, RELATIONAL_ENGINES,
+                                    ZDD_RELATIONAL_ENGINES)
+        # One catalogue, defined in the spec that validates it.
+        assert RELATIONAL_ENGINES == ("monolithic", "chained")
+        assert ZDD_RELATIONAL_ENGINES == ("chained",)
+        assert not hasattr(repro.symbolic, "IMAGE_ENGINES")
         assert not [m for m in PORTFOLIO_MEMBERS if m.endswith("-mp")]
 
     def test_workers_is_not_a_spec_field(self):
@@ -564,10 +561,56 @@ class TestRetiredPartitionedEngine:
             AnalysisSpec(simplify_frontier=True)
 
     @pytest.mark.parametrize("flags", [["--image", "partitioned"],
-                                       ["--simplify-frontier"]])
+                                       ["--simplify-frontier"],
+                                       ["--chain-order", "support"]])
     def test_cli_rejects_retired_flags(self, flags, capsys):
         from repro.cli import main
         with pytest.raises(SystemExit) as excinfo:
             main(["analyze", "--net", "muller", "--n", "2"] + flags)
         assert excinfo.value.code == 2
-        assert flags[-1] in capsys.readouterr().err
+        assert flags[0] in capsys.readouterr().err
+
+
+class TestRetiredChainOrder:
+    """``chain_order`` had one value in use: the chaining sweep always
+    fires in support-sorted order.  A stored ``"support"`` still loads
+    with its old fingerprint; a stored ``"net"`` describes a run this
+    build cannot reproduce and fails with advice of its own."""
+
+    def test_chain_order_is_not_a_spec_field(self):
+        with pytest.raises(TypeError):
+            AnalysisSpec(chain_order="support")
+        assert "chain_order" not in AnalysisSpec().to_dict()
+
+    def test_stored_support_loads_with_the_default_fingerprint(self):
+        loaded = AnalysisSpec.from_dict(
+            dict(AnalysisSpec().to_dict(), chain_order="support"))
+        assert loaded == AnalysisSpec()
+        assert loaded.semantic_fingerprint() == "d7b8967606abd9af"
+
+    @pytest.mark.parametrize("ignore_unknown", [False, True])
+    def test_stored_net_order_fails_naming_the_field(self,
+                                                     ignore_unknown):
+        spec_fields = dict(AnalysisSpec(strategy="bfs").to_dict(),
+                           chain_order="net")
+        with pytest.raises(SpecError, match="'chain_order' is retired"
+                           ) as excinfo:
+            AnalysisSpec.from_dict(spec_fields,
+                                   ignore_unknown=ignore_unknown)
+        # Each retired field gives its own advice.
+        assert "support-sorted" in str(excinfo.value)
+        assert "chained relational" not in str(excinfo.value)
+
+    def test_result_with_net_order_fails_loudly(self):
+        from repro.analysis import AnalysisResult
+        payload = {
+            "schema": 1, "schema_minor": 1,
+            "spec": dict(AnalysisSpec().to_dict(), chain_order="net"),
+            "engine": "functional", "markings": 8, "iterations": 2,
+            "variables": 4, "final_nodes": 8, "peak_nodes": 48,
+            "seconds": 0.01, "reorder_count": 0, "status": "complete",
+            "extras": {"strategy": "chaining", "chain_order": "net",
+                       "use_toggle": True},
+        }
+        with pytest.raises(SpecError, match="'chain_order' is retired"):
+            AnalysisResult.from_dict(payload)

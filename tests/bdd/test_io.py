@@ -73,8 +73,7 @@ class TestRoundTrip:
         from repro.analysis import Analysis, AnalysisSpec
         from repro.petri.generators import figure4_net
         analysis = Analysis(figure4_net(), AnalysisSpec(
-            strategy="bfs", chain_order="net", use_toggle=False,
-            reorder=False))
+            strategy="bfs", use_toggle=False, reorder=False))
         symnet = analysis.symbolic_net
         reached = analysis.reachable
         text = dump_functions({"reachable": reached})

@@ -121,8 +121,7 @@ class TestPipelineStage:
         net = pipeline_stage().to_petri_net()
         expected = len(ReachabilityGraph(net))
         result = analyze(net, AnalysisSpec(
-            strategy="bfs", chain_order="net", use_toggle=False,
-            reorder=False))
+            strategy="bfs", use_toggle=False, reorder=False))
         assert result.markings == expected
 
     def test_handshake_order(self):

@@ -115,6 +115,27 @@ class TestBatch:
         assert [r["id"] for r in responses] \
             == ["ok", "line-1", "nosuch", "badspec"]
 
+    def test_retired_chain_order_line_gets_a_spec_error(self, tmp_path):
+        """A request carrying the retired ``chain_order`` field gets a
+        structured error naming it when it asks for net order; the one
+        value that still loads runs as the default spec."""
+        requests = write_requests(tmp_path, [
+            {"id": "net", "family": "figure1",
+             "spec": {"chain_order": "net"}},
+            {"id": "support", "family": "figure1",
+             "spec": {"chain_order": "support"}},
+        ])
+        out = tmp_path / "responses.jsonl"
+        assert main(["batch", requests, "-o", str(out),
+                     "--workers", "0"]) == 1
+        retired, support = read_responses(out)
+        assert retired["id"] == "net"
+        assert retired["status"] == "error"
+        assert retired["error"]["kind"] == "SpecError"
+        assert "chain_order" in retired["error"]["detail"]
+        assert support["status"] == "ok"
+        assert support["result"]["markings"] == 8
+
     def test_missing_net_file_error_keeps_request_id(self, tmp_path):
         requests = write_requests(
             tmp_path, [{"id": "lost", "net": "no/such/net.pnet"}])

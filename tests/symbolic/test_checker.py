@@ -14,8 +14,7 @@ from repro.petri.reachability import ReachabilityGraph
 from repro.symbolic import ModelChecker, SymbolicNet
 
 # Plain BFS on a fixed variable order.
-BFS = AnalysisSpec(strategy="bfs", chain_order="net", use_toggle=False,
-                   reorder=False)
+BFS = AnalysisSpec(strategy="bfs", use_toggle=False, reorder=False)
 
 
 @pytest.fixture(scope="module")

@@ -18,21 +18,18 @@ Small instances run in tier-1; the large configurations are marked
 
 import pytest
 
-from repro.analysis import (DEFAULT_PORTFOLIO_MEMBERS, Analysis,
-                            AnalysisSpec, PortfolioBackend,
-                            WorkerHarness, analyze, member_spec)
+from repro.analysis import (DEFAULT_PORTFOLIO_MEMBERS, RELATIONAL_ENGINES,
+                            ZDD_RELATIONAL_ENGINES, Analysis, AnalysisSpec,
+                            PortfolioBackend, WorkerHarness, analyze,
+                            member_spec)
 from repro.bdd import cube
 from repro.petri import Marking, ReachabilityGraph
-from repro.symbolic import IMAGE_ENGINES
 from repro.symbolic.checker import ModelChecker
 
 # Every generator family in tier-1 reach, at small sizes.
 SMALL_NETS = ["figure1", "phil3", "slot2", "muller3", "dme2", "jjreg-a2"]
 # Larger configurations of the same families, outside tier-1.
 LARGE_NETS = ["phil6", "slot3", "muller5", "dme3", "dmecir2", "jjreg-a3"]
-
-BDD_ENGINES = IMAGE_ENGINES
-ZDD_RELATIONAL_ENGINES = ("chained",)
 
 # Every surviving configuration on a fixed variable order; the reorder
 # variants below switch sifting on.
@@ -85,7 +82,7 @@ def run_differential_matrix(name, make_net):
     explicit = explicit_marking_set(net)
     assert explicit
 
-    for engine in BDD_ENGINES:
+    for engine in RELATIONAL_ENGINES:
         assert_bdd_run_matches(make_net(name),
                                BDD_RELATIONAL.replace(engine=engine),
                                explicit, (name, f"bdd/{engine}"))

@@ -9,13 +9,13 @@ all image engines reach the same fixpoint on the generator nets.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import Analysis, AnalysisSpec, analyze
+from repro.analysis import (RELATIONAL_ENGINES, Analysis, AnalysisSpec,
+                            SpecError, analyze)
 from repro.encoding import ImprovedEncoding, SparseEncoding
 from repro.petri import ReachabilityGraph
 from repro.petri.generators import (figure1_net, figure4_net, muller,
                                     philosophers, slotted_ring)
-from repro.symbolic import (IMAGE_ENGINES, RelationalNet, SymbolicNet,
-                            cluster_by_support, make_image_engine)
+from repro.symbolic import RelationalNet, SymbolicNet, cluster_by_support
 
 # Net instances come from the shared fixtures in tests/conftest.py
 # (make_net builds them, explicit_counts is the enumeration oracle).
@@ -184,7 +184,7 @@ class TestPartitions:
 
 class TestImageEngines:
     @pytest.mark.parametrize("name", FAMILIES)
-    @pytest.mark.parametrize("engine", IMAGE_ENGINES)
+    @pytest.mark.parametrize("engine", RELATIONAL_ENGINES)
     def test_engines_reach_explicit_fixpoint(self, name, engine, make_net,
                                              explicit_counts):
         result = analyze(make_net(name), relational(engine, 3))
@@ -215,7 +215,7 @@ class TestImageEngines:
                 analyze(make_net(name),
                         relational(engine, cluster_size,
                                    scheme=scheme)).markings
-                for engine in IMAGE_ENGINES}
+                for engine in RELATIONAL_ENGINES}
             assert counts == {explicit_counts[name]}
 
     def test_engines_match_functional_traversal(self, make_net,
@@ -223,7 +223,6 @@ class TestImageEngines:
         for name in FAMILIES:
             functional = analyze(make_net(name),
                                  AnalysisSpec(strategy="chaining",
-                                              chain_order="support",
                                               reorder=False))
             chained = analyze(make_net(name), relational("chained", 2))
             assert functional.markings == chained.markings \
@@ -236,7 +235,7 @@ class TestImageEngines:
         assert chained.markings == bfs.markings
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SpecError, match="monolithic"):
             relational("quantum")
 
     def test_max_iterations_guard(self):
@@ -245,16 +244,11 @@ class TestImageEngines:
 
     @pytest.mark.parametrize("junk", [0, -3, 2.5, "junk", None, True])
     def test_bad_cluster_size_rejected_up_front(self, junk):
-        """make_image_engine must fail fast with a message naming the
-        valid values, not deep inside partitions()."""
+        """partitions() fails fast with a message naming the valid
+        values before it clusters anything."""
         relnet = RelationalNet(ImprovedEncoding(figure4_net()))
         with pytest.raises(ValueError, match="auto"):
-            make_image_engine(relnet, "chained", cluster_size=junk)
-
-    def test_unknown_engine_message_names_engines(self):
-        relnet = RelationalNet(ImprovedEncoding(figure4_net()))
-        with pytest.raises(ValueError, match="monolithic"):
-            make_image_engine(relnet, "quantum")
+            relnet.partitions(junk)
 
 
 # ---------------------------------------------------------------------
@@ -263,7 +257,7 @@ class TestImageEngines:
 
 class TestAdaptiveTraversal:
     @pytest.mark.parametrize("name", FAMILIES)
-    @pytest.mark.parametrize("engine", IMAGE_ENGINES)
+    @pytest.mark.parametrize("engine", RELATIONAL_ENGINES)
     def test_engines_agree_with_reordering_enabled(self, name, engine,
                                                    make_net,
                                                    explicit_counts):
@@ -289,12 +283,14 @@ class TestAdaptiveTraversal:
                                bdd=BDD(), auto_reorder=True,
                                reorder_threshold=100)
         assert relnet.bdd.auto_reorder
-        # Step the engine by hand: the fixpoint runs on this net's own
-        # manager, with its safe point after every step.
-        engine = make_image_engine(relnet, "chained")
+        # Step the chained sweep by hand: the fixpoint runs on this
+        # net's own manager, with its safe point after every step.
         reached = frontier = relnet.initial
         while not frontier.is_zero():
-            reached, frontier = engine.advance(reached, frontier)
+            swept = relnet.image_chained(frontier, relnet.partitions(1),
+                                         reached=reached)
+            reached, frontier = reached | swept, swept - reached
+            del swept
             relnet.bdd.checkpoint()
         assert relnet.bdd.reorder_count > 0
         assert relnet.count_markings(reached) == explicit_counts["phil3"]
@@ -335,14 +331,15 @@ class TestAdaptiveTraversal:
         assert relnet.image_partitioned(states, blocks) \
             == relnet.image_all(states)
 
-    def test_sparse_relations_cached_across_engine_builds(self):
-        """Repeated engine construction (ablation sweeps) must reuse the
-        sparse relations and supports instead of re-walking them."""
+    def test_sparse_relations_cached_across_granularities(self):
+        """Building partitions at several granularities (ablation
+        sweeps) must reuse the sparse relations and supports instead of
+        re-walking them."""
         relnet = RelationalNet(ImprovedEncoding(philosophers(3)))
         first = relnet.sparse_relations()
-        make_image_engine(relnet, "chained", 1).partitions
-        make_image_engine(relnet, "chained", 4).partitions
-        make_image_engine(relnet, "chained", "auto").partitions
+        relnet.partitions(1)
+        relnet.partitions(4)
+        relnet.partitions("auto")
         assert relnet.sparse_relations() is first
         transition = relnet.net.transitions[0]
         assert relnet.transition_support(transition) \
@@ -405,30 +402,9 @@ class TestFunctionalClusters:
         assert sorted(symnet.support_sorted_transitions()) \
             == sorted(symnet.net.transitions)
 
-    def test_transition_clusters_cover_all(self):
-        symnet = SymbolicNet(ImprovedEncoding(slotted_ring(2)))
-        for cluster_size in (1, 3):
-            clusters = symnet.transition_clusters(cluster_size)
-            seen = [t for cluster in clusters for t in cluster]
-            assert sorted(seen) == sorted(symnet.net.transitions)
-
-    def test_image_cluster_unions_members(self):
-        symnet = SymbolicNet(ImprovedEncoding(figure1_net()))
-        states = symnet.initial
-        cluster = list(symnet.net.transitions)[:3]
-        expected = symnet.image(states, cluster[0])
-        for transition in cluster[1:]:
-            expected = expected | symnet.image(states, transition)
-        assert symnet.image_cluster(states, cluster) == expected
-
     def test_support_chain_order_reaches_fixpoint(self, make_net,
                                                   explicit_counts):
         for name in FAMILIES:
             result = analyze(make_net(name), AnalysisSpec(
-                strategy="chaining", chain_order="support",
-                use_toggle=False, reorder=False))
+                strategy="chaining", use_toggle=False, reorder=False))
             assert result.markings == explicit_counts[name]
-
-    def test_unknown_chain_order_rejected(self):
-        with pytest.raises(ValueError):
-            AnalysisSpec(strategy="chaining", chain_order="random")

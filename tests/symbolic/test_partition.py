@@ -3,20 +3,19 @@
 Covers the behaviours the unified layer added on top of the old
 per-manager copies: reorder-aware reclustering of ``"auto"`` partitions,
 diff-based working-set narrowing of the chained sweep, and the fact that
-one engine class hierarchy drives both managers.  It also pins the
-order independence of the Eq. 3 union of per-block images.
+one chained sweep drives both managers.  It also pins the order
+independence of the Eq. 3 union of per-block images.
 """
 
 import random
 
 import pytest
 
-from repro.analysis import Analysis, AnalysisSpec, analyze
+from repro.analysis import (RELATIONAL_ENGINES, Analysis, AnalysisSpec,
+                            analyze)
 from repro.encoding import ImprovedEncoding
 from repro.petri.generators import figure4_net, philosophers, slotted_ring
-from repro.symbolic import (IMAGE_ENGINES, ZDD_RELATIONAL_ENGINES,
-                            ChainedImageEngine, ImageEngine, RelationalNet,
-                            ZddRelationalNet, make_image_engine)
+from repro.symbolic import RelationalNet, ZddRelationalNet
 from repro.symbolic.partition import PartitionedNet
 
 # Relational fixpoints on a fixed variable order (BDD and ZDD).
@@ -24,30 +23,69 @@ BDD_RELATIONAL = AnalysisSpec(form="relational", reorder=False)
 ZDD_CHAINED = AnalysisSpec(backend="zdd", engine="chained", reorder=False)
 
 
+def chained_step(relnet, reached, frontier, cluster_size):
+    """One chained fixpoint step by hand: sweep, then absorb the swept
+    set into ``reached`` and keep what is new as the frontier."""
+    swept = relnet.image_chained(frontier, relnet.partitions(cluster_size),
+                                 reached=reached)
+    return (relnet.state_union(reached, swept),
+            relnet.state_diff(swept, reached))
+
+
 class TestUnifiedLayer:
     def test_both_nets_share_the_partition_layer(self):
         assert issubclass(RelationalNet, PartitionedNet)
         assert issubclass(ZddRelationalNet, PartitionedNet)
 
-    def test_zdd_engines_are_the_generic_engines(self):
-        """The relational ZDD session runs the same engine class that
-        drives the BDD net."""
-        analysis = Analysis(figure4_net(), ZDD_CHAINED.replace(
-            cluster_size=2))
-        engine = analysis.session.image_engine
-        assert type(engine) is ChainedImageEngine
-        assert engine.name == "chained"
-        assert engine.relnet is analysis.symbolic_net
+    @pytest.mark.parametrize("spec", [
+        BDD_RELATIONAL.replace(cluster_size=2),
+        ZDD_CHAINED.replace(cluster_size=2)], ids=["bdd", "zdd"])
+    def test_sessions_run_the_generic_chained_sweep(self, spec):
+        """Both relational sessions step through the shared
+        ``PartitionedNet.image_chained`` at the spec's granularity,
+        narrowed against their reached set."""
+        analysis = Analysis(figure4_net(), spec)
+        relnet = analysis.symbolic_net
+        calls = []
+        original = relnet.image_chained
 
-    def test_generic_factory_serves_the_zdd_net_too(self):
-        """make_image_engine is manager-agnostic: handing it a ZDD
-        relational net yields a working chained engine."""
+        def spy(states, blocks, reached=None):
+            calls.append((blocks, reached))
+            return original(states, blocks, reached=reached)
+
+        relnet.image_chained = spy
+        reached = analysis.session.reached
+        analysis.step()
+        assert calls == [(relnet.partitions(2), reached)]
+
+    @pytest.mark.parametrize("spec, image", [
+        (BDD_RELATIONAL.replace(engine="monolithic"), "image_monolithic"),
+        (AnalysisSpec(backend="zdd", form="functional", reorder=False),
+         "image_all")], ids=["bdd-monolithic", "zdd-classic"])
+    def test_sessions_call_their_nets_image(self, spec, image):
+        """The other engines are one call on the session's net per
+        step, on the frontier alone."""
+        analysis = Analysis(figure4_net(), spec)
+        net = analysis.symbolic_net
+        calls = []
+        original = getattr(net, image)
+
+        def spy(states):
+            calls.append(states)
+            return original(states)
+
+        setattr(net, image, spy)
+        frontier = analysis.session.frontier
+        analysis.step()
+        assert calls == [frontier]
+
+    def test_chained_sweep_serves_the_zdd_net_too(self):
+        """The chained sweep is manager-agnostic: a ZDD relational net
+        stepped by hand reaches its fixpoint."""
         relnet = ZddRelationalNet(slotted_ring(2))
-        engine = make_image_engine(relnet, "chained", cluster_size=2)
-        assert isinstance(engine, ImageEngine)
         reached = frontier = relnet.initial
         while not relnet.state_is_empty(frontier):
-            reached, frontier = engine.advance(reached, frontier)
+            reached, frontier = chained_step(relnet, reached, frontier, 2)
             relnet.zdd.checkpoint()
         assert relnet.count_markings(reached) == 40
 
@@ -74,7 +112,6 @@ class TestChainedNarrowing:
         earlier iterations: successors of the already-expanded states
         may be dropped from the sweep result (they are in reached)."""
         relnet = ZddRelationalNet(slotted_ring(2))
-        engine = make_image_engine(relnet, "chained", 1)
         reached = frontier = relnet.initial
         seen_work = []
         original = relnet.image_partition
@@ -85,10 +122,10 @@ class TestChainedNarrowing:
 
         relnet.image_partition = spy
         try:
-            reached, frontier = engine.advance(reached, frontier)
+            reached, frontier = chained_step(relnet, reached, frontier, 1)
             first_counts = list(seen_work)
             seen_work.clear()
-            reached, frontier = engine.advance(reached, frontier)
+            reached, frontier = chained_step(relnet, reached, frontier, 1)
         finally:
             relnet.image_partition = original
         # Second iteration blocks never see the full reached family.
@@ -99,9 +136,10 @@ class TestChainedNarrowing:
 
     @pytest.mark.parametrize("spec", [
         BDD_RELATIONAL.replace(engine=engine, cluster_size=2)
-        for engine in IMAGE_ENGINES] + [
+        for engine in RELATIONAL_ENGINES] + [
         ZDD_CHAINED.replace(cluster_size=2)],
-        ids=[f"bdd-{engine}" for engine in IMAGE_ENGINES] + ["zdd-chained"])
+        ids=[f"bdd-{engine}" for engine in RELATIONAL_ENGINES]
+        + ["zdd-chained"])
     def test_fixpoints_agree_across_narrowing_paths(self, spec, make_net,
                                                     explicit_counts):
         for name in ("figure4", "slot2", "phil3"):
@@ -208,39 +246,3 @@ def test_image_partitioned_is_order_independent(make_net):
         rng.shuffle(shuffled)
         assert relnet.image_partitioned(states, shuffled) == baseline
 
-
-@pytest.mark.parametrize("family, engine", [("bdd", "monolithic"),
-                                            ("zdd", "chained")])
-def test_engine_factories_take_no_worker_options(family, engine, make_net):
-    """Every image engine runs in-process; the one factory accepts only
-    the engine name and granularity, for either manager."""
-    if family == "bdd":
-        relnet = RelationalNet(ImprovedEncoding(make_net("figure1")))
-    else:
-        relnet = ZddRelationalNet(make_net("figure1"))
-    assert make_image_engine(relnet, engine, cluster_size=1).name == engine
-    with pytest.raises(TypeError):
-        make_image_engine(relnet, engine, workers=2)
-
-
-@pytest.mark.parametrize("engine, message", [
-    ("monolithic", "not offered by ZddRelationalNet"),
-    ("partitioned", "unknown image engine")],
-    ids=["monolithic", "partitioned"])
-def test_factory_refuses_retired_zdd_engines(engine, message, make_net):
-    """A ZDD relational net offers only the engines in
-    ZDD_RELATIONAL_ENGINES; the BDD net offers the whole catalogue."""
-    relnet = ZddRelationalNet(make_net("figure1"))
-    assert relnet.image_engines == ZDD_RELATIONAL_ENGINES
-    with pytest.raises(ValueError, match=message):
-        make_image_engine(relnet, engine)
-    assert RelationalNet(ImprovedEncoding(make_net("figure1"))) \
-        .image_engines == IMAGE_ENGINES
-
-
-def test_bdd_factory_refuses_retired_partitioned_engine(make_net):
-    """The retired per-block union engine is gone from the BDD
-    catalogue too; the error lists the engines that remain."""
-    relnet = RelationalNet(ImprovedEncoding(make_net("figure1")))
-    with pytest.raises(ValueError, match="unknown image engine.*chained"):
-        make_image_engine(relnet, "partitioned")

@@ -8,8 +8,7 @@ from repro.petri.generators import figure4_net, muller, slotted_ring
 
 # Quantify-and-force firing in net declaration order, fixed variable
 # order; tests move single knobs off it.
-PLAIN = AnalysisSpec(strategy="bfs", chain_order="net", use_toggle=False,
-                     reorder=False)
+PLAIN = AnalysisSpec(strategy="bfs", use_toggle=False, reorder=False)
 
 FAMILIES = [
     ("figure4", figure4_net, 22),

@@ -10,8 +10,7 @@ from repro.symbolic import SymbolicNet
 
 ALL_SCHEMES = ["sparse", "dense", "improved"]
 # Plain BFS on a fixed variable order.
-BFS = AnalysisSpec(strategy="bfs", chain_order="net", use_toggle=False,
-                   reorder=False)
+BFS = AnalysisSpec(strategy="bfs", use_toggle=False, reorder=False)
 
 
 @pytest.fixture(params=ALL_SCHEMES)

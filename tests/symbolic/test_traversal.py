@@ -14,8 +14,7 @@ FAMILIES = ["figure1", "figure4", "muller3", "slot2", "phil3", "dme2",
 SCHEMES = ["sparse", "dense", "improved"]
 
 # The plain BFS quantify-and-force fixpoint on a fixed variable order.
-BFS = AnalysisSpec(strategy="bfs", chain_order="net", use_toggle=False,
-                   reorder=False)
+BFS = AnalysisSpec(strategy="bfs", use_toggle=False, reorder=False)
 # The per-transition chained relational fixpoint, fixed order.
 PER_TRANSITION = AnalysisSpec(form="relational", engine="chained",
                               cluster_size=1, reorder=False)

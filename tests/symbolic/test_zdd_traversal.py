@@ -9,7 +9,7 @@ import pytest
 from repro.analysis import Analysis, AnalysisSpec, SpecError, analyze
 from repro.petri import Marking, ReachabilityGraph, place_order
 from repro.petri.generators import figure1_net, figure4_net
-from repro.symbolic import ZddNet, ZddRelationalNet, make_image_engine
+from repro.symbolic import ZddNet, ZddRelationalNet
 
 # The classic per-transition rewrite and the chained relational engine,
 # both on a fixed element order.
@@ -209,12 +209,11 @@ class TestTraversal:
             CHAINED.replace(cluster_size=junk)
 
     @pytest.mark.parametrize("junk", [0, -3, 2.5, "junk", None, True])
-    def test_factory_rejects_bad_cluster_size(self, junk):
-        """The engine factory validates on its own, whatever the spec
+    def test_partitions_reject_bad_cluster_size(self, junk):
+        """The partition layer validates on its own, whatever the spec
         let through."""
         with pytest.raises(ValueError, match="auto"):
-            make_image_engine(ZddRelationalNet(figure1_net()), "chained",
-                              cluster_size=junk)
+            ZddRelationalNet(figure1_net()).partitions(junk)
 
     def test_max_iterations_guard(self):
         with pytest.raises(RuntimeError):

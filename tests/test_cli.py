@@ -97,13 +97,6 @@ class TestAnalyze:
         assert "markings=30" in out
         assert "image=relational/chained" in out
 
-    def test_functional_support_chaining(self, muller_file, capsys):
-        assert main(["analyze", str(muller_file),
-                     "--chain-order", "support"]) == 0
-        out = capsys.readouterr().out
-        assert "markings=30" in out
-        assert "image=functional" in out
-
     def test_deadlocks_require_functional_image(self, muller_file, capsys):
         assert main(["analyze", str(muller_file), "--image", "chained",
                      "--deadlocks"]) == 2

@@ -15,9 +15,11 @@ Variable declaration has one door too: every manager declares its
 variables in the structural order of :mod:`repro.petri.order`, never by
 walking ``encoding.variables`` or ``net.places``.
 
-And code retired for winning no benchmark row stays retired: the
-per-block union engine (``partitioned``), the Coudert-Madre frontier
-restriction and its ``simplify_frontier`` option.
+And retired code stays retired: the per-block union engine
+(``partitioned``), the Coudert-Madre frontier restriction and its
+``simplify_frontier`` option won no benchmark row; the image-engine
+strategy objects only forwarded to the nets' images, and
+``chain_order`` had one value in use.
 
 The chained per-transition steps have one form as well: the fused
 kernel operations ``or_and_toggle`` and ``or_cofactor_and``, never a
@@ -261,11 +263,17 @@ def test_tripwire_sees_a_naming_order_declaration(tmp_path):
         ("legacy.py", 3), ("legacy.py", 4), ("legacy.py", 5)]
 
 
-# Identifiers of the retired per-block union engine and Coudert-Madre
-# frontier restriction; none may reappear anywhere under src/repro.
+# Identifiers of the retired per-block union engine, the Coudert-Madre
+# frontier restriction and the image-engine strategy layer (the
+# ``ImageEngine`` substring covers every engine class); none may
+# reappear anywhere under src/repro.
 RETIRED_IDENTIFIERS = ("restrict_cm", "narrow_frontier",
-                       "PartitionedImageEngine",
-                       "SIMPLIFY_MIN_FRONTIER_NODES")
+                       "SIMPLIFY_MIN_FRONTIER_NODES", "ImageEngine",
+                       "make_image_engine", "ClassicZddEngine",
+                       "image_engines")
+# Retired spec fields: named only inside RETIRED_FIELD_DEFAULTS, which
+# keeps old fingerprints stable.
+RETIRED_FIELDS = ("simplify_frontier", "chain_order")
 
 
 def _constant_lines(tree, name):
@@ -280,7 +288,7 @@ def _constant_lines(tree, name):
 
 def retired_name_uses(root):
     """``(module, line, name)`` of every line under ``root`` that names
-    a retired identifier, or ``simplify_frontier`` outside the
+    a retired identifier, or a retired field outside the
     ``RETIRED_FIELD_DEFAULTS`` constant of ``analysis/spec.py``."""
     spec_path = root / "analysis" / "spec.py"
     allowed = (_constant_lines(ast.parse(spec_path.read_text()),
@@ -292,20 +300,20 @@ def retired_name_uses(root):
         for lineno, line in enumerate(path.read_text().splitlines(), 1):
             found.extend((module, lineno, name)
                          for name in RETIRED_IDENTIFIERS if name in line)
-            if "simplify_frontier" in line and not (
-                    path == spec_path and lineno in allowed):
-                found.append((module, lineno, "simplify_frontier"))
+            if not (path == spec_path and lineno in allowed):
+                found.extend((module, lineno, name)
+                             for name in RETIRED_FIELDS if name in line)
     return found
 
 
 def test_retired_engine_and_restriction_stay_deleted():
     """The ``partitioned`` engine, ``restrict_cm`` and the frontier
     restriction won no benchmark row on the structural order and were
-    deleted; ``simplify_frontier`` may only be named as a retired
-    field at its old default (which keeps old fingerprints stable)."""
-    from repro.analysis import PORTFOLIO_MEMBERS
-    from repro.symbolic import IMAGE_ENGINES
-    assert "partitioned" not in IMAGE_ENGINES
+    deleted, and so was the image-engine layer; ``simplify_frontier``
+    and ``chain_order`` may only be named as retired fields at their
+    old defaults (which keeps old fingerprints stable)."""
+    from repro.analysis import PORTFOLIO_MEMBERS, RELATIONAL_ENGINES
+    assert "partitioned" not in RELATIONAL_ENGINES
     assert not [m for m in PORTFOLIO_MEMBERS if "partitioned" in m]
     assert _constant_lines(
         ast.parse((SRC / "analysis" / "spec.py").read_text()),
@@ -319,18 +327,30 @@ def test_retired_engine_and_restriction_stay_deleted():
 
 def test_tripwire_sees_retired_names(tmp_path):
     """The retired-name detector itself: a retired identifier anywhere,
-    or ``simplify_frontier`` outside the retired-defaults constant, is
+    or a retired field outside the retired-defaults constant, is
     caught; the constant itself is not."""
     (tmp_path / "analysis").mkdir()
     (tmp_path / "analysis" / "spec.py").write_text(
         "RETIRED_FIELD_DEFAULTS = {\n"
-        "    \"simplify_frontier\": False}\n"
-        "simplify_frontier = True\n")
+        "    \"simplify_frontier\": False,\n"
+        "    \"chain_order\": \"support\"}\n"
+        "simplify_frontier = True\n"
+        "chain_order = \"net\"\n")
     (tmp_path / "kernel.py").write_text(
         "def restrict_cm(u, care):\n"
         "    return narrow_frontier(u, care)\n")
+    (tmp_path / "backends.py").write_text(
+        "engine = make_image_engine(relnet, \"chained\")\n"
+        "class ChainedImageEngine:\n"
+        "    offered = relnet.image_engines\n"
+        "classic = ClassicZddEngine(znet)\n")
     assert retired_name_uses(tmp_path) == [
-        ("analysis/spec.py", 3, "simplify_frontier"),
+        ("analysis/spec.py", 4, "simplify_frontier"),
+        ("analysis/spec.py", 5, "chain_order"),
+        ("backends.py", 1, "make_image_engine"),
+        ("backends.py", 2, "ImageEngine"),
+        ("backends.py", 3, "image_engines"),
+        ("backends.py", 4, "ClassicZddEngine"),
         ("kernel.py", 1, "restrict_cm"),
         ("kernel.py", 2, "narrow_frontier")]
 
