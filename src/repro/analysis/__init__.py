@@ -1,4 +1,4 @@
-"""Unified analysis facade: one spec, one backend protocol, one result.
+"""Unified analysis facade: one spec, one session protocol, one result.
 
 The one way to run a symbolic analysis::
 
@@ -11,9 +11,10 @@ The one way to run a symbolic analysis::
   configuration (scheme, backend, form, engine, clustering, reordering,
   frontier handling, ``k_bound``), with structured inapplicable-option
   warnings instead of ad-hoc prints.
-* :class:`SolverBackend` / :class:`SolverSession` — the protocol the
-  four engine adapters (functional BDD, relational BDD, ZDD, k-bounded)
-  implement, and the seam future backends plug into.
+* :class:`SolverSession` / :func:`open_session` — the protocol the
+  five sessions (functional BDD, relational BDD, ZDD, k-bounded and the
+  :class:`PortfolioSession` race) implement, and the router that opens
+  the one a spec names.
 * :class:`AnalysisResult` — the single result schema every backend
   fills, JSON round-trippable via ``to_dict``/``from_dict``.
 * :func:`analyze` / :class:`Analysis` — fire-and-forget vs. reusable
@@ -36,14 +37,11 @@ legacy entry point to the exact spec that reproduces its trajectory.
 
 from ..dd import ResourceBudgetExceeded
 from ..symbolic import TraversalLimitError
-from .backends import (BACKENDS, BddFunctionalBackend,
-                       BddRelationalBackend, KBoundedBackend,
-                       SolverBackend, SolverSession, ZddBackend,
-                       backend_for)
+from .backends import SolverSession, open_session
 from .checkpoint import (CheckpointData, CheckpointError, CheckpointStore,
                          net_fingerprint, spec_fingerprint)
 from .facade import Analysis, analyze
-from .portfolio import (MemberFailure, PortfolioBackend, PortfolioError,
+from .portfolio import (MemberFailure, PortfolioError, PortfolioSession,
                         member_checkpoint_path, member_spec)
 from .result import SCHEMA_MINOR, SCHEMA_VERSION, AnalysisResult
 from .spec import (BACKEND_FAMILIES, DEFAULT_CLUSTER_SIZE, DEFAULT_FORM,
@@ -57,10 +55,8 @@ from .workers import WorkerHarness
 __all__ = [
     "AnalysisSpec", "SpecError", "SpecWarning",
     "AnalysisResult", "SCHEMA_VERSION", "SCHEMA_MINOR",
-    "SolverBackend", "SolverSession", "backend_for", "BACKENDS",
-    "BddFunctionalBackend", "BddRelationalBackend", "ZddBackend",
-    "KBoundedBackend",
-    "PortfolioBackend", "PortfolioError", "MemberFailure",
+    "SolverSession", "open_session",
+    "PortfolioSession", "PortfolioError", "MemberFailure",
     "WorkerHarness", "member_spec", "member_checkpoint_path",
     "Analysis", "analyze",
     "CheckpointData", "CheckpointError", "CheckpointStore",

@@ -1,30 +1,17 @@
-"""Solver backends: the protocol every analysis engine plugs into.
+"""Analysis sessions and the one router that opens them.
 
-A backend turns ``(net, spec)`` into a :class:`SolverSession` — a
-stateful fixpoint computation that can be advanced one iteration at a
-time (:meth:`SolverSession.step`), inspected mid-flight
+A :class:`SolverSession` is a stateful fixpoint computation over one
+``(net, spec)``: it can be advanced one iteration at a time
+(:meth:`SolverSession.step`), inspected mid-flight
 (:meth:`SolverSession.stats`) or driven to completion
 (:meth:`SolverSession.run`), returning the unified
-:class:`~repro.analysis.result.AnalysisResult`.
-
-Four adapters wrap the existing machinery:
-
-* :class:`BddFunctionalBackend` — :class:`~repro.symbolic.transition.
-  SymbolicNet` with the renaming-free functional image (quantify-force
-  or toggle firing, BFS or chaining sweeps).
-* :class:`BddRelationalBackend` — :class:`~repro.symbolic.relational.
-  RelationalNet`, one monolithic image or one chained sweep per step.
-* :class:`ZddBackend` — the sparse-ZDD representation, classic
-  per-transition rewriting or the chained sweep over
-  :class:`~repro.symbolic.zdd_relational.ZddRelationalNet`.
-* :class:`KBoundedBackend` — count-bit encodings for k-bounded nets
-  (:class:`~repro.symbolic.kbounded.KBoundedNet`).
+:class:`~repro.analysis.result.AnalysisResult`.  :func:`open_session`
+opens the one a spec routes to: ``bdd-functional``,
+``bdd-relational``, ``zdd``, ``kbounded`` or the ``portfolio`` race
+(:class:`~repro.analysis.portfolio.PortfolioSession`).
 
 Each session picks its successor function once, when it is built, from
 ``spec.resolved_engine``, and calls the net's image methods directly.
-
-New backends (interval-vector sets, ...) implement the same two-method surface and register in :data:`BACKENDS`;
-nothing above this layer changes.
 """
 
 from __future__ import annotations
@@ -48,11 +35,7 @@ from .checkpoint import (CheckpointData, CheckpointError, CheckpointStore,
 from .result import AnalysisResult
 from .spec import AnalysisSpec, SpecError
 
-__all__ = [
-    "SolverBackend", "SolverSession", "BACKENDS", "backend_for",
-    "BddFunctionalBackend", "BddRelationalBackend", "ZddBackend",
-    "KBoundedBackend",
-]
+__all__ = ["SolverSession", "open_session"]
 
 EncodingFactory = Callable[[PetriNet], Any]
 
@@ -61,22 +44,6 @@ SCHEME_CLASSES = {
     "dense": DenseEncoding,
     "improved": ImprovedEncoding,
 }
-
-
-class SolverBackend:
-    """Protocol: ``build(net, spec) -> session`` plus a ``name``.
-
-    Stateless — one backend instance serves any number of builds.  The
-    optional ``encoding_factory`` (BDD backends only) overrides the
-    scheme-class lookup, e.g. to pass pre-computed SMCs.
-    """
-
-    name = "abstract"
-
-    def build(self, net: PetriNet, spec: AnalysisSpec,
-              encoding_factory: Optional[EncodingFactory] = None
-              ) -> "SolverSession":
-        raise NotImplementedError
 
 
 class SolverSession:
@@ -96,17 +63,18 @@ class SolverSession:
     manager's safe points) is converted into a partial result with a
     final checkpoint on disk.  Passing ``net`` to the constructor opts
     a subclass into durability; sessions without an in-process manager
-    (the portfolio) leave it ``None``.
+    (the portfolio) leave it ``None``.  Each subclass names itself in
+    ``name``, the ``backend`` key of :meth:`stats` and of its
+    checkpoints.
     """
 
+    name: str
     supports_model_checking = False
     #: Which :mod:`repro.bdd.io` format the checkpoint payload uses.
     _checkpoint_kind = "bdd"
 
-    def __init__(self, backend_name: str, spec: AnalysisSpec,
-                 build_seconds: float,
+    def __init__(self, spec: AnalysisSpec, build_seconds: float,
                  net: Optional[PetriNet] = None) -> None:
-        self.backend_name = backend_name
         self.spec = spec
         self.build_seconds = build_seconds
         self.fixpoint_seconds = 0.0
@@ -201,7 +169,7 @@ class SolverSession:
     def stats(self) -> Dict[str, Any]:
         """Mid-flight snapshot: progress and memory, uniformly keyed."""
         return {
-            "backend": self.backend_name,
+            "backend": self.name,
             "engine": self.spec.engine_id,
             "iterations": self.iterations,
             "at_fixpoint": self.at_fixpoint(),
@@ -258,7 +226,7 @@ class SolverSession:
             iteration=self.iterations,
             order=self._manager().order(),
             payload=self._dump_payload(),
-            extra={"backend": self.backend_name,
+            extra={"backend": self.name,
                    "engine": self.spec.engine_id,
                    "at_fixpoint": self.at_fixpoint()}))
 
@@ -349,14 +317,6 @@ class SolverSession:
             extras=extras)
 
 
-def _reject_factory(backend: str,
-                    encoding_factory: Optional[EncodingFactory]) -> None:
-    if encoding_factory is not None:
-        raise SpecError(
-            f"encoding_factory only applies to the BDD backends; the "
-            f"{backend} backend builds its own representation")
-
-
 def _build_encoding(net: PetriNet, spec: AnalysisSpec,
                     encoding_factory: Optional[EncodingFactory]):
     if encoding_factory is not None:
@@ -377,6 +337,10 @@ def _chained_sweep(relnet, cluster_size) -> Callable:
 # ----------------------------------------------------------------------
 
 class _BddFunctionalSession(SolverSession):
+    """Functional (renaming-free) image over an encoded safe net:
+    quantify-force or toggle firing, BFS or chaining sweeps."""
+
+    name = "bdd-functional"
     supports_model_checking = True
 
     def __init__(self, net: PetriNet, spec: AnalysisSpec,
@@ -390,8 +354,7 @@ class _BddFunctionalSession(SolverSession):
         self._sweep_order = symnet.support_sorted_transitions()
         self.reached = symnet.initial
         self.frontier = symnet.initial
-        super().__init__(BddFunctionalBackend.name, spec,
-                         time.perf_counter() - start, net=net)
+        super().__init__(spec, time.perf_counter() - start, net=net)
 
     def at_fixpoint(self) -> bool:
         return self.frontier.is_zero()
@@ -434,20 +397,16 @@ class _BddFunctionalSession(SolverSession):
                     "use_toggle": self.spec.use_toggle})
 
 
-class BddFunctionalBackend(SolverBackend):
-    """Functional (renaming-free) image over an encoded safe net."""
-
-    name = "bdd-functional"
-
-    def build(self, net, spec, encoding_factory=None):
-        return _BddFunctionalSession(net, spec, encoding_factory)
-
-
 # ----------------------------------------------------------------------
 # BDD relational
 # ----------------------------------------------------------------------
 
 class _BddRelationalSession(SolverSession):
+    """Relational-product image over partitioned transition relations:
+    one monolithic image or one chained sweep per step."""
+
+    name = "bdd-relational"
+
     def __init__(self, net: PetriNet, spec: AnalysisSpec,
                  encoding_factory: Optional[EncodingFactory]) -> None:
         start = time.perf_counter()
@@ -463,8 +422,7 @@ class _BddRelationalSession(SolverSession):
                                               spec.resolved_cluster_size)
         self.reached = relnet.initial
         self.frontier = relnet.initial
-        super().__init__(BddRelationalBackend.name, spec,
-                         time.perf_counter() - start, net=net)
+        super().__init__(spec, time.perf_counter() - start, net=net)
 
     def at_fixpoint(self) -> bool:
         return self.frontier.is_zero()
@@ -497,20 +455,16 @@ class _BddRelationalSession(SolverSession):
                     "ae_cache_hits": bdd.ae_cache_hits})
 
 
-class BddRelationalBackend(SolverBackend):
-    """Relational-product image over partitioned transition relations."""
-
-    name = "bdd-relational"
-
-    def build(self, net, spec, encoding_factory=None):
-        return _BddRelationalSession(net, spec, encoding_factory)
-
-
 # ----------------------------------------------------------------------
 # ZDD (classic and relational)
 # ----------------------------------------------------------------------
 
 class _ZddSession(SolverSession):
+    """Sparse-ZDD representation: the Yoneda classic per-transition
+    rewrite, or the chained sweep over a ``ZddRelationalNet``."""
+
+    name = "zdd"
+    own_representation = "the zdd backend builds its own representation"
     _checkpoint_kind = "zdd"
 
     def __init__(self, net: PetriNet, spec: AnalysisSpec) -> None:
@@ -533,8 +487,7 @@ class _ZddSession(SolverSession):
         # DDManager kernel gave the ZDD manager GC and sifting).
         self.reached = self.zdd.ref(self.symbolic_net.initial)
         self.frontier = self.zdd.ref(self.symbolic_net.initial)
-        super().__init__(ZddBackend.name, spec,
-                         time.perf_counter() - start, net=net)
+        super().__init__(spec, time.perf_counter() - start, net=net)
 
     def at_fixpoint(self) -> bool:
         return self.frontier == self.zdd.empty()
@@ -584,29 +537,22 @@ class _ZddSession(SolverSession):
                     "ae_cache_hits": self.zdd.ae_cache_hits})
 
 
-class ZddBackend(SolverBackend):
-    """Sparse-ZDD representation (Yoneda baseline plus the chained
-    relational engine)."""
-
-    name = "zdd"
-
-    def build(self, net, spec, encoding_factory=None):
-        _reject_factory(self.name, encoding_factory)
-        return _ZddSession(net, spec)
-
-
 # ----------------------------------------------------------------------
 # k-bounded
 # ----------------------------------------------------------------------
 
 class _KBoundedSession(SolverSession):
+    """Count-bit encodings for k-bounded (non-safe) nets."""
+
+    name = "kbounded"
+    own_representation = "the kbounded backend builds its own representation"
+
     def __init__(self, net: PetriNet, spec: AnalysisSpec) -> None:
         start = time.perf_counter()
         self.symbolic_net = KBoundedNet(net, bound=spec.k_bound)
         self.reached = self.symbolic_net.initial
         self.frontier = self.symbolic_net.initial
-        super().__init__(KBoundedBackend.name, spec,
-                         time.perf_counter() - start, net=net)
+        super().__init__(spec, time.perf_counter() - start, net=net)
 
     def at_fixpoint(self) -> bool:
         return self.frontier.is_zero()
@@ -632,42 +578,33 @@ class _KBoundedSession(SolverSession):
             extras={"bound": knet.bound, "bits_per_place": knet.bits})
 
 
-class KBoundedBackend(SolverBackend):
-    """Count-bit encodings for k-bounded (non-safe) nets."""
-
-    name = "kbounded"
-
-    def build(self, net, spec, encoding_factory=None):
-        _reject_factory(self.name, encoding_factory)
-        return _KBoundedSession(net, spec)
-
-
 # ----------------------------------------------------------------------
-# Registry
+# Routing
 # ----------------------------------------------------------------------
 
-BACKENDS = {
-    BddFunctionalBackend.name: BddFunctionalBackend(),
-    BddRelationalBackend.name: BddRelationalBackend(),
-    ZddBackend.name: ZddBackend(),
-    KBoundedBackend.name: KBoundedBackend(),
-}
+def open_session(net: PetriNet, spec: AnalysisSpec,
+                 encoding_factory: Optional[EncodingFactory] = None
+                 ) -> SolverSession:
+    """Open the session a spec routes to.
 
-
-def backend_for(spec: AnalysisSpec) -> SolverBackend:
-    """Select the backend a spec routes to."""
+    ``encoding_factory`` (``net -> Encoding``, e.g. pre-computed SMCs)
+    overrides the BDD sessions' scheme-class lookup; the others build
+    their own representation and refuse it with a :class:`SpecError`.
+    """
     if spec.backend == "portfolio":
-        # The lazy import registers PortfolioBackend into BACKENDS on
-        # first use (a top-level import here would be circular — the
-        # portfolio builds on this module's protocol).  Checked before
-        # k_bound: on a portfolio, k_bound parameterizes the kbounded
-        # member rather than selecting the k-bounded backend.
-        from .portfolio import PortfolioBackend
-        return BACKENDS[PortfolioBackend.name]
-    if spec.k_bound is not None:
-        return BACKENDS[KBoundedBackend.name]
-    if spec.backend == "zdd":
-        return BACKENDS[ZddBackend.name]
-    if spec.resolved_form == "relational":
-        return BACKENDS[BddRelationalBackend.name]
-    return BACKENDS[BddFunctionalBackend.name]
+        # Imported lazily (the portfolio builds on this module), and
+        # first: there k_bound parameterizes the kbounded member.
+        from .portfolio import PortfolioSession
+        session_class = PortfolioSession
+    elif spec.k_bound is not None:
+        session_class = _KBoundedSession
+    elif spec.backend == "zdd":
+        session_class = _ZddSession
+    elif spec.resolved_form == "relational":
+        return _BddRelationalSession(net, spec, encoding_factory)
+    else:
+        return _BddFunctionalSession(net, spec, encoding_factory)
+    if encoding_factory is not None:
+        raise SpecError(f"encoding_factory only applies to the BDD "
+                        f"backends; {session_class.own_representation}")
+    return session_class(net, spec)

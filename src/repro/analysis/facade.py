@@ -1,9 +1,9 @@
 """The one way in: ``analyze(net, spec)`` and the ``Analysis`` session.
 
-:func:`analyze` is the fire-and-forget form — build the backend, run
+:func:`analyze` is the fire-and-forget form — open the session, run
 the fixpoint, return the unified
 :class:`~repro.analysis.result.AnalysisResult`.  :class:`Analysis` is
-the session form: the backend session stays alive after ``run()``, so
+the session form: the session stays alive after ``run()``, so
 the reachable set is computed once and reused across model-checking
 queries, manual ``step()`` driving or ``stats()`` inspection.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from ..petri.net import PetriNet
-from .backends import EncodingFactory, SolverSession, backend_for
+from .backends import EncodingFactory, SolverSession, open_session
 from .result import AnalysisResult
 from .spec import AnalysisSpec, SpecError
 
@@ -33,10 +33,11 @@ class Analysis:
         (``Analysis(net, scheme="sparse")``).
     encoding_factory:
         Optional ``net -> Encoding`` override for the BDD backends
-        (e.g. to reuse pre-computed SMCs); rejected by the ZDD and
-        k-bounded backends, which build their own representation.
+        (e.g. to reuse pre-computed SMCs); rejected by the ZDD,
+        k-bounded and portfolio backends, which build their own
+        representation.
 
-    The backend session is built eagerly (construction time lands in
+    The session is opened eagerly (construction time lands in
     the result's ``extras["build_seconds"]``); the fixpoint runs on the
     first :meth:`run` and is cached afterwards.
     """
@@ -50,8 +51,7 @@ class Analysis:
             spec = spec.replace(**overrides)
         self.net = net
         self.spec = spec
-        self.backend = backend_for(spec)
-        self.session: SolverSession = self.backend.build(
+        self.session: SolverSession = open_session(
             net, spec, encoding_factory=encoding_factory)
 
     # ------------------------------------------------------------------

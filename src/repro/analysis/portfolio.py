@@ -56,14 +56,14 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..petri.net import PetriNet
 from ..petri.parser import dumps, loads
-from .backends import BACKENDS, SolverBackend, SolverSession, backend_for
+from .backends import SolverSession, open_session
 from .result import AnalysisResult
 from .spec import PORTFOLIO_MEMBERS, AnalysisSpec, SpecError
 from .workers import (MAX_QUEUE_POISON, WorkerHarness, WorkerSlot,
                       reap_processes)
 
 __all__ = [
-    "PortfolioBackend", "PortfolioError", "MemberFailure",
+    "PortfolioSession", "PortfolioError", "MemberFailure",
     "WorkerHarness", "member_spec", "member_checkpoint_path",
 ]
 
@@ -486,7 +486,7 @@ class _Race:
             mspec = member_spec(self.spec, member)
             member_start = time.perf_counter()
             try:
-                session = backend_for(mspec).build(self.net, mspec)
+                session = open_session(self.net, mspec)
                 result = session.run()
             except Exception as exc:
                 self.failures.append(MemberFailure(
@@ -509,23 +509,30 @@ class _Race:
 
 
 # ----------------------------------------------------------------------
-# Backend + session
+# Session
 # ----------------------------------------------------------------------
 
-class _PortfolioSession(SolverSession):
+class PortfolioSession(SolverSession):
     """One race, surfaced through the uniform session protocol.
 
     The race is one indivisible "iteration": :meth:`step` runs it to
     the first verdict, after which the session is exhausted.  The
     result's ``iterations`` field reports the *winner's* fixpoint
     iterations, not the parent's single step.
+
+    ``harness`` injects the :class:`WorkerHarness` the race runs on —
+    the fault-injection seam; ``None`` spawns real worker processes.
     """
+
+    name = "portfolio"
+    own_representation = ("portfolio members build their own "
+                          "representations in their worker processes")
 
     def __init__(self, net: PetriNet, spec: AnalysisSpec,
                  harness: Optional[WorkerHarness] = None) -> None:
         self.symbolic_net = None
         self._race = _Race(net, spec, harness or WorkerHarness())
-        super().__init__(PortfolioBackend.name, spec, build_seconds=0.0)
+        super().__init__(spec, build_seconds=0.0)
 
     def at_fixpoint(self) -> bool:
         return self._race.winner_result is not None
@@ -580,28 +587,3 @@ class _PortfolioSession(SolverSession):
             reorder_count=winner.reorder_count,
             reachable=winner.reachable,
             extras=extras)
-
-
-class PortfolioBackend(SolverBackend):
-    """Race the member configurations; the first verdict answers.
-
-    ``harness`` (keyword) injects the :class:`WorkerHarness` the race
-    runs on — the fault-injection seam; ``None`` spawns real worker
-    processes.
-    """
-
-    name = "portfolio"
-
-    def __init__(self, harness: Optional[WorkerHarness] = None) -> None:
-        self.harness = harness
-
-    def build(self, net, spec, encoding_factory=None):
-        if encoding_factory is not None:
-            raise SpecError(
-                "encoding_factory only applies to the BDD backends; "
-                "portfolio members build their own representations in "
-                "their worker processes")
-        return _PortfolioSession(net, spec, harness=self.harness)
-
-
-BACKENDS[PortfolioBackend.name] = PortfolioBackend()

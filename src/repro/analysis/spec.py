@@ -172,7 +172,7 @@ class AnalysisSpec:
         Decision-diagram family: ``bdd`` (default) or ``zdd`` — or
         ``portfolio``, which races several heterogeneous member
         configurations in worker processes and answers with the first
-        verdict (:class:`~repro.analysis.portfolio.PortfolioBackend`).
+        verdict (:class:`~repro.analysis.portfolio.PortfolioSession`).
     form:
         Image computation form — ``functional`` (renaming-free
         operators; the ZDD's per-transition classic rewrite) or
@@ -191,8 +191,8 @@ class AnalysisSpec:
         :data:`DEFAULT_CLUSTER_SIZE`; setting it with the functional
         form is a :class:`SpecError`.
     strategy, use_toggle:
-        Functional-BDD traversal knobs, run by
-        :class:`~repro.analysis.backends.BddFunctionalBackend`:
+        Functional-BDD traversal knobs, run by the ``bdd-functional``
+        session (:func:`~repro.analysis.backends.open_session`):
         ``strategy="bfs"`` takes one synchronous image per iteration,
         ``"chaining"`` feeds each transition's successors to the next
         one within the sweep, in support-sorted order; ``use_toggle``
@@ -207,8 +207,8 @@ class AnalysisSpec:
         for the relational engines, per-element sifting for classic).
     k_bound:
         When set (``k >= 1``), analyse the net as ``k``-bounded with
-        count-bit encodings (the paper's unsafe-net extension) through
-        :class:`~repro.analysis.backends.KBoundedBackend`.  The engine
+        count-bit encodings (the paper's unsafe-net extension) in the
+        ``kbounded`` session.  The engine
         keeps a fixed interleaved count-bit order; besides
         ``max_iterations``, every other option is inapplicable.
     max_iterations:

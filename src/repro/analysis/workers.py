@@ -2,7 +2,7 @@
 pool.
 
 The DD kernel is single-threaded, so whole analyses are the unit of
-parallelism: :class:`~repro.analysis.portfolio.PortfolioBackend` races
+parallelism: :class:`~repro.analysis.portfolio.PortfolioSession` races
 member configurations in worker processes and keeps the first verdict;
 :class:`~repro.service.pool.AnalysisWorkerPool` multiplexes requests
 over warm workers.  Both keep only their policy and run on the

@@ -84,10 +84,7 @@ def engine_label(spec: AnalysisSpec) -> str:
 
 def run(name: str, net: PetriNet, spec: AnalysisSpec,
         label: Optional[str] = None,
-        encoding_factory: Optional[Callable] = None,
-        checkpoint_path: Optional[str] = None,
-        resume: bool = False,
-        cache=None) -> ExperimentRow:
+        encoding_factory: Optional[Callable] = None) -> ExperimentRow:
     """Measure one instance under one spec — the single entry point.
 
     Construction time (encoding, SMC discovery, relation building) is
@@ -96,39 +93,10 @@ def run(name: str, net: PetriNet, spec: AnalysisSpec,
     :class:`~repro.analysis.result.AnalysisResult` extras.  ``label``
     overrides the :func:`engine_label` column name;
     ``encoding_factory`` (``net -> Encoding``) the BDD backends' scheme
-    lookup.  ``checkpoint_path`` / ``resume`` thread durability through
-    without touching the measured spec's semantics: long paper-scale
-    sweeps (``REPRO_FULL``) survive being killed and pick up where the
-    last safe point left off.
-
-    ``cache`` takes a :class:`~repro.service.cache.ResultCache`: a hit
-    builds the row from the cached payload without running anything (a
-    sweep re-run after an interactive session, or over a shared cache
-    directory, only pays for the instances it has not seen), a miss
-    runs normally and stores the result.  The cached row's seconds are
-    the *original* solve's — a table built over cache hits reports
-    compute cost, not lookup cost.  Incompatible with
-    ``encoding_factory`` (the factory is not part of the cache key).
+    lookup.  Durability comes with the spec (``checkpoint_path`` /
+    ``resume``); cached solves go through :mod:`repro.service`.
     """
-    if checkpoint_path is not None:
-        spec = spec.replace(checkpoint_path=checkpoint_path,
-                            resume=resume)
-    if cache is not None and encoding_factory is None:
-        lookup = cache.get_for(net, spec)
-        if lookup.hit:
-            payload = lookup.result
-            return ExperimentRow(
-                instance=name,
-                engine=label or engine_label(spec),
-                markings=payload["markings"],
-                variables=payload["variables"],
-                nodes=payload["final_nodes"],
-                seconds=payload["seconds"],
-                peak_nodes=payload["peak_nodes"],
-                status=payload.get("status", "complete"))
     result = analyze(net, spec, encoding_factory=encoding_factory)
-    if cache is not None and encoding_factory is None:
-        cache.put_for(net, spec, result.to_dict())
     return ExperimentRow(instance=name,
                          engine=label or engine_label(spec),
                          markings=result.markings,

@@ -17,11 +17,21 @@ class PetriNetError(Exception):
     """Raised for structurally invalid Petri-net operations."""
 
 
+def _checked_name(kind: str, name: str) -> str:
+    """``name`` if it survives ``loads(dumps(net))`` — the hop every net
+    takes into a worker process — else a :class:`PetriNetError`."""
+    if not name or "#" in name or any(c.isspace() for c in name):
+        raise PetriNetError(f"{kind} name {name!r} is empty or contains "
+                            f"whitespace or '#'")
+    return name
+
+
 class PetriNet:
     """An ordinary Petri net with named places and transitions.
 
-    Places and transitions share no names.  Arcs connect places to
-    transitions and transitions to places (the flow relation ``F``).
+    Places and transitions share no names, and no name is empty or
+    holds whitespace or ``#`` (which ``.pnet`` cannot carry).  Arcs
+    connect places to transitions and transitions to places (``F``).
     """
 
     def __init__(self, name: str = "net") -> None:
@@ -37,12 +47,22 @@ class PetriNet:
         self._trans_post: Dict[str, Set[str]] = {}
         self._initial: Dict[str, int] = {}
 
+    @property
+    def name(self) -> str:
+        """The net's name."""
+        return self._name
+
+    @name.setter
+    def name(self, name: str) -> None:
+        self._name = _checked_name("net", name)
+
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
 
     def add_place(self, name: str, tokens: int = 0) -> str:
         """Add a place with an optional initial token count."""
+        _checked_name("place", name)
         if name in self._place_set or name in self._transition_set:
             raise PetriNetError(f"duplicate node name: {name!r}")
         if tokens < 0:
@@ -63,6 +83,7 @@ class PetriNet:
                        pre: Iterable[str] = (),
                        post: Iterable[str] = ()) -> str:
         """Add a transition, optionally with its input and output places."""
+        _checked_name("transition", name)
         if name in self._place_set or name in self._transition_set:
             raise PetriNetError(f"duplicate node name: {name!r}")
         self._transitions.append(name)

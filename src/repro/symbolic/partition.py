@@ -27,8 +27,8 @@ own the fixpoint loop around it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, List,
-                    Sequence, Tuple, Union)
+from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable,
+                    List, Sequence, Tuple, Union)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..bdd import Function
@@ -40,9 +40,21 @@ __all__ = [
     "cluster_greedily",
     "AUTO_MIN_OVERLAP", "AUTO_NODE_BUDGET", "AUTO_MAX_CLUSTER",
     "RelationPartition", "PartitionedNet", "TraversalLimitError",
+    "next_state_suffix",
 ]
 
 ClusterSize = Union[int, str]
+
+
+def next_state_suffix(names: Iterable[str]) -> str:
+    """The suffix naming each variable's next-state copy: the shortest
+    run of primes such that no name plus it is also one of ``names``
+    (``"'"`` unless a net has, say, both ``p`` and ``p'``)."""
+    names = set(names)
+    suffix = "'"
+    while any(name + suffix in names for name in names):
+        suffix += "'"
+    return suffix
 
 
 # ---------------------------------------------------------------------

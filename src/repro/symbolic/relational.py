@@ -35,13 +35,9 @@ from ..encoding.characteristic import (enabling_functions,
                                        initial_function, place_functions,
                                        variable_order)
 from ..encoding.scheme import Encoding
-from .partition import PartitionedNet, RelationPartition
+from .partition import PartitionedNet, RelationPartition, next_state_suffix
 
 __all__ = ["RelationPartition", "RelationalNet"]
-
-
-def _next_name(name: str) -> str:
-    return name + "'"
 
 
 class RelationalNet(PartitionedNet):
@@ -80,10 +76,11 @@ class RelationalNet(PartitionedNet):
         self.manager = bdd
         # Interleave current and next variables, in the structural
         # order, so that renaming either way is order-monotone.
+        suffix = next_state_suffix(encoding.variables)
         for name in variable_order(encoding):
-            bdd.add_vars((name, _next_name(name)))
+            bdd.add_vars((name, name + suffix))
         self.current = tuple(encoding.variables)
-        self.next = tuple(_next_name(v) for v in self.current)
+        self.next = tuple(v + suffix for v in self.current)
         self._to_next = dict(zip(self.current, self.next))
         self._to_current = dict(zip(self.next, self.current))
         # Reordering must keep each (current, next) pair adjacent so the

@@ -48,14 +48,10 @@ from ..dd.manager import DEFAULT_REORDER_GROWTH
 from ..petri.marking import Marking
 from ..petri.net import PetriNet
 from ..petri.order import place_order
-from .partition import ClusterSize, PartitionedNet
+from .partition import ClusterSize, PartitionedNet, next_state_suffix
 
 __all__ = ["ZddSparseRelation", "ZddRelationPartition", "ZddStateOps",
            "ZddRelationalNet", "ClusterSize"]
-
-
-def _next_name(name: str) -> str:
-    return name + "'"
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,11 +164,12 @@ class ZddRelationalNet(ZddStateOps, PartitionedNet):
         self.net = net
         self.zdd = zdd
         self.manager = zdd
+        suffix = next_state_suffix(net.places)
         for place in place_order(net):
-            zdd.add_vars((place, _next_name(place)))
+            zdd.add_vars((place, place + suffix))
         self.current = tuple(net.places)
         self._cur_index = {p: zdd.var_index(p) for p in net.places}
-        self._next_index = {p: zdd.var_index(_next_name(p))
+        self._next_index = {p: zdd.var_index(p + suffix)
                             for p in net.places}
         # Reordering must keep each (current, next) pair adjacent so the
         # block renames stay monotone.

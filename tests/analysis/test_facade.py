@@ -1,16 +1,17 @@
 """analyze()/Analysis: cross-backend agreement with the explicit
-oracle, session reuse, and the backend protocol surface."""
+oracle, session reuse, and the session routing surface."""
 
 import pytest
 
-from repro.analysis import (Analysis, AnalysisSpec, KBoundedBackend,
-                            SpecError, ZddBackend, analyze, backend_for)
+from repro.analysis import (Analysis, AnalysisSpec, SpecError, analyze,
+                            open_session)
 from repro.encoding import ImprovedEncoding
 from repro.petri import ReachabilityGraph
+from repro.petri.generators import figure1_net
 from repro.symbolic import (RelationalNet, SymbolicNet, ZddNet,
                             ZddRelationalNet)
 
-NETS = ("figure1", "phil4")
+NETS = ("figure1", "phil4", "primes")
 
 SPECS = {
     "functional": AnalysisSpec(),
@@ -153,15 +154,53 @@ class TestSession:
                      encoding_factory=ImprovedEncoding)
 
 
+# (spec overrides, session name, result engine).  The portfolio's
+# engine names its winner, so it is matched on the prefix.
+ROUTES = {
+    "functional": ({}, "bdd-functional", "functional"),
+    "relational": ({"form": "relational"}, "bdd-relational",
+                   "relational/chained"),
+    "zdd": ({"backend": "zdd"}, "zdd", "zdd/chained"),
+    "kbounded": ({"k_bound": 2}, "kbounded", "kbounded/2"),
+    # k_bound parameterizes the portfolio's kbounded member; it must
+    # not reroute the spec to the k-bounded session.
+    "portfolio": ({"backend": "portfolio", "k_bound": 2,
+                   "timeout": 60.0}, "portfolio", "portfolio/"),
+}
+
+FACTORY_REFUSALS = {
+    "zdd": ({"backend": "zdd"},
+            "the zdd backend builds its own representation"),
+    "kbounded": ({"k_bound": 2},
+                 "the kbounded backend builds its own representation"),
+    "portfolio": ({"backend": "portfolio"},
+                  "portfolio members build their own representations in "
+                  "their worker processes"),
+}
+
+
 class TestBackendRouting:
-    def test_backend_for(self):
-        assert backend_for(AnalysisSpec()).name == "bdd-functional"
-        assert backend_for(
-            AnalysisSpec(form="relational")).name == "bdd-relational"
-        assert isinstance(backend_for(AnalysisSpec(backend="zdd")),
-                          ZddBackend)
-        assert isinstance(backend_for(AnalysisSpec(k_bound=2)),
-                          KBoundedBackend)
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_open_session(self, route):
+        overrides, name, engine = ROUTES[route]
+        session = open_session(figure1_net(), AnalysisSpec(**overrides))
+        assert session.name == name
+        assert session.stats()["backend"] == name
+        result = session.run()
+        assert result.markings == 8
+        if name == "portfolio":
+            winner = result.extras["portfolio"]["winner"]
+            assert result.engine == engine + winner
+        else:
+            assert result.engine == engine
+
+    @pytest.mark.parametrize("route", sorted(FACTORY_REFUSALS))
+    def test_encoding_factory_refused_with_the_sessions_reason(self,
+                                                                route):
+        overrides, reason = FACTORY_REFUSALS[route]
+        with pytest.raises(SpecError, match=reason):
+            open_session(figure1_net(), AnalysisSpec(**overrides),
+                         encoding_factory=ImprovedEncoding)
 
     def test_sessions_expose_the_wrapped_net(self, make_net):
         net = make_net("figure1")

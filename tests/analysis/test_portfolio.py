@@ -1,12 +1,11 @@
-"""PortfolioBackend: member catalog, racing, serial degradation."""
+"""PortfolioSession: member catalog, racing, serial degradation."""
 
 import pytest
 
-from repro.analysis import (BACKENDS, DEFAULT_PORTFOLIO_MEMBERS,
-                            PORTFOLIO_MEMBERS, Analysis, AnalysisSpec,
-                            MemberFailure, PortfolioBackend, SpecError,
-                            WorkerHarness, analyze, backend_for,
-                            member_spec)
+from repro.analysis import (DEFAULT_PORTFOLIO_MEMBERS, PORTFOLIO_MEMBERS,
+                            Analysis, AnalysisSpec, MemberFailure,
+                            PortfolioSession, SpecError, WorkerHarness,
+                            analyze, member_spec, open_session)
 from repro.petri.generators import figure1_net
 
 
@@ -19,27 +18,7 @@ class SerialOnlyHarness(WorkerHarness):
 
 def serial_result(net, **spec_overrides):
     spec = AnalysisSpec(backend="portfolio", **spec_overrides)
-    backend = PortfolioBackend(harness=SerialOnlyHarness())
-    return backend.build(net, spec), spec
-
-
-class TestRegistry:
-    def test_backend_for_routes_portfolio(self):
-        backend = backend_for(AnalysisSpec(backend="portfolio"))
-        assert backend.name == "portfolio"
-        assert BACKENDS["portfolio"] is backend
-
-    def test_portfolio_with_k_bound_still_routes_portfolio(self):
-        # k_bound parameterizes the kbounded member, it must not
-        # reroute the spec to the k-bounded backend.
-        backend = backend_for(AnalysisSpec(backend="portfolio", k_bound=2))
-        assert backend.name == "portfolio"
-
-    def test_encoding_factory_rejected(self):
-        with pytest.raises(SpecError, match="worker processes"):
-            BACKENDS["portfolio"].build(
-                figure1_net(), AnalysisSpec(backend="portfolio"),
-                encoding_factory=lambda net: None)
+    return PortfolioSession(net, spec, harness=SerialOnlyHarness()), spec
 
 
 class TestMemberCatalog:
@@ -48,7 +27,7 @@ class TestMemberCatalog:
         for member in PORTFOLIO_MEMBERS:
             spec = member_spec(parent, member)
             assert spec.backend != "portfolio"  # no recursive races
-            assert backend_for(spec).name != "portfolio"
+            assert open_session(figure1_net(), spec).name != "portfolio"
 
     def test_unknown_member_rejected(self):
         with pytest.raises(SpecError, match="unknown portfolio member"):
@@ -103,13 +82,11 @@ class TestSerialDegradation:
         assert checker.find_deadlocks().holds is False
 
     def test_serial_skips_failing_member(self, monkeypatch):
-        class ExplodingBackend:
-            name = "zdd"
+        def exploding_session(net, spec):
+            raise MemoryError("node table exploded")
 
-            def build(self, net, spec, encoding_factory=None):
-                raise MemoryError("node table exploded")
-
-        monkeypatch.setitem(BACKENDS, "zdd", ExplodingBackend())
+        monkeypatch.setattr("repro.analysis.backends._ZddSession",
+                            exploding_session)
         session, _ = serial_result(
             figure1_net(), portfolio_members=("zdd-chained",
                                               "bdd-chained"))

@@ -19,8 +19,8 @@ import signal
 
 import pytest
 
-from repro.analysis import (AnalysisSpec, MemberFailure, PortfolioBackend,
-                            PortfolioError, WorkerHarness, analyze,
+from repro.analysis import (AnalysisSpec, MemberFailure, PortfolioError,
+                            PortfolioSession, WorkerHarness, analyze,
                             member_spec)
 from repro.petri.generators import figure1_net, philosophers
 
@@ -143,8 +143,7 @@ def payload_for():
 
 def race(harness, **spec_overrides):
     spec = AnalysisSpec(backend="portfolio", **spec_overrides)
-    backend = PortfolioBackend(harness=harness)
-    return backend.build(figure1_net(), spec).run()
+    return PortfolioSession(figure1_net(), spec, harness=harness).run()
 
 
 def outcome_of(result, member):
@@ -363,8 +362,8 @@ class TestRealProcesses:
             backend="portfolio",
             portfolio_members=("bdd-functional", "zdd-chained"),
             timeout=60.0)
-        result = PortfolioBackend(harness=harness).build(
-            figure1_net(), spec).run()
+        result = PortfolioSession(figure1_net(), spec,
+                                  harness=harness).run()
         assert result.markings == 8
         assert result.extras["portfolio"]["winner"] == "zdd-chained"
         crash = next(f for f in result.extras["portfolio"]["failures"]
@@ -454,8 +453,7 @@ def race_with_checkpoint(harness, tmp_path, members,
     spec = AnalysisSpec(backend="portfolio",
                         portfolio_members=members,
                         checkpoint_path=str(path), **spec_overrides)
-    backend = PortfolioBackend(harness=harness)
-    return backend.build(figure1_net(), spec).run()
+    return PortfolioSession(figure1_net(), spec, harness=harness).run()
 
 
 class TestCheckpointRetries:

@@ -12,7 +12,7 @@ import queue as queue_module
 
 import pytest
 
-from repro.analysis import (AnalysisSpec, PortfolioBackend, PortfolioError,
+from repro.analysis import (AnalysisSpec, PortfolioError, PortfolioSession,
                             analyze, member_spec)
 from repro.analysis.workers import (DEAD_WORKER_GRACE_POLLS, JOIN_TIMEOUT,
                                     MAX_RESPAWNS, POLL_INTERVAL,
@@ -114,8 +114,7 @@ def _race(events):
     harness = FakeHarness(events, deaths={"bdd-chained": DIES_AT})
     spec = AnalysisSpec(backend="portfolio", timeout=DIES_AT + CRASHED + 5,
                         portfolio_members=("bdd-chained", "zdd-chained"))
-    return PortfolioBackend(harness=harness).build(figure1_net(),
-                                                   spec).run()
+    return PortfolioSession(figure1_net(), spec, harness=harness).run()
 
 
 def _pool_events(events):

@@ -20,13 +20,24 @@ differential-harness configurations from tier-1; run them with
 
 import pytest
 
-from repro.petri import ReachabilityGraph
+from repro.petri import PetriNet, ReachabilityGraph
 from repro.petri.generators import (dme_circuit, dme_spec, figure1_net,
                                     figure4_net, jj_register, muller,
                                     philosophers, slotted_ring)
 
+def primed_pair():
+    """``p -> t -> p'``: a place named like another place's next-state
+    copy in the relational nets."""
+    net = PetriNet("primes")
+    net.add_place("p", 1)
+    net.add_place("p'")
+    net.add_transition("t", ["p"], ["p'"])
+    return net
+
+
 NET_FACTORIES = {
     "figure1": figure1_net,
+    "primes": primed_pair,
     "figure4": figure4_net,
     "muller3": lambda: muller(3),
     "muller4": lambda: muller(4),

@@ -73,24 +73,6 @@ class TestRunner:
                 net, components=find_smcs(net)))
         assert row.variables == 4
 
-    def test_run_through_result_cache(self, tmp_path):
-        """A second sweep over a shared cache re-runs nothing, and the
-        cached row reports the original solve's measurements."""
-        from repro.service import ResultCache
-        cache = ResultCache(directory=tmp_path)
-        net, spec = figure1_net(), AnalysisSpec()
-        cold = run("fig1", net, spec, cache=cache)
-        assert cache.stats()["writes"] == 1
-        warm = run("fig1", net, spec, cache=cache)
-        assert warm == cold          # seconds included: the solve's own
-        assert cache.stats()["hits_memory"] == 1
-        # Durability knobs share the entry; a semantic change does not.
-        assert run("fig1", net, spec.replace(max_iterations=9),
-                   cache=cache) == cold
-        zdd = run("fig1", net, AnalysisSpec(backend="zdd"), cache=cache)
-        assert zdd.engine == "zdd-chained"
-        assert cache.stats()["writes"] == 2
-
 
 class TestFormatting:
     def test_format_table_groups_instances(self):

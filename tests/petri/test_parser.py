@@ -1,10 +1,12 @@
 """Unit tests for the .pnet text format."""
 
 import io
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.petri import Marking
+from repro.petri import Marking, PetriNet, PetriNetError
 from repro.petri.generators import figure1_net, figure4_net, muller
 from repro.petri.parser import ParseError, dumps, load, loads, save
 
@@ -73,3 +75,109 @@ class TestParsing:
     def test_error_reports_line_number(self):
         with pytest.raises(ParseError, match="line 3"):
             loads("net x\nplace a\nbogus\n")
+
+
+# ---------------------------------------------------------------------------
+# Every net PetriNet accepts survives loads(dumps(net))
+
+def _legal(name):
+    return "#" not in name and not any(c.isspace() for c in name)
+
+
+names = st.text(st.characters(exclude_categories=("Cs",)),
+                min_size=1, max_size=6).filter(_legal)
+
+
+@st.composite
+def small_nets(draw):
+    node_names = draw(st.lists(names, min_size=1, max_size=8, unique=True))
+    split = draw(st.integers(min_value=0, max_value=len(node_names)))
+    net = PetriNet(draw(names))
+    for place in node_names[:split]:
+        net.add_place(place, draw(st.integers(min_value=0, max_value=3)))
+    for transition in node_names[split:]:
+        net.add_transition(transition)
+    pairs = [(p, t) for p in net.places for t in net.transitions]
+    pairs += [(t, p) for t in net.transitions for p in net.places]
+    if pairs:
+        for source, target in draw(st.lists(st.sampled_from(pairs),
+                                            max_size=12)):
+            net.add_arc(source, target)
+    return net
+
+
+@settings(max_examples=150, deadline=None)
+@given(net=small_nets())
+def test_loads_dumps_reproduces_every_accepted_net(net):
+    copy = loads(dumps(net))
+    assert copy.name == net.name
+    assert copy.places == net.places
+    assert copy.transitions == net.transitions
+    assert set(copy.arcs()) == set(net.arcs())
+    assert copy.initial_marking == net.initial_marking
+
+
+class TestUnportableNames:
+    """Names ``.pnet`` cannot carry are refused when the net is built,
+    not when a worker process fails to parse the net's text."""
+
+    def test_net_name_with_whitespace(self):
+        with pytest.raises(PetriNetError, match="'figure one'"):
+            PetriNet("figure one")
+        net = figure1_net()
+        with pytest.raises(PetriNetError, match="'figure one'"):
+            net.name = "figure one"
+        assert net.name == "figure1"
+
+    def test_place_names_with_hash(self):
+        net = PetriNet("hashes")
+        with pytest.raises(PetriNetError, match="'p#1'"):
+            net.add_place("p#1", 1)
+        assert net.places == ()
+
+    @pytest.mark.parametrize("name", ["", "a b", "t\n", "x\u2028y", "#"])
+    def test_transition_names(self, name):
+        with pytest.raises(PetriNetError, match="whitespace or '#'"):
+            PetriNet("n").add_transition(name)
+
+
+# ---------------------------------------------------------------------------
+# Malformed input raises ParseError and nothing else
+
+_FUZZ_PIECES = ["net", "place", "transition", "arc", "p", "t", "q", "0",
+                "1", "-1", "2", "x1", "#", " ", "\t", "\n", "\r\n",
+                "\x0c", "\u2028", "\x85", "\u00df", "\u00e9", "'", "+3",
+                "1_0", "9" * 40, "frobnicate"]
+
+
+def _mutations(rng, text):
+    for _ in range(rng.randint(1, 4)):
+        pos = rng.randint(0, len(text))
+        kind = rng.random()
+        if kind < 0.4:
+            text = text[:pos] + rng.choice(_FUZZ_PIECES) + text[pos:]
+        elif kind < 0.7:
+            text = text[:pos] + text[pos + rng.randint(1, 6):]
+        else:
+            lines = text.splitlines(keepends=True) or [""]
+            rng.shuffle(lines)
+            text = "".join(lines)
+    return text
+
+
+def test_malformed_pnet_fuzz_raises_only_parse_error():
+    rng = random.Random(20)
+    seeds = [dumps(figure1_net()), dumps(muller(2)),
+             "net x\nplace a 1\ntransition t\narc a t\n"]
+    outcomes = {"parsed": 0, "refused": 0}
+    for _ in range(2000):
+        text = _mutations(rng, rng.choice(seeds))
+        try:
+            net = loads(text)
+        except ParseError:
+            outcomes["refused"] += 1
+            continue
+        outcomes["parsed"] += 1
+        # Whatever parses is a net .pnet can carry.
+        assert dumps(loads(dumps(net))) == dumps(net)
+    assert outcomes["parsed"] and outcomes["refused"]

@@ -331,3 +331,27 @@ def test_shared_cache_object_between_services(baselines):
     with AnalysisService(cache=cache, workers=0) as second:
         handle = second.submit(nets["figure1"], specs["default"])
         assert handle.info["cache"] == "hit"
+
+
+def test_every_accepted_name_crosses_the_process_boundary():
+    """A net reaches a worker as ``.pnet`` text, so any name PetriNet
+    accepts must survive that hop: the pool and the portfolio race
+    answer exactly as an in-process ``analyze()`` does."""
+    from repro.petri import PetriNet
+    net = PetriNet("\u00fcn\u00ef-net;[1]")
+    net.add_place("p", 1)
+    net.add_place("p'")
+    net.add_place("\u00b5/q")
+    net.add_transition("t:1", ["p"], ["p'"])
+    net.add_transition("t'", ["p'"], ["\u00b5/q"])
+    expected = analyze(net, AnalysisSpec()).markings
+    assert expected == 3
+    with AnalysisService(workers=1) as service:
+        for spec in (AnalysisSpec(), AnalysisSpec(backend="zdd")):
+            handle = service.submit(net, spec)
+            assert handle.result().markings == expected
+            assert handle.info["mode"] == "pool"
+    race = analyze(net, AnalysisSpec(backend="portfolio", timeout=60.0))
+    assert race.markings == expected
+    assert race.extras["portfolio"]["mode"] == "process"
+    assert race.extras["portfolio"]["failures"] == []

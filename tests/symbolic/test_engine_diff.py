@@ -20,7 +20,7 @@ import pytest
 
 from repro.analysis import (DEFAULT_PORTFOLIO_MEMBERS, RELATIONAL_ENGINES,
                             ZDD_RELATIONAL_ENGINES, Analysis, AnalysisSpec,
-                            PortfolioBackend, WorkerHarness, analyze,
+                            PortfolioSession, WorkerHarness, analyze,
                             member_spec)
 from repro.bdd import cube
 from repro.petri import Marking, ReachabilityGraph
@@ -152,8 +152,7 @@ class _SerialOnlyHarness(WorkerHarness):
 
 def _forced_winner_result(net, members):
     spec = AnalysisSpec(backend="portfolio", portfolio_members=members)
-    backend = PortfolioBackend(harness=_SerialOnlyHarness())
-    session = backend.build(net, spec)
+    session = PortfolioSession(net, spec, harness=_SerialOnlyHarness())
     return session, session.run()
 
 
@@ -225,11 +224,11 @@ def _slow_checkpointing_worker(net_text, spec_values, delay):
     fixpoint with a sleep after each safe point, so the parent can
     SIGKILL it mid-fixpoint with a completed checkpoint on disk."""
     from repro.analysis import AnalysisSpec
-    from repro.analysis.backends import backend_for
+    from repro.analysis.backends import open_session
     from repro.petri.parser import loads
     net = loads(net_text)
     spec = AnalysisSpec.from_dict(spec_values)
-    session = backend_for(spec).build(net, spec)
+    session = open_session(net, spec)
     while not session.at_fixpoint():
         session.step()
         _time.sleep(delay)

@@ -16,7 +16,7 @@ from repro.analysis import (RELATIONAL_ENGINES, Analysis, AnalysisSpec,
 from repro.encoding import ImprovedEncoding
 from repro.petri.generators import figure4_net, philosophers, slotted_ring
 from repro.symbolic import RelationalNet, ZddRelationalNet
-from repro.symbolic.partition import PartitionedNet
+from repro.symbolic.partition import PartitionedNet, next_state_suffix
 
 # Relational fixpoints on a fixed variable order (BDD and ZDD).
 BDD_RELATIONAL = AnalysisSpec(form="relational", reorder=False)
@@ -246,3 +246,30 @@ def test_image_partitioned_is_order_independent(make_net):
         rng.shuffle(shuffled)
         assert relnet.image_partitioned(states, shuffled) == baseline
 
+
+
+# ---------------------------------------------------------------------------
+# next-state variable names
+
+
+@pytest.mark.parametrize("names, suffix", [
+    (["p", "q"], "'"),
+    (["a", "b'"], "'"),
+    (["p", "p'"], "''"),
+    (["p", "p'", "p''"], "'''"),
+    (["p", "p''"], "'"),
+])
+def test_next_state_suffix_avoids_every_current_name(names, suffix):
+    assert next_state_suffix(names) == suffix
+    assert not {name + suffix for name in names} & set(names)
+
+
+def test_relational_nets_name_next_copies_apart_from_places(make_net):
+    net = make_net("primes")
+    relnet = RelationalNet(ImprovedEncoding(net))
+    assert not set(relnet.next) & set(relnet.current)
+    znet = ZddRelationalNet(net)
+    assert znet.zdd.num_vars == 4
+    # Nets without such a pair keep the single prime.
+    plain = RelationalNet(ImprovedEncoding(philosophers(2)))
+    assert all(n == c + "'" for c, n in zip(plain.current, plain.next))

@@ -18,8 +18,9 @@ walking ``encoding.variables`` or ``net.places``.
 And retired code stays retired: the per-block union engine
 (``partitioned``), the Coudert-Madre frontier restriction and its
 ``simplify_frontier`` option won no benchmark row; the image-engine
-strategy objects only forwarded to the nets' images, and
-``chain_order`` had one value in use.
+strategy objects only forwarded to the nets' images, the backend
+factories (and their ``BACKENDS`` registry) only called one session
+constructor each, and ``chain_order`` had one value in use.
 
 The chained per-transition steps have one form as well: the fused
 kernel operations ``or_and_toggle`` and ``or_cofactor_and``, never a
@@ -264,13 +265,17 @@ def test_tripwire_sees_a_naming_order_declaration(tmp_path):
 
 
 # Identifiers of the retired per-block union engine, the Coudert-Madre
-# frontier restriction and the image-engine strategy layer (the
-# ``ImageEngine`` substring covers every engine class); none may
-# reappear anywhere under src/repro.
+# frontier restriction, the image-engine strategy layer (the
+# ``ImageEngine`` substring covers every engine class) and the backend
+# factory layer above the sessions; none may reappear anywhere under
+# src/repro.
 RETIRED_IDENTIFIERS = ("restrict_cm", "narrow_frontier",
                        "SIMPLIFY_MIN_FRONTIER_NODES", "ImageEngine",
                        "make_image_engine", "ClassicZddEngine",
-                       "image_engines")
+                       "image_engines", "SolverBackend", "BACKENDS",
+                       "backend_for", "PortfolioBackend",
+                       "BddFunctionalBackend", "BddRelationalBackend",
+                       "ZddBackend", "KBoundedBackend", "_reject_factory")
 # Retired spec fields: named only inside RETIRED_FIELD_DEFAULTS, which
 # keeps old fingerprints stable.
 RETIRED_FIELDS = ("simplify_frontier", "chain_order")
@@ -309,7 +314,8 @@ def retired_name_uses(root):
 def test_retired_engine_and_restriction_stay_deleted():
     """The ``partitioned`` engine, ``restrict_cm`` and the frontier
     restriction won no benchmark row on the structural order and were
-    deleted, and so was the image-engine layer; ``simplify_frontier``
+    deleted, and so were the image-engine and backend-factory layers;
+    ``simplify_frontier``
     and ``chain_order`` may only be named as retired fields at their
     old defaults (which keeps old fingerprints stable)."""
     from repro.analysis import PORTFOLIO_MEMBERS, RELATIONAL_ENGINES
@@ -344,6 +350,8 @@ def test_tripwire_sees_retired_names(tmp_path):
         "class ChainedImageEngine:\n"
         "    offered = relnet.image_engines\n"
         "classic = ClassicZddEngine(znet)\n")
+    (tmp_path / "facade.py").write_text(
+        "session = backend_for(spec).build(net, spec)\n")
     assert retired_name_uses(tmp_path) == [
         ("analysis/spec.py", 4, "simplify_frontier"),
         ("analysis/spec.py", 5, "chain_order"),
@@ -351,6 +359,7 @@ def test_tripwire_sees_retired_names(tmp_path):
         ("backends.py", 2, "ImageEngine"),
         ("backends.py", 3, "image_engines"),
         ("backends.py", 4, "ClassicZddEngine"),
+        ("facade.py", 1, "backend_for"),
         ("kernel.py", 1, "restrict_cm"),
         ("kernel.py", 2, "narrow_frontier")]
 
