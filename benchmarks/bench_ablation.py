@@ -82,8 +82,8 @@ class TestImageImplementations:
 
     def test_relational_per_transition(self, once, instance):
         _, net, smcs = instance
-        result = once(analyze_improved, net, smcs, RELATIONAL.replace(
-            engine="chained", cluster_size=1))
+        result = once(analyze_improved, net, smcs,
+                      RELATIONAL.replace(engine="chained"))
         assert result.markings > 0
 
     def test_relational_monolithic(self, once, instance):

@@ -15,8 +15,8 @@ enabled``).  This benchmark times exactly those paths:
    run them on the path users run, ``Analysis(net).checker()`` on the
    default spec.  phil-12 is the full-scale row: it has no seed-commit
    numbers, so it records the default-spec checker without ratios.
-2. **Chained sweep** — the chained relational fixpoint with
-   ``cluster_size="auto"`` on a fixed order; its ``peak_live_nodes``
+2. **Chained sweep** — the chained relational fixpoint (one sparse
+   relation per transition) on a fixed order; its ``peak_live_nodes``
    carries the >= 1.5x node-count reduction bound.
 3. **Raw negation** — ``apply_not`` on the full reachable set against a
    reference recursive rebuild (what negation cost before complement
@@ -140,8 +140,7 @@ def measure_negation(factory: Callable) -> Dict:
     """Checker-query, chained-sweep and raw-negation timings."""
     # 1. Chained sweep (the peak-live-node workload).
     sweep = Analysis(factory(), AnalysisSpec(
-        form="relational", engine="chained", cluster_size="auto",
-        reorder=False)).run()
+        form="relational", engine="chained", reorder=False)).run()
     # 2. Checker queries over the functional backend's plain BFS
     # fixpoint (fixed order, quantify-and-force firing).
     analysis = Analysis(factory(), AnalysisSpec(

@@ -11,9 +11,8 @@ generators:
 2. **Image engines** — the monolithic relation vs. the chained sweep
    through the disjunctive partition (see
    :mod:`repro.symbolic.partition`).
-3. **Adaptive traversal** — the chained engine × reorder × auto-cluster
-   grid: pair-grouped dynamic sifting at traversal safe points and
-   greedy support-overlap clustering (``cluster_size="auto"``), measured
+3. **Adaptive traversal** — the chained engine × reorder grid:
+   pair-grouped dynamic sifting at traversal safe points, measured
    against the baseline fixed-order chained engine, declared in the
    encoding's naming order.
    The ``chained@structural`` row runs that engine on the structural
@@ -73,7 +72,6 @@ elif os.environ.get("REPRO_FULL"):
     CONFIGS += [("phil-12", lambda: philosophers(12))]
 
 ENGINES = ("monolithic", "chained")
-CLUSTER_SIZE = 1
 OLD_ENGINE = "monolithic-materialised"
 # Wall-clock acceptance ratios re-measure a failing instance up to this
 # many times, so only a reproducible slowdown fails.
@@ -87,7 +85,8 @@ REORDER_THRESHOLD = 5_000
 
 # The adaptive grid.  "chained" with no features, declared in the
 # encoding's interleaved naming order, is exactly the first relational
-# engine (cluster_size=1, pinned interleaved order, raw frontiers) and
+# engine (one relation per transition, pinned interleaved order, raw
+# frontiers) and
 # is the baseline every other row's speedup/peak ratio refers to.
 # "chained@structural" is the same engine on the structural order
 # (repro.petri.order) every manager declares today, still unsifted.
@@ -95,10 +94,7 @@ PR1_BASELINE = "chained"
 ADAPTIVE_GRID: List[Tuple[str, str, Dict]] = [
     ("chained", "chained", {}),
     ("chained@structural", "chained", {}),
-    ("chained+auto", "chained", dict(cluster_size="auto")),
     ("chained+reorder", "chained", dict(reorder=True)),
-    ("chained+adaptive", "chained",
-     dict(cluster_size="auto", reorder=True)),
 ]
 
 
@@ -120,7 +116,6 @@ def relational_spec(engine: str, **options) -> AnalysisSpec:
     ``reorder`` is set)."""
     return AnalysisSpec(
         form="relational", engine=engine,
-        cluster_size=options.get("cluster_size", CLUSTER_SIZE),
         reorder=options.get("reorder", False),
         reorder_threshold=REORDER_THRESHOLD)
 
@@ -252,7 +247,7 @@ def measure_engines(factory: Callable,
 
 
 def measure_adaptive(factory: Callable) -> Dict[str, Dict]:
-    """The chained engine × reorder × auto-cluster grid.
+    """The chained engine × reorder grid.
 
     Every row runs on a fresh manager.  ``reorder`` rows sift in
     current/next pair groups at the traversal safe points (partition
@@ -269,7 +264,6 @@ def measure_adaptive(factory: Callable) -> Dict[str, Dict]:
         rows[label] = {
             "engine": engine,
             "reorder": spec.reorder,
-            "cluster_size": spec.cluster_size,
             "markings": result.markings,
             "iterations": result.iterations,
             "image_seconds": result.extras["fixpoint_seconds"],
@@ -292,7 +286,6 @@ def collect() -> Dict:
     """All measurements, in the JSON layout of ``BENCH_relprod.json``."""
     report: Dict = {
         "benchmark": "relational product image engines",
-        "cluster_size": CLUSTER_SIZE,
         "reorder_threshold": REORDER_THRESHOLD,
         "full_scale": bool(os.environ.get("REPRO_FULL")),
         "quick": QUICK,
@@ -399,8 +392,8 @@ def test_chained_engine_iterates_less(report):
 
 
 def test_adaptive_rows_reach_same_fixpoint(report):
-    """Every engine × reorder × auto-cluster configuration computes the
-    same reachable set."""
+    """Every engine × reorder configuration computes the same reachable
+    set."""
     for name, rows in report["instances"].items():
         counts = {row["markings"] for row in rows["adaptive"].values()}
         reference = rows["engines"]["chained"]["markings"]
@@ -412,26 +405,26 @@ def test_reorder_configurations_actually_reorder(report):
     trigger — otherwise the grid is not measuring reordering at all."""
     for name in largest_per_family(report["instances"]).values():
         adaptive = report["instances"][name]["adaptive"]
-        assert adaptive["chained+adaptive"]["reorder_count"] > 0, name
+        assert adaptive["chained+reorder"]["reorder_count"] > 0, name
 
 
 @pytest.mark.skipif(QUICK, reason="acceptance instances excluded in "
                                   "quick mode")
 def test_adaptive_beats_pr1_chained_on_two_families(report):
     """The PR 2 acceptance bound: on the largest instance of at least
-    two net families, the adaptive chained engine must deliver a >= 1.5x
-    image-fixpoint speedup or a >= 2x peak-live-node reduction over
-    PR 1's fixed-order chained engine.
+    two net families, the reordering chained engine must deliver a
+    >= 1.5x image-fixpoint speedup or a >= 2x peak-live-node reduction
+    over PR 1's fixed-order chained engine.
 
-    Measured margins (2-CPU box): phil-8 reaches ~16x speedup AND ~43x
-    peak reduction, slot-5 ~6.3x peak reduction at ~0.8x the speed —
-    there sifting costs more than it wins, and the unsifted
-    ``chained@structural`` row is faster than every reordered one.
+    Measured margins (2-CPU box): phil-8 reaches ~18-20x speedup AND
+    ~41.3x peak reduction, slot-5 ~7.07x peak reduction at a loss in
+    speed — there sifting costs more than it wins, and the unsifted
+    ``chained@structural`` row is faster than the reordered one.
     """
     largest = largest_per_family(report["instances"])
     assert len(largest) >= 2, largest
     for family, name in largest.items():
-        row = report["instances"][name]["adaptive"]["chained+adaptive"]
+        row = report["instances"][name]["adaptive"]["chained+reorder"]
         assert (row["speedup_vs_pr1_chained"] >= 1.5
                 or row["peak_reduction_vs_pr1_chained"] >= 2.0), (name, row)
 

@@ -83,21 +83,19 @@ OLD_ENGINE = "classic"
 # matched the unreordered run; phil-8 gains ~1.3x at 20k).
 REORDER_THRESHOLD = 20_000
 
-# Engine grid: label -> (engine, cluster_size, auto_reorder).
-# "chained+auto" is the narrowing acceptance row; the "+reorder" rows
-# exercise the kernel's pair-grouped ZDD sifting.
-ENGINE_GRID: List[Tuple[str, str, "int | str", bool]] = [
-    ("chained", "chained", 1, False),
-    ("chained+auto", "chained", "auto", False),
-    ("chained+reorder", "chained", 1, True),
-    ("chained+auto+reorder", "chained", "auto", True),
+# Engine grid: label -> (engine, auto_reorder).  "chained" is the
+# narrowing acceptance row; the "+reorder" row exercises the kernel's
+# pair-grouped ZDD sifting.
+ENGINE_GRID: List[Tuple[str, str, bool]] = [
+    ("chained", "chained", False),
+    ("chained+reorder", "chained", True),
 ]
-# The classic-vs-chained acceptance metric is the better of the plain
-# chained rows; the PR 3 acceptance is the better of the reorder rows
+# The classic-vs-chained acceptance metric is the best of the plain
+# chained rows; the PR 3 acceptance is the best of the reorder rows
 # (which also carry the narrowing — it is unconditional in the shared
 # sweep).
-CHAINED_ROWS = ("chained", "chained+auto")
-REORDER_ROWS = ("chained+reorder", "chained+auto+reorder")
+CHAINED_ROWS = ("chained",)
+REORDER_ROWS = ("chained+reorder",)
 # Re-measure attempts for the wall-clock acceptance bounds: only a
 # reproducible slowdown fails (same policy as check_regression.py).
 ATTEMPTS = 3
@@ -137,13 +135,12 @@ def measure_engines(factory: Callable) -> Dict[str, Dict]:
         "total_nodes": result.extras["total_nodes"],
         "peak_live_nodes": result.peak_nodes,
     }
-    for label, engine, cluster_size, reorder in ENGINE_GRID:
+    for label, engine, reorder in ENGINE_GRID:
         result = Analysis(factory(), AnalysisSpec(
-            backend="zdd", engine=engine, cluster_size=cluster_size,
+            backend="zdd", engine=engine,
             reorder=reorder, reorder_threshold=REORDER_THRESHOLD)).run()
         rows[label] = {
             "engine": engine,
-            "cluster_size": cluster_size,
             "reorder": reorder,
             "markings": result.markings,
             "iterations": result.iterations,
@@ -156,7 +153,7 @@ def measure_engines(factory: Callable) -> Dict[str, Dict]:
             "ae_cache_hits": result.extras["ae_cache_hits"],
         }
     classic_seconds = rows[OLD_ENGINE]["image_seconds"]
-    for label, _, _, _ in ENGINE_GRID:
+    for label, _, _ in ENGINE_GRID:
         row = rows[label]
         row["speedup_vs_classic"] = (
             classic_seconds / row["image_seconds"]
@@ -254,19 +251,19 @@ def test_engines_reach_same_fixpoint(report):
     for name, rows in report["instances"].items():
         counts = {rows[OLD_ENGINE]["markings"]}
         counts.update(rows[label]["markings"]
-                      for label, _, _, _ in ENGINE_GRID)
+                      for label, _, _ in ENGINE_GRID)
         assert len(counts) == 1, (name, counts)
 
 
 def test_chained_iterates_less(report):
     for name, rows in report["instances"].items():
-        assert rows["chained+auto"]["iterations"] \
+        assert rows["chained"]["iterations"] \
             <= rows[OLD_ENGINE]["iterations"], name
 
 
 def test_fused_product_cache_is_hit(report):
     for name, rows in report["instances"].items():
-        row = rows["chained+auto"]
+        row = rows["chained"]
         assert row["ae_calls"] > 0
         assert row["ae_cache_hits"] > 0, (name, row)
 
@@ -328,7 +325,7 @@ def main() -> None:
         print(f"{name}: classic t={classic['image_seconds']:.3f}s "
               f"iters={classic['iterations']} "
               f"markings={classic['markings']}")
-        for label, _, _, _ in ENGINE_GRID:
+        for label, _, _ in ENGINE_GRID:
             row = rows[label]
             print(f"  {label:<22} t={row['image_seconds']:.3f}s "
                   f"({row['speedup_vs_classic']:.2f}x) "

@@ -8,8 +8,8 @@ The one way to run a symbolic analysis::
     print(result.markings, result.seconds)
 
 * :class:`AnalysisSpec` — a validated frozen description of the whole
-  configuration (scheme, backend, form, engine, clustering, reordering,
-  frontier handling, ``k_bound``), with structured inapplicable-option
+  configuration (scheme, backend, form, engine, reordering,
+  ``k_bound``), with structured inapplicable-option
   warnings instead of ad-hoc prints.
 * :class:`SolverSession` / :func:`open_session` — the protocol the
   five sessions (functional BDD, relational BDD, ZDD, k-bounded and the
@@ -44,7 +44,7 @@ from .facade import Analysis, analyze
 from .portfolio import (MemberFailure, PortfolioError, PortfolioSession,
                         member_checkpoint_path, member_spec)
 from .result import SCHEMA_MINOR, SCHEMA_VERSION, AnalysisResult
-from .spec import (BACKEND_FAMILIES, DEFAULT_CLUSTER_SIZE, DEFAULT_FORM,
+from .spec import (BACKEND_FAMILIES, DEFAULT_FORM,
                    DEFAULT_PORTFOLIO_MEMBERS, DEFAULT_RELATIONAL_ENGINE,
                    FORMS, NONSEMANTIC_FIELDS, PORTFOLIO_MEMBERS,
                    RELATIONAL_ENGINES, SCHEMES, SEMANTIC_FIELDS,
@@ -64,7 +64,7 @@ __all__ = [
     "ResourceBudgetExceeded", "TraversalLimitError",
     "SCHEMES", "BACKEND_FAMILIES", "FORMS", "RELATIONAL_ENGINES",
     "ZDD_RELATIONAL_ENGINES", "STRATEGIES", "DEFAULT_FORM",
-    "DEFAULT_RELATIONAL_ENGINE", "DEFAULT_CLUSTER_SIZE",
+    "DEFAULT_RELATIONAL_ENGINE",
     "PORTFOLIO_MEMBERS", "DEFAULT_PORTFOLIO_MEMBERS",
     "NONSEMANTIC_FIELDS", "SEMANTIC_FIELDS",
 ]

@@ -324,14 +324,6 @@ def _build_encoding(net: PetriNet, spec: AnalysisSpec,
     return SCHEME_CLASSES[spec.scheme](net)
 
 
-def _chained_sweep(relnet, cluster_size) -> Callable:
-    """``(frontier, reached) -> swept``: one chained sweep, narrowed
-    against ``reached``.  The partition is looked up on every call
-    because a reorder may recluster it."""
-    return lambda frontier, reached: relnet.image_chained(
-        frontier, relnet.partitions(cluster_size), reached=reached)
-
-
 # ----------------------------------------------------------------------
 # BDD functional
 # ----------------------------------------------------------------------
@@ -418,8 +410,7 @@ class _BddRelationalSession(SolverSession):
             self._successors = \
                 lambda frontier, reached: relnet.image_monolithic(frontier)
         else:
-            self._successors = _chained_sweep(relnet,
-                                              spec.resolved_cluster_size)
+            self._successors = relnet.image_chained
         self.reached = relnet.initial
         self.frontier = relnet.initial
         super().__init__(spec, time.perf_counter() - start, net=net)
@@ -450,8 +441,7 @@ class _BddRelationalSession(SolverSession):
             final_nodes=self.reached.size(),
             reorder_count=bdd.reorder_count,
             reachable=self.reached,
-            extras={"cluster_size": self.spec.resolved_cluster_size,
-                    "ae_calls": bdd.ae_calls,
+            extras={"ae_calls": bdd.ae_calls,
                     "ae_cache_hits": bdd.ae_cache_hits})
 
 
@@ -479,8 +469,7 @@ class _ZddSession(SolverSession):
             znet = self.symbolic_net = ZddRelationalNet(
                 net, auto_reorder=spec.reorder,
                 reorder_threshold=spec.reorder_threshold)
-            self._successors = _chained_sweep(znet,
-                                              spec.resolved_cluster_size)
+            self._successors = znet.image_chained
         self.zdd = znet.zdd
         # The fixpoint roots stay referenced for the session's lifetime:
         # the per-iteration safe point may garbage collect (the shared

@@ -3,17 +3,16 @@
 An :class:`AnalysisSpec` captures everything the solver backends need to
 run a symbolic reachability analysis — encoding scheme, backend family
 (``bdd`` | ``zdd``), image form (``functional`` | ``relational``), the
-image engine, clustering granularity, reordering and frontier options
-and the ``k_bound`` extension — in a single validated frozen dataclass.
-The CLI, the experiment runner and the table scripts all build one of
-these instead of re-wiring keyword arguments per entry point.
+image engine, reordering options and the ``k_bound`` extension — in a
+single validated frozen dataclass.  The CLI, the experiment runner and
+the table scripts all build one of these instead of re-wiring keyword
+arguments per entry point.
 
 Two kinds of misconfiguration are distinguished:
 
 * **Errors** (:class:`SpecError`) — combinations that cannot mean
   anything: an unknown scheme, a relational engine with the functional
-  form, an explicit ``cluster_size`` when there are no partitions to
-  cluster, ``k_bound`` on the ZDD backend.  Raised at construction.
+  form, ``k_bound`` on the ZDD backend.  Raised at construction.
 * **Warnings** (:class:`SpecWarning`) — options that are merely
   *inapplicable* to the selected backend (a traversal strategy for a
   relational engine, a scheme for the ZDD's direct token-set encoding).
@@ -35,23 +34,19 @@ import hashlib
 import json
 import logging
 from dataclasses import dataclass, fields
-from typing import Any, Dict, Optional, Tuple, Union
-
-from ..symbolic.partition import validate_cluster_size
+from typing import Any, Dict, Optional, Tuple
 
 __all__ = [
     "AnalysisSpec", "SpecError", "SpecWarning",
     "SCHEMES", "BACKEND_FAMILIES", "FORMS", "RELATIONAL_ENGINES",
     "ZDD_RELATIONAL_ENGINES", "STRATEGIES",
     "DEFAULT_FORM", "DEFAULT_RELATIONAL_ENGINE",
-    "DEFAULT_CLUSTER_SIZE", "DEFAULT_REORDER_THRESHOLD",
+    "DEFAULT_REORDER_THRESHOLD",
     "PORTFOLIO_MEMBERS", "DEFAULT_PORTFOLIO_MEMBERS",
     "NONSEMANTIC_FIELDS", "SEMANTIC_FIELDS",
 ]
 
 log = logging.getLogger(__name__)
-
-ClusterSize = Union[int, str]
 
 SCHEMES = ("sparse", "dense", "improved")
 BACKEND_FAMILIES = ("bdd", "zdd", "portfolio")
@@ -85,7 +80,6 @@ DEFAULT_PORTFOLIO_MEMBERS = (
 # engine (measured fastest in BENCH_relprod.json across every instance).
 DEFAULT_FORM: Dict[str, str] = {"bdd": "functional", "zdd": "relational"}
 DEFAULT_RELATIONAL_ENGINE = "chained"
-DEFAULT_CLUSTER_SIZE: ClusterSize = "auto"
 DEFAULT_REORDER_THRESHOLD = 2_000
 
 # Catalogue names retired because they won no benchmark row on the
@@ -106,6 +100,9 @@ RETIRED_FIELD_DEFAULTS = {
     "chain_order": (
         "support", "the chaining sweep always fires transitions in "
                    "support-sorted order; drop the field"),
+    "cluster_size": (
+        None, "the chained sweep always applies one sparse relation per "
+              "transition, in support order; drop the field"),
 }
 
 # Fields that do not change the analysis trajectory: the durability and
@@ -129,7 +126,7 @@ NONSEMANTIC_FIELDS = (
 # the result).  Declared explicitly rather than computed so adding a
 # spec field forces a conscious classification decision here.
 SEMANTIC_FIELDS = (
-    "scheme", "backend", "form", "engine", "cluster_size", "strategy",
+    "scheme", "backend", "form", "engine", "strategy",
     "use_toggle", "reorder", "reorder_threshold",
     "k_bound", "portfolio_members",
 )
@@ -185,11 +182,6 @@ class AnalysisSpec:
         row were retired (:data:`RETIRED_NAMES`).  ``None``
         resolves to :data:`DEFAULT_RELATIONAL_ENGINE` for the
         relational form; must be ``None`` with the functional form.
-    cluster_size:
-        Partition granularity for the chained engine — a
-        positive integer or ``"auto"``.  ``None`` (default) resolves to
-        :data:`DEFAULT_CLUSTER_SIZE`; setting it with the functional
-        form is a :class:`SpecError`.
     strategy, use_toggle:
         Functional-BDD traversal knobs, run by the ``bdd-functional``
         session (:func:`~repro.analysis.backends.open_session`):
@@ -265,7 +257,6 @@ class AnalysisSpec:
     backend: str = "bdd"
     form: Optional[str] = None
     engine: Optional[str] = None
-    cluster_size: Optional[ClusterSize] = None
     strategy: str = "chaining"
     use_toggle: bool = True
     reorder: bool = True
@@ -324,12 +315,6 @@ class AnalysisSpec:
             else DEFAULT_RELATIONAL_ENGINE
 
     @property
-    def resolved_cluster_size(self) -> ClusterSize:
-        """The clustering granularity, defaulted when unset."""
-        return self.cluster_size if self.cluster_size is not None \
-            else DEFAULT_CLUSTER_SIZE
-
-    @property
     def resolved_members(self) -> Tuple[str, ...]:
         """The portfolio membership, defaulted when unset."""
         return self.portfolio_members if self.portfolio_members is not None \
@@ -376,11 +361,6 @@ class AnalysisSpec:
                     "to force a single engine, run that backend "
                     "directly instead of setting form/engine on a "
                     "portfolio")
-            if self.cluster_size is not None:
-                raise SpecError(
-                    "cluster_size does not apply to the portfolio "
-                    "backend; its relational members cluster "
-                    "adaptively")
         if self.portfolio_members is not None:
             if self.backend != "portfolio":
                 raise SpecError(
@@ -422,17 +402,6 @@ class AnalysisSpec:
                     f"chained beats it on time and peak nodes on every "
                     f"benchmarked net; use that, or form='functional' "
                     f"for the classic baseline")
-        if self.cluster_size is not None:
-            try:
-                validate_cluster_size(self.cluster_size)
-            except ValueError as exc:
-                raise SpecError(str(exc)) from None
-            if self.k_bound is not None \
-                    or self.resolved_form == "functional":
-                raise SpecError(
-                    "cluster_size only applies to the chained "
-                    "relational engine; this configuration has no "
-                    "partitions to cluster")
         if self.reorder_threshold < 1:
             raise SpecError(
                 f"reorder_threshold must be positive, got "
@@ -539,12 +508,6 @@ class AnalysisSpec:
                 warn("reorder", "the k-bounded engine keeps the fixed "
                                 "interleaved count-bit order; there is "
                                 "no reordering to disable")
-        if (self.resolved_form == "relational"
-                and self.resolved_engine == "monolithic"
-                and self.cluster_size is not None):
-            warn("cluster_size", "the monolithic engine folds every "
-                                 "transition into one relation; there "
-                                 "are no partitions to cluster")
         return tuple(collected)
 
     # ------------------------------------------------------------------
@@ -558,8 +521,8 @@ class AnalysisSpec:
         Recognized attributes (all optional — absent ones keep the spec
         default): ``scheme``, ``engine`` (the backend family flag),
         ``image`` (``functional`` or a relational engine name; ``None``
-        resolves per backend), ``cluster_size``, ``strategy``,
-        ``no_reorder``, ``k_bound``,
+        resolves per backend), ``strategy``, ``no_reorder``,
+        ``k_bound``,
         ``portfolio_members`` (comma-separated member
         ids), ``timeout``, ``member_timeout``, ``checkpoint`` (the
         checkpoint path), ``checkpoint_every``, ``resume``,
@@ -576,8 +539,6 @@ class AnalysisSpec:
         elif image is not None:
             values["form"] = "relational"
             values["engine"] = image
-        if getattr(args, "cluster_size", None) is not None:
-            values["cluster_size"] = args.cluster_size
         if getattr(args, "strategy", None) is not None:
             values["strategy"] = args.strategy
         if getattr(args, "no_reorder", False):

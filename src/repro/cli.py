@@ -40,7 +40,7 @@ Examples
     python -m repro.cli info muller4.pnet
     python -m repro.cli encode muller4.pnet --scheme improved
     python -m repro.cli analyze muller4.pnet --scheme improved --engine bdd
-    python -m repro.cli analyze muller4.pnet --image chained --cluster-size 8
+    python -m repro.cli analyze muller4.pnet --image chained
     python -m repro.cli analyze muller4.pnet --engine zdd --image chained
     python -m repro.cli analyze --net phil --n 6 --backend portfolio
     python -m repro.cli analyze --net phil --n 8 --checkpoint run.ckpt
@@ -87,21 +87,6 @@ SCHEMES = {
     "dense": DenseEncoding,
     "improved": ImprovedEncoding,
 }
-
-
-def _cluster_size(value: str):
-    """Parse ``--cluster-size``: a positive integer or ``auto``."""
-    if value == "auto":
-        return "auto"
-    try:
-        size = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer or 'auto', got {value!r}")
-    if size < 1:
-        raise argparse.ArgumentTypeError(
-            f"cluster size must be >= 1, got {size}")
-    return size
 
 
 def _service_workers(value: str):
@@ -195,11 +180,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           "when omitted, each backend's default "
                           "from AnalysisSpec applies (functional for bdd, "
                           "chained for zdd)")
-    ana.add_argument("--cluster-size", type=_cluster_size, default=None,
-                     help="transitions per partition block for the "
-                          "chained image engine (a positive "
-                          "integer, or 'auto' for adaptive support-overlap "
-                          "clustering, the default)")
     ana.add_argument("--portfolio-members", default=None,
                      metavar="M1,M2,...",
                      help="comma-separated member ids for the portfolio "

@@ -8,7 +8,7 @@ Four questions, answered on the same mid-size instances:
    (Section 5.2).
 3. **Quantify-force vs. toggle firing vs. relational image** — traversal
    time of the image implementations: the monolithic relation and the
-   chained relational-product sweep at several granularities.
+   chained relational-product sweep, without and with reordering.
 4. **Dynamic reordering on/off** — final BDD size and time, sifting
    from the structural initial order, not the paper's (see ``runner``).
 
@@ -89,15 +89,10 @@ IMAGE_CONFIGURATIONS: List[Tuple[str, AnalysisSpec]] = [
     ("image=rel-monolithic",
      AnalysisSpec(form="relational", engine="monolithic",
                   reorder=False)),
-    ("image=rel-chained(4)",
-     AnalysisSpec(form="relational", engine="chained", cluster_size=4,
-                  reorder=False)),
-    ("image=rel-chained(auto)",
-     AnalysisSpec(form="relational", engine="chained",
-                  cluster_size="auto", reorder=False)),
-    ("image=rel-chained(auto)+reorder",
-     AnalysisSpec(form="relational", engine="chained",
-                  cluster_size="auto", reorder=True,
+    ("image=rel-chained",
+     AnalysisSpec(form="relational", engine="chained", reorder=False)),
+    ("image=rel-chained+reorder",
+     AnalysisSpec(form="relational", engine="chained", reorder=True,
                   reorder_threshold=1_000)),
 ]
 

@@ -75,7 +75,7 @@ def run(reorder: bool = True,
                 spec = AnalysisSpec(backend="zdd", form="functional")
             else:
                 spec = AnalysisSpec(backend="zdd", form="relational",
-                                    engine=engine, cluster_size="auto")
+                                    engine=engine)
             rows.append(runner.run(name, net, spec))
         dense = AnalysisSpec(scheme="improved", strategy="bfs",
                              reorder=reorder)

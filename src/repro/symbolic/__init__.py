@@ -2,8 +2,8 @@
 
 * :class:`SymbolicNet` — encoded net + BDD manager, image/preimage.
 * :mod:`repro.symbolic.partition` — the *generic* relational layer:
-  support clustering, disjunctive partitions, reorder-aware
-  reclustering and the chained sweep with diff-based narrowing,
+  the support sort, the per-transition disjunctive partition with its
+  reorder refresh and the chained sweep with diff-based narrowing,
   written once over the shared ``repro.dd`` kernel.
 * :class:`RelationalNet` — the BDD encoding shim over that layer
   (Eq. 3 transition relations).
@@ -21,7 +21,7 @@ its sessions call these nets' image methods directly.
 from .checker import CheckReport, ModelChecker
 from .kbounded import KBoundedNet
 from .partition import (PartitionedNet, RelationPartition,
-                        TraversalLimitError, cluster_by_support)
+                        TraversalLimitError, sort_by_support)
 from .relational import RelationalNet
 from .transition import SymbolicNet
 from .zdd_relational import (ZddRelationPartition, ZddRelationalNet,
@@ -30,7 +30,7 @@ from .zdd_traversal import ZddNet
 
 __all__ = [
     "SymbolicNet", "RelationalNet", "RelationPartition", "PartitionedNet",
-    "cluster_by_support", "TraversalLimitError",
+    "sort_by_support", "TraversalLimitError",
     "ModelChecker", "CheckReport",
     "ZddNet",
     "ZddRelationalNet", "ZddRelationPartition", "ZddSparseRelation",

@@ -7,8 +7,8 @@ current/next variables, images by fused relational product
 (:meth:`~repro.bdd.manager.BDD.and_exists`) and a monotone rename back to
 current variables.
 
-All clustering, partition caching, reorder refresh and sweep algorithms
-live in the shared generic layer
+The partition, its reorder refresh and the sweep algorithms live in
+the shared generic layer
 (:class:`~repro.symbolic.partition.PartitionedNet`); this module
 supplies only the boolean-encoding specifics — how a sparse relation
 BDD is built and how a block's image is computed.  The relational
@@ -18,9 +18,8 @@ analysis session calls one of two images per fixpoint step:
   relation ``R = OR_t R_t`` (the textbook baseline; the relation BDD
   itself is often huge),
 * **chained** — :meth:`~repro.symbolic.partition.PartitionedNet.
-  image_chained` over the disjunctive partition of Eq. 3, kept per
-  transition or clustered by support into groups of a configurable size
-  (small relations, one relational product each), applied in
+  image_chained` over the disjunctive partition of Eq. 3, one sparse
+  relation per transition (one relational product each), applied in
   support-sorted order while accumulating successors, so states
   discovered by an early block are expanded by later ones within the
   same sweep.
@@ -54,9 +53,8 @@ class RelationalNet(PartitionedNet):
         exactly as :class:`~repro.symbolic.transition.SymbolicNet` does.
         Sifting on a relational manager is *grouped*: each current/next
         variable pair moves as one block (``sift_groups``), which keeps
-        the partition rename maps order-monotone; cached partition
-        metadata is refreshed (and ``"auto"`` partitions reclustered)
-        through a reorder hook after every pass.
+        the partition rename maps order-monotone; the partition's
+        metadata is refreshed through a reorder hook after every pass.
     reorder_threshold:
         Live-node threshold for the automatic sifting trigger.
     """
@@ -98,13 +96,9 @@ class RelationalNet(PartitionedNet):
             encoding, bdd, self.places)
         self.initial: Function = initial_function(encoding, bdd)
         self._relations: Optional[Dict[str, Function]] = None
-        self._identities: Dict[str, Function] = {}
         self._monolithic: Optional[Function] = None
         # Sparse relations and their supports are order-independent
-        # (supports are variable-index sets); they are built once and
-        # reused by every partitions() call, so ablation sweeps that
-        # construct one engine per granularity stop re-walking the
-        # relation BDDs.
+        # (supports are variable-index sets); they are built once.
         self._sparse: Optional[Dict[str, Tuple[Function,
                                                Tuple[str, ...]]]] = None
         self._supports: Dict[str, FrozenSet[int]] = {}
@@ -186,15 +180,6 @@ class RelationalNet(PartitionedNet):
         relation = self.enabling[transition] & cube(self.bdd, forced)
         return relation, tuple(spec.quantify)
 
-    def _identity_clause(self, name: str) -> Function:
-        """``next(v) <-> v`` for padding clustered sparse relations."""
-        cached = self._identities.get(name)
-        if cached is None:
-            cached = variable(self.bdd, self._to_next[name]).iff(
-                variable(self.bdd, name))
-            self._identities[name] = cached
-        return cached
-
     def sparse_relations(self) -> Dict[str, Tuple[Function,
                                                   Tuple[str, ...]]]:
         """All sparse per-transition relations, built once and cached."""
@@ -220,30 +205,16 @@ class RelationalNet(PartitionedNet):
     # Partition-layer hooks (see PartitionedNet)
     # ------------------------------------------------------------------
 
-    def _relation_size(self, transition: str) -> int:
-        return self.sparse_relations()[transition][0].size()
-
-    def _make_block(self, group: Tuple[str, ...],
-                    label: str) -> RelationPartition:
-        """Pad, merge and annotate one cluster of sparse relations."""
-        sparse = self.sparse_relations()
-        changed: set = set()
-        for transition in group:
-            changed.update(sparse[transition][1])
-        relation = false(self.bdd)
-        for transition in group:
-            member, own_changed = sparse[transition]
-            for name in sorted(changed - set(own_changed)):
-                member = member & self._identity_clause(name)
-            relation = relation | member
+    def _make_block(self, transition: str) -> RelationPartition:
+        """Annotate one transition's sparse relation as a block."""
+        relation, changed = self.sparse_relations()[transition]
         quantify = tuple(sorted(
-            changed, key=lambda name: self.bdd.level_of_var(name)))
+            set(changed), key=lambda name: self.bdd.level_of_var(name)))
         support = relation.support()
         top = min((self.bdd.level_of_var(v) for v in support),
                   default=self.bdd.num_vars)
         return RelationPartition(
-            label=label, transitions=group, relation=relation,
-            quantify=quantify,
+            transition=transition, relation=relation, quantify=quantify,
             rename={self._to_next[name]: name for name in quantify},
             support=support, top_level=top)
 
@@ -253,9 +224,9 @@ class RelationalNet(PartitionedNet):
         top = min((self.bdd.level_of_var(v) for v in block.support),
                   default=self.bdd.num_vars)
         return RelationPartition(
-            label=block.label, transitions=block.transitions,
-            relation=block.relation, quantify=quantify,
-            rename=block.rename, support=block.support, top_level=top)
+            transition=block.transition, relation=block.relation,
+            quantify=quantify, rename=block.rename, support=block.support,
+            top_level=top)
 
     def image_partition(self, states: Function,
                         partition: RelationPartition) -> Function:

@@ -31,7 +31,7 @@ from ..encoding.characteristic import (declare_variables,
                                        place_functions)
 from ..encoding.scheme import Encoding, TransitionSpec
 from ..petri.marking import Marking
-from .partition import cluster_by_support
+from .partition import sort_by_support
 
 
 class SymbolicNet:
@@ -129,10 +129,9 @@ class SymbolicNet:
 
     def support_sorted_transitions(self) -> List[str]:
         """Transitions ordered by the top level of their support."""
-        return [t for cluster in cluster_by_support(
-                    self.net.transitions, self.transition_support,
-                    self.bdd.level_of_var, 1)
-                for t in cluster]
+        return sort_by_support(self.net.transitions,
+                               self.transition_support,
+                               self.bdd.level_of_var)
 
     def preimage_all(self, states: Function) -> Function:
         """Predecessors under all transitions."""

@@ -2,14 +2,14 @@
 
 The BDD engines got their PR 1-2 wins from the relational-product form:
 sparse per-transition relations over paired current/next variables,
-clustered by support, applied through a fused ``and_exists``.  This
+applied in support order through a fused ``and_exists``.  This
 module ports that machinery to the token-set encoding of
 :class:`~repro.symbolic.zdd_traversal.ZddNet`, where a marking is the
 *set of marked places* and firing is set algebra instead of boolean
 algebra.
 
-It is deliberately a *thin shim*: every piece of clustering, partition
-caching, reorder refresh/reclustering and sweep logic lives once in
+It is deliberately a *thin shim*: the partition, its reorder refresh
+and the sweep logic live once in
 :class:`~repro.symbolic.partition.PartitionedNet` (shared with the BDD
 side); this file contributes only the token-set encoding specifics —
 what a sparse relation *is* and how one block's image is computed.
@@ -25,8 +25,7 @@ is the fused three-step pipeline
 1. ``supset(S, I)`` — the markings holding every input token,
 2. ``and_exists(matched, {O'}, I)`` — strip the consumed tokens and
    deposit the produced ones in one cached pass,
-3. ``rename(·, O' -> O)`` — monotone rename back to current elements,
-   shared across a whole partition block.
+3. ``rename(·, O' -> O)`` — monotone rename back to current elements.
 
 Untouched places flow through every step unchanged — the implicit
 identity that keeps the relations sparse, exactly as in
@@ -48,10 +47,10 @@ from ..dd.manager import DEFAULT_REORDER_GROWTH
 from ..petri.marking import Marking
 from ..petri.net import PetriNet
 from ..petri.order import place_order
-from .partition import ClusterSize, PartitionedNet, next_state_suffix
+from .partition import PartitionedNet, next_state_suffix
 
 __all__ = ["ZddSparseRelation", "ZddRelationPartition", "ZddStateOps",
-           "ZddRelationalNet", "ClusterSize"]
+           "ZddRelationalNet"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,23 +78,19 @@ class ZddSparseRelation:
 
 @dataclass(frozen=True, eq=False)
 class ZddRelationPartition:
-    """One support-clustered block of sparse ZDD relations.
+    """One transition's block of the disjunctive partition.
 
-    Images are computed member-wise through the fused pipeline and
-    renamed back to current elements once per block through ``rename``
-    (the map covering every member's produced places).
+    Its image runs the fused pipeline through ``relation`` and renames
+    the produced next elements back to current ones through ``rename``.
     """
 
-    label: str
-    transitions: Tuple[str, ...]
-    members: Tuple[ZddSparseRelation, ...]
+    transition: str
+    relation: ZddSparseRelation
     rename: Dict[int, int]
-    support: FrozenSet[int]
     top_level: int
 
     def __repr__(self) -> str:
-        return (f"<ZddRelationPartition {self.label!r} "
-                f"transitions={len(self.transitions)} "
+        return (f"<ZddRelationPartition {self.transition!r} "
                 f"rename={len(self.rename)}>")
 
 
@@ -145,8 +140,8 @@ class ZddRelationalNet(ZddStateOps, PartitionedNet):
         PR 2, now served by the shared kernel.  Sifting is *grouped*:
         each current/next element pair moves as one block
         (``sift_groups``), which keeps the block rename maps
-        order-monotone; cached partitions are refreshed (and ``"auto"``
-        partitions reclustered) through the shared reorder hook.
+        order-monotone; the partition is refreshed through the shared
+        reorder hook.
     reorder_threshold:
         Live-node threshold for the automatic sifting trigger.
     """
@@ -210,33 +205,21 @@ class ZddRelationalNet(ZddStateOps, PartitionedNet):
     # Partition-layer hooks (see PartitionedNet)
     # ------------------------------------------------------------------
 
-    def _relation_size(self, transition: str) -> int:
-        return self.zdd.size(self._sparse[transition].relation)
-
-    def _make_block(self, group: Tuple[str, ...],
-                    label: str) -> ZddRelationPartition:
-        members = tuple(self._sparse[t] for t in group)
-        support: set = set()
-        produced: set = set()
-        for member in members:
-            support.update(member.support)
-            produced.update(self.net.postset(member.transition))
+    def _make_block(self, transition: str) -> ZddRelationPartition:
         rename = {self._next_index[p]: self._cur_index[p]
-                  for p in sorted(produced)}
-        top = min((self.zdd.level_of_var(index) for index in support),
-                  default=self.zdd.num_vars)
-        return ZddRelationPartition(
-            label=label, transitions=group, members=members,
-            rename=rename, support=frozenset(support), top_level=top)
+                  for p in sorted(self.net.postset(transition))}
+        return self._refresh_block(ZddRelationPartition(
+            transition=transition, relation=self._sparse[transition],
+            rename=rename, top_level=0))
 
     def _refresh_block(self, block: ZddRelationPartition
                        ) -> ZddRelationPartition:
-        top = min((self.zdd.level_of_var(index) for index in block.support),
+        top = min((self.zdd.level_of_var(index)
+                   for index in block.relation.support),
                   default=self.zdd.num_vars)
         return ZddRelationPartition(
-            label=block.label, transitions=block.transitions,
-            members=block.members, rename=block.rename,
-            support=block.support, top_level=top)
+            transition=block.transition, relation=block.relation,
+            rename=block.rename, top_level=top)
 
     # ------------------------------------------------------------------
     # Images
@@ -246,25 +229,21 @@ class ZddRelationalNet(ZddStateOps, PartitionedNet):
                         block: ZddRelationPartition) -> int:
         """Successors through one partition block.
 
-        Member-wise fused pipeline (containment filter, strip-and-
-        deposit product, accumulate), then a single monotone rename of
-        the produced next elements back to their current labels.
-        Untouched places ride through every step unchanged.
+        The fused pipeline (containment filter, then strip-and-deposit
+        product), then a monotone rename of the produced next elements
+        back to their current labels.  Untouched places ride through
+        every step unchanged.
         """
         zdd = self.zdd
-        accumulated = EMPTY
-        for member in block.members:
-            matched = zdd.supset(states, member.consume)
-            if matched == EMPTY:
-                continue
-            accumulated = zdd.union(
-                accumulated,
-                zdd.and_exists(matched, member.produce, member.consume))
-        if accumulated == EMPTY:
+        relation = block.relation
+        matched = zdd.supset(states, relation.consume)
+        if matched == EMPTY:
             return EMPTY
-        return zdd.rename(accumulated, block.rename)
+        return zdd.rename(
+            zdd.and_exists(matched, relation.produce, relation.consume),
+            block.rename)
 
     def image_all(self, states: int) -> int:
-        """Successor family under all transitions (per-transition
-        blocks; reference implementation for tests)."""
-        return self.image_partitioned(states, self.partitions(1))
+        """Successor family under all transitions (reference
+        implementation for tests)."""
+        return self.image_partitioned(states, self.partitions())

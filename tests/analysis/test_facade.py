@@ -19,12 +19,14 @@ SPECS = {
                                           strategy="bfs"),
     "rel-monolithic": AnalysisSpec(form="relational",
                                    engine="monolithic"),
-    "rel-chained-2": AnalysisSpec(form="relational", engine="chained",
-                                  cluster_size=2),
-    "rel-chained-auto": AnalysisSpec(form="relational", engine="chained",
-                                     cluster_size="auto"),
+    "rel-chained": AnalysisSpec(form="relational", engine="chained"),
+    # A low threshold makes sifting fire, so the partition refresh after
+    # every reorder sits on the path these runs take.
+    "rel-chained-sifted": AnalysisSpec(form="relational", engine="chained",
+                                       reorder_threshold=20),
     "zdd-classic": AnalysisSpec(backend="zdd", form="functional"),
     "zdd-chained": AnalysisSpec(backend="zdd"),
+    "zdd-chained-sifted": AnalysisSpec(backend="zdd", reorder_threshold=20),
     "kbounded": AnalysisSpec(k_bound=1),
 }
 
@@ -62,7 +64,6 @@ class TestCrossBackend:
         net = make_net(net_name)
         analysis = Analysis(net, AnalysisSpec(form="relational",
                                               engine="chained",
-                                              cluster_size="auto",
                                               reorder=False))
         result = analysis.run()
         # RelationalNet exposes no marking decoder; count equality here,
@@ -75,7 +76,7 @@ class TestCrossBackend:
     @pytest.mark.parametrize("net_name", NETS)
     @pytest.mark.parametrize("spec", [
         AnalysisSpec(backend="zdd", form="functional", reorder=False),
-        AnalysisSpec(backend="zdd", cluster_size="auto", reorder=False)],
+        AnalysisSpec(backend="zdd", reorder=False)],
         ids=["classic", "chained"])
     def test_zdd_matches_explicit_set(self, make_net, net_name, spec):
         net = make_net(net_name)
@@ -230,8 +231,7 @@ class TestSiftingTrajectory:
         reached = frontier = relnet.initial
         iterations = 0
         while not frontier.is_zero():
-            swept = relnet.image_chained(
-                frontier, relnet.partitions("auto"), reached=reached)
+            swept = relnet.image_chained(frontier, reached=reached)
             reached, frontier = reached | swept, swept - reached
             del swept
             bdd.checkpoint()
@@ -248,8 +248,7 @@ class TestSiftingTrajectory:
         frontier = zdd.ref(relnet.initial)
         iterations = 0
         while frontier != zdd.empty():
-            swept = relnet.image_chained(
-                frontier, relnet.partitions("auto"), reached=reached)
+            swept = relnet.image_chained(frontier, reached=reached)
             new_reached = zdd.ref(zdd.union(reached, swept))
             new_frontier = zdd.ref(zdd.diff(swept, reached))
             zdd.deref(reached)

@@ -20,7 +20,7 @@ def sample_result(**overrides):
         peak_nodes=184,
         seconds=0.125,
         reorder_count=1,
-        extras={"cluster_size": "auto", "build_seconds": 0.01},
+        extras={"ae_calls": 11, "build_seconds": 0.01},
         reachable=object(),
     )
     values.update(overrides)

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.analysis import (DEFAULT_CLUSTER_SIZE,
-                            DEFAULT_PORTFOLIO_MEMBERS,
+from repro.analysis import (DEFAULT_PORTFOLIO_MEMBERS,
                             DEFAULT_RELATIONAL_ENGINE, AnalysisSpec,
                             SpecError, SpecWarning)
 from repro.cli import _build_parser
@@ -30,8 +29,6 @@ class TestDefaults:
         bdd = AnalysisSpec(form="relational")
         zdd = AnalysisSpec(backend="zdd", form="relational")
         assert bdd.resolved_engine == zdd.resolved_engine == "chained"
-        assert bdd.resolved_cluster_size == zdd.resolved_cluster_size \
-            == DEFAULT_CLUSTER_SIZE
 
     def test_runner_default_matches_spec_default(self):
         # The historical skew: the runner's ZDD wrapper defaulted to
@@ -65,19 +62,13 @@ class TestValidationErrors:
         {"strategy": "dfs"},
         {"engine": "chained"},                       # functional form
         {"form": "functional", "engine": "chained"},
-        {"cluster_size": 4},                         # functional form
-        {"cluster_size": 0, "form": "relational"},
-        {"cluster_size": -2, "form": "relational"},
-        {"cluster_size": "big", "form": "relational"},
         {"backend": "zdd", "k_bound": 2},
         {"k_bound": 0},
         {"k_bound": 2, "form": "relational"},
-        {"k_bound": 2, "cluster_size": 4},
         {"reorder_threshold": 0},
         {"max_iterations": 0},
         {"backend": "portfolio", "engine": "chained"},
         {"backend": "portfolio", "form": "relational"},
-        {"backend": "portfolio", "cluster_size": 4},
         {"portfolio_members": ("bdd-chained",)},     # bdd backend
         {"backend": "portfolio", "portfolio_members": ()},
         {"backend": "portfolio", "portfolio_members": ("sat-solver",)},
@@ -95,8 +86,6 @@ class TestValidationErrors:
     def test_error_message_names_the_fix(self):
         with pytest.raises(SpecError, match="form='relational'"):
             AnalysisSpec(engine="monolithic")
-        with pytest.raises(SpecError, match="no partitions to cluster"):
-            AnalysisSpec(cluster_size=8)
 
 
 class TestWarnings:
@@ -128,11 +117,6 @@ class TestWarnings:
         spec = AnalysisSpec(form="relational", strategy="bfs")
         assert {w.option for w in spec.warnings()} == {"strategy"}
         assert AnalysisSpec(strategy="bfs").warnings() == ()
-
-    def test_monolithic_cluster_size_warns(self):
-        spec = AnalysisSpec(form="relational", engine="monolithic",
-                            cluster_size=4)
-        assert [w.option for w in spec.warnings()] == ["cluster_size"]
 
     def test_k_bound_warns_on_inapplicable_options(self):
         spec = AnalysisSpec(k_bound=2, scheme="sparse", reorder=False,
@@ -226,8 +210,7 @@ class TestSerialization:
     @pytest.mark.parametrize("spec", [
         AnalysisSpec(),
         AnalysisSpec(backend="zdd"),
-        AnalysisSpec(form="relational", engine="chained",
-                     cluster_size=2, reorder=False),
+        AnalysisSpec(form="relational", engine="chained", reorder=False),
         AnalysisSpec(k_bound=3, max_iterations=50),
     ])
     def test_round_trip(self, spec):
@@ -240,8 +223,8 @@ class TestSerialization:
             AnalysisSpec.from_dict({"scheme": "improved", "speed": 11})
 
     def test_replace_revalidates(self):
-        spec = AnalysisSpec(form="relational", cluster_size=2)
-        assert spec.replace(cluster_size=8).cluster_size == 8
+        spec = AnalysisSpec(form="relational", engine="chained")
+        assert spec.replace(reorder_threshold=800).reorder_threshold == 800
         with pytest.raises(SpecError):
             spec.replace(form="functional")
 
@@ -250,11 +233,10 @@ class TestFromArgs:
     def test_full_relational_namespace(self):
         args = _build_parser().parse_args(
             ["analyze", "x.pnet", "--scheme", "dense", "--image",
-             "chained", "--cluster-size", "auto", "--no-reorder"])
+             "chained", "--no-reorder"])
         spec = AnalysisSpec.from_args(args)
         assert spec == AnalysisSpec(scheme="dense", form="relational",
-                                    engine="chained",
-                                    cluster_size="auto", reorder=False)
+                                    engine="chained", reorder=False)
 
     def test_explicit_functional_image(self):
         args = _build_parser().parse_args(
@@ -270,7 +252,7 @@ class TestFromArgs:
 
     def test_invalid_combination_surfaces_as_spec_error(self):
         args = _build_parser().parse_args(
-            ["analyze", "x.pnet", "--cluster-size", "4"])
+            ["analyze", "x.pnet", "--engine", "zdd", "--k-bound", "2"])
         with pytest.raises(SpecError):
             AnalysisSpec.from_args(args)
 
@@ -286,7 +268,7 @@ class TestFieldClassification:
     """
 
     EXPECTED_SEMANTIC = {
-        "scheme", "backend", "form", "engine", "cluster_size",
+        "scheme", "backend", "form", "engine",
         "strategy", "use_toggle", "reorder",
         "reorder_threshold", "k_bound", "portfolio_members",
     }
@@ -332,9 +314,6 @@ class TestFieldClassification:
             "form": (dict(), dict(form="relational")),
             "engine": (dict(form="relational"),
                        dict(form="relational", engine="monolithic")),
-            "cluster_size": (dict(form="relational", engine="chained"),
-                             dict(form="relational", engine="chained",
-                                  cluster_size=3)),
             "strategy": (dict(), dict(strategy="bfs")),
             "use_toggle": (dict(), dict(use_toggle=False)),
             "reorder": (dict(), dict(reorder=False)),
@@ -361,9 +340,9 @@ class TestFieldClassification:
 
 class TestIdentityAcrossFieldRemoval:
     """Removing the non-semantic ``workers`` field and the retired
-    semantic ``simplify_frontier`` field must not move cache or
-    checkpoint identity: entries written before the removals stay
-    valid."""
+    semantic ``simplify_frontier`` and ``cluster_size`` fields must not
+    move cache or checkpoint identity: entries written before the
+    removals stay valid."""
 
     # semantic_fingerprint() values recorded while the spec still had
     # the ``workers`` and ``simplify_frontier`` fields.
@@ -399,19 +378,36 @@ class TestIdentityAcrossFieldRemoval:
         assert result.markings == 8
         assert "workers" not in result.to_dict()["spec"]
 
+    # Retired semantic fields at the one value that still loads, as a
+    # build from before each retirement wrote them.
+    RETIRED_OFF = [("simplify_frontier", False), ("cluster_size", None)]
+    # Retired fields at values this build cannot reproduce, each with
+    # the advice its SpecError gives.
+    RETIRED_ON = [
+        ("simplify_frontier", True, "chained relational engine"),
+        ("cluster_size", "auto", "one sparse relation per transition"),
+        ("cluster_size", 4, "one sparse relation per transition"),
+        ("cluster_size", 1, "one sparse relation per transition"),
+    ]
+
+    @pytest.mark.parametrize("field,value", RETIRED_OFF)
     @pytest.mark.parametrize("overrides,fingerprint", PINNED)
-    def test_spec_written_with_simplify_frontier_off_still_loads(
-            self, overrides, fingerprint):
+    def test_spec_written_with_retired_field_off_still_loads(
+            self, overrides, fingerprint, field, value):
         spec_fields = dict(AnalysisSpec(**overrides).to_dict(),
-                           simplify_frontier=False)
+                           **{field: value})
         loaded = AnalysisSpec.from_dict(spec_fields)
         assert loaded == AnalysisSpec(**overrides)
         assert loaded.semantic_fingerprint() == fingerprint
 
-    def test_result_written_with_simplify_frontier_off_still_loads(self):
+    @pytest.mark.parametrize("field,value", RETIRED_OFF)
+    def test_result_written_with_retired_field_off_still_loads(
+            self, field, value):
+        """A relational result as the build before the retirement wrote
+        it (its extras name the partition granularity it ran)."""
         from repro.analysis import AnalysisResult
         spec_fields = dict(AnalysisSpec(form="relational").to_dict(),
-                           simplify_frontier=False)
+                           **{field: value})
         payload = {
             "schema": 1, "schema_minor": 1, "spec": spec_fields,
             "engine": "relational/chained", "markings": 8,
@@ -424,31 +420,37 @@ class TestIdentityAcrossFieldRemoval:
         result = AnalysisResult.from_dict(payload)
         assert result.spec == AnalysisSpec(form="relational")
         assert result.spec.semantic_fingerprint() == "1dfd5f449f324cf9"
-        assert "simplify_frontier" not in result.to_dict()["spec"]
+        assert field not in result.to_dict()["spec"]
 
     @pytest.mark.parametrize("ignore_unknown", [False, True])
-    def test_spec_with_simplify_frontier_on_fails_loudly(
-            self, ignore_unknown):
+    @pytest.mark.parametrize("field,value,advice", RETIRED_ON)
+    def test_spec_with_retired_field_on_fails_loudly(
+            self, field, value, advice, ignore_unknown):
         """Dropping the field would load a spec that claims the wrong
-        run, so a stored ``simplify_frontier: true`` is refused even in
-        the forward-compatible mode."""
-        spec_fields = dict(AnalysisSpec().to_dict(),
-                           simplify_frontier=True)
-        with pytest.raises(SpecError, match="retired.*chained"):
+        run, so a stored non-default value is refused even in the
+        forward-compatible mode."""
+        spec_fields = dict(AnalysisSpec(form="relational").to_dict(),
+                           **{field: value})
+        with pytest.raises(SpecError,
+                           match=f"'{field}' is retired.*{advice}"):
             AnalysisSpec.from_dict(spec_fields,
                                    ignore_unknown=ignore_unknown)
 
-    def test_result_with_simplify_frontier_on_fails_loudly(self):
+    @pytest.mark.parametrize("field,value,advice", RETIRED_ON)
+    def test_result_with_retired_field_on_fails_loudly(self, field, value,
+                                                       advice):
         from repro.analysis import AnalysisResult
         payload = {
             "schema": 1, "schema_minor": 1,
-            "spec": dict(AnalysisSpec().to_dict(), simplify_frontier=True),
-            "engine": "functional", "markings": 8, "iterations": 2,
-            "variables": 4, "final_nodes": 8, "peak_nodes": 48,
-            "seconds": 0.01, "reorder_count": 0, "status": "complete",
-            "extras": {},
+            "spec": dict(AnalysisSpec(form="relational").to_dict(),
+                         **{field: value}),
+            "engine": "relational/chained", "markings": 8,
+            "iterations": 2, "variables": 4, "final_nodes": 8,
+            "peak_nodes": 48, "seconds": 0.01, "reorder_count": 0,
+            "status": "complete", "extras": {},
         }
-        with pytest.raises(SpecError, match="retired.*chained"):
+        with pytest.raises(SpecError,
+                           match=f"'{field}' is retired.*{advice}"):
             AnalysisResult.from_dict(payload)
 
 
@@ -556,13 +558,17 @@ class TestRetiredPartitionedEngine:
         with pytest.raises(SpecError, match="retired.*'chained'"):
             AnalysisResult.from_dict(payload)
 
-    def test_simplify_frontier_is_not_a_spec_field(self):
+    @pytest.mark.parametrize("field,value", [
+        ("simplify_frontier", True), ("cluster_size", 4)])
+    def test_retired_field_is_not_a_spec_field(self, field, value):
         with pytest.raises(TypeError):
-            AnalysisSpec(simplify_frontier=True)
+            AnalysisSpec(form="relational", **{field: value})
+        assert field not in AnalysisSpec().to_dict()
 
     @pytest.mark.parametrize("flags", [["--image", "partitioned"],
                                        ["--simplify-frontier"],
-                                       ["--chain-order", "support"]])
+                                       ["--chain-order", "support"],
+                                       ["--cluster-size", "4"]])
     def test_cli_rejects_retired_flags(self, flags, capsys):
         from repro.cli import main
         with pytest.raises(SystemExit) as excinfo:

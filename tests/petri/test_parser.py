@@ -4,7 +4,8 @@ import io
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
+from net_strategies import small_nets
 
 from repro.petri import Marking, PetriNet, PetriNetError
 from repro.petri.generators import figure1_net, figure4_net, muller
@@ -79,32 +80,6 @@ class TestParsing:
 
 # ---------------------------------------------------------------------------
 # Every net PetriNet accepts survives loads(dumps(net))
-
-def _legal(name):
-    return "#" not in name and not any(c.isspace() for c in name)
-
-
-names = st.text(st.characters(exclude_categories=("Cs",)),
-                min_size=1, max_size=6).filter(_legal)
-
-
-@st.composite
-def small_nets(draw):
-    node_names = draw(st.lists(names, min_size=1, max_size=8, unique=True))
-    split = draw(st.integers(min_value=0, max_value=len(node_names)))
-    net = PetriNet(draw(names))
-    for place in node_names[:split]:
-        net.add_place(place, draw(st.integers(min_value=0, max_value=3)))
-    for transition in node_names[split:]:
-        net.add_transition(transition)
-    pairs = [(p, t) for p in net.places for t in net.transitions]
-    pairs += [(t, p) for t in net.transitions for p in net.places]
-    if pairs:
-        for source, target in draw(st.lists(st.sampled_from(pairs),
-                                            max_size=12)):
-            net.add_arc(source, target)
-    return net
-
 
 @settings(max_examples=150, deadline=None)
 @given(net=small_nets())

@@ -33,12 +33,11 @@ LARGE_NETS = ["phil6", "slot3", "muller5", "dme3", "dmecir2", "jjreg-a3"]
 
 # Every surviving configuration on a fixed variable order; the reorder
 # variants below switch sifting on.
-BDD_RELATIONAL = AnalysisSpec(form="relational", cluster_size="auto",
-                              reorder=False)
+BDD_RELATIONAL = AnalysisSpec(form="relational", reorder=False)
 ZDD_CLASSIC = AnalysisSpec(backend="zdd", form="functional",
                            reorder=False)
 ZDD_RELATIONAL = AnalysisSpec(backend="zdd", form="relational",
-                              cluster_size="auto", reorder=False)
+                              reorder=False)
 
 
 def explicit_marking_set(net):
@@ -113,7 +112,8 @@ def test_zdd_engines_agree_with_reorder_enabled(name, make_net):
     dynamic reordering on (pair-grouped sifting for the relational
     engines, per-element sifting for classic) pins the identical
     marking *sets* against the explicit oracle — sifting, GC and the
-    reorder-hook reclustering must never change the computed family."""
+    reorder-hook partition refresh must never change the computed
+    family."""
     net = make_net(name)
     explicit = explicit_marking_set(net)
     assert explicit
@@ -126,15 +126,6 @@ def test_zdd_engines_agree_with_reorder_enabled(name, make_net):
         assert_zdd_run_matches(
             make_net(name), ZDD_RELATIONAL.replace(engine=engine, **sifting),
             explicit, (name, f"zdd/{engine}+reorder"))
-
-
-def test_cluster_sizes_do_not_change_the_set(make_net, explicit_counts):
-    """Granularity sweep on one net: every cluster_size, same set."""
-    expected = explicit_counts["slot2"]
-    for cluster_size in (1, 2, 8, "auto"):
-        result = analyze(make_net("slot2"), ZDD_RELATIONAL.replace(
-            engine="chained", cluster_size=cluster_size))
-        assert result.markings == expected, cluster_size
 
 
 # ---------------------------------------------------------------------------
@@ -291,21 +282,20 @@ def test_kill_and_resume_matches_oracle(name, make_net, explicit_counts,
 
 @pytest.mark.parametrize("name", SMALL_NETS)
 def test_per_transition_partition_agrees_small(name, make_net):
-    """With ``cluster_size=1`` every transition is its own block, so the
-    chained sweep feeds the most independent per-block images to each
-    other; the BDD engine must still land on the explicit oracle's
-    marking *set*, and the spec-level default granularity reports the
-    same count."""
+    """Every transition is its own block, so the chained sweep feeds
+    the most independent per-block images to each other; the BDD
+    engine must still land on the explicit oracle's marking *set*, and
+    the default (reordering) spec reports the same count."""
     net = make_net(name)
     explicit = explicit_marking_set(net)
     assert explicit
 
     analysis = assert_bdd_run_matches(
-        make_net(name), BDD_RELATIONAL.replace(engine="chained",
-                                               cluster_size=1),
-        explicit, (name, "bdd/chained/1"))
-    assert all(len(block.transitions) == 1
-               for block in analysis.symbolic_net.partitions(1))
+        make_net(name), BDD_RELATIONAL.replace(engine="chained"),
+        explicit, (name, "bdd/chained"))
+    assert sorted(block.transition
+                  for block in analysis.symbolic_net.partitions()) \
+        == sorted(net.transitions)
 
     spec = AnalysisSpec(form="relational", engine="chained")
     migrated = analyze(make_net(name), spec)

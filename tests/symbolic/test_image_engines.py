@@ -15,7 +15,7 @@ from repro.encoding import ImprovedEncoding, SparseEncoding
 from repro.petri import ReachabilityGraph
 from repro.petri.generators import (figure1_net, figure4_net, muller,
                                     philosophers, slotted_ring)
-from repro.symbolic import RelationalNet, SymbolicNet, cluster_by_support
+from repro.symbolic import RelationalNet, SymbolicNet, sort_by_support
 
 # Net instances come from the shared fixtures in tests/conftest.py
 # (make_net builds them, explicit_counts is the enumeration oracle).
@@ -23,10 +23,9 @@ FAMILIES = ["figure1", "figure4", "muller4", "slot2", "phil3"]
 SCHEMES = ["sparse", "dense", "improved"]
 
 
-def relational(engine="monolithic", cluster_size=1, **changes):
+def relational(engine="monolithic", **changes):
     """A relational spec on a fixed variable order unless overridden."""
     return AnalysisSpec(form="relational", engine=engine,
-                        cluster_size=cluster_size,
                         **dict(dict(reorder=False), **changes))
 
 
@@ -122,11 +121,9 @@ def test_randomized_state_sets_image_equivalence(seed):
                               relnet.current)
     assert fused == materialised
 
-    # partition blocks vs per-transition images, at several granularities
-    per_transition = relnet.image_all(states)
-    for cluster_size in (1, 2, 8):
-        blocks = relnet.partitions(cluster_size)
-        assert relnet.image_partitioned(states, blocks) == per_transition
+    # partition blocks vs per-transition images
+    assert relnet.image_partitioned(states, relnet.partitions()) \
+        == relnet.image_all(states)
 
 
 # ---------------------------------------------------------------------
@@ -136,46 +133,31 @@ def test_randomized_state_sets_image_equivalence(seed):
 class TestPartitions:
     def test_every_transition_in_exactly_one_block(self):
         relnet = RelationalNet(ImprovedEncoding(philosophers(3)))
-        for cluster_size in (1, 2, 5, 100):
-            blocks = relnet.partitions(cluster_size)
-            seen = [t for block in blocks for t in block.transitions]
-            assert sorted(seen) == sorted(relnet.net.transitions)
-            assert all(len(block.transitions) <= max(1, cluster_size)
-                       for block in blocks)
+        seen = [block.transition for block in relnet.partitions()]
+        assert sorted(seen) == sorted(relnet.net.transitions)
 
     def test_blocks_are_support_sorted(self):
         relnet = RelationalNet(ImprovedEncoding(slotted_ring(3)))
-        blocks = relnet.partitions(4)
-        tops = [block.top_level for block in blocks]
+        tops = [block.top_level for block in relnet.partitions()]
         assert tops == sorted(tops)
 
-    def test_partition_cache_by_granularity(self):
+    def test_partition_is_built_once(self):
         relnet = RelationalNet(ImprovedEncoding(figure4_net()))
-        assert relnet.partitions(2) is relnet.partitions(2)
-        assert relnet.partitions(2) is not relnet.partitions(3)
-
-    def test_invalid_cluster_size_rejected(self):
-        relnet = RelationalNet(ImprovedEncoding(figure4_net()))
-        with pytest.raises(ValueError):
-            relnet.partitions(0)
+        assert relnet.partitions() is relnet.partitions()
 
     def test_sparse_block_support_is_local(self):
         """Per-transition sparse relations must not mention every
         variable the way the identity-complete relations do."""
         relnet = RelationalNet(ImprovedEncoding(philosophers(4)))
         full_width = 2 * len(relnet.current)
-        widths = [len(block.support) for block in relnet.partitions(1)]
+        widths = [len(block.support) for block in relnet.partitions()]
         assert max(widths) < full_width
 
-    def test_cluster_by_support_chunks_in_order(self):
+    def test_sort_by_support_orders_by_top_level(self):
         supports = {"a": frozenset({3}), "b": frozenset({0}),
                     "c": frozenset({1}), "d": frozenset()}
-        clusters = cluster_by_support(["a", "b", "c", "d"],
-                                      supports.__getitem__, lambda v: v, 2)
-        assert clusters == [["b", "c"], ["a", "d"]]
-        singletons = cluster_by_support(["a", "b", "c", "d"],
-                                        supports.__getitem__, lambda v: v, 1)
-        assert singletons == [["b"], ["c"], ["a"], ["d"]]
+        assert sort_by_support(["a", "b", "c", "d"], supports.__getitem__,
+                               lambda v: v) == ["b", "c", "a", "d"]
 
 
 # ---------------------------------------------------------------------
@@ -187,7 +169,7 @@ class TestImageEngines:
     @pytest.mark.parametrize("engine", RELATIONAL_ENGINES)
     def test_engines_reach_explicit_fixpoint(self, name, engine, make_net,
                                              explicit_counts):
-        result = analyze(make_net(name), relational(engine, 3))
+        result = analyze(make_net(name), relational(engine))
         assert result.markings == explicit_counts[name]
         assert result.engine == f"relational/{engine}"
 
@@ -198,7 +180,7 @@ class TestImageEngines:
         union of the per-transition images) reaches the explicit
         fixpoint."""
         relnet = RelationalNet(ImprovedEncoding(make_net(name)))
-        blocks = relnet.partitions(1)
+        blocks = relnet.partitions()
         reached = frontier = relnet.initial
         while not relnet.state_is_empty(frontier):
             image = relnet.image_partitioned(frontier, blocks)
@@ -207,14 +189,15 @@ class TestImageEngines:
         assert relnet.count_markings(reached) == explicit_counts[name]
 
     @pytest.mark.parametrize("scheme", SCHEMES)
-    @pytest.mark.parametrize("cluster_size", [1, 4])
-    def test_engines_agree_across_schemes(self, scheme, cluster_size,
-                                          make_net, explicit_counts):
+    @pytest.mark.parametrize("reorder", [False, True],
+                             ids=["fixed", "sifted"])
+    def test_engines_agree_across_schemes(self, scheme, reorder, make_net,
+                                          explicit_counts):
         for name in ("figure4", "slot2"):
             counts = {
                 analyze(make_net(name),
-                        relational(engine, cluster_size,
-                                   scheme=scheme)).markings
+                        relational(engine, scheme=scheme, reorder=reorder,
+                                   reorder_threshold=20)).markings
                 for engine in RELATIONAL_ENGINES}
             assert counts == {explicit_counts[name]}
 
@@ -224,12 +207,12 @@ class TestImageEngines:
             functional = analyze(make_net(name),
                                  AnalysisSpec(strategy="chaining",
                                               reorder=False))
-            chained = analyze(make_net(name), relational("chained", 2))
+            chained = analyze(make_net(name), relational("chained"))
             assert functional.markings == chained.markings \
                 == explicit_counts[name]
 
     def test_chained_cuts_iterations(self):
-        bfs = analyze(slotted_ring(3), relational("monolithic", None))
+        bfs = analyze(slotted_ring(3), relational("monolithic"))
         chained = analyze(slotted_ring(3), relational("chained"))
         assert chained.iterations < bfs.iterations
         assert chained.markings == bfs.markings
@@ -242,17 +225,9 @@ class TestImageEngines:
         with pytest.raises(RuntimeError):
             analyze(slotted_ring(2), relational(None, max_iterations=1))
 
-    @pytest.mark.parametrize("junk", [0, -3, 2.5, "junk", None, True])
-    def test_bad_cluster_size_rejected_up_front(self, junk):
-        """partitions() fails fast with a message naming the valid
-        values before it clusters anything."""
-        relnet = RelationalNet(ImprovedEncoding(figure4_net()))
-        with pytest.raises(ValueError, match="auto"):
-            relnet.partitions(junk)
-
 
 # ---------------------------------------------------------------------
-# Adaptive traversal: reordering and auto clusters
+# Adaptive traversal: reordering
 # ---------------------------------------------------------------------
 
 class TestAdaptiveTraversal:
@@ -262,19 +237,24 @@ class TestAdaptiveTraversal:
                                                    make_net,
                                                    explicit_counts):
         """Acceptance: identical reachable sets with dynamic reordering
-        (pair-grouped sifting + partition refresh) and auto clustering."""
+        (pair-grouped sifting + a refresh of the per-transition
+        partition after every reorder)."""
         result = analyze(make_net(name), relational(
-            engine, "auto", reorder=True, reorder_threshold=200))
+            engine, reorder=True, reorder_threshold=200))
         assert result.markings == explicit_counts[name]
 
     @pytest.mark.parametrize("name", FAMILIES)
     def test_per_transition_chained_agrees_with_reordering_enabled(
             self, name, make_net, explicit_counts):
         """With one block per transition, every reorder refreshes the
-        whole per-transition partition; the fixpoint must not move."""
-        result = analyze(make_net(name), relational(
-            "chained", 1, reorder=True, reorder_threshold=200))
-        assert result.markings == explicit_counts[name]
+        whole per-transition partition; the fixpoint must not move and
+        the refreshed partition stays support-sorted."""
+        analysis = Analysis(make_net(name), relational(
+            "chained", reorder=True, reorder_threshold=200))
+        assert analysis.run().markings == explicit_counts[name]
+        tops = [block.top_level
+                for block in analysis.symbolic_net.partitions()]
+        assert tops == sorted(tops)
 
     def test_auto_reorder_honored_on_supplied_manager(self,
                                                       explicit_counts):
@@ -287,8 +267,7 @@ class TestAdaptiveTraversal:
         # net's own manager, with its safe point after every step.
         reached = frontier = relnet.initial
         while not frontier.is_zero():
-            swept = relnet.image_chained(frontier, relnet.partitions(1),
-                                         reached=reached)
+            swept = relnet.image_chained(frontier, reached=reached)
             reached, frontier = reached | swept, swept - reached
             del swept
             relnet.bdd.checkpoint()
@@ -297,7 +276,7 @@ class TestAdaptiveTraversal:
 
     def test_reordering_actually_happens(self, explicit_counts):
         result = analyze(philosophers(3), relational(
-            "chained", 2, reorder=True, reorder_threshold=100))
+            "chained", reorder=True, reorder_threshold=100))
         assert result.reorder_count > 0
         assert result.markings == explicit_counts["phil3"]
 
@@ -312,34 +291,19 @@ class TestAdaptiveTraversal:
             nxt = relnet.bdd.level_of_var(name + "'")
             assert nxt == current + 1
 
-    def test_auto_clusters_cover_all_transitions(self):
-        relnet = RelationalNet(ImprovedEncoding(philosophers(3)))
-        blocks = relnet.partitions("auto")
-        seen = [t for block in blocks for t in block.transitions]
-        assert sorted(seen) == sorted(relnet.net.transitions)
-        tops = [block.top_level for block in blocks]
-        assert tops == sorted(tops)
-
-    def test_auto_partitions_cached(self):
-        relnet = RelationalNet(ImprovedEncoding(figure4_net()))
-        assert relnet.partitions("auto") is relnet.partitions("auto")
-
-    def test_auto_image_equals_per_transition_union(self):
+    def test_partition_image_equals_per_transition_union(self):
         relnet = RelationalNet(ImprovedEncoding(muller(4)))
         states = relnet.initial
-        blocks = relnet.partitions("auto")
-        assert relnet.image_partitioned(states, blocks) \
+        assert relnet.image_partitioned(states, relnet.partitions()) \
             == relnet.image_all(states)
 
-    def test_sparse_relations_cached_across_granularities(self):
-        """Building partitions at several granularities (ablation
-        sweeps) must reuse the sparse relations and supports instead of
-        re-walking them."""
+    def test_sparse_relations_survive_partition_refresh(self):
+        """Building and refreshing the partition must reuse the sparse
+        relations and supports instead of re-walking them."""
         relnet = RelationalNet(ImprovedEncoding(philosophers(3)))
         first = relnet.sparse_relations()
-        relnet.partitions(1)
-        relnet.partitions(4)
-        relnet.partitions("auto")
+        relnet.partitions()
+        relnet.refresh_partitions()
         assert relnet.sparse_relations() is first
         transition = relnet.net.transitions[0]
         assert relnet.transition_support(transition) \
@@ -352,14 +316,14 @@ class TestPartitionRefresh:
         return [v for pair in reversed(pairs) for v in pair]
 
     def test_metadata_refreshed_after_set_order(self):
-        """Satellite: an explicit set_order must refresh every cached
-        block's top_level/quantify and re-sort the block list."""
+        """An explicit set_order must refresh every block's
+        top_level/quantify and re-sort the block list."""
         relnet = RelationalNet(ImprovedEncoding(slotted_ring(2)))
         bdd = relnet.bdd
-        before = relnet.partitions(2)
-        relations_before = {b.label: b.relation for b in before}
+        before = relnet.partitions()
+        relations_before = {b.transition: b.relation for b in before}
         bdd.set_order(self.reversed_pair_order(relnet))
-        after = relnet.partitions(2)
+        after = relnet.partitions()
         tops = [block.top_level for block in after]
         assert tops == sorted(tops)
         for block in after:
@@ -368,28 +332,27 @@ class TestPartitionRefresh:
             levels = [bdd.level_of_var(v) for v in block.quantify]
             assert levels == sorted(levels)
             # Relations themselves are stable handles, never rebuilt.
-            assert block.relation is relations_before[block.label]
+            assert block.relation is relations_before[block.transition]
 
     def test_images_correct_after_set_order(self, explicit_counts):
-        analysis = Analysis(slotted_ring(2), relational("chained", 2))
+        analysis = Analysis(slotted_ring(2), relational("chained"))
         relnet = analysis.symbolic_net
-        blocks = relnet.partitions(2)
+        relnet.partitions()
         expected = relnet.image_all(relnet.initial)
         relnet.bdd.set_order(self.reversed_pair_order(relnet))
-        blocks = relnet.partitions(2)
+        blocks = relnet.partitions()
         assert relnet.image_partitioned(relnet.initial, blocks) == expected
         assert analysis.result.markings == explicit_counts["slot2"]
 
-    def test_refresh_fires_for_every_cached_granularity(self):
+    def test_refresh_recomputes_every_top_level(self):
+        """After a reorder every block's top level is the shallowest
+        level of its support under the new order."""
         relnet = RelationalNet(ImprovedEncoding(figure4_net()))
-        relnet.partitions(1)
-        relnet.partitions(3)
-        relnet.partitions("auto")
+        relnet.partitions()
         relnet.bdd.set_order(self.reversed_pair_order(relnet))
-        for key in (1, 3, "auto"):
-            for block in relnet.partitions(key):
-                assert block.top_level == min(
-                    relnet.bdd.level_of_var(v) for v in block.support)
+        for block in relnet.partitions():
+            assert block.top_level == min(
+                relnet.bdd.level_of_var(v) for v in block.support)
 
 
 # ---------------------------------------------------------------------

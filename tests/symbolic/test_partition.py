@@ -1,10 +1,10 @@
 """Tests for the shared relational layer (repro.symbolic.partition).
 
 Covers the behaviours the unified layer added on top of the old
-per-manager copies: reorder-aware reclustering of ``"auto"`` partitions,
-diff-based working-set narrowing of the chained sweep, and the fact that
-one chained sweep drives both managers.  It also pins the order
-independence of the Eq. 3 union of per-block images.
+per-manager copies: the reorder refresh of the per-transition
+partition, diff-based working-set narrowing of the chained sweep, and
+the fact that one chained sweep drives both managers.  It also pins the
+order independence of the Eq. 3 union of per-block images.
 """
 
 import random
@@ -23,11 +23,10 @@ BDD_RELATIONAL = AnalysisSpec(form="relational", reorder=False)
 ZDD_CHAINED = AnalysisSpec(backend="zdd", engine="chained", reorder=False)
 
 
-def chained_step(relnet, reached, frontier, cluster_size):
+def chained_step(relnet, reached, frontier):
     """One chained fixpoint step by hand: sweep, then absorb the swept
     set into ``reached`` and keep what is new as the frontier."""
-    swept = relnet.image_chained(frontier, relnet.partitions(cluster_size),
-                                 reached=reached)
+    swept = relnet.image_chained(frontier, reached=reached)
     return (relnet.state_union(reached, swept),
             relnet.state_diff(swept, reached))
 
@@ -37,26 +36,26 @@ class TestUnifiedLayer:
         assert issubclass(RelationalNet, PartitionedNet)
         assert issubclass(ZddRelationalNet, PartitionedNet)
 
-    @pytest.mark.parametrize("spec", [
-        BDD_RELATIONAL.replace(cluster_size=2),
-        ZDD_CHAINED.replace(cluster_size=2)], ids=["bdd", "zdd"])
-    def test_sessions_run_the_generic_chained_sweep(self, spec):
+    @pytest.mark.parametrize("spec", [BDD_RELATIONAL, ZDD_CHAINED],
+                             ids=["bdd", "zdd"])
+    def test_sessions_run_the_generic_chained_sweep(self, spec,
+                                                    monkeypatch):
         """Both relational sessions step through the shared
-        ``PartitionedNet.image_chained`` at the spec's granularity,
-        narrowed against their reached set."""
-        analysis = Analysis(figure4_net(), spec)
-        relnet = analysis.symbolic_net
+        ``PartitionedNet.image_chained``, narrowed against their
+        reached set."""
         calls = []
-        original = relnet.image_chained
+        original = PartitionedNet.image_chained
 
-        def spy(states, blocks, reached=None):
-            calls.append((blocks, reached))
-            return original(states, blocks, reached=reached)
+        def spy(relnet, states, reached=None):
+            calls.append((relnet, states, reached))
+            return original(relnet, states, reached=reached)
 
-        relnet.image_chained = spy
-        reached = analysis.session.reached
+        monkeypatch.setattr(PartitionedNet, "image_chained", spy)
+        analysis = Analysis(figure4_net(), spec)
+        session = analysis.session
+        frontier, reached = session.frontier, session.reached
         analysis.step()
-        assert calls == [(relnet.partitions(2), reached)]
+        assert calls == [(analysis.symbolic_net, frontier, reached)]
 
     @pytest.mark.parametrize("spec, image", [
         (BDD_RELATIONAL.replace(engine="monolithic"), "image_monolithic"),
@@ -85,7 +84,7 @@ class TestUnifiedLayer:
         relnet = ZddRelationalNet(slotted_ring(2))
         reached = frontier = relnet.initial
         while not relnet.state_is_empty(frontier):
-            reached, frontier = chained_step(relnet, reached, frontier, 2)
+            reached, frontier = chained_step(relnet, reached, frontier)
             relnet.zdd.checkpoint()
         assert relnet.count_markings(reached) == 40
 
@@ -98,12 +97,10 @@ class TestChainedNarrowing:
                 ImprovedEncoding(slotted_ring(3))), "bdd"),
                 (lambda: ZddRelationalNet(slotted_ring(3)), "zdd")):
             relnet = make()
-            blocks = relnet.partitions(2)
             reached = relnet.initial
             frontier = relnet.initial
-            plain = relnet.image_chained(frontier, blocks)
-            narrowed = relnet.image_chained(frontier, blocks,
-                                            reached=reached)
+            plain = relnet.image_chained(frontier)
+            narrowed = relnet.image_chained(frontier, reached=reached)
             # First step: nothing expanded yet, identical sweeps.
             assert plain == narrowed, net_cls
 
@@ -122,10 +119,10 @@ class TestChainedNarrowing:
 
         relnet.image_partition = spy
         try:
-            reached, frontier = chained_step(relnet, reached, frontier, 1)
+            reached, frontier = chained_step(relnet, reached, frontier)
             first_counts = list(seen_work)
             seen_work.clear()
-            reached, frontier = chained_step(relnet, reached, frontier, 1)
+            reached, frontier = chained_step(relnet, reached, frontier)
         finally:
             relnet.image_partition = original
         # Second iteration blocks never see the full reached family.
@@ -135,9 +132,8 @@ class TestChainedNarrowing:
         assert first_counts  # sanity: the spy actually measured
 
     @pytest.mark.parametrize("spec", [
-        BDD_RELATIONAL.replace(engine=engine, cluster_size=2)
-        for engine in RELATIONAL_ENGINES] + [
-        ZDD_CHAINED.replace(cluster_size=2)],
+        BDD_RELATIONAL.replace(engine=engine)
+        for engine in RELATIONAL_ENGINES] + [ZDD_CHAINED],
         ids=[f"bdd-{engine}" for engine in RELATIONAL_ENGINES]
         + ["zdd-chained"])
     def test_fixpoints_agree_across_narrowing_paths(self, spec, make_net,
@@ -147,80 +143,71 @@ class TestChainedNarrowing:
             assert result.markings == explicit_counts[name]
 
 
-class TestReorderAwareReclustering:
+class TestReorderRefresh:
     def reversed_pair_order(self, relnet):
         pairs = [(name, name + "'") for name in relnet.current]
         return [v for pair in reversed(pairs) for v in pair]
 
-    def test_auto_blocks_recluster_on_set_order(self):
-        """Satellite acceptance: the reorder hook re-runs the greedy
-        clustering and rebuilds only blocks whose membership changed."""
+    def test_blocks_follow_set_order(self):
+        """The reorder hook re-sorts the partition against the new
+        order: still one block per transition, tops ascending."""
         relnet = RelationalNet(ImprovedEncoding(philosophers(3)))
-        before = relnet.partitions("auto")
-        assert relnet.recluster_count == 0
+        before = relnet.partitions()
         relnet.bdd.set_order(self.reversed_pair_order(relnet))
-        after = relnet.partitions("auto")
-        # Membership follows the new support-sorted order.
-        seen = sorted(t for block in after for t in block.transitions)
-        assert seen == sorted(relnet.net.transitions)
+        after = relnet.partitions()
+        assert after is not before
+        assert sorted(block.transition for block in after) \
+            == sorted(relnet.net.transitions)
         tops = [block.top_level for block in after]
         assert tops == sorted(tops)
-        if {b.transitions for b in after} != {b.transitions
-                                              for b in before}:
-            assert relnet.recluster_count > 0
 
-    def test_unchanged_groups_keep_their_blocks(self):
-        """Rebuilds are scoped to membership changes: a reorder that
-        keeps the grouping intact reuses every existing relation."""
+    def test_refresh_keeps_every_relation(self):
+        """A refresh re-derives metadata only: every block keeps the
+        relation it was built with."""
         relnet = RelationalNet(ImprovedEncoding(figure4_net()))
-        before = {b.transitions: b.relation
-                  for b in relnet.partitions("auto")}
+        before = {b.transition: b.relation for b in relnet.partitions()}
         relnet.refresh_partitions()  # no order change at all
-        for block in relnet.partitions("auto"):
-            assert block.relation is before[block.transitions]
-        assert relnet.recluster_count == 0
+        for block in relnet.partitions():
+            assert block.relation is before[block.transition]
 
-    def test_zdd_auto_blocks_recluster_too(self):
+    def test_zdd_blocks_follow_set_order(self):
         relnet = ZddRelationalNet(philosophers(3))
-        relnet.partitions("auto")
+        relnet.partitions()
         order = list(range(relnet.zdd.num_vars))
         # Rotate whole current/next pairs to change support-top levels.
         pairs = [order[i:i + 2] for i in range(0, len(order), 2)]
         rotated = [v for pair in pairs[::-1] for v in pair]
         relnet.zdd.set_order(rotated)
-        after = relnet.partitions("auto")
-        seen = sorted(t for block in after for t in block.transitions)
-        assert seen == sorted(relnet.net.transitions)
+        after = relnet.partitions()
+        assert sorted(block.transition for block in after) \
+            == sorted(relnet.net.transitions)
         tops = [block.top_level for block in after]
         assert tops == sorted(tops)
 
-    def test_traversal_correct_with_reclustering(self, make_net,
-                                                 explicit_counts):
+    def test_traversal_correct_with_reordering(self, make_net,
+                                               explicit_counts):
         result = analyze(make_net("phil3"), BDD_RELATIONAL.replace(
-            engine="chained", cluster_size="auto", reorder=True,
-            reorder_threshold=100))
+            engine="chained", reorder=True, reorder_threshold=100))
         assert result.reorder_count > 0
         assert result.markings == explicit_counts["phil3"]
 
 
 class TestZddReorderTraversal:
-    @pytest.mark.parametrize("cluster_size", [1, 2, "auto"])
-    def test_relational_engines_with_reorder(self, cluster_size, make_net,
+    @pytest.mark.parametrize("name", ["figure4", "slot2", "phil3"])
+    def test_relational_engines_with_reorder(self, name, make_net,
                                              explicit_counts):
         """ZDD relational traversal with pair-grouped sifting enabled
         still pins the explicit counts."""
-        spec = ZDD_CHAINED.replace(cluster_size=cluster_size, reorder=True,
-                                   reorder_threshold=50)
-        for name in ("figure4", "slot2", "phil3"):
-            analysis = Analysis(make_net(name), spec)
-            result = analysis.run()
-            relnet = analysis.symbolic_net
-            assert result.markings == explicit_counts[name], name
-            assert result.reorder_count > 0, name
-            for place in relnet.current:
-                cur = relnet.zdd.level_of_var(place)
-                nxt = relnet.zdd.level_of_var(place + "'")
-                assert nxt == cur + 1
+        spec = ZDD_CHAINED.replace(reorder=True, reorder_threshold=50)
+        analysis = Analysis(make_net(name), spec)
+        result = analysis.run()
+        relnet = analysis.symbolic_net
+        assert result.markings == explicit_counts[name]
+        assert result.reorder_count > 0
+        for place in relnet.current:
+            cur = relnet.zdd.level_of_var(place)
+            nxt = relnet.zdd.level_of_var(place + "'")
+            assert nxt == cur + 1
 
     def test_classic_engine_with_reorder(self, make_net, explicit_counts):
         result = analyze(make_net("muller3"), AnalysisSpec(
@@ -236,7 +223,7 @@ class TestZddReorderTraversal:
 def test_image_partitioned_is_order_independent(make_net):
     """Shuffling the block list never changes the computed image."""
     relnet = RelationalNet(ImprovedEncoding(make_net("phil3")))
-    blocks = relnet.partitions("auto")
+    blocks = relnet.partitions()
     assert len(blocks) > 1
     states = relnet.initial
     baseline = relnet.image_partitioned(states, blocks)

@@ -17,7 +17,7 @@ SCHEMES = ["sparse", "dense", "improved"]
 BFS = AnalysisSpec(strategy="bfs", use_toggle=False, reorder=False)
 # The per-transition chained relational fixpoint, fixed order.
 PER_TRANSITION = AnalysisSpec(form="relational", engine="chained",
-                              cluster_size=1, reorder=False)
+                              reorder=False)
 
 
 @pytest.mark.parametrize("name", FAMILIES)

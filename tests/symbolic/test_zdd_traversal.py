@@ -14,8 +14,7 @@ from repro.symbolic import ZddNet, ZddRelationalNet
 # The classic per-transition rewrite and the chained relational engine,
 # both on a fixed element order.
 CLASSIC = AnalysisSpec(backend="zdd", form="functional", reorder=False)
-CHAINED = AnalysisSpec(backend="zdd", engine="chained", cluster_size=1,
-                       reorder=False)
+CHAINED = AnalysisSpec(backend="zdd", engine="chained", reorder=False)
 
 
 class TestZddNet:
@@ -118,40 +117,29 @@ class TestZddRelationalNet:
 
     def test_partition_blocks_cover_all_transitions(self):
         relnet = ZddRelationalNet(figure4_net())
-        for cluster_size in (1, 2, 5, 100, "auto"):
-            blocks = relnet.partitions(cluster_size)
-            seen = [t for block in blocks for t in block.transitions]
-            assert sorted(seen) == sorted(relnet.net.transitions)
+        seen = [block.transition for block in relnet.partitions()]
+        assert sorted(seen) == sorted(relnet.net.transitions)
 
     def test_blocks_are_support_sorted(self, make_net):
         relnet = ZddRelationalNet(make_net("slot2"))
-        blocks = relnet.partitions(4)
-        tops = [block.top_level for block in blocks]
+        tops = [block.top_level for block in relnet.partitions()]
         assert tops == sorted(tops)
 
-    def test_partition_cache_by_granularity(self):
+    def test_partition_is_built_once(self):
         relnet = ZddRelationalNet(figure4_net())
-        assert relnet.partitions(2) is relnet.partitions(2)
-        assert relnet.partitions(2) is not relnet.partitions(3)
-        assert relnet.partitions("auto") is relnet.partitions("auto")
+        assert relnet.partitions() is relnet.partitions()
 
-    def test_invalid_cluster_size_rejected(self):
-        relnet = ZddRelationalNet(figure4_net())
-        for junk in (0, -3, 2.5, "junk", None, True):
-            with pytest.raises(ValueError):
-                relnet.partitions(junk)
-
-    def test_partitioned_image_equals_per_transition_union(self, make_net):
-        relnet = ZddRelationalNet(make_net("muller4"))
+    @pytest.mark.parametrize("name", ["muller4", "phil3", "slot2"])
+    def test_partitioned_image_equals_per_transition_union(self, name,
+                                                           make_net):
+        relnet = ZddRelationalNet(make_net(name))
         states = relnet.initial
-        for cluster_size in (2, 8, "auto"):
-            blocks = relnet.partitions(cluster_size)
-            assert relnet.image_partitioned(states, blocks) \
-                == relnet.image_all(states)
+        assert relnet.image_partitioned(states, relnet.partitions()) \
+            == relnet.image_all(states)
 
     def test_rename_maps_are_order_monotone(self):
         relnet = ZddRelationalNet(figure4_net())
-        for block in relnet.partitions("auto"):
+        for block in relnet.partitions():
             pairs = sorted(block.rename.items())
             targets = [dst for _, dst in pairs]
             assert targets == sorted(targets)
@@ -167,11 +155,8 @@ class TestTraversal:
         ("slot2", 40),
     ])
     @pytest.mark.parametrize("spec", [
-        CLASSIC,
-        CHAINED,
-        CHAINED.replace(cluster_size=2),
-        CHAINED.replace(cluster_size="auto"),
-    ], ids=["classic", "chained-1", "chained", "chained-auto"])
+        CLASSIC, CHAINED, CHAINED.replace(reorder=True, reorder_threshold=20)],
+        ids=["classic", "chained", "chained-sifted"])
     def test_counts_match_explicit(self, name, expected, spec, make_net):
         result = analyze(make_net(name), spec)
         assert result.markings == expected
@@ -203,28 +188,14 @@ class TestTraversal:
         with pytest.raises(SpecError, match="chained"):
             CHAINED.replace(engine="quantum")
 
-    @pytest.mark.parametrize("junk", [0, -3, 2.5, "junk", True])
-    def test_bad_cluster_size_rejected_up_front(self, junk):
-        with pytest.raises(SpecError, match="auto"):
-            CHAINED.replace(cluster_size=junk)
-
-    @pytest.mark.parametrize("junk", [0, -3, 2.5, "junk", None, True])
-    def test_partitions_reject_bad_cluster_size(self, junk):
-        """The partition layer validates on its own, whatever the spec
-        let through."""
-        with pytest.raises(ValueError, match="auto"):
-            ZddRelationalNet(figure1_net()).partitions(junk)
-
     def test_max_iterations_guard(self):
         with pytest.raises(RuntimeError):
             analyze(figure4_net(), CLASSIC.replace(max_iterations=1))
         with pytest.raises(RuntimeError):
-            analyze(figure4_net(), CHAINED.replace(cluster_size=1,
-                                                   max_iterations=1))
+            analyze(figure4_net(), CHAINED.replace(max_iterations=1))
 
     def test_fused_cache_counters_exposed(self, make_net):
-        analysis = Analysis(make_net("phil3"),
-                            CHAINED.replace(cluster_size="auto"))
+        analysis = Analysis(make_net("phil3"), CHAINED)
         analysis.run()
         zdd = analysis.symbolic_net.zdd
         assert zdd.ae_calls > 0

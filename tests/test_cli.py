@@ -82,20 +82,20 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("image", ["monolithic", "chained"])
     def test_relational_image_engines(self, muller_file, capsys, image):
-        assert main(["analyze", str(muller_file), "--image", image,
-                     "--cluster-size", "2"]) == 0
+        assert main(["analyze", str(muller_file), "--image", image]) == 0
         out = capsys.readouterr().out
         assert "markings=30" in out
         assert f"image=relational/{image}" in out
 
-    @pytest.mark.parametrize("cluster_size", ["1", "auto"])
-    def test_chained_cluster_sizes(self, muller_file, capsys,
-                                   cluster_size):
-        assert main(["analyze", str(muller_file), "--image", "chained",
-                     "--cluster-size", cluster_size]) == 0
+    @pytest.mark.parametrize("engine, image_id", [
+        ("bdd", "relational/chained"), ("zdd", "zdd/chained")])
+    def test_chained_image_on_a_fixed_order(self, muller_file, capsys,
+                                            engine, image_id):
+        assert main(["analyze", str(muller_file), "--engine", engine,
+                     "--image", "chained", "--no-reorder"]) == 0
         out = capsys.readouterr().out
         assert "markings=30" in out
-        assert "image=relational/chained" in out
+        assert f"image={image_id}" in out
 
     def test_deadlocks_require_functional_image(self, muller_file, capsys):
         assert main(["analyze", str(muller_file), "--image", "chained",
@@ -138,9 +138,6 @@ class TestAnalyze:
             assert capsys.readouterr().err == ""
 
     def test_invalid_spec_combination_exits_2(self, muller_file, capsys):
-        assert main(["analyze", str(muller_file), "--image", "functional",
-                     "--cluster-size", "4"]) == 2
-        assert "no partitions to cluster" in capsys.readouterr().err
         assert main(["analyze", str(muller_file), "--engine", "zdd",
                      "--k-bound", "2"]) == 2
         assert "only supported on the BDD backend" \

@@ -20,7 +20,10 @@ And retired code stays retired: the per-block union engine
 ``simplify_frontier`` option won no benchmark row; the image-engine
 strategy objects only forwarded to the nets' images, the backend
 factories (and their ``BACKENDS`` registry) only called one session
-constructor each, and ``chain_order`` had one value in use.
+constructor each, and ``chain_order`` had one value in use.  The
+partition is Eq. 3's, one sparse relation per transition: the
+``cluster_size`` granularities, greedy auto-clustering and
+reorder-time reclustering lost the served traffic to it.
 
 The chained per-transition steps have one form as well: the fused
 kernel operations ``or_and_toggle`` and ``or_cofactor_and``, never a
@@ -35,14 +38,11 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 # Methods/functions that must exist exactly once, in the shared layer.
 SHARED_ONLY_DEFS = (
-    "_auto_clusters",
-    "_build_partition",
     "image_chained",
     "image_partitioned",
+    "partitions",
     "refresh_partitions",
-    "cluster_by_support",
-    "cluster_greedily",
-    "validate_cluster_size",
+    "sort_by_support",
 )
 
 # The encoding shims: allowed to *use* the shared layer, never to
@@ -266,19 +266,25 @@ def test_tripwire_sees_a_naming_order_declaration(tmp_path):
 
 # Identifiers of the retired per-block union engine, the Coudert-Madre
 # frontier restriction, the image-engine strategy layer (the
-# ``ImageEngine`` substring covers every engine class) and the backend
-# factory layer above the sessions; none may reappear anywhere under
-# src/repro.
+# ``ImageEngine`` substring covers every engine class), the backend
+# factory layer above the sessions and the partition clustering; none
+# may reappear anywhere under src/repro.
 RETIRED_IDENTIFIERS = ("restrict_cm", "narrow_frontier",
                        "SIMPLIFY_MIN_FRONTIER_NODES", "ImageEngine",
                        "make_image_engine", "ClassicZddEngine",
                        "image_engines", "SolverBackend", "BACKENDS",
                        "backend_for", "PortfolioBackend",
                        "BddFunctionalBackend", "BddRelationalBackend",
-                       "ZddBackend", "KBoundedBackend", "_reject_factory")
+                       "ZddBackend", "KBoundedBackend", "_reject_factory",
+                       "cluster_greedily", "validate_cluster_size",
+                       "AUTO_MIN_OVERLAP", "AUTO_NODE_BUDGET",
+                       "AUTO_MAX_CLUSTER", "_auto_clusters", "_recluster",
+                       "recluster_count", "_identity_clause",
+                       "DEFAULT_CLUSTER_SIZE", "resolved_cluster_size",
+                       "ClusterSize")
 # Retired spec fields: named only inside RETIRED_FIELD_DEFAULTS, which
 # keeps old fingerprints stable.
-RETIRED_FIELDS = ("simplify_frontier", "chain_order")
+RETIRED_FIELDS = ("simplify_frontier", "chain_order", "cluster_size")
 
 
 def _constant_lines(tree, name):
@@ -314,9 +320,9 @@ def retired_name_uses(root):
 def test_retired_engine_and_restriction_stay_deleted():
     """The ``partitioned`` engine, ``restrict_cm`` and the frontier
     restriction won no benchmark row on the structural order and were
-    deleted, and so were the image-engine and backend-factory layers;
-    ``simplify_frontier``
-    and ``chain_order`` may only be named as retired fields at their
+    deleted, and so were the image-engine and backend-factory layers
+    and the partition clustering; ``simplify_frontier``, ``chain_order``
+    and ``cluster_size`` may only be named as retired fields at their
     old defaults (which keeps old fingerprints stable)."""
     from repro.analysis import PORTFOLIO_MEMBERS, RELATIONAL_ENGINES
     assert "partitioned" not in RELATIONAL_ENGINES
@@ -334,14 +340,17 @@ def test_retired_engine_and_restriction_stay_deleted():
 def test_tripwire_sees_retired_names(tmp_path):
     """The retired-name detector itself: a retired identifier anywhere,
     or a retired field outside the retired-defaults constant, is
-    caught; the constant itself is not."""
+    caught; the constant itself is not, and neither are the surviving
+    names that merely resemble a retired one."""
     (tmp_path / "analysis").mkdir()
     (tmp_path / "analysis" / "spec.py").write_text(
         "RETIRED_FIELD_DEFAULTS = {\n"
         "    \"simplify_frontier\": False,\n"
+        "    \"cluster_size\": None,\n"
         "    \"chain_order\": \"support\"}\n"
         "simplify_frontier = True\n"
-        "chain_order = \"net\"\n")
+        "chain_order = \"net\"\n"
+        "cluster_size = \"auto\"\n")
     (tmp_path / "kernel.py").write_text(
         "def restrict_cm(u, care):\n"
         "    return narrow_frontier(u, care)\n")
@@ -352,16 +361,26 @@ def test_tripwire_sees_retired_names(tmp_path):
         "classic = ClassicZddEngine(znet)\n")
     (tmp_path / "facade.py").write_text(
         "session = backend_for(spec).build(net, spec)\n")
+    (tmp_path / "partition.py").write_text(
+        "groups = cluster_greedily(items, support, level, size)\n"
+        "self.recluster_count += 1\n"
+        "blocks = self._recluster(blocks)\n"
+        "order = sort_by_support(items, support, level)\n"
+        "clusters = conflict_clusters(net)\n")
     assert retired_name_uses(tmp_path) == [
-        ("analysis/spec.py", 4, "simplify_frontier"),
-        ("analysis/spec.py", 5, "chain_order"),
+        ("analysis/spec.py", 5, "simplify_frontier"),
+        ("analysis/spec.py", 6, "chain_order"),
+        ("analysis/spec.py", 7, "cluster_size"),
         ("backends.py", 1, "make_image_engine"),
         ("backends.py", 2, "ImageEngine"),
         ("backends.py", 3, "image_engines"),
         ("backends.py", 4, "ClassicZddEngine"),
         ("facade.py", 1, "backend_for"),
         ("kernel.py", 1, "restrict_cm"),
-        ("kernel.py", 2, "narrow_frontier")]
+        ("kernel.py", 2, "narrow_frontier"),
+        ("partition.py", 1, "cluster_greedily"),
+        ("partition.py", 2, "recluster_count"),
+        ("partition.py", 3, "_recluster")]
 
 
 # Where a chained per-transition step is taken, and the class it is
