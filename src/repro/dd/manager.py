@@ -140,7 +140,7 @@ class DDManager:
     auto_reorder:
         If true, sifting is triggered automatically when the number of
         live nodes crosses a growing threshold (checked only at safe
-        points, i.e. :meth:`checkpoint`).
+        points, i.e. :meth:`checkpoint`, after a garbage collection).
     reorder_threshold:
         Live-node threshold for the automatic sifting trigger.
     """
@@ -166,6 +166,10 @@ class DDManager:
         self._high: List[int] = [0, 1]
         self._ref: List[int] = [1, 1]
         self._free: List[int] = []
+        # Nodes stored in the unique tables plus the two terminals, kept
+        # by _node and _free_node so live_nodes() is O(1): sifting reads
+        # it after every adjacent swap.
+        self._occupancy = 2
 
         # unique[var] maps the packed key (low << _PACK) | high to a
         # node id.  Packing the child pair into one integer (instead of
@@ -369,6 +373,7 @@ class DDManager:
             self._high.append(high)
             self._ref.append(0)
         table[key] = node
+        self._occupancy += 1
         shift = self._edge_shift
         self._ref[low >> shift] += 1
         self._ref[high >> shift] += 1
@@ -402,6 +407,7 @@ class DDManager:
         self._low[u] = -1
         self._high[u] = -1
         self._free.append(u)
+        self._occupancy -= 1
         self._deref_cascade(low)
         self._deref_cascade(high)
 
@@ -411,7 +417,7 @@ class DDManager:
         Also advances :attr:`peak_live_nodes`, so every safe point and
         every sifting step feeds the peak-memory statistic.
         """
-        live = 2 + sum(len(table) for table in self._unique)
+        live = self._occupancy
         if live > self.peak_live_nodes:
             self.peak_live_nodes = live
         return live
@@ -435,8 +441,10 @@ class DDManager:
 
         Must only be called at a safe point (never while an operation is
         in progress).  Clears the operation caches.  Returns the number
-        of nodes freed.
+        of nodes freed.  The occupancy before the collection, garbage
+        included, is folded into :attr:`peak_live_nodes` first.
         """
+        self.live_nodes()
         self.clear_caches()
         before = len(self._free)
         # Cascading frees make this a single scan: any node whose
@@ -510,31 +518,45 @@ class DDManager:
         self._budget_deadline = (self._budget_started + deadline_seconds
                                  if deadline_seconds is not None else None)
 
+    def _reorder_due(self, live: int) -> bool:
+        """Whether ``live`` nodes cross the reorder trigger: the fixed
+        ``reorder_threshold``, or the growth rule when it is armed.  The
+        first call under the growth rule only records its baseline."""
+        if live > self.reorder_threshold:
+            return True
+        if self.reorder_growth is None:
+            return False
+        if self._reorder_baseline is None:
+            self._reorder_baseline = live
+            return False
+        return (live >= self.reorder_growth_floor
+                and live > self._reorder_baseline * self.reorder_growth)
+
     def checkpoint(self) -> None:
         """Safe point hook: garbage collect, maybe reorder, enforce
-        budgets."""
+        budgets.
+
+        The reorder trigger reads live nodes, not the unique-table
+        occupancy (which still holds every dead intermediate of the
+        last operations): a safe point whose occupancy crosses the
+        trigger collects first, and sifts only if the live diagram is
+        still over it.
+        """
         live = self.live_nodes()
-        trigger = False
-        if self.auto_reorder:
-            if live > self.reorder_threshold:
-                trigger = True
-            elif self.reorder_growth is not None:
-                if self._reorder_baseline is None:
-                    self._reorder_baseline = live
-                elif (live >= self.reorder_growth_floor
-                      and live > self._reorder_baseline
-                      * self.reorder_growth):
-                    trigger = True
-        if trigger:
+        if self.auto_reorder and self._reorder_due(live):
             self.collect_garbage()
-            from .reorder import sift
-            sift(self, groups=self.sift_groups)
-            self.reorder_threshold = max(self.reorder_threshold,
-                                         2 * self.live_nodes())
-            self._reorder_baseline = self.live_nodes()
-            self._gc_baseline = max(self._reorder_baseline,
-                                    self.gc_growth_floor)
-            self.reorder_count += 1
+            live = self.live_nodes()
+            if self._reorder_due(live):
+                from .reorder import sift
+                sift(self, groups=self.sift_groups)
+                self.reorder_threshold = max(self.reorder_threshold,
+                                             2 * self.live_nodes())
+                self._reorder_baseline = self.live_nodes()
+                self._gc_baseline = max(self._reorder_baseline,
+                                        self.gc_growth_floor)
+                self.reorder_count += 1
+            else:
+                self._gc_baseline = max(live, self.gc_growth_floor)
         elif (self.gc_growth is not None
               and live >= self.gc_growth_floor
               and live > self._gc_baseline * self.gc_growth):
@@ -790,6 +812,8 @@ class DDManager:
                             <= self._var2level[var]):
                         raise self._error_class(
                             f"node {node} violates ordering")
+        if self._occupancy != 2 + sum(map(len, self._unique)):
+            raise self._error_class("occupancy counter out of step")
         # Reference counts: recompute from tables.
         counts = [0] * len(self._var)
         for table in self._unique:

@@ -172,7 +172,7 @@ def _exchange_blocks(manager: DDManager, blocks: List[List[int]],
                      index: int) -> None:
     """Swap the adjacent blocks at ``index`` and ``index + 1`` (both stay
     internally ordered) via adjacent-level swaps."""
-    level = sum(len(b) for b in blocks[:index])
+    level = sum(map(len, blocks[:index]))
     upper, lower = len(blocks[index]), len(blocks[index + 1])
     for passed in range(lower):
         for step in range(upper):

@@ -26,6 +26,18 @@ def _checked_name(kind: str, name: str) -> str:
     return name
 
 
+def _reachable_from(root: str, edges: Dict[str, Set[str]]) -> Set[str]:
+    """Nodes reachable from ``root`` along ``edges`` (root included)."""
+    seen = {root}
+    stack = [root]
+    while stack:
+        for node in edges[stack.pop()]:
+            if node not in seen:
+                seen.add(node)
+                stack.append(node)
+    return seen
+
+
 class PetriNet:
     """An ordinary Petri net with named places and transitions.
 
@@ -252,13 +264,15 @@ class PetriNet:
 
     def is_strongly_connected(self) -> bool:
         """True iff the net graph (places and transitions) is strongly
-        connected."""
-        import networkx as nx
-
-        graph = self.to_networkx()
-        if graph.number_of_nodes() <= 1:
+        connected: one node reaches every node along the arcs and
+        against them."""
+        successors = {**self._place_post, **self._trans_post}
+        predecessors = {**self._place_pre, **self._trans_pre}
+        if len(successors) <= 1:
             return True
-        return nx.is_strongly_connected(graph)
+        root = next(iter(successors))
+        return all(len(_reachable_from(root, edges)) == len(edges)
+                   for edges in (successors, predecessors))
 
     def to_networkx(self):
         """The net as a networkx DiGraph with a ``kind`` node attribute."""

@@ -69,7 +69,11 @@ class ModelChecker:
         return not (minterm & self.reachable).is_zero()
 
     def find_deadlocks(self) -> CheckReport:
-        """Reachable markings enabling no transition."""
+        """Reachable markings enabling no transition.
+
+        Starts with a collection, so the previous query's garbage is
+        gone before this one allocates (see :meth:`ef`)."""
+        self.symnet.bdd.collect_garbage()
         dead = self.reachable & self.symnet.deadlock_condition()
         if dead.is_zero():
             return CheckReport(holds=False, detail="no reachable deadlock")
@@ -130,10 +134,13 @@ class ModelChecker:
         nothing, or as soon as ``current`` is the whole reachable set
         (one edge compare).
 
-        The loop runs no safe point: a collection would clear the op
+        The query starts with a garbage collection, so the previous
+        query's intermediates are freed before this one allocates.  The
+        loop itself runs no safe point: a collection would clear the op
         caches every pass, and a reorder trigger would start sifting in
         the middle of a query.
         """
+        self.symnet.bdd.collect_garbage()
         reachable = self.reachable
         steps = self._care_enabling()
         current = target & reachable

@@ -260,10 +260,13 @@ class TestSiftingTrajectory:
         return (iterations, zdd.peak_live_nodes, zdd.reorder_count,
                 reached)
 
+    # The live diagram of these nets stays under the default trigger
+    # once the safe point collects, so the threshold is lowered to one
+    # at which sifting fires.
     @pytest.mark.parametrize("net_name, spec", [
-        ("slot4", AnalysisSpec(form="relational")),
-        ("phil6", AnalysisSpec(form="relational")),
-        ("dme3", AnalysisSpec(backend="zdd"))],
+        ("slot4", AnalysisSpec(form="relational", reorder_threshold=200)),
+        ("phil6", AnalysisSpec(form="relational", reorder_threshold=200)),
+        ("dme3", AnalysisSpec(backend="zdd", reorder_threshold=200))],
         ids=["slot4-relational", "phil6-relational", "dme3-zdd"])
     def test_session_matches_the_reference_loop(self, make_net, net_name,
                                                 spec):

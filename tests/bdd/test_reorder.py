@@ -147,6 +147,8 @@ class TestSifting:
 
 class TestAutoReorder:
     def test_checkpoint_triggers_reorder(self):
+        """The live adder, not only its garbage, is over the threshold:
+        the safe point collects and still sifts, once."""
         names_a = [f"a{i}" for i in range(5)]
         names_b = [f"b{i}" for i in range(5)]
         bdd = BDD(var_names=names_a + names_b, auto_reorder=True,
@@ -156,6 +158,24 @@ class TestAutoReorder:
         assert bdd.reorder_count == 1
         assert f({name: True for name in names_a + names_b})
         bdd.assert_consistent()
+
+    def test_garbage_over_the_threshold_collects_without_sifting(self):
+        names = [f"v{i}" for i in range(12)]
+        bdd = BDD(var_names=names, auto_reorder=True)
+        keep = variable(bdd, "v0") & variable(bdd, "v6")
+        garbage = build_interleaved_adder(bdd, names[:6], names[6:])
+        del garbage
+        occupancy = 2 + sum(map(len, bdd._unique))
+        live = 4  # the two terminals and the two nodes of v0 & v6
+        bdd.reorder_threshold = (occupancy + live) // 2
+        gcs = bdd.gc_count
+        bdd.checkpoint()
+        assert bdd.reorder_count == 0
+        assert bdd.gc_count == gcs + 1
+        assert bdd.peak_live_nodes == occupancy
+        assert bdd.live_nodes() == live
+        assert bdd._gc_baseline == bdd.gc_growth_floor
+        assert keep({"v0": True, "v6": True})
 
     def test_checkpoint_below_threshold_does_nothing(self):
         bdd = BDD(var_names=["a"], auto_reorder=True,
@@ -171,6 +191,40 @@ class TestAutoReorder:
         f = (variable(bdd, "a") & variable(bdd, "b")) | variable(bdd, "c")
         bdd.checkpoint()
         assert calls
+
+
+class SummingBDD(BDD):
+    """Counts live nodes by summing every unique table on each call."""
+
+    def live_nodes(self):
+        live = 2 + sum(map(len, self._unique))
+        self.peak_live_nodes = max(self.peak_live_nodes, live)
+        return live
+
+
+class TestLiveNodeCounter:
+    """The kept occupancy counter steers sifting exactly as a sum over
+    the unique tables would."""
+
+    @pytest.mark.parametrize("grouped", [False, True],
+                             ids=["single", "grouped"])
+    def test_sift_matches_a_recomputed_sum(self, grouped):
+        a_names = [f"a{i}" for i in range(6)]
+        b_names = [f"b{i}" for i in range(6)]
+        outcomes = []
+        for manager in (BDD, SummingBDD):
+            bdd = manager(var_names=a_names + b_names)
+            f = build_interleaved_adder(bdd, a_names, b_names)
+            groups = ([(bdd.var_index(a), bdd.var_index(b))
+                       for a, b in zip(a_names[0::2], a_names[1::2])]
+                      if grouped else None)
+            live = sift(bdd, groups=groups)
+            bdd.assert_consistent()
+            assert live == 2 + sum(map(len, bdd._unique))
+            assert f({name: True for name in a_names + b_names})
+            outcomes.append((bdd.order(), live, bdd.peak_live_nodes))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] != a_names + b_names
 
 
 class TestReorderHooks:

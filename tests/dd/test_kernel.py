@@ -227,6 +227,28 @@ class TestGrowthTrigger:
         assert extract(zdd, node) == fam
         zdd.assert_consistent()
 
+    def test_growth_rule_reads_the_collected_count(self):
+        """Garbage that grows the occupancy past the rule collects
+        without sifting; live growth past it sifts."""
+        zdd = self._grown_zdd()
+        zdd.ref(zdd.from_sets([{0, 1}]))
+        zdd.checkpoint()  # records the baseline
+        baseline = zdd._reorder_baseline
+        fam = frozenset(frozenset({i, (i + 3) % 12, (i + 7) % 12})
+                        for i in range(12))
+        zdd.from_sets(fam)  # unreferenced: garbage at the safe point
+        assert zdd.live_nodes() > max(2 * baseline,
+                                      zdd.reorder_growth_floor)
+        gcs = zdd.gc_count
+        zdd.checkpoint()
+        assert zdd.reorder_count == 0
+        assert zdd.gc_count == gcs + 1
+        assert zdd._reorder_baseline == baseline
+        node = zdd.ref(zdd.from_sets(fam))
+        zdd.checkpoint()
+        assert zdd.reorder_count == 1
+        assert extract(zdd, node) == fam
+
     def test_below_floor_never_triggers(self):
         zdd = self._grown_zdd(floor=10**6)
         zdd.ref(zdd.from_sets([{0}]))

@@ -1,9 +1,19 @@
 """Unit tests for PetriNet structure and token game."""
 
-import pytest
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import networkx as nx
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from net_strategies import safe_nets, small_nets
 from repro.petri import Marking, PetriNet, PetriNetError
 from repro.petri.generators import figure1_net
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture
@@ -172,3 +182,27 @@ class TestSubnets:
         net.add_transition("t", pre=["a"], post=["b"])
         assert net.is_state_machine()
         assert not net.is_strongly_connected()
+
+
+@settings(max_examples=200, deadline=None)
+@given(net=st.one_of(small_nets(), safe_nets()))
+def test_strong_connectivity_agrees_with_networkx(net):
+    graph = net.to_networkx()
+    expected = (graph.number_of_nodes() <= 1
+                or nx.is_strongly_connected(graph))
+    assert net.is_strongly_connected() == expected
+
+
+def test_analysis_does_not_import_networkx():
+    """networkx is an export helper only: building and solving a net
+    (dense encodings test strong connectivity) must not load it."""
+    script = ("import sys\n"
+              "from repro.analysis import Analysis\n"
+              "from repro.petri.generators import philosophers\n"
+              "Analysis(philosophers(3)).run()\n"
+              "print('networkx' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         check=True, capture_output=True, text=True,
+                         timeout=120).stdout
+    assert out.strip() == "False"

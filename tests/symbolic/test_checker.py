@@ -305,3 +305,20 @@ def test_phil6_query_peak_nodes_tripwire():
     assert (safe & symnet.initial).is_zero()
     assert symnet.count_markings(safe) == 0
     assert not home.holds
+
+
+def test_each_query_starts_with_a_collection():
+    """A query frees the previous query's garbage before it allocates,
+    and the peak still counts the garbage it freed."""
+    analysis = Analysis(philosophers(4))
+    checker = analysis.checker()
+    symnet = analysis.symbolic_net
+    bdd = symnet.bdd
+    checker.ag(~symnet.deadlock_condition())  # dropped: garbage
+    occupancy = 2 + sum(map(len, bdd._unique))
+    for query in (checker.find_deadlocks,
+                  lambda: checker.ef(symnet.initial)):
+        gcs = bdd.gc_count
+        query()
+        assert bdd.gc_count == gcs + 1
+    assert bdd.peak_live_nodes >= occupancy

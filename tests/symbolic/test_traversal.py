@@ -85,7 +85,7 @@ def test_traversal_with_dynamic_reordering():
     net = slotted_ring(3)
     expected = len(ReachabilityGraph(net))
     result = analyze(net, BFS.replace(use_toggle=True, reorder=True,
-                                      reorder_threshold=500))
+                                      reorder_threshold=200))
     assert result.markings == expected
     assert result.reorder_count > 0
 
