@@ -26,7 +26,8 @@ The one way to run a symbolic analysis::
   (``node_budget`` / ``deadline``) turn exhaustion into a ``partial``
   :class:`AnalysisResult` instead of a crash.
 * :mod:`repro.analysis.workers` — the one process supervisor
-  (:class:`WorkerHarness`, dead-worker grace, respawn/retire, reaping)
+  (:class:`WorkerHarness`, one reply pipe per worker whose end of file
+  is the crash signal, respawn/retire, reaping)
   under both the portfolio race and the service pool.
 
 There is no second fixpoint driver: the :class:`SolverSession`

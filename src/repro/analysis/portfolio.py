@@ -3,22 +3,23 @@
 No single engine wins everywhere — the paper's encodings make different
 nets cheap for different methods — so the portfolio spawns several
 member configurations (:data:`~repro.analysis.spec.PORTFOLIO_MEMBERS`)
-as ``multiprocessing`` worker processes, streams their verdicts over a
-``Queue``, answers with the first complete
+as ``multiprocessing`` worker processes, reads each verdict from that
+member's own reply pipe, answers with the first complete
 :class:`~repro.analysis.result.AnalysisResult` and terminates the
 losers (the SMPT ``Parallelizer`` pattern).
 
 Process mechanics — the injectable :class:`~repro.analysis.workers.
-WorkerHarness`, crash detection, reaping — are the shared supervisor's
+WorkerHarness`, the reply pipes, reaping — are the shared supervisor's
 (:mod:`repro.analysis.workers`); this module keeps the race policy:
 
 * **Timeouts** — a member past ``spec.member_timeout`` is terminated
   and recorded as a :class:`MemberFailure`, the race continuing with
   the survivors; past ``spec.timeout`` the whole race fails.
-* **Failures** — crashes (with their exit code), member errors and
-  unreadable or malformed queue payloads become structured
-  :class:`MemberFailure` records; a queue that keeps delivering poison
-  aborts the race cleanly.
+* **Failures** — crashes (with their exit code) and member errors
+  become structured :class:`MemberFailure` records.  End of file on a
+  member's pipe before its verdict, or a reply that cannot be read or
+  is malformed, is that member's crash; the race goes on with the
+  survivors.
 * **Checkpoint-resume retries** — with ``spec.checkpoint_path`` set,
   every member checkpoints to :func:`member_checkpoint_path`; a member
   that crashes or times out while that file exists is restarted from
@@ -49,7 +50,6 @@ The winning member's result is returned with portfolio extras::
 from __future__ import annotations
 
 import os
-import queue as queue_module
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -59,8 +59,7 @@ from ..petri.parser import dumps, loads
 from .backends import SolverSession, open_session
 from .result import AnalysisResult
 from .spec import PORTFOLIO_MEMBERS, AnalysisSpec, SpecError
-from .workers import (MAX_QUEUE_POISON, WorkerHarness, WorkerSlot,
-                      reap_processes)
+from .workers import WorkerHarness, WorkerSlot, reap_processes
 
 __all__ = [
     "PortfolioSession", "PortfolioError", "MemberFailure",
@@ -90,12 +89,13 @@ class PortfolioError(RuntimeError):
 class MemberFailure:
     """One member's structured failure record.
 
-    ``member`` is the member id (``None`` when the failure cannot be
-    attributed, e.g. a poisoned queue payload), ``kind`` one of
-    ``crash`` (died without reporting; ``exitcode`` set), ``timeout``
-    (per-member or global deadline), ``error`` (the member raised and
-    reported it), ``spawn`` (the worker never started) or ``queue``
-    (unreadable or malformed queue payload).
+    ``member`` is the member id and ``kind`` one of ``crash`` (died
+    without reporting, or sent a reply that cannot be read or is
+    malformed; ``exitcode`` set), ``timeout`` (per-member or global
+    deadline), ``error`` (the member raised and reported it) or
+    ``spawn`` (the worker never started).  Records stored by older
+    builds may carry ``member=None`` with kind ``queue``; they still
+    load.
     """
 
     member: Optional[str]
@@ -118,9 +118,6 @@ def _crash(member: str, exitcode: Optional[int]) -> MemberFailure:
     return MemberFailure(member, "crash", f"worker died without reporting "
                                           f"(exitcode {exitcode})",
                          exitcode=exitcode)
-
-
-_QUEUE_UNUSABLE = "race aborted: result queue unusable"
 
 
 # ----------------------------------------------------------------------
@@ -182,15 +179,16 @@ def member_spec(spec: AnalysisSpec, member: str) -> AnalysisSpec:
 # Worker process entry point
 # ----------------------------------------------------------------------
 
-def _worker_main(member: str, net_text: str, spec_values: Dict[str, Any],
-                 result_queue) -> None:
+def _worker_main(net_text: str, spec_values: Dict[str, Any],
+                 reply) -> None:
     """Run one member to completion inside a worker process.
 
     The net travels as ``.pnet`` text and the spec as its ``to_dict``
     form, so the payload pickles under every start method.  Success
-    reports ``("result", member, result.to_dict(), seconds)``; an
-    exception reports ``("error", member, detail)``.  A worker that
-    dies without reporting is the parent's crash-detection case.
+    sends ``("result", result.to_dict(), seconds)`` on the member's
+    reply pipe; an exception sends ``("error", detail)``.  A worker
+    that exits without a verdict leaves the parent end of file: the
+    parent's crash case.
     """
     try:
         from .facade import analyze  # local: workers import lazily
@@ -198,12 +196,11 @@ def _worker_main(member: str, net_text: str, spec_values: Dict[str, Any],
         spec = AnalysisSpec.from_dict(spec_values)
         start = time.perf_counter()
         result = analyze(net, spec)
-        result_queue.put(("result", member, result.to_dict(),
-                          time.perf_counter() - start))
+        reply.send(("result", result.to_dict(),
+                    time.perf_counter() - start))
     except BaseException as exc:  # report everything, then exit 0
         try:
-            result_queue.put(
-                ("error", member, f"{type(exc).__name__}: {exc}"))
+            reply.send(("error", f"{type(exc).__name__}: {exc}"))
         except Exception:
             pass  # unreportable: the parent sees a silent exit
 
@@ -259,15 +256,10 @@ class _Race:
         if not self.harness.available():
             self._run_serial()
             return
-        try:
-            result_queue = self.harness.create_queue()
-        except Exception:
-            self._run_serial()
-            return
         start = self.harness.now()
         states = {member: _MemberState(member) for member in self.members}
         for state in states.values():
-            self._launch(state, result_queue)
+            self._launch(state)
         if not any(s.outcome is None for s in states.values()):
             # Every spawn failed before a single worker ran: the
             # platform ruled processes out after all — degrade.
@@ -275,18 +267,19 @@ class _Race:
             self._run_serial()
             return
         try:
-            self._drive(result_queue, states, start)
+            self._drive(states, start)
             self._classify_unresolved(states)
         finally:
             reap_processes(self._processes)
+            for state in states.values():
+                state.stop()
         self.seconds = self.harness.now() - start
         self.outcomes = [
             {"member": s.member, "outcome": s.outcome or "cancelled",
              "seconds": s.seconds, "attempts": s.attempt}
             for s in states.values()]
 
-    def _launch(self, state: _MemberState, result_queue,
-                resume: bool = False) -> None:
+    def _launch(self, state: _MemberState, resume: bool = False) -> None:
         """Start a member's worker (``resume``: restart it from its
         checkpoint) with a fresh member deadline; a spawn failure
         resolves the member."""
@@ -300,25 +293,22 @@ class _Race:
         try:
             self._processes.append(state.spawn(
                 self.harness, _worker_main,
-                (state.member, dumps(self.net), mspec.to_dict(),
-                 result_queue)))
+                (dumps(self.net), mspec.to_dict())))
         except Exception as exc:
             self.failures.append(MemberFailure(
                 state.member, "spawn", f"{type(exc).__name__}: {exc}"))
             state.resolve("spawn", now)
 
-    def _drive(self, result_queue, states: Dict[str, _MemberState],
-               start: float) -> None:
+    def _drive(self, states: Dict[str, _MemberState], start: float) -> None:
         global_deadline = (start + self.spec.timeout
                            if self.spec.timeout else None)
-        poison = 0
         while self.winner is None:
             now = self.harness.now()
             for state in states.values():
                 if (state.outcome is None and state.process is None
                         and state.restart_at is not None
                         and now >= state.restart_at):
-                    self._launch(state, result_queue, resume=True)
+                    self._launch(state, resume=True)
             live = [s for s in states.values() if s.outcome is None]
             if not live:
                 break
@@ -334,31 +324,19 @@ class _Race:
                     timeout = min(timeout, state.deadline - now)
                 if state.restart_at is not None:
                     timeout = min(timeout, state.restart_at - now)
-            try:
-                message = result_queue.get(timeout=max(timeout, 0.005))
-            except queue_module.Empty:
-                message = None
-            except Exception as exc:
-                poison += 1
-                self.failures.append(MemberFailure(
-                    None, "queue",
-                    f"unreadable queue payload: "
-                    f"{type(exc).__name__}: {exc}"))
-                if poison >= MAX_QUEUE_POISON:
-                    self._end_live(states, "error", _QUEUE_UNUSABLE)
+            replying = {s.reply: s for s in live if s.reply is not None}
+            for reader in self.harness.wait(list(replying),
+                                            max(timeout, 0.005)):
+                state = replying[reader]
+                self._dispatch(state, state.receive())
+                if self.winner is not None:
                     break
-                continue
-            if message is not None and not self._dispatch(message, states):
-                poison += 1
-                if poison >= MAX_QUEUE_POISON:
-                    self._end_live(states, "error", _QUEUE_UNUSABLE)
-                    break
-            self._check_deadlines_and_crashes(states)
+            self._check_deadlines(states)
 
     def _end_live(self, states: Dict[str, _MemberState], kind: str,
                   detail: str) -> None:
-        """Stop every unresolved member and record why (global timeout,
-        or a queue too poisoned to deliver any further verdict)."""
+        """Stop every unresolved member and record why (the global
+        timeout)."""
         now = self.harness.now()
         for state in states.values():
             if state.outcome is None:
@@ -377,7 +355,8 @@ class _Race:
         its retry budget (:data:`MEMBER_MAX_RETRIES`) is not exhausted.
         Returns whether a restart was scheduled; the caller keeps the
         :class:`MemberFailure` record either way, so retried attempts
-        stay visible in the telemetry.
+        stay visible in the telemetry.  The caller has already stopped
+        the failed worker and closed its reply pipe.
         """
         path = member_checkpoint_path(self.spec, state.member)
         if path is None or not os.path.exists(path):
@@ -395,65 +374,61 @@ class _Race:
         state.attempt += 1
         return True
 
-    def _dispatch(self, message, states: Dict[str, _MemberState]) -> bool:
-        """Apply one queue message; ``False`` if it was malformed."""
+    def _dispatch(self, state: _MemberState, message) -> None:
+        """Apply one read from ``state``'s reply pipe.
+
+        ``None`` (end of file, or a reply that cannot be read) and a
+        malformed reply are the member's crash, with its exit code and
+        the checkpoint-resume retry path.
+        """
         now = self.harness.now()
-        if (not isinstance(message, (tuple, list)) or len(message) < 3
-                or message[0] not in ("result", "error")
-                or message[1] not in states):
-            self.failures.append(MemberFailure(
-                None, "queue", f"malformed queue payload: {message!r}"))
-            return False
-        kind, member = message[0], message[1]
-        state = states[member]
-        if state.outcome is not None:
-            return True  # late message from an already-resolved member
-        if kind == "error":
+        if (isinstance(message, tuple) and len(message) == 2
+                and message[0] == "error"):
             state.resolve("error", now)
             self.failures.append(MemberFailure(
-                member, "error", str(message[2])))
-            return True
+                state.member, "error", str(message[1])))
+            return
+        if not (isinstance(message, tuple) and len(message) == 3
+                and message[0] == "result"):
+            state.stop()
+            self.failures.append(
+                _crash(state.member, state.process.exitcode))
+            if not self._schedule_retry(state, "crash", now):
+                state.resolve("crash", now)
+            return
         try:
-            result = AnalysisResult.from_dict(message[2])
+            result = AnalysisResult.from_dict(message[1])
         except Exception as exc:
             state.resolve("error", now)
             self.failures.append(MemberFailure(
-                member, "error",
+                state.member, "error",
                 f"undecodable result payload: "
                 f"{type(exc).__name__}: {exc}"))
-            return False
+            return
         state.resolve("won", now)
-        self.winner = member
+        self.winner = state.member
         self.winner_result = result
-        return True
 
-    def _check_deadlines_and_crashes(
-            self, states: Dict[str, _MemberState]) -> None:
+    def _check_deadlines(self, states: Dict[str, _MemberState]) -> None:
         now = self.harness.now()
         for state in states.values():
-            if state.outcome is not None or state.process is None:
+            if (state.outcome is not None or state.process is None
+                    or state.deadline is None or now < state.deadline):
                 continue
-            if state.deadline is not None and now >= state.deadline:
-                state.process.terminate()
-                self.failures.append(MemberFailure(
-                    state.member, "timeout",
-                    f"member timeout after "
-                    f"{self.spec.member_timeout}s"))
-                if not self._schedule_retry(state, "timeout", now):
-                    state.resolve("timeout", now)
-            elif state.crashed():
-                self.failures.append(
-                    _crash(state.member, state.process.exitcode))
-                if not self._schedule_retry(state, "crash", now):
-                    state.resolve("crash", now)
+            state.stop()
+            self.failures.append(MemberFailure(
+                state.member, "timeout",
+                f"member timeout after {self.spec.member_timeout}s"))
+            if not self._schedule_retry(state, "timeout", now):
+                state.resolve("timeout", now)
 
     def _classify_unresolved(self, states: Dict[str, _MemberState]) -> None:
         """Settle members the verdict outran.
 
         A loser still running is ``cancelled``.  One that already died
-        with a non-zero exit code crashed — the winner merely arrived
-        before the grace polls did — so its exit code is still surfaced
-        as a structured failure.
+        with a non-zero exit code crashed — the winner was merely read
+        before its end of file — so its exit code is still surfaced as
+        a structured failure.
         """
         now = self.harness.now()
         for state in states.values():
@@ -542,7 +517,7 @@ class PortfolioSession(SolverSession):
         race.run()
         if race.winner_result is None:
             detail = "; ".join(
-                f"{f.member or 'queue'}: {f.kind} ({f.detail})"
+                f"{f.member}: {f.kind} ({f.detail})"
                 for f in race.failures) or "no members ran"
             raise PortfolioError(
                 f"portfolio race produced no verdict — {detail}",

@@ -7,31 +7,30 @@ member configurations in worker processes and keeps the first verdict;
 :class:`~repro.service.pool.AnalysisWorkerPool` multiplexes requests
 over warm workers.  Both keep only their policy and run on the
 mechanics defined once here: the injectable :class:`WorkerHarness`,
-the crash bookkeeping of :class:`WorkerSlot` (dead-worker grace,
-respawn once, then retire) and :func:`reap_processes`.
+the per-worker reply pipe and crash bookkeeping of :class:`WorkerSlot`
+(respawn once, then retire) and :func:`reap_processes`.
+
+Every worker replies over its own one-way pipe, and the parent holds
+only the read end.  End of file on that pipe therefore means the worker
+is gone and every reply it sent has already been read; a reply that
+cannot be read, or a malformed one, is likewise that worker's crash.
+A worker that dies mid-reply can only break its own pipe.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Iterable, Optional
+from typing import Any, Iterable, List, Optional, Sequence
 
 __all__ = [
     "WorkerHarness", "WorkerSlot", "reap_processes",
-    "POLL_INTERVAL", "DEAD_WORKER_GRACE_POLLS", "MAX_QUEUE_POISON",
-    "MAX_RESPAWNS", "JOIN_TIMEOUT",
+    "POLL_INTERVAL", "MAX_RESPAWNS", "JOIN_TIMEOUT",
 ]
 
-#: How long a supervisor blocks on the result queue per poll (seconds):
-#: bounds the latency of crash and deadline detection, not of reply
-#: delivery (a reply wakes the ``get`` immediately).
+#: Longest single wait on the reply pipes (seconds).  A reply or a
+#: worker's end of file wakes the wait at once, so this bounds only how
+#: late a deadline check can run.
 POLL_INTERVAL = 0.1
-#: Further polls a worker seen dead is given before it counts as
-#: crashed, so a reply it flushed on the way out is still delivered.
-DEAD_WORKER_GRACE_POLLS = 2
-#: Unreadable or malformed replies tolerated before the result queue is
-#: considered unusable.
-MAX_QUEUE_POISON = 3
 #: Times a crashed worker slot is restarted before it is retired.
 MAX_RESPAWNS = 1
 #: Seconds a stopping worker gets after ``terminate()`` before ``kill()``.
@@ -42,11 +41,12 @@ class WorkerHarness:
     """The process primitives a supervisor runs on — the injection seam.
 
     The default spawns daemonic ``multiprocessing`` processes; tests
-    substitute fakes on a virtual clock.  ``create_queue()`` returns a
-    queue whose ``get(timeout=...)`` raises ``queue.Empty`` on timeout
-    (any other exception is queue poison); ``spawn`` returns a
+    substitute fakes on a virtual clock.  ``spawn`` returns a
     process-like handle (``is_alive()``, ``exitcode``, ``pid``,
-    ``terminate()``, ``kill()``, ``join(timeout)``).
+    ``terminate()``, ``kill()``, ``join(timeout)``) and the read end of
+    the worker's reply pipe (``recv()``, ``close()``); ``wait`` blocks
+    until some of those read ends are readable; ``create_queue()``
+    returns a task queue (``put``) for workers that take requests.
     """
 
     def __init__(self, start_method: Optional[str] = None) -> None:
@@ -89,10 +89,29 @@ class WorkerHarness:
         return self._context().Queue()
 
     def spawn(self, label: str, target, args):
-        process = self._context().Process(
-            target=target, args=args, name=f"repro-{label}", daemon=True)
-        process.start()
-        return process
+        """Start ``target(*args, reply)`` and return ``(process,
+        reader)``, where ``reply`` is the write end of a fresh one-way
+        pipe and ``reader`` its read end.
+
+        The parent closes its copy of the write end once the child has
+        it, so the reader sees end of file exactly when the worker is
+        gone, whatever the start method.
+        """
+        reader, writer = self._context().Pipe(duplex=False)
+        try:
+            process = self._context().Process(
+                target=target, args=(*args, writer),
+                name=f"repro-{label}", daemon=True)
+            process.start()
+        finally:
+            writer.close()
+        return process, reader
+
+    def wait(self, readers: Sequence, timeout: float) -> List:
+        """The readers with a reply or end of file pending, after at
+        most ``timeout`` seconds."""
+        from multiprocessing.connection import wait
+        return wait(readers, timeout)
 
     def now(self) -> float:
         return time.monotonic()
@@ -102,40 +121,47 @@ class WorkerHarness:
 
 
 class WorkerSlot:
-    """One supervised worker: its process handle and crash bookkeeping.
+    """One supervised worker: its process handle, the read end of its
+    reply pipe and its crash bookkeeping.
 
-    ``process`` is ``None`` before the first spawn (and while a race
-    member waits for a restart).  Owners subclass it for their ledger.
+    ``process`` and ``reply`` are ``None`` before the first spawn (and
+    while a race member waits for a restart).  Owners subclass it for
+    their ledger.
     """
 
     def __init__(self, label: str) -> None:
         self.label = label
         self.process = None
-        self.dead_polls = 0
+        self.reply = None
         self.respawns = 0
         self.retired = False
 
     def spawn(self, harness: WorkerHarness, target, args):
         """Start (or restart) this slot's worker through ``harness``."""
-        self.process = harness.spawn(self.label, target, args)
-        self.dead_polls = 0
+        self.process, self.reply = harness.spawn(self.label, target, args)
         return self.process
 
     def alive(self) -> bool:
         return self.process is not None and self.process.is_alive()
 
-    def crashed(self) -> bool:
-        """The dead-worker grace rule; call once per supervisor poll.
+    def receive(self) -> Any:
+        """The worker's next reply, or ``None`` when its pipe is at end
+        of file or the reply cannot be read; either way the owner books
+        the worker's crash.  Call only when :meth:`WorkerHarness.wait`
+        reported the pipe readable."""
+        try:
+            return self.reply.recv()
+        except Exception:
+            return None
 
-        A worker seen dead gets :data:`DEAD_WORKER_GRACE_POLLS` further
-        polls, since a reply it flushed just before exiting may still
-        sit in the queue; it is a crash on the poll after that grace.
-        """
-        if self.process is None or self.process.is_alive():
-            self.dead_polls = 0
-            return False
-        self.dead_polls += 1
-        return self.dead_polls > DEAD_WORKER_GRACE_POLLS
+    def stop(self) -> None:
+        """Close the reply pipe and end the worker: terminate it if it
+        still runs, then join it, so its ``exitcode`` is final."""
+        if self.reply is not None:
+            self.reply.close()
+            self.reply = None
+        if self.process is not None:
+            reap_processes([self.process])
 
     def recover(self) -> str:
         """Book one crash: ``"respawn"`` while the slot has restarts

@@ -7,14 +7,19 @@ nets as canonical ``.pnet`` text, specs and results as their
 ``to_dict()`` payloads.
 
 The process mechanics are the shared supervisor's
-(:mod:`repro.analysis.workers`); this module multiplexes requests:
+(:mod:`repro.analysis.workers`); this module multiplexes requests.
+Each worker takes requests from its own task queue and replies over its
+own pipe, and :meth:`AnalysisWorkerPool.poll` waits on every slot's
+pipe at once:
 
 * a worker that raises *inside* a request replies ``("error", ...)``
   and lives on;
-* a worker that dies — busy or idle — is respawned with a **fresh task
-  queue** (its undrained tasks must not leak into the replacement) and
-  its pending requests resubmitted; past the respawn budget the slot is
-  retired and its requests redistributed over the survivors;
+* end of file on a worker's pipe — it died, busy or idle — or a reply
+  that cannot be read or is malformed is that worker's crash: it is
+  respawned with a **fresh task queue** (its undrained tasks must not
+  leak into the replacement) and its pending requests resubmitted;
+  past the respawn budget the slot is retired and its requests
+  redistributed over the survivors;
 * with no worker left (or none spawnable) the pool reports
   ``mode="serial-fallback"`` and hands pending requests back as
   ``("orphan", ...)`` events, which the
@@ -28,12 +33,10 @@ from __future__ import annotations
 
 import hashlib
 import os
-import queue
 import weakref
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..analysis.workers import (MAX_QUEUE_POISON, WorkerHarness, WorkerSlot,
-                                reap_processes)
+from ..analysis.workers import WorkerHarness, WorkerSlot, reap_processes
 
 __all__ = ["AnalysisWorkerPool", "PoolEvent"]
 
@@ -47,20 +50,20 @@ WORKER_NET_CACHE = 8
 PoolEvent = Tuple
 
 
-def _service_worker_main(worker_id: int, task_queue, result_queue) -> None:
+def _service_worker_main(task_queue, reply) -> None:
     """One service worker: a warm analysis loop.
 
-    Top level so it pickles under every start method.  Protocol:
+    Top level so it pickles under every start method.  Protocol, tasks
+    on ``task_queue`` and replies on the ``reply`` pipe:
 
     * ``("run", request_id, net_text, spec_dict)`` — parse (or reuse a
       warm parse of) the net, run ``analyze``, reply ``("result",
-      worker_id, request_id, result_dict)``; a per-request exception
-      replies ``("error", worker_id, request_id, info)`` and the worker
-      lives on,
+      request_id, result_dict)``; a per-request exception replies
+      ``("error", request_id, info)`` and the worker lives on,
     * ``("stop",)`` — exit.
 
-    Anything fatal outside a request dies silently — the parent's crash
-    detection treats it exactly like a SIGKILL.
+    Anything fatal outside a request dies silently — the parent sees
+    end of file on the pipe, exactly as after a SIGKILL.
     """
     try:
         import warnings
@@ -94,12 +97,11 @@ def _service_worker_main(worker_id: int, task_queue, result_queue) -> None:
                     # the submitting process validated the spec.
                     warnings.simplefilter("ignore")
                     result = analyze(net, spec)
-                result_queue.put(
-                    ("result", worker_id, request_id, result.to_dict()))
+                reply.send(("result", request_id, result.to_dict()))
             except Exception as exc:
-                result_queue.put(("error", worker_id, request_id,
-                                  {"kind": type(exc).__name__,
-                                   "detail": str(exc)}))
+                reply.send(("error", request_id,
+                            {"kind": type(exc).__name__,
+                             "detail": str(exc)}))
     except BaseException:
         pass
 
@@ -141,8 +143,6 @@ class AnalysisWorkerPool:
         self.mode: Optional[str] = None
         self.slots: List[_ServiceSlot] = []
         self.crashes: List[Dict[str, Any]] = []
-        self.poison = 0
-        self._result_queue = None
         self._inflight: Dict[Any, int] = {}  # request_id -> worker_id
         self._processes: List = []           # every process ever spawned
         self._finalizer = weakref.finalize(self, reap_processes,
@@ -159,7 +159,6 @@ class AnalysisWorkerPool:
             self.mode = "serial-fallback"
             return
         try:
-            self._result_queue = self.harness.create_queue()
             for worker_id in range(count):
                 slot = _ServiceSlot(worker_id)
                 self._spawn(slot)
@@ -172,11 +171,13 @@ class AnalysisWorkerPool:
         self.mode = "process"
 
     def _spawn(self, slot: _ServiceSlot) -> None:
-        # Fresh task queue per (re)spawn — see module docstring.
+        # Fresh task queue per (re)spawn — see module docstring.  A
+        # queue, not a pipe: its feeder thread keeps ``put`` from
+        # blocking the parent on a worker that is itself blocked
+        # sending a large reply.
         slot.task_queue = self.harness.create_queue()
         self._processes.append(slot.spawn(
-            self.harness, _service_worker_main,
-            (slot.worker_id, slot.task_queue, self._result_queue)))
+            self.harness, _service_worker_main, (slot.task_queue,)))
 
     def close(self) -> None:
         """Stop the pool: polite stop, then terminate → join → kill."""
@@ -190,6 +191,8 @@ class AnalysisWorkerPool:
                 except Exception:
                     pass
         reap_processes(self._processes)
+        for slot in self.slots:
+            slot.stop()
 
     def __enter__(self) -> "AnalysisWorkerPool":
         return self
@@ -242,37 +245,29 @@ class AnalysisWorkerPool:
     # -- collection ----------------------------------------------------
 
     def poll(self) -> List[PoolEvent]:
-        """One poll round: drain ready replies, detect dead workers.
+        """One poll round: read every ready reply and book every crash.
 
-        Blocks at most one
-        :meth:`~repro.analysis.workers.WorkerHarness.poll_interval`;
-        returns the events that became available (possibly none).
-        Callers loop while they have unresolved requests.
+        Waits on the pipes of all slots not retired, idle ones too, so
+        a worker that dies between requests is still respawned (or
+        retired) rather than silently shrinking the pool.  Blocks at
+        most one
+        :meth:`~repro.analysis.workers.WorkerHarness.poll_interval`
+        while requests are in flight, and not at all otherwise; returns
+        the events that became available (possibly none).  Callers loop
+        while they have unresolved requests.
         """
         events: List[PoolEvent] = []
-        if not self._inflight:
-            # Still sweep for crashes: a worker that dies while idle
-            # must be respawned (or retired), not silently shrink the
-            # pool.
-            self._check_crashes(events)
-            return events
-        try:
-            message = self._result_queue.get(
-                timeout=self.harness.poll_interval())
-        except queue.Empty:
-            self._check_crashes(events)
-            return events
-        except Exception:
-            self.poison += 1
-            if self.poison >= MAX_QUEUE_POISON:
-                # The queue itself is broken: orphan everything.
-                for slot in self.slots:
-                    self._orphan_slot(slot, events)
-                self.mode = "serial-fallback"
-            return events
-        if (isinstance(message, tuple) and len(message) == 4
-                and message[0] in ("result", "error")):
-            tag, worker_id, request_id, payload = message
+        replying = {slot.reply: slot for slot in self.slots
+                    if not slot.retired and slot.reply is not None}
+        timeout = self.harness.poll_interval() if self._inflight else 0
+        for reader in self.harness.wait(list(replying), timeout):
+            slot = replying[reader]
+            message = slot.receive()
+            if not (isinstance(message, tuple) and len(message) == 3
+                    and message[0] in ("result", "error")):
+                self._recover(slot, events)
+                continue
+            tag, request_id, payload = message
             # The request's ledger entry lives with its current owner
             # (possibly not the replying worker, after a
             # redistribution); a reply for an unknown id is a stale
@@ -280,20 +275,14 @@ class AnalysisWorkerPool:
             owner = self._inflight.pop(request_id, None)
             if owner is not None:
                 self.slots[owner].pending.pop(request_id, None)
-                self.slots[worker_id].completed += 1
+                slot.completed += 1
                 events.append((tag, request_id, payload))
         return events
-
-    def _check_crashes(self, events: List[PoolEvent]) -> None:
-        # Idle slots (empty pending) are checked too: a worker that
-        # crashes between requests still needs its respawn-or-retire.
-        for slot in self.slots:
-            if not slot.retired and slot.crashed():
-                self._recover(slot, events)
 
     def _recover(self, slot: _ServiceSlot,
                  events: List[PoolEvent]) -> None:
         """Respawn a crashed slot (bounded) or retire it."""
+        slot.stop()
         action = slot.recover()
         self.crashes.append({
             "worker": slot.worker_id,
@@ -324,14 +313,6 @@ class AnalysisWorkerPool:
                 events.append(("orphan", request_id))
         if not self._live_slots():
             self.mode = "serial-fallback"
-
-    def _orphan_slot(self, slot: _ServiceSlot,
-                     events: List[PoolEvent]) -> None:
-        slot.retired = True
-        for request_id in list(slot.pending):
-            self._inflight.pop(request_id, None)
-            events.append(("orphan", request_id))
-        slot.pending.clear()
 
     # -- introspection -------------------------------------------------
 

@@ -1,134 +1,34 @@
 """Fault injection for the portfolio race, via the WorkerHarness seam.
 
-A virtual clock, a scripted queue and fake process handles let every
-failure mode run deterministically with no real processes: worker
-crash mid-solve, worker hang past the member timeout, all members
-failing, a queue poisoned with unreadable or malformed payloads, and
+The shared fakes of ``fake_workers`` (a virtual clock, scripted reply
+pipes, fake process handles) run every failure mode deterministically
+with no real processes: worker crash mid-solve, worker hang past the
+member timeout, all members failing, checkpoint-resume retries, and
 cancel-on-first-verdict actually terminating and joining the losers.
+Garbled replies are covered with the pool in ``test_workers.py``.
 
-Two real-process integration tests close the loop on the acceptance
-criterion: a worker ``SIGKILL``-ed mid-race still yields a correct
-verdict from a survivor, and no child processes outlive the race.
+Real-process integration tests close the loop on the acceptance
+criteria, under both the ``fork`` and the ``spawn`` start method: a
+worker SIGKILLed mid-race, or killed in the middle of writing its reply,
+still yields a correct verdict from a survivor, and no child process
+outlives the race.
 """
 
 import multiprocessing
 import os
-import pickle
-import queue as queue_module
 import signal
 
 import pytest
+from fake_workers import Exit, FakeHarness, MidReplyKillHarness, Runs
 
-from repro.analysis import (AnalysisSpec, MemberFailure, PortfolioError,
-                            PortfolioSession, WorkerHarness, analyze,
-                            member_spec)
+from repro.analysis import (AnalysisSpec, PortfolioError, PortfolioSession,
+                            WorkerHarness, analyze, member_spec)
 from repro.petri.generators import figure1_net, philosophers
-
-# ----------------------------------------------------------------------
-# Virtual-clock fakes
-# ----------------------------------------------------------------------
-
-
-class VirtualClock:
-    def __init__(self):
-        self.t = 0.0
-
-
-class ScriptedQueue:
-    """Delivers scripted ``(time, event)`` pairs against the clock.
-
-    ``get(timeout)`` returns the next event whose time falls inside the
-    window, advancing the clock to it; events that are exceptions are
-    raised (the poisoned-queue case).  Otherwise the clock advances by
-    the full timeout and ``queue.Empty`` is raised, exactly like the
-    real queue — just without wall-clock waiting.
-    """
-
-    def __init__(self, clock, events=()):
-        self.clock = clock
-        self.events = sorted(events, key=lambda item: item[0])
-
-    def get(self, timeout):
-        if self.events and self.events[0][0] <= self.clock.t + timeout:
-            at, event = self.events.pop(0)
-            self.clock.t = max(self.clock.t, at)
-            if isinstance(event, BaseException):
-                raise event
-            return event
-        self.clock.t += timeout
-        raise queue_module.Empty
-
-
-class FakeHandle:
-    """A process handle whose liveness is a function of virtual time."""
-
-    def __init__(self, clock, dies_at=None, exitcode=1):
-        self.clock = clock
-        self.dies_at = dies_at
-        self.death_exitcode = exitcode
-        self.terminated = False
-        self.killed = False
-        self.joined = False
-
-    def is_alive(self):
-        if self.terminated or self.killed:
-            return False
-        return self.dies_at is None or self.clock.t < self.dies_at
-
-    @property
-    def exitcode(self):
-        if self.is_alive():
-            return None
-        if self.terminated or self.killed:
-            return -signal.SIGTERM
-        return self.death_exitcode
-
-    def terminate(self):
-        self.terminated = True
-
-    def kill(self):
-        self.killed = True
-
-    def join(self, timeout=None):
-        self.joined = True
-
-
-class FakeHarness(WorkerHarness):
-    """Scripted member behavior; never touches multiprocessing."""
-
-    def __init__(self, clock, events=(), handles=None, spawn_cost=0.0):
-        super().__init__()
-        self.clock = clock
-        self.queue = ScriptedQueue(clock, events)
-        self.handles = handles or {}
-        self.spawn_cost = spawn_cost
-        self.spawned = []
-
-    def available(self):
-        return True
-
-    def create_queue(self):
-        return self.queue
-
-    def spawn(self, member, target, args):
-        self.clock.t += self.spawn_cost
-        self.spawned.append(member)
-        handle = self.handles.get(member)
-        if handle is None:
-            handle = FakeHandle(self.clock)
-            self.handles[member] = handle
-        return handle
-
-    def now(self):
-        return self.clock.t
-
-    def poll_interval(self):
-        return 0.05
 
 
 @pytest.fixture(scope="module")
 def payload_for():
-    """Real result payloads, as a worker would put them on the queue."""
+    """Real verdicts, as a worker would send them on its pipe."""
     results = {}
 
     def make(member, at):
@@ -136,7 +36,7 @@ def payload_for():
             spec = member_spec(AnalysisSpec(backend="portfolio"), member)
             results[member] = analyze(figure1_net(), spec)
         result = results[member]
-        return (at, ("result", member, result.to_dict(), result.seconds))
+        return (at, ("result", result.to_dict(), result.seconds))
 
     return make
 
@@ -152,13 +52,6 @@ def outcome_of(result, member):
     return rows[member]["outcome"]
 
 
-def assert_no_orphans(harness):
-    """Every spawned handle ended dead and joined — no orphans."""
-    for member, handle in harness.handles.items():
-        assert not handle.is_alive(), member
-        assert handle.joined, member
-
-
 # ----------------------------------------------------------------------
 # The injected faults
 # ----------------------------------------------------------------------
@@ -166,12 +59,9 @@ def assert_no_orphans(harness):
 
 class TestWorkerCrash:
     def test_crash_mid_solve_survivor_wins(self, payload_for):
-        clock = VirtualClock()
-        harness = FakeHarness(
-            clock,
-            events=[payload_for("zdd-chained", 1.0)],
-            handles={"bdd-chained": FakeHandle(clock, dies_at=0.2,
-                                               exitcode=-signal.SIGSEGV)})
+        harness = FakeHarness({
+            "bdd-chained": [(0.2, Exit(-signal.SIGSEGV))],
+            "zdd-chained": [payload_for("zdd-chained", 1.0)]})
         result = race(harness,
                       portfolio_members=("bdd-chained", "zdd-chained"))
         assert result.markings == 8
@@ -183,50 +73,29 @@ class TestWorkerCrash:
         # The exit code is surfaced in the structured record.
         assert crash["exitcode"] == -signal.SIGSEGV
         assert str(-signal.SIGSEGV) in crash["detail"]
-        assert_no_orphans(harness)
-
-    def test_exited_worker_with_flushed_verdict_is_not_a_crash(
-            self, payload_for):
-        # A worker that finishes and exits may be seen dead before its
-        # verdict is read; the grace polls must deliver the verdict
-        # instead of declaring a crash.
-        clock = VirtualClock()
-        harness = FakeHarness(
-            clock,
-            events=[payload_for("bdd-chained", 0.30)],
-            handles={"bdd-chained": FakeHandle(clock, dies_at=0.25,
-                                               exitcode=0)})
-        result = race(harness, portfolio_members=("bdd-chained",
-                                                  "zdd-chained"))
-        assert result.extras["portfolio"]["winner"] == "bdd-chained"
-        assert result.extras["portfolio"]["failures"] == []
+        harness.assert_no_orphans()
 
 
 class TestWorkerHang:
     def test_hang_past_member_timeout_survivor_wins(self, payload_for):
         # Spawns are staggered (0.3s each), so the hanging first member
         # exhausts its budget while the second is still inside its own.
-        clock = VirtualClock()
-        hang = FakeHandle(clock)  # never dies on its own
         harness = FakeHarness(
-            clock,
-            events=[payload_for("zdd-chained", 0.6)],
-            handles={"bdd-chained": hang},
+            {"zdd-chained": [payload_for("zdd-chained", 0.6)]},
             spawn_cost=0.3)
         result = race(harness,
                       portfolio_members=("bdd-chained", "zdd-chained"),
                       member_timeout=0.5)
         assert result.extras["portfolio"]["winner"] == "zdd-chained"
         assert outcome_of(result, "bdd-chained") == "timeout"
-        assert hang.terminated
+        assert harness.processes["bdd-chained"].terminated
         failures = result.extras["portfolio"]["failures"]
         assert any(f["kind"] == "timeout"
                    and f["member"] == "bdd-chained" for f in failures)
-        assert_no_orphans(harness)
+        harness.assert_no_orphans()
 
     def test_global_timeout_fails_the_race(self):
-        clock = VirtualClock()
-        harness = FakeHarness(clock)  # nobody ever answers
+        harness = FakeHarness()  # nobody ever answers
         with pytest.raises(PortfolioError) as excinfo:
             race(harness,
                  portfolio_members=("bdd-chained", "zdd-chained"),
@@ -234,18 +103,15 @@ class TestWorkerHang:
         kinds = {f.kind for f in excinfo.value.failures}
         assert kinds == {"timeout"}
         assert len(excinfo.value.failures) == 2
-        assert clock.t == pytest.approx(2.0, abs=0.2)
-        assert_no_orphans(harness)
+        assert harness.clock.t == pytest.approx(2.0, abs=0.2)
+        harness.assert_no_orphans()
 
 
 class TestAllMembersFail:
     def test_every_member_erroring_raises_portfolio_error(self):
-        clock = VirtualClock()
-        events = [
-            (0.1, ("error", "bdd-chained", "RuntimeError: exceeded")),
-            (0.2, ("error", "zdd-chained", "MemoryError: boom")),
-        ]
-        harness = FakeHarness(clock, events=events)
+        harness = FakeHarness({
+            "bdd-chained": [(0.1, ("error", "RuntimeError: exceeded"))],
+            "zdd-chained": [(0.2, ("error", "MemoryError: boom"))]})
         with pytest.raises(PortfolioError) as excinfo:
             race(harness,
                  portfolio_members=("bdd-chained", "zdd-chained"))
@@ -254,58 +120,13 @@ class TestAllMembersFail:
                                                 "zdd-chained"}
         assert all(f.kind == "error" for f in failures)
         assert "MemoryError: boom" in str(excinfo.value)
-        assert_no_orphans(harness)
-
-
-class TestPoisonedQueue:
-    def test_unreadable_payload_race_continues(self, payload_for):
-        clock = VirtualClock()
-        poison = pickle.UnpicklingError("invalid load key, 'x'")
-        harness = FakeHarness(
-            clock,
-            events=[(0.1, poison), payload_for("zdd-chained", 0.5)])
-        result = race(harness,
-                      portfolio_members=("bdd-chained", "zdd-chained"))
-        assert result.extras["portfolio"]["winner"] == "zdd-chained"
-        queue_failures = [f for f in
-                          result.extras["portfolio"]["failures"]
-                          if f["kind"] == "queue"]
-        assert len(queue_failures) == 1
-        # Poison cannot be attributed to a member.
-        assert queue_failures[0]["member"] is None
-        assert "UnpicklingError" in queue_failures[0]["detail"]
-
-    def test_malformed_payload_race_continues(self, payload_for):
-        clock = VirtualClock()
-        harness = FakeHarness(
-            clock,
-            events=[(0.1, ("gibberish",)),
-                    payload_for("zdd-chained", 0.5)])
-        result = race(harness,
-                      portfolio_members=("bdd-chained", "zdd-chained"))
-        assert result.extras["portfolio"]["winner"] == "zdd-chained"
-        assert any(f["kind"] == "queue" and "malformed" in f["detail"]
-                   for f in result.extras["portfolio"]["failures"])
-
-    def test_persistently_poisoned_queue_aborts_cleanly(self):
-        clock = VirtualClock()
-        events = [(0.1 * i, pickle.UnpicklingError("poison"))
-                  for i in range(1, 6)]
-        harness = FakeHarness(clock, events=events)
-        with pytest.raises(PortfolioError) as excinfo:
-            race(harness,
-                 portfolio_members=("bdd-chained", "zdd-chained"))
-        assert any(f.kind == "queue" for f in excinfo.value.failures)
-        assert any("queue unusable" in f.detail
-                   for f in excinfo.value.failures)
-        assert_no_orphans(harness)
+        harness.assert_no_orphans()
 
 
 class TestCancellation:
     def test_first_verdict_terminates_and_joins_losers(self, payload_for):
-        clock = VirtualClock()
         harness = FakeHarness(
-            clock, events=[payload_for("bdd-functional", 0.2)])
+            {"bdd-functional": [payload_for("bdd-functional", 0.2)]})
         members = ("bdd-functional", "bdd-chained", "zdd-chained",
                    "kbounded")
         result = race(harness, portfolio_members=members)
@@ -313,18 +134,16 @@ class TestCancellation:
         assert result.extras["portfolio"]["winner"] == "bdd-functional"
         for loser in members[1:]:
             assert outcome_of(result, loser) == "cancelled"
-            assert harness.handles[loser].terminated, loser
-        assert_no_orphans(harness)
+            assert harness.processes[loser].terminated, loser
+        harness.assert_no_orphans()
 
     def test_late_message_from_resolved_member_is_ignored(
             self, payload_for):
         # The loser's verdict lands after the winner's: no failure, no
         # double-win.
-        clock = VirtualClock()
-        harness = FakeHarness(
-            clock,
-            events=[payload_for("bdd-chained", 0.2),
-                    payload_for("zdd-chained", 0.2)])
+        harness = FakeHarness({
+            "bdd-chained": [payload_for("bdd-chained", 0.2)],
+            "zdd-chained": [payload_for("zdd-chained", 0.2)]})
         result = race(harness,
                       portfolio_members=("bdd-chained", "zdd-chained"))
         assert result.extras["portfolio"]["winner"] == "bdd-chained"
@@ -338,26 +157,33 @@ class TestCancellation:
 class KillOneHarness(WorkerHarness):
     """Spawns real workers, then SIGKILLs one mid-race."""
 
-    def __init__(self, victim):
-        super().__init__()
+    def __init__(self, victim, start_method=None):
+        super().__init__(start_method)
         self.victim = victim
 
     def spawn(self, member, target, args):
-        process = super().spawn(member, target, args)
+        process, reader = super().spawn(member, target, args)
         if member == self.victim:
             os.kill(process.pid, signal.SIGKILL)
-        return process
+        return process, reader
 
 
 needs_multiprocessing = pytest.mark.skipif(
     not WorkerHarness().available(),
     reason="platform cannot run multiprocessing queues")
 
+START_METHODS = [
+    pytest.param(method, marks=pytest.mark.skipif(
+        method not in multiprocessing.get_all_start_methods(),
+        reason=f"no {method} start method on this platform"))
+    for method in ("fork", "spawn")]
+
 
 @needs_multiprocessing
 class TestRealProcesses:
-    def test_killed_worker_mid_race_survivor_wins(self):
-        harness = KillOneHarness(victim="bdd-functional")
+    @pytest.mark.parametrize("start_method", START_METHODS)
+    def test_killed_worker_mid_race_survivor_wins(self, start_method):
+        harness = KillOneHarness("bdd-functional", start_method)
         spec = AnalysisSpec(
             backend="portfolio",
             portfolio_members=("bdd-functional", "zdd-chained"),
@@ -370,6 +196,25 @@ class TestRealProcesses:
                      if f["kind"] == "crash")
         assert crash["member"] == "bdd-functional"
         assert crash["exitcode"] == -signal.SIGKILL
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("start_method", START_METHODS)
+    def test_worker_killed_mid_reply_survivor_wins(self, start_method):
+        # The victim writes half a reply frame, then SIGKILLs itself:
+        # only its own pipe is cut, and the survivor's verdict arrives.
+        harness = MidReplyKillHarness("bdd-functional", start_method,
+                                      serve=False)
+        spec = AnalysisSpec(
+            backend="portfolio",
+            portfolio_members=("bdd-functional", "zdd-chained"),
+            timeout=60.0)
+        result = PortfolioSession(philosophers(3), spec,
+                                  harness=harness).run()
+        race = result.extras["portfolio"]
+        assert race["winner"] == "zdd-chained"
+        crash, = race["failures"]
+        assert (crash["member"], crash["kind"], crash["exitcode"]) == \
+            ("bdd-functional", "crash", -signal.SIGKILL)
         assert multiprocessing.active_children() == []
 
     def test_race_leaves_no_live_children(self):
@@ -420,28 +265,6 @@ class TestRealProcesses:
 # ----------------------------------------------------------------------
 
 
-class RespawningHarness(FakeHarness):
-    """Like FakeHarness, but each spawn attempt pops a fresh handle
-    from a per-member list — the retry path respawns members, and a
-    fake must not resurrect the dead handle of the failed attempt."""
-
-    def __init__(self, clock, events=(), handle_queues=None,
-                 spawn_cost=0.0):
-        super().__init__(clock, events=events, handles={},
-                         spawn_cost=spawn_cost)
-        self.handle_queues = dict(handle_queues or {})
-        self.all_handles = []
-
-    def spawn(self, member, target, args):
-        self.clock.t += self.spawn_cost
-        self.spawned.append(member)
-        pending = self.handle_queues.get(member)
-        handle = pending.pop(0) if pending else FakeHandle(self.clock)
-        self.handles[member] = handle
-        self.all_handles.append((member, handle))
-        return handle
-
-
 def race_with_checkpoint(harness, tmp_path, members,
                          checkpointed=(), **spec_overrides):
     """Run a fake race with --checkpoint set; ``checkpointed`` members
@@ -459,13 +282,9 @@ def race_with_checkpoint(harness, tmp_path, members,
 class TestCheckpointRetries:
     def test_crash_with_checkpoint_is_retried_and_wins(
             self, payload_for, tmp_path):
-        clock = VirtualClock()
-        dying = FakeHandle(clock, dies_at=0.2, exitcode=-signal.SIGKILL)
-        revived = FakeHandle(clock)
-        harness = RespawningHarness(
-            clock,
-            events=[payload_for("bdd-chained", 2.5)],
-            handle_queues={"bdd-chained": [dying, revived]})
+        harness = FakeHarness({"bdd-chained": Runs(
+            [(0.2, Exit(-signal.SIGKILL))],
+            [payload_for("bdd-chained", 2.5)])})
         result = race_with_checkpoint(
             harness, tmp_path, ("bdd-chained",),
             checkpointed=("bdd-chained",))
@@ -485,24 +304,22 @@ class TestCheckpointRetries:
         assert retry["attempt"] == 1
         assert retry["checkpoint"].endswith(".bdd-chained")
         assert any(f["kind"] == "crash" for f in race["failures"])
-        # The resumed spec really asks for a resume.
-        assert dying.terminated or not dying.is_alive()
+        (_, dying, _), _revived = harness.workers
+        assert not dying.is_alive()
+        harness.assert_no_orphans()
 
     def test_member_timeout_with_checkpoint_is_retried(
             self, payload_for, tmp_path):
-        clock = VirtualClock()
-        hung = FakeHandle(clock)   # never finishes on its own
-        revived = FakeHandle(clock)
-        harness = RespawningHarness(
-            clock,
-            events=[payload_for("bdd-chained", 1.3)],
-            handle_queues={"bdd-chained": [hung, revived]})
+        # The first attempt never finishes on its own.
+        harness = FakeHarness({"bdd-chained": Runs(
+            [], [payload_for("bdd-chained", 1.3)])})
         result = race_with_checkpoint(
             harness, tmp_path, ("bdd-chained",),
             checkpointed=("bdd-chained",),
             member_timeout=0.5)
         race = result.extras["portfolio"]
         assert race["winner"] == "bdd-chained"
+        (_, hung, _), _revived = harness.workers
         assert hung.terminated  # the hung attempt was really stopped
         assert len(race["retries"]) == 1
         assert race["retries"][0]["reason"] == "timeout"
@@ -512,11 +329,7 @@ class TestCheckpointRetries:
     def test_no_checkpoint_file_means_no_retry(self, tmp_path):
         # checkpoint_path is set, but the member never wrote its file:
         # nothing to resume from, so the crash resolves immediately.
-        clock = VirtualClock()
-        harness = RespawningHarness(
-            clock,
-            handle_queues={"bdd-chained": [
-                FakeHandle(clock, dies_at=0.1, exitcode=-9)]})
+        harness = FakeHarness({"bdd-chained": [(0.1, Exit(-9))]})
         with pytest.raises(PortfolioError):
             race_with_checkpoint(harness, tmp_path, ("bdd-chained",),
                                  checkpointed=())
@@ -526,11 +339,9 @@ class TestCheckpointRetries:
         # Every attempt crashes: the original plus MEMBER_MAX_RETRIES
         # retries, then the member is written off and the race fails.
         from repro.analysis.portfolio import MEMBER_MAX_RETRIES
-        clock = VirtualClock()
-        handles = [FakeHandle(clock, dies_at=0.1 + 2.0 * i, exitcode=-9)
-                   for i in range(MEMBER_MAX_RETRIES + 1)]
-        harness = RespawningHarness(
-            clock, handle_queues={"bdd-chained": list(handles)})
+        harness = FakeHarness({"bdd-chained": Runs(
+            *([(0.1 + 2.0 * i, Exit(-9))]
+              for i in range(MEMBER_MAX_RETRIES + 1)))})
         with pytest.raises(PortfolioError) as excinfo:
             race_with_checkpoint(harness, tmp_path, ("bdd-chained",),
                                  checkpointed=("bdd-chained",))
@@ -538,19 +349,15 @@ class TestCheckpointRetries:
         crashes = [f for f in excinfo.value.failures
                    if f.kind == "crash"]
         assert len(crashes) == MEMBER_MAX_RETRIES + 1
-        for handle in handles:
-            assert not handle.is_alive()
+        harness.assert_no_orphans()
 
     def test_winner_cancels_a_pending_retry(self, payload_for,
                                             tmp_path):
         # bdd-chained crashes and is waiting out its backoff when
         # zdd-chained wins: the pending retry resolves as cancelled.
-        clock = VirtualClock()
-        harness = RespawningHarness(
-            clock,
-            events=[payload_for("zdd-chained", 0.55)],
-            handle_queues={"bdd-chained": [
-                FakeHandle(clock, dies_at=0.1, exitcode=-9)]})
+        harness = FakeHarness({
+            "bdd-chained": [(0.1, Exit(-9))],
+            "zdd-chained": [payload_for("zdd-chained", 0.55)]})
         result = race_with_checkpoint(
             harness, tmp_path, ("bdd-chained", "zdd-chained"),
             checkpointed=("bdd-chained",))

@@ -1,105 +1,31 @@
 """The shared process supervisor (:mod:`repro.analysis.workers`).
 
-The dead-worker grace rule is defined once and used by both owners, so
-one fake-harness scenario drives it through the portfolio race (on a
-virtual clock) and through the service pool: a worker that flushed its
-verdict just before exiting, and is seen dead for the whole grace, must
-still have that verdict delivered.  One poll later, the same silence is
-a crash.
+Every worker replies over its own pipe, so one rule serves both owners:
+a reply is read before the end of file that follows it, and end of file
+or a reply that cannot be read is the sender's crash.  The shared fakes
+of ``fake_workers`` drive that rule through the portfolio race and the
+service pool on a virtual clock; the real-process cases at the bottom
+check that the default harness keeps no stray descriptors.
 """
 
-import queue as queue_module
+import gc
+import multiprocessing
+import os
+import time
 
 import pytest
+from fake_workers import EOF, GARBAGE, Exit, FakeHarness
 
 from repro.analysis import (AnalysisSpec, PortfolioError, PortfolioSession,
                             analyze, member_spec)
-from repro.analysis.workers import (DEAD_WORKER_GRACE_POLLS, JOIN_TIMEOUT,
-                                    MAX_RESPAWNS, POLL_INTERVAL,
-                                    WorkerHarness, WorkerSlot,
-                                    reap_processes)
+from repro.analysis.workers import (JOIN_TIMEOUT, MAX_RESPAWNS,
+                                    POLL_INTERVAL, WorkerHarness,
+                                    WorkerSlot, reap_processes)
 from repro.petri.generators import figure1_net
 from repro.petri.parser import dumps
 from repro.service import AnalysisWorkerPool
 
-#: The worker dies at t=1 on a clock that advances one unit per empty
-#: poll, so a reply readable at ``DIES_AT + polls`` comes after the
-#: worker was seen dead on ``polls`` polls.
-DIES_AT = 1.0
-DELIVERED = DEAD_WORKER_GRACE_POLLS
-CRASHED = DEAD_WORKER_GRACE_POLLS + 1
-
-
-class Clock:
-    t = 0.0
-
-
-class FakeProcess:
-    def __init__(self, clock, dies_at=None):
-        self.clock = clock
-        self.dies_at = dies_at
-        self.exitcode = 0
-        self.pid = None
-
-    def is_alive(self):
-        return self.dies_at is None or self.clock.t < self.dies_at
-
-    def terminate(self):
-        self.dies_at = self.clock.t
-
-    kill = terminate
-
-    def join(self, timeout=None):
-        pass
-
-
-class ScriptedQueue:
-    """``get`` returns the next ``(time, message)`` readable within the
-    timeout, else advances the clock by the timeout and raises Empty."""
-
-    def __init__(self, clock, events):
-        self.clock = clock
-        self.events = list(events)
-
-    def get(self, timeout=None):
-        if self.events and self.events[0][0] <= self.clock.t + timeout:
-            at, message = self.events.pop(0)
-            self.clock.t = max(self.clock.t, at)
-            return message
-        self.clock.t += timeout
-        raise queue_module.Empty
-
-    def put(self, item):
-        pass
-
-
-class FakeHarness(WorkerHarness):
-    """Every created queue replays the same script (only the result
-    queue is ever read); processes follow ``deaths`` by label."""
-
-    def __init__(self, events=(), deaths=None):
-        super().__init__()
-        self.clock = Clock()
-        self.events = events
-        self.deaths = dict(deaths or {})
-        self.result_queue = None
-
-    def available(self):
-        return True
-
-    def create_queue(self):
-        if self.result_queue is None:
-            self.result_queue = ScriptedQueue(self.clock, self.events)
-        return self.result_queue
-
-    def spawn(self, label, target, args):
-        return FakeProcess(self.clock, self.deaths.pop(label, None))
-
-    def now(self):
-        return self.clock.t
-
-    def poll_interval(self):
-        return 1.0
+MEMBERS = ("bdd-chained", "zdd-chained")
 
 
 @pytest.fixture(scope="module")
@@ -107,58 +33,93 @@ def verdict():
     result = analyze(figure1_net(),
                      member_spec(AnalysisSpec(backend="portfolio"),
                                  "bdd-chained"))
-    return result.to_dict()
+    return ("result", result.to_dict(), result.seconds)
 
 
-def _race(events):
-    harness = FakeHarness(events, deaths={"bdd-chained": DIES_AT})
-    spec = AnalysisSpec(backend="portfolio", timeout=DIES_AT + CRASHED + 5,
-                        portfolio_members=("bdd-chained", "zdd-chained"))
-    return PortfolioSession(figure1_net(), spec, harness=harness).run()
+def _race(scripts, timeout=5.0):
+    harness = FakeHarness(scripts)
+    spec = AnalysisSpec(backend="portfolio", timeout=timeout,
+                        portfolio_members=MEMBERS)
+    try:
+        return PortfolioSession(figure1_net(), spec, harness=harness).run()
+    finally:
+        harness.assert_no_orphans()
 
 
-def _pool_events(events):
-    """Submit one request, let its worker die at ``DIES_AT`` and poll
-    until the pool reports something."""
-    pool = AnalysisWorkerPool(workers=1, harness=FakeHarness(events))
+def _pool(script, polls=5):
+    """Submit one request to a one-worker pool whose worker plays
+    ``script`` (a respawn plays nothing); poll ``polls`` times."""
+    harness = FakeHarness({"service-0": script}, poll_interval=1.0)
+    pool = AnalysisWorkerPool(workers=1, harness=harness)
     assert pool.submit("r1", dumps(figure1_net()), {})
-    pool.slots[0].process.dies_at = DIES_AT
-    collected = []
-    for _ in range(CRASHED + 2):
-        collected.extend(pool.poll())
-        if collected:
-            break
-    return pool, collected
+    events = []
+    for _ in range(polls):
+        events.extend(pool.poll())
+    pool.close()
+    harness.assert_no_orphans()
+    return pool, events
 
 
-class TestDeadWorkerGrace:
-    def test_race_delivers_a_verdict_flushed_before_death(self, verdict):
-        message = ("result", "bdd-chained", verdict, 0.01)
-        result = _race([(DIES_AT + DELIVERED, message)])
+REPLY = ("result", "r1", {"markings": 8})
+
+
+class TestReplyBeforeEndOfFile:
+    """A verdict written just before exit is delivered, not a crash."""
+
+    def test_race_delivers_a_verdict_sent_before_exit(self, verdict):
+        result = _race({"bdd-chained": [(1.0, verdict), (1.0, EOF)]})
         race = result.extras["portfolio"]
         assert race["winner"] == "bdd-chained"
         assert race["failures"] == []
 
-    def test_race_declares_the_crash_one_poll_later(self, verdict):
-        message = ("result", "bdd-chained", verdict, 0.01)
+    def test_race_books_end_of_file_without_a_verdict_as_a_crash(self):
         with pytest.raises(PortfolioError) as excinfo:
-            _race([(DIES_AT + CRASHED, message)])
-        crash = [f for f in excinfo.value.failures if f.kind == "crash"]
-        assert [f.member for f in crash] == ["bdd-chained"]
+            _race({"bdd-chained": [(1.0, Exit(3))]}, timeout=2.0)
+        crash, = [f for f in excinfo.value.failures if f.kind == "crash"]
+        assert (crash.member, crash.exitcode) == ("bdd-chained", 3)
 
-    def test_pool_delivers_a_verdict_flushed_before_death(self):
-        reply = ("result", 0, "r1", {"markings": 8})
-        pool, events = _pool_events([(DIES_AT + DELIVERED, reply)])
+    def test_pool_delivers_a_reply_sent_before_exit(self):
+        pool, events = _pool([(1.0, REPLY), (1.0, EOF)])
         assert events == [("result", "r1", {"markings": 8})]
-        assert pool.crashes == []
+        # The exit is still an (idle) crash, booked after the reply.
+        assert pool.crashes == [{"worker": 0, "pending": 0,
+                                 "action": "respawn"}]
 
-    def test_pool_declares_the_crash_one_poll_later(self):
-        reply = ("result", 0, "r1", {"markings": 8})
-        pool, events = _pool_events([(DIES_AT + CRASHED, reply)])
-        assert pool.crashes[0] == {"worker": 0, "pending": 1,
-                                   "action": "respawn"}
-        # The resubmitted request still resolves exactly once.
-        assert events == [("result", "r1", {"markings": 8})]
+    def test_pool_resubmits_a_request_whose_worker_exited_silently(self):
+        pool, events = _pool([(1.0, EOF)])
+        assert events == []
+        assert pool.crashes == [{"worker": 0, "pending": 1,
+                                 "action": "respawn"}]
+        # The replacement worker got the request on its own queue
+        # (then the stop of ``close``).
+        assert pool.slots[0].task_queue.items == [
+            ("run", "r1", dumps(figure1_net()), {}), ("stop",)]
+        assert pool.inflight == 1
+
+
+class TestGarbledReply:
+    """A reply that cannot be read, or a malformed one, is a crash of
+    its sender, and of its sender only."""
+
+    @pytest.mark.parametrize("garbage", [GARBAGE, ("gibberish",)],
+                             ids=["unreadable", "malformed"])
+    def test_race_goes_on_with_the_survivors(self, verdict, garbage):
+        result = _race({"bdd-chained": [(0.1, garbage)],
+                        "zdd-chained": [(0.5, verdict)]})
+        race = result.extras["portfolio"]
+        assert race["winner"] == "zdd-chained"
+        crash, = race["failures"]
+        assert crash["member"] == "bdd-chained"
+        assert crash["kind"] == "crash"
+
+    @pytest.mark.parametrize("garbage", [GARBAGE, ("gibberish",)],
+                             ids=["unreadable", "malformed"])
+    def test_pool_respawns_the_sender(self, garbage):
+        pool, events = _pool([(0.1, garbage)])
+        assert pool.crashes == [{"worker": 0, "pending": 1,
+                                 "action": "respawn"}]
+        assert pool.stats()["respawns"] == 1
+        assert events == []  # the request waits for the replacement
 
 
 def test_slot_respawns_then_retires():
@@ -169,37 +130,44 @@ def test_slot_respawns_then_retires():
 
 
 class TestWorkerSlot:
-    def test_unspawned_slot_is_never_a_crash(self):
+    def test_unspawned_slot_has_no_process_and_no_pipe(self):
         slot = WorkerSlot("w")
         assert not slot.alive()
-        assert not any(slot.crashed()
-                       for _ in range(DEAD_WORKER_GRACE_POLLS + 3))
+        assert slot.reply is None
+        slot.stop()  # nothing to stop
 
-    def test_live_worker_is_never_a_crash(self):
+    def test_receive_reads_replies_then_none_at_end_of_file(self):
+        harness = FakeHarness({"w": [(0.0, "hello"), (0.0, EOF)]})
         slot = WorkerSlot("w")
-        slot.spawn(FakeHarness(), None, ())
+        slot.spawn(harness, None, ())
+        assert slot.receive() == "hello"
+        assert slot.receive() is None
+        assert slot.receive() is None  # end of file stays
+
+    def test_unreadable_reply_reads_as_none(self):
+        slot = WorkerSlot("w")
+        slot.spawn(FakeHarness({"w": [(0.0, GARBAGE)]}), None, ())
         assert slot.alive()
-        assert not any(slot.crashed()
-                       for _ in range(DEAD_WORKER_GRACE_POLLS + 3))
-        assert slot.dead_polls == 0
+        assert slot.receive() is None
 
-    def test_crash_falls_on_the_poll_after_the_grace(self):
+    def test_stop_closes_the_pipe_and_ends_the_worker(self):
+        harness = FakeHarness()
         slot = WorkerSlot("w")
-        slot.spawn(FakeHarness(deaths={"w": 0.0}), None, ())
-        polls = [slot.crashed() for _ in range(DEAD_WORKER_GRACE_POLLS + 1)]
-        assert polls == [False] * DEAD_WORKER_GRACE_POLLS + [True]
+        process = slot.spawn(harness, None, ())
+        (_, _, reader), = harness.workers
+        slot.stop()
+        assert reader.closed and slot.reply is None
+        assert process.terminated and process.joined
+        assert process.exitcode is not None
 
-    def test_respawn_restarts_the_grace(self):
-        harness = FakeHarness(deaths={"w": 0.0})
+    def test_respawn_gets_a_fresh_pipe(self):
+        harness = FakeHarness()
         slot = WorkerSlot("w")
         slot.spawn(harness, None, ())
-        assert not slot.crashed()
-        assert slot.dead_polls == 1
-        harness.deaths["w"] = 0.0
+        first = slot.reply
+        slot.stop()
         slot.spawn(harness, None, ())
-        assert slot.dead_polls == 0
-        polls = [slot.crashed() for _ in range(DEAD_WORKER_GRACE_POLLS + 1)]
-        assert polls[-1] and not any(polls[:-1])
+        assert slot.reply is not first and not slot.reply.closed
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +195,14 @@ class _RecordedProcess:
         self.started = True
 
 
+class _PipeEnd:
+    def __init__(self):
+        self.closed = False
+
+    def close(self):
+        self.closed = True
+
+
 class _FakeContext:
     def __init__(self, queue_error=None):
         self.queue_error = queue_error
@@ -240,6 +216,10 @@ class _FakeContext:
 
     def Process(self, **kwargs):
         return _RecordedProcess(**kwargs)
+
+    def Pipe(self, duplex=True):
+        assert not duplex
+        return _PipeEnd(), _PipeEnd()
 
 
 def _harness_over(context):
@@ -270,11 +250,14 @@ class TestWorkerHarness:
 
     def test_spawn_starts_a_named_daemonic_process(self):
         harness = _harness_over(_FakeContext())
-        process = harness.spawn("zdd-chained", print, ("x",))
+        process, reader = harness.spawn("zdd-chained", print, ("x",))
         assert process.started
-        assert process.kwargs == {"target": print, "args": ("x",),
+        writer = process.kwargs["args"][-1]
+        assert process.kwargs == {"target": print, "args": ("x", writer),
                                   "name": "repro-zdd-chained",
                                   "daemon": True}
+        # The child holds the only write end once it has started.
+        assert writer.closed and not reader.closed
 
     def test_timing_defaults(self):
         harness = WorkerHarness()
@@ -347,7 +330,6 @@ def test_both_owners_run_on_the_one_supervisor():
         assert owner.WorkerHarness is workers.WorkerHarness
         assert owner.WorkerSlot is workers.WorkerSlot
         assert owner.reap_processes is workers.reap_processes
-        assert owner.MAX_QUEUE_POISON is workers.MAX_QUEUE_POISON
     assert server.WorkerHarness is workers.WorkerHarness
 
 
@@ -361,3 +343,67 @@ def test_traced_entry_points_keep_their_shape():
         == ["self", "request_id", "net_text", "spec_dict"]
     assert list(inspect.signature(AnalysisWorkerPool.poll).parameters) \
         == ["self"]
+
+
+# ---------------------------------------------------------------------------
+# Real processes: the reply pipes leave no descriptor behind
+
+
+needs_multiprocessing = pytest.mark.skipif(
+    not WorkerHarness().available(),
+    reason="platform cannot run worker processes")
+
+
+@needs_multiprocessing
+def test_end_of_file_follows_the_last_reply_of_a_real_worker():
+    harness = WorkerHarness()
+    process, reader = harness.spawn("echo", _reply_and_exit, ("bye",))
+    try:
+        assert harness.wait([reader], 60) == [reader]
+        assert reader.recv() == "bye"
+        assert harness.wait([reader], 60) == [reader]
+        with pytest.raises(EOFError):
+            reader.recv()
+    finally:
+        reader.close()
+        reap_processes([process])
+    assert process.exitcode == 0
+
+
+def _reply_and_exit(message, reply):
+    reply.send(message)
+
+
+def _open_descriptors():
+    """Open descriptors once finished children have released theirs."""
+    gc.collect()
+    multiprocessing.active_children()
+    return len(os.listdir("/proc/self/fd"))
+
+
+@needs_multiprocessing
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="no /proc/self/fd on this platform")
+def test_races_and_pool_cycles_leak_no_descriptors():
+    net = figure1_net()
+    spec = AnalysisSpec(backend="portfolio", portfolio_members=MEMBERS,
+                        timeout=60.0)
+
+    def pool_cycle():
+        with AnalysisWorkerPool(workers=2) as pool:
+            assert pool.submit("r", dumps(net), {})
+            events = []
+            deadline = time.monotonic() + 60
+            while not events:
+                assert time.monotonic() < deadline
+                events = pool.poll()
+        assert events[0][0] == "result"
+
+    analyze(net, spec)
+    pool_cycle()
+    before = _open_descriptors()
+    for _ in range(10):
+        assert analyze(net, spec).markings == 8
+    for _ in range(5):
+        pool_cycle()
+    assert _open_descriptors() == before

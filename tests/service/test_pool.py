@@ -1,23 +1,17 @@
 """AnalysisWorkerPool: dispatch, crash recovery, degradation."""
 
+import multiprocessing
 import os
 import signal
 import time
 
 import pytest
+from fake_workers import MidReplyKillHarness, NoWorkersHarness
 
 from repro.analysis import AnalysisSpec, analyze
-from repro.analysis.workers import WorkerHarness
 from repro.petri.generators import philosophers
 from repro.petri.parser import dumps
 from repro.service import AnalysisWorkerPool
-
-
-class _NoWorkersHarness(WorkerHarness):
-    """Pins the serial degradation: no process is ever spawned."""
-
-    def available(self):
-        return False
 
 
 def drain(pool, want, timeout=120.0):
@@ -113,12 +107,6 @@ def test_idle_worker_crash_is_detected_and_respawned(make_net):
         drain(pool, 1)
         pids = pool.worker_pids()
         assert len(pids) == 1
-        # Let the worker go fully quiescent first: SIGKILL landing in
-        # the microseconds while its queue feeder thread still holds
-        # the shared result queue's write lock would wedge the queue
-        # for every later writer — a different failure than the idle
-        # crash under test.
-        time.sleep(0.5)
         os.kill(pids[0], signal.SIGKILL)
         deadline = time.monotonic() + 120
         while pool.stats()["respawns"] < 1:
@@ -132,6 +120,30 @@ def test_idle_worker_crash_is_detected_and_respawned(make_net):
         assert pool.submit("r2", net_text, spec)
         (tag, request_id, _), = drain(pool, 1)
         assert (tag, request_id) == ("result", "r2")
+
+
+@pytest.mark.parametrize("start_method", [
+    pytest.param(method, marks=pytest.mark.skipif(
+        method not in multiprocessing.get_all_start_methods(),
+        reason=f"no {method} start method on this platform"))
+    for method in ("fork", "spawn")])
+def test_worker_killed_mid_reply_costs_one_respawn(start_method):
+    """A worker takes a request, writes half its reply frame and
+    SIGKILLs itself: its own pipe reads the cut-off frame as its crash,
+    the other worker keeps replying, and every request resolves."""
+    net_text = dumps(philosophers(3))
+    spec = AnalysisSpec().to_dict()
+    harness = MidReplyKillHarness("service-0", start_method)
+    with AnalysisWorkerPool(workers=2, harness=harness) as pool:
+        for index in range(4):
+            assert pool.submit(f"r{index}", net_text, spec)
+        events = drain(pool, 4, timeout=10.0)
+        stats = pool.stats()
+    assert sorted(request_id for _, request_id, _ in events) == \
+        ["r0", "r1", "r2", "r3"]
+    assert all(tag == "result" for tag, _, _ in events)
+    assert stats["respawns"] == 1
+    assert [crash["action"] for crash in stats["crashes"]] == ["respawn"]
 
 
 def test_worker_retired_after_respawn_budget_orphans_requests(make_net):
@@ -161,7 +173,7 @@ def test_worker_retired_after_respawn_budget_orphans_requests(make_net):
 
 
 def test_unavailable_harness_degrades_before_spawning(make_net):
-    pool = AnalysisWorkerPool(workers=2, harness=_NoWorkersHarness())
+    pool = AnalysisWorkerPool(workers=2, harness=NoWorkersHarness())
     assert not pool.submit("r1", dumps(make_net("figure1")),
                            AnalysisSpec().to_dict())
     assert pool.mode == "serial-fallback"

@@ -12,15 +12,10 @@ import os
 import signal
 
 import pytest
+from fake_workers import NoWorkersHarness
 
 from repro.analysis import AnalysisSpec, analyze
-from repro.analysis.workers import WorkerHarness
 from repro.service import AnalysisService, ResultCache, ServiceError
-
-
-class _NoWorkersHarness(WorkerHarness):
-    def available(self):
-        return False
 
 
 def semantic(payload):
@@ -157,7 +152,7 @@ def test_sigkilled_workers_requests_still_complete(baselines, tmp_path):
 def test_unavailable_pool_degrades_to_serial(baselines):
     nets, specs, payloads = baselines
     with AnalysisService(workers=2,
-                         harness=_NoWorkersHarness()) as service:
+                         harness=NoWorkersHarness()) as service:
         handle = service.submit(nets["figure1"], specs["default"])
         assert handle.done()  # serial solves resolve at submit time
         assert handle.info["mode"] == "serial"
@@ -331,6 +326,32 @@ def test_shared_cache_object_between_services(baselines):
     with AnalysisService(cache=cache, workers=0) as second:
         handle = second.submit(nets["figure1"], specs["default"])
         assert handle.info["cache"] == "hit"
+
+
+def test_stored_race_with_a_retired_queue_failure_still_loads(tmp_path):
+    """Races recorded before per-worker reply pipes could list an
+    unattributable ``{"member": None, "kind": "queue"}`` failure; such
+    a cached result still loads and is served bit-identically."""
+    from repro.analysis import (AnalysisResult, MemberFailure,
+                                PortfolioSession)
+    from repro.petri.generators import figure1_net
+    from repro.service.cache import cache_key
+    net = figure1_net()
+    spec = AnalysisSpec(backend="portfolio")
+    legacy = {"member": None, "kind": "queue", "exitcode": None,
+              "detail": "unreadable queue payload: UnpicklingError: x"}
+    stored = PortfolioSession(net, spec, harness=NoWorkersHarness()) \
+        .run().to_dict()
+    stored["extras"]["portfolio"]["failures"].append(legacy)
+    assert MemberFailure.from_dict(legacy).to_dict() == legacy
+    assert AnalysisResult.from_dict(stored).to_dict() == stored
+    ResultCache(directory=str(tmp_path)).put(cache_key(net, spec), stored)
+    with AnalysisService(cache_dir=str(tmp_path), workers=0) as service:
+        handle = service.submit(net, spec)
+        assert handle.info["cache"] == "hit"
+        assert handle.result_dict() == stored
+        assert handle.result().extras["portfolio"]["failures"][-1] \
+            == legacy
 
 
 def test_every_accepted_name_crosses_the_process_boundary():

@@ -267,8 +267,10 @@ def test_tripwire_sees_a_naming_order_declaration(tmp_path):
 # Identifiers of the retired per-block union engine, the Coudert-Madre
 # frontier restriction, the image-engine strategy layer (the
 # ``ImageEngine`` substring covers every engine class), the backend
-# factory layer above the sessions and the partition clustering; none
-# may reappear anywhere under src/repro.
+# factory layer above the sessions, the partition clustering and the
+# shared-result-queue heuristics of the process supervisor (dead-worker
+# grace polls and queue-poison strikes, which per-worker reply pipes
+# made unnecessary); none may reappear anywhere under src/repro.
 RETIRED_IDENTIFIERS = ("restrict_cm", "narrow_frontier",
                        "SIMPLIFY_MIN_FRONTIER_NODES", "ImageEngine",
                        "make_image_engine", "ClassicZddEngine",
@@ -281,7 +283,8 @@ RETIRED_IDENTIFIERS = ("restrict_cm", "narrow_frontier",
                        "AUTO_MAX_CLUSTER", "_auto_clusters", "_recluster",
                        "recluster_count", "_identity_clause",
                        "DEFAULT_CLUSTER_SIZE", "resolved_cluster_size",
-                       "ClusterSize")
+                       "ClusterSize", "DEAD_WORKER_GRACE_POLLS",
+                       "MAX_QUEUE_POISON", "dead_polls", "_QUEUE_UNUSABLE")
 # Retired spec fields: named only inside RETIRED_FIELD_DEFAULTS, which
 # keeps old fingerprints stable.
 RETIRED_FIELDS = ("simplify_frontier", "chain_order", "cluster_size")
