@@ -257,8 +257,8 @@ def measure_adaptive(factory: Callable) -> Dict[str, Dict]:
     """The chained engine × reorder grid.
 
     Every row runs on a fresh manager.  ``reorder`` rows sift in
-    current/next pair groups at the traversal safe points (partition
-    metadata refreshed through the reorder hook); speedups and
+    current/next pair groups at the traversal safe points (the sweep
+    re-sorts its partition by the new order); speedups and
     peak-live-node ratios are relative to the first row, PR 1's
     fixed-order chained engine on its declaration order.
     """

@@ -10,7 +10,7 @@ and model checking, and the paper's benchmark families.
 Layer map (see ``docs/architecture.md`` for the full inventory):
 
 * :mod:`repro.dd` — the shared decision-diagram kernel (node tables,
-  reference counting/GC, level swaps, sifting, reorder hooks) both
+  reference counting/GC, level swaps, sifting) both
   managers are built on.
 * :mod:`repro.bdd` — decision diagrams (BDD manager, sifting, ZDDs).
 * :mod:`repro.petri` — nets, markings, invariants, SMCs, generators.

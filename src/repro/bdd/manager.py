@@ -11,7 +11,7 @@ package):
 * garbage collection and dynamic variable reordering at safe points.
 
 The node storage, reference counting, garbage collection, level
-bookkeeping, adjacent-level swap and reorder-hook machinery live in the
+bookkeeping and adjacent-level swap machinery live in the
 shared kernel :class:`repro.dd.manager.DDManager` (also underneath
 :class:`repro.bdd.zdd.ZDD`); this class adds the boolean reduction rule
 (``low == high`` collapses), the complement-edge canonical form and the

@@ -24,7 +24,7 @@ The manager shares the :class:`repro.dd.manager.DDManager` kernel with
 the BDD manager, which gives it the full lifecycle machinery the old
 fixed-order ZDD lacked: exact reference counting with cascading frees
 (``ref``/``deref``), garbage collection, element/level indirection,
-Rudell adjacent-level swaps, dynamic (group) sifting and reorder hooks.
+Rudell adjacent-level swaps and dynamic (group) sifting.
 Every family operation therefore compares *levels*, never raw element
 indices — element indices stay stable across reordering exactly as BDD
 variable indices do.  Raw-node-id callers that must survive a garbage

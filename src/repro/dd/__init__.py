@@ -6,8 +6,7 @@ diagram flavour in the project:
 * :class:`DDManager` — the manager base: parallel node arrays addressed
   by integer ids, per-variable unique tables, an operation-cache
   registry, level/order bookkeeping, exact reference counting with
-  cascading frees, garbage collection, Rudell adjacent-level swaps and
-  reorder hooks with deferred (batched) notification.
+  cascading frees, garbage collection and Rudell adjacent-level swaps.
 * :func:`sift` / :func:`sift_to_convergence` — dynamic variable
   reordering by (group) sifting, generic over any :class:`DDManager`.
 * :class:`DDError` — the common error base
@@ -20,8 +19,8 @@ by the in-place level swap (:meth:`DDManager._swap_cofactors`) and the
 operation algebra itself.  :class:`repro.bdd.manager.BDD` (dense
 boolean functions) and :class:`repro.bdd.zdd.ZDD` (zero-suppressed set
 families) are the two instantiations — which is how the ZDD manager
-gets reference counting, garbage collection, sifting and reorder hooks
-from the same code the BDD manager always had.
+gets reference counting, garbage collection and sifting from the same
+code the BDD manager always had.
 """
 
 from .manager import DDError, DDManager, ResourceBudgetExceeded

@@ -13,10 +13,11 @@ lifecycle machinery:
 * variable/level indirection (``var2level`` / ``level2var``) so the
   order can change while node ids stay stable,
 * Rudell's in-place adjacent-level swap (:meth:`DDManager.swap_levels`)
-  and :meth:`DDManager.set_order`,
-* reorder hooks with deferred (batched) notification, and the
-  threshold-triggered :meth:`DDManager.checkpoint` that drives garbage
-  collection and dynamic sifting at traversal safe points.
+  and :meth:`DDManager.set_order`, with an order counter
+  (``order_version``) that every swap bumps, so a caller that caches
+  something derived from the order can tell when it went stale,
+* the threshold-triggered :meth:`DDManager.checkpoint` that drives
+  garbage collection and dynamic sifting at traversal safe points.
 
 What a node *means* — and therefore the reduction rule applied by
 :meth:`DDManager._mk` and the cofactor expansion used when two adjacent
@@ -57,7 +58,6 @@ from __future__ import annotations
 
 import sys
 import time
-from contextlib import contextmanager
 from typing import (Any, Callable, Dict, FrozenSet, Iterable, List,
                     Optional, Sequence, Tuple)
 
@@ -221,14 +221,10 @@ class DDManager:
         self.reorder_count = 0
         self.gc_count = 0
         self.peak_live_nodes = 0
-        # Callbacks invoked whenever the variable order changes — after
-        # an explicit :meth:`swap_levels` or :meth:`set_order` and after
-        # each sifting pass (batched: one notification per pass, not one
-        # per internal swap).  Subscribers refresh any order-derived
-        # metadata they cache (see PartitionedNet.refresh_partitions).
-        self.reorder_hooks: List[Callable[["DDManager"], None]] = []
-        self._reorder_notify_depth = 0
-        self._reorder_pending = False
+        # Bumped by every :meth:`swap_levels`, hence by every order
+        # change; readers of the order compare it to the value they last
+        # saw (see PartitionedNet.partitions).
+        self.order_version = 0
         # Variable groups that must stay adjacent during sifting (e.g.
         # interleaved current/next pairs of a transition relation, which
         # keep rename mappings order-monotone).  ``None`` sifts
@@ -613,46 +609,6 @@ class DDManager:
                      if self._budget_started is not None else None))
 
     # ------------------------------------------------------------------
-    # Reorder notification
-    # ------------------------------------------------------------------
-
-    def add_reorder_hook(self, hook: Callable[["DDManager"], None]) -> None:
-        """Register ``hook(manager)`` to run after every order change."""
-        self.reorder_hooks.append(hook)
-
-    def remove_reorder_hook(self,
-                            hook: Callable[["DDManager"], None]) -> None:
-        """Unregister a previously added reorder hook."""
-        self.reorder_hooks.remove(hook)
-
-    @contextmanager
-    def deferred_reorder_notifications(self):
-        """Batch reorder notifications over a block of swaps.
-
-        Sifting performs thousands of :meth:`swap_levels`; firing the
-        hooks per swap would be quadratic.  Inside this context the
-        notification is only recorded; on exit the hooks fire once if
-        any swap happened.
-        """
-        self._reorder_notify_depth += 1
-        try:
-            yield self
-        finally:
-            self._reorder_notify_depth -= 1
-            if self._reorder_notify_depth == 0 and self._reorder_pending:
-                self._fire_reorder_hooks()
-
-    def _notify_reorder(self) -> None:
-        self._reorder_pending = True
-        if self._reorder_notify_depth == 0:
-            self._fire_reorder_hooks()
-
-    def _fire_reorder_hooks(self) -> None:
-        self._reorder_pending = False
-        for hook in self.reorder_hooks:
-            hook(self)
-
-    # ------------------------------------------------------------------
     # Reordering (Rudell's adjacent-variable swap)
     # ------------------------------------------------------------------
 
@@ -712,7 +668,7 @@ class DDManager:
         self._level2var[level + 1] = upper
         self._var2level[lower] = level
         self._var2level[upper] = level + 1
-        self._notify_reorder()
+        self.order_version += 1
 
     def set_order(self, names_or_vars: Iterable) -> None:
         """Reorder variables to the given top-to-bottom sequence."""
@@ -722,13 +678,12 @@ class DDManager:
                 "set_order requires a permutation of all variables")
         self.collect_garbage()
         # Selection-sort by repeated adjacent swaps (bubble the right
-        # variable up to each level in turn); hooks fire once at the end.
-        with self.deferred_reorder_notifications():
-            for level, var in enumerate(target):
-                current = self._var2level[var]
-                while current > level:
-                    self.swap_levels(current - 1)
-                    current -= 1
+        # variable up to each level in turn).
+        for level, var in enumerate(target):
+            current = self._var2level[var]
+            while current > level:
+                self.swap_levels(current - 1)
+                current -= 1
 
     # ------------------------------------------------------------------
     # Structural inspection (reduction-rule independent)

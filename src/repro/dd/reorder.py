@@ -30,8 +30,6 @@ def sift(manager: DDManager, max_growth: float = 1.2,
     A direction is abandoned when the total live node count exceeds
     ``max_growth`` times the size when the variable started moving.
 
-    Reorder hooks fire once per pass (not per swap), after the pass.
-
     Parameters
     ----------
     max_growth:
@@ -55,18 +53,16 @@ def sift(manager: DDManager, max_growth: float = 1.2,
     if num < 2:
         return manager.live_nodes()
 
-    with manager.deferred_reorder_notifications():
-        if groups:
-            return _sift_blocks(manager, groups, max_growth, max_vars)
+    if groups:
+        return _sift_blocks(manager, groups, max_growth, max_vars)
 
-        by_size = sorted(range(num),
-                         key=lambda v: -len(manager._unique[v]))
-        if max_vars is not None:
-            by_size = by_size[:max_vars]
+    by_size = sorted(range(num), key=lambda v: -len(manager._unique[v]))
+    if max_vars is not None:
+        by_size = by_size[:max_vars]
 
-        for var in by_size:
-            _sift_one(manager, var, max_growth)
-        return manager.live_nodes()
+    for var in by_size:
+        _sift_one(manager, var, max_growth)
+    return manager.live_nodes()
 
 
 def _sift_one(manager: DDManager, var: int, max_growth: float) -> None:

@@ -144,6 +144,7 @@ class AnalysisWorkerPool:
         self.slots: List[_ServiceSlot] = []
         self.crashes: List[Dict[str, Any]] = []
         self._inflight: Dict[Any, int] = {}  # request_id -> worker_id
+        self._held: List[PoolEvent] = []     # booked by submit, for poll
         self._processes: List = []           # every process ever spawned
         self._finalizer = weakref.finalize(self, reap_processes,
                                            self._processes)
@@ -234,8 +235,15 @@ class AnalysisWorkerPool:
         if self.mode == "serial-fallback":
             return False
         if not self._live_slots():
-            self.mode = "serial-fallback"
-            return False
+            # Workers that died since the last poll are booked now, so
+            # a dead pool is one whose respawn budget is spent, not one
+            # that poll() has not looked at yet.
+            for slot in self.slots:
+                if not slot.retired and not slot.alive():
+                    self._recover(slot, self._held)
+            if not self._live_slots():
+                self.mode = "serial-fallback"
+                return False
         return self._dispatch(request_id, net_text, spec_dict)
 
     @property
@@ -253,10 +261,11 @@ class AnalysisWorkerPool:
         most one
         :meth:`~repro.analysis.workers.WorkerHarness.poll_interval`
         while requests are in flight, and not at all otherwise; returns
-        the events that became available (possibly none).  Callers loop
-        while they have unresolved requests.
+        the events that became available (possibly none), led by any
+        a :meth:`submit` booked.  Callers loop while they have
+        unresolved requests.
         """
-        events: List[PoolEvent] = []
+        events, self._held = self._held, []
         replying = {slot.reply: slot for slot in self.slots
                     if not slot.retired and slot.reply is not None}
         timeout = self.harness.poll_interval() if self._inflight else 0

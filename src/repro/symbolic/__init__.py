@@ -2,8 +2,8 @@
 
 * :class:`SymbolicNet` — encoded net + BDD manager, image/preimage.
 * :mod:`repro.symbolic.partition` — the *generic* relational layer:
-  the support sort, the per-transition disjunctive partition with its
-  reorder refresh and the chained sweep with diff-based narrowing,
+  the support sort, the per-transition disjunctive partition sorted by
+  the current order and the chained sweep with diff-based narrowing,
   written once over the shared ``repro.dd`` kernel.
 * :class:`RelationalNet` — the BDD encoding shim over that layer
   (Eq. 3 transition relations).
@@ -24,8 +24,7 @@ from .partition import (PartitionedNet, RelationPartition,
                         TraversalLimitError, sort_by_support)
 from .relational import RelationalNet
 from .transition import SymbolicNet
-from .zdd_relational import (ZddRelationPartition, ZddRelationalNet,
-                             ZddSparseRelation, ZddStateOps)
+from .zdd_relational import ZddRelationalNet, ZddSparseRelation, ZddStateOps
 from .zdd_traversal import ZddNet
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "sort_by_support", "TraversalLimitError",
     "ModelChecker", "CheckReport",
     "ZddNet",
-    "ZddRelationalNet", "ZddRelationPartition", "ZddSparseRelation",
-    "ZddStateOps",
+    "ZddRelationalNet", "ZddSparseRelation", "ZddStateOps",
     "KBoundedNet",
 ]

@@ -8,7 +8,7 @@ module is that machinery, written once and parameterized by the manager:
   top of the variable order first,
 * the disjunctive-partition layer :class:`PartitionedNet` — Eq. 3's
   partition, one sparse relation per transition, built once and
-  re-sorted after every reorder,
+  re-sorted by the current variable order before a sweep,
 * the chained sweep with its ``diff``-based frontier narrowing, and
   the plain Eq. 3 union of per-block images it is checked against.
 
@@ -94,7 +94,6 @@ class RelationPartition:
     quantify: Tuple[str, ...]
     rename: Dict[str, str]
     support: FrozenSet[int]
-    top_level: int
 
     def __repr__(self) -> str:
         return (f"<RelationPartition {self.transition!r} "
@@ -112,13 +111,12 @@ class PartitionedNet:
     Subclasses bind an encoding to a concrete
     :class:`~repro.dd.manager.DDManager`, set ``self.net`` (the Petri
     net), ``self.manager`` (the diagram manager) and ``self.initial``
-    (the initial state set), call :meth:`_init_partition_layer` during
-    construction, and implement the encoding-specific hooks:
+    (the initial state set), and implement the encoding-specific hooks:
 
     * :meth:`transition_support` — variable indices a transition's
       relation touches (indices, not levels: stable across reordering),
-    * :meth:`_make_block` / :meth:`_refresh_block` — build one
-      transition's block / refresh its order-derived metadata,
+    * :meth:`_make_block` — build one transition's block, whose
+      ``support`` holds the variable indices of its relation,
     * :meth:`image_partition` — successors of a state set through one
       block,
     * the state-set algebra ``state_empty`` / ``state_union`` /
@@ -126,16 +124,15 @@ class PartitionedNet:
       the subclass uses for state sets (``Function`` handles on the BDD
       side, raw node ids on the ZDD side).
 
-    Everything else — the support-sorted partition, the chained sweep
-    with frontier narrowing and the reorder-driven metadata refresh —
-    is shared.
+    Everything else — the support-sorted partition and the chained
+    sweep with frontier narrowing — is shared.
     """
 
     net: "PetriNet"
     manager: "DDManager"
-
-    def _init_partition_layer(self) -> None:
-        self._partition: Optional[List] = None
+    _partition: Optional[List] = None
+    # The manager's ``order_version`` when the partition was last sorted.
+    _sorted_at: Optional[int] = None
 
     # -- encoding-specific hooks ---------------------------------------
 
@@ -143,9 +140,6 @@ class PartitionedNet:
         raise NotImplementedError
 
     def _make_block(self, transition: str):
-        raise NotImplementedError
-
-    def _refresh_block(self, block):
         raise NotImplementedError
 
     def image_partition(self, states, block):
@@ -168,45 +162,33 @@ class PartitionedNet:
     def partitions(self) -> List:
         """The disjunctive partition: one sparse block per transition.
 
-        Built once, in support order, then stably re-sorted by each
-        block's own ``top_level`` (top of the variable order first);
-        the manager's reorder hook re-sorts it whenever the variable
-        order changes.
+        Built once, in support order.  Before it is handed out, the list
+        is stably re-sorted in place by each block's :meth:`top_level`
+        under the current variable order (top of the order first), but
+        only when the manager's ``order_version`` moved since the last
+        sort, so a sweep between reorders pays nothing.  In place and
+        stable, blocks that tie keep the order earlier sorts left them
+        in.  Relations themselves survive reordering untouched (node
+        ids are stable).
         """
+        manager = self.manager
         if self._partition is None:
-            blocks = [self._make_block(transition)
-                      for transition in sort_by_support(
-                          self.net.transitions, self.transition_support,
-                          self.manager.level_of_var)]
-            blocks.sort(key=lambda block: block.top_level)
-            self._partition = blocks
+            self._partition = [self._make_block(transition)
+                               for transition in sort_by_support(
+                                   self.net.transitions,
+                                   self.transition_support,
+                                   manager.level_of_var)]
+        if self._sorted_at != manager.order_version:
+            self._partition.sort(key=self.top_level)
+            self._sorted_at = manager.order_version
         return self._partition
 
-    # -- reorder subscription ------------------------------------------
-
-    def _subscribe_reorder(self) -> None:
-        """Register the shared refresh hook on ``self.manager``."""
-        self.manager.add_reorder_hook(self._on_reorder)
-
-    def _on_reorder(self, manager) -> None:
-        self.refresh_partitions()
-
-    def refresh_partitions(self) -> None:
-        """Re-derive the partition's metadata from the new variable order.
-
-        Relations themselves survive reordering untouched (node ids are
-        stable); what goes stale is the metadata derived from variable
-        *levels* — each block's ``top_level``, level-sorted quantify
-        tuples and the support-sorted order of the block list.
-
-        Called from the manager's reorder hook after every sifting pass,
-        ``swap_levels`` or ``set_order``.
-        """
-        if self._partition is None:
-            return
-        refreshed = [self._refresh_block(block) for block in self._partition]
-        refreshed.sort(key=lambda block: block.top_level)
-        self._partition = refreshed
+    def top_level(self, block) -> int:
+        """The shallowest current level of ``block``'s support (below
+        every variable for an empty support)."""
+        level_of = self.manager.level_of_var
+        return min((level_of(var) for var in block.support),
+                   default=self.manager.num_vars)
 
     # -- sweep algorithms ----------------------------------------------
 

@@ -7,7 +7,7 @@ current/next variables, images by fused relational product
 (:meth:`~repro.bdd.manager.BDD.and_exists`) and a monotone rename back to
 current variables.
 
-The partition, its reorder refresh and the sweep algorithms live in
+The partition, its sweep order and the sweep algorithms live in
 the shared generic layer
 (:class:`~repro.symbolic.partition.PartitionedNet`); this module
 supplies only the boolean-encoding specifics — how a sparse relation
@@ -53,8 +53,8 @@ class RelationalNet(PartitionedNet):
         exactly as :class:`~repro.symbolic.transition.SymbolicNet` does.
         Sifting on a relational manager is *grouped*: each current/next
         variable pair moves as one block (``sift_groups``), which keeps
-        the partition rename maps order-monotone; the partition's
-        metadata is refreshed through a reorder hook after every pass.
+        the partition rename maps order-monotone; the chained sweep
+        re-sorts its blocks by the order it finds.
     reorder_threshold:
         Live-node threshold for the automatic sifting trigger.
     """
@@ -82,13 +82,10 @@ class RelationalNet(PartitionedNet):
         self._to_next = dict(zip(self.current, self.next))
         self._to_current = dict(zip(self.next, self.current))
         # Reordering must keep each (current, next) pair adjacent so the
-        # per-partition renames stay monotone; subscribe so cached
-        # partition metadata follows every order change.
+        # per-partition renames stay monotone.
         bdd.sift_groups = [
             (bdd.var_index(name), bdd.var_index(self._to_next[name]))
             for name in self.current]
-        self._init_partition_layer()
-        self._subscribe_reorder()
 
         # Rebuild place/enabling functions over this manager.
         self.places: Dict[str, Function] = place_functions(encoding, bdd)
@@ -207,26 +204,11 @@ class RelationalNet(PartitionedNet):
 
     def _make_block(self, transition: str) -> RelationPartition:
         """Annotate one transition's sparse relation as a block."""
-        relation, changed = self.sparse_relations()[transition]
-        quantify = tuple(sorted(
-            set(changed), key=lambda name: self.bdd.level_of_var(name)))
-        support = relation.support()
-        top = min((self.bdd.level_of_var(v) for v in support),
-                  default=self.bdd.num_vars)
+        relation, quantify = self.sparse_relations()[transition]
         return RelationPartition(
             transition=transition, relation=relation, quantify=quantify,
             rename={self._to_next[name]: name for name in quantify},
-            support=support, top_level=top)
-
-    def _refresh_block(self, block: RelationPartition) -> RelationPartition:
-        quantify = tuple(sorted(
-            block.quantify, key=lambda name: self.bdd.level_of_var(name)))
-        top = min((self.bdd.level_of_var(v) for v in block.support),
-                  default=self.bdd.num_vars)
-        return RelationPartition(
-            transition=block.transition, relation=block.relation,
-            quantify=quantify, rename=block.rename, support=block.support,
-            top_level=top)
+            support=relation.support())
 
     def image_partition(self, states: Function,
                         partition: RelationPartition) -> Function:

@@ -8,8 +8,8 @@ module ports that machinery to the token-set encoding of
 *set of marked places* and firing is set algebra instead of boolean
 algebra.
 
-It is deliberately a *thin shim*: the partition, its reorder refresh
-and the sweep logic live once in
+It is deliberately a *thin shim*: the partition, its sweep order and
+the sweep logic live once in
 :class:`~repro.symbolic.partition.PartitionedNet` (shared with the BDD
 side); this file contributes only the token-set encoding specifics —
 what a sparse relation *is* and how one block's image is computed.
@@ -49,19 +49,19 @@ from ..petri.net import PetriNet
 from ..petri.order import place_order
 from .partition import PartitionedNet, next_state_suffix
 
-__all__ = ["ZddSparseRelation", "ZddRelationPartition", "ZddStateOps",
-           "ZddRelationalNet"]
+__all__ = ["ZddSparseRelation", "ZddStateOps", "ZddRelationalNet"]
 
 
 @dataclass(frozen=True, eq=False)
 class ZddSparseRelation:
-    """One transition's sparse relation in the token-set encoding.
+    """One transition's sparse relation in the token-set encoding —
+    its block of the disjunctive partition.
 
     ``consume`` holds the current-element indices of the preset (the
     enabling tokens, also the quantified elements), ``produce`` the
     singleton family ``{O'}`` of next elements deposited by the firing,
-    and ``relation`` the joined set ``{I ∪ O'}`` — the per-transition
-    block of the disjunctive partition.
+    ``relation`` the joined set ``{I ∪ O'}``, and ``rename`` maps each
+    produced next element back to its current one.
     """
 
     transition: str
@@ -69,29 +69,12 @@ class ZddSparseRelation:
     produce: int
     relation: int
     support: FrozenSet[int]
+    rename: Dict[int, int]
 
     def __repr__(self) -> str:
         return (f"<ZddSparseRelation {self.transition!r} "
                 f"consume={len(self.consume)} "
                 f"support={len(self.support)}>")
-
-
-@dataclass(frozen=True, eq=False)
-class ZddRelationPartition:
-    """One transition's block of the disjunctive partition.
-
-    Its image runs the fused pipeline through ``relation`` and renames
-    the produced next elements back to current ones through ``rename``.
-    """
-
-    transition: str
-    relation: ZddSparseRelation
-    rename: Dict[int, int]
-    top_level: int
-
-    def __repr__(self) -> str:
-        return (f"<ZddRelationPartition {self.transition!r} "
-                f"rename={len(self.rename)}>")
 
 
 class ZddStateOps:
@@ -140,8 +123,8 @@ class ZddRelationalNet(ZddStateOps, PartitionedNet):
         PR 2, now served by the shared kernel.  Sifting is *grouped*:
         each current/next element pair moves as one block
         (``sift_groups``), which keeps the block rename maps
-        order-monotone; the partition is refreshed through the shared
-        reorder hook.
+        order-monotone; the chained sweep re-sorts its blocks by the
+        order it finds.
     reorder_threshold:
         Live-node threshold for the automatic sifting trigger.
     """
@@ -170,8 +153,6 @@ class ZddRelationalNet(ZddStateOps, PartitionedNet):
         # block renames stay monotone.
         zdd.sift_groups = [(self._cur_index[p], self._next_index[p])
                            for p in net.places]
-        self._init_partition_layer()
-        self._subscribe_reorder()
         # Long-lived families are pinned against garbage collection: the
         # net owns them for its whole lifetime.
         self.initial = zdd.ref(zdd.singleton(net.initial_marking.support))
@@ -188,9 +169,11 @@ class ZddRelationalNet(ZddStateOps, PartitionedNet):
         support = frozenset(
             index for place in pre | post
             for index in (self._cur_index[place], self._next_index[place]))
+        rename = {self._next_index[p]: self._cur_index[p]
+                  for p in sorted(post)}
         return ZddSparseRelation(
             transition=transition, consume=consume, produce=produce,
-            relation=relation, support=support)
+            relation=relation, support=support, rename=rename)
 
     def sparse_relations(self) -> Dict[str, ZddSparseRelation]:
         """All sparse per-transition relations (built at construction)."""
@@ -205,28 +188,15 @@ class ZddRelationalNet(ZddStateOps, PartitionedNet):
     # Partition-layer hooks (see PartitionedNet)
     # ------------------------------------------------------------------
 
-    def _make_block(self, transition: str) -> ZddRelationPartition:
-        rename = {self._next_index[p]: self._cur_index[p]
-                  for p in sorted(self.net.postset(transition))}
-        return self._refresh_block(ZddRelationPartition(
-            transition=transition, relation=self._sparse[transition],
-            rename=rename, top_level=0))
-
-    def _refresh_block(self, block: ZddRelationPartition
-                       ) -> ZddRelationPartition:
-        top = min((self.zdd.level_of_var(index)
-                   for index in block.relation.support),
-                  default=self.zdd.num_vars)
-        return ZddRelationPartition(
-            transition=block.transition, relation=block.relation,
-            rename=block.rename, top_level=top)
+    def _make_block(self, transition: str) -> ZddSparseRelation:
+        return self._sparse[transition]
 
     # ------------------------------------------------------------------
     # Images
     # ------------------------------------------------------------------
 
     def image_partition(self, states: int,
-                        block: ZddRelationPartition) -> int:
+                        block: ZddSparseRelation) -> int:
         """Successors through one partition block.
 
         The fused pipeline (containment filter, then strip-and-deposit
@@ -235,12 +205,11 @@ class ZddRelationalNet(ZddStateOps, PartitionedNet):
         every step unchanged.
         """
         zdd = self.zdd
-        relation = block.relation
-        matched = zdd.supset(states, relation.consume)
+        matched = zdd.supset(states, block.consume)
         if matched == EMPTY:
             return EMPTY
         return zdd.rename(
-            zdd.and_exists(matched, relation.produce, relation.consume),
+            zdd.and_exists(matched, block.produce, block.consume),
             block.rename)
 
     def image_all(self, states: int) -> int:

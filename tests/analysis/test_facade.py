@@ -20,8 +20,8 @@ SPECS = {
     "rel-monolithic": AnalysisSpec(form="relational",
                                    engine="monolithic"),
     "rel-chained": AnalysisSpec(form="relational", engine="chained"),
-    # A low threshold makes sifting fire, so the partition refresh after
-    # every reorder sits on the path these runs take.
+    # A low threshold makes sifting fire, so the sweep's re-sort by the
+    # new order after every reorder sits on the path these runs take.
     "rel-chained-sifted": AnalysisSpec(form="relational", engine="chained",
                                        reorder_threshold=20),
     "zdd-classic": AnalysisSpec(backend="zdd", form="functional"),

@@ -183,15 +183,6 @@ class TestAutoReorder:
         bdd.checkpoint()
         assert bdd.reorder_count == 0
 
-    def test_reorder_hook_called(self):
-        calls = []
-        bdd = BDD(var_names=["a", "b", "c", "d"], auto_reorder=True,
-                  reorder_threshold=2)
-        bdd.reorder_hooks.append(lambda mgr: calls.append(mgr.order()))
-        f = (variable(bdd, "a") & variable(bdd, "b")) | variable(bdd, "c")
-        bdd.checkpoint()
-        assert calls
-
 
 class SummingBDD(BDD):
     """Counts live nodes by summing every unique table on each call."""
@@ -227,46 +218,26 @@ class TestLiveNodeCounter:
         assert outcomes[0][0] != a_names + b_names
 
 
-class TestReorderHooks:
-    def test_hook_fires_once_per_sift_pass(self):
+class TestOrderVersion:
+    def test_every_swap_bumps_order_version(self):
+        bdd = BDD(var_names=["a", "b", "c"])
+        assert bdd.order_version == 0
+        bdd.swap_levels(0)
+        assert bdd.order_version == 1
+        bdd.set_order(["b", "a", "c"])  # already the order: no swap
+        assert bdd.order_version == 1
+        bdd.set_order(["c", "a", "b"])
+        assert bdd.order() == ["c", "a", "b"]
+        assert bdd.order_version > 1
+
+    def test_sift_bumps_order_version(self):
         names = [f"v{i}" for i in range(6)]
         bdd = BDD(var_names=names)
         f = build_interleaved_adder(bdd, names[:3], names[3:])
-        calls = []
-        bdd.add_reorder_hook(lambda mgr: calls.append(mgr.order()))
         sift(bdd)
-        assert len(calls) == 1
-        assert calls[0] == bdd.order()
-
-    def test_hook_fires_after_swap_and_set_order(self):
-        bdd = BDD(var_names=["a", "b", "c"])
-        calls = []
-        bdd.add_reorder_hook(lambda mgr: calls.append(mgr.order()))
-        bdd.swap_levels(0)
-        assert calls == [["b", "a", "c"]]
-        bdd.set_order(["c", "a", "b"])
-        assert len(calls) == 2
-        assert calls[-1] == ["c", "a", "b"]
-
-    def test_remove_hook(self):
-        bdd = BDD(var_names=["a", "b"])
-        calls = []
-        hook = lambda mgr: calls.append(1)  # noqa: E731
-        bdd.add_reorder_hook(hook)
-        bdd.swap_levels(0)
-        bdd.remove_reorder_hook(hook)
-        bdd.swap_levels(0)
-        assert len(calls) == 1
-
-    def test_deferred_notifications_batch(self):
-        bdd = BDD(var_names=["a", "b", "c"])
-        calls = []
-        bdd.add_reorder_hook(lambda mgr: calls.append(mgr.order()))
-        with bdd.deferred_reorder_notifications():
-            bdd.swap_levels(0)
-            bdd.swap_levels(1)
-            assert calls == []
-        assert len(calls) == 1
+        assert bdd.order() != names
+        assert bdd.order_version > 0
+        assert f({name: True for name in names})
 
 
 class TestGroupSifting:

@@ -4,7 +4,7 @@ The tentpole property: one node-table/GC/reorder core under both
 managers.  BDD-side behaviour is pinned by the long-standing suites in
 ``tests/bdd``; this module covers what the ZDD manager gained from the
 kernel — reference counting, garbage collection, adjacent-level swaps,
-(group) sifting and reorder hooks — and the kernel surface itself.
+(group) sifting — and the kernel surface itself.
 """
 
 import pytest
@@ -127,15 +127,6 @@ class TestZddReordering:
         node = zdd.ref(zdd.from_sets([{0, 1}, {2}]))
         zdd.swap_levels(0)
         assert extract(zdd, node) == {frozenset({0, 1}), frozenset({2})}
-
-    def test_reorder_hooks_fire_once_per_sift_pass(self):
-        zdd = ZDD(var_names=NAMES)
-        zdd.ref(zdd.from_sets([{0, 3}, {1, 4}, {2, 5}]))
-        calls = []
-        zdd.add_reorder_hook(lambda mgr: calls.append(mgr.order()))
-        sift(zdd)
-        assert len(calls) == 1
-        assert calls[0] == zdd.order()
 
     def test_checkpoint_triggers_zdd_reorder(self):
         zdd = ZDD(var_names=NAMES, auto_reorder=True, reorder_threshold=4)

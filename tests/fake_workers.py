@@ -255,7 +255,9 @@ def die_mid_reply(target, *args):
 class MidReplyKillHarness(WorkerHarness):
     """Real workers; the first one spawned under ``victim`` dies in the
     middle of its first reply.  With ``serve=False`` it does not run its
-    target at all: it cuts off a reply as soon as it starts."""
+    target at all: it cuts off a reply as soon as it starts, and
+    ``spawn`` returns only once it has died, so its cut reply and end of
+    file are on the pipe before any later worker can reply."""
 
     def __init__(self, victim, start_method=None, serve=True):
         super().__init__(start_method)
@@ -266,5 +268,8 @@ class MidReplyKillHarness(WorkerHarness):
         if label != self.victim:
             return super().spawn(label, target, args)
         self.victim = None
-        return super().spawn(label, die_mid_reply,
-                             (target if self.serve else None, *args))
+        process, reader = super().spawn(
+            label, die_mid_reply, (target if self.serve else None, *args))
+        if not self.serve:
+            process.join(60)
+        return process, reader

@@ -122,6 +122,28 @@ def test_idle_worker_crash_is_detected_and_respawned(make_net):
         assert (tag, request_id) == ("result", "r2")
 
 
+def test_submit_books_idle_crash_before_giving_up(make_net):
+    """A submit that finds every worker dead before any poll() saw the
+    crash respawns the worker instead of switching the pool to
+    ``serial-fallback`` with its respawn budget unspent."""
+    net_text = dumps(make_net("figure1"))
+    spec = AnalysisSpec().to_dict()
+    with AnalysisWorkerPool(workers=1) as pool:
+        assert pool.submit("r1", net_text, spec)
+        drain(pool, 1)
+        pid, = pool.worker_pids()
+        os.kill(pid, signal.SIGKILL)
+        time.sleep(0.2)
+        assert pool.submit("r2", net_text, spec)
+        stats = pool.stats()
+        assert stats["mode"] == "process"
+        assert stats["respawns"] == 1
+        assert stats["crashes"] == [
+            {"worker": 0, "pending": 0, "action": "respawn"}]
+        (tag, request_id, _), = drain(pool, 1)
+        assert (tag, request_id) == ("result", "r2")
+
+
 @pytest.mark.parametrize("start_method", [
     pytest.param(method, marks=pytest.mark.skipif(
         method not in multiprocessing.get_all_start_methods(),

@@ -112,8 +112,8 @@ def test_zdd_engines_agree_with_reorder_enabled(name, make_net):
     dynamic reordering on (pair-grouped sifting for the relational
     engines, per-element sifting for classic) pins the identical
     marking *sets* against the explicit oracle — sifting, GC and the
-    reorder-hook partition refresh must never change the computed
-    family."""
+    sweep re-sorting its partition after a reorder must never change
+    the computed family."""
     net = make_net(name)
     explicit = explicit_marking_set(net)
     assert explicit

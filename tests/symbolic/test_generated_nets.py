@@ -6,7 +6,7 @@ machines with free-choice branches and two-machine synchronisations,
 :func:`net_strategies.safe_nets`) and every surviving backend × form ×
 engine must count exactly the markings explicit enumeration finds.
 Every run sifts from a low threshold, so dynamic reordering and the
-relational partition refresh run on these nets too.
+relational sweep's re-sort by the new order run on these nets too.
 
 The tier-1 profile draws a fixed-seed sample; the ``slow`` profile
 (``-m slow``) draws many more.

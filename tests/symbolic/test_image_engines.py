@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis import (RELATIONAL_ENGINES, Analysis, AnalysisSpec,
                             SpecError, analyze)
+from repro.dd import sift
 from repro.encoding import ImprovedEncoding, SparseEncoding
 from repro.petri import ReachabilityGraph
 from repro.petri.generators import (figure1_net, figure4_net, muller,
@@ -21,6 +22,12 @@ from repro.symbolic import RelationalNet, SymbolicNet, sort_by_support
 # (make_net builds them, explicit_counts is the enumeration oracle).
 FAMILIES = ["figure1", "figure4", "muller4", "slot2", "phil3"]
 SCHEMES = ["sparse", "dense", "improved"]
+
+
+def reversed_pair_order(relnet):
+    """The relational net's current/next pairs, last pair on top."""
+    pairs = [(name, name + "'") for name in relnet.current]
+    return [v for pair in reversed(pairs) for v in pair]
 
 
 def relational(engine="monolithic", **changes):
@@ -138,7 +145,7 @@ class TestPartitions:
 
     def test_blocks_are_support_sorted(self):
         relnet = RelationalNet(ImprovedEncoding(slotted_ring(3)))
-        tops = [block.top_level for block in relnet.partitions()]
+        tops = [relnet.top_level(block) for block in relnet.partitions()]
         assert tops == sorted(tops)
 
     def test_partition_is_built_once(self):
@@ -237,8 +244,8 @@ class TestAdaptiveTraversal:
                                                    make_net,
                                                    explicit_counts):
         """Acceptance: identical reachable sets with dynamic reordering
-        (pair-grouped sifting + a refresh of the per-transition
-        partition after every reorder)."""
+        (pair-grouped sifting; the chained sweep re-sorts the
+        per-transition partition by the order it finds)."""
         result = analyze(make_net(name), relational(
             engine, reorder=True, reorder_threshold=200))
         assert result.markings == explicit_counts[name]
@@ -246,14 +253,14 @@ class TestAdaptiveTraversal:
     @pytest.mark.parametrize("name", FAMILIES)
     def test_per_transition_chained_agrees_with_reordering_enabled(
             self, name, make_net, explicit_counts):
-        """With one block per transition, every reorder refreshes the
-        whole per-transition partition; the fixpoint must not move and
-        the refreshed partition stays support-sorted."""
+        """With one block per transition, every sweep after a reorder
+        re-sorts the whole per-transition partition; the fixpoint must
+        not move and the partition follows the final order."""
         analysis = Analysis(make_net(name), relational(
             "chained", reorder=True, reorder_threshold=200))
         assert analysis.run().markings == explicit_counts[name]
-        tops = [block.top_level
-                for block in analysis.symbolic_net.partitions()]
+        relnet = analysis.symbolic_net
+        tops = [relnet.top_level(block) for block in relnet.partitions()]
         assert tops == sorted(tops)
 
     def test_auto_reorder_honored_on_supplied_manager(self,
@@ -297,62 +304,60 @@ class TestAdaptiveTraversal:
         assert relnet.image_partitioned(states, relnet.partitions()) \
             == relnet.image_all(states)
 
-    def test_sparse_relations_survive_partition_refresh(self):
-        """Building and refreshing the partition must reuse the sparse
-        relations and supports instead of re-walking them."""
+    def test_sparse_relations_survive_reorder(self):
+        """Building the partition and re-sorting it after a reorder
+        must reuse the sparse relations and supports instead of
+        re-walking them."""
         relnet = RelationalNet(ImprovedEncoding(philosophers(3)))
         first = relnet.sparse_relations()
         relnet.partitions()
-        relnet.refresh_partitions()
+        relnet.bdd.set_order(reversed_pair_order(relnet))
+        relnet.partitions()
         assert relnet.sparse_relations() is first
         transition = relnet.net.transitions[0]
         assert relnet.transition_support(transition) \
             is relnet.transition_support(transition)
 
 
-class TestPartitionRefresh:
-    def reversed_pair_order(self, relnet):
-        pairs = [(name, name + "'") for name in relnet.current]
-        return [v for pair in reversed(pairs) for v in pair]
-
-    def test_metadata_refreshed_after_set_order(self):
-        """An explicit set_order must refresh every block's
-        top_level/quantify and re-sort the block list."""
+class TestSweepFollowsOrder:
+    def test_blocks_follow_set_order(self):
+        """After an explicit set_order the partition is sorted by every
+        block's top level under the new order; the blocks, their
+        relations and their quantified variables stay as built."""
         relnet = RelationalNet(ImprovedEncoding(slotted_ring(2)))
         bdd = relnet.bdd
-        before = relnet.partitions()
-        relations_before = {b.transition: b.relation for b in before}
-        bdd.set_order(self.reversed_pair_order(relnet))
+        before = list(relnet.partitions())
+        bdd.set_order(reversed_pair_order(relnet))
         after = relnet.partitions()
-        tops = [block.top_level for block in after]
+        tops = [relnet.top_level(block) for block in after]
         assert tops == sorted(tops)
+        assert tops != [relnet.top_level(block) for block in before]
+        assert sorted(after, key=id) == sorted(before, key=id)
         for block in after:
-            assert block.top_level == min(
+            assert relnet.top_level(block) == min(
                 bdd.level_of_var(v) for v in block.support)
-            levels = [bdd.level_of_var(v) for v in block.quantify]
-            assert levels == sorted(levels)
-            # Relations themselves are stable handles, never rebuilt.
-            assert block.relation is relations_before[block.transition]
+
+    def test_blocks_follow_sift(self):
+        """A sifting pass moves the order; the next partitions() call
+        sorts the blocks by it."""
+        relnet = RelationalNet(ImprovedEncoding(slotted_ring(3)))
+        bdd = relnet.bdd
+        relnet.partitions()
+        version = bdd.order_version
+        sift(bdd, groups=bdd.sift_groups)
+        assert bdd.order_version != version
+        tops = [relnet.top_level(block) for block in relnet.partitions()]
+        assert tops == sorted(tops)
 
     def test_images_correct_after_set_order(self, explicit_counts):
         analysis = Analysis(slotted_ring(2), relational("chained"))
         relnet = analysis.symbolic_net
         relnet.partitions()
         expected = relnet.image_all(relnet.initial)
-        relnet.bdd.set_order(self.reversed_pair_order(relnet))
+        relnet.bdd.set_order(reversed_pair_order(relnet))
         blocks = relnet.partitions()
         assert relnet.image_partitioned(relnet.initial, blocks) == expected
         assert analysis.result.markings == explicit_counts["slot2"]
-
-    def test_refresh_recomputes_every_top_level(self):
-        """After a reorder every block's top level is the shallowest
-        level of its support under the new order."""
-        relnet = RelationalNet(ImprovedEncoding(figure4_net()))
-        relnet.partitions()
-        relnet.bdd.set_order(self.reversed_pair_order(relnet))
-        for block in relnet.partitions():
-            assert block.top_level == min(
-                relnet.bdd.level_of_var(v) for v in block.support)
 
 
 # ---------------------------------------------------------------------

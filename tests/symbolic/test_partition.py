@@ -1,10 +1,11 @@
 """Tests for the shared relational layer (repro.symbolic.partition).
 
 Covers the behaviours the unified layer added on top of the old
-per-manager copies: the reorder refresh of the per-transition
-partition, diff-based working-set narrowing of the chained sweep, and
-the fact that one chained sweep drives both managers.  It also pins the
-order independence of the Eq. 3 union of per-block images.
+per-manager copies: the per-transition partition following the current
+variable order, diff-based working-set narrowing of the chained sweep,
+and the fact that one chained sweep drives both managers.  It also pins
+the order independence of the Eq. 3 union of per-block images and the
+sifting trajectories that depend on how the sweep order breaks ties.
 """
 
 import random
@@ -13,8 +14,10 @@ import pytest
 
 from repro.analysis import (RELATIONAL_ENGINES, Analysis, AnalysisSpec,
                             analyze)
+from repro.dd import sift
 from repro.encoding import ImprovedEncoding
-from repro.petri.generators import figure4_net, philosophers, slotted_ring
+from repro.petri.generators import (figure4_net, muller, philosophers,
+                                    slotted_ring)
 from repro.symbolic import RelationalNet, ZddRelationalNet
 from repro.symbolic.partition import PartitionedNet, next_state_suffix
 
@@ -143,46 +146,53 @@ class TestChainedNarrowing:
             assert result.markings == explicit_counts[name]
 
 
-class TestReorderRefresh:
-    def reversed_pair_order(self, relnet):
-        pairs = [(name, name + "'") for name in relnet.current]
-        return [v for pair in reversed(pairs) for v in pair]
+def reversed_pairs(manager):
+    """Every (current, next) pair of ``manager``, last pair on top."""
+    order = list(range(manager.num_vars))
+    pairs = [order[i:i + 2] for i in range(0, len(order), 2)]
+    return [v for pair in pairs[::-1] for v in pair]
 
-    def test_blocks_follow_set_order(self):
-        """The reorder hook re-sorts the partition against the new
-        order: still one block per transition, tops ascending."""
-        relnet = RelationalNet(ImprovedEncoding(philosophers(3)))
-        before = relnet.partitions()
-        relnet.bdd.set_order(self.reversed_pair_order(relnet))
+
+NETS = {
+    "bdd": lambda: RelationalNet(ImprovedEncoding(philosophers(3))),
+    "zdd": lambda: ZddRelationalNet(philosophers(3)),
+}
+
+
+class TestSweepOrder:
+    @pytest.mark.parametrize("kind", sorted(NETS))
+    def test_blocks_follow_set_order(self, kind):
+        """After set_order the same list holds the same blocks, stably
+        re-sorted by their top level under the new order: blocks that
+        tie keep the order they had before."""
+        relnet = NETS[kind]()
+        blocks = relnet.partitions()
+        before = list(blocks)
+        relnet.manager.set_order(reversed_pairs(relnet.manager))
         after = relnet.partitions()
-        assert after is not before
-        assert sorted(block.transition for block in after) \
-            == sorted(relnet.net.transitions)
-        tops = [block.top_level for block in after]
-        assert tops == sorted(tops)
+        assert after is blocks
+        assert after == sorted(before, key=relnet.top_level)
+        assert after != before
 
-    def test_refresh_keeps_every_relation(self):
-        """A refresh re-derives metadata only: every block keeps the
+    @pytest.mark.parametrize("kind", sorted(NETS))
+    def test_blocks_follow_sift(self, kind):
+        relnet = NETS[kind]()
+        manager = relnet.manager
+        before = list(relnet.partitions())
+        version = manager.order_version
+        sift(manager, groups=manager.sift_groups)
+        assert manager.order_version != version
+        assert relnet.partitions() == sorted(before, key=relnet.top_level)
+
+    @pytest.mark.parametrize("kind", sorted(NETS))
+    def test_reorder_keeps_every_relation(self, kind):
+        """Reordering re-sorts the blocks only: every block keeps the
         relation it was built with."""
-        relnet = RelationalNet(ImprovedEncoding(figure4_net()))
+        relnet = NETS[kind]()
         before = {b.transition: b.relation for b in relnet.partitions()}
-        relnet.refresh_partitions()  # no order change at all
+        relnet.manager.set_order(reversed_pairs(relnet.manager))
         for block in relnet.partitions():
             assert block.relation is before[block.transition]
-
-    def test_zdd_blocks_follow_set_order(self):
-        relnet = ZddRelationalNet(philosophers(3))
-        relnet.partitions()
-        order = list(range(relnet.zdd.num_vars))
-        # Rotate whole current/next pairs to change support-top levels.
-        pairs = [order[i:i + 2] for i in range(0, len(order), 2)]
-        rotated = [v for pair in pairs[::-1] for v in pair]
-        relnet.zdd.set_order(rotated)
-        after = relnet.partitions()
-        assert sorted(block.transition for block in after) \
-            == sorted(relnet.net.transitions)
-        tops = [block.top_level for block in after]
-        assert tops == sorted(tops)
 
     def test_traversal_correct_with_reordering(self, make_net,
                                                explicit_counts):
@@ -260,3 +270,27 @@ def test_relational_nets_name_next_copies_apart_from_places(make_net):
     # Nets without such a pair keep the single prime.
     plain = RelationalNet(ImprovedEncoding(philosophers(2)))
     assert all(n == c + "'" for c, n in zip(plain.current, plain.next))
+
+
+#: ``(markings, iterations, peak_nodes, reorder_count)`` with sifting
+#: at ``reorder_threshold=200``.  Each trajectory depends on how the
+#: sweep order breaks ties between blocks with the same top level after
+#: a sift: re-sorting fresh from the build order, or by another
+#: tie-break, moves at least one of these figures.
+SIFTED_TRAJECTORIES = [
+    ("relational", "muller-8", (16016, 13, 5197, 3)),
+    ("zdd", "muller-6", (990, 11, 3076, 2)),
+    ("zdd", "phil-7", (46708, 4, 6134, 1)),
+]
+
+
+@pytest.mark.parametrize("spec,net,expected", SIFTED_TRAJECTORIES,
+                         ids=[f"{s}-{n}" for s, n, _ in SIFTED_TRAJECTORIES])
+def test_sifted_trajectory_is_pinned(spec, net, expected):
+    family, size = net.rsplit("-", 1)
+    build = {"muller": muller, "phil": philosophers}[family]
+    options = ({"form": "relational"} if spec == "relational"
+               else {"backend": "zdd"})
+    result = analyze(build(int(size)), reorder_threshold=200, **options)
+    assert (result.markings, result.iterations, result.peak_nodes,
+            result.reorder_count) == expected

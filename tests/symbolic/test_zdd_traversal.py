@@ -7,6 +7,7 @@ the cross-engine set-identity matrix lives in ``test_engine_diff.py``.
 import pytest
 
 from repro.analysis import Analysis, AnalysisSpec, SpecError, analyze
+from repro.dd import sift
 from repro.petri import Marking, ReachabilityGraph, place_order
 from repro.petri.generators import figure1_net, figure4_net
 from repro.symbolic import ZddNet, ZddRelationalNet
@@ -122,7 +123,27 @@ class TestZddRelationalNet:
 
     def test_blocks_are_support_sorted(self, make_net):
         relnet = ZddRelationalNet(make_net("slot2"))
-        tops = [block.top_level for block in relnet.partitions()]
+        tops = [relnet.top_level(block) for block in relnet.partitions()]
+        assert tops == sorted(tops)
+
+    def test_blocks_follow_set_order(self, make_net):
+        relnet = ZddRelationalNet(make_net("slot2"))
+        relnet.partitions()
+        zdd = relnet.zdd
+        elements = [zdd.var_at_level(level) for level in range(zdd.num_vars)]
+        pairs = [elements[i:i + 2] for i in range(0, len(elements), 2)]
+        zdd.set_order([v for pair in pairs[::-1] for v in pair])
+        tops = [relnet.top_level(block) for block in relnet.partitions()]
+        assert tops == sorted(tops)
+
+    def test_blocks_follow_sift(self, make_net):
+        relnet = ZddRelationalNet(make_net("slot2"))
+        relnet.partitions()
+        zdd = relnet.zdd
+        version = zdd.order_version
+        sift(zdd, groups=zdd.sift_groups)
+        assert zdd.order_version != version
+        tops = [relnet.top_level(block) for block in relnet.partitions()]
         assert tops == sorted(tops)
 
     def test_partition_is_built_once(self):

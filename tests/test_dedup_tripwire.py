@@ -23,7 +23,12 @@ factories (and their ``BACKENDS`` registry) only called one session
 constructor each, and ``chain_order`` had one value in use.  The
 partition is Eq. 3's, one sparse relation per transition: the
 ``cluster_size`` granularities, greedy auto-clustering and
-reorder-time reclustering lost the served traffic to it.
+reorder-time reclustering lost the served traffic to it.  The partition
+reads the variable order at sweep time, so the kernel's reorder hooks
+(``add_reorder_hook``, ``reorder_hooks``,
+``deferred_reorder_notifications``), the partition refresh
+(``refresh_partitions``, ``_refresh_block``) and the separate ZDD block
+class (``ZddRelationPartition``) have nothing left to do.
 
 The chained per-transition steps have one form as well: the fused
 kernel operations ``or_and_toggle`` and ``or_cofactor_and``, never a
@@ -41,7 +46,6 @@ SHARED_ONLY_DEFS = (
     "image_chained",
     "image_partitioned",
     "partitions",
-    "refresh_partitions",
     "sort_by_support",
 )
 
@@ -267,10 +271,12 @@ def test_tripwire_sees_a_naming_order_declaration(tmp_path):
 # Identifiers of the retired per-block union engine, the Coudert-Madre
 # frontier restriction, the image-engine strategy layer (the
 # ``ImageEngine`` substring covers every engine class), the backend
-# factory layer above the sessions, the partition clustering and the
+# factory layer above the sessions, the partition clustering, the
 # shared-result-queue heuristics of the process supervisor (dead-worker
 # grace polls and queue-poison strikes, which per-worker reply pipes
-# made unnecessary); none may reappear anywhere under src/repro.
+# made unnecessary) and the reorder observer with the partition refresh
+# it drove (the sweep reads the order instead); none may reappear
+# anywhere under src/repro.
 RETIRED_IDENTIFIERS = ("restrict_cm", "narrow_frontier",
                        "SIMPLIFY_MIN_FRONTIER_NODES", "ImageEngine",
                        "make_image_engine", "ClassicZddEngine",
@@ -284,7 +290,11 @@ RETIRED_IDENTIFIERS = ("restrict_cm", "narrow_frontier",
                        "recluster_count", "_identity_clause",
                        "DEFAULT_CLUSTER_SIZE", "resolved_cluster_size",
                        "ClusterSize", "DEAD_WORKER_GRACE_POLLS",
-                       "MAX_QUEUE_POISON", "dead_polls", "_QUEUE_UNUSABLE")
+                       "MAX_QUEUE_POISON", "dead_polls", "_QUEUE_UNUSABLE",
+                       "add_reorder_hook", "reorder_hooks",
+                       "deferred_reorder_notifications",
+                       "refresh_partitions", "_refresh_block",
+                       "ZddRelationPartition")
 # Retired spec fields: named only inside RETIRED_FIELD_DEFAULTS, which
 # keeps old fingerprints stable.
 RETIRED_FIELDS = ("simplify_frontier", "chain_order", "cluster_size")
@@ -323,8 +333,9 @@ def retired_name_uses(root):
 def test_retired_engine_and_restriction_stay_deleted():
     """The ``partitioned`` engine, ``restrict_cm`` and the frontier
     restriction won no benchmark row on the structural order and were
-    deleted, and so were the image-engine and backend-factory layers
-    and the partition clustering; ``simplify_frontier``, ``chain_order``
+    deleted, and so were the image-engine and backend-factory layers,
+    the partition clustering, the reorder hooks and the partition
+    refresh; ``simplify_frontier``, ``chain_order``
     and ``cluster_size`` may only be named as retired fields at their
     old defaults (which keeps old fingerprints stable)."""
     from repro.analysis import PORTFOLIO_MEMBERS, RELATIONAL_ENGINES
@@ -369,7 +380,11 @@ def test_tripwire_sees_retired_names(tmp_path):
         "self.recluster_count += 1\n"
         "blocks = self._recluster(blocks)\n"
         "order = sort_by_support(items, support, level)\n"
-        "clusters = conflict_clusters(net)\n")
+        "clusters = conflict_clusters(net)\n"
+        "manager.add_reorder_hook(self.refresh_partitions)\n"
+        "blocks = [self._refresh_block(b) for b in blocks]\n"
+        "block = ZddRelationPartition(transition, relation)\n"
+        "if self._sorted_at != manager.order_version:\n")
     assert retired_name_uses(tmp_path) == [
         ("analysis/spec.py", 5, "simplify_frontier"),
         ("analysis/spec.py", 6, "chain_order"),
@@ -383,7 +398,11 @@ def test_tripwire_sees_retired_names(tmp_path):
         ("kernel.py", 2, "narrow_frontier"),
         ("partition.py", 1, "cluster_greedily"),
         ("partition.py", 2, "recluster_count"),
-        ("partition.py", 3, "_recluster")]
+        ("partition.py", 3, "_recluster"),
+        ("partition.py", 6, "add_reorder_hook"),
+        ("partition.py", 6, "refresh_partitions"),
+        ("partition.py", 7, "_refresh_block"),
+        ("partition.py", 8, "ZddRelationPartition")]
 
 
 # Where a chained per-transition step is taken, and the class it is
