@@ -61,6 +61,9 @@ every safe point clears them all:
   assignment, packed edge triple;
 * ``_cache`` (kernel) — XOR, ITE, rename and toggle, tuple-keyed.
 
+Constrained saturation (``saturate_pre``, the checker's backward
+``EF``) registers none: its memo tables are locals of the one call.
+
 A node's fields may be mutated in place by variable reordering, but the
 function represented by an edge never changes; external code can
 therefore hold edges across reordering (see
@@ -207,7 +210,8 @@ class BDD(DDManager):
         return u ^ 1
 
     def apply_and(self, u: int, v: int) -> int:
-        # Terminal cases first, before paying for the closure below.
+        # Terminal cases first, before paying for the closure
+        # ``_and_rec`` builds.
         if u == v:
             return u
         if u == ZERO or v == ZERO or u ^ v == 1:
@@ -217,12 +221,16 @@ class BDD(DDManager):
             return v
         if v == ONE:
             return u
+        return self._and_rec(self._and_cache)(u, v)
+
+    def _and_rec(self, cache: Dict[int, int]):
+        """The AND recursion, memoised in ``cache``: ``apply_and``
+        passes ``_and_cache``, ``saturate_pre`` a dict of its own."""
         # The recursion binds the node arrays, the cache and the
         # hash-consing hook to locals and inlines ``_mk``: on traversal
         # workloads a top-level AND averages hundreds of recursive
         # steps, so shaving attribute lookups and method dispatch off
         # each step dominates the one-off cost of building the closure.
-        cache = self._and_cache
         var_arr = self._var
         low_arr = self._low
         high_arr = self._high
@@ -274,7 +282,7 @@ class BDD(DDManager):
             cache[key] = result
             return result
 
-        return rec(u, v)
+        return rec
 
     def apply_or(self, u: int, v: int) -> int:
         # De Morgan onto the AND cache: f OR g == NOT (NOT f AND NOT g).
@@ -687,6 +695,177 @@ class BDD(DDManager):
             return result
 
         return rec(u, w, v)
+
+    # ------------------------------------------------------------------
+    # Constrained saturation: a backward fixpoint in one recursion
+    # ------------------------------------------------------------------
+
+    def saturate_pre(self, constraint: int, target: int,
+                     events: Iterable[Tuple[Dict, int]]) -> int:
+        """Backward closure ``E[constraint U target]`` by constrained
+        saturation (Zhao & Ciardo, ATVA 2009).
+
+        Returns the least ``X ⊇ target AND constraint`` closed under
+        ``constraint AND E_t AND X|force_t`` for every event ``(force_t,
+        E_t)``: the pair ``or_cofactor_and`` takes, one per transition.
+        Each event is filed under ``Top``, the shallowest level of
+        ``supp(E_t) ∪ force_t``, and ends at ``Bot``, the deepest; both
+        are read from the current order.  Above ``Top`` an event leaves
+        a state alone, so it acts on each node at its ``Top`` level
+        branch by branch.  ``saturate`` works bottom-up: it saturates
+        both children, then fires the events filed at the node's level
+        until neither branch grows.  ``relprod`` fires one event below
+        its ``Top`` and saturates its result on the way back up, so
+        every union it feeds is already closed under the lower events.
+
+        The memo tables live and die with the call: no registered cache
+        gains an entry, so the operation needs no safe point around it.
+        """
+        var_arr = self._var
+        low_arr = self._low
+        high_arr = self._high
+        var2level = self._var2level
+        level2var = self._level2var
+        node_fn = self._node
+        terminal = len(var2level)
+
+        # File the events by Top.  An event is (forced values by level,
+        # E_t, Bot, next forced level from each level of [Top, Bot],
+        # Top, its relprod memo).
+        by_top: Dict[int, list] = {}
+        for assignment, enabling in events:
+            if enabling == ZERO:
+                continue
+            forced = {var2level[self.var_index(var)]: bool(value)
+                      for var, value in assignment.items()}
+            levels = [var2level[var] for var in self.support(enabling)]
+            levels.extend(forced)
+            if not levels:
+                continue  # E_t = 1 and nothing forced: the identity
+            top, bot = min(levels), max(levels)
+            next_forced = [terminal] * (bot - top + 2)
+            for level in range(bot, top - 1, -1):
+                next_forced[level - top] = (
+                    level if level in forced
+                    else next_forced[level - top + 1])
+            by_top.setdefault(top, []).append(
+                (forced, enabling, bot, next_forced, top, {}))
+        # next_event[L]: the shallowest level at or below L with events.
+        next_event = [terminal] * (terminal + 1)
+        for level in range(terminal - 1, -1, -1):
+            next_event[level] = (level if level in by_top
+                                 else next_event[level + 1])
+
+        sat_memo: Dict[int, int] = {}
+        conj = self._and_rec({})
+
+        def level_of(u: int) -> int:
+            return terminal if u <= ZERO else var2level[var_arr[u >> 1]]
+
+        def split(u: int, level: int) -> Tuple[int, int]:
+            if u > ZERO:
+                node = u >> 1
+                if var2level[var_arr[node]] == level:
+                    c = u & 1
+                    return low_arr[node] ^ c, high_arr[node] ^ c
+            return u, u
+
+        def mk(level: int, r0: int, r1: int) -> int:
+            if r0 == r1:
+                return r0
+            if r0 & 1:
+                return (node_fn(level2var[level], r0 ^ 1, r1 ^ 1) << 1) | 1
+            return node_fn(level2var[level], r0, r1) << 1
+
+        def fire(level: int, c0: int, c1: int, x0: int,
+                 x1: int) -> Tuple[int, int]:
+            """Fire the events filed at ``level`` on the saturated
+            branches ``x0 ⊆ c0`` and ``x1 ⊆ c1`` until neither grows."""
+            care = (c0, c1)
+            x = [x0, x1]
+            grown = True
+            while grown:
+                grown = False
+                for event in by_top[level]:
+                    value = event[0].get(level)
+                    enabled = split(event[1], level)
+                    for i in (0, 1):
+                        if (enabled[i] == ZERO or care[i] == ZERO
+                                or x[i] == care[i]):
+                            continue
+                        # A forced level reads its source branch.
+                        source = x[i if value is None else value]
+                        if source == ZERO:
+                            continue
+                        found = relprod(care[i], source, event, enabled[i],
+                                        level + 1)
+                        merged = conj(x[i] ^ 1, found ^ 1) ^ 1  # OR
+                        if merged != x[i]:
+                            x[i] = merged
+                            grown = True
+            return x[0], x[1]
+
+        def saturate(c: int, s: int, level: int) -> int:
+            """Least superset of ``s ⊆ c`` within ``c`` closed under the
+            events whose ``Top`` is at or below ``level``."""
+            if s == ZERO or s == c:
+                return s
+            level = next_event[level]
+            if level == terminal:
+                return s
+            clvl = level_of(c)
+            slvl = level_of(s)
+            if clvl < level:
+                level = clvl
+            if slvl < level:
+                level = slvl
+            key = (((c << _PACK) | s) << _PACK) | level
+            result = sat_memo.get(key)
+            if result is not None:
+                return result
+            c0, c1 = split(c, level)
+            s0, s1 = split(s, level)
+            x0 = saturate(c0, s0, level + 1)
+            x1 = saturate(c1, s1, level + 1)
+            if next_event[level] == level:
+                x0, x1 = fire(level, c0, c1, x0, x1)
+            result = mk(level, x0, x1)
+            sat_memo[key] = result
+            sat_memo[(((c << _PACK) | result) << _PACK) | level] = result
+            return result
+
+        def relprod(c: int, s: int, event, e: int, level: int) -> int:
+            """``saturate(c AND e AND s|force)``, with ``force`` and
+            ``e`` the event's from ``level`` down."""
+            if c == ZERO or s == ZERO or e == ZERO:
+                return ZERO
+            forced, _, bot, next_forced, top, memo = event
+            if level <= bot:
+                level = min(level_of(c), level_of(s), level_of(e),
+                            next_event[level], next_forced[level - top])
+            if level > bot:
+                # Past the event: E_t is 1 here and nothing is forced.
+                return saturate(c, conj(c, s), level)
+            key = (((((c << _PACK) | s) << _PACK) | e) << _PACK) | level
+            result = memo.get(key)
+            if result is not None:
+                return result
+            c0, c1 = split(c, level)
+            e0, e1 = split(e, level)
+            value = forced.get(level)
+            if value is None:
+                s0, s1 = split(s, level)
+            else:
+                s0 = s1 = split(s, level)[value]
+            r0 = relprod(c0, s0, event, e0, level + 1)
+            r1 = relprod(c1, s1, event, e1, level + 1)
+            if next_event[level] == level:
+                r0, r1 = fire(level, c0, c1, r0, r1)
+            result = mk(level, r0, r1)
+            memo[key] = result
+            return result
+
+        return saturate(constraint, conj(constraint, target), 0)
 
     # ------------------------------------------------------------------
     # Cofactor, rename, toggle, compose

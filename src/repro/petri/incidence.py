@@ -13,22 +13,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .invariants import incidence_rows
 from .marking import Marking
 from .net import PetriNet
 
 
 def incidence_matrix(net: PetriNet) -> np.ndarray:
     """The |P| x |T| incidence matrix of ``net`` (dtype ``int64``)."""
-    places = net.places
-    transitions = net.transitions
-    place_index = {place: i for i, place in enumerate(places)}
-    matrix = np.zeros((len(places), len(transitions)), dtype=np.int64)
-    for j, trans in enumerate(transitions):
-        for place in net.preset(trans):
-            matrix[place_index[place], j] -= 1
-        for place in net.postset(trans):
-            matrix[place_index[place], j] += 1
-    return matrix
+    return np.array(incidence_rows(net), dtype=np.int64).reshape(
+        len(net.places), len(net.transitions))
 
 
 def marking_vector(net: PetriNet, marking: Marking) -> np.ndarray:

@@ -12,14 +12,30 @@ by floating point.
 from __future__ import annotations
 
 from math import gcd
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .incidence import incidence_matrix
 from .net import PetriNet, PetriNetError
 
 
 class InvariantExplosion(PetriNetError):
     """Raised when the Farkas elimination exceeds its row budget."""
+
+
+def incidence_rows(net: PetriNet) -> List[List[int]]:
+    """The incidence matrix ``C[p, t]`` as one list of ints per place.
+
+    Plain ints, not numpy: the elimination is exact integer arithmetic,
+    and ``analyze()`` reaches this module without loading numpy.
+    :func:`repro.petri.incidence.incidence_matrix` is this as an array.
+    """
+    place_index = {place: i for i, place in enumerate(net.places)}
+    rows = [[0] * len(net.transitions) for _ in net.places]
+    for j, trans in enumerate(net.transitions):
+        for place in net.preset(trans):
+            rows[place_index[place]][j] -= 1
+        for place in net.postset(trans):
+            rows[place_index[place]][j] += 1
+    return rows
 
 
 def _normalize(row: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -91,14 +107,14 @@ def minimal_semipositive_invariants(net: PetriNet,
     Raises :class:`InvariantExplosion` if the elimination working set
     exceeds ``max_rows`` rows.
     """
-    matrix = incidence_matrix(net)
-    num_places, num_transitions = matrix.shape
+    num_places = len(net.places)
+    num_transitions = len(net.transitions)
     # Working rows are [C-part | identity-part], all exact Python ints.
     rows: List[Tuple[int, ...]] = []
-    for i in range(num_places):
+    for i, incidence in enumerate(incidence_rows(net)):
         identity = [0] * num_places
         identity[i] = 1
-        rows.append(tuple(int(x) for x in matrix[i]) + tuple(identity))
+        rows.append(tuple(incidence) + tuple(identity))
 
     for col in range(num_transitions):
         zeros = [row for row in rows if row[col] == 0]
@@ -148,10 +164,10 @@ def is_semipositive_invariant(net: PetriNet,
         raise ValueError("weight vector length must equal |P|")
     if any(w < 0 for w in weights) or all(w == 0 for w in weights):
         return False
-    matrix = incidence_matrix(net)
-    for col in range(matrix.shape[1]):
-        if sum(int(weights[i]) * int(matrix[i, col])
-               for i in range(matrix.shape[0])) != 0:
+    rows = incidence_rows(net)
+    for col in range(len(net.transitions)):
+        if sum(int(weight) * row[col]
+               for weight, row in zip(weights, rows)) != 0:
             return False
     return True
 
@@ -245,9 +261,8 @@ def is_t_invariant(net: PetriNet, weights: Sequence[int]) -> bool:
     """True iff firing transitions per ``weights`` has zero net effect."""
     if len(weights) != len(net.transitions):
         raise ValueError("weight vector length must equal |T|")
-    matrix = incidence_matrix(net)
-    for row in range(matrix.shape[0]):
-        if sum(int(weights[j]) * int(matrix[row, j])
-               for j in range(matrix.shape[1])) != 0:
+    for row in incidence_rows(net):
+        if sum(int(weight) * value
+               for weight, value in zip(weights, row)) != 0:
             return False
     return True

@@ -2,13 +2,20 @@
 
 The paper's motivation is verification of concurrent systems (deadlock
 freedom, mutual exclusion, signal-transition-graph implementability), so
-the library exposes the standard checks built on the reachability set and
-the pre-image operator:
+the library exposes the standard checks built on the reachable set it
+is handed and the pre-image operator:
 
 * deadlock detection with witness extraction,
 * marking reachability and place-invariant style assertions,
 * mutual-exclusion checks over sets of places,
-* the CTL-lite fixpoints ``EF`` (backward reachability) and ``AG``.
+* the CTL-lite fixpoints ``EF`` (backward reachability) and ``AG``
+  (``AG p = reachable AND NOT EF NOT p``).
+
+``EF`` is ``E[reachable U target]`` by constrained saturation, one
+kernel call (:meth:`repro.bdd.manager.BDD.saturate_pre`) over one
+``(force_t, E_t)`` event per transition: every transition fires at the
+top level of its support, inside the nodes it can change, rather than
+in whole passes over the reachable set.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..bdd import Function, false, true
+from ..bdd import Function, false
 from ..petri.marking import Marking
 from .transition import SymbolicNet
 
@@ -44,8 +51,11 @@ class ModelChecker:
     def __init__(self, symnet: SymbolicNet, reachable: Function) -> None:
         self.symnet = symnet
         self.reachable = reachable
-        self._care: List[Tuple[Dict, Function]] = []
-        self._care_for: Optional[Function] = None
+        # The saturation events of ``ef``: ``(force_t, E_t)`` per
+        # transition (``symnet.enabling`` keeps the edges referenced).
+        self._events: List[Tuple[Dict, int]] = [
+            (dict(symnet.specs[t].force), symnet.enabling[t].node)
+            for t in symnet.net.transitions]
 
     # -- helpers -----------------------------------------------------------
 
@@ -104,52 +114,30 @@ class ModelChecker:
         return CheckReport(holds=False, witness=self._witness(violation),
                            detail="invariant violated")
 
-    def _care_enabling(self) -> List[Tuple[Dict, Function]]:
-        """``(forced values, E_t & reachable)`` per transition, in
-        support order; built once per reachable set."""
-        if self._care_for != self.reachable:
-            symnet = self.symnet
-            self._care = [(dict(symnet.specs[t].force),
-                           symnet.enabling[t] & self.reachable)
-                          for t in symnet.support_sorted_transitions()]
-            self._care_for = self.reachable
-        return self._care
-
     def ef(self, target: Function) -> Function:
         """Backward fixpoint: reachable states that can reach ``target``.
 
         The result is intersected with the reachable set, i.e. this is
-        ``reachable AND EF(target)``.
-
-        The fixpoint is chained over care-restricted enabling functions:
-        each pass applies the pre-image of one transition at a time,
-        ``current |= current|forced & (E_t & reachable)``, in support
-        order, so states one transition adds feed the next transition
-        of the same pass.  Each step is one fused kernel recursion
-        (``or_cofactor_and``) that builds neither the cofactor nor the
-        conjunction.  Pre-images distribute over union and the
-        reachable set is intersected per transition, so the least
-        fixpoint (a canonical BDD) is the one breadth-first ``EF`` over
-        ``preimage_all`` reaches.  The loop stops after a pass that adds
-        nothing, or as soon as ``current`` is the whole reachable set
-        (one edge compare).
+        ``reachable AND EF(target)``: the least set that holds
+        ``target AND reachable`` and every reachable predecessor
+        ``reachable AND E_t AND current|force_t`` of its states.  It is
+        one kernel call, constrained saturation
+        (:meth:`~repro.bdd.manager.BDD.saturate_pre`): each transition
+        fires at the top level of its support, inside the nodes it can
+        change, until the node stops growing, so no pass ever walks the
+        whole reachable set again.  The least fixpoint is canonical, so
+        the edge is the one breadth-first ``EF`` over
+        ``preimage_all`` reaches.
 
         The query starts with a garbage collection, so the previous
         query's intermediates are freed before this one allocates.  The
-        loop itself runs no safe point: a collection would clear the op
-        caches every pass, and a reorder trigger would start sifting in
-        the middle of a query.
+        kernel call keeps its memo tables to itself and runs no safe
+        point: no collection or reorder can start in the middle of it.
         """
-        self.symnet.bdd.collect_garbage()
-        reachable = self.reachable
-        steps = self._care_enabling()
-        current = target & reachable
-        while True:
-            previous = current
-            for force, care in steps:
-                current = current.or_cofactor_and(current, force, care)
-            if current == previous or current == reachable:
-                return current
+        bdd = self.symnet.bdd
+        bdd.collect_garbage()
+        return Function(bdd, bdd.saturate_pre(self.reachable.node,
+                                              target.node, self._events))
 
     def ag(self, predicate: Function) -> Function:
         """Reachable states all of whose reachable futures satisfy

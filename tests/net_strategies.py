@@ -8,11 +8,15 @@
   machines at once).  Every transition moves exactly one token inside
   each machine it touches, so each machine always holds one token and
   every reachable marking is safe by construction.
+* :func:`backward_closure` — the explicit oracle for backward queries
+  (``EF``, ``AG``): a backward search over a reachability graph.
 
 pytest puts ``tests/`` (the home of the root ``conftest.py``) on
 ``sys.path``, so test modules anywhere under ``tests/`` import this
 module as ``net_strategies``.
 """
+
+from collections import defaultdict, deque
 
 from hypothesis import strategies as st
 
@@ -96,3 +100,20 @@ def safe_nets(draw):
             syncs.append(tuple((k, *draw(_move(machines[k][0])))
                                for k in (i, j)))
     return compose_state_machines(machines, syncs)
+
+
+def backward_closure(graph, targets):
+    """Indices of the markings of ``graph`` (a
+    :class:`~repro.petri.reachability.ReachabilityGraph`) that can reach
+    one of the marking indices ``targets``."""
+    predecessors = defaultdict(list)
+    for src, _, dst in graph.edges:
+        predecessors[dst].append(src)
+    seen = set(targets)
+    queue = deque(seen)
+    while queue:
+        for src in predecessors[queue.popleft()]:
+            if src not in seen:
+                seen.add(src)
+                queue.append(src)
+    return seen

@@ -206,3 +206,20 @@ def test_analysis_does_not_import_networkx():
                          check=True, capture_output=True, text=True,
                          timeout=120).stdout
     assert out.strip() == "False"
+
+
+def test_analysis_and_checker_do_not_import_numpy():
+    """numpy serves the state equation and scipy the LP fallback of SMC
+    enumeration; the Farkas elimination behind ``analyze()`` runs on
+    plain ints, so building, solving and querying a net load neither."""
+    script = ("import sys\n"
+              "from repro.analysis import Analysis\n"
+              "from repro.petri.generators import philosophers\n"
+              "analysis = Analysis(philosophers(4))\n"
+              "analysis.checker().ef(analysis.symbolic_net.initial)\n"
+              "print(sorted({'numpy', 'scipy'} & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         check=True, capture_output=True, text=True,
+                         timeout=120).stdout
+    assert out.strip() == "[]"

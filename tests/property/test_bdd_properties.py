@@ -435,3 +435,88 @@ def test_fused_step_caches_cleared_by_set_order(exprs_uwv, variables,
     assert bdd.or_cofactor_and(u, w, assignment, v) == restricted
     assert toggled == composed_toggle_step(bdd, u, w, v, variables)
     assert restricted == composed_cofactor_step(bdd, u, w, assignment, v)
+
+
+# --- constrained saturation -----------------------------------------------
+
+def cube_exprs():
+    """Conjunctions of one to three literals: the enabling functions and
+    the single markings of a Petri net."""
+    def conjoin(literals):
+        expr = ("const", True)
+        for var, value in sorted(literals.items()):
+            literal = ("var", var) if value else ("not", ("var", var))
+            expr = ("and", expr, literal)
+        return expr
+
+    return st.dictionaries(st.integers(min_value=0, max_value=NUM_VARS - 1),
+                           st.booleans(), min_size=1, max_size=3).map(conjoin)
+
+
+def events():
+    """Random events ``(enabling expression, forced values)``.  Random
+    expressions skip levels; cube enablings with forced variables drawn
+    on their own force outside their support, and make events whose
+    span holds another event's top level."""
+    forced = st.dictionaries(st.integers(min_value=0, max_value=NUM_VARS - 1),
+                             st.booleans(), max_size=3)
+    return st.lists(st.tuples(st.one_of(exprs(), cube_exprs()), forced),
+                    min_size=1, max_size=5)
+
+
+def chained_pre_fixpoint(bdd, constraint, target, event_list):
+    """Reference: ``X |= c AND X|force AND E`` one event at a time,
+    iterated until a pass adds nothing."""
+    current = bdd.apply_and(target, constraint)
+    while True:
+        previous = current
+        for force, enabling in event_list:
+            current = bdd.or_cofactor_and(current, current, force,
+                                          bdd.apply_and(enabling, constraint))
+        if current == previous:
+            return current
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.just(("const", True)), exprs()),
+       st.one_of(exprs(), cube_exprs()), events(), st.permutations(list(range(NUM_VARS))))
+def test_saturate_pre_equals_chained_fixpoint(constraint_expr, target_expr,
+                                              event_exprs, order):
+    """Edge-equal to the chained fixpoint and to explicit search, with
+    no entry left in a registered cache.  The constraint is often the
+    constant true, so an empty constraint does not mask what an event
+    forces below its top level."""
+    bdd = BDD(var_names=NAMES)
+    bdd.set_order(order)
+    constraint = bdd.ref(build_bdd(bdd, constraint_expr))
+    target = bdd.ref(build_bdd(bdd, target_expr))
+    event_list = [(force, bdd.ref(build_bdd(bdd, expr)))
+                  for expr, force in event_exprs]
+    bdd.clear_caches()
+    saturated = bdd.saturate_pre(constraint, target, event_list)
+    assert all(not cache for cache in bdd._op_caches)
+    assert saturated == chained_pre_fixpoint(bdd, constraint, target,
+                                             event_list)
+    # And against explicit backward search over all assignments.
+    closed = {values for values in itertools.product([False, True],
+                                                     repeat=NUM_VARS)
+              if eval_expr(constraint_expr, dict(enumerate(values)))
+              and eval_expr(target_expr, dict(enumerate(values)))}
+    grown = True
+    while grown:
+        grown = False
+        for values in itertools.product([False, True], repeat=NUM_VARS):
+            env = dict(enumerate(values))
+            if values in closed or not eval_expr(constraint_expr, env):
+                continue
+            for expr, force in event_exprs:
+                successor = dict(env)
+                successor.update(force)
+                if (eval_expr(expr, env) and tuple(
+                        successor[i] for i in range(NUM_VARS)) in closed):
+                    closed.add(values)
+                    grown = True
+                    break
+    for env in all_envs():
+        assert bdd.eval_node(saturated, env) == (
+            tuple(env[i] for i in range(NUM_VARS)) in closed)

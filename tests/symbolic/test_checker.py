@@ -1,8 +1,7 @@
 """Unit tests for the symbolic model checker."""
 
-from collections import defaultdict, deque
-
 import pytest
+from net_strategies import backward_closure
 
 from repro.analysis import Analysis, AnalysisSpec
 from repro.encoding import SparseEncoding
@@ -161,8 +160,8 @@ class TestPrecomputedReachable:
         assert checker.marking_count() == 40
 
     def test_reassigned_reachable_set_is_honoured(self, fig4):
-        """``ef``'s care sets follow ``reachable``, not the first one
-        it saw."""
+        """``ef`` saturates inside ``reachable`` as it is now, not the
+        first one it saw."""
         symnet = fig4.symnet
         checker = ModelChecker(symnet, fig4.reachable)
         assert checker.ef(symnet.initial) != symnet.initial
@@ -219,8 +218,8 @@ def targets(checker):
 
 
 class TestChainedEfMatchesFrontierBfs:
-    """The chained, care-restricted ``ef`` reaches the same least
-    fixpoint as breadth-first ``EF``: the BDDs are edge-equal."""
+    """``ef`` (constrained saturation) reaches the same least fixpoint
+    as breadth-first ``EF``: the BDDs are edge-equal."""
 
     def test_ef(self, small_checker):
         for name, target in targets(small_checker).items():
@@ -240,21 +239,6 @@ class TestChainedEfMatchesFrontierBfs:
                                                       initial)
         report = small_checker.can_always_recover(initial)
         assert report.holds == stuck.is_zero()
-
-
-def backward_closure(graph, targets):
-    """Indices of the markings that can reach one of ``targets``."""
-    predecessors = defaultdict(list)
-    for src, _, dst in graph.edges:
-        predecessors[dst].append(src)
-    seen = set(targets)
-    queue = deque(seen)
-    while queue:
-        for src in predecessors[queue.popleft()]:
-            if src not in seen:
-                seen.add(src)
-                queue.append(src)
-    return seen
 
 
 class TestVerdictsMatchExplicitOracle:
@@ -289,8 +273,9 @@ class TestVerdictsMatchExplicitOracle:
 
 
 def test_phil6_query_peak_nodes_tripwire():
-    """The three perfbench queries on default phil-6 stay small: the
-    fused chained ``ef`` peaks near 10k nodes, the composed chained
+    """The three perfbench queries on default phil-6 stay small:
+    saturation ``ef`` peaks at 1,250 nodes, the chained passes of fused
+    ``or_cofactor_and`` steps it replaced at 6.3k, the composed chained
     step near 36k, breadth-first ``EF`` over ``preimage_all`` with
     frontier narrowing near 120k."""
     analysis = Analysis(philosophers(6))
@@ -300,7 +285,7 @@ def test_phil6_query_peak_nodes_tripwire():
     safe = checker.ag(~symnet.deadlock_condition())
     home = checker.can_always_recover(symnet.initial)
     symnet.bdd.live_nodes()  # fold the query phase into the peak
-    assert symnet.bdd.peak_live_nodes <= 60_000
+    assert symnet.bdd.peak_live_nodes <= 2_500
     assert deadlock.holds and deadlock.detail == "2 deadlocked marking(s)"
     assert (safe & symnet.initial).is_zero()
     assert symnet.count_markings(safe) == 0

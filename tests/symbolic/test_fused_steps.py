@@ -1,11 +1,12 @@
 """The fused chained steps equal the composed formulas, edge for edge.
 
 The default fixpoint fires one transition at a time into the running
-set with ``or_and_toggle`` and ``ModelChecker.ef`` un-fires one at a
-time with ``or_cofactor_and``.  Here the composed per-step formulas
-they replaced are re-run beside them on the six families, every
-operand triple is compared, and the fixpoints they reach are compared
-with what the library computed.  BDDs are canonical, so equal functions
+set with ``or_and_toggle``, and ``SymbolicNet.preimage`` un-fires one
+with ``or_cofactor_and``.  Here the composed per-step formulas they
+replaced are re-run beside them on the six families, every operand
+triple is compared, and the fixpoints they reach, forward and
+backward, are compared with what the library computed (``ef`` by
+saturation).  BDDs are canonical, so equal functions
 are equal edges.
 """
 

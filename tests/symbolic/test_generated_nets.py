@@ -8,16 +8,24 @@ engine must count exactly the markings explicit enumeration finds.
 Every run sifts from a low threshold, so dynamic reordering and the
 relational sweep's re-sort by the new order run on these nets too.
 
+The checker's verdicts face the oracle too: the marking sets of
+``ef(initial)`` and ``ag(not deadlock)`` and the ``find_deadlocks()``
+verdict against a backward search over the explicit reachability
+graph, and ``ef`` must return the same edge after the order moves.
+
 The tier-1 profile draws a fixed-seed sample; the ``slow`` profile
 (``-m slow``) draws many more.
 """
 
 import pytest
 from hypothesis import given, settings
-from net_strategies import compose_state_machines, safe_nets
+from net_strategies import (backward_closure, compose_state_machines,
+                            safe_nets)
 
-from repro.analysis import AnalysisSpec, analyze
-from repro.petri.reachability import count_reachable_markings
+from repro.analysis import Analysis, AnalysisSpec, analyze
+from repro.dd.reorder import sift
+from repro.petri.reachability import (ReachabilityGraph,
+                                      count_reachable_markings)
 
 # Low enough that sifting (and with it the relational partition
 # refresh) fires on most generated nets.
@@ -63,6 +71,55 @@ def test_generated_nets_match_explicit_count_long(label, net):
     assert_matches_oracle(net, SPECS[label])
 
 
+# The checker runs on the functional BDD backend only.
+CHECKER_SPECS = {"default": AnalysisSpec(),
+                 "sifting": AnalysisSpec(**SIFTING),
+                 "dense-bfs": AnalysisSpec(scheme="dense", strategy="bfs")}
+
+
+def assert_checker_matches_oracle(net, spec):
+    analysis = Analysis(net, spec)
+    checker = analysis.checker()
+    symnet = analysis.symbolic_net
+    graph = ReachabilityGraph(net)
+
+    def markings(indices):
+        return {graph.markings[i] for i in indices}
+
+    home = checker.ef(symnet.initial)
+    assert set(symnet.markings_of(home)) == markings(
+        backward_closure(graph, [0]))
+    dead = [graph.index[m] for m in graph.deadlocks()]
+    safe = checker.ag(~symnet.deadlock_condition())
+    assert set(symnet.markings_of(safe)) == (
+        set(graph.markings) - markings(backward_closure(graph, dead)))
+    deadlock = checker.find_deadlocks()
+    assert deadlock.holds == bool(dead)
+    if dead:
+        assert deadlock.witness in graph.deadlocks()
+    # The same query on a moved order returns the same edge.
+    bdd = symnet.bdd
+    sift(bdd)
+    assert checker.ef(symnet.initial) == home
+    bdd.set_order(list(reversed(bdd.order())))
+    assert checker.ef(symnet.initial) == home
+
+
+@pytest.mark.parametrize("label", sorted(CHECKER_SPECS))
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(net=safe_nets())
+def test_generated_nets_checker_matches_explicit_oracle(label, net):
+    assert_checker_matches_oracle(net, CHECKER_SPECS[label])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("label", sorted(CHECKER_SPECS))
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(net=safe_nets())
+def test_generated_nets_checker_matches_explicit_oracle_long(label, net):
+    assert_checker_matches_oracle(net, CHECKER_SPECS[label])
+
+
 def four_machine_ring():
     """Four three-state machines, each with a free-choice branch, and a
     synchronisation between each neighbouring pair."""
@@ -81,3 +138,8 @@ def test_generated_ring_sifts_and_refreshes_the_partition(label):
     result = analyze(net, SPECS[label])
     assert result.reorder_count > 0
     assert result.markings == count_reachable_markings(net)
+
+
+@pytest.mark.parametrize("label", sorted(CHECKER_SPECS))
+def test_generated_ring_checker_matches_explicit_oracle(label):
+    assert_checker_matches_oracle(four_machine_ring(), CHECKER_SPECS[label])

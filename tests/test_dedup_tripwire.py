@@ -32,7 +32,9 @@ class (``ZddRelationPartition``) have nothing left to do.
 
 The chained per-transition steps have one form as well: the fused
 kernel operations ``or_and_toggle`` and ``or_cofactor_and``, never a
-composed ``|`` over ``.toggle(...)`` or ``.cofactor(...) & ...``.
+composed ``|`` over ``.toggle(...)`` or ``.cofactor(...) & ...``.  The
+checker's backward ``EF`` is one constrained-saturation call, so its
+care-restricted chained passes (``_care_enabling``) stay deleted.
 """
 
 import ast
@@ -294,7 +296,7 @@ RETIRED_IDENTIFIERS = ("restrict_cm", "narrow_frontier",
                        "add_reorder_hook", "reorder_hooks",
                        "deferred_reorder_notifications",
                        "refresh_partitions", "_refresh_block",
-                       "ZddRelationPartition")
+                       "ZddRelationPartition", "_care_enabling")
 # Retired spec fields: named only inside RETIRED_FIELD_DEFAULTS, which
 # keeps old fingerprints stable.
 RETIRED_FIELDS = ("simplify_frontier", "chain_order", "cluster_size")
@@ -385,6 +387,9 @@ def test_tripwire_sees_retired_names(tmp_path):
         "blocks = [self._refresh_block(b) for b in blocks]\n"
         "block = ZddRelationPartition(transition, relation)\n"
         "if self._sorted_at != manager.order_version:\n")
+    (tmp_path / "checker.py").write_text(
+        "steps = self._care_enabling()\n"
+        "return bdd.saturate_pre(reachable, target, events)\n")
     assert retired_name_uses(tmp_path) == [
         ("analysis/spec.py", 5, "simplify_frontier"),
         ("analysis/spec.py", 6, "chain_order"),
@@ -393,6 +398,7 @@ def test_tripwire_sees_retired_names(tmp_path):
         ("backends.py", 2, "ImageEngine"),
         ("backends.py", 3, "image_engines"),
         ("backends.py", 4, "ClassicZddEngine"),
+        ("checker.py", 1, "_care_enabling"),
         ("facade.py", 1, "backend_for"),
         ("kernel.py", 1, "restrict_cm"),
         ("kernel.py", 2, "narrow_frontier"),
@@ -466,9 +472,10 @@ def composed_steps(path, scope=None):
 
 
 def test_chained_steps_use_the_fused_kernel_operations():
-    """The fixpoint's toggle firing, the single-step images and
-    pre-images, and ``ModelChecker.ef`` take each per-transition step
-    in one fused recursion; the composed forms built two or three dead
+    """The fixpoint's toggle firing and the single-step images and
+    pre-images take each per-transition step in one fused recursion,
+    and the checker (whose ``ef`` is one saturation call) builds no
+    step of its own; the composed forms built two or three dead
     intermediate diagrams per step."""
     for path, scope in STEP_SITES:
         found = composed_steps(path, scope)
