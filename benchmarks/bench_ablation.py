@@ -1,4 +1,7 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmarks for the encoding and image design choices.
+
+The instances are generated nets (see docs/encodings.md, "Generator
+substitutions").
 
 Times the competing implementations directly against each other and
 asserts the expected orderings where the effect is structural (variable

@@ -168,10 +168,6 @@ class BDD(DDManager):
     # Edge accessors
     # ------------------------------------------------------------------
 
-    def is_complement(self, u: int) -> bool:
-        """Whether edge ``u`` carries the complement bit."""
-        return bool(u & 1)
-
     def regular(self, u: int) -> int:
         """Edge ``u`` with the complement bit cleared."""
         return u & -2

@@ -722,21 +722,6 @@ class DDManager:
                 stack.append(self._high[node] >> shift)
         return len(seen)
 
-    def size_many(self, roots: Iterable[int]) -> int:
-        """Number of distinct nodes in the DAG spanned by several roots."""
-        shift = self._edge_shift
-        seen = set()
-        stack = [root >> shift for root in roots]
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            if node > 1:
-                stack.append(self._low[node] >> shift)
-                stack.append(self._high[node] >> shift)
-        return len(seen)
-
     # ------------------------------------------------------------------
     # Consistency checking (for tests)
     # ------------------------------------------------------------------

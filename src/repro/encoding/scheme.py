@@ -56,10 +56,6 @@ class EncodedComponent:
         """Name of the underlying SMC."""
         return self.component.name
 
-    def code_of(self, place: str) -> Code:
-        """The code of ``place`` inside this component."""
-        return self.codes[place]
-
 
 @dataclass(frozen=True)
 class TransitionSpec:
@@ -124,10 +120,6 @@ class Encoding(ABC):
     def num_variables(self) -> int:
         """Number of boolean variables used."""
         return len(self.variables)
-
-    def transition_specs(self) -> List[TransitionSpec]:
-        """Specs for all transitions, in net order."""
-        return [self.transition_spec(t) for t in self.net.transitions]
 
     def _validate_assignment(self, marking: Marking,
                              assignment: Dict[str, bool]) -> Dict[str, bool]:

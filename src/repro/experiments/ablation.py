@@ -1,6 +1,7 @@
-"""Ablation studies for the design choices DESIGN.md calls out.
+"""Ablation studies for the encoding and image design choices.
 
-Four questions, answered on the same mid-size instances:
+Four questions, answered on the same mid-size generated instances (see
+docs/encodings.md, "Generator substitutions"):
 
 1. **Improved vs. covering-based vs. zero-var encoding** — how many
    variables does each refinement save (Sections 4.2 / 4.4 / extension)?

@@ -4,8 +4,9 @@ The paper's Table 4 compares the ZDD representation of the sparse
 encoding against the dense BDD encoding on DME specification nets, DME
 circuit nets and two register-control (JJreg) nets.  The original
 benchmark files are not distributed; the generators rebuild the same
-regimes (see DESIGN.md, substitutions).  Both diagrams start from the
-structural initial order, not the paper's (see ``runner``).
+regimes (see docs/encodings.md, "Generator substitutions").  Both
+diagrams start from the structural initial order, not the paper's (see
+``runner``).
 
 Default sizes are harness-scale; ``REPRO_FULL=1`` switches to
 paper-scale cell counts.

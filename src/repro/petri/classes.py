@@ -8,13 +8,12 @@ dense encoding will cover a net well:
 
 * state machines (every transition has one input and one output place),
 * marked graphs (every place has one input and one output transition),
-* free-choice and extended free-choice nets,
-* conflict clusters (the equal-conflict sets behind the definitions).
+* free-choice and extended free-choice nets.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Set
+from typing import Dict
 
 from .net import PetriNet
 
@@ -59,39 +58,6 @@ def is_extended_free_choice(net: PetriNet) -> bool:
         if any(pre != presets[0] for pre in presets[1:]):
             return False
     return True
-
-
-def conflict_clusters(net: PetriNet) -> List[FrozenSet[str]]:
-    """Partition places and transitions into conflict clusters.
-
-    The cluster of a node is the smallest set closed under "place ->
-    its output transitions" and "transition -> its input places".
-    Clusters are where choices are resolved; free-choice nets have
-    particularly simple ones.
-    """
-    parent: Dict[str, str] = {}
-
-    def find(node: str) -> str:
-        root = node
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(node, node) != node:
-            parent[node], node = root, parent[node]
-        return root
-
-    def union(a: str, b: str) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for place in net.places:
-        for trans in net.postset(place):
-            union(place, trans)
-    clusters: Dict[str, Set[str]] = {}
-    for node in list(net.places) + list(net.transitions):
-        clusters.setdefault(find(node), set()).add(node)
-    return sorted((frozenset(group) for group in clusters.values()),
-                  key=lambda g: sorted(g)[0])
 
 
 def classify(net: PetriNet) -> Dict[str, bool]:

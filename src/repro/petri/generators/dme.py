@@ -4,7 +4,8 @@ The paper's Table 4 uses Yoneda's DME benchmarks: ``DMEspec-n`` is the
 specification-level model of an n-cell DME ring, ``DMEcir-n`` the much
 larger circuit-level model.  The original ``.net`` files are not
 distributed with the paper, so this module rebuilds both levels from the
-published structure of Martin's DME ring (see DESIGN.md, substitutions):
+published structure of Martin's DME ring (see docs/encodings.md,
+"Generator substitutions"):
 
 * :func:`dme_spec` — each cell has a user cycle, request/acknowledge wire
   pairs, a cell-controller cycle and a slot in the ring-wide privilege

@@ -18,7 +18,8 @@ deadlock-free and safe.
 matching the paper's accounting (``muller-30`` has 120 sparse variables,
 60 dense ones: each complementary pair is a two-place single-token SMC).
 The absolute marking counts differ from the paper's (their exact 1994
-pipeline model is not distributed); see DESIGN.md, substitutions.
+pipeline model is not distributed); see docs/encodings.md, "Generator
+substitutions".
 """
 
 from __future__ import annotations

@@ -320,12 +320,6 @@ class TestInspection:
         assert bdd.size(ONE) == 1
         assert bdd.size(ZERO) == 1  # both polarities share the terminal
 
-    def test_size_many_shares_nodes(self, bdd):
-        a, b = bdd.var_node("a"), bdd.var_node("b")
-        f = bdd.apply_and(a, b)
-        g = bdd.apply_or(a, b)
-        assert bdd.size_many([f, g]) <= bdd.size(f) + bdd.size(g)
-
 
 class TestGarbageCollection:
     def test_unreferenced_nodes_are_freed(self):

@@ -151,26 +151,3 @@ class TestAblation:
             by_instance.setdefault(row.instance, {})[key] = row.value
         for instance, values in by_instance.items():
             assert values["gray"] <= values["binary"]
-
-
-class TestScaling:
-    def test_measure_muller_uses_closed_form(self):
-        from repro.experiments.scaling import measure
-        row = measure("muller", 3)
-        assert row.markings == 30
-        assert row.sparse_variables == 12
-        assert row.dense_variables == 6
-        assert row.reduction == 0.5
-
-    def test_density_ordering(self):
-        from repro.experiments.scaling import measure
-        row = measure("slot", 2)
-        assert row.dense_density() > row.sparse_density()
-        assert row.dense_density() <= 1.0
-
-    def test_run_covers_all_families(self):
-        from repro.experiments.scaling import run
-        rows = run({"muller": (2,), "phil": (2,), "slot": (2,),
-                    "dmespec": (2,)})
-        assert len(rows) == 4
-        assert all(r.reduction <= 0.6 for r in rows)

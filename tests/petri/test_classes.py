@@ -1,9 +1,9 @@
 """Unit tests for structural net classes."""
 
 from repro.petri import PetriNet
-from repro.petri.classes import (classify, conflict_clusters,
-                                 is_extended_free_choice, is_free_choice,
-                                 is_marked_graph, is_state_machine)
+from repro.petri.classes import (classify, is_extended_free_choice,
+                                 is_free_choice, is_marked_graph,
+                                 is_state_machine)
 from repro.petri.generators import (figure1_net, figure4_net, muller,
                                     philosophers, slotted_ring)
 
@@ -67,35 +67,6 @@ class TestFreeChoice:
         net.add_transition("t2", pre=["a", "b"], post=["a", "b"])
         assert not is_free_choice(net)
         assert is_extended_free_choice(net)
-
-
-class TestClusters:
-    def test_figure1_clusters(self):
-        clusters = conflict_clusters(figure1_net())
-        by_member = {node: cluster for cluster in clusters
-                     for node in cluster}
-        # p1 clusters with its competing output transitions.
-        assert by_member["p1"] == frozenset({"p1", "t1", "t2"})
-        # p6 and p7 join through the synchronizing t7.
-        assert by_member["p6"] == by_member["p7"]
-
-    def test_clusters_partition_all_nodes(self):
-        net = figure4_net()
-        clusters = conflict_clusters(net)
-        everything = set(net.places) | set(net.transitions)
-        seen = set()
-        for cluster in clusters:
-            assert not (cluster & seen)
-            seen |= cluster
-        assert seen == everything
-
-    def test_fork_cluster_spans_philosophers(self):
-        """A shared fork joins both takers into one cluster."""
-        clusters = conflict_clusters(figure4_net())
-        by_member = {node: cluster for cluster in clusters
-                     for node in cluster}
-        assert "t2" in by_member["p4"]   # phil 1 takes right fork p4
-        assert "t8" in by_member["p4"]   # phil 2 takes left fork p4
 
 
 class TestClassify:

@@ -35,6 +35,12 @@ kernel operations ``or_and_toggle`` and ``or_cofactor_and``, never a
 composed ``|`` over ``.toggle(...)`` or ``.cofactor(...) & ...``.  The
 checker's backward ``EF`` is one constrained-saturation call, so its
 care-restricted chained passes (``_care_enabling``) stay deleted.
+
+Code stays only if an entry point reaches it: every module under
+``src/repro`` is imported, directly or through a chain, by the package,
+the CLI, the service or a paper-table experiment.  The STG front end,
+siphons and traps, the Graphviz dump and the scaling experiment, which
+only tests and one example used, were deleted so.
 """
 
 import ast
@@ -276,9 +282,11 @@ def test_tripwire_sees_a_naming_order_declaration(tmp_path):
 # factory layer above the sessions, the partition clustering, the
 # shared-result-queue heuristics of the process supervisor (dead-worker
 # grace polls and queue-poison strikes, which per-worker reply pipes
-# made unnecessary) and the reorder observer with the partition refresh
-# it drove (the sweep reads the order instead); none may reappear
-# anywhere under src/repro.
+# made unnecessary), the reorder observer with the partition refresh
+# it drove (the sweep reads the order instead), and the public names of
+# code no entry point reached (the STG front end, siphons and traps, the
+# Graphviz dump, the scaling experiment, ``size_many`` and
+# ``conflict_clusters``); none may reappear anywhere under src/repro.
 RETIRED_IDENTIFIERS = ("restrict_cm", "narrow_frontier",
                        "SIMPLIFY_MIN_FRONTIER_NODES", "ImageEngine",
                        "make_image_engine", "ClassicZddEngine",
@@ -296,7 +304,13 @@ RETIRED_IDENTIFIERS = ("restrict_cm", "narrow_frontier",
                        "add_reorder_hook", "reorder_hooks",
                        "deferred_reorder_notifications",
                        "refresh_partitions", "_refresh_block",
-                       "ZddRelationPartition", "_care_enabling")
+                       "ZddRelationPartition", "_care_enabling",
+                       "SignalEdge", "c_element", "pipeline_stage",
+                       "minimal_siphons", "commoner_condition",
+                       "largest_siphon_within", "largest_trap_within",
+                       "empty_siphon_in_deadlock", "bdd_to_dot",
+                       "zdd_to_dot", "ScalingRow", "size_many",
+                       "conflict_clusters", "transition_specs")
 # Retired spec fields: named only inside RETIRED_FIELD_DEFAULTS, which
 # keeps old fingerprints stable.
 RETIRED_FIELDS = ("simplify_frontier", "chain_order", "cluster_size")
@@ -390,6 +404,11 @@ def test_tripwire_sees_retired_names(tmp_path):
     (tmp_path / "checker.py").write_text(
         "steps = self._care_enabling()\n"
         "return bdd.saturate_pre(reachable, target, events)\n")
+    (tmp_path / "structure.py").write_text(
+        "siphons = minimal_siphons(net)\n"
+        "net = c_element().to_petri_net()\n"
+        "text = bdd_to_dot(bdd, roots) + dumps(net)\n"
+        "shared = bdd.size_many(roots) <= bdd.size(root)\n")
     assert retired_name_uses(tmp_path) == [
         ("analysis/spec.py", 5, "simplify_frontier"),
         ("analysis/spec.py", 6, "chain_order"),
@@ -405,10 +424,15 @@ def test_tripwire_sees_retired_names(tmp_path):
         ("partition.py", 1, "cluster_greedily"),
         ("partition.py", 2, "recluster_count"),
         ("partition.py", 3, "_recluster"),
+        ("partition.py", 5, "conflict_clusters"),
         ("partition.py", 6, "add_reorder_hook"),
         ("partition.py", 6, "refresh_partitions"),
         ("partition.py", 7, "_refresh_block"),
-        ("partition.py", 8, "ZddRelationPartition")]
+        ("partition.py", 8, "ZddRelationPartition"),
+        ("structure.py", 1, "minimal_siphons"),
+        ("structure.py", 2, "c_element"),
+        ("structure.py", 3, "bdd_to_dot"),
+        ("structure.py", 4, "size_many")]
 
 
 # Where a chained per-transition step is taken, and the class it is
@@ -517,3 +541,95 @@ def test_tripwire_sees_a_composed_step(tmp_path):
     assert composed_steps(module, "Session") == in_session
     assert composed_steps(module) == in_session + [
         ("steps.py", 16, "toggle-or")]
+
+
+# The entry points: the package (``analyze()``, ``Analysis`` and its
+# ``checker()``), the command line, the service and the paper-table
+# experiments.  Code stays only if one of them reaches it.
+ENTRY_MODULES = ("repro", "repro.cli", "repro.service",
+                 "repro.experiments.figure2", "repro.experiments.table3",
+                 "repro.experiments.table4", "repro.experiments.ablation")
+
+
+def import_graph(root):
+    """Modules of the package directory ``root`` mapped to the package
+    modules each one imports (relative imports resolved, the packages
+    above an imported module included: importing runs their
+    ``__init__``)."""
+    modules = {}
+    for path in root.rglob("*.py"):
+        parts = path.relative_to(root.parent).with_suffix("").parts
+        modules[".".join(parts[:-1] if parts[-1] == "__init__"
+                         else parts)] = path
+    graph = {}
+    for name, path in modules.items():
+        package = (name if path.name == "__init__.py"
+                   else name.rpartition(".")[0]).split(".")
+        named = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                named.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                if node.level:
+                    base = ".".join(package[:len(package) - node.level + 1]
+                                    + ([base] if base else []))
+                named.add(base)
+                named.update(f"{base}.{alias.name}" for alias in node.names)
+        imported = set()
+        for target in named:
+            parts = target.split(".")
+            imported.update(".".join(parts[:i])
+                            for i in range(1, len(parts) + 1))
+        graph[name] = imported & set(modules)
+    return graph
+
+
+def unreached_modules(root, entries=ENTRY_MODULES):
+    """Modules under ``root`` that no import chain from ``entries``
+    reaches, sorted."""
+    graph = import_graph(root)
+    reached, stack = set(), [entry for entry in entries if entry in graph]
+    while stack:
+        module = stack.pop()
+        if module not in reached:
+            reached.add(module)
+            stack.extend(graph[module] - reached)
+    return sorted(set(graph) - reached)
+
+
+def test_every_module_is_reached_from_an_entry_point():
+    """Every module under ``src/repro`` is imported, directly or through
+    a chain, by an entry point; a module only tests or examples use
+    reproduces nothing the paper reports (the STG front end, siphons,
+    the Graphviz dump and the scaling experiment were deleted so)."""
+    assert not unreached_modules(SRC), (
+        f"{unreached_modules(SRC)} are reached from no entry point "
+        f"{ENTRY_MODULES}; wire them into one or delete them")
+
+
+def test_tripwire_sees_an_orphan_module(tmp_path):
+    """The reachability scan itself: an orphan module is caught, and so
+    is a module only an orphan imports; absolute imports, relative ones
+    at every level, ``from . import`` of a submodule, imports inside a
+    function and the packages above an imported module all count as
+    reached."""
+    root = tmp_path / "repro"
+    for package in ("", "core", "core/deep", "tools"):
+        (root / package).mkdir(exist_ok=True)
+        (root / package / "__init__.py").write_text("")
+    (root / "__init__.py").write_text("from .core import api\n")
+    (root / "core" / "api.py").write_text(
+        "import repro.tools.absolute\n"
+        "from . import sibling\n"
+        "def run():\n"
+        "    from .deep.leaf import helper\n")
+    (root / "core" / "sibling.py").write_text("")
+    (root / "core" / "deep" / "leaf.py").write_text(
+        "from ...tools import shared\n")
+    for name in ("absolute", "shared", "only_from_orphan"):
+        (root / "tools" / f"{name}.py").write_text("")
+    (root / "orphan.py").write_text(
+        "from .tools import only_from_orphan\n")
+    assert unreached_modules(root, ("repro",)) == [
+        "repro.orphan", "repro.tools.only_from_orphan"]
