@@ -146,6 +146,7 @@ class AnalysisWorkerPool:
         self._inflight: Dict[Any, int] = {}  # request_id -> worker_id
         self._held: List[PoolEvent] = []     # booked by submit, for poll
         self._processes: List = []           # every process ever spawned
+        self._queues: List = []              # every task queue ever made
         self._finalizer = weakref.finalize(self, reap_processes,
                                            self._processes)
         self._closed = False
@@ -177,11 +178,13 @@ class AnalysisWorkerPool:
         # blocking the parent on a worker that is itself blocked
         # sending a large reply.
         slot.task_queue = self.harness.create_queue()
+        self._queues.append(slot.task_queue)
         self._processes.append(slot.spawn(
             self.harness, _service_worker_main, (slot.task_queue,)))
 
     def close(self) -> None:
-        """Stop the pool: polite stop, then terminate → join → kill."""
+        """Stop the pool: polite stop, then terminate → join → kill,
+        then close every task queue."""
         if self._closed:
             return
         self._closed = True
@@ -194,6 +197,12 @@ class AnalysisWorkerPool:
         reap_processes(self._processes)
         for slot in self.slots:
             slot.stop()
+        # A queue's feeder thread closes both ends of its pipe only
+        # after close(); waiting for it means no descriptor outlives
+        # the pool.
+        for queue in self._queues:
+            queue.close()
+            queue.join_thread()
 
     def __enter__(self) -> "AnalysisWorkerPool":
         return self
@@ -292,6 +301,7 @@ class AnalysisWorkerPool:
                  events: List[PoolEvent]) -> None:
         """Respawn a crashed slot (bounded) or retire it."""
         slot.stop()
+        slot.task_queue.close()
         action = slot.recover()
         self.crashes.append({
             "worker": slot.worker_id,

@@ -11,6 +11,7 @@ check that the default harness keeps no stray descriptors.
 import gc
 import multiprocessing
 import os
+import threading
 import time
 
 import pytest
@@ -120,6 +121,32 @@ class TestGarbledReply:
                                  "action": "respawn"}]
         assert pool.stats()["respawns"] == 1
         assert events == []  # the request waits for the replacement
+
+
+class TestPoolClosesItsTaskQueues:
+    """A task queue's feeder thread closes the queue's pipe only after
+    ``close()``; the pool closes each queue and waits for its thread."""
+
+    def test_close_closes_and_joins_the_queue(self):
+        pool, _ = _pool([(1.0, REPLY)])
+        queue = pool.slots[0].task_queue
+        assert queue.closed and queue.joined
+
+    def test_a_crashed_workers_queue_closes_at_once(self):
+        harness = FakeHarness({"service-0": [(1.0, EOF)]},
+                              poll_interval=1.0)
+        pool = AnalysisWorkerPool(workers=1, harness=harness)
+        assert pool.submit("r1", dumps(figure1_net()), {})
+        first = pool.slots[0].task_queue
+        for _ in range(3):
+            pool.poll()
+        replacement = pool.slots[0].task_queue
+        assert replacement is not first
+        assert first.closed and not first.joined
+        assert not replacement.closed
+        pool.close()
+        harness.assert_no_orphans()
+        assert first.joined and replacement.joined
 
 
 def test_slot_respawns_then_retires():
@@ -372,6 +399,26 @@ def test_end_of_file_follows_the_last_reply_of_a_real_worker():
 
 def _reply_and_exit(message, reply):
     reply.send(message)
+
+
+def _feeder_threads():
+    return sum(1 for thread in threading.enumerate()
+               if thread.name == "QueueFeederThread")
+
+
+@needs_multiprocessing
+def test_pool_close_ends_its_queue_feeder_threads():
+    before = _feeder_threads()
+    with AnalysisWorkerPool(workers=2) as pool:
+        for request_id in ("a", "b"):
+            assert pool.submit(request_id, dumps(figure1_net()), {})
+        assert _feeder_threads() > before
+        events = []
+        deadline = time.monotonic() + 60
+        while len(events) < 2:
+            assert time.monotonic() < deadline
+            events.extend(pool.poll())
+    assert _feeder_threads() == before
 
 
 def _open_descriptors():

@@ -138,9 +138,18 @@ class FakeQueue:
 
     def __init__(self):
         self.items = []
+        self.closed = False
+        self.joined = False
 
     def put(self, item):
         self.items.append(item)
+
+    def close(self):
+        self.closed = True
+
+    def join_thread(self):
+        assert self.closed, "join_thread() before close()"
+        self.joined = True
 
 
 class FakeHarness(WorkerHarness):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.petri import PetriNet
 from repro.petri.generators import figure1_net, figure4_net, muller
-from repro.petri.invariants import (InvariantExplosion,
+from repro.petri.invariants import (InvariantExplosion, _prune_supersets,
                                     invariant_support, invariant_token_sum,
                                     is_semipositive_invariant,
                                     minimal_semipositive_invariants)
@@ -102,3 +102,23 @@ class TestGeneralNets:
     def test_explosion_guard(self):
         with pytest.raises(InvariantExplosion):
             minimal_semipositive_invariants(figure4_net(), max_rows=1)
+
+
+class TestPruneSupersets:
+    """The support-minimality filter run between elimination steps.
+    Rows are ``[C-part | place part]``; only the place part counts."""
+
+    def test_strict_superset_is_dropped(self):
+        assert _prune_supersets([(1, 1, 1), (1, 0, 1)], 0) == [(1, 0, 1)]
+
+    def test_equal_supports_keep_one_of_proportional_rows(self):
+        assert _prune_supersets([(1, 2, 0), (2, 4, 0)], 0) == [(1, 2, 0)]
+
+    def test_equal_supports_keep_independent_rows(self):
+        rows = [(1, 2, 0), (2, 1, 0)]
+        assert _prune_supersets(rows, 0) == rows
+
+    def test_support_skips_the_offset_columns(self):
+        """The C-part differs, yet the place supports nest."""
+        rows = [(5, 1, 0), (0, 1, 1)]
+        assert _prune_supersets(rows, 1) == [(5, 1, 0)]

@@ -154,6 +154,19 @@ class TestDurability:
             ("feedfeedfeedfeed", "feedfeedfeedfeed"))
         assert not lookup.hit and lookup.reason == "mismatch"
 
+    def test_hit_reports_its_tier(self, solved, tmp_path):
+        net, spec, payload = solved
+        cache = ResultCache(directory=tmp_path)
+        cache.put_for(net, spec, payload)
+        assert cache.get_for(net, spec).to_dict() == {"hit": True,
+                                                      "tier": "memory"}
+
+    def test_miss_reports_its_reason(self, solved, tmp_path):
+        net, spec, _ = solved
+        cache = ResultCache(directory=tmp_path)
+        assert cache.get_for(net, spec).to_dict() == {"hit": False,
+                                                      "reason": "absent"}
+
     def test_absent_is_a_counted_reason(self, solved, tmp_path):
         net, spec, _ = solved
         cache = ResultCache(directory=tmp_path)

@@ -91,6 +91,26 @@ class TestImage:
             assert marking["buffer"] <= 3
 
 
+class TestMarkingFunction:
+    def test_initial_marking_is_the_initial_state(self):
+        knet = KBoundedNet(two_token_cycle(), bound=2)
+        assert knet.marking_function(Marking({"a": 2})) == knet.initial
+
+    def test_every_explicit_marking_is_reachable(self):
+        analysis = Analysis(two_token_cycle(), AnalysisSpec(k_bound=2))
+        knet = analysis.symbolic_net
+        for marking in ReachabilityGraph(two_token_cycle(),
+                                         require_safe=False).markings:
+            minterm = knet.marking_function(marking)
+            assert knet.markings_of(minterm) == [marking]
+            assert (minterm & analysis.reachable) == minterm
+
+    def test_count_above_the_bound_is_rejected(self):
+        knet = KBoundedNet(two_token_cycle(), bound=2)
+        with pytest.raises(ValueError):
+            knet.marking_function(Marking({"a": 3}))
+
+
 class TestTraversal:
     def test_two_token_cycle_counts(self):
         """Token counts over 3 places summing to 2: C(4,2) = 6 markings."""
