@@ -19,6 +19,7 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Dict, Optional
 
+from ..bdd import Function, false
 from ..bdd.io import (dump_functions, dump_zdd_nodes, load_functions,
                       load_zdd_nodes)
 from ..dd import ResourceBudgetExceeded
@@ -328,9 +329,17 @@ def _build_encoding(net: PetriNet, spec: AnalysisSpec,
 # BDD functional
 # ----------------------------------------------------------------------
 
+#: Steps of the saturation strategy.  Step ``k`` saturates with the
+#: events whose ``Top`` lies in the deepest ``(k + 1) / SATURATION_BANDS``
+#: of the current order, so the last band fires every event; each band
+#: ends at an ordinary safe point.
+SATURATION_BANDS = 2
+
+
 class _BddFunctionalSession(SolverSession):
     """Functional (renaming-free) image over an encoded safe net:
-    quantify-force or toggle firing, BFS or chaining sweeps."""
+    saturation by force events, or quantify-force or toggle firing in
+    BFS or chaining sweeps."""
 
     name = "bdd-functional"
     supports_model_checking = True
@@ -344,6 +353,7 @@ class _BddFunctionalSession(SolverSession):
             reorder_threshold=spec.reorder_threshold)
         symnet = self.symbolic_net
         self._sweep_order = symnet.support_sorted_transitions()
+        self._events = symnet.saturation_events()
         self.reached = symnet.initial
         self.frontier = symnet.initial
         super().__init__(spec, time.perf_counter() - start, net=net)
@@ -354,6 +364,9 @@ class _BddFunctionalSession(SolverSession):
     def _advance(self) -> None:
         spec = self.spec
         symnet = self.symbolic_net
+        if spec.strategy == "saturation":
+            self._saturate_band()
+            return
         # The previous frontier stays referenced through the safe point
         # below, which fixes what that collection can free (and so the
         # sifting trajectory and peak every benchmark row records).
@@ -373,6 +386,22 @@ class _BddFunctionalSession(SolverSession):
         # Safe point: garbage collection / dynamic reordering, as the
         # paper applies at each traversal iteration.
         symnet.bdd.checkpoint()
+
+    def _saturate_band(self) -> None:
+        """Saturate ``reached`` with the next band's events.  Every
+        band's result holds ``initial`` and lies inside the reachable
+        set, so the band picked by the iteration count is right after a
+        resume too.  ``frontier`` tracks ``reached`` until the last band
+        empties it."""
+        bdd = self.symbolic_net.bdd
+        band = min(self.iterations, SATURATION_BANDS - 1)
+        min_top = (bdd.num_vars * (SATURATION_BANDS - 1 - band)
+                   // SATURATION_BANDS)
+        self.reached = Function(bdd, bdd.saturate_post(
+            self.reached.node, self._events, min_top))
+        self.frontier = (false(bdd) if band == SATURATION_BANDS - 1
+                         else self.reached)
+        bdd.checkpoint()
 
     def _peak_nodes(self) -> int:
         return self.symbolic_net.bdd.peak_live_nodes

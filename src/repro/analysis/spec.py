@@ -57,7 +57,7 @@ FORMS = ("functional", "relational")
 # peak nodes on every benchmarked net.
 RELATIONAL_ENGINES = ("monolithic", "chained")
 ZDD_RELATIONAL_ENGINES = ("chained",)
-STRATEGIES = ("bfs", "chaining")
+STRATEGIES = ("bfs", "chaining", "saturation")
 
 # Member catalog for the portfolio backend: each id names one
 # heterogeneous solver configuration the race can spawn (the spec
@@ -185,13 +185,18 @@ class AnalysisSpec:
     strategy, use_toggle:
         Functional-BDD traversal knobs, run by the ``bdd-functional``
         session (:func:`~repro.analysis.backends.open_session`):
-        ``strategy="bfs"`` takes one synchronous image per iteration,
+        ``strategy="saturation"`` fires every transition at the top
+        level of its support until the node stops growing, one kernel
+        recursion per band of levels (two steps);
+        ``"bfs"`` takes one synchronous image per iteration,
         ``"chaining"`` feeds each transition's successors to the next
-        one within the sweep, in support-sorted order; ``use_toggle``
-        fires with the Section 5.2 toggle operator instead of
-        quantify-and-force.  Together with ``reorder`` they pick the
-        fixpoint trajectory (iteration count, peak nodes).  Inapplicable
-        elsewhere (structured warning when moved off the default).
+        one within the sweep, in support-sorted order.  ``use_toggle``
+        makes the BFS and chaining sweeps fire with the Section 5.2
+        toggle operator instead of quantify-and-force; saturation fires
+        by force events, so turning it off there only warns.  Together
+        with ``reorder`` they pick the fixpoint trajectory (iteration
+        count, peak nodes).  Inapplicable elsewhere (structured warning
+        when moved off the default).
     reorder, reorder_threshold:
         Dynamic variable reordering at traversal safe points.  Applies
         to the BDD backends *and*, since the managers share the
@@ -257,7 +262,7 @@ class AnalysisSpec:
     backend: str = "bdd"
     form: Optional[str] = None
     engine: Optional[str] = None
-    strategy: str = "chaining"
+    strategy: str = "saturation"
     use_toggle: bool = True
     reorder: bool = True
     reorder_threshold: int = DEFAULT_REORDER_THRESHOLD
@@ -475,13 +480,18 @@ class AnalysisSpec:
         if not functional_bdd:
             target = (f"k_bound={self.k_bound}" if self.k_bound is not None
                       else self.engine_id)
-            if self.strategy != "chaining":
+            default = self.__dataclass_fields__["strategy"].default
+            if self.strategy != default:
                 warn("strategy", f"the {target} engine uses its own "
                                  f"sweep order")
             if not self.use_toggle:
                 warn("use_toggle", f"toggle firing only applies to the "
                                    f"functional BDD image, not "
                                    f"{target}")
+        elif self.strategy == "saturation" and not self.use_toggle:
+            warn("use_toggle", "saturation fires by force events; the "
+                               "toggle/quantify-force choice does not "
+                               "apply")
         if self.backend == "zdd":
             if self.scheme != "improved":
                 warn("scheme", "the ZDD backend encodes token sets "

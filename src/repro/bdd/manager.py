@@ -61,8 +61,9 @@ every safe point clears them all:
   assignment, packed edge triple;
 * ``_cache`` (kernel) — XOR, ITE, rename and toggle, tuple-keyed.
 
-Constrained saturation (``saturate_pre``, the checker's backward
-``EF``) registers none: its memo tables are locals of the one call.
+Saturation (``saturate_pre``, the checker's backward ``EF``, and
+``saturate_post``, the default forward fixpoint, both wrappers of one
+core) registers none: its memo tables are locals of the one call.
 
 A node's fields may be mutated in place by variable reordering, but the
 function represented by an edge never changes; external code can
@@ -221,7 +222,7 @@ class BDD(DDManager):
 
     def _and_rec(self, cache: Dict[int, int]):
         """The AND recursion, memoised in ``cache``: ``apply_and``
-        passes ``_and_cache``, ``saturate_pre`` a dict of its own."""
+        passes ``_and_cache``, saturation a dict of its own."""
         # The recursion binds the node arrays, the cache and the
         # hash-consing hook to locals and inlines ``_mk``: on traversal
         # workloads a top-level AND averages hundreds of recursive
@@ -693,7 +694,7 @@ class BDD(DDManager):
         return rec(u, w, v)
 
     # ------------------------------------------------------------------
-    # Constrained saturation: a backward fixpoint in one recursion
+    # Saturation: a fixpoint in one recursion, backward or forward
     # ------------------------------------------------------------------
 
     def saturate_pre(self, constraint: int, target: int,
@@ -704,6 +705,30 @@ class BDD(DDManager):
         Returns the least ``X ⊇ target AND constraint`` closed under
         ``constraint AND E_t AND X|force_t`` for every event ``(force_t,
         E_t)``: the pair ``or_cofactor_and`` takes, one per transition.
+        See :meth:`_saturate` for the recursion.
+        """
+        return self._saturate(constraint, target, events, False, 0)
+
+    def saturate_post(self, states: int, events: Iterable[Tuple[Dict, int]],
+                      min_top: int = 0) -> int:
+        """Forward closure of ``states`` by saturation (Ciardo, Lüttgen
+        & Siminiceanu, TACAS 2001).
+
+        Returns the least ``X ⊇ states`` closed under the image
+        ``force_t AND exists(force_t vars, X AND E_t)`` of every event
+        ``(force_t, E_t)`` (the list :meth:`saturate_pre` takes) whose
+        ``Top`` is at or below level ``min_top``; events filed above it
+        are skipped.  See :meth:`_saturate` for the recursion.
+        """
+        return self._saturate(ONE, states, events, True, min_top)
+
+    def _saturate(self, constraint: int, source: int,
+                  events: Iterable[Tuple[Dict, int]], forward: bool,
+                  min_top: int) -> int:
+        """The least superset of ``source AND constraint`` within
+        ``constraint`` closed under the events' images (``forward``) or
+        pre-images.
+
         Each event is filed under ``Top``, the shallowest level of
         ``supp(E_t) ∪ force_t``, and ends at ``Bot``, the deepest; both
         are read from the current order.  Above ``Top`` an event leaves
@@ -713,6 +738,9 @@ class BDD(DDManager):
         until neither branch grows.  ``relprod`` fires one event below
         its ``Top`` and saturates its result on the way back up, so
         every union it feeds is already closed under the lower events.
+        The two directions differ only at a forced level: backward
+        reads the forced branch and writes both, forward reads both and
+        writes the forced branch.
 
         The memo tables live and die with the call: no registered cache
         gains an entry, so the operation needs no safe point around it.
@@ -739,6 +767,8 @@ class BDD(DDManager):
             if not levels:
                 continue  # E_t = 1 and nothing forced: the identity
             top, bot = min(levels), max(levels)
+            if top < min_top:
+                continue
             next_forced = [terminal] * (bot - top + 2)
             for level in range(bot, top - 1, -1):
                 next_forced[level - top] = (
@@ -786,18 +816,20 @@ class BDD(DDManager):
                     value = event[0].get(level)
                     enabled = split(event[1], level)
                     for i in (0, 1):
-                        if (enabled[i] == ZERO or care[i] == ZERO
-                                or x[i] == care[i]):
+                        # Branch i holds the states before firing, and
+                        # a forced level moves them to branch ``value``.
+                        if enabled[i] == ZERO:
                             continue
-                        # A forced level reads its source branch.
-                        source = x[i if value is None else value]
-                        if source == ZERO:
+                        j = i if value is None else value
+                        read, write = (i, j) if forward else (j, i)
+                        if (x[read] == ZERO or care[write] == ZERO
+                                or x[write] == care[write]):
                             continue
-                        found = relprod(care[i], source, event, enabled[i],
-                                        level + 1)
-                        merged = conj(x[i] ^ 1, found ^ 1) ^ 1  # OR
-                        if merged != x[i]:
-                            x[i] = merged
+                        found = relprod(care[write], x[read], event,
+                                        enabled[i], level + 1)
+                        merged = conj(x[write] ^ 1, found ^ 1) ^ 1  # OR
+                        if merged != x[write]:
+                            x[write] = merged
                             grown = True
             return x[0], x[1]
 
@@ -831,8 +863,9 @@ class BDD(DDManager):
             return result
 
         def relprod(c: int, s: int, event, e: int, level: int) -> int:
-            """``saturate(c AND e AND s|force)``, with ``force`` and
-            ``e`` the event's from ``level`` down."""
+            """``saturate(c AND step(s))`` where ``step`` fires the
+            event, with ``force`` and ``e`` the event's from ``level``
+            down."""
             if c == ZERO or s == ZERO or e == ZERO:
                 return ZERO
             forced, _, bot, next_forced, top, memo = event
@@ -848,20 +881,29 @@ class BDD(DDManager):
                 return result
             c0, c1 = split(c, level)
             e0, e1 = split(e, level)
+            s0, s1 = split(s, level)
             value = forced.get(level)
             if value is None:
-                s0, s1 = split(s, level)
+                r0 = relprod(c0, s0, event, e0, level + 1)
+                r1 = relprod(c1, s1, event, e1, level + 1)
+            elif forward:
+                # Both source branches land in the forced one.
+                cv = c1 if value else c0
+                rv = conj(relprod(cv, s0, event, e0, level + 1) ^ 1,
+                          relprod(cv, s1, event, e1, level + 1) ^ 1) ^ 1
+                r0, r1 = (ZERO, rv) if value else (rv, ZERO)
             else:
-                s0 = s1 = split(s, level)[value]
-            r0 = relprod(c0, s0, event, e0, level + 1)
-            r1 = relprod(c1, s1, event, e1, level + 1)
+                # Both target branches read the forced one.
+                sv = s1 if value else s0
+                r0 = relprod(c0, sv, event, e0, level + 1)
+                r1 = relprod(c1, sv, event, e1, level + 1)
             if next_event[level] == level:
                 r0, r1 = fire(level, c0, c1, r0, r1)
             result = mk(level, r0, r1)
             memo[key] = result
             return result
 
-        return saturate(constraint, conj(constraint, target), 0)
+        return saturate(constraint, conj(constraint, source), 0)
 
     # ------------------------------------------------------------------
     # Cofactor, rename, toggle, compose

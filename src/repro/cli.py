@@ -61,8 +61,8 @@ import sys
 from typing import Any, Dict, List, Optional
 
 from .analysis import (DEFAULT_PORTFOLIO_MEMBERS, PORTFOLIO_MEMBERS,
-                       RELATIONAL_ENGINES, Analysis, AnalysisSpec,
-                       PortfolioError, SpecError)
+                       RELATIONAL_ENGINES, STRATEGIES, Analysis,
+                       AnalysisSpec, PortfolioError, SpecError)
 from .encoding import DenseEncoding, ImprovedEncoding, SparseEncoding
 from .encoding.improved import encoding_variable_summary
 from .petri import find_smcs
@@ -167,8 +167,9 @@ def _build_parser() -> argparse.ArgumentParser:
                           "or 'portfolio' to race heterogeneous member "
                           "configurations in worker processes and "
                           "answer with the first verdict")
-    ana.add_argument("--strategy", default="chaining",
-                     choices=["bfs", "chaining"])
+    ana.add_argument("--strategy", default=None, choices=STRATEGIES,
+                     help="functional BDD fixpoint schedule; when "
+                          "omitted, AnalysisSpec's default applies")
     ana.add_argument("--image", default=None,
                      choices=["functional"] + list(RELATIONAL_ENGINES),
                      help="image computation: the renaming-free functional "
@@ -375,7 +376,8 @@ def _cmd_analyze(args) -> int:
           f"nodes={result.final_nodes} "
           f"peak={result.peak_nodes} "
           f"iterations={result.iterations} "
-          f"time={result.seconds:.2f}s")
+          f"time={result.seconds:.2f}s "
+          f"spec={spec.semantic_fingerprint()}")
     resume = result.extras.get("resume")
     if resume is not None:
         if resume["status"] == "resumed":

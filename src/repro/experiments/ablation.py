@@ -8,7 +8,8 @@ docs/encodings.md, "Generator substitutions"):
 2. **Gray vs. arbitrary codes** — toggle activity per fired transition
    (Section 5.2).
 3. **Quantify-force vs. toggle firing vs. relational image** — traversal
-   time of the image implementations: the monolithic relation and the
+   time of the image implementations: BFS quantify-force and toggle
+   firing, the saturation schedule, the monolithic relation and the
    chained relational-product sweep, without and with reordering.
 4. **Dynamic reordering on/off** — final BDD size and time, sifting
    from the structural initial order, not the paper's (see ``runner``).
@@ -87,6 +88,8 @@ IMAGE_CONFIGURATIONS: List[Tuple[str, AnalysisSpec]] = [
      AnalysisSpec(strategy="bfs", use_toggle=False, reorder=False)),
     ("image=toggle",
      AnalysisSpec(strategy="bfs", use_toggle=True, reorder=False)),
+    ("strategy=saturation",
+     AnalysisSpec(strategy="saturation", reorder=False)),
     ("image=rel-monolithic",
      AnalysisSpec(form="relational", engine="monolithic",
                   reorder=False)),
@@ -99,7 +102,8 @@ IMAGE_CONFIGURATIONS: List[Tuple[str, AnalysisSpec]] = [
 
 
 def image_implementation_ablation() -> List[AblationRow]:
-    """Traversal seconds: quantify-force vs. toggle vs. relational."""
+    """Traversal seconds: quantify-force vs. toggle vs. saturation vs.
+    relational."""
     rows = []
     for name, factory in INSTANCES:
         net = factory()

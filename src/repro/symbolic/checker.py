@@ -21,7 +21,7 @@ in whole passes over the reachable set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
 from ..bdd import Function, false
 from ..petri.marking import Marking
@@ -51,11 +51,7 @@ class ModelChecker:
     def __init__(self, symnet: SymbolicNet, reachable: Function) -> None:
         self.symnet = symnet
         self.reachable = reachable
-        # The saturation events of ``ef``: ``(force_t, E_t)`` per
-        # transition (``symnet.enabling`` keeps the edges referenced).
-        self._events: List[Tuple[Dict, int]] = [
-            (dict(symnet.specs[t].force), symnet.enabling[t].node)
-            for t in symnet.net.transitions]
+        self._events = symnet.saturation_events()
 
     # -- helpers -----------------------------------------------------------
 

@@ -23,7 +23,7 @@ nor the toggled copy or cofactor.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..bdd import BDD, Function, cube, false
 from ..encoding.characteristic import (declare_variables,
@@ -114,6 +114,13 @@ class SymbolicNet:
         for transition in self.net.transitions:
             result = step(result, states, transition)
         return result
+
+    def saturation_events(self) -> List[Tuple[Dict[str, bool], int]]:
+        """One ``(force_t, E_t)`` event per transition, in net order:
+        the list the kernel's saturation calls take (``E_t`` as an
+        edge, kept referenced by :attr:`enabling`)."""
+        return [(dict(self.specs[t].force), self.enabling[t].node)
+                for t in self.net.transitions]
 
     # ------------------------------------------------------------------
     # Support-sorted partitioning of the functional image

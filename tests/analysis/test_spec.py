@@ -118,6 +118,23 @@ class TestWarnings:
         assert {w.option for w in spec.warnings()} == {"strategy"}
         assert AnalysisSpec(strategy="bfs").warnings() == ()
 
+    def test_strategy_warning_reads_the_field_default(self):
+        # Only a strategy moved off the default warns off the
+        # functional path, whichever strategy the default is.
+        assert AnalysisSpec().strategy == "saturation"
+        assert AnalysisSpec(form="relational").warnings() == ()
+        spec = AnalysisSpec(form="relational", strategy="chaining")
+        assert [w.option for w in spec.warnings()] == ["strategy"]
+
+    def test_use_toggle_does_not_apply_to_saturation(self):
+        (warning,) = AnalysisSpec(use_toggle=False).warnings()
+        assert warning.option == "use_toggle"
+        assert warning.value is False
+        assert "force events" in warning.reason
+        for strategy in ("bfs", "chaining"):
+            assert AnalysisSpec(strategy=strategy,
+                                use_toggle=False).warnings() == ()
+
     def test_k_bound_warns_on_inapplicable_options(self):
         spec = AnalysisSpec(k_bound=2, scheme="sparse", reorder=False,
                             strategy="bfs")
@@ -345,12 +362,14 @@ class TestIdentityAcrossFieldRemoval:
     removals stay valid."""
 
     # semantic_fingerprint() values recorded while the spec still had
-    # the ``workers`` and ``simplify_frontier`` fields.
+    # the ``workers`` and ``simplify_frontier`` fields, and ``chaining``
+    # was the default strategy.
     PINNED = [
-        (dict(), "d7b8967606abd9af"),
-        (dict(backend="zdd"), "e269d4c0f6edbfc6"),
-        (dict(form="relational"), "1dfd5f449f324cf9"),
-        (dict(backend="portfolio"), "e8c589da453b9cd3"),
+        (dict(strategy="chaining"), "d7b8967606abd9af"),
+        (dict(strategy="chaining", backend="zdd"), "e269d4c0f6edbfc6"),
+        (dict(strategy="chaining", form="relational"), "1dfd5f449f324cf9"),
+        (dict(strategy="chaining", backend="portfolio"),
+         "e8c589da453b9cd3"),
     ]
 
     @pytest.mark.parametrize("overrides,fingerprint", PINNED)
@@ -360,9 +379,27 @@ class TestIdentityAcrossFieldRemoval:
         assert spec.semantic_fingerprint() == fingerprint
         assert spec_fingerprint(spec) == fingerprint
 
+    # The default specs since saturation became the default strategy
+    # (``strategy`` is semantic on every backend, so all four moved).
+    DEFAULTS = [
+        (dict(), "13dab6090abf8970"),
+        (dict(backend="zdd"), "dcdd60c6c52aac2c"),
+        (dict(form="relational"), "e66704f57edd1813"),
+        (dict(backend="portfolio"), "6d6fc1d0042e35c4"),
+    ]
+
+    @pytest.mark.parametrize("overrides,fingerprint", DEFAULTS)
+    def test_default_fingerprint_is_pinned(self, overrides, fingerprint):
+        from repro.analysis import spec_fingerprint
+        spec = AnalysisSpec(**overrides)
+        assert spec.strategy == "saturation"
+        assert spec.semantic_fingerprint() == fingerprint
+        assert spec_fingerprint(spec) == fingerprint
+
     def test_result_written_with_workers_field_still_loads(self):
         from repro.analysis import AnalysisResult
-        spec_fields = dict(AnalysisSpec().to_dict(), workers=None)
+        spec_fields = dict(AnalysisSpec(strategy="chaining").to_dict(),
+                           workers=None)
         payload = {
             "schema": 1, "schema_minor": 1, "spec": spec_fields,
             "engine": "functional", "markings": 8, "iterations": 2,
@@ -373,7 +410,7 @@ class TestIdentityAcrossFieldRemoval:
                        "fixpoint_seconds": 0.005},
         }
         result = AnalysisResult.from_dict(payload)
-        assert result.spec == AnalysisSpec()
+        assert result.spec == AnalysisSpec(strategy="chaining")
         assert result.spec.semantic_fingerprint() == "d7b8967606abd9af"
         assert result.markings == 8
         assert "workers" not in result.to_dict()["spec"]
@@ -406,8 +443,8 @@ class TestIdentityAcrossFieldRemoval:
         """A relational result as the build before the retirement wrote
         it (its extras name the partition granularity it ran)."""
         from repro.analysis import AnalysisResult
-        spec_fields = dict(AnalysisSpec(form="relational").to_dict(),
-                           **{field: value})
+        relational = AnalysisSpec(strategy="chaining", form="relational")
+        spec_fields = dict(relational.to_dict(), **{field: value})
         payload = {
             "schema": 1, "schema_minor": 1, "spec": spec_fields,
             "engine": "relational/chained", "markings": 8,
@@ -418,7 +455,7 @@ class TestIdentityAcrossFieldRemoval:
                        "fixpoint_seconds": 0.005},
         }
         result = AnalysisResult.from_dict(payload)
-        assert result.spec == AnalysisSpec(form="relational")
+        assert result.spec == relational
         assert result.spec.semantic_fingerprint() == "1dfd5f449f324cf9"
         assert field not in result.to_dict()["spec"]
 
@@ -589,9 +626,10 @@ class TestRetiredChainOrder:
         assert "chain_order" not in AnalysisSpec().to_dict()
 
     def test_stored_support_loads_with_the_default_fingerprint(self):
+        chaining = AnalysisSpec(strategy="chaining")
         loaded = AnalysisSpec.from_dict(
-            dict(AnalysisSpec().to_dict(), chain_order="support"))
-        assert loaded == AnalysisSpec()
+            dict(chaining.to_dict(), chain_order="support"))
+        assert loaded == chaining
         assert loaded.semantic_fingerprint() == "d7b8967606abd9af"
 
     @pytest.mark.parametrize("ignore_unknown", [False, True])

@@ -520,3 +520,53 @@ def test_saturate_pre_equals_chained_fixpoint(constraint_expr, target_expr,
     for env in all_envs():
         assert bdd.eval_node(saturated, env) == (
             tuple(env[i] for i in range(NUM_VARS)) in closed)
+
+
+# --- forward saturation ---------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(exprs(), cube_exprs()), events(),
+       st.permutations(list(range(NUM_VARS))),
+       st.integers(min_value=0, max_value=NUM_VARS))
+def test_saturate_post_matches_forward_search(source_expr, event_exprs,
+                                              order, min_top):
+    """The least superset of ``source`` closed under every event whose
+    top level is at or below ``min_top``: a state satisfying ``E``
+    moves to itself with the forced values written in.  Checked against
+    explicit forward search, with no entry left in a registered
+    cache."""
+    bdd = BDD(var_names=NAMES)
+    bdd.set_order(order)
+    source = bdd.ref(build_bdd(bdd, source_expr))
+    event_list = [(force, bdd.ref(build_bdd(bdd, expr)))
+                  for expr, force in event_exprs]
+    bdd.clear_caches()
+    saturated = bdd.saturate_post(source, event_list, min_top)
+    assert all(not cache for cache in bdd._op_caches)
+
+    def top(enabling, force):
+        variables = set(bdd.support(enabling)) | set(force)
+        return min((bdd.level_of_var(var) for var in variables),
+                   default=NUM_VARS)
+
+    firing = [(expr, force)
+              for (expr, force), (_, enabling) in zip(event_exprs,
+                                                      event_list)
+              if enabling != ZERO and top(enabling, force) >= min_top]
+    closed = {tuple(env[i] for i in range(NUM_VARS))
+              for env in all_envs() if eval_expr(source_expr, env)}
+    stack = list(closed)
+    while stack:
+        env = dict(enumerate(stack.pop()))
+        for expr, force in firing:
+            if not eval_expr(expr, env):
+                continue
+            successor = dict(env)
+            successor.update(force)
+            values = tuple(successor[i] for i in range(NUM_VARS))
+            if values not in closed:
+                closed.add(values)
+                stack.append(values)
+    for env in all_envs():
+        assert bdd.eval_node(saturated, env) == (
+            tuple(env[i] for i in range(NUM_VARS)) in closed)

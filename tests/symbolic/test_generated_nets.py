@@ -28,13 +28,16 @@ from repro.petri.reachability import (ReachabilityGraph,
                                       count_reachable_markings)
 
 # Low enough that sifting (and with it the relational partition
-# refresh) fires on most generated nets.
+# refresh) fires on most generated nets, at the saturation band
+# boundary too.
 SIFTING = dict(reorder_threshold=20)
 
 SPECS = {
     **{f"functional-{scheme}": AnalysisSpec(scheme=scheme, **SIFTING)
        for scheme in ("sparse", "dense", "improved")},
-    "functional-quantify": AnalysisSpec(use_toggle=False, **SIFTING),
+    "functional-chaining": AnalysisSpec(strategy="chaining", **SIFTING),
+    "functional-quantify": AnalysisSpec(strategy="chaining",
+                                        use_toggle=False, **SIFTING),
     "functional-bfs": AnalysisSpec(strategy="bfs", **SIFTING),
     "functional-bfs-quantify": AnalysisSpec(strategy="bfs",
                                             use_toggle=False, **SIFTING),
@@ -69,6 +72,23 @@ def test_generated_nets_match_explicit_count(label, net):
 @given(net=safe_nets())
 def test_generated_nets_match_explicit_count_long(label, net):
     assert_matches_oracle(net, SPECS[label])
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(net=safe_nets())
+def test_generated_nets_saturate_to_the_bfs_edge(net):
+    """Both saturation bands, with a sift between them, land on the
+    edge of the breadth-first fixpoint in the same manager."""
+    analysis = Analysis(net, AnalysisSpec(strategy="bfs", reorder=False))
+    symnet = analysis.symbolic_net
+    bdd = symnet.bdd
+    reachable = analysis.reachable
+    events = symnet.saturation_events()
+    lower = bdd.ref(bdd.saturate_post(symnet.initial.node, events,
+                                      min_top=bdd.num_vars // 2))
+    sift(bdd)
+    assert bdd.saturate_post(lower, events) == reachable.node
+    bdd.deref(lower)
 
 
 # The checker runs on the functional BDD backend only.
@@ -137,6 +157,16 @@ def test_generated_ring_sifts_and_refreshes_the_partition(label):
     net = four_machine_ring()
     result = analyze(net, SPECS[label])
     assert result.reorder_count > 0
+    assert result.markings == count_reachable_markings(net)
+
+
+def test_generated_ring_sifts_between_saturation_bands():
+    net = four_machine_ring()
+    analysis = Analysis(net, SPECS["functional-improved"])
+    assert analysis.step()  # the first band, then its safe point
+    assert analysis.symbolic_net.bdd.reorder_count > 0
+    result = analysis.run()
+    assert result.extras["strategy"] == "saturation"
     assert result.markings == count_reachable_markings(net)
 
 

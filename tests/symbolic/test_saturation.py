@@ -1,0 +1,98 @@
+"""Forward reachability by saturation.
+
+``BDD.saturate_post`` closes a set under every transition in one kernel
+recursion.  The least fixpoint is canonical, so the edge it returns
+must be the one the breadth-first fixpoint reaches, on every family,
+under every scheme and whatever the order was when a band started.
+The ``bdd-functional`` session runs it in ``SATURATION_BANDS`` steps
+with an ordinary safe point between them.
+"""
+
+import pytest
+
+from repro.analysis import SCHEMES, Analysis, AnalysisSpec, analyze
+from repro.analysis.backends import SATURATION_BANDS
+from repro.bdd import Function
+from repro.petri.generators import (dme_circuit, dme_spec, jj_register,
+                                    muller, philosophers, slotted_ring)
+
+# One instance of each of the six generator families, small enough for
+# the breadth-first reference (a one-gate wire keeps dmecir at 43
+# iterations).
+FAMILIES = {
+    "muller4": lambda: muller(4),
+    "phil4": lambda: philosophers(4),
+    "slot3": lambda: slotted_ring(3),
+    "dme3": lambda: dme_spec(3),
+    "dmecir2": lambda: dme_circuit(2, wire_depth=1),
+    "jjreg-a3": lambda: jj_register("a", bits=3),
+}
+
+BFS = AnalysisSpec(strategy="bfs", reorder=False)
+
+
+def bfs_fixpoint(net, scheme):
+    """A finished breadth-first analysis on the fixed order."""
+    analysis = Analysis(net, BFS.replace(scheme=scheme))
+    analysis.run()
+    return analysis
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("name", FAMILIES)
+def test_saturation_is_the_bfs_fixpoint(name, scheme):
+    analysis = bfs_fixpoint(FAMILIES[name](), scheme)
+    symnet = analysis.symbolic_net
+    bdd = symnet.bdd
+    bdd.clear_caches()
+    saturated = bdd.saturate_post(symnet.initial.node,
+                                  symnet.saturation_events())
+    assert saturated == analysis.reachable.node
+    # The memo tables are the call's own: no registered cache grew.
+    assert all(not cache for cache in bdd._op_caches)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("name", FAMILIES)
+def test_bands_reach_the_fixpoint_across_a_reorder(name, scheme):
+    """A band fires only the events whose top lies at or below
+    ``min_top``, so its result holds ``initial`` and lies inside the
+    reachable set; saturating that from a reversed order reaches the
+    same edge."""
+    analysis = bfs_fixpoint(FAMILIES[name](), scheme)
+    symnet = analysis.symbolic_net
+    bdd = symnet.bdd
+    reachable = analysis.reachable
+    events = symnet.saturation_events()
+    lower = Function(bdd, bdd.saturate_post(
+        symnet.initial.node, events, min_top=bdd.num_vars // 2))
+    assert (symnet.initial - lower).is_zero()
+    assert (lower - reachable).is_zero()
+    bdd.set_order(list(reversed(bdd.order())))
+    assert bdd.saturate_post(lower.node, events) == reachable.node
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_session_steps_one_band_at_a_time(name):
+    net = FAMILIES[name]()
+    analysis = Analysis(net)
+    assert analysis.spec.strategy == "saturation"
+    session = analysis.session
+    for _ in range(SATURATION_BANDS - 1):
+        assert analysis.step()
+        # Until the last band the frontier is the whole reached set.
+        assert session.frontier == session.reached
+        assert not session.at_fixpoint()
+    assert analysis.step()
+    assert session.frontier.is_zero()
+    assert not analysis.step()
+    result = analysis.run()
+    assert result.iterations == SATURATION_BANDS
+    assert result.markings == analyze(net, BFS).markings
+
+
+def test_jjreg_a_at_paper_size():
+    """124 variables deep, in one recursion per band."""
+    result = analyze(jj_register("a", bits=40))
+    assert result.variables == 124
+    assert result.iterations == SATURATION_BANDS

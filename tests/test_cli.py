@@ -69,6 +69,19 @@ class TestAnalyze:
         assert "markings=30" in out
         assert "scheme=improved" in out
 
+    def test_default_strategy_is_the_spec_default(self, muller_file,
+                                                  capsys):
+        """With no ``--strategy`` the CLI runs ``AnalysisSpec()`` itself,
+        so it shares that spec's cache and checkpoint key."""
+        from repro.analysis import AnalysisSpec
+        assert main(["analyze", str(muller_file)]) == 0
+        out = capsys.readouterr().out
+        assert f"spec={AnalysisSpec().semantic_fingerprint()}" in out
+        assert main(["analyze", str(muller_file), "--strategy",
+                     "chaining"]) == 0
+        chaining = AnalysisSpec(strategy="chaining").semantic_fingerprint()
+        assert f"spec={chaining}" in capsys.readouterr().out
+
     def test_zdd_engine(self, muller_file, capsys):
         assert main(["analyze", str(muller_file), "--engine", "zdd"]) == 0
         assert "markings=30" in capsys.readouterr().out
