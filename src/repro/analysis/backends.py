@@ -12,14 +12,17 @@ opens the one a spec routes to: ``bdd-functional``,
 
 Each session picks its successor function once, when it is built, from
 ``spec.resolved_engine``, and calls the net's image methods directly.
+The saturation schedules (the functional ``strategy`` and the relational
+and ZDD ``engine``) run one kernel recursion per band of levels
+(:data:`SATURATION_BANDS` steps, :meth:`SolverSession._saturation_band`).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..bdd import Function, false
+from ..bdd import EMPTY, Function, false
 from ..bdd.io import (dump_functions, dump_zdd_nodes, load_functions,
                       load_zdd_nodes)
 from ..dd import ResourceBudgetExceeded
@@ -39,6 +42,12 @@ from .spec import AnalysisSpec, SpecError
 __all__ = ["SolverSession", "open_session"]
 
 EncodingFactory = Callable[[PetriNet], Any]
+
+#: Steps of the saturation schedules.  Step ``k`` saturates with the
+#: events whose ``Top`` lies in the deepest ``(k + 1) / SATURATION_BANDS``
+#: of the current order, so the last band fires every event; each band
+#: ends at an ordinary safe point.
+SATURATION_BANDS = 2
 
 SCHEME_CLASSES = {
     "sparse": SparseEncoding,
@@ -73,6 +82,9 @@ class SolverSession:
     supports_model_checking = False
     #: Which :mod:`repro.bdd.io` format the checkpoint payload uses.
     _checkpoint_kind = "bdd"
+    #: The events a saturating session fires (the net's
+    #: ``saturation_events()``); ``None`` when the session sweeps.
+    _events: Optional[List] = None
 
     def __init__(self, spec: AnalysisSpec, build_seconds: float,
                  net: Optional[PetriNet] = None) -> None:
@@ -277,6 +289,17 @@ class SolverSession:
                 reason="malformed") from exc
         self.iterations = data.iteration
 
+    # -- saturation ----------------------------------------------------
+
+    def _saturation_band(self, levels: int) -> Tuple[int, bool]:
+        """``(min_top, last)`` of the band the next step saturates, over
+        an order of ``levels`` levels.  Every band's result holds the
+        initial states and lies inside the reachable set, so the band
+        picked by the iteration count is right after a resume too."""
+        band = min(self.iterations, SATURATION_BANDS - 1)
+        min_top = levels * (SATURATION_BANDS - 1 - band) // SATURATION_BANDS
+        return min_top, band == SATURATION_BANDS - 1
+
     # -- subclass surface ----------------------------------------------
 
     def at_fixpoint(self) -> bool:
@@ -326,17 +349,32 @@ def _build_encoding(net: PetriNet, spec: AnalysisSpec,
 
 
 # ----------------------------------------------------------------------
-# BDD functional
+# BDD sessions
 # ----------------------------------------------------------------------
 
-#: Steps of the saturation strategy.  Step ``k`` saturates with the
-#: events whose ``Top`` lies in the deepest ``(k + 1) / SATURATION_BANDS``
-#: of the current order, so the last band fires every event; each band
-#: ends at an ordinary safe point.
-SATURATION_BANDS = 2
+class _BddSession(SolverSession):
+    """What the BDD sessions share: ``Function`` roots that the fixpoint
+    is done with once the frontier is empty, and the saturation step."""
+
+    def at_fixpoint(self) -> bool:
+        return self.frontier.is_zero()
+
+    def _peak_nodes(self) -> int:
+        return self.symbolic_net.bdd.peak_live_nodes
+
+    def _saturate_band(self) -> None:
+        """Saturate ``reached`` with the next band's events.
+        ``frontier`` tracks ``reached`` until the last band empties
+        it."""
+        bdd = self.symbolic_net.bdd
+        min_top, last = self._saturation_band(bdd.num_vars)
+        self.reached = Function(bdd, bdd.saturate_post(
+            self.reached.node, self._events, min_top))
+        self.frontier = false(bdd) if last else self.reached
+        bdd.checkpoint()
 
 
-class _BddFunctionalSession(SolverSession):
+class _BddFunctionalSession(_BddSession):
     """Functional (renaming-free) image over an encoded safe net:
     saturation by force events, or quantify-force or toggle firing in
     BFS or chaining sweeps."""
@@ -353,18 +391,16 @@ class _BddFunctionalSession(SolverSession):
             reorder_threshold=spec.reorder_threshold)
         symnet = self.symbolic_net
         self._sweep_order = symnet.support_sorted_transitions()
-        self._events = symnet.saturation_events()
+        if spec.strategy == "saturation":
+            self._events = symnet.saturation_events()
         self.reached = symnet.initial
         self.frontier = symnet.initial
         super().__init__(spec, time.perf_counter() - start, net=net)
 
-    def at_fixpoint(self) -> bool:
-        return self.frontier.is_zero()
-
     def _advance(self) -> None:
         spec = self.spec
         symnet = self.symbolic_net
-        if spec.strategy == "saturation":
+        if self._events is not None:
             self._saturate_band()
             return
         # The previous frontier stays referenced through the safe point
@@ -387,25 +423,6 @@ class _BddFunctionalSession(SolverSession):
         # paper applies at each traversal iteration.
         symnet.bdd.checkpoint()
 
-    def _saturate_band(self) -> None:
-        """Saturate ``reached`` with the next band's events.  Every
-        band's result holds ``initial`` and lies inside the reachable
-        set, so the band picked by the iteration count is right after a
-        resume too.  ``frontier`` tracks ``reached`` until the last band
-        empties it."""
-        bdd = self.symbolic_net.bdd
-        band = min(self.iterations, SATURATION_BANDS - 1)
-        min_top = (bdd.num_vars * (SATURATION_BANDS - 1 - band)
-                   // SATURATION_BANDS)
-        self.reached = Function(bdd, bdd.saturate_post(
-            self.reached.node, self._events, min_top))
-        self.frontier = (false(bdd) if band == SATURATION_BANDS - 1
-                         else self.reached)
-        bdd.checkpoint()
-
-    def _peak_nodes(self) -> int:
-        return self.symbolic_net.bdd.peak_live_nodes
-
     def _finish(self) -> AnalysisResult:
         symnet = self.symbolic_net
         return self._base_result(
@@ -418,12 +435,9 @@ class _BddFunctionalSession(SolverSession):
                     "use_toggle": self.spec.use_toggle})
 
 
-# ----------------------------------------------------------------------
-# BDD relational
-# ----------------------------------------------------------------------
-
-class _BddRelationalSession(SolverSession):
-    """Relational-product image over partitioned transition relations:
+class _BddRelationalSession(_BddSession):
+    """The relational form over interleaved current/next variables:
+    saturation by the ``(force_t, E_t)`` pairs of the sparse relations,
     one monolithic image or one chained sweep per step."""
 
     name = "bdd-relational"
@@ -435,7 +449,10 @@ class _BddRelationalSession(SolverSession):
         relnet = self.symbolic_net = RelationalNet(
             encoding, auto_reorder=spec.reorder,
             reorder_threshold=spec.reorder_threshold)
-        if spec.resolved_engine == "monolithic":
+        engine = spec.resolved_engine
+        if engine == "saturation":
+            self._events = relnet.saturation_events()
+        elif engine == "monolithic":
             self._successors = \
                 lambda frontier, reached: relnet.image_monolithic(frontier)
         else:
@@ -444,10 +461,10 @@ class _BddRelationalSession(SolverSession):
         self.frontier = relnet.initial
         super().__init__(spec, time.perf_counter() - start, net=net)
 
-    def at_fixpoint(self) -> bool:
-        return self.frontier.is_zero()
-
     def _advance(self) -> None:
+        if self._events is not None:
+            self._saturate_band()
+            return
         reached = self.reached
         swept = self._successors(self.frontier, reached)
         self.reached = reached | swept
@@ -457,9 +474,6 @@ class _BddRelationalSession(SolverSession):
         # the sifting trajectory and peak every benchmark row records.
         del reached, swept
         self.symbolic_net.bdd.checkpoint()
-
-    def _peak_nodes(self) -> int:
-        return self.symbolic_net.bdd.peak_live_nodes
 
     def _finish(self) -> AnalysisResult:
         relnet = self.symbolic_net
@@ -480,7 +494,8 @@ class _BddRelationalSession(SolverSession):
 
 class _ZddSession(SolverSession):
     """Sparse-ZDD representation: the Yoneda classic per-transition
-    rewrite, or the chained sweep over a ``ZddRelationalNet``."""
+    rewrite, or saturation or the chained sweep over a
+    ``ZddRelationalNet``."""
 
     name = "zdd"
     own_representation = "the zdd backend builds its own representation"
@@ -488,7 +503,8 @@ class _ZddSession(SolverSession):
 
     def __init__(self, net: PetriNet, spec: AnalysisSpec) -> None:
         start = time.perf_counter()
-        if spec.resolved_engine == "classic":
+        engine = spec.resolved_engine
+        if engine == "classic":
             znet = self.symbolic_net = ZddNet(
                 net, auto_reorder=spec.reorder,
                 reorder_threshold=spec.reorder_threshold)
@@ -498,7 +514,10 @@ class _ZddSession(SolverSession):
             znet = self.symbolic_net = ZddRelationalNet(
                 net, auto_reorder=spec.reorder,
                 reorder_threshold=spec.reorder_threshold)
-            self._successors = znet.image_chained
+            if engine == "saturation":
+                self._events = znet.saturation_events()
+            else:
+                self._successors = znet.image_chained
         self.zdd = znet.zdd
         # The fixpoint roots stay referenced for the session's lifetime:
         # the per-iteration safe point may garbage collect (the shared
@@ -512,9 +531,15 @@ class _ZddSession(SolverSession):
 
     def _advance(self) -> None:
         zdd = self.zdd
-        swept = self._successors(self.frontier, self.reached)
-        reached = zdd.union(self.reached, swept)
-        frontier = zdd.diff(swept, self.reached)
+        if self._events is not None:
+            min_top, last = self._saturation_band(zdd.num_vars)
+            reached = zdd.saturate_post(self.reached, self._events,
+                                        min_top)
+            frontier = EMPTY if last else reached
+        else:
+            swept = self._successors(self.frontier, self.reached)
+            reached = zdd.union(self.reached, swept)
+            frontier = zdd.diff(swept, self.reached)
         zdd.ref(reached)
         zdd.ref(frontier)
         zdd.deref(self.reached)
@@ -559,7 +584,7 @@ class _ZddSession(SolverSession):
 # k-bounded
 # ----------------------------------------------------------------------
 
-class _KBoundedSession(SolverSession):
+class _KBoundedSession(_BddSession):
     """Count-bit encodings for k-bounded (non-safe) nets."""
 
     name = "kbounded"
@@ -572,18 +597,12 @@ class _KBoundedSession(SolverSession):
         self.frontier = self.symbolic_net.initial
         super().__init__(spec, time.perf_counter() - start, net=net)
 
-    def at_fixpoint(self) -> bool:
-        return self.frontier.is_zero()
-
     def _advance(self) -> None:
         knet = self.symbolic_net
         successors = knet.image_all(self.frontier)
         self.frontier = successors - self.reached
         self.reached = self.reached | successors
         knet.bdd.checkpoint()
-
-    def _peak_nodes(self) -> int:
-        return self.symbolic_net.bdd.peak_live_nodes
 
     def _finish(self) -> AnalysisResult:
         knet = self.symbolic_net

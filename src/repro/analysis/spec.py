@@ -51,12 +51,14 @@ log = logging.getLogger(__name__)
 SCHEMES = ("sparse", "dense", "improved")
 BACKEND_FAMILIES = ("bdd", "zdd", "portfolio")
 FORMS = ("functional", "relational")
-# The relational engine catalogue: ``chained`` is the one relational
-# sweep, ``monolithic`` the textbook single-relation baseline.  The ZDD
-# backend offers only ``chained``, which beats monolithic on time and
-# peak nodes on every benchmarked net.
-RELATIONAL_ENGINES = ("monolithic", "chained")
-ZDD_RELATIONAL_ENGINES = ("chained",)
+# The relational engine catalogue: ``saturation`` fires each
+# transition's ``(force, enabling)`` pair in place, one kernel recursion
+# per band of levels; ``chained`` is the Eq. 3 relational sweep and
+# ``monolithic`` the textbook single-relation baseline.  The ZDD backend
+# offers ``saturation`` and ``chained``; its ``monolithic`` lost to
+# ``chained`` on time and peak nodes on every benchmarked net.
+RELATIONAL_ENGINES = ("monolithic", "chained", "saturation")
+ZDD_RELATIONAL_ENGINES = ("chained", "saturation")
 STRATEGIES = ("bfs", "chaining", "saturation")
 
 # Member catalog for the portfolio backend: each id names one
@@ -76,10 +78,11 @@ DEFAULT_PORTFOLIO_MEMBERS = (
 )
 
 # The one place the project's engine defaults live.  ``bdd`` defaults to
-# the paper's functional toggle path; ``zdd`` to the relational chained
-# engine (measured fastest in BENCH_relprod.json across every instance).
+# the paper's functional form; ``zdd`` to the relational form.  Both
+# relational backends saturate by default, as the functional form does
+# (ROADMAP: seconds and peak nodes against chained).
 DEFAULT_FORM: Dict[str, str] = {"bdd": "functional", "zdd": "relational"}
-DEFAULT_RELATIONAL_ENGINE = "chained"
+DEFAULT_RELATIONAL_ENGINE = "saturation"
 DEFAULT_REORDER_THRESHOLD = 2_000
 
 # Catalogue names retired because they won no benchmark row on the
@@ -176,12 +179,15 @@ class AnalysisSpec:
         ``relational`` (partitioned transition relations).  ``None``
         resolves per backend through :data:`DEFAULT_FORM`.
     engine:
-        Relational image engine: ``chained`` or the ``monolithic``
-        baseline on the BDD backend; the ZDD backend runs only
-        ``chained``.  Engines that lost every ``BENCH_relprod.json``
-        row were retired (:data:`RETIRED_NAMES`).  ``None``
-        resolves to :data:`DEFAULT_RELATIONAL_ENGINE` for the
-        relational form; must be ``None`` with the functional form.
+        Relational engine: ``saturation`` (two kernel recursions, one
+        per band of levels, as the functional ``strategy`` runs),
+        ``chained`` or the ``monolithic`` baseline on the BDD backend;
+        the ZDD backend runs ``saturation`` and ``chained``.  Engines
+        that lost every ``BENCH_relprod.json`` row were retired
+        (:data:`RETIRED_NAMES`).  ``None`` resolves to
+        :data:`DEFAULT_RELATIONAL_ENGINE` for the relational form, and
+        both share one fingerprint; must be ``None`` with the
+        functional form.
     strategy, use_toggle:
         Functional-BDD traversal knobs, run by the ``bdd-functional``
         session (:func:`~repro.analysis.backends.open_session`):
@@ -405,8 +411,8 @@ class AnalysisSpec:
                     f"engine={self.engine!r} is retired on the ZDD "
                     f"backend, which offers {ZDD_RELATIONAL_ENGINES}: "
                     f"chained beats it on time and peak nodes on every "
-                    f"benchmarked net; use that, or form='functional' "
-                    f"for the classic baseline")
+                    f"benchmarked net; use one of those, or "
+                    f"form='functional' for the classic baseline")
         if self.reorder_threshold < 1:
             raise SpecError(
                 f"reorder_threshold must be positive, got "
@@ -587,10 +593,16 @@ class AnalysisSpec:
         durability and budget knobs, which change how a run is
         supervised but never which states it visits — plus
         :data:`RETIRED_FIELD_DEFAULTS`, so retiring a field never moves
-        a fingerprint.
+        a fingerprint.  The relational form records its resolved
+        engine, so ``engine=None`` shares the identity of the engine it
+        runs and moving :data:`DEFAULT_RELATIONAL_ENGINE` moves the
+        default key.
         """
         semantic = {key: value for key, value in self.to_dict().items()
                     if key not in NONSEMANTIC_FIELDS}
+        if (self.backend != "portfolio" and self.k_bound is None
+                and self.resolved_form == "relational"):
+            semantic["engine"] = self.resolved_engine
         semantic.update((name, default) for name, (default, _)
                         in RETIRED_FIELD_DEFAULTS.items())
         return semantic

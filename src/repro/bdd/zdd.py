@@ -18,7 +18,9 @@ relational core mirroring :class:`repro.bdd.manager.BDD`: ``product``
 fused ``and_exists`` — ``exists(product(u, v), vars)`` in one recursion,
 memoized in its own operation cache with call/cache-hit counters.  These
 are what :class:`repro.symbolic.zdd_relational.ZddRelationalNet` builds
-its partitioned transition relations on.
+its partitioned transition relations on.  ``saturate_post`` closes a
+family under ``(consume, produce)`` events in one recursion, the
+default ZDD fixpoint.
 
 The manager shares the :class:`repro.dd.manager.DDManager` kernel with
 the BDD manager, which gives it the full lifecycle machinery the old
@@ -36,7 +38,7 @@ from __future__ import annotations
 from typing import (Dict, FrozenSet, Iterable, Iterator, List, Mapping,
                     Tuple)
 
-from ..dd.manager import DDError, DDManager
+from ..dd.manager import DDError, DDManager, _PACK
 
 EMPTY = 0
 BASE = 1
@@ -534,6 +536,196 @@ class ZDD(DDManager):
             result = self._mk(var, low, high)
         self._ae_cache[key] = result
         return result
+
+    # ------------------------------------------------------------------
+    # Saturation: the forward fixpoint in one recursion
+    # ------------------------------------------------------------------
+
+    def saturate_post(self, states: int,
+                      events: Iterable[Tuple[Iterable, Iterable]],
+                      min_top: int = 0) -> int:
+        """Forward closure of ``states`` by saturation (Ciardo, Lüttgen
+        & Siminiceanu, TACAS 2001), the token-set mirror of
+        :meth:`repro.bdd.manager.BDD.saturate_post`.
+
+        Each event is a ``(consume, produce)`` pair of elements.  The
+        result is the least family ``⊇ states`` closed under ``M ↦ (M \\
+        consume) ∪ produce`` for every ``M ⊇ consume``, over the events
+        whose ``Top`` (the shallowest level of ``consume ∪ produce``) is
+        at or below level ``min_top``; events filed above it are
+        skipped.
+
+        The recursion is the BDD one: ``saturate`` works bottom-up and
+        fires the events filed at a node's level until neither branch
+        grows, and ``relprod`` fires one event below its ``Top`` and
+        saturates its result on the way back up.  Zero suppression
+        changes two things.  A level a node skips holds the element
+        *absent* (the split there is ``(u, EMPTY)``), so both recursions
+        stop at every event level and every support level, not only at
+        the node's.  At a support level a consumed element reads branch
+        1 and a produce-only one reads both; either writes the branch of
+        its value after firing.
+
+        The memo tables, unions included, live and die with the call:
+        no registered cache gains an entry, so the operation needs no
+        safe point around it.
+        """
+        var_arr = self._var
+        low_arr = self._low
+        high_arr = self._high
+        var2level = self._var2level
+        level2var = self._level2var
+        node_fn = self._node
+        terminal = len(var2level)
+
+        # File the events by Top.  An event is (per support level: the
+        # branches it reads and the one it writes, Bot, next support
+        # level from each level of [Top, Bot], Top, its relprod memo).
+        by_top: Dict[int, list] = {}
+        for consume, produce in events:
+            taken = {var2level[self.var_index(e)] for e in consume}
+            given = {var2level[self.var_index(e)] for e in produce}
+            roles = {level: ((1,) if level in taken else (0, 1),
+                             int(level in given))
+                     for level in taken | given}
+            if not roles:
+                continue  # nothing consumed or produced: the identity
+            top, bot = min(roles), max(roles)
+            if top < min_top:
+                continue
+            next_support = [terminal] * (bot - top + 2)
+            for level in range(bot, top - 1, -1):
+                next_support[level - top] = (
+                    level if level in roles
+                    else next_support[level - top + 1])
+            by_top.setdefault(top, []).append(
+                (roles, bot, next_support, top, {}))
+        # next_event[L]: the shallowest level at or below L with events.
+        next_event = [terminal] * (terminal + 1)
+        for level in range(terminal - 1, -1, -1):
+            next_event[level] = (level if level in by_top
+                                 else next_event[level + 1])
+
+        sat_memo: Dict[int, int] = {}
+        union_memo: Dict[int, int] = {}
+
+        def level_of(u: int) -> int:
+            return terminal if u <= BASE else var2level[var_arr[u]]
+
+        def split(u: int, level: int) -> Tuple[int, int]:
+            if u > BASE and var2level[var_arr[u]] == level:
+                return low_arr[u], high_arr[u]
+            return u, EMPTY
+
+        def mk(level: int, r0: int, r1: int) -> int:
+            if r1 == EMPTY:
+                return r0
+            return node_fn(level2var[level], r0, r1)
+
+        def union(u: int, v: int) -> int:
+            if u == EMPTY:
+                return v
+            if v == EMPTY or u == v:
+                return u
+            if u > v:
+                u, v = v, u
+            key = (u << _PACK) | v
+            result = union_memo.get(key)
+            if result is not None:
+                return result
+            ulvl, vlvl = level_of(u), level_of(v)
+            if ulvl < vlvl:
+                result = node_fn(var_arr[u], union(low_arr[u], v),
+                                 high_arr[u])
+            elif vlvl < ulvl:
+                result = node_fn(var_arr[v], union(u, low_arr[v]),
+                                 high_arr[v])
+            else:
+                result = node_fn(var_arr[u],
+                                 union(low_arr[u], low_arr[v]),
+                                 union(high_arr[u], high_arr[v]))
+            union_memo[key] = result
+            return result
+
+        def fire(level: int, x0: int, x1: int) -> Tuple[int, int]:
+            """Fire the events filed at ``level`` on the saturated
+            branches ``x0`` and ``x1`` until neither grows."""
+            x = [x0, x1]
+            grown = True
+            while grown:
+                grown = False
+                for event in by_top[level]:
+                    reads, write = event[0][level]
+                    for i in reads:
+                        if x[i] == EMPTY:
+                            continue
+                        found = relprod(x[i], event, level + 1)
+                        merged = union(x[write], found)
+                        if merged != x[write]:
+                            x[write] = merged
+                            grown = True
+            return x[0], x[1]
+
+        def saturate(s: int, level: int) -> int:
+            """Least superset of ``s`` closed under the events whose
+            ``Top`` is at or below ``level``."""
+            if s == EMPTY:
+                return s
+            level = next_event[level]
+            if level == terminal:
+                return s
+            slvl = level_of(s)
+            if slvl < level:
+                level = slvl
+            key = (s << _PACK) | level
+            result = sat_memo.get(key)
+            if result is not None:
+                return result
+            s0, s1 = split(s, level)
+            x0 = saturate(s0, level + 1)
+            x1 = saturate(s1, level + 1)
+            if next_event[level] == level:
+                x0, x1 = fire(level, x0, x1)
+            result = mk(level, x0, x1)
+            sat_memo[key] = result
+            sat_memo[(result << _PACK) | level] = result
+            return result
+
+        def relprod(s: int, event, level: int) -> int:
+            """``saturate(step(s))`` where ``step`` fires the event's
+            support from ``level`` down."""
+            if s == EMPTY:
+                return EMPTY
+            roles, bot, next_support, top, memo = event
+            if level <= bot:
+                level = min(level_of(s), next_event[level],
+                            next_support[level - top])
+            if level > bot:
+                # Past the event: nothing is consumed or produced here.
+                return saturate(s, level)
+            key = (s << _PACK) | level
+            result = memo.get(key)
+            if result is not None:
+                return result
+            s0, s1 = split(s, level)
+            role = roles.get(level)
+            if role is None:
+                r0 = relprod(s0, event, level + 1)
+                r1 = relprod(s1, event, level + 1)
+            else:
+                reads, write = role
+                found = EMPTY
+                for i in reads:
+                    found = union(found, relprod((s0, s1)[i], event,
+                                                 level + 1))
+                r0, r1 = (EMPTY, found) if write else (found, EMPTY)
+            if next_event[level] == level:
+                r0, r1 = fire(level, r0, r1)
+            result = mk(level, r0, r1)
+            memo[key] = result
+            return result
+
+        return saturate(states, 0)
 
     # ------------------------------------------------------------------
     # Inspection

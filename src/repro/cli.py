@@ -173,14 +173,17 @@ def _build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--image", default=None,
                      choices=["functional"] + list(RELATIONAL_ENGINES),
                      help="image computation: the renaming-free functional "
-                          "operators or a relational product engine over "
+                          "operators or a relational engine: 'saturation' "
+                          "fires each transition in place, one kernel "
+                          "recursion per band of levels, 'chained' and "
+                          "'monolithic' take relational products over "
                           "partitioned transition relations (with "
                           "--engine zdd, 'functional' selects the classic "
-                          "per-transition rewrite and 'chained' the "
-                          "sparse ZDD relational engine, its only one); "
-                          "when omitted, each backend's default "
-                          "from AnalysisSpec applies (functional for bdd, "
-                          "chained for zdd)")
+                          "per-transition rewrite, and 'saturation' and "
+                          "'chained' are its relational engines); when "
+                          "omitted, each backend's default from "
+                          "AnalysisSpec applies (functional for bdd, "
+                          "saturation for zdd)")
     ana.add_argument("--portfolio-members", default=None,
                      metavar="M1,M2,...",
                      help="comma-separated member ids for the portfolio "

@@ -9,8 +9,9 @@ docs/encodings.md, "Generator substitutions"):
    (Section 5.2).
 3. **Quantify-force vs. toggle firing vs. relational image** — traversal
    time of the image implementations: BFS quantify-force and toggle
-   firing, the saturation schedule, the monolithic relation and the
-   chained relational-product sweep, without and with reordering.
+   firing, the saturation schedule, the monolithic relation, the
+   chained relational-product sweep, without and with reordering, and
+   relational saturation.
 4. **Dynamic reordering on/off** — final BDD size and time, sifting
    from the structural initial order, not the paper's (see ``runner``).
 
@@ -81,6 +82,12 @@ def gray_code_ablation() -> List[AblationRow]:
     return rows
 
 
+#: The sifting trigger of the ablation's reordering rows: low enough
+#: that every instance's live diagram crosses it (figure4 peaks at 168
+#: nodes unsifted).  A trigger no instance reaches makes each row with
+#: reordering on repeat the row with it off.
+REORDER_ABLATION_THRESHOLD = 50
+
 # Each configuration of ablation question 3 as a declarative spec — the
 # whole grid routes through ``analyze()`` with one builder per row.
 IMAGE_CONFIGURATIONS: List[Tuple[str, AnalysisSpec]] = [
@@ -97,7 +104,9 @@ IMAGE_CONFIGURATIONS: List[Tuple[str, AnalysisSpec]] = [
      AnalysisSpec(form="relational", engine="chained", reorder=False)),
     ("image=rel-chained+reorder",
      AnalysisSpec(form="relational", engine="chained", reorder=True,
-                  reorder_threshold=1_000)),
+                  reorder_threshold=REORDER_ABLATION_THRESHOLD)),
+    ("image=rel-saturation",
+     AnalysisSpec(form="relational", engine="saturation", reorder=False)),
 ]
 
 
@@ -128,7 +137,7 @@ def reordering_ablation() -> List[AblationRow]:
             result = analyze(
                 net,
                 AnalysisSpec(strategy="bfs", reorder=reorder,
-                             reorder_threshold=1_000),
+                             reorder_threshold=REORDER_ABLATION_THRESHOLD),
                 encoding_factory=lambda n, c=components: ImprovedEncoding(
                     n, components=c))
             rows.append(AblationRow(name, label,

@@ -23,16 +23,22 @@ analysis session calls one of two images per fixpoint step:
   support-sorted order while accumulating successors, so states
   discovered by an early block are expanded by later ones within the
   same sweep.
+
+The default relational engine, saturation, calls no image at all: a
+safe-net transition's sparse relation is the pair ``(force_t, E_t)``
+(:meth:`RelationalNet.saturation_events`), which
+:meth:`~repro.bdd.manager.BDD.saturate_post` fires in place over the
+current variables, one kernel call per band of levels.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..bdd import BDD, Function, cube, false, variable
 from ..encoding.characteristic import (enabling_functions,
                                        initial_function, place_functions,
-                                       variable_order)
+                                       saturation_events, variable_order)
 from ..encoding.scheme import Encoding
 from .partition import PartitionedNet, RelationPartition, next_state_suffix
 
@@ -158,6 +164,15 @@ class RelationalNet(PartitionedNet):
             relation = self.monolithic_relation()
         next_states = states.and_exists(relation, self.current)
         return next_states.rename(self._to_current)
+
+    def saturation_events(self) -> List[Tuple[Dict[str, bool], int]]:
+        """One ``(force_t, E_t)`` event per transition over the current
+        variables, the list :meth:`SymbolicNet.saturation_events
+        <repro.symbolic.transition.SymbolicNet.saturation_events>`
+        builds: the sparse relation ``E_t AND cube(forced next values)``
+        without its next variables.  The saturation engine fires these
+        in place, so it never renames."""
+        return saturation_events(self.encoding, self.enabling)
 
     # ------------------------------------------------------------------
     # Sparse relations (the partition layer's raw material)

@@ -28,7 +28,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from ..bdd import BDD, Function, cube, false
 from ..encoding.characteristic import (declare_variables,
                                        enabling_functions, initial_function,
-                                       place_functions)
+                                       place_functions, saturation_events)
 from ..encoding.scheme import Encoding, TransitionSpec
 from ..petri.marking import Marking
 from .partition import sort_by_support
@@ -119,8 +119,7 @@ class SymbolicNet:
         """One ``(force_t, E_t)`` event per transition, in net order:
         the list the kernel's saturation calls take (``E_t`` as an
         edge, kept referenced by :attr:`enabling`)."""
-        return [(dict(self.specs[t].force), self.enabling[t].node)
-                for t in self.net.transitions]
+        return saturation_events(self.encoding, self.enabling)
 
     # ------------------------------------------------------------------
     # Support-sorted partitioning of the functional image

@@ -29,7 +29,12 @@ is the fused three-step pipeline
 
 Untouched places flow through every step unchanged — the implicit
 identity that keeps the relations sparse, exactly as in
-:class:`~repro.symbolic.relational.RelationalNet`.  With the shared
+:class:`~repro.symbolic.relational.RelationalNet`.  The default ZDD
+engine, saturation, fires the same relation in place instead: one
+``(I, O)`` pair of current elements per transition
+(:meth:`ZddRelationalNet.saturation_events`), under which
+:meth:`~repro.bdd.zdd.ZDD.saturate_post` closes the family with no
+next element and no rename.  With the shared
 :class:`~repro.dd.manager.DDManager` kernel the ZDD manager now
 reference-counts, garbage-collects and dynamically reorders; the net
 pins its long-lived families (initial marking, sparse relations) with
@@ -178,6 +183,18 @@ class ZddRelationalNet(ZddStateOps, PartitionedNet):
     def sparse_relations(self) -> Dict[str, ZddSparseRelation]:
         """All sparse per-transition relations (built at construction)."""
         return self._sparse
+
+    def saturation_events(self) -> List[Tuple[Tuple[int, ...],
+                                              Tuple[int, ...]]]:
+        """One ``(consume, produce)`` pair of current-element indices
+        per transition, in net order: the list
+        :meth:`ZDD.saturate_post <repro.bdd.zdd.ZDD.saturate_post>`
+        takes.  It fires ``M -> (M - pre) | post`` in place, so the
+        next elements and the renames stay unused."""
+        return [(self._sparse[t].consume,
+                 tuple(sorted(self._cur_index[p]
+                              for p in self.net.postset(t))))
+                for t in self.net.transitions]
 
     def transition_support(self, transition: str) -> FrozenSet[int]:
         """Element indices a transition touches: its current/next pairs.

@@ -27,9 +27,13 @@ from repro.analysis.checkpoint import dump_checkpoint, parse_checkpoint
 from repro.petri.generators import philosophers
 
 # One spec per backend family; every one must checkpoint and resume.
+# The relational and ZDD defaults saturate: their first step is a whole
+# band, so a mid-flight resume picks up after band 1.
 BACKEND_SPECS = {
     "bdd-functional": dict(),
+    "bdd-relational": dict(form="relational"),
     "bdd-chained": dict(form="relational", engine="chained"),
+    "zdd": dict(backend="zdd"),
     "zdd-chained": dict(backend="zdd", form="relational",
                         engine="chained"),
     "zdd-classic": dict(backend="zdd", form="functional"),
@@ -427,13 +431,21 @@ class TestColdStartFallback:
 # ----------------------------------------------------------------------
 
 
+# The default spec of each saturating session: budgets are enforced at
+# the safe point after each band.
+DEFAULT_SPECS = {"bdd": dict(), "relational": dict(form="relational"),
+                 "zdd": dict(backend="zdd")}
+
+
 class TestBudgets:
+    @pytest.mark.parametrize("config", sorted(DEFAULT_SPECS))
     def test_node_budget_yields_partial_with_checkpoint(
-            self, tmp_path, make_net, explicit_counts):
+            self, tmp_path, make_net, explicit_counts, config):
         net = make_net("phil6")
         path = str(tmp_path / "phil6.ckpt")
         partial = analyze(net, AnalysisSpec(checkpoint_path=path,
-                                            node_budget=50))
+                                            node_budget=50,
+                                            **DEFAULT_SPECS[config]))
         assert partial.status == "partial"
         budget = partial.extras["budget"]
         assert budget["kind"] == "nodes"
@@ -445,14 +457,17 @@ class TestBudgets:
         assert os.path.exists(path)
         # …and resuming with the budget lifted completes to the oracle.
         done = analyze(net, AnalysisSpec(checkpoint_path=path,
-                                         resume=True))
+                                         resume=True,
+                                         **DEFAULT_SPECS[config]))
         assert done.status == "complete"
         assert done.extras["resume"]["status"] == "resumed"
         assert done.markings == explicit_counts["phil6"]
 
-    def test_deadline_yields_partial(self, make_net):
+    @pytest.mark.parametrize("config", sorted(DEFAULT_SPECS))
+    def test_deadline_yields_partial(self, make_net, config):
         result = analyze(make_net("phil6"),
-                         AnalysisSpec(deadline=1e-6))
+                         AnalysisSpec(deadline=1e-6,
+                                      **DEFAULT_SPECS[config]))
         assert result.status == "partial"
         assert result.extras["budget"]["kind"] == "deadline"
 

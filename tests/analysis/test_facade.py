@@ -24,9 +24,16 @@ SPECS = {
     # new order after every reorder sits on the path these runs take.
     "rel-chained-sifted": AnalysisSpec(form="relational", engine="chained",
                                        reorder_threshold=20),
+    "rel-saturation": AnalysisSpec(form="relational"),
+    "rel-saturation-sifted": AnalysisSpec(form="relational",
+                                          reorder_threshold=20),
     "zdd-classic": AnalysisSpec(backend="zdd", form="functional"),
-    "zdd-chained": AnalysisSpec(backend="zdd"),
-    "zdd-chained-sifted": AnalysisSpec(backend="zdd", reorder_threshold=20),
+    "zdd-chained": AnalysisSpec(backend="zdd", engine="chained"),
+    "zdd-chained-sifted": AnalysisSpec(backend="zdd", engine="chained",
+                                       reorder_threshold=20),
+    "zdd-saturation": AnalysisSpec(backend="zdd"),
+    "zdd-saturation-sifted": AnalysisSpec(backend="zdd",
+                                          reorder_threshold=20),
     "kbounded": AnalysisSpec(k_bound=1),
 }
 
@@ -76,8 +83,9 @@ class TestCrossBackend:
     @pytest.mark.parametrize("net_name", NETS)
     @pytest.mark.parametrize("spec", [
         AnalysisSpec(backend="zdd", form="functional", reorder=False),
+        AnalysisSpec(backend="zdd", engine="chained", reorder=False),
         AnalysisSpec(backend="zdd", reorder=False)],
-        ids=["classic", "chained"])
+        ids=["classic", "chained", "saturation"])
     def test_zdd_matches_explicit_set(self, make_net, net_name, spec):
         net = make_net(net_name)
         analysis = Analysis(net, spec)
@@ -111,7 +119,7 @@ class TestSession:
         for key in ("backend", "engine", "iterations", "at_fixpoint",
                     "peak_nodes", "build_seconds", "fixpoint_seconds"):
             assert key in stats
-        assert stats["engine"] == "zdd/chained"
+        assert stats["engine"] == "zdd/saturation"
         assert stats["iterations"] == 0
 
     def test_checker_reuses_the_computed_reachable_set(self, make_net):
@@ -160,8 +168,8 @@ class TestSession:
 ROUTES = {
     "functional": ({}, "bdd-functional", "functional"),
     "relational": ({"form": "relational"}, "bdd-relational",
-                   "relational/chained"),
-    "zdd": ({"backend": "zdd"}, "zdd", "zdd/chained"),
+                   "relational/saturation"),
+    "zdd": ({"backend": "zdd"}, "zdd", "zdd/saturation"),
     "kbounded": ({"k_bound": 2}, "kbounded", "kbounded/2"),
     # k_bound parameterizes the portfolio's kbounded member; it must
     # not reroute the spec to the k-bounded session.
@@ -264,9 +272,12 @@ class TestSiftingTrajectory:
     # once the safe point collects, so the threshold is lowered to one
     # at which sifting fires.
     @pytest.mark.parametrize("net_name, spec", [
-        ("slot4", AnalysisSpec(form="relational", reorder_threshold=200)),
-        ("phil6", AnalysisSpec(form="relational", reorder_threshold=200)),
-        ("dme3", AnalysisSpec(backend="zdd", reorder_threshold=200))],
+        ("slot4", AnalysisSpec(form="relational", engine="chained",
+                               reorder_threshold=200)),
+        ("phil6", AnalysisSpec(form="relational", engine="chained",
+                               reorder_threshold=200)),
+        ("dme3", AnalysisSpec(backend="zdd", engine="chained",
+                              reorder_threshold=200))],
         ids=["slot4-relational", "phil6-relational", "dme3-zdd"])
     def test_session_matches_the_reference_loop(self, make_net, net_name,
                                                 spec):
@@ -290,9 +301,13 @@ class TestRunnerIntegration:
                 (AnalysisSpec(scheme="sparse"), "sparse"),
                 (AnalysisSpec(scheme="dense"), "covering"),
                 (AnalysisSpec(), "dense"),
-                (AnalysisSpec(form="relational"), "rel-chained"),
+                (AnalysisSpec(form="relational"), "rel-saturation"),
+                (AnalysisSpec(form="relational", engine="chained"),
+                 "rel-chained"),
                 (AnalysisSpec(backend="zdd", form="functional"), "zdd"),
-                (AnalysisSpec(backend="zdd"), "zdd-chained"),
+                (AnalysisSpec(backend="zdd"), "zdd-saturation"),
+                (AnalysisSpec(backend="zdd", engine="chained"),
+                 "zdd-chained"),
                 (AnalysisSpec(k_bound=2), "k2")]:
             assert engine_label(spec) == label
             row = run("fig1", net, spec)

@@ -17,18 +17,18 @@ class TestDefaults:
         assert spec.scheme == "improved"
         assert spec.reorder is True
 
-    def test_zdd_defaults_to_chained_relational(self):
+    def test_zdd_defaults_to_saturation_relational(self):
         spec = AnalysisSpec(backend="zdd")
         assert spec.resolved_form == "relational"
         assert spec.resolved_engine == DEFAULT_RELATIONAL_ENGINE
-        assert spec.engine_id == "zdd/chained"
+        assert spec.engine_id == "zdd/saturation"
 
     def test_relational_engine_default_is_shared(self):
         # One default, defined once: both backends resolve the same
         # relational engine when none is named.
         bdd = AnalysisSpec(form="relational")
         zdd = AnalysisSpec(backend="zdd", form="relational")
-        assert bdd.resolved_engine == zdd.resolved_engine == "chained"
+        assert bdd.resolved_engine == zdd.resolved_engine == "saturation"
 
     def test_runner_default_matches_spec_default(self):
         # The historical skew: the runner's ZDD wrapper defaulted to
@@ -38,7 +38,7 @@ class TestDefaults:
         from repro.petri.generators import figure1_net
         spec = AnalysisSpec(backend="zdd")
         row = run("fig1", figure1_net(), spec)
-        assert row.engine == engine_label(spec) == "zdd-chained"
+        assert row.engine == engine_label(spec) == "zdd-saturation"
 
     def test_cli_default_matches_spec_default(self):
         args = _build_parser().parse_args(["analyze", "x.pnet"])
@@ -363,11 +363,16 @@ class TestIdentityAcrossFieldRemoval:
 
     # semantic_fingerprint() values recorded while the spec still had
     # the ``workers`` and ``simplify_frontier`` fields, and ``chaining``
-    # was the default strategy.
+    # was the default strategy.  The zdd and relational rows name the
+    # chained engine they were written for; their values are the ones
+    # recorded once the relational form started keying on its resolved
+    # engine (``e269d4c0f6edbfc6`` and ``1dfd5f449f324cf9`` before).
     PINNED = [
         (dict(strategy="chaining"), "d7b8967606abd9af"),
-        (dict(strategy="chaining", backend="zdd"), "e269d4c0f6edbfc6"),
-        (dict(strategy="chaining", form="relational"), "1dfd5f449f324cf9"),
+        (dict(strategy="chaining", backend="zdd", engine="chained"),
+         "4d3bab0d92216659"),
+        (dict(strategy="chaining", form="relational", engine="chained"),
+         "d61a8e3e3271d7ab"),
         (dict(strategy="chaining", backend="portfolio"),
          "e8c589da453b9cd3"),
     ]
@@ -380,11 +385,14 @@ class TestIdentityAcrossFieldRemoval:
         assert spec_fingerprint(spec) == fingerprint
 
     # The default specs since saturation became the default strategy
-    # (``strategy`` is semantic on every backend, so all four moved).
+    # (``strategy`` is semantic on every backend, so all four moved),
+    # and the zdd and relational ones again since saturation became the
+    # default relational engine (``dcdd60c6c52aac2c`` and
+    # ``e66704f57edd1813`` before).
     DEFAULTS = [
         (dict(), "13dab6090abf8970"),
-        (dict(backend="zdd"), "dcdd60c6c52aac2c"),
-        (dict(form="relational"), "e66704f57edd1813"),
+        (dict(backend="zdd"), "e51dca522beb3476"),
+        (dict(form="relational"), "054ef09cf3517ef5"),
         (dict(backend="portfolio"), "6d6fc1d0042e35c4"),
     ]
 
@@ -395,6 +403,35 @@ class TestIdentityAcrossFieldRemoval:
         assert spec.strategy == "saturation"
         assert spec.semantic_fingerprint() == fingerprint
         assert spec_fingerprint(spec) == fingerprint
+
+    # Explicit engines and the specs that resolve no relational engine
+    # keep the keys they had before the relational form started keying
+    # on its resolved engine.
+    UNMOVED = [
+        (dict(form="relational", engine="chained"), "e7cebacbb0e2c00b"),
+        (dict(form="relational", engine="monolithic"), "2f7655edf17b6bb8"),
+        (dict(backend="zdd", engine="chained"), "0520ab3981e6cf5a"),
+        (dict(backend="zdd", form="functional"), "fa6f7a526515e427"),
+        (dict(k_bound=2), "33fe52d503a30db2"),
+    ]
+
+    @pytest.mark.parametrize("overrides,fingerprint", UNMOVED)
+    def test_explicit_engine_fingerprint_is_unchanged(self, overrides,
+                                                      fingerprint):
+        assert AnalysisSpec(**overrides).semantic_fingerprint() \
+            == fingerprint
+
+    @pytest.mark.parametrize("backend", ["bdd", "zdd"])
+    def test_default_engine_shares_the_saturation_identity(self, backend):
+        """``engine=None`` runs saturation, so it keys the same cache
+        entries and checkpoints as naming it."""
+        default = AnalysisSpec(backend=backend, form="relational")
+        named = default.replace(engine="saturation")
+        assert default != named
+        assert (default.semantic_fingerprint()
+                == named.semantic_fingerprint())
+        assert (default.semantic_fingerprint()
+                != default.replace(engine="chained").semantic_fingerprint())
 
     def test_result_written_with_workers_field_still_loads(self):
         from repro.analysis import AnalysisResult
@@ -443,7 +480,8 @@ class TestIdentityAcrossFieldRemoval:
         """A relational result as the build before the retirement wrote
         it (its extras name the partition granularity it ran)."""
         from repro.analysis import AnalysisResult
-        relational = AnalysisSpec(strategy="chaining", form="relational")
+        relational = AnalysisSpec(strategy="chaining", form="relational",
+                                  engine="chained")
         spec_fields = dict(relational.to_dict(), **{field: value})
         payload = {
             "schema": 1, "schema_minor": 1, "spec": spec_fields,
@@ -456,7 +494,7 @@ class TestIdentityAcrossFieldRemoval:
         }
         result = AnalysisResult.from_dict(payload)
         assert result.spec == relational
-        assert result.spec.semantic_fingerprint() == "1dfd5f449f324cf9"
+        assert result.spec.semantic_fingerprint() == "d61a8e3e3271d7ab"
         assert field not in result.to_dict()["spec"]
 
     @pytest.mark.parametrize("ignore_unknown", [False, True])
@@ -501,8 +539,9 @@ class TestSerialEngineCatalogue:
         from repro.analysis import (PORTFOLIO_MEMBERS, RELATIONAL_ENGINES,
                                     ZDD_RELATIONAL_ENGINES)
         # One catalogue, defined in the spec that validates it.
-        assert RELATIONAL_ENGINES == ("monolithic", "chained")
-        assert ZDD_RELATIONAL_ENGINES == ("chained",)
+        assert RELATIONAL_ENGINES == ("monolithic", "chained",
+                                      "saturation")
+        assert ZDD_RELATIONAL_ENGINES == ("chained", "saturation")
         assert not hasattr(repro.symbolic, "IMAGE_ENGINES")
         assert not [m for m in PORTFOLIO_MEMBERS if m.endswith("-mp")]
 

@@ -41,13 +41,13 @@ class TestRunner:
         assert row.variables == 4
 
     def test_run_zdd_row_default_is_project_default(self):
-        # The default ZDD engine comes from AnalysisSpec (chained), the
-        # same default the CLI's --engine zdd resolves to — the old
+        # The default ZDD engine comes from AnalysisSpec (saturation),
+        # the same default the CLI's --engine zdd resolves to — the old
         # classic-vs-chained skew between runner and CLI is gone.
         default = AnalysisSpec(backend="zdd")
         row = run("fig1", figure1_net(), default)
         assert row.engine == f"zdd-{default.resolved_engine}"
-        assert row.engine == "zdd-chained"
+        assert row.engine == "zdd-saturation"
         assert row.markings == 8
         assert row.variables == 7
 
@@ -256,6 +256,11 @@ class TestAblationGrid:
             result = analyze(factory(), AnalysisSpec(strategy="bfs",
                                                      reorder=False))
             assert off[name] == result.final_nodes
+        # The trigger is one the instances cross: sifting moves at least
+        # one final size.
+        on = {row.instance: row.value for row in rows
+              if row.configuration == "reorder=on"}
+        assert any(on[name] != off[name] for name in off)
 
     def test_main_prints_the_four_sections(self, capsys):
         from repro.experiments import ablation

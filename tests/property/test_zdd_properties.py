@@ -195,3 +195,46 @@ def test_and_exists_is_fused_project_of_product(fam1, fam2, qvars):
     joined = zdd.product(u, v)
     assert fused == zdd.exists(joined, qvars)
     assert fused == zdd.project(joined, ALL_ELEMS - qvars)
+
+
+# ---------------------------------------------------------------------
+# Saturation: the forward fixpoint in one recursion
+# ---------------------------------------------------------------------
+
+zdd_events = st.lists(st.tuples(vars_strategy, vars_strategy), max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(family_strategy, zdd_events,
+       st.permutations(list(range(NUM_ELEMS))),
+       st.integers(min_value=0, max_value=NUM_ELEMS))
+def test_saturate_post_matches_forward_search(fam, events, order, min_top):
+    """The least family ``⊇ fam`` closed under ``M -> (M - consume) |
+    produce`` for ``consume ⊆ M``, over the events whose top level is at
+    or below ``min_top``.  Checked against explicit forward search, with
+    no entry left in a registered cache."""
+    zdd = ZDD(var_names=NAMES)
+    zdd.set_order(order)
+    node = build(zdd, fam)
+    zdd.clear_caches()
+    saturated = zdd.saturate_post(node, events, min_top)
+    assert all(not cache for cache in zdd._op_caches)
+
+    def top(consume, produce):
+        return min((zdd.level_of_var(e) for e in consume | produce),
+                   default=None)
+
+    firing = [(consume, produce) for consume, produce in events
+              if top(consume, produce) is not None
+              and top(consume, produce) >= min_top]
+    closed = set(fam)
+    stack = list(closed)
+    while stack:
+        members = stack.pop()
+        for consume, produce in firing:
+            if consume <= members:
+                successor = (members - consume) | produce
+                if successor not in closed:
+                    closed.add(successor)
+                    stack.append(successor)
+    assert extract(zdd, saturated) == frozenset(closed)

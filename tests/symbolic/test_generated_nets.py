@@ -4,7 +4,8 @@ The generator families are nets this project wrote; these are not.
 Hypothesis composes small safe nets (one to four one-token state
 machines with free-choice branches and two-machine synchronisations,
 :func:`net_strategies.safe_nets`) and every surviving backend × form ×
-engine must count exactly the markings explicit enumeration finds.
+engine must reach exactly the marking set explicit enumeration finds:
+the count, and the decoded markings themselves.
 Every run sifts from a low threshold, so dynamic reordering and the
 relational sweep's re-sort by the new order run on these nets too.
 
@@ -41,11 +42,15 @@ SPECS = {
     "functional-bfs": AnalysisSpec(strategy="bfs", **SIFTING),
     "functional-bfs-quantify": AnalysisSpec(strategy="bfs",
                                             use_toggle=False, **SIFTING),
+    **{f"relational-{scheme}": AnalysisSpec(
+        scheme=scheme, form="relational", **SIFTING)
+       for scheme in ("sparse", "dense", "improved")},
     **{f"relational-chained-{scheme}": AnalysisSpec(
         scheme=scheme, form="relational", engine="chained", **SIFTING)
        for scheme in ("sparse", "dense", "improved")},
     "relational-monolithic": AnalysisSpec(form="relational",
                                           engine="monolithic", **SIFTING),
+    "zdd": AnalysisSpec(backend="zdd", **SIFTING),
     "zdd-chained": AnalysisSpec(backend="zdd", engine="chained", **SIFTING),
     "zdd-classic": AnalysisSpec(backend="zdd", form="functional",
                                 **SIFTING),
@@ -53,10 +58,36 @@ SPECS = {
 }
 
 
+def decoded_markings(analysis):
+    """The reachable set of a finished analysis as supports of markings.
+
+    ``RelationalNet`` has no decoder of its own; its current variables
+    carry the encoding's names, so its minterms over them decode as the
+    functional net's do."""
+    symnet = analysis.symbolic_net
+    reachable = analysis.reachable
+    if hasattr(symnet, "markings_of"):
+        markings = symnet.markings_of(reachable)
+    else:
+        bdd, encoding = symnet.bdd, symnet.encoding
+        markings = [
+            encoding.assignment_to_marking(
+                {bdd.var_name(var): value
+                 for var, value in assignment.items()})
+            for assignment in bdd.iter_minterms(
+                reachable.node,
+                [bdd.var_index(name) for name in encoding.variables])]
+    return {frozenset(marking.support) for marking in markings}
+
+
 def assert_matches_oracle(net, spec):
-    result = analyze(net, spec)
+    analysis = Analysis(net, spec)
+    result = analysis.run()
     assert result.status == "complete"
-    assert result.markings == count_reachable_markings(net)
+    graph = ReachabilityGraph(net)
+    assert result.markings == len(graph.markings)
+    assert decoded_markings(analysis) == {
+        frozenset(marking.support) for marking in graph.markings}
 
 
 @pytest.mark.parametrize("label", sorted(SPECS))
@@ -89,6 +120,27 @@ def test_generated_nets_saturate_to_the_bfs_edge(net):
     sift(bdd)
     assert bdd.saturate_post(lower, events) == reachable.node
     bdd.deref(lower)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(net=safe_nets())
+def test_generated_nets_saturate_to_the_chained_edge(net):
+    """The relational and ZDD saturation bands, with a sift between
+    them, land on the node of the chained fixpoint in the same
+    manager."""
+    for options in (dict(form="relational"), dict(backend="zdd")):
+        analysis = Analysis(net, AnalysisSpec(engine="chained",
+                                              reorder=False, **options))
+        relnet = analysis.symbolic_net
+        manager = relnet.manager
+        reachable = getattr(analysis.reachable, "node", analysis.reachable)
+        initial = getattr(relnet.initial, "node", relnet.initial)
+        events = relnet.saturation_events()
+        lower = manager.ref(manager.saturate_post(
+            initial, events, min_top=manager.num_vars // 2))
+        sift(manager, groups=manager.sift_groups)
+        assert manager.saturate_post(lower, events) == reachable
+        manager.deref(lower)
 
 
 # The checker runs on the functional BDD backend only.
@@ -167,6 +219,17 @@ def test_generated_ring_sifts_between_saturation_bands():
     assert analysis.symbolic_net.bdd.reorder_count > 0
     result = analysis.run()
     assert result.extras["strategy"] == "saturation"
+    assert result.markings == count_reachable_markings(net)
+
+
+@pytest.mark.parametrize("label", ["relational-improved", "zdd"])
+def test_generated_ring_sifts_between_relational_saturation_bands(label):
+    net = four_machine_ring()
+    analysis = Analysis(net, SPECS[label])
+    assert analysis.step()  # the first band, then its safe point
+    assert analysis.symbolic_net.manager.reorder_count > 0
+    result = analysis.run()
+    assert result.engine.endswith("/saturation")
     assert result.markings == count_reachable_markings(net)
 
 

@@ -22,7 +22,8 @@ from repro.symbolic import RelationalNet, ZddRelationalNet
 from repro.symbolic.partition import PartitionedNet, next_state_suffix
 
 # Relational fixpoints on a fixed variable order (BDD and ZDD).
-BDD_RELATIONAL = AnalysisSpec(form="relational", reorder=False)
+BDD_RELATIONAL = AnalysisSpec(form="relational", engine="chained",
+                              reorder=False)
 ZDD_CHAINED = AnalysisSpec(backend="zdd", engine="chained", reorder=False)
 
 
@@ -291,6 +292,7 @@ def test_sifted_trajectory_is_pinned(spec, net, expected):
     build = {"muller": muller, "phil": philosophers}[family]
     options = ({"form": "relational"} if spec == "relational"
                else {"backend": "zdd"})
+    options["engine"] = "chained"
     result = analyze(build(int(size)), reorder_threshold=200, **options)
     assert (result.markings, result.iterations, result.peak_nodes,
             result.reorder_count) == expected

@@ -6,13 +6,19 @@ must be the one the breadth-first fixpoint reaches, on every family,
 under every scheme and whatever the order was when a band started.
 The ``bdd-functional`` session runs it in ``SATURATION_BANDS`` steps
 with an ordinary safe point between them.
+
+The relational form and the ZDD backend saturate the same way: the
+relational BDD over its current variables (``RelationalNet.
+saturation_events()``), the ZDD by ``ZDD.saturate_post`` over
+``(consume, produce)`` pairs.  Each must land on the node its chained
+engine reaches in the same manager.
 """
 
 import pytest
 
 from repro.analysis import SCHEMES, Analysis, AnalysisSpec, analyze
 from repro.analysis.backends import SATURATION_BANDS
-from repro.bdd import Function
+from repro.bdd import EMPTY, Function
 from repro.petri.generators import (dme_circuit, dme_spec, jj_register,
                                     muller, philosophers, slotted_ring)
 
@@ -96,3 +102,108 @@ def test_jjreg_a_at_paper_size():
     result = analyze(jj_register("a", bits=40))
     assert result.variables == 124
     assert result.iterations == SATURATION_BANDS
+
+
+# ----------------------------------------------------------------------
+# The relational form and the ZDD backend
+# ----------------------------------------------------------------------
+
+def chained_fixpoint(net, **options):
+    """A finished chained relational analysis on the fixed order."""
+    analysis = Analysis(net, AnalysisSpec(engine="chained", reorder=False,
+                                          **options))
+    analysis.run()
+    return analysis
+
+
+def reversed_pairs(manager):
+    """The interleaved (current, next) pairs, last pair on top."""
+    order = manager.order()
+    pairs = [order[i:i + 2] for i in range(0, len(order), 2)]
+    return [name for pair in pairs[::-1] for name in pair]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("name", FAMILIES)
+def test_relational_saturation_is_the_chained_fixpoint(name, scheme):
+    analysis = chained_fixpoint(FAMILIES[name](), form="relational",
+                                scheme=scheme)
+    relnet = analysis.symbolic_net
+    bdd = relnet.bdd
+    reachable = analysis.reachable
+    events = relnet.saturation_events()
+    bdd.clear_caches()
+    assert bdd.saturate_post(relnet.initial.node, events) == reachable.node
+    assert all(not cache for cache in bdd._op_caches)
+    # The lower band, then the rest after the order moved.
+    lower = Function(bdd, bdd.saturate_post(
+        relnet.initial.node, events, min_top=bdd.num_vars // 2))
+    assert (relnet.initial - lower).is_zero()
+    assert (lower - reachable).is_zero()
+    bdd.set_order(reversed_pairs(bdd))
+    assert bdd.saturate_post(lower.node, events) == reachable.node
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_zdd_saturation_is_the_chained_fixpoint(name):
+    analysis = chained_fixpoint(FAMILIES[name](), backend="zdd")
+    znet = analysis.symbolic_net
+    zdd = znet.zdd
+    reachable = analysis.reachable
+    events = znet.saturation_events()
+    zdd.clear_caches()
+    assert zdd.saturate_post(znet.initial, events) == reachable
+    assert all(not cache for cache in zdd._op_caches)
+    lower = zdd.ref(zdd.saturate_post(znet.initial, events,
+                                      min_top=zdd.num_vars // 2))
+    assert zdd.diff(znet.initial, lower) == EMPTY
+    assert zdd.diff(lower, reachable) == EMPTY
+    zdd.set_order(reversed_pairs(zdd))
+    assert zdd.saturate_post(lower, events) == reachable
+    zdd.deref(lower)
+
+
+RELATIONAL_DEFAULTS = {"relational": AnalysisSpec(form="relational"),
+                       "zdd": AnalysisSpec(backend="zdd")}
+
+
+@pytest.mark.parametrize("kind", sorted(RELATIONAL_DEFAULTS))
+@pytest.mark.parametrize("name", FAMILIES)
+def test_relational_sessions_step_one_band_at_a_time(name, kind):
+    net = FAMILIES[name]()
+    spec = RELATIONAL_DEFAULTS[kind]
+    assert spec.resolved_engine == "saturation"
+    analysis = Analysis(net, spec)
+    session = analysis.session
+    for _ in range(SATURATION_BANDS - 1):
+        assert analysis.step()
+        # Until the last band the frontier is the whole reached set.
+        assert session.frontier == session.reached
+        assert not session.at_fixpoint()
+    assert analysis.step()
+    assert session.at_fixpoint()
+    assert not analysis.step()
+    result = analysis.run()
+    assert result.iterations == SATURATION_BANDS
+    assert result.markings == analyze(net, BFS).markings
+
+
+def test_zdd_jjreg_a_at_paper_size():
+    """496 elements deep (248 places, each with its next copy), in one
+    recursion per band, with no RecursionError."""
+    result = analyze(jj_register("a", bits=40), AnalysisSpec(backend="zdd"))
+    assert result.engine == "zdd/saturation"
+    assert result.variables == 248
+    assert result.markings == 7975367974709495237422842361682067456
+
+
+@pytest.mark.slow
+def test_jjreg_b_count_agrees_across_backends():
+    """JJreg-b at 40 bits, the paper's Table 4 row: BDD saturation and
+    ZDD saturation are two engines that share no code below the
+    session, so equal counts check each other."""
+    net = jj_register("b", bits=40)
+    bdd = analyze(net)
+    zdd = analyze(net, AnalysisSpec(backend="zdd"))
+    assert bdd.status == zdd.status == "complete"
+    assert bdd.markings == zdd.markings == 11315545671592929075249807360

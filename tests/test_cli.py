@@ -93,7 +93,8 @@ class TestAnalyze:
         assert "variables=12" in out
         assert "markings=30" in out
 
-    @pytest.mark.parametrize("image", ["monolithic", "chained"])
+    @pytest.mark.parametrize("image", ["monolithic", "chained",
+                                       "saturation"])
     def test_relational_image_engines(self, muller_file, capsys, image):
         assert main(["analyze", str(muller_file), "--image", image]) == 0
         out = capsys.readouterr().out
@@ -109,6 +110,21 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "markings=30" in out
         assert f"image={image_id}" in out
+
+    @pytest.mark.parametrize("engine, image_id", [
+        ("bdd", "relational/saturation"), ("zdd", "zdd/saturation")])
+    def test_saturation_image_is_the_relational_default(
+            self, muller_file, capsys, engine, image_id):
+        """``--image saturation`` names the engine ``--engine zdd`` and
+        the relational form run by default, under the same spec key."""
+        from repro.analysis import AnalysisSpec
+        assert main(["analyze", str(muller_file), "--engine", engine,
+                     "--image", "saturation"]) == 0
+        out = capsys.readouterr().out
+        assert "markings=30" in out
+        assert f"image={image_id}" in out
+        default = AnalysisSpec(backend=engine, form="relational")
+        assert f"spec={default.semantic_fingerprint()}" in out
 
     def test_deadlocks_require_functional_image(self, muller_file, capsys):
         assert main(["analyze", str(muller_file), "--image", "chained",
@@ -146,7 +162,8 @@ class TestAnalyze:
 
     def test_default_configurations_warn_nothing(self, muller_file,
                                                  capsys):
-        for extra in ([], ["--engine", "zdd"], ["--image", "chained"]):
+        for extra in ([], ["--engine", "zdd"], ["--image", "chained"],
+                      ["--image", "saturation"]):
             assert main(["analyze", str(muller_file)] + extra) == 0
             assert capsys.readouterr().err == ""
 
