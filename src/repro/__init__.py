@@ -21,14 +21,25 @@ Layer map (see ``docs/architecture.md`` for the full inventory):
   session, the one way to run a reachability fixpoint; every entry
   point (CLI, experiments, service, examples) routes through it.
 * :mod:`repro.experiments` — Table 3 / Table 4 / Figure 2 harnesses.
+
+Importing :mod:`repro` loads what a default analysis runs; the optional
+backends (ZDDs, the relational and k-bounded nets, checkpoints, the
+portfolio) and explicit reachability load on first use.
 """
 
+from ._lazy import lazy_exports
 from .analysis import (Analysis, AnalysisResult, AnalysisSpec, SpecError,
                        SpecWarning, analyze)
-from .bdd import BDD, Function, ZDD
+from .bdd import BDD, Function
 from .encoding import DenseEncoding, ImprovedEncoding, SparseEncoding
-from .petri import Marking, PetriNet, ReachabilityGraph, find_smcs
-from .symbolic import ModelChecker, SymbolicNet, ZddNet
+from .petri import Marking, PetriNet, find_smcs
+from .symbolic import ModelChecker, SymbolicNet
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "bdd": ("ZDD",),
+    "petri": ("ReachabilityGraph",),
+    "symbolic": ("ZddNet",),
+})
 
 __version__ = "1.0.0"
 

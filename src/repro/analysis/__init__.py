@@ -34,16 +34,17 @@ There is no second fixpoint driver: the :class:`SolverSession`
 subclasses are the only code that iterates images to the reachability
 fixpoint.  The migration table in ``docs/api.md`` maps every removed
 legacy entry point to the exact spec that reproduces its trajectory.
+
+The checkpoint, portfolio and worker modules load on first access to
+one of their names; a session imports its own net module when it is
+opened.
 """
 
+from .._lazy import lazy_exports
 from ..dd import ResourceBudgetExceeded
 from ..symbolic import TraversalLimitError
 from .backends import SolverSession, open_session
-from .checkpoint import (CheckpointData, CheckpointError, CheckpointStore,
-                         net_fingerprint, spec_fingerprint)
 from .facade import Analysis, analyze
-from .portfolio import (MemberFailure, PortfolioError, PortfolioSession,
-                        member_checkpoint_path, member_spec)
 from .result import SCHEMA_MINOR, SCHEMA_VERSION, AnalysisResult
 from .spec import (BACKEND_FAMILIES, DEFAULT_FORM,
                    DEFAULT_PORTFOLIO_MEMBERS, DEFAULT_RELATIONAL_ENGINE,
@@ -51,7 +52,14 @@ from .spec import (BACKEND_FAMILIES, DEFAULT_FORM,
                    RELATIONAL_ENGINES, SCHEMES, SEMANTIC_FIELDS,
                    STRATEGIES, ZDD_RELATIONAL_ENGINES, AnalysisSpec,
                    SpecError, SpecWarning)
-from .workers import WorkerHarness
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "checkpoint": ("CheckpointData", "CheckpointError", "CheckpointStore",
+                   "net_fingerprint", "spec_fingerprint"),
+    "portfolio": ("PortfolioSession", "PortfolioError", "MemberFailure",
+                  "member_spec", "member_checkpoint_path"),
+    "workers": ("WorkerHarness",),
+})
 
 __all__ = [
     "AnalysisSpec", "SpecError", "SpecWarning",

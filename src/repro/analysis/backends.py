@@ -15,31 +15,32 @@ Each session picks its successor function once, when it is built, from
 The saturation schedules (the functional ``strategy`` and the relational
 and ZDD ``engine``) run one kernel recursion per band of levels
 (:data:`SATURATION_BANDS` steps, :meth:`SolverSession._saturation_band`).
+
+Only the default session's modules load with this one.  Every other
+session imports its net module when it is opened, and the checkpoint
+store and :mod:`repro.bdd.io` load only when ``checkpoint_path`` is
+set; :func:`import_backends` loads them all up front.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Tuple)
 
-from ..bdd import EMPTY, Function, false
-from ..bdd.io import (dump_functions, dump_zdd_nodes, load_functions,
-                      load_zdd_nodes)
+from ..bdd import Function, false
 from ..dd import ResourceBudgetExceeded
 from ..encoding import DenseEncoding, ImprovedEncoding, SparseEncoding
 from ..petri.net import PetriNet
-from ..symbolic.kbounded import KBoundedNet
-from ..symbolic.relational import RelationalNet
 from ..symbolic.transition import SymbolicNet
 from ..symbolic.partition import TraversalLimitError
-from ..symbolic.zdd_relational import ZddRelationalNet
-from ..symbolic.zdd_traversal import ZddNet
-from .checkpoint import (CheckpointData, CheckpointError, CheckpointStore,
-                         net_fingerprint, spec_fingerprint)
 from .result import AnalysisResult
 from .spec import AnalysisSpec, SpecError
 
-__all__ = ["SolverSession", "open_session"]
+if TYPE_CHECKING:
+    from .checkpoint import CheckpointData, CheckpointStore
+
+__all__ = ["SolverSession", "open_session", "import_backends"]
 
 EncodingFactory = Callable[[PetriNet], Any]
 
@@ -103,6 +104,8 @@ class SolverSession:
                     node_budget=spec.node_budget,
                     deadline_seconds=spec.deadline)
         if net is not None and spec.checkpoint_path is not None:
+            from .checkpoint import (CheckpointStore, net_fingerprint,
+                                     spec_fingerprint)
             self._spec_hash = spec_fingerprint(spec)
             self._net_hash = net_fingerprint(net)
             self._store = CheckpointStore(
@@ -205,12 +208,14 @@ class SolverSession:
 
     def _dump_payload(self) -> str:
         """Serialize the fixpoint roots (BDD sessions; ZDD overrides)."""
+        from ..bdd.io import dump_functions
         return dump_functions({"reached": self.reached,
                                "frontier": self.frontier})
 
     def _load_payload(self, payload: str) -> None:
         """Install serialized fixpoint roots (BDD sessions; ZDD
         overrides)."""
+        from ..bdd.io import load_functions
         roots = load_functions(payload, self._manager())
         self.reached = roots["reached"]
         self.frontier = roots["frontier"]
@@ -232,6 +237,7 @@ class SolverSession:
             return
         if store.writes > 0 and store._last_iteration == self.iterations:
             return
+        from .checkpoint import CheckpointData
         store.save(CheckpointData(
             spec_hash=self._spec_hash,
             net_hash=self._net_hash,
@@ -252,6 +258,7 @@ class SolverSession:
         starts cold.  Resume must never be less robust than not
         resuming.
         """
+        from .checkpoint import CheckpointError
         path = str(self._store.path)
         try:
             data = self._store.load()
@@ -269,6 +276,7 @@ class SolverSession:
 
     def _restore(self, data: CheckpointData) -> None:
         """Install a validated checkpoint into the fresh manager."""
+        from .checkpoint import CheckpointError
         manager = self._manager()
         if set(data.order) != set(manager.order()):
             raise CheckpointError(
@@ -444,6 +452,7 @@ class _BddRelationalSession(_BddSession):
 
     def __init__(self, net: PetriNet, spec: AnalysisSpec,
                  encoding_factory: Optional[EncodingFactory]) -> None:
+        from ..symbolic.relational import RelationalNet
         start = time.perf_counter()
         encoding = _build_encoding(net, spec, encoding_factory)
         relnet = self.symbolic_net = RelationalNet(
@@ -502,22 +511,23 @@ class _ZddSession(SolverSession):
     _checkpoint_kind = "zdd"
 
     def __init__(self, net: PetriNet, spec: AnalysisSpec) -> None:
-        start = time.perf_counter()
         engine = spec.resolved_engine
         if engine == "classic":
-            znet = self.symbolic_net = ZddNet(
-                net, auto_reorder=spec.reorder,
-                reorder_threshold=spec.reorder_threshold)
+            from ..symbolic.zdd_traversal import ZddNet as net_class
+        else:
+            from ..symbolic.zdd_relational import \
+                ZddRelationalNet as net_class
+        start = time.perf_counter()
+        znet = self.symbolic_net = net_class(
+            net, auto_reorder=spec.reorder,
+            reorder_threshold=spec.reorder_threshold)
+        if engine == "classic":
             self._successors = \
                 lambda frontier, reached: znet.image_all(frontier)
+        elif engine == "saturation":
+            self._events = znet.saturation_events()
         else:
-            znet = self.symbolic_net = ZddRelationalNet(
-                net, auto_reorder=spec.reorder,
-                reorder_threshold=spec.reorder_threshold)
-            if engine == "saturation":
-                self._events = znet.saturation_events()
-            else:
-                self._successors = znet.image_chained
+            self._successors = znet.image_chained
         self.zdd = znet.zdd
         # The fixpoint roots stay referenced for the session's lifetime:
         # the per-iteration safe point may garbage collect (the shared
@@ -535,7 +545,7 @@ class _ZddSession(SolverSession):
             min_top, last = self._saturation_band(zdd.num_vars)
             reached = zdd.saturate_post(self.reached, self._events,
                                         min_top)
-            frontier = EMPTY if last else reached
+            frontier = zdd.empty() if last else reached
         else:
             swept = self._successors(self.frontier, self.reached)
             reached = zdd.union(self.reached, swept)
@@ -550,12 +560,14 @@ class _ZddSession(SolverSession):
         zdd.checkpoint()
 
     def _dump_payload(self) -> str:
+        from ..bdd.io import dump_zdd_nodes
         return dump_zdd_nodes(self.zdd, {"reached": self.reached,
                                          "frontier": self.frontier})
 
     def _load_payload(self, payload: str) -> None:
         # Raw node ids: pin the restored roots before releasing the
         # initial-marking ones (the session refs its roots for life).
+        from ..bdd.io import load_zdd_nodes
         roots = load_zdd_nodes(payload, self.zdd)
         self.zdd.ref(roots["reached"])
         self.zdd.ref(roots["frontier"])
@@ -591,6 +603,7 @@ class _KBoundedSession(_BddSession):
     own_representation = "the kbounded backend builds its own representation"
 
     def __init__(self, net: PetriNet, spec: AnalysisSpec) -> None:
+        from ..symbolic.kbounded import KBoundedNet
         start = time.perf_counter()
         self.symbolic_net = KBoundedNet(net, bound=spec.k_bound)
         self.reached = self.symbolic_net.initial
@@ -645,3 +658,15 @@ def open_session(net: PetriNet, spec: AnalysisSpec,
         raise SpecError(f"encoding_factory only applies to the BDD "
                         f"backends; {session_class.own_representation}")
     return session_class(net, spec)
+
+
+def import_backends() -> None:
+    """Import every module a session or a checkpoint loads on first use.
+
+    A process that forks workers calls this before it forks, so no
+    worker compiles a module in the middle of a request.
+    """
+    from ..bdd import io  # noqa: F401
+    from ..symbolic import (kbounded, relational,  # noqa: F401
+                            zdd_relational, zdd_traversal)
+    from . import checkpoint, portfolio  # noqa: F401

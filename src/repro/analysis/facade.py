@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from ..petri.net import PetriNet
+from ..symbolic.checker import ModelChecker
 from .backends import EncodingFactory, SolverSession, open_session
 from .result import AnalysisResult
 from .spec import AnalysisSpec, SpecError
@@ -98,7 +99,6 @@ class Analysis:
                 f"model checking needs the functional BDD backend "
                 f"(place characteristic functions and pre-images); "
                 f"this analysis runs {self.spec.engine_id}")
-        from ..symbolic.checker import ModelChecker
         return ModelChecker(self.session.symbolic_net,
                             reachable=self.reachable)
 

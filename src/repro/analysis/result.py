@@ -27,7 +27,6 @@ written by a newer build poison an older reader.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Optional
 
@@ -43,14 +42,18 @@ SCHEMA_VERSION = 1
 # warning and their unknown fields carried through untouched.
 SCHEMA_MINOR = 1
 
-log = logging.getLogger(__name__)
-
 #: Top-level keys ``from_dict`` consumes; anything else is foreign.
 _KNOWN_KEYS = frozenset({
     "schema", "schema_minor", "spec", "engine", "markings", "iterations",
     "variables", "final_nodes", "peak_nodes", "seconds", "reorder_count",
     "status", "extras",
 })
+
+
+def _warn(message: str, *args: Any) -> None:
+    """Log a warning; ``logging`` loads only when one is logged."""
+    import logging
+    logging.getLogger(__name__).warning(message, *args)
 
 
 @dataclass
@@ -168,16 +171,16 @@ class AnalysisResult:
                 f"(this build reads version {SCHEMA_VERSION})")
         minor = data.get("schema_minor", 0)
         if isinstance(minor, int) and minor > SCHEMA_MINOR:
-            log.warning(
+            _warn(
                 "AnalysisResult payload has schema minor %s (this build "
                 "writes %s); reading it anyway and keeping unknown "
                 "fields", minor, SCHEMA_MINOR)
         foreign = {key: value for key, value in data.items()
                    if key not in _KNOWN_KEYS}
         if foreign:
-            log.warning("AnalysisResult payload carries unknown fields "
-                        "%s (written by a newer build?); kept verbatim",
-                        sorted(foreign))
+            _warn("AnalysisResult payload carries unknown fields %s "
+                  "(written by a newer build?); kept verbatim",
+                  sorted(foreign))
         return cls(
             spec=AnalysisSpec.from_dict(data["spec"],
                                         ignore_unknown=True),

@@ -30,9 +30,7 @@ apart again (``tests/analysis/test_spec.py`` pins this down).
 
 from __future__ import annotations
 
-import hashlib
 import json
-import logging
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Optional, Tuple
 
@@ -45,8 +43,6 @@ __all__ = [
     "PORTFOLIO_MEMBERS", "DEFAULT_PORTFOLIO_MEMBERS",
     "NONSEMANTIC_FIELDS", "SEMANTIC_FIELDS",
 ]
-
-log = logging.getLogger(__name__)
 
 SCHEMES = ("sparse", "dense", "improved")
 BACKEND_FAMILIES = ("bdd", "zdd", "portfolio")
@@ -618,6 +614,7 @@ class AnalysisSpec:
         non-semantic fields (checkpoint paths, budgets,
         ``max_iterations``) share a fingerprint by construction.
         """
+        import hashlib
         blob = json.dumps(self.semantic_fields(), sort_keys=True,
                           default=list)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
@@ -648,8 +645,10 @@ class AnalysisSpec:
         if unknown:
             if not ignore_unknown:
                 raise SpecError(f"unknown spec fields: {sorted(unknown)}")
-            log.warning("ignoring unknown spec fields %s (written by a "
-                        "newer build?)", sorted(unknown))
+            import logging
+            logging.getLogger(__name__).warning(
+                "ignoring unknown spec fields %s (written by a newer "
+                "build?)", sorted(unknown))
             data = {key: value for key, value in data.items()
                     if key in known}
         return cls(**data)

@@ -13,14 +13,19 @@ Public entry points:
   (generic: the same passes reorder ZDD managers).
 * :class:`ZDD` — zero-suppressed diagrams (the Table 4 baseline), with
   the same reference counting, garbage collection and reordering as the
-  BDD manager.
+  BDD manager.  Its module :mod:`repro.bdd.zdd` loads on first access
+  to one of its names.
 """
 
+from .._lazy import lazy_exports
 from ..dd import DDError, DDManager
 from .function import Function, cube, false, true, variable
 from .manager import BDD, BDDError, ONE, ZERO
 from ..dd.reorder import sift, sift_to_convergence
-from .zdd import BASE, EMPTY, ZDD, ZDDError
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "zdd": ("ZDD", "ZDDError", "EMPTY", "BASE"),
+})
 
 __all__ = [
     "DDManager", "DDError",

@@ -60,20 +60,16 @@ import json
 import sys
 from typing import Any, Dict, List, Optional
 
+from . import analysis as analysis_api
 from .analysis import (DEFAULT_PORTFOLIO_MEMBERS, PORTFOLIO_MEMBERS,
                        RELATIONAL_ENGINES, STRATEGIES, Analysis,
-                       AnalysisSpec, PortfolioError, SpecError)
+                       AnalysisSpec, SpecError)
 from .encoding import DenseEncoding, ImprovedEncoding, SparseEncoding
 from .encoding.improved import encoding_variable_summary
 from .petri import find_smcs
-from .petri.classes import classify
 from .petri.generators import (dme_circuit, dme_spec, figure1_net,
                                jj_register, muller, philosophers,
                                slotted_ring)
-from .petri.invariants import (invariant_support,
-                               minimal_semipositive_invariants,
-                               minimal_semipositive_t_invariants)
-from .petri.parser import dumps, load
 
 FAMILIES = {
     "muller": muller,
@@ -269,6 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
+    from .petri.parser import dumps
     if args.family == "jjreg":
         net = jj_register(args.variant, bits=args.size)
     else:
@@ -285,6 +282,11 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_info(args) -> int:
+    from .petri.classes import classify
+    from .petri.invariants import (invariant_support,
+                                   minimal_semipositive_invariants,
+                                   minimal_semipositive_t_invariants)
+    from .petri.parser import load
     net = load(args.net)
     net.validate()
     print(f"net {net.name!r}: {len(net.places)} places, "
@@ -314,6 +316,7 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_encode(args) -> int:
+    from .petri.parser import load
     net = load(args.net)
     encoding = SCHEMES[args.scheme](net)
     print(f"{args.scheme} encoding of {net.name!r}: "
@@ -331,6 +334,7 @@ def _resolve_analyze_net(args):
     if args.net_file is not None and args.net is not None:
         raise SpecError("give either a net.pnet file or --net, not both")
     if args.net_file is not None:
+        from .petri.parser import load
         return load(args.net_file)
     if args.net is None:
         raise SpecError("no net given: pass a net.pnet file or "
@@ -362,7 +366,9 @@ def _cmd_analyze(args) -> int:
     analysis = Analysis(net, spec)
     try:
         result = analysis.run()
-    except PortfolioError as exc:
+    # The clause looks the name up only once something is raised, so
+    # the portfolio module loads only where its error is caught.
+    except analysis_api.PortfolioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         for failure in exc.failures:
             member = failure.member or "<queue>"
@@ -436,6 +442,7 @@ def _cmd_analyze(args) -> int:
 def _request_net(request: Dict[str, Any]):
     """Resolve one request line's net: a ``.pnet`` path or a family."""
     if "net" in request:
+        from .petri.parser import load
         return load(request["net"])
     family = request.get("family")
     if family == "figure1":

@@ -8,17 +8,24 @@
 * :mod:`repro.petri.order` — FORCE structural variable orders.
 * :class:`ReachabilityGraph` — explicit enumeration for cross-validation.
 * :mod:`repro.petri.generators` — the benchmark families of Section 6.
+
+:mod:`repro.petri.reachability` loads on first access to one of its
+names.
 """
 
+from .._lazy import lazy_exports
 from .marking import Marking
 from .net import PetriNet, PetriNetError
 from .order import force_order, place_order
-from .reachability import (ReachabilityGraph, StateExplosion, UnsafeNet,
-                           assert_safe, count_reachable_markings,
-                           find_deadlock)
 from .smc import (StateMachineComponent, coverage, find_smcs,
                   is_smc_decomposable, single_token_smcs, smc_from_places,
                   smcs_from_invariants)
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "reachability": ("ReachabilityGraph", "StateExplosion", "UnsafeNet",
+                     "count_reachable_markings", "assert_safe",
+                     "find_deadlock"),
+})
 
 __all__ = [
     "PetriNet", "PetriNetError", "Marking", "force_order", "place_order",

@@ -12,7 +12,7 @@ by floating point.
 from __future__ import annotations
 
 from math import gcd
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .net import PetriNet, PetriNetError
 
@@ -50,8 +50,41 @@ def _normalize(row: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(value // divisor for value in row)
 
 
-def _support(row: Sequence[int], offset: int) -> FrozenSet[int]:
-    return frozenset(i for i, value in enumerate(row[offset:]) if value != 0)
+def _support_mask(row: Sequence[int], offset: int) -> int:
+    """The place support of a row (the entries from ``offset`` on) as a
+    bitmask."""
+    mask = 0
+    for i, value in enumerate(row[offset:]):
+        if value != 0:
+            mask |= 1 << i
+    return mask
+
+
+def _minimal_rows(rows: Sequence[Sequence[int]], masks: Sequence[int],
+                  settled: int) -> List[int]:
+    """Indices, in order, of the rows no other row dominates.
+
+    Row ``j`` dominates row ``i`` when its support ``masks[j]`` is a
+    strict subset of ``masks[i]``, or when the supports are equal,
+    ``j < i`` and the rows are proportional.  The first ``settled`` rows
+    survived an earlier pass and are unchanged since, so no two of them
+    dominate each other: only pairs holding a later row are compared.
+    A dropped row stops comparing, since any row it would drop also
+    contains the support of the row that dropped it.
+    """
+    keep = [True] * len(rows)
+    for i in range(settled, len(rows)):
+        mask = masks[i]
+        for j in range(i):
+            other = masks[j]
+            common = mask & other
+            if common == other:
+                if other != mask or _proportional(rows[i], rows[j]):
+                    keep[i] = False
+                    break
+            elif common == mask:
+                keep[j] = False
+    return [i for i, kept in enumerate(keep) if kept]
 
 
 def _prune_supersets(rows: List[Tuple[int, ...]], offset: int
@@ -60,28 +93,12 @@ def _prune_supersets(rows: List[Tuple[int, ...]], offset: int
 
     Keeping only support-minimal rows between elimination steps is the
     standard Martinez-Silva refinement: every *minimal* semi-positive
-    invariant survives, and the intermediate row sets stay small.
+    invariant survives, and the intermediate row sets stay small.  Of
+    rows with equal supports, the first of each proportional class is
+    kept.
     """
-    supports = [_support(row, offset) for row in rows]
-    keep = []
-    for i, row in enumerate(rows):
-        sup = supports[i]
-        dominated = False
-        for j, other in enumerate(supports):
-            if i == j:
-                continue
-            if other < sup:
-                dominated = True
-                break
-            if other == sup and j < i:
-                # Equal supports: keep the first representative only if the
-                # rows are proportional; otherwise keep both.
-                if _proportional(rows[i], rows[j]):
-                    dominated = True
-                    break
-        if not dominated:
-            keep.append(row)
-    return keep
+    masks = [_support_mask(row, offset) for row in rows]
+    return [rows[i] for i in _minimal_rows(rows, masks, 0)]
 
 
 def _proportional(row_a: Sequence[int], row_b: Sequence[int]) -> bool:
@@ -110,51 +127,64 @@ def minimal_semipositive_invariants(net: PetriNet,
     num_places = len(net.places)
     num_transitions = len(net.transitions)
     # Working rows are [C-part | identity-part], all exact Python ints.
+    # Each row's place support travels with it as a bitmask: the
+    # identity parts stay non-negative, so a combination's support is
+    # the union of its parents'.
     rows: List[Tuple[int, ...]] = []
+    masks: List[int] = []
     for i, incidence in enumerate(incidence_rows(net)):
         identity = [0] * num_places
         identity[i] = 1
         rows.append(tuple(incidence) + tuple(identity))
+        masks.append(1 << i)
 
     for col in range(num_transitions):
-        zeros = [row for row in rows if row[col] == 0]
-        pos = [row for row in rows if row[col] > 0]
-        neg = [row for row in rows if row[col] < 0]
-        combined: Dict[Tuple[int, ...], None] = {}
-        for row_p in pos:
-            for row_n in neg:
+        zeros, zero_masks, pos, neg = [], [], [], []
+        for row, mask in zip(rows, masks):
+            value = row[col]
+            if value == 0:
+                zeros.append(row)
+                zero_masks.append(mask)
+            elif value > 0:
+                pos.append((row, mask))
+            else:
+                neg.append((row, mask))
+        combined: Dict[Tuple[int, ...], int] = {}
+        for row_p, mask_p in pos:
+            scale_n = row_p[col]
+            for row_n, mask_n in neg:
                 scale_p = -row_n[col]
-                scale_n = row_p[col]
                 new_row = _normalize(tuple(
                     scale_p * a + scale_n * b
                     for a, b in zip(row_p, row_n)))
-                combined[new_row] = None
+                combined[new_row] = mask_p | mask_n
         rows = zeros + list(combined)
+        masks = zero_masks + list(combined.values())
         if len(rows) > max_rows:
             raise InvariantExplosion(
                 f"Farkas elimination exceeded {max_rows} rows at "
                 f"transition column {col}")
-        rows = _prune_supersets(rows, num_transitions)
+        # The zero rows survived the previous pass (the identity rows,
+        # before the first, have pairwise distinct singleton supports).
+        keep = _minimal_rows(rows, masks, len(zeros))
+        rows = [rows[i] for i in keep]
+        masks = [masks[i] for i in keep]
 
     # All C-columns are now zero; extract the place weights.
-    invariants: Dict[Tuple[int, ...], None] = {}
-    for row in rows:
+    invariants: Dict[Tuple[int, ...], int] = {}
+    for row, mask in zip(rows, masks):
         weights = _normalize(row[num_transitions:])
         if any(w < 0 for w in weights):
             continue
         if all(w == 0 for w in weights):
             continue
-        invariants[weights] = None
+        invariants[weights] = mask
 
     # Final support-minimality filter.
-    result = []
-    items = list(invariants)
-    supports = [_support(inv, 0) for inv in items]
-    for i, inv in enumerate(items):
-        if any(supports[j] < supports[i] for j in range(len(items)) if j != i):
-            continue
-        result.append(inv)
-    return result
+    supports = list(invariants.values())
+    return [inv for inv, mask in invariants.items()
+            if not any(other & mask == other != mask
+                       for other in supports)]
 
 
 def is_semipositive_invariant(net: PetriNet,

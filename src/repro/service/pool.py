@@ -36,7 +36,13 @@ import os
 import weakref
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..analysis.backends import import_backends
 from ..analysis.workers import WorkerHarness, WorkerSlot, reap_processes
+
+# The pool forks its workers from the process that imports it: load
+# every backend's modules now, so no worker compiles one in the middle
+# of a request.
+import_backends()
 
 __all__ = ["AnalysisWorkerPool", "PoolEvent"]
 

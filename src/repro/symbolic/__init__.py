@@ -16,16 +16,24 @@ Nothing here runs a reachability fixpoint or knows which engines
 exist: :mod:`repro.analysis` (``analyze(net, AnalysisSpec())`` or the
 :class:`~repro.analysis.Analysis` session) runs every fixpoint, and
 its sessions call these nets' image methods directly.
+
+The modules of the relational, ZDD and k-bounded nets load on first
+access to one of their names.
 """
 
+from .._lazy import lazy_exports
 from .checker import CheckReport, ModelChecker
-from .kbounded import KBoundedNet
 from .partition import (PartitionedNet, RelationPartition,
                         TraversalLimitError, sort_by_support)
-from .relational import RelationalNet
 from .transition import SymbolicNet
-from .zdd_relational import ZddRelationalNet, ZddSparseRelation, ZddStateOps
-from .zdd_traversal import ZddNet
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "kbounded": ("KBoundedNet",),
+    "relational": ("RelationalNet",),
+    "zdd_relational": ("ZddRelationalNet", "ZddSparseRelation",
+                       "ZddStateOps"),
+    "zdd_traversal": ("ZddNet",),
+})
 
 __all__ = [
     "SymbolicNet", "RelationalNet", "RelationPartition", "PartitionedNet",

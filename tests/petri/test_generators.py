@@ -1,5 +1,10 @@
 """Unit and consistency tests for the benchmark net generators."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.petri import (ReachabilityGraph, count_reachable_markings,
@@ -175,3 +180,25 @@ class TestJJRegister:
             jj_register("c")
         with pytest.raises(ValueError):
             jj_register("a", bits=0)
+
+
+def test_generators_shadowing_their_submodules_stay_callable():
+    """``philosophers``, ``muller`` and ``slotted_ring`` name both a
+    function and the submodule defining it.  Importing the submodules
+    first, in a fresh interpreter, must leave the package attributes
+    the functions (the package imports them eagerly for this reason)."""
+    names = ("philosophers", "muller", "slotted_ring")
+    script = ("import importlib\n"
+              f"for name in {names!r}:\n"
+              "    importlib.import_module(f'repro.petri.generators.{name}')\n"
+              "import repro.petri.generators as generators\n"
+              f"for name in {names!r}:\n"
+              "    print(len(getattr(generators, name)(3).places))\n")
+    src = Path(__file__).resolve().parents[2] / "src"
+    out = subprocess.run([sys.executable, "-c", script],
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         check=True, capture_output=True, text=True,
+                         timeout=120).stdout
+    assert out.split() == [str(len(philosophers(3).places)),
+                           str(len(muller(3).places)),
+                           str(len(slotted_ring(3).places))]

@@ -223,3 +223,36 @@ def test_analysis_and_checker_do_not_import_numpy():
                          check=True, capture_output=True, text=True,
                          timeout=120).stdout
     assert out.strip() == "[]"
+
+
+#: Modules a default run never calls: the other sessions' nets, the
+#: ZDD manager, checkpoints and their wire format, the portfolio and its
+#: process supervisor, explicit reachability, the ``.pnet`` parser, and
+#: the stdlib modules only those (or a logged warning) need.
+OPTIONAL_MODULES = (
+    "repro.bdd.zdd", "repro.bdd.io",
+    "repro.analysis.checkpoint", "repro.analysis.portfolio",
+    "repro.analysis.workers",
+    "repro.symbolic.relational", "repro.symbolic.zdd_relational",
+    "repro.symbolic.zdd_traversal", "repro.symbolic.kbounded",
+    "repro.petri.reachability", "repro.petri.parser",
+    "hashlib", "logging", "multiprocessing",
+)
+
+
+def test_default_analysis_loads_no_optional_module():
+    """A default fixpoint and a checker query, after importing the CLI
+    too, load only what they run: every optional backend module loads
+    on first use, so a cold start pays only for the spec it runs."""
+    script = ("import sys\n"
+              "import repro.cli\n"
+              "from repro.analysis import Analysis\n"
+              "from repro.petri.generators import philosophers\n"
+              "analysis = Analysis(philosophers(4))\n"
+              "analysis.checker().ef(analysis.symbolic_net.initial)\n"
+              f"print(sorted(set({OPTIONAL_MODULES!r}) & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         check=True, capture_output=True, text=True,
+                         timeout=120).stdout
+    assert out.strip() == "[]"
