@@ -23,8 +23,9 @@ def bounded_section() -> None:
     net.add_transition("consume", pre=["buffer"], post=["credit"])
 
     explicit = ReachabilityGraph(net, require_safe=False)
+    most = max(marking["buffer"] for marking in explicit.markings)
     print(f"explicit enumeration: {len(explicit)} markings "
-          f"(buffer holds up to {explicit.place_bound('buffer')} tokens)")
+          f"(buffer holds up to {most} tokens)")
 
     analysis = Analysis(net, AnalysisSpec(k_bound=3))
     result = analysis.run()

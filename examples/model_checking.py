@@ -13,12 +13,24 @@ Run:  python examples/model_checking.py
 """
 
 from repro.analysis import Analysis, AnalysisSpec
+from repro.bdd import false
 from repro.petri.generators import dme_spec, muller, philosophers
 
 # Every net below runs the same declarative configuration: the dense
 # encoding through the functional BDD backend, reachable set computed
 # once per Analysis session and shared by all of its queries.
 SPEC = AnalysisSpec(scheme="improved")
+
+
+def exclusive(checker, places) -> bool:
+    """AG "no two of ``places`` are marked at once" (the reachable set
+    is where ``AG`` is evaluated)."""
+    marked = [checker.symnet.places[place] for place in places]
+    two_at_once = false(checker.symnet.bdd)
+    for i, first in enumerate(marked):
+        for second in marked[i + 1:]:
+            two_at_once = two_at_once | (first & second)
+    return checker.ag(~two_at_once) == checker.reachable
 
 
 def check_dme() -> None:
@@ -29,15 +41,15 @@ def check_dme() -> None:
           f"({checker.marking_count()} reachable markings)")
 
     critical = [f"c{i}_uc" for i in range(cells)]
-    mutex = checker.check_mutual_exclusion(critical)
-    print(f"  mutual exclusion of {critical}: {mutex.holds}")
+    print(f"  mutual exclusion of {critical}: "
+          f"{exclusive(checker, critical)}")
 
     deadlock = checker.find_deadlocks()
     print(f"  deadlock free: {not deadlock.holds}")
 
     # Every cell can eventually enter its critical section.
     for i in range(cells):
-        reachable_crit = checker.ef(checker.place_predicate(f"c{i}_uc"))
+        reachable_crit = checker.ef(checker.symnet.places[f"c{i}_uc"])
         accessible = not (reachable_crit
                           & checker.symnet.initial).is_zero()
         print(f"  cell {i} can reach its critical section: {accessible}")
@@ -55,8 +67,8 @@ def check_philosophers() -> None:
         print(f"  witness: {sorted(deadlock.witness.support)}")
 
     # Neighbours cannot eat at the same time (they share a fork) ...
-    mutex = checker.check_mutual_exclusion(["ph0_eating", "ph1_eating"])
-    print(f"  neighbours eat simultaneously: {not mutex.holds}")
+    together = not exclusive(checker, ["ph0_eating", "ph1_eating"])
+    print(f"  neighbours eat simultaneously: {together}")
     # ... and the initial marking is not a home marking (deadlocks).
     home = checker.can_always_recover(checker.symnet.initial)
     print(f"  initial marking is a home marking: {home.holds}")
@@ -70,12 +82,14 @@ def check_muller() -> None:
     print(f"  deadlock free: {not checker.find_deadlocks().holds}")
     print(f"  reversible (AG EF M0): "
           f"{checker.can_always_recover(checker.symnet.initial).holds}")
+    enabling = checker.symnet.enabling
+    live = [t for t in net.transitions
+            if not (checker.reachable & enabling[t]).is_zero()]
     print(f"  all transitions live at least once: "
-          f"{len(checker.live_transitions())} of "
-          f"{len(net.transitions)}")
+          f"{len(live)} of {len(net.transitions)}")
     # Complementary place pairs are mutually exclusive by construction.
-    mutex = checker.check_mutual_exclusion(["y0_0", "y0_1"])
-    print(f"  complementary pair y0_0/y0_1 exclusive: {mutex.holds}")
+    print(f"  complementary pair y0_0/y0_1 exclusive: "
+          f"{exclusive(checker, ['y0_0', 'y0_1'])}")
 
 
 def main() -> None:

@@ -39,13 +39,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
 
+from .._atomic import sweep_stale_tmp, write_atomically
 from ..petri.net import PetriNet
 from .spec import AnalysisSpec
 
@@ -230,29 +230,15 @@ class CheckpointStore:
         self._last_iteration = 0
         self._last_time = clock()
         self.writes = 0
-        self._tmp_serial = 0
 
     def _sweep_stale_tmp(self) -> None:
-        """Remove leftover ``<name>.tmp*`` files from dead writers.
-
-        A process killed between the tmp write and the atomic rename
-        strands its tmp file forever (the unique suffix means no later
-        write reuses the name).  Swept on every save and load: the
-        sealed checkpoint itself is never touched, and a sweep racing a
-        live writer at worst deletes a tmp file whose rename then fails
-        — the existing sealed checkpoint survives either way.
-        """
-        prefix = self.path.name + ".tmp"
-        try:
-            entries = list(self.path.parent.iterdir())
-        except OSError:
-            return
-        for entry in entries:
-            if entry.name.startswith(prefix):
-                try:
-                    entry.unlink()
-                except OSError:
-                    pass
+        """Remove the ``<name>.tmp.<pid>.<serial>`` files of writers
+        killed between the tmp write and the atomic rename (the unique
+        suffix means no later write reuses the name).  Swept on every
+        save and load; a live writer's tmp file is spared, so stores of
+        two services sharing a checkpoint directory do not break each
+        other's saves (:mod:`repro._atomic`)."""
+        sweep_stale_tmp(self.path.parent, self.path.name + ".tmp.")
 
     def due(self, iteration: int) -> bool:
         """Whether the cadence calls for a save at this iteration."""
@@ -274,16 +260,8 @@ class CheckpointStore:
         load.
         """
         self._sweep_stale_tmp()
-        text = dump_checkpoint(data)
-        self._tmp_serial += 1
-        tmp = self.path.with_name(
-            f"{self.path.name}.tmp.{os.getpid()}.{self._tmp_serial}")
         try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                handle.write(text)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.path)
+            write_atomically(self.path, dump_checkpoint(data))
         except OSError as exc:
             raise CheckpointError(
                 f"cannot write checkpoint {self.path}: {exc}",

@@ -159,14 +159,11 @@ def member_spec(spec: AnalysisSpec, member: str) -> AnalysisSpec:
     if member == "bdd-functional":
         return AnalysisSpec(strategy=spec.strategy,
                             use_toggle=spec.use_toggle, **bdd)
-    if member in ("bdd-chained", "bdd-monolithic"):
-        return AnalysisSpec(form="relational",
-                            engine=member.split("-", 1)[1], **bdd)
+    if member == "bdd-chained":
+        return AnalysisSpec(form="relational", engine="chained", **bdd)
     if member == "zdd-chained":
         return AnalysisSpec(backend="zdd", form="relational",
                             engine="chained", **shared)
-    if member == "zdd-classic":
-        return AnalysisSpec(backend="zdd", form="functional", **shared)
     if member == "kbounded":
         # A 1-safe net is in particular 1-bounded, so the default bound
         # keeps the member's verdict comparable to the safe-net members.

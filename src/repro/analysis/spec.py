@@ -63,8 +63,7 @@ STRATEGIES = ("bfs", "chaining", "saturation")
 # here so a bad ``portfolio_members`` fails at spec construction, not
 # mid-race.
 PORTFOLIO_MEMBERS = (
-    "bdd-functional", "bdd-chained", "bdd-monolithic", "zdd-chained",
-    "zdd-classic", "kbounded",
+    "bdd-functional", "bdd-chained", "zdd-chained", "kbounded",
 )
 # No single engine wins everywhere (the point of the race): the paper's
 # functional sweep, both relational-product families and the count-bit
@@ -81,12 +80,18 @@ DEFAULT_FORM: Dict[str, str] = {"bdd": "functional", "zdd": "relational"}
 DEFAULT_RELATIONAL_ENGINE = "saturation"
 DEFAULT_REORDER_THRESHOLD = 2_000
 
-# Catalogue names retired because they won no benchmark row on the
-# structural variable order (docs/encodings.md has the numbers), per
-# field, each mapped to its replacement: naming one is a SpecError that
-# says so, never a bare "unknown" that reads like a typo.
+# Catalogue names retired because no benchmark row needs them: the
+# ``partitioned`` engine lost every row on the structural variable order
+# (docs/encodings.md has the numbers), and no default, workload,
+# experiment or benchmark raced the ``bdd-monolithic`` and
+# ``zdd-classic`` members (their engines stay, for the ablation and
+# Table 4).  Per field, each is mapped to its replacement: naming one is
+# a SpecError that says so, never a bare "unknown" that reads like a
+# typo.
 RETIRED_NAMES = {"engine": {"partitioned": "chained"},
-                 "portfolio member": {"bdd-partitioned": "bdd-chained"}}
+                 "portfolio member": {"bdd-partitioned": "bdd-chained",
+                                      "bdd-monolithic": "bdd-chained",
+                                      "zdd-classic": "zdd-chained"}}
 # Retired semantic fields, at the one value that still loads, each with
 # the advice its SpecError gives.  They stay in semantic_fields() so
 # fingerprints written before the retirement keep matching; a stored
@@ -349,9 +354,8 @@ class AnalysisSpec:
             replacement = RETIRED_NAMES.get(label, {}).get(value)
             if replacement is not None:
                 raise SpecError(
-                    f"{label} {value!r} is retired: it won no benchmark "
-                    f"row on the structural variable order "
-                    f"(docs/encodings.md); use {replacement!r}")
+                    f"{label} {value!r} is retired: no benchmark row "
+                    f"needs it (docs/api.md); use {replacement!r}")
             if value not in allowed:
                 raise SpecError(f"unknown {label} {value!r}; expected one "
                                 f"of {allowed}")

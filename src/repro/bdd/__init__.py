@@ -9,8 +9,8 @@ Public entry points:
 * :class:`BDD` — the boolean manager (variable order, unique tables,
   operations).
 * :class:`Function` — reference-counted handle; the API user code works with.
-* :func:`sift`, :func:`sift_to_convergence` — dynamic variable reordering
-  (generic: the same passes reorder ZDD managers).
+* :func:`sift` — dynamic variable reordering (generic: the same passes
+  reorder ZDD managers).
 * :class:`ZDD` — zero-suppressed diagrams (the Table 4 baseline), with
   the same reference counting, garbage collection and reordering as the
   BDD manager.  Its module :mod:`repro.bdd.zdd` loads on first access
@@ -21,7 +21,7 @@ from .._lazy import lazy_exports
 from ..dd import DDError, DDManager
 from .function import Function, cube, false, true, variable
 from .manager import BDD, BDDError, ONE, ZERO
-from ..dd.reorder import sift, sift_to_convergence
+from ..dd.reorder import sift
 
 __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     "zdd": ("ZDD", "ZDDError", "EMPTY", "BASE"),
@@ -31,6 +31,6 @@ __all__ = [
     "DDManager", "DDError",
     "BDD", "BDDError", "ZERO", "ONE",
     "Function", "true", "false", "variable", "cube",
-    "sift", "sift_to_convergence",
+    "sift",
     "ZDD", "ZDDError", "EMPTY", "BASE",
 ]

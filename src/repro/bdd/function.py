@@ -62,10 +62,6 @@ class Function:
         """True iff this is the constant false function."""
         return self.node == ZERO
 
-    def is_one(self) -> bool:
-        """True iff this is the constant true function."""
-        return self.node == ONE
-
     # -- boolean connectives -------------------------------------------
 
     def _wrap(self, node: int) -> "Function":
@@ -87,10 +83,6 @@ class Function:
         """Set difference: ``self AND NOT other``."""
         return self._wrap(self.bdd.apply_diff(self.node, _unwrap(other)))
 
-    def implies(self, other: "Function") -> "Function":
-        """Logical implication ``self -> other``."""
-        return (~self) | other
-
     def iff(self, other: "Function") -> "Function":
         """Logical equivalence ``self <-> other``."""
         return ~(self ^ other)
@@ -105,10 +97,6 @@ class Function:
     def exists(self, variables: Iterable) -> "Function":
         """Existentially quantify ``variables`` (names, indices, literals)."""
         return self._wrap(self.bdd.exists(self.node, _var_list(variables)))
-
-    def forall(self, variables: Iterable) -> "Function":
-        """Universally quantify ``variables``."""
-        return self._wrap(self.bdd.forall(self.node, _var_list(variables)))
 
     def and_exists(self, other: "Function", variables: Iterable) -> "Function":
         """Relational product: ``exists(variables, self & other)``."""
@@ -145,10 +133,6 @@ class Function:
     def toggle(self, variables: Iterable) -> "Function":
         """Substitute ``v -> NOT v`` for each listed variable."""
         return self._wrap(self.bdd.toggle(self.node, _var_list(variables)))
-
-    def compose(self, var, inner: "Function") -> "Function":
-        """Substitute ``inner`` for variable ``var``."""
-        return self._wrap(self.bdd.compose(self.node, var, _unwrap(inner)))
 
     # -- inspection ------------------------------------------------------
 

@@ -19,9 +19,8 @@ complement bit.  Else (low) edges carry no bit — the manager's canonical
 form guarantees they are regular — while then (high) edges and roots
 carry an explicit ``0``/``1``.  A complement bit outside ``{0, 1}``
 (non-boolean or out of range) is rejected with a structured error, as is
-a stream whose header names a version this reader does not understand,
-or — when the caller pins ``require_version`` — a version the peer does
-not accept.  Legacy v1 streams (``bddio 1``; ids ``0``/``1`` are
+a stream whose header names a version this reader does not understand.
+Legacy v1 streams (``bddio 1``; ids ``0``/``1`` are
 ``ZERO``/``ONE``, no complement fields) still load: reconstruction goes
 through ITE on the literal, which is representation-agnostic.
 
@@ -41,8 +40,7 @@ mid-parse.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List
 
 from .function import Function
 from .manager import BDD, BDDError, ONE, ZERO
@@ -124,31 +122,25 @@ def dump_functions(functions: Dict[str, Function]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_functions(text: str, bdd: BDD,
-                   require_version: Optional[int] = None
-                   ) -> Dict[str, Function]:
+def load_functions(text: str, bdd: BDD) -> Dict[str, Function]:
     """Parse the text format into functions on the given manager.
 
     Every variable named in the file must already be declared on ``bdd``
     (its order may differ — functions are rebuilt canonically).  Both
-    the current v2 format and legacy v1 dumps are accepted; a peer that
-    only speaks one version pins it with ``require_version``, turning a
-    mixed-version exchange into a structured :class:`BDDError` instead
-    of a misparse.
+    the current v2 format and legacy v1 dumps are accepted.
     """
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines:
         raise BDDError(
             "empty bddio stream: expected a 'bddio <version>' header "
             "(truncated or blank dump?)")
-    version = _parse_bdd_header(lines[0], require_version)
+    version = _parse_bdd_header(lines[0])
     if version == 1:
         return _load_functions_v1(lines, bdd)
     return _load_functions_v2(lines, bdd)
 
 
-def _parse_bdd_header(header: str,
-                      require_version: Optional[int]) -> int:
+def _parse_bdd_header(header: str) -> int:
     fields = header.split()
     if len(fields) != 2 or fields[0] != "bddio":
         raise BDDError(f"not a bddio stream (header {header!r})")
@@ -157,10 +149,6 @@ def _parse_bdd_header(header: str,
         raise BDDError(
             f"unsupported bddio version {version}: this reader "
             f"understands v1 and v2 (newer-peer dump?)")
-    if require_version is not None and version != require_version:
-        raise BDDError(
-            f"bddio version mismatch: stream is v{version} but this "
-            f"peer only accepts v{require_version}")
     return version
 
 
@@ -262,18 +250,6 @@ def _mk_ordered(bdd: BDD, var_name: str, low: int, high: int) -> int:
     var = bdd.var_index(var_name)
     literal = bdd.var_node(var)
     return bdd.ite(literal, high, low)
-
-
-def save_functions(functions: Dict[str, Function],
-                   path: Union[str, Path]) -> None:
-    """Write labeled functions to a file."""
-    Path(path).write_text(dump_functions(functions))
-
-
-def load_functions_file(path: Union[str, Path],
-                        bdd: BDD) -> Dict[str, Function]:
-    """Read labeled functions from a file."""
-    return load_functions(Path(path).read_text(), bdd)
 
 
 # ----------------------------------------------------------------------

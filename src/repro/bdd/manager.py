@@ -169,10 +169,6 @@ class BDD(DDManager):
     # Edge accessors
     # ------------------------------------------------------------------
 
-    def regular(self, u: int) -> int:
-        """Edge ``u`` with the complement bit cleared."""
-        return u & -2
-
     def edge_var(self, u: int) -> int:
         """Variable labelling the node behind edge ``u`` (-1: terminal)."""
         return self._var[u >> 1]
@@ -192,10 +188,6 @@ class BDD(DDManager):
     def var_node(self, var) -> int:
         """Edge of the positive literal of ``var``."""
         return self._mk(self.var_index(var), ZERO, ONE)
-
-    def nvar_node(self, var) -> int:
-        """Edge of the negative literal of ``var``."""
-        return self._mk(self.var_index(var), ONE, ZERO)
 
     # ------------------------------------------------------------------
     # Core operations (edge level)
@@ -446,14 +438,6 @@ class BDD(DDManager):
             return result
 
         return rec(u)
-
-    def forall(self, u: int, variables: Iterable) -> int:
-        """Universal quantification: ``NOT exists(NOT u)``.
-
-        Both negations are bit flips, so this costs exactly one
-        existential quantification.
-        """
-        return self.exists(u ^ 1, variables) ^ 1
 
     def and_exists(self, u: int, v: int, variables: Iterable) -> int:
         """Relational product ``exists(variables, u AND v)`` in one pass.
@@ -1046,19 +1030,6 @@ class BDD(DDManager):
             result = self._mk(var, low, high)
         self._cache[key] = result
         return result ^ c
-
-    def compose(self, u: int, var, g: int) -> int:
-        """Substitute function ``g`` for variable ``var`` in ``u``."""
-        index = self.var_index(var)
-        xg = self.apply_and(g, self._restrict1(u, index))
-        xng = self.apply_and(g ^ 1, self._restrict0(u, index))
-        return self.apply_or(xg, xng)
-
-    def _restrict0(self, u: int, var: int) -> int:
-        return self.cofactor(u, {var: False})
-
-    def _restrict1(self, u: int, var: int) -> int:
-        return self.cofactor(u, {var: True})
 
     # ------------------------------------------------------------------
     # Inspection

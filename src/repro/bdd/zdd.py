@@ -35,8 +35,7 @@ collection protect their roots with :meth:`DDManager.ref`.
 
 from __future__ import annotations
 
-from typing import (Dict, FrozenSet, Iterable, Iterator, List, Mapping,
-                    Tuple)
+from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Tuple
 
 from ..dd.manager import DDError, DDManager, _PACK
 
@@ -127,14 +126,6 @@ class ZDD(DDManager):
             node = self.union(node, self.singleton(members))
         return node
 
-    def to_sets(self, u: int) -> List[FrozenSet[int]]:
-        """The family as a list of frozensets of element *indices*.
-
-        ``to_sets``/``iter_sets`` consistently speak indices; use
-        :meth:`to_name_sets`/:meth:`iter_name_sets` for element names.
-        """
-        return list(self.iter_sets(u))
-
     def iter_sets(self, u: int) -> Iterator[FrozenSet[int]]:
         """Iterate the sets of the family as frozensets of element indices."""
         if u == EMPTY:
@@ -146,10 +137,6 @@ class ZDD(DDManager):
         yield from self.iter_sets(self._low[u])
         for members in self.iter_sets(self._high[u]):
             yield members | {var}
-
-    def to_name_sets(self, u: int) -> List[FrozenSet[str]]:
-        """The family as a list of frozensets of element *names*."""
-        return list(self.iter_name_sets(u))
 
     def iter_name_sets(self, u: int) -> Iterator[FrozenSet[str]]:
         """Iterate the sets of the family as frozensets of element names."""
@@ -182,29 +169,6 @@ class ZDD(DDManager):
             result = self._mk(self._var[u],
                               self.union(self._low[u], self._low[v]),
                               self.union(self._high[u], self._high[v]))
-        self._cache[key] = result
-        return result
-
-    def intersect(self, u: int, v: int) -> int:
-        if u == EMPTY or v == EMPTY:
-            return EMPTY
-        if u == v:
-            return u
-        if u > v:
-            u, v = v, u
-        key = ("i", u, v)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        ulvl, vlvl = self._level(u), self._level(v)
-        if ulvl < vlvl:
-            result = self.intersect(self._low[u], v)
-        elif vlvl < ulvl:
-            result = self.intersect(u, self._low[v])
-        else:
-            result = self._mk(self._var[u],
-                              self.intersect(self._low[u], self._low[v]),
-                              self.intersect(self._high[u], self._high[v]))
         self._cache[key] = result
         return result
 
@@ -253,11 +217,6 @@ class ZDD(DDManager):
                           self._subset1(self._high[u], target, tlevel))
         self._cache[key] = result
         return result
-
-    def subset0(self, u: int, var) -> int:
-        """Sets not containing ``var``."""
-        target = self.var_index(var)
-        return self._subset0(u, target, self._var2level[target])
 
     def _subset0(self, u: int, target: int, tlevel: int) -> int:
         if u <= BASE or self._level(u) > tlevel:
@@ -368,15 +327,6 @@ class ZDD(DDManager):
             result = self._mk(var, low, high)
         self._cache[key] = result
         return result
-
-    def project(self, u: int, variables: Iterable) -> int:
-        """Project onto ``variables``: ``{s & variables : s in u}``.
-
-        The complement view of :meth:`exists` — everything *outside* the
-        kept subset is quantified away.
-        """
-        keep = self._intern_vars(variables)
-        return self._project(u, keep)
 
     def _project(self, u: int, keep: FrozenSet[int]) -> int:
         if u <= BASE:
@@ -744,22 +694,6 @@ class ZDD(DDManager):
             return total
 
         return rec(u)
-
-    def contains(self, u: int, members: Iterable) -> bool:
-        """Membership test for one set."""
-        want = sorted({self.var_index(e) for e in members},
-                      key=lambda var: self._var2level[var])
-        node = u
-        for var in want:
-            tlevel = self._var2level[var]
-            while node > BASE and self._level(node) < tlevel:
-                node = self._low[node]
-            if node <= BASE or self._var[node] != var:
-                return False
-            node = self._high[node]
-        while node > BASE:
-            node = self._low[node]
-        return node == BASE
 
     def __repr__(self) -> str:
         return (f"<ZDD elements={self.num_vars} "

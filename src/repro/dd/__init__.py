@@ -7,8 +7,8 @@ diagram flavour in the project:
   by integer ids, per-variable unique tables, an operation-cache
   registry, level/order bookkeeping, exact reference counting with
   cascading frees, garbage collection and Rudell adjacent-level swaps.
-* :func:`sift` / :func:`sift_to_convergence` — dynamic variable
-  reordering by (group) sifting, generic over any :class:`DDManager`.
+* :func:`sift` — dynamic variable reordering by (group) sifting,
+  generic over any :class:`DDManager`.
 * :class:`DDError` — the common error base
   (:class:`repro.bdd.manager.BDDError` and
   :class:`repro.bdd.zdd.ZDDError` both subclass it).
@@ -24,9 +24,9 @@ code the BDD manager always had.
 """
 
 from .manager import DDError, DDManager, ResourceBudgetExceeded
-from .reorder import random_order, sift, sift_to_convergence
+from .reorder import sift
 
 __all__ = [
     "DDManager", "DDError", "ResourceBudgetExceeded",
-    "sift", "sift_to_convergence", "random_order",
+    "sift",
 ]

@@ -321,10 +321,6 @@ class DDManager:
         """Current level (0 = top) of a variable."""
         return self._var2level[self.var_index(var)]
 
-    def var_at_level(self, level: int) -> int:
-        """Variable currently placed at ``level``."""
-        return self._level2var[level]
-
     def order(self) -> List[str]:
         """Variable names from top level to bottom level."""
         return [self._names[v] for v in self._level2var]

@@ -20,7 +20,6 @@ from .manager import DDManager
 
 
 def sift(manager: DDManager, max_growth: float = 1.2,
-         max_vars: Optional[int] = None,
          groups: Optional[Sequence[Tuple[int, ...]]] = None) -> int:
     """Run one sifting pass over the variables of ``manager``.
 
@@ -34,9 +33,6 @@ def sift(manager: DDManager, max_growth: float = 1.2,
     ----------
     max_growth:
         Growth bound for abandoning a direction.
-    max_vars:
-        If given, only the ``max_vars`` largest levels (or groups) are
-        sifted.
     groups:
         Variable groups (tuples of indices/names) that must stay
         adjacent: each group moves through the order as one block, and
@@ -54,12 +50,9 @@ def sift(manager: DDManager, max_growth: float = 1.2,
         return manager.live_nodes()
 
     if groups:
-        return _sift_blocks(manager, groups, max_growth, max_vars)
+        return _sift_blocks(manager, groups, max_growth)
 
     by_size = sorted(range(num), key=lambda v: -len(manager._unique[v]))
-    if max_vars is not None:
-        by_size = by_size[:max_vars]
-
     for var in by_size:
         _sift_one(manager, var, max_growth)
     return manager.live_nodes()
@@ -177,14 +170,12 @@ def _exchange_blocks(manager: DDManager, blocks: List[List[int]],
 
 
 def _sift_blocks(manager: DDManager, groups: Sequence[Tuple[int, ...]],
-                 max_growth: float, max_vars: Optional[int]) -> int:
+                 max_growth: float) -> int:
     blocks = _normalize_blocks(manager, groups)
     if len(blocks) < 2:
         return manager.live_nodes()
     by_size = sorted(blocks,
                      key=lambda b: -sum(len(manager._unique[v]) for v in b))
-    if max_vars is not None:
-        by_size = by_size[:max_vars]
     for block in by_size:
         _sift_one_block(manager, blocks, block, max_growth)
     return manager.live_nodes()
@@ -224,25 +215,3 @@ def _sift_one_block(manager: DDManager, blocks: List[List[int]],
         index -= 1
 
 
-def sift_to_convergence(manager: DDManager, max_growth: float = 1.2,
-                        max_passes: int = 8,
-                        groups: Optional[Sequence[Tuple[int, ...]]] = None
-                        ) -> int:
-    """Repeat sifting passes until the live node count stops improving."""
-    size = sift(manager, max_growth, groups=groups)
-    for _ in range(max_passes - 1):
-        new_size = sift(manager, max_growth, groups=groups)
-        if new_size >= size:
-            return new_size
-        size = new_size
-    return size
-
-
-def random_order(manager: DDManager, seed: int = 0) -> List[int]:
-    """A deterministic pseudo-random variable order (for experiments)."""
-    import random
-
-    rng = random.Random(seed)
-    order = list(range(manager.num_vars))
-    rng.shuffle(order)
-    return order

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import FrozenSet, Hashable, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Hashable, List, Sequence, Tuple
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..petri.marking import Marking
 from ..petri.net import PetriNet
 from ..petri.smc import StateMachineComponent, find_smcs, single_token_smcs
-from .covering import CoverOption, smc_cover_options, solve_cover
+from .covering import smc_cover_options, solve_cover
 from .gray import assign_arbitrary_codes, assign_gray_codes
 from .scheme import (EncodedComponent, Encoding, EncodingError,
                      TransitionSpec, component_transition_effects,
@@ -68,10 +68,6 @@ class SMCEncodingBase(Encoding):
         code = owner.codes[place]
         return tuple(q for q in owner.component.places
                      if q != place and owner.codes[q] == code)
-
-    def owner_component(self, place: str) -> Optional[EncodedComponent]:
-        """The component that encodes ``place`` (None if free)."""
-        return self._owner[place]
 
     def transition_spec(self, transition: str) -> TransitionSpec:
         spec = self._specs.get(transition)

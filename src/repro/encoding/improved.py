@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..petri.net import PetriNet
 from ..petri.smc import StateMachineComponent, find_smcs, single_token_smcs
 from .gray import gray_sequence, hamming, place_adjacency, walk_order
-from .scheme import EncodedComponent, EncodingError
+from .scheme import EncodedComponent
 from .dense import SMCEncodingBase
 
 Code = Tuple[bool, ...]

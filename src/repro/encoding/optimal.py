@@ -61,16 +61,6 @@ class MarkingEncoding:
         return self.toggle_cost() / edges if edges else 0.0
 
 
-def binary_marking_encoding(graph: ReachabilityGraph,
-                            width: int = 0) -> MarkingEncoding:
-    """Codes assigned in BFS discovery order (an arbitrary baseline)."""
-    if width == 0:
-        width = optimal_variable_count(len(graph.markings))
-    codes = {marking: _int_code(i, width)
-             for i, marking in enumerate(graph.markings)}
-    return MarkingEncoding(graph, codes)
-
-
 def greedy_gray_marking_encoding(graph: ReachabilityGraph,
                                  width: int = 0) -> MarkingEncoding:
     """Greedy low-toggle assignment: BFS over the reachability graph,

@@ -21,10 +21,9 @@ Section 4.4).
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from ..petri.marking import Marking
 from ..petri.net import PetriNet
@@ -147,13 +146,6 @@ class Encoding(ABC):
             return result
 
         return Marking([p for p in self.net.places if marked(p)])
-
-    def density(self, marking_count: int) -> float:
-        """The Section 3 density: optimal bits over used variables."""
-        if marking_count <= 0:
-            raise EncodingError("marking count must be positive")
-        optimal = max(1, math.ceil(math.log2(marking_count)))
-        return optimal / self.num_variables
 
     def describe(self) -> str:
         """A human-readable summary of the encoding."""

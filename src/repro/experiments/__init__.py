@@ -9,10 +9,9 @@ Each module has a ``main()`` entry point (``python -m ...``) and pure
 ``run()`` functions used by the pytest benchmarks.
 """
 
-from .runner import (ExperimentRow, compare_engines, engine_label,
-                     format_table, full_scale, run)
+from .runner import ExperimentRow, engine_label, format_table, full_scale, run
 
 __all__ = [
     "ExperimentRow", "run", "engine_label",
-    "format_table", "compare_engines", "full_scale",
+    "format_table", "full_scale",
 ]

@@ -17,7 +17,6 @@ conclusions still hold on it (``benchmarks/bench_table3.py`` and
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
@@ -43,11 +42,6 @@ class ExperimentRow:
     seconds: float
     peak_nodes: int = 0
     status: str = "complete"
-
-    def density(self) -> float:
-        """Optimal bits over used variables (Section 3)."""
-        bits = max(1, math.ceil(math.log2(self.markings)))
-        return bits / self.variables
 
 
 def full_scale() -> bool:
@@ -148,22 +142,3 @@ def format_table(title: str, rows: Sequence[ExperimentRow],
         lines.append(line)
     lines.append("-" * len(header))
     return "\n".join(lines)
-
-
-def compare_engines(rows: Sequence[ExperimentRow], base: str, other: str
-                    ) -> Dict[str, Dict[str, float]]:
-    """Per-instance ratios ``base / other`` for variables, nodes, time."""
-    by_instance: Dict[str, Dict[str, ExperimentRow]] = {}
-    for row in rows:
-        by_instance.setdefault(row.instance, {})[row.engine] = row
-    ratios: Dict[str, Dict[str, float]] = {}
-    for instance, cells in by_instance.items():
-        if base in cells and other in cells:
-            left, right = cells[base], cells[other]
-            ratios[instance] = {
-                "variables": left.variables / right.variables,
-                "nodes": left.nodes / right.nodes,
-                "seconds": (left.seconds / right.seconds
-                            if right.seconds > 0 else float("inf")),
-            }
-    return ratios

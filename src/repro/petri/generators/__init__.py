@@ -13,14 +13,14 @@
 from .dme import dme_circuit, dme_spec
 from .figure1 import FIGURE1_MARKINGS, FIGURE1_SMC_PLACES, figure1_net
 from .jjreg import jj_register
-from .muller import muller, muller_marking_count, muller_ring
+from .muller import muller, muller_ring
 from .philosophers import FIGURE3_SMC_PLACES, figure4_net, philosophers
 from .slotted_ring import slotted_ring
 
 __all__ = [
     "figure1_net", "FIGURE1_MARKINGS", "FIGURE1_SMC_PLACES",
     "philosophers", "figure4_net", "FIGURE3_SMC_PLACES",
-    "muller", "muller_ring", "muller_marking_count",
+    "muller", "muller_ring",
     "slotted_ring",
     "dme_spec", "dme_circuit",
     "jj_register",

@@ -24,21 +24,16 @@ substitutions".
 
 from __future__ import annotations
 
-from math import comb
-
 from ..net import PetriNet
 
 
-def muller_ring(num_signals: int, high_signals: int = 0) -> PetriNet:
+def muller_ring(num_signals: int) -> PetriNet:
     """A closed Muller pipeline (C-element ring) with ``num_signals``
-    signals, ``high_signals`` of them initially high (default
-    ``num_signals // 3``, evenly spread)."""
+    signals, ``num_signals // 3`` of them initially high, evenly
+    spread."""
     if num_signals < 3:
         raise ValueError("need at least three signals")
-    if not high_signals:
-        high_signals = max(1, num_signals // 3)
-    if not 0 < high_signals < num_signals:
-        raise ValueError("high signal count must be in (0, num_signals)")
+    high_signals = num_signals // 3
     net = PetriNet(f"muller-ring-{num_signals}")
     initial = [0] * num_signals
     step = num_signals / high_signals
@@ -79,15 +74,3 @@ def muller(stages: int) -> PetriNet:
     net = muller_ring(2 * stages)
     net.name = f"muller-{stages}"
     return net
-
-
-def muller_marking_count(stages: int) -> int:
-    """Closed-form reachable-marking count of :func:`muller`.
-
-    A C-element ring with ``n`` signals and ``t`` initially-high signals
-    reaches exactly ``2 * C(n, 2t)`` markings (verified against explicit
-    enumeration in the tests).
-    """
-    num_signals = 2 * stages
-    high_signals = max(1, num_signals // 3)
-    return 2 * comb(num_signals, 2 * high_signals)

@@ -12,7 +12,7 @@ by floating point.
 from __future__ import annotations
 
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .net import PetriNet, PetriNetError
 
@@ -209,53 +209,6 @@ def invariant_support(net: PetriNet,
                  if weight > 0)
 
 
-def invariant_token_sum(net: PetriNet, weights: Sequence[int]) -> int:
-    """Weighted token count of the initial marking (invariant over time)."""
-    initial = net.initial_marking
-    return sum(int(weight) * initial[place]
-               for place, weight in zip(net.places, weights))
-
-
-def structural_bound(net: PetriNet, place: str,
-                     invariants: Optional[List[Tuple[int, ...]]] = None
-                     ) -> Optional[int]:
-    """Structural token bound of ``place`` from P-invariants.
-
-    Any semi-positive invariant ``I`` with ``I(p) > 0`` bounds the count
-    of ``p`` by ``(I . M0) / I(p)`` in every reachable marking.  Returns
-    the tightest such bound, or None if no invariant covers the place
-    (the place is structurally unbounded as far as invariants can tell).
-    """
-    if place not in net.places:
-        raise PetriNetError(f"unknown place: {place!r}")
-    if invariants is None:
-        invariants = minimal_semipositive_invariants(net)
-    index = net.places.index(place)
-    best: Optional[int] = None
-    for weights in invariants:
-        if weights[index] <= 0:
-            continue
-        bound = invariant_token_sum(net, weights) // weights[index]
-        if best is None or bound < best:
-            best = bound
-    return best
-
-
-def is_structurally_safe(net: PetriNet,
-                         invariants: Optional[List[Tuple[int, ...]]] = None
-                         ) -> bool:
-    """True if P-invariants bound every place by one token.
-
-    A sufficient (not necessary) condition for safeness — exactly the
-    property the paper's encodings rely on when every place is covered
-    by a single-token SMC.
-    """
-    if invariants is None:
-        invariants = minimal_semipositive_invariants(net)
-    return all(structural_bound(net, place, invariants) == 1
-               for place in net.places)
-
-
 def minimal_semipositive_t_invariants(net: PetriNet,
                                       max_rows: int = 50_000
                                       ) -> List[Tuple[int, ...]]:
@@ -285,14 +238,3 @@ class _TransposedNet:
 
     def postset(self, node: str):
         return self._net.postset(node)
-
-
-def is_t_invariant(net: PetriNet, weights: Sequence[int]) -> bool:
-    """True iff firing transitions per ``weights`` has zero net effect."""
-    if len(weights) != len(net.transitions):
-        raise ValueError("weight vector length must equal |T|")
-    for row in incidence_rows(net):
-        if sum(int(weight) * value
-               for weight, value in zip(weights, row)) != 0:
-            return False
-    return True

@@ -80,10 +80,6 @@ class Marking:
         """The set of marked places."""
         return frozenset(name for name, _ in self._tokens)
 
-    def total_tokens(self) -> int:
-        """Total number of tokens in the marking."""
-        return sum(count for _, count in self._tokens)
-
     def is_safe(self) -> bool:
         """True iff no place holds more than one token."""
         return all(count <= 1 for _, count in self._tokens)
@@ -91,10 +87,6 @@ class Marking:
     def as_dict(self) -> Dict[str, int]:
         """A mutable dict copy of the marking."""
         return dict(self._tokens)
-
-    def vector(self, place_order: Iterable[str]) -> Tuple[int, ...]:
-        """Token counts as a vector over the given place order."""
-        return tuple(self[place] for place in place_order)
 
     # -- token game ----------------------------------------------------------
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
-from .marking import Marking, MarkingLike
+from .marking import Marking
 
 
 class PetriNetError(Exception):
@@ -24,18 +24,6 @@ def _checked_name(kind: str, name: str) -> str:
         raise PetriNetError(f"{kind} name {name!r} is empty or contains "
                             f"whitespace or '#'")
     return name
-
-
-def _reachable_from(root: str, edges: Dict[str, Set[str]]) -> Set[str]:
-    """Nodes reachable from ``root`` along ``edges`` (root included)."""
-    seen = {root}
-    stack = [root]
-    while stack:
-        for node in edges[stack.pop()]:
-            if node not in seen:
-                seen.add(node)
-                stack.append(node)
-    return seen
 
 
 class PetriNet:
@@ -87,10 +75,6 @@ class PetriNet:
             self._initial[name] = tokens
         return name
 
-    def add_places(self, names: Iterable[str]) -> List[str]:
-        """Add several unmarked places."""
-        return [self.add_place(name) for name in names]
-
     def add_transition(self, name: str,
                        pre: Iterable[str] = (),
                        post: Iterable[str] = ()) -> str:
@@ -121,14 +105,6 @@ class PetriNet:
                 f"arc must connect a place and a transition: "
                 f"{source!r} -> {target!r}")
 
-    def set_initial(self, marking: MarkingLike) -> None:
-        """Replace the initial marking."""
-        marking = Marking(marking)
-        for place in marking:
-            if place not in self._place_set:
-                raise PetriNetError(f"unknown place in marking: {place!r}")
-        self._initial = marking.as_dict()
-
     # ------------------------------------------------------------------
     # Structure queries
     # ------------------------------------------------------------------
@@ -147,14 +123,6 @@ class PetriNet:
     def initial_marking(self) -> Marking:
         """The initial marking ``M0``."""
         return Marking(self._initial)
-
-    def is_place(self, name: str) -> bool:
-        """True iff ``name`` is a place of this net."""
-        return name in self._place_set
-
-    def is_transition(self, name: str) -> bool:
-        """True iff ``name`` is a transition of this net."""
-        return name in self._transition_set
 
     def preset(self, node: str) -> FrozenSet[str]:
         """Pre-set of a node (input transitions of a place, or input
@@ -218,42 +186,9 @@ class PetriNet:
                 .remove(self._trans_pre[transition])
                 .add(self._trans_post[transition]))
 
-    def fire_sequence(self, marking: Marking,
-                      sequence: Iterable[str]) -> Marking:
-        """Fire a sequence of transitions, returning the final marking."""
-        for transition in sequence:
-            marking = self.fire(marking, transition)
-        return marking
-
     # ------------------------------------------------------------------
-    # Subnets and structural classes (Section 2.2)
+    # Structural classes (Section 2.2)
     # ------------------------------------------------------------------
-
-    def subnet_generated_by_places(self, place_subset: Iterable[str],
-                                   name: Optional[str] = None) -> "PetriNet":
-        """The subnet generated by a subset of places.
-
-        Per Section 2.2: ``T' = {t in pre(p) U post(p) | p in P'}``, the flow
-        relation is restricted to ``(P' x T') U (T' x P')`` and the initial
-        marking is restricted to ``P'``.
-        """
-        place_subset = list(dict.fromkeys(place_subset))
-        for place in place_subset:
-            if place not in self._place_set:
-                raise PetriNetError(f"unknown place: {place!r}")
-        sub = PetriNet(name or f"{self.name}_sub")
-        chosen = set(place_subset)
-        for place in self._places:
-            if place in chosen:
-                sub.add_place(place, self._initial.get(place, 0))
-        trans_subset = [
-            t for t in self._transitions
-            if (self._trans_pre[t] & chosen) or (self._trans_post[t] & chosen)]
-        for trans in trans_subset:
-            sub.add_transition(trans,
-                               pre=self._trans_pre[trans] & chosen,
-                               post=self._trans_post[trans] & chosen)
-        return sub
 
     def is_state_machine(self) -> bool:
         """True iff every transition has exactly one input and one output
@@ -261,32 +196,6 @@ class PetriNet:
         return all(len(self._trans_pre[t]) == 1 and
                    len(self._trans_post[t]) == 1
                    for t in self._transitions)
-
-    def is_strongly_connected(self) -> bool:
-        """True iff the net graph (places and transitions) is strongly
-        connected: one node reaches every node along the arcs and
-        against them."""
-        successors = {**self._place_post, **self._trans_post}
-        predecessors = {**self._place_pre, **self._trans_pre}
-        if len(successors) <= 1:
-            return True
-        root = next(iter(successors))
-        return all(len(_reachable_from(root, edges)) == len(edges)
-                   for edges in (successors, predecessors))
-
-    def to_networkx(self):
-        """The net as a networkx DiGraph with a ``kind`` node attribute."""
-        import networkx as nx
-
-        graph = nx.DiGraph(name=self.name)
-        for place in self._places:
-            graph.add_node(place, kind="place",
-                           tokens=self._initial.get(place, 0))
-        for trans in self._transitions:
-            graph.add_node(trans, kind="transition")
-        for source, target in self.arcs():
-            graph.add_edge(source, target)
-        return graph
 
     def copy(self, name: Optional[str] = None) -> "PetriNet":
         """A deep copy of the net."""

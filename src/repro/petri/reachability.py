@@ -10,7 +10,7 @@ bounds the damage.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from .marking import Marking
 from .net import PetriNet, PetriNetError
@@ -100,41 +100,9 @@ class ReachabilityGraph:
         return [marking for i, marking in enumerate(self.markings)
                 if i not in has_out]
 
-    def marking_supports(self) -> Set[frozenset]:
-        """The reachable markings as frozensets of marked places
-        (valid for safe nets)."""
-        return {marking.support for marking in self.markings}
-
-    def place_bound(self, place: str) -> int:
-        """Maximum token count of ``place`` over all reachable markings."""
-        return max(marking[place] for marking in self.markings)
-
     def is_safe(self) -> bool:
         """True iff every reachable marking is safe."""
         return all(marking.is_safe() for marking in self.markings)
-
-    def firing_sequences(self, length: int) -> Iterable[Tuple[str, ...]]:
-        """All feasible firing sequences up to ``length`` (for tests)."""
-        def extend(marking: Marking, prefix: Tuple[str, ...]):
-            yield prefix
-            if len(prefix) == length:
-                return
-            for trans in self.net.enabled_transitions(marking):
-                yield from extend(self.net.fire(marking, trans),
-                                  prefix + (trans,))
-
-        yield from extend(self.initial, ())
-
-    def to_networkx(self):
-        """The reachability graph as a networkx MultiDiGraph."""
-        import networkx as nx
-
-        graph = nx.MultiDiGraph(name=f"RG({self.net.name})")
-        for i, marking in enumerate(self.markings):
-            graph.add_node(i, marking=marking)
-        for src, trans, dst in self.edges:
-            graph.add_edge(src, dst, transition=trans)
-        return graph
 
 
 def count_reachable_markings(net: PetriNet,
@@ -143,14 +111,3 @@ def count_reachable_markings(net: PetriNet,
     return len(ReachabilityGraph(net, max_markings=max_markings))
 
 
-def assert_safe(net: PetriNet, max_markings: int = 1_000_000) -> None:
-    """Raise :class:`UnsafeNet` unless the whole reachable set is safe."""
-    ReachabilityGraph(net, max_markings=max_markings, require_safe=True)
-
-
-def find_deadlock(net: PetriNet,
-                  max_markings: int = 1_000_000) -> Optional[Marking]:
-    """A reachable deadlock marking, or None."""
-    graph = ReachabilityGraph(net, max_markings=max_markings)
-    dead = graph.deadlocks()
-    return dead[0] if dead else None

@@ -19,10 +19,9 @@ Two extraction strategies are provided, mirroring the paper's references
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from .invariants import (InvariantExplosion, invariant_support,
-                         invariant_token_sum,
                          minimal_semipositive_invariants)
 from .net import PetriNet, PetriNetError
 
@@ -53,33 +52,54 @@ def smc_from_places(net: PetriNet, places: Sequence[str],
                     name: str = "SM") -> Optional[StateMachineComponent]:
     """Validate a place subset as an SMC; None if it is not one.
 
-    Checks the Section 2.2 definition directly: the generated subnet must
-    be a State Machine (every transition has exactly one input and one
-    output place inside the subset) and strongly connected.
+    Checks the Section 2.2 definition on the subnet the subset generates
+    (the subset and every transition touching it), read straight off the
+    net's pre- and post-sets: every such transition has exactly one
+    input and one output place inside the subset (a State Machine), and
+    its arcs connect the subset strongly.
     """
     subset = list(dict.fromkeys(places))
     if not subset:
         return None
-    subnet = net.subnet_generated_by_places(subset, name=name)
-    if not subnet.is_state_machine():
-        return None
-    if not subnet.is_strongly_connected():
-        return None
-    tokens = subnet.initial_marking.total_tokens()
-    ordered = tuple(p for p in net.places if p in set(subset))
-    return StateMachineComponent(places=ordered,
-                                 transitions=subnet.transitions,
-                                 token_count=tokens, name=name)
+    known = set(net.places)
+    unknown = [place for place in subset if place not in known]
+    if unknown:
+        raise PetriNetError(f"unknown place: {unknown[0]!r}")
+    chosen = set(subset)
+    transitions = tuple(t for t in net.transitions
+                        if (net.preset(t) | net.postset(t)) & chosen)
+    successors = {place: set() for place in subset}
+    predecessors = {place: set() for place in subset}
+    for transition in transitions:
+        inputs = net.preset(transition) & chosen
+        outputs = net.postset(transition) & chosen
+        if len(inputs) != 1 or len(outputs) != 1:
+            return None
+        (source,), (target,) = inputs, outputs
+        successors[source].add(target)
+        predecessors[target].add(source)
+    # In a State Machine every transition sits on one place-to-place
+    # arc, so the subnet is strongly connected iff its places are.
+    for edges in (successors, predecessors):
+        seen, stack = {subset[0]}, [subset[0]]
+        while stack:
+            for place in edges[stack.pop()] - seen:
+                seen.add(place)
+                stack.append(place)
+        if len(seen) != len(subset):
+            return None
+    initial = net.initial_marking
+    return StateMachineComponent(
+        places=tuple(p for p in net.places if p in chosen),
+        transitions=transitions,
+        token_count=sum(initial[p] for p in subset), name=name)
 
 
-def smcs_from_invariants(net: PetriNet,
-                         invariants: Optional[List[Tuple[int, ...]]] = None,
-                         max_rows: int = 50_000
+def smcs_from_invariants(net: PetriNet, max_rows: int = 50_000
                          ) -> List[StateMachineComponent]:
     """All SMCs whose place sets are supports of minimal semi-positive
     P-invariants (the Theorem 2.1 candidates)."""
-    if invariants is None:
-        invariants = minimal_semipositive_invariants(net, max_rows=max_rows)
+    invariants = minimal_semipositive_invariants(net, max_rows=max_rows)
     components = []
     seen = set()
     for number, weights in enumerate(invariants, start=1):
@@ -99,16 +119,13 @@ def single_token_smcs(components: List[StateMachineComponent]
     return [c for c in components if c.token_count == 1]
 
 
-def smc_covering_place_lp(net: PetriNet, place: str,
-                          forbid: FrozenSet[str] = frozenset()
+def smc_covering_place_lp(net: PetriNet, place: str
                           ) -> Optional[StateMachineComponent]:
     """An SMC covering ``place`` via the paper's ILP (Section 2.2).
 
     Solves ``min 1.I  s.t.  I C = 0, I(p) >= 1, sum I(p) M0(p) = 1,
     I >= 0, I integer`` with scipy's HiGHS solver, then validates the
-    support structurally.  ``forbid`` rules out invariants marking any of
-    the given places (used to search for alternative components).
-    Returns None when no valid SMC is found.
+    support structurally.  Returns None when no valid SMC is found.
     """
     import numpy as np
     from scipy.optimize import linprog
@@ -130,14 +147,7 @@ def smc_covering_place_lp(net: PetriNet, place: str,
     b_eq = np.zeros(a_eq.shape[0])
     b_eq[-1] = 1.0
 
-    bounds = []
-    for p in places:
-        if p == place:
-            bounds.append((1, None))
-        elif p in forbid:
-            bounds.append((0, 0))
-        else:
-            bounds.append((0, None))
+    bounds = [(1, None) if p == place else (0, None) for p in places]
 
     result = linprog(c=np.ones(num_places), A_eq=a_eq, b_eq=b_eq,
                      bounds=bounds, method="highs",
@@ -212,21 +222,3 @@ def find_smcs(net: PetriNet, strategy: str = "auto",
             name=f"SM{len(components) + 1}"))
         covered.update(component.places)
     return sort_components_by_locality(net, components)
-
-
-def coverage(net: PetriNet,
-             components: Sequence[StateMachineComponent]
-             ) -> Tuple[FrozenSet[str], FrozenSet[str]]:
-    """Partition the net's places into (covered, uncovered)."""
-    covered = set()
-    for component in components:
-        covered.update(component.places)
-    all_places = set(net.places)
-    return frozenset(covered), frozenset(all_places - covered)
-
-
-def is_smc_decomposable(net: PetriNet,
-                        components: Sequence[StateMachineComponent]) -> bool:
-    """True iff the components cover every place of the net."""
-    covered, uncovered = coverage(net, components)
-    return not uncovered

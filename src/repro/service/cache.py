@@ -11,14 +11,14 @@ non-semantic spec fields (``workers``, checkpoint paths, budgets,
 
 Storage is two-tier:
 
-* an in-memory LRU (``memory_entries`` results) answering repeat
+* an in-memory LRU (``MEMORY_ENTRIES`` results) answering repeat
   lookups within one service lifetime without touching disk, and
 * a disk tier (one JSON file per key under ``directory``) surviving
   process restarts, shared between concurrent services.
 
-Disk entries are written with PR 7's torn-write discipline — unique
-tmp name (pid + serial), ``fsync``, ``os.replace`` — and sealed with a
-content hash::
+Disk entries are written the way checkpoints are
+(:func:`repro._atomic.write_atomically`: unique tmp name, ``fsync``,
+``os.replace``) and sealed with a content hash::
 
     {"format": "repro-result-cache 1",
      "key": [<net_hash>, <spec_hash>],
@@ -32,9 +32,7 @@ each rename a complete sealed file into place; the loser's entry simply
 overwrites the winner's identical one — never a torn file.
 
 Every miss is classified (``absent`` / ``corrupt`` / ``schema`` /
-``mismatch`` / ``io``) and counted, and the disk tier is size-bounded:
-when ``max_bytes`` or ``max_entries`` is exceeded after a write, the
-oldest entries (mtime) are evicted until the bound holds.
+``mismatch`` / ``io``) and counted.
 """
 
 from __future__ import annotations
@@ -42,13 +40,12 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
+from .._atomic import sweep_stale_tmp, write_atomically
 from ..analysis.checkpoint import net_fingerprint
 from ..analysis.spec import AnalysisSpec
 from ..petri.net import PetriNet
@@ -63,34 +60,9 @@ CACHE_FORMAT = "repro-result-cache 1"
 #: Stable machine-readable miss classifications.
 MISS_REASONS = ("absent", "corrupt", "schema", "mismatch", "io")
 
-#: Default in-memory LRU capacity (results, not bytes — a result dict
-#: is a few KB of statistics).
-DEFAULT_MEMORY_ENTRIES = 128
-
-#: Age past which a tmp file is collected even when a process with its
-#: embedded pid is alive — pid reuse can make a long-dead writer's pid
-#: look live, and no healthy ``put`` holds a tmp file for an hour.
-STALE_TMP_SECONDS = 3600.0
-
-
-def _tmp_writer_pid(name: str) -> Optional[int]:
-    """The pid embedded in a ``<key>.json.tmp.<pid>.<serial>`` name."""
-    _, _, suffix = name.rpartition(".json.tmp.")
-    pid_text = suffix.split(".", 1)[0]
-    try:
-        return int(pid_text)
-    except ValueError:
-        return None
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except OSError:
-        return True  # e.g. EPERM: the process exists but isn't ours
-    return True
+#: In-memory LRU capacity (results, not bytes — a result dict is a few
+#: KB of statistics).
+MEMORY_ENTRIES = 128
 
 
 def cache_key(net: PetriNet, spec: AnalysisSpec) -> Tuple[str, str]:
@@ -142,39 +114,19 @@ class ResultCache:
     ----------
     directory:
         Disk tier location; created on demand.  ``None`` keeps the
-        cache memory-only (no persistence, no eviction by bytes).
-    memory_entries:
-        In-memory LRU capacity in results; 0 disables the memory tier.
-    max_bytes / max_entries:
-        Disk-tier bounds; after every write the oldest entries are
-        evicted until both hold.  ``None`` means unbounded.
+        cache memory-only (no persistence).
     """
 
-    def __init__(self, directory: Optional[Union[str, Path]] = None,
-                 memory_entries: int = DEFAULT_MEMORY_ENTRIES,
-                 max_bytes: Optional[int] = None,
-                 max_entries: Optional[int] = None) -> None:
-        if memory_entries < 0:
-            raise ValueError(
-                f"memory_entries must be >= 0, got {memory_entries}")
-        if max_bytes is not None and max_bytes < 0:
-            raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
-        if max_entries is not None and max_entries < 0:
-            raise ValueError(
-                f"max_entries must be >= 0, got {max_entries}")
+    def __init__(self, directory: Optional[Union[str, Path]] = None
+                 ) -> None:
         self.directory = Path(directory) if directory is not None else None
-        self.memory_entries = memory_entries
-        self.max_bytes = max_bytes
-        self.max_entries = max_entries
         self._memory: "OrderedDict[Tuple[str, str], Dict[str, Any]]" = \
             OrderedDict()
-        self._tmp_serial = 0
         # Telemetry.
         self.hits_memory = 0
         self.hits_disk = 0
         self.misses: Dict[str, int] = {reason: 0 for reason in MISS_REASONS}
         self.writes = 0
-        self.evictions = 0
 
     # -- paths ---------------------------------------------------------
 
@@ -183,50 +135,13 @@ class ResultCache:
             return None
         return self.directory / f"{key[0]}-{key[1]}.json"
 
-    def _sweep_stale_tmp(self) -> None:
-        """Collect tmp files stranded by writers killed mid-``put``.
-
-        The disk tier is shared between concurrent services, so a tmp
-        file may belong to a *live* writer about to ``os.replace`` it
-        into place — unlinking those would silently drop that writer's
-        entry.  A tmp file is only stale (and collected) when the pid
-        embedded in its name is no longer alive, or when it is older
-        than :data:`STALE_TMP_SECONDS` (pid-reuse backstop).
-        """
-        if self.directory is None:
-            return
-        try:
-            entries = list(self.directory.iterdir())
-        except OSError:
-            return
-        now = time.time()
-        for entry in entries:
-            if ".json.tmp." not in entry.name:
-                continue
-            pid = _tmp_writer_pid(entry.name)
-            stale = pid is not None and pid != os.getpid() \
-                and not _pid_alive(pid)
-            if not stale:
-                try:
-                    age = now - entry.stat().st_mtime
-                except OSError:
-                    continue
-                stale = age > STALE_TMP_SECONDS
-            if stale:
-                try:
-                    entry.unlink()
-                except OSError:
-                    pass
-
     # -- memory tier ---------------------------------------------------
 
     def _memory_put(self, key: Tuple[str, str],
                     result: Dict[str, Any]) -> None:
-        if self.memory_entries == 0:
-            return
         self._memory[key] = result
         self._memory.move_to_end(key)
-        while len(self._memory) > self.memory_entries:
+        while len(self._memory) > MEMORY_ENTRIES:
             self._memory.popitem(last=False)
 
     # -- lookup --------------------------------------------------------
@@ -245,9 +160,6 @@ class ResultCache:
         else:
             self.misses[lookup.reason] += 1
         return lookup
-
-    def get_for(self, net: PetriNet, spec: AnalysisSpec) -> CacheLookup:
-        return self.get(cache_key(net, spec))
 
     def _disk_get(self, key: Tuple[str, str]) -> CacheLookup:
         path = self.entry_path(key)
@@ -309,67 +221,16 @@ class ResultCache:
             "sha256": result_digest(result),
             "result": result,
         }
-        self._sweep_stale_tmp()
-        self._tmp_serial += 1
-        tmp = path.with_name(
-            f"{path.name}.tmp.{os.getpid()}.{self._tmp_serial}")
+        # The disk tier is shared between concurrent services: the sweep
+        # spares tmp files whose writer is alive (repro._atomic).
+        sweep_stale_tmp(self.directory, "")
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(entry, handle, sort_keys=True)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
+            write_atomically(path, json.dumps(entry, sort_keys=True))
         except OSError as exc:
             log.warning("cannot persist cache entry %s: %s", path, exc)
             return
         self.writes += 1
-        self._evict()
-
-    def put_for(self, net: PetriNet, spec: AnalysisSpec,
-                result: Dict[str, Any]) -> None:
-        self.put(cache_key(net, spec), result)
-
-    # -- eviction ------------------------------------------------------
-
-    def _entries_by_age(self):
-        try:
-            candidates = [entry for entry in self.directory.iterdir()
-                          if entry.name.endswith(".json")]
-            return sorted(candidates,
-                          key=lambda entry: entry.stat().st_mtime)
-        except OSError:
-            return []
-
-    def _evict(self) -> None:
-        """Drop oldest disk entries until the size bounds hold."""
-        if self.directory is None:
-            return
-        if self.max_bytes is None and self.max_entries is None:
-            return
-        entries = self._entries_by_age()
-        sizes = {}
-        for entry in entries:
-            try:
-                sizes[entry] = entry.stat().st_size
-            except OSError:
-                sizes[entry] = 0
-        total = sum(sizes.values())
-        count = len(entries)
-        for entry in entries:
-            over_bytes = (self.max_bytes is not None
-                          and total > self.max_bytes)
-            over_count = (self.max_entries is not None
-                          and count > self.max_entries)
-            if not over_bytes and not over_count:
-                break
-            try:
-                entry.unlink()
-            except OSError:
-                continue
-            total -= sizes[entry]
-            count -= 1
-            self.evictions += 1
 
     # -- telemetry -----------------------------------------------------
 
@@ -380,6 +241,5 @@ class ResultCache:
             "hits_disk": self.hits_disk,
             "misses": dict(self.misses),
             "writes": self.writes,
-            "evictions": self.evictions,
             "memory_entries": len(self._memory),
         }

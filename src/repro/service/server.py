@@ -27,7 +27,7 @@ When the service is given a ``checkpoint_dir``, each cache-missing
 request is executed with an injected per-key checkpoint path and
 ``resume=True`` (PR 7): the first solve of a key leaves a final sealed
 checkpoint behind, so a later solve of the same key — after the cache
-entry was evicted, or from a fresh service over the same directory —
+entry is gone, or from a fresh service over the same directory —
 resumes the finished fixpoint instead of cold-starting.  All injected
 fields are non-semantic, so they change neither the cache key nor the
 checkpoint's own spec-hash header.
@@ -406,13 +406,6 @@ class AnalysisService:
             # degrade to a serial in-process solve.
             self._forget(request)
             self._solve_serial(request)
-
-    def drain(self, timeout: Optional[float] = None) -> None:
-        """Resolve every outstanding request (blocking)."""
-        for request in list(self._requests.values()):
-            for handle in request.handles:
-                if not handle.done():
-                    self._pump(handle, timeout=timeout)
 
     # -- telemetry -----------------------------------------------------
 

@@ -6,10 +6,10 @@ the library exposes the standard checks built on the reachable set it
 is handed and the pre-image operator:
 
 * deadlock detection with witness extraction,
-* marking reachability and place-invariant style assertions,
-* mutual-exclusion checks over sets of places,
 * the CTL-lite fixpoints ``EF`` (backward reachability) and ``AG``
-  (``AG p = reachable AND NOT EF NOT p``).
+  (``AG p = reachable AND NOT EF NOT p``), with which invariants such
+  as mutual exclusion are checked,
+* home-marking checks (``AG EF target``).
 
 ``EF`` is ``E[reachable U target]`` by constrained saturation, one
 kernel call (:meth:`repro.bdd.manager.BDD.saturate_pre`) over one
@@ -21,9 +21,9 @@ in whole passes over the reachable set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Optional
 
-from ..bdd import Function, false
+from ..bdd import Function
 from ..petri.marking import Marking
 from .transition import SymbolicNet
 
@@ -69,11 +69,6 @@ class ModelChecker:
 
     # -- queries -----------------------------------------------------------
 
-    def is_reachable(self, marking: Marking) -> bool:
-        """Is this exact marking reachable?"""
-        minterm = self.symnet.marking_function(Marking(marking))
-        return not (minterm & self.reachable).is_zero()
-
     def find_deadlocks(self) -> CheckReport:
         """Reachable markings enabling no transition.
 
@@ -86,29 +81,6 @@ class ModelChecker:
         count = self.symnet.count_markings(dead)
         return CheckReport(holds=True, witness=self._witness(dead),
                            detail=f"{count} deadlocked marking(s)")
-
-    def check_mutual_exclusion(self, places: Iterable[str]) -> CheckReport:
-        """No reachable marking marks two of the given places at once."""
-        places = list(places)
-        pairs = false(self.symnet.bdd)
-        for i, place_a in enumerate(places):
-            for place_b in places[i + 1:]:
-                pairs = pairs | (self.symnet.places[place_a]
-                                 & self.symnet.places[place_b])
-        violation = self.reachable & pairs
-        if violation.is_zero():
-            return CheckReport(holds=True,
-                               detail=f"places {places} mutually exclusive")
-        return CheckReport(holds=False, witness=self._witness(violation),
-                           detail="simultaneously marked")
-
-    def check_invariant(self, predicate: Function) -> CheckReport:
-        """AG predicate: does it hold on every reachable marking?"""
-        violation = self.reachable - predicate
-        if violation.is_zero():
-            return CheckReport(holds=True, detail="invariant holds")
-        return CheckReport(holds=False, witness=self._witness(violation),
-                           detail="invariant violated")
 
     def ef(self, target: Function) -> Function:
         """Backward fixpoint: reachable states that can reach ``target``.
@@ -150,16 +122,3 @@ class ModelChecker:
         return CheckReport(holds=False, witness=self._witness(stuck),
                            detail="states that cannot reach target")
 
-    def place_predicate(self, place: str) -> Function:
-        """The characteristic function of one place (convenience)."""
-        return self.symnet.places[place]
-
-    def enabled_predicate(self, transition: str) -> Function:
-        """The enabling function of one transition (convenience)."""
-        return self.symnet.enabling[transition]
-
-    def live_transitions(self) -> List[str]:
-        """Transitions enabled in at least one reachable marking."""
-        return [t for t in self.symnet.net.transitions
-                if not (self.reachable
-                        & self.symnet.enabling[t]).is_zero()]

@@ -20,7 +20,7 @@ as the explicit token game.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..bdd import BDD, Function, cube, false, true, variable
 from ..petri.marking import Marking
@@ -100,13 +100,6 @@ class KBoundedNet:
         if not 0 <= value <= (1 << self.bits) - 1:
             raise ValueError(f"count {value} out of range")
         return cube(self.bdd, self._count_bits(place, value, nxt))
-
-    def count_at_least(self, place: str, value: int) -> Function:
-        """Predicate: ``place`` holds at least ``value`` tokens."""
-        result = false(self.bdd)
-        for count in range(value, self.bound + 1):
-            result = result | self.count_equals(place, count)
-        return result
 
     def _delta(self, transition: str, place: str) -> int:
         delta = 0

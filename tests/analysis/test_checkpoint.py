@@ -16,6 +16,9 @@ Covers the whole checkpoint/resume surface:
 """
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +28,8 @@ from repro.analysis import (Analysis, AnalysisSpec, CheckpointData,
                             spec_fingerprint)
 from repro.analysis.checkpoint import dump_checkpoint, parse_checkpoint
 from repro.petri.generators import philosophers
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 # One spec per backend family; every one must checkpoint and resume.
 # The relational and ZDD defaults saturate: their first step is a whole
@@ -159,25 +164,26 @@ class TestStore:
             store.load()
         assert excinfo.value.reason == "missing"
 
-    def test_crash_between_tmp_write_and_rename_is_swept(self, tmp_path,
-                                                         monkeypatch):
-        """Crash simulation: the process dies after writing the tmp
+    def test_crash_between_tmp_write_and_rename_is_swept(self, tmp_path):
+        """Crash simulation: a writer process dies after writing the tmp
         file but before the atomic rename.  The stale tmp must not
         damage the sealed checkpoint and must be swept by the next
         writer (the restarted process)."""
-        import repro.analysis.checkpoint as checkpoint_module
         path = tmp_path / "run.ckpt"
-        store = CheckpointStore(path)
-        store.save(sample_data(iteration=3))
-
-        def die_before_rename(src, dst):
-            raise KeyboardInterrupt("simulated SIGKILL before rename")
-
-        monkeypatch.setattr(checkpoint_module.os, "replace",
-                            die_before_rename)
-        with pytest.raises(KeyboardInterrupt):
-            store.save(sample_data(iteration=9))
-        monkeypatch.undo()
+        CheckpointStore(path).save(sample_data(iteration=3))
+        crash = (
+            "import os, sys\n"
+            "from repro.analysis import CheckpointStore\n"
+            "from repro.analysis.checkpoint import parse_checkpoint\n"
+            "data = parse_checkpoint(sys.stdin.read())\n"
+            "os.replace = lambda src, dst: os._exit(9)\n"
+            "CheckpointStore(sys.argv[1]).save(data)\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        died = subprocess.run(
+            [sys.executable, "-c", crash, str(path)], env=env,
+            input=dump_checkpoint(sample_data(iteration=9)), text=True,
+            timeout=120)
+        assert died.returncode == 9
         stale = [p.name for p in tmp_path.iterdir()
                  if p.name.startswith("run.ckpt.tmp")]
         assert stale, "the simulated crash should strand a tmp file"
@@ -190,10 +196,37 @@ class TestStore:
         assert list(tmp_path.iterdir()) == [path]
         assert restarted.load().iteration == 11
 
+    def test_second_store_saving_inside_a_write_spares_its_tmp(
+            self, tmp_path, monkeypatch):
+        """Two stores on one path (two services sharing a checkpoint
+        directory): the second saves between the first's ``fsync`` and
+        its rename.  Its sweep must leave the live writer's tmp file
+        alone, so both saves succeed and the later rename wins."""
+        path = tmp_path / "run.ckpt"
+        first, second = CheckpointStore(path), CheckpointStore(path)
+        real_replace = os.replace
+        renames = []
+
+        def replace(src, dst):
+            renames.append(src)
+            if len(renames) == 1:
+                second.save(sample_data(iteration=5))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        first.save(sample_data(iteration=3))
+        monkeypatch.undo()
+        assert len(set(renames)) == 2
+        assert first.writes == second.writes == 1
+        assert parse_checkpoint(path.read_text()).iteration == 3
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_stale_tmp_swept_on_resume_load(self, tmp_path):
         path = tmp_path / "run.ckpt"
         CheckpointStore(path).save(sample_data(iteration=5))
-        (tmp_path / "run.ckpt.tmp.999.7").write_text("torn leftovers")
+        # pids stay below pid_max, whose ceiling is 2**22: no live
+        # process wrote this tmp file.
+        (tmp_path / f"run.ckpt.tmp.{2 ** 22}.7").write_text("torn leftovers")
         loaded = CheckpointStore(path).load()
         assert loaded.iteration == 5
         assert list(tmp_path.iterdir()) == [path]

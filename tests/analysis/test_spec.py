@@ -618,6 +618,14 @@ class TestRetiredPartitionedEngine:
             AnalysisSpec(backend="portfolio",
                          portfolio_members=("bdd-partitioned",))
 
+    @pytest.mark.parametrize("member, replacement", [
+        ("bdd-monolithic", "bdd-chained"), ("zdd-classic", "zdd-chained")])
+    def test_spec_rejects_members_no_race_ran(self, member, replacement):
+        """No default, workload, experiment or benchmark raced these two
+        members; their engines stay, the race rosters point on."""
+        with pytest.raises(SpecError, match=f"retired.*'{replacement}'"):
+            AnalysisSpec(backend="portfolio", portfolio_members=(member,))
+
     def test_result_naming_partitioned_engine_raises_spec_error(self):
         """A result an older build wrote for the BDD ``partitioned``
         engine fails to load and points at ``chained``."""

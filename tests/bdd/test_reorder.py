@@ -4,8 +4,7 @@ import itertools
 
 import pytest
 
-from repro.bdd import BDD, BDDError, sift, sift_to_convergence, variable
-from repro.dd.reorder import random_order
+from repro.bdd import BDD, BDDError, sift, variable
 
 
 def build_interleaved_adder(bdd, a_names, b_names):
@@ -123,7 +122,9 @@ class TestSifting:
         bdd = BDD(var_names=names_a + names_b)
         f = build_interleaved_adder(bdd, names_a, names_b)
         blocked_size = f.size()
-        sift_to_convergence(bdd)
+        size = sift(bdd)
+        while (improved := sift(bdd)) < size:
+            size = improved
         # Optimal interleaved size is 3n + 2 nodes; sifting should get there
         # or very close, far below the exponential blocked order.
         assert f.size() <= blocked_size // 2
@@ -138,11 +139,6 @@ class TestSifting:
         f = variable(bdd, "a")
         assert sift(bdd) >= 2
         assert f({"a": True})
-
-    def test_random_order_is_deterministic(self):
-        bdd = BDD(var_names=[f"v{i}" for i in range(6)])
-        assert random_order(bdd, seed=3) == random_order(bdd, seed=3)
-        assert sorted(random_order(bdd, seed=3)) == list(range(6))
 
 
 class TestAutoReorder:

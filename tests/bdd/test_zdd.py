@@ -11,7 +11,7 @@ def zdd():
 
 
 def family(zdd, node):
-    return set(zdd.to_name_sets(node))
+    return set(zdd.iter_name_sets(node))
 
 
 class TestConstruction:
@@ -55,11 +55,6 @@ class TestAlgebra:
         assert family(zdd, zdd.union(f, g)) == {
             frozenset({"p"}), frozenset({"q"}), frozenset({"r"})}
 
-    def test_intersect(self, zdd):
-        f = zdd.from_sets([{"p"}, {"q"}])
-        g = zdd.from_sets([{"q"}, {"r"}])
-        assert family(zdd, zdd.intersect(f, g)) == {frozenset({"q"})}
-
     def test_diff(self, zdd):
         f = zdd.from_sets([{"p"}, {"q"}])
         g = zdd.from_sets([{"q"}, {"r"}])
@@ -70,11 +65,6 @@ class TestAlgebra:
         assert zdd.union(f, EMPTY) == f
         assert zdd.union(EMPTY, f) == f
         assert zdd.union(f, f) == f
-
-    def test_intersect_annihilator(self, zdd):
-        f = zdd.from_sets([{"p", "q"}])
-        assert zdd.intersect(f, EMPTY) == EMPTY
-        assert zdd.intersect(f, f) == f
 
     def test_diff_laws(self, zdd):
         f = zdd.from_sets([{"p"}, {"q", "r"}])
@@ -95,18 +85,12 @@ class TestElementOps:
         s = zdd.subset1(f, "q")
         assert family(zdd, s) == {frozenset({"p"}), frozenset()}
 
-    def test_subset0(self, zdd):
-        f = zdd.from_sets([{"p", "q"}, {"q"}, {"r"}])
-        s = zdd.subset0(f, "q")
-        assert family(zdd, s) == {frozenset({"r"})}
-
     def test_subset_partition(self, zdd):
-        """subset0 + (change . subset1) partitions any family."""
+        """change . subset1 picks exactly the sets holding the element."""
         f = zdd.from_sets([set(), {"p"}, {"p", "s"}, {"q", "r"}])
         with_p = zdd.change(zdd.subset1(f, "p"), "p")
-        without_p = zdd.subset0(f, "p")
-        assert zdd.union(with_p, without_p) == f
-        assert zdd.intersect(with_p, without_p) == EMPTY
+        assert family(zdd, with_p) == {s for s in family(zdd, f) if "p" in s}
+        assert zdd.union(with_p, zdd.diff(f, with_p)) == f
 
     def test_change_adds_and_removes(self, zdd):
         f = zdd.from_sets([{"p"}, {"q"}])
@@ -117,35 +101,20 @@ class TestElementOps:
         f = zdd.from_sets([{"p", "r"}, {"s"}, set()])
         assert zdd.change(zdd.change(f, "q"), "q") == f
 
-    def test_contains(self, zdd):
-        f = zdd.from_sets([{"p", "q"}, {"r"}])
-        assert zdd.contains(f, ["p", "q"])
-        assert zdd.contains(f, ["r"])
-        assert not zdd.contains(f, ["p"])
-        assert not zdd.contains(f, [])
-
-    def test_contains_empty_set(self, zdd):
-        f = zdd.from_sets([set(), {"p"}])
-        assert zdd.contains(f, [])
-
 
 class TestEnumeration:
-    def test_iter_sets_and_to_sets_agree_on_indices(self, zdd):
-        """Regression: ``to_sets`` used to return element *names* while
-        its own iterator yielded *indices*.  Both now consistently speak
-        indices; the name view has its own pair of methods."""
+    def test_iter_sets_speaks_indices(self, zdd):
+        """``iter_sets`` yields element *indices*; the name view has its
+        own method."""
         f = zdd.from_sets([{"p"}, {"q", "s"}])
-        listed = zdd.to_sets(f)
-        iterated = list(zdd.iter_sets(f))
-        assert listed == iterated
+        listed = list(zdd.iter_sets(f))
         assert set(listed) == {frozenset({0}), frozenset({1, 3})}
         for members in listed:
             assert all(isinstance(e, int) for e in members)
 
     def test_name_sets_mirror_index_sets(self, zdd):
         f = zdd.from_sets([{"p"}, {"q", "s"}])
-        named = zdd.to_name_sets(f)
-        assert named == list(zdd.iter_name_sets(f))
+        named = list(zdd.iter_name_sets(f))
         assert set(named) == {frozenset({"p"}), frozenset({"q", "s"})}
         for members in named:
             assert all(isinstance(e, str) for e in members)
@@ -177,11 +146,6 @@ class TestRelationalCore:
     def test_exists_no_vars_is_identity(self, zdd):
         f = zdd.from_sets([{"p", "q"}])
         assert zdd.exists(f, []) == f
-
-    def test_project_keeps_only_subset(self, zdd):
-        f = zdd.from_sets([{"p", "q"}, {"r", "s"}])
-        assert family(zdd, zdd.project(f, ["p", "r"])) == {
-            frozenset({"p"}), frozenset({"r"})}
 
     def test_supset_requires_all(self, zdd):
         f = zdd.from_sets([{"p", "q"}, {"q"}, {"q", "r"}])

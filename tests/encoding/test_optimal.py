@@ -3,7 +3,6 @@
 import pytest
 
 from repro.encoding.optimal import (MarkingEncoding,
-                                    binary_marking_encoding,
                                     greedy_gray_marking_encoding,
                                     optimal_variable_count,
                                     random_marking_encoding)
@@ -31,7 +30,7 @@ class TestWidth:
 
 class TestEncodings:
     def test_codes_are_injective(self, graph):
-        enc = binary_marking_encoding(graph)
+        enc = random_marking_encoding(graph, seed=0)
         assert len(set(enc.codes.values())) == len(graph.markings)
 
     def test_injectivity_enforced(self, graph):
@@ -45,7 +44,7 @@ class TestEncodings:
             MarkingEncoding(graph, codes)
 
     def test_toggle_cost_positive(self, graph):
-        enc = binary_marking_encoding(graph)
+        enc = random_marking_encoding(graph, seed=0)
         assert enc.toggle_cost() > 0
         assert enc.average_toggles() == enc.toggle_cost() / 11
 

@@ -4,8 +4,7 @@ import pytest
 
 from repro.experiments.figure2 import run as figure2_run
 from repro.analysis import AnalysisSpec
-from repro.experiments.runner import (ExperimentRow, compare_engines,
-                                      format_table, run)
+from repro.experiments.runner import format_table, run
 from repro.experiments.table3 import (HARNESS_SIZES, PAPER_SIZES,
                                       PAPER_TABLE3, instances)
 from repro.experiments.table4 import PAPER_TABLE4
@@ -59,11 +58,6 @@ class TestRunner:
         assert row.variables == 7
         assert row.peak_nodes > 0
 
-    def test_density(self):
-        row = ExperimentRow("x", "dense", markings=22, variables=10,
-                            nodes=5, seconds=0.0)
-        assert row.density() == pytest.approx(0.5)
-
     def test_dense_supports_custom_factory(self):
         from repro.encoding import DenseEncoding
         from repro.petri.smc import find_smcs
@@ -87,13 +81,6 @@ class TestFormatting:
         rows = [sparse_row("fig1", figure1_net())]
         text = format_table("demo", rows, engines=("sparse", "dense"))
         assert "-" in text
-
-    def test_compare_engines(self):
-        rows = [sparse_row("fig1", figure1_net()),
-                dense_row("fig1", figure1_net())]
-        ratios = compare_engines(rows, "sparse", "dense")
-        assert ratios["fig1"]["variables"] == pytest.approx(7 / 4)
-        assert ratios["fig1"]["nodes"] > 1
 
 
 class TestTable3Config:

@@ -10,6 +10,8 @@
   every reachable marking is safe by construction.
 * :func:`backward_closure` — the explicit oracle for backward queries
   (``EF``, ``AG``): a backward search over a reachability graph.
+* :func:`exclusive` — mutual exclusion of places, checked as an ``AG``
+  query of a :class:`~repro.symbolic.ModelChecker`.
 
 pytest puts ``tests/`` (the home of the root ``conftest.py``) on
 ``sys.path``, so test modules anywhere under ``tests/`` import this
@@ -20,6 +22,7 @@ from collections import defaultdict, deque
 
 from hypothesis import strategies as st
 
+from repro.bdd import false
 from repro.petri import PetriNet
 
 
@@ -117,3 +120,14 @@ def backward_closure(graph, targets):
                 seen.add(src)
                 queue.append(src)
     return seen
+
+
+def exclusive(checker, places):
+    """``AG`` "no two of ``places`` are marked together" holds on the
+    checker's reachable set."""
+    marked = [checker.symnet.places[place] for place in places]
+    two_at_once = false(checker.symnet.bdd)
+    for i, first in enumerate(marked):
+        for second in marked[i + 1:]:
+            two_at_once = two_at_once | (first & second)
+    return checker.ag(~two_at_once) == checker.reachable

@@ -76,8 +76,15 @@ class TestClassify:
                                "free_choice", "extended_free_choice"}
 
     def test_smc_subnet_classifies_as_state_machine(self):
-        net = figure1_net()
-        sub = net.subnet_generated_by_places(["p1", "p2", "p4", "p6"])
+        """The subnet SM1 generates (Figure 1.b) is a State Machine."""
+        sub = PetriNet("sm1")
+        sub.add_place("p1", 1)
+        for place in ("p2", "p4", "p6"):
+            sub.add_place(place)
+        for name, pre, post in (("t1", "p1", "p2"), ("t2", "p1", "p4"),
+                                ("t3", "p2", "p6"), ("t5", "p4", "p6"),
+                                ("t7", "p6", "p1")):
+            sub.add_transition(name, pre=[pre], post=[post])
         report = classify(sub)
         assert report["state_machine"]
         assert report["free_choice"]

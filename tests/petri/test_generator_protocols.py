@@ -11,6 +11,7 @@ marking); larger ones through the symbolic checker, which must agree.
 
 import pytest
 
+from net_strategies import exclusive
 from repro.analysis import Analysis, AnalysisSpec
 from repro.petri import ReachabilityGraph
 from repro.petri.generators import (dme_spec, jj_register, muller,
@@ -28,13 +29,19 @@ def fired(graph):
 
 def exactly_one(checker, places):
     """The predicate "exactly one of ``places`` is marked"."""
-    marked = [checker.place_predicate(place) for place in places]
+    marked = [checker.symnet.places[place] for place in places]
     none = ~marked[0]
     one = marked[0]
     for predicate in marked[1:]:
         one = (one & ~predicate) | (none & predicate)
         none = none & ~predicate
     return one
+
+
+def holds_everywhere(checker, predicate):
+    """``AG predicate`` from the initial marking: every reachable
+    marking satisfies it."""
+    return checker.ag(predicate) == checker.reachable
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +90,9 @@ class TestMullerRing:
 
     def test_symbolic_checker_sees_every_transition_live(self):
         checker = Analysis(muller(6), DEFAULT).checker()
-        assert checker.live_transitions() \
-            == list(checker.symnet.net.transitions)
+        enabling = checker.symnet.enabling
+        assert all(not (checker.reachable & enabling[t]).is_zero()
+                   for t in checker.symnet.net.transitions)
 
 
 # ---------------------------------------------------------------------------
@@ -129,15 +137,13 @@ class TestDME:
     def test_symbolic_privilege_is_unique(self):
         cells = 4
         checker = Analysis(dme_spec(cells), DEFAULT).checker()
-        report = checker.check_invariant(
-            exactly_one(checker, privilege_places(cells)))
-        assert report, report.detail
+        assert holds_everywhere(
+            checker, exactly_one(checker, privilege_places(cells)))
 
     def test_symbolic_critical_sections_exclude(self):
         cells = 4
         checker = Analysis(dme_spec(cells), DEFAULT).checker()
-        assert checker.check_mutual_exclusion(
-            [f"c{i}_uc" for i in range(cells)])
+        assert exclusive(checker, [f"c{i}_uc" for i in range(cells)])
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +187,9 @@ class TestJJRegister:
 
     def test_symbolic_handshake_invariant(self):
         checker = Analysis(jj_register("a", bits=6), DEFAULT).checker()
-        report = checker.check_invariant(
-            checker.place_predicate("ack_1").iff(
-                checker.place_predicate("ctl_done")))
-        assert report, report.detail
+        places = checker.symnet.places
+        assert holds_everywhere(
+            checker, places["ack_1"].iff(places["ctl_done"]))
 
 
 # ---------------------------------------------------------------------------

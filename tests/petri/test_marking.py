@@ -32,7 +32,6 @@ class TestConstruction:
     def test_empty(self):
         m = Marking()
         assert len(m) == 0
-        assert m.total_tokens() == 0
 
 
 class TestIdentity:
@@ -54,16 +53,9 @@ class TestViews:
     def test_support(self):
         assert Marking({"p1": 2, "p2": 1}).support == {"p1", "p2"}
 
-    def test_total_tokens(self):
-        assert Marking({"p1": 2, "p2": 1}).total_tokens() == 3
-
     def test_is_safe(self):
         assert Marking({"p1": 1}).is_safe()
         assert not Marking({"p1": 2}).is_safe()
-
-    def test_vector(self):
-        m = Marking({"p2": 1})
-        assert m.vector(["p1", "p2", "p3"]) == (0, 1, 0)
 
     def test_as_dict_is_copy(self):
         m = Marking({"p1": 1})

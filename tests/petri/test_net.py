@@ -5,11 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from net_strategies import safe_nets, small_nets
 from repro.petri import Marking, PetriNet, PetriNetError
 from repro.petri.generators import figure1_net
 
@@ -57,19 +54,6 @@ class TestConstruction:
         with pytest.raises(PetriNetError):
             simple.add_arc("p1", "nope")
 
-    def test_add_places_bulk(self):
-        net = PetriNet()
-        net.add_places(["a", "b", "c"])
-        assert net.places == ("a", "b", "c")
-
-    def test_set_initial(self, simple):
-        simple.set_initial({"p2": 1})
-        assert simple.initial_marking == Marking(["p2"])
-
-    def test_set_initial_unknown_place(self, simple):
-        with pytest.raises(PetriNetError):
-            simple.set_initial({"zzz": 1})
-
     def test_validate_isolated_transition(self):
         net = PetriNet()
         net.add_transition("t")
@@ -95,20 +79,9 @@ class TestStructureQueries:
         with pytest.raises(PetriNetError):
             simple.preset("zzz")
 
-    def test_is_place_is_transition(self, simple):
-        assert simple.is_place("p1")
-        assert not simple.is_place("t1")
-        assert simple.is_transition("t1")
-
     def test_arcs_enumeration(self, simple):
         assert set(simple.arcs()) == {
             ("p1", "t1"), ("t1", "p2"), ("p2", "t2"), ("t2", "p1")}
-
-    def test_to_networkx(self):
-        graph = figure1_net().to_networkx()
-        assert graph.number_of_nodes() == 14
-        assert graph.nodes["p1"]["kind"] == "place"
-        assert graph.nodes["t1"]["kind"] == "transition"
 
     def test_copy_is_independent(self, simple):
         dup = simple.copy("dup")
@@ -137,13 +110,16 @@ class TestTokenGame:
             simple.fire(simple.initial_marking, "zzz")
 
     def test_fire_sequence(self, simple):
-        m = simple.fire_sequence(simple.initial_marking,
-                                 ["t1", "t2", "t1"])
+        m = simple.initial_marking
+        for transition in ["t1", "t2", "t1"]:
+            m = simple.fire(m, transition)
         assert m == Marking(["p2"])
 
     def test_figure1_feasible_sequence(self):
         net = figure1_net()
-        m = net.fire_sequence(net.initial_marking, ["t1", "t3", "t4", "t7"])
+        m = net.initial_marking
+        for transition in ["t1", "t3", "t4", "t7"]:
+            m = net.fire(m, transition)
         assert m == net.initial_marking
 
     def test_fork_join(self):
@@ -153,64 +129,14 @@ class TestTokenGame:
         assert set(net.enabled_transitions(m)) == {"t3", "t4"}
 
 
-class TestSubnets:
-    def test_subnet_generated_by_places(self):
-        net = figure1_net()
-        sub = net.subnet_generated_by_places(["p1", "p2", "p4", "p6"])
-        assert set(sub.places) == {"p1", "p2", "p4", "p6"}
-        # t1..t3, t5, t7 touch those places; t4, t6 do not.
-        assert set(sub.transitions) == {"t1", "t2", "t3", "t5", "t7"}
-        assert sub.initial_marking == Marking(["p1"])
-
-    def test_subnet_is_state_machine(self):
-        net = figure1_net()
-        sub = net.subnet_generated_by_places(["p1", "p2", "p4", "p6"])
-        assert sub.is_state_machine()
-        assert sub.is_strongly_connected()
-
+class TestStructuralClasses:
     def test_full_net_not_state_machine(self):
         assert not figure1_net().is_state_machine()
 
-    def test_subnet_unknown_place(self, simple):
-        with pytest.raises(PetriNetError):
-            simple.subnet_generated_by_places(["zzz"])
-
-    def test_non_strongly_connected(self):
-        net = PetriNet()
-        net.add_place("a", tokens=1)
-        net.add_place("b")
-        net.add_transition("t", pre=["a"], post=["b"])
-        assert net.is_state_machine()
-        assert not net.is_strongly_connected()
-
-
-@settings(max_examples=200, deadline=None)
-@given(net=st.one_of(small_nets(), safe_nets()))
-def test_strong_connectivity_agrees_with_networkx(net):
-    graph = net.to_networkx()
-    expected = (graph.number_of_nodes() <= 1
-                or nx.is_strongly_connected(graph))
-    assert net.is_strongly_connected() == expected
-
-
-def test_analysis_does_not_import_networkx():
-    """networkx is an export helper only: building and solving a net
-    (dense encodings test strong connectivity) must not load it."""
-    script = ("import sys\n"
-              "from repro.analysis import Analysis\n"
-              "from repro.petri.generators import philosophers\n"
-              "Analysis(philosophers(3)).run()\n"
-              "print('networkx' in sys.modules)\n")
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run([sys.executable, "-c", script], env=env,
-                         check=True, capture_output=True, text=True,
-                         timeout=120).stdout
-    assert out.strip() == "False"
-
 
 def test_analysis_and_checker_do_not_import_numpy():
-    """numpy serves the state equation and scipy the LP fallback of SMC
-    enumeration; the Farkas elimination behind ``analyze()`` runs on
+    """numpy serves the incidence matrix and scipy the LP fallback of
+    SMC enumeration; the Farkas elimination behind ``analyze()`` runs on
     plain ints, so building, solving and querying a net load neither."""
     script = ("import sys\n"
               "from repro.analysis import Analysis\n"

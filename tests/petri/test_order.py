@@ -84,8 +84,8 @@ def test_force_pulls_hyperedge_members_together():
 class TestDegenerateNets:
     def test_no_transitions(self):
         net = PetriNet("idle")
-        net.add_places(["p", "q"])
-        net.set_initial({"p": 1})
+        net.add_place("p", tokens=1)
+        net.add_place("q")
         assert place_order(net) == ("p", "q")
         assert variable_order(SparseEncoding(net)) == ("p", "q")
 
@@ -98,8 +98,9 @@ class TestDegenerateNets:
 
     def test_hyperedges_with_fewer_than_two_members(self):
         net = PetriNet("small-edges")
-        net.add_places(["p", "q", "r"])
-        net.set_initial({"p": 1})
+        net.add_place("p", tokens=1)
+        net.add_place("q")
+        net.add_place("r")
         net.add_transition("nothing")
         net.add_transition("loop", pre=["q"], post=["q"])
         net.add_transition("sink", pre=["r"])

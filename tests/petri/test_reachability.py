@@ -3,8 +3,7 @@
 import pytest
 
 from repro.petri import (Marking, PetriNet, ReachabilityGraph,
-                         StateExplosion, UnsafeNet, assert_safe,
-                         count_reachable_markings, find_deadlock)
+                         StateExplosion, UnsafeNet, count_reachable_markings)
 from repro.petri.generators import FIGURE1_MARKINGS, figure1_net, figure4_net
 
 
@@ -14,10 +13,10 @@ class TestFigure1:
 
     def test_marking_supports_match_paper(self):
         rg = ReachabilityGraph(figure1_net())
-        assert rg.marking_supports() == set(FIGURE1_MARKINGS)
+        assert {m.support for m in rg.markings} == set(FIGURE1_MARKINGS)
 
     def test_no_deadlocks(self):
-        assert find_deadlock(figure1_net()) is None
+        assert ReachabilityGraph(figure1_net()).deadlocks() == []
 
     def test_successors_of_initial(self):
         rg = ReachabilityGraph(figure1_net())
@@ -33,22 +32,10 @@ class TestFigure1:
     def test_is_safe(self):
         assert ReachabilityGraph(figure1_net()).is_safe()
 
-    def test_place_bound(self):
+    def test_eleven_arcs(self):
         rg = ReachabilityGraph(figure1_net())
-        assert rg.place_bound("p1") == 1
-
-    def test_to_networkx(self):
-        graph = ReachabilityGraph(figure1_net()).to_networkx()
-        assert graph.number_of_nodes() == 8
-        assert graph.number_of_edges() == 11  # Figure 1.b has 11 arcs
-
-    def test_firing_sequences(self):
-        rg = ReachabilityGraph(figure1_net())
-        seqs = set(rg.firing_sequences(2))
-        assert () in seqs
-        assert ("t1",) in seqs
-        assert ("t1", "t3") in seqs
-        assert ("t2", "t1") not in seqs
+        assert len(rg.markings) == 8
+        assert len(rg.edges) == 11  # Figure 1.b has 11 arcs
 
 
 class TestFigure4:
@@ -58,8 +45,7 @@ class TestFigure4:
 
     def test_deadlock_exists(self):
         """Classic dining philosophers: both grab their right fork."""
-        dead = find_deadlock(figure4_net())
-        assert dead is not None
+        dead = ReachabilityGraph(figure4_net()).deadlocks()[0]
         # In the deadlock every philosopher holds exactly one fork (both
         # right forks p6/p12, or both left forks p7/p13).
         assert (dead.support >= {"p6", "p12"}
@@ -78,7 +64,7 @@ class TestBudgetsAndSafety:
         net.add_transition("t1", pre=["a"], post=["a", "b"])
         net.add_transition("t2", pre=["b"], post=["b", "b"])
         with pytest.raises(UnsafeNet):
-            assert_safe(net)
+            ReachabilityGraph(net)
 
     def test_unsafe_initial_marking_detected(self):
         net = PetriNet()
@@ -94,7 +80,7 @@ class TestBudgetsAndSafety:
         net.add_transition("t", pre=["a"], post=["b"])
         rg = ReachabilityGraph(net, max_markings=10, require_safe=False)
         assert not rg.is_safe()
-        assert rg.place_bound("b") == 2
+        assert max(marking["b"] for marking in rg.markings) == 2
 
     def test_empty_net_single_marking(self):
         net = PetriNet()

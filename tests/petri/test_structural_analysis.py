@@ -1,12 +1,15 @@
-"""Unit tests for T-invariants and structural bounds."""
+"""Unit tests for T-invariants."""
 
+import numpy as np
 import pytest
 
-from repro.petri import PetriNet, ReachabilityGraph
-from repro.petri.generators import figure1_net, figure4_net, muller
-from repro.petri.invariants import (is_structurally_safe, is_t_invariant,
-                                    minimal_semipositive_t_invariants,
-                                    structural_bound)
+from repro.petri import PetriNet
+from repro.petri.generators import figure1_net, figure4_net
+from repro.petri.incidence import incidence_matrix
+from repro.petri.invariants import minimal_semipositive_t_invariants
+
+FAMILIES = ["figure1", "figure4", "muller3", "slot2", "phil3", "dme2",
+            "dmecir2", "jjreg-a2"]
 
 
 class TestTInvariants:
@@ -25,20 +28,10 @@ class TestTInvariants:
     def test_t_invariants_reproduce_marking(self):
         """Firing a T-invariant's transitions returns to the start."""
         net = figure1_net()
-        marking = net.fire_sequence(net.initial_marking,
-                                    ["t1", "t3", "t4", "t7"])
+        marking = net.initial_marking
+        for transition in ["t1", "t3", "t4", "t7"]:
+            marking = net.fire(marking, transition)
         assert marking == net.initial_marking
-
-    def test_is_t_invariant(self):
-        net = figure1_net()
-        assert is_t_invariant(net, [1, 0, 1, 1, 0, 0, 1])
-        assert not is_t_invariant(net, [1, 0, 0, 0, 0, 0, 0])
-        # The sum of both cycles fires t7 twice.
-        assert is_t_invariant(net, [1, 1, 1, 1, 1, 1, 2])
-
-    def test_is_t_invariant_wrong_length(self):
-        with pytest.raises(ValueError):
-            is_t_invariant(figure1_net(), [1, 2])
 
     def test_philosopher_cycles(self):
         """Each philosopher's five transitions form a T-invariant."""
@@ -58,43 +51,19 @@ class TestTInvariants:
         assert minimal_semipositive_t_invariants(net) == []
 
 
-class TestStructuralBounds:
-    def test_figure1_bounds_are_one(self):
-        net = figure1_net()
-        for place in net.places:
-            assert structural_bound(net, place) == 1
-
-    def test_structural_safety(self):
-        assert is_structurally_safe(figure1_net())
-        assert is_structurally_safe(figure4_net())
-        assert is_structurally_safe(muller(2))
-
-    def test_bound_matches_actual_bound(self):
-        """The invariant bound is an upper bound on the real bound."""
-        net = figure4_net()
-        graph = ReachabilityGraph(net)
-        for place in net.places:
-            assert graph.place_bound(place) <= structural_bound(net, place)
-
-    def test_uncovered_place_unbounded(self):
-        net = PetriNet()
-        net.add_place("a", tokens=1)
-        net.add_place("b")
-        net.add_transition("t", pre=["a"], post=["a", "b"])
-        assert structural_bound(net, "b") is None
-        assert not is_structurally_safe(net)
-
-    def test_weighted_bound(self):
-        """A two-token invariant gives bound 2."""
-        net = PetriNet()
-        net.add_place("a", tokens=2)
-        net.add_place("b")
-        net.add_transition("t1", pre=["a"], post=["b"])
-        net.add_transition("t2", pre=["b"], post=["a"])
-        assert structural_bound(net, "a") == 2
-        assert not is_structurally_safe(net)
-
-    def test_unknown_place(self):
-        from repro.petri import PetriNetError
-        with pytest.raises(PetriNetError):
-            structural_bound(figure1_net(), "zzz")
+@pytest.mark.parametrize("name", FAMILIES)
+def test_t_invariants_are_minimal_firing_cycles(name, make_net):
+    """``C X = 0`` for every returned ``X >= 0``, and no returned
+    support strictly contains another."""
+    net = make_net(name)
+    matrix = incidence_matrix(net)
+    invariants = minimal_semipositive_t_invariants(net)
+    assert invariants
+    supports = []
+    for weights in invariants:
+        assert min(weights) >= 0 and any(weights)
+        assert not (matrix @ np.array(weights)).any()
+        supports.append(frozenset(
+            t for t, w in zip(net.transitions, weights) if w > 0))
+    for support in supports:
+        assert not any(other < support for other in supports)

@@ -50,7 +50,7 @@ def build_bdd(bdd, expr):
     raise AssertionError(tag)
 
 
-def check_identities(bdd, f, g, qvars):
+def check_identities(bdd, f, g):
     """The negation identities, asserted structurally on edges."""
     # Double negation is the literal identity on edges.
     assert bdd.apply_not(bdd.apply_not(f)) == f
@@ -62,9 +62,6 @@ def check_identities(bdd, f, g, qvars):
     # Complement laws.
     assert bdd.apply_and(f, bdd.apply_not(f)) == ZERO
     assert bdd.apply_or(f, bdd.apply_not(f)) == ONE
-    # Universal quantification is the double-negated existential.
-    assert (bdd.forall(f, qvars)
-            == bdd.apply_not(bdd.exists(bdd.apply_not(f), qvars)))
 
 
 STAGES = ["fresh", "gc", "set_order", "sift"]
@@ -72,16 +69,13 @@ STAGES = ["fresh", "gc", "set_order", "sift"]
 
 @settings(max_examples=60, deadline=None)
 @given(exprs(), exprs(),
-       st.sets(st.integers(min_value=0, max_value=NUM_VARS - 1),
-               min_size=1, max_size=3),
        st.permutations(list(range(NUM_VARS))),
        st.sampled_from(STAGES))
-def test_negation_identities_survive_lifecycle(left, right, variables,
-                                               order, stage):
+def test_negation_identities_survive_lifecycle(left, right, order, stage):
     bdd = BDD(var_names=NAMES)
     f = bdd.ref(build_bdd(bdd, left))
     g = bdd.ref(build_bdd(bdd, right))
-    check_identities(bdd, f, g, variables)
+    check_identities(bdd, f, g)
     if stage == "gc":
         bdd.collect_garbage()
     elif stage == "set_order":
@@ -89,7 +83,7 @@ def test_negation_identities_survive_lifecycle(left, right, variables,
     elif stage == "sift":
         sift(bdd)
     bdd.assert_consistent()
-    check_identities(bdd, f, g, variables)
+    check_identities(bdd, f, g)
 
 
 @settings(max_examples=60, deadline=None)
@@ -100,7 +94,7 @@ def test_negation_shares_the_dag(expr):
     f = build_bdd(bdd, expr)
     nf = bdd.apply_not(f)
     assert nf == f ^ 1
-    assert bdd.regular(f) == bdd.regular(nf)
+    assert f & -2 == nf & -2
     assert bdd.size(f) == bdd.size(nf)
 
 

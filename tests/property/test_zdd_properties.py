@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.bdd import EMPTY, ZDD
+from repro.bdd import ZDD
 
 NUM_ELEMS = 5
 NAMES = [f"e{i}" for i in range(NUM_ELEMS)]
@@ -37,14 +37,6 @@ def test_union_is_set_union(fam1, fam2):
 
 @settings(max_examples=150, deadline=None)
 @given(family_strategy, family_strategy)
-def test_intersect_is_set_intersection(fam1, fam2):
-    zdd = ZDD(var_names=NAMES)
-    node = zdd.intersect(build(zdd, fam1), build(zdd, fam2))
-    assert extract(zdd, node) == fam1 & fam2
-
-
-@settings(max_examples=150, deadline=None)
-@given(family_strategy, family_strategy)
 def test_diff_is_set_difference(fam1, fam2):
     zdd = ZDD(var_names=NAMES)
     node = zdd.diff(build(zdd, fam1), build(zdd, fam2))
@@ -57,15 +49,6 @@ def test_subset1_semantics(fam, elem):
     zdd = ZDD(var_names=NAMES)
     node = zdd.subset1(build(zdd, fam), elem)
     expected = frozenset(s - {elem} for s in fam if elem in s)
-    assert extract(zdd, node) == expected
-
-
-@settings(max_examples=150, deadline=None)
-@given(family_strategy, st.integers(min_value=0, max_value=NUM_ELEMS - 1))
-def test_subset0_semantics(fam, elem):
-    zdd = ZDD(var_names=NAMES)
-    node = zdd.subset0(build(zdd, fam), elem)
-    expected = frozenset(s for s in fam if elem not in s)
     assert extract(zdd, node) == expected
 
 
@@ -95,33 +78,26 @@ def test_canonicity(fam1, fam2):
 
 
 @settings(max_examples=100, deadline=None)
-@given(family_strategy, set_strategy)
-def test_contains(fam, probe):
-    zdd = ZDD(var_names=NAMES)
-    node = build(zdd, fam)
-    assert zdd.contains(node, probe) == (probe in fam)
-
-
-@settings(max_examples=100, deadline=None)
 @given(family_strategy, st.integers(min_value=0, max_value=NUM_ELEMS - 1))
 def test_partition_by_element(fam, elem):
     """with-elem and without-elem partition the family."""
     zdd = ZDD(var_names=NAMES)
     node = build(zdd, fam)
     with_e = zdd.change(zdd.subset1(node, elem), elem)
-    without_e = zdd.subset0(node, elem)
+    without_e = zdd.diff(node, with_e)
+    assert extract(zdd, with_e) == frozenset(s for s in fam if elem in s)
+    assert extract(zdd, without_e) == frozenset(
+        s for s in fam if elem not in s)
     assert zdd.union(with_e, without_e) == node
-    assert zdd.intersect(with_e, without_e) == EMPTY
+    assert zdd.diff(with_e, without_e) == with_e
 
 
 # ---------------------------------------------------------------------
-# The relational core: product / exists / project / supset / rename /
-# and_exists
+# The relational core: product / exists / supset / rename / and_exists
 # ---------------------------------------------------------------------
 
 vars_strategy = st.frozensets(
     st.integers(min_value=0, max_value=NUM_ELEMS - 1), max_size=NUM_ELEMS)
-ALL_ELEMS = frozenset(range(NUM_ELEMS))
 
 
 @settings(max_examples=150, deadline=None)
@@ -154,16 +130,6 @@ def test_exists_semantics_and_idempotence(fam, qvars):
 
 @settings(max_examples=150, deadline=None)
 @given(family_strategy, vars_strategy)
-def test_project_is_exists_on_the_complement(fam, keep):
-    zdd = ZDD(var_names=NAMES)
-    node = build(zdd, fam)
-    projected = zdd.project(node, keep)
-    assert extract(zdd, projected) == frozenset(s & keep for s in fam)
-    assert projected == zdd.exists(node, ALL_ELEMS - keep)
-
-
-@settings(max_examples=150, deadline=None)
-@given(family_strategy, vars_strategy)
 def test_supset_filters_by_containment(fam, want):
     zdd = ZDD(var_names=NAMES)
     node = zdd.supset(build(zdd, fam), want)
@@ -186,15 +152,16 @@ def test_rename_round_trip(fam):
 
 @settings(max_examples=150, deadline=None)
 @given(family_strategy, family_strategy, vars_strategy)
-def test_and_exists_is_fused_project_of_product(fam1, fam2, qvars):
-    """``and_exists(u, v, qvars)`` equals ``exists(product(u, v), qvars)``
-    — equivalently the projection of the product onto the kept subset."""
+def test_and_exists_is_fused_exists_of_product(fam1, fam2, qvars):
+    """``and_exists(u, v, qvars)`` equals ``exists(product(u, v), qvars)``:
+    the product's sets with ``qvars`` removed."""
     zdd = ZDD(var_names=NAMES)
     u, v = build(zdd, fam1), build(zdd, fam2)
     fused = zdd.and_exists(u, v, qvars)
     joined = zdd.product(u, v)
     assert fused == zdd.exists(joined, qvars)
-    assert fused == zdd.project(joined, ALL_ELEMS - qvars)
+    assert extract(zdd, fused) == frozenset(
+        (a | b) - qvars for a in fam1 for b in fam2)
 
 
 # ---------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""ResultCache: key contract, tiers, durability, eviction, telemetry."""
+"""ResultCache: key contract, tiers, durability, telemetry."""
 
 import json
 import subprocess
@@ -8,8 +8,8 @@ import time
 import pytest
 
 from repro.analysis import AnalysisSpec, analyze
-from repro.service import CACHE_FORMAT, ResultCache, cache_key
-from repro.service.cache import result_digest
+from repro.service import ResultCache, cache_key
+from repro.service.cache import MEMORY_ENTRIES
 
 
 @pytest.fixture(scope="module")
@@ -36,21 +36,22 @@ class TestKey:
         """Checkpoints / budgets must not fracture the key."""
         net, spec, payload = solved
         cache = ResultCache(directory=tmp_path)
-        cache.put_for(net, spec, payload)
+        cache.put(cache_key(net, spec), payload)
         for variant in (
                 spec.replace(checkpoint_path="x.ckpt", resume=True),
                 spec.replace(node_budget=10_000, deadline=60.0),
                 spec.replace(max_iterations=3)):
-            lookup = cache.get_for(net, variant)
+            lookup = cache.get(cache_key(net, variant))
             assert lookup.hit, variant
             assert lookup.result == payload
 
     def test_semantic_change_misses(self, solved, tmp_path):
         net, spec, payload = solved
         cache = ResultCache(directory=tmp_path)
-        cache.put_for(net, spec, payload)
-        assert not cache.get_for(net, spec.replace(backend="zdd")).hit
-        assert not cache.get_for(net, spec.replace(scheme="sparse")).hit
+        cache.put(cache_key(net, spec), payload)
+        for variant in (spec.replace(backend="zdd"),
+                        spec.replace(scheme="sparse")):
+            assert not cache.get(cache_key(net, variant)).hit
 
 
 # ---------------------------------------------------------------------------
@@ -61,19 +62,19 @@ class TestTiers:
     def test_memory_hit_after_put(self, solved, tmp_path):
         net, spec, payload = solved
         cache = ResultCache(directory=tmp_path)
-        cache.put_for(net, spec, payload)
-        lookup = cache.get_for(net, spec)
+        cache.put(cache_key(net, spec), payload)
+        lookup = cache.get(cache_key(net, spec))
         assert lookup.hit and lookup.tier == "memory"
 
     def test_disk_hit_survives_restart_and_promotes(self, solved,
                                                     tmp_path):
         net, spec, payload = solved
-        ResultCache(directory=tmp_path).put_for(net, spec, payload)
+        ResultCache(directory=tmp_path).put(cache_key(net, spec), payload)
         fresh = ResultCache(directory=tmp_path)  # new "process"
-        first = fresh.get_for(net, spec)
+        first = fresh.get(cache_key(net, spec))
         assert first.hit and first.tier == "disk"
         assert first.result == payload
-        second = fresh.get_for(net, spec)       # promoted
+        second = fresh.get(cache_key(net, spec))  # promoted
         assert second.tier == "memory"
         assert fresh.stats()["hits_disk"] == 1
         assert fresh.stats()["hits_memory"] == 1
@@ -81,20 +82,21 @@ class TestTiers:
     def test_memory_only_cache_works_without_directory(self, solved):
         net, spec, payload = solved
         cache = ResultCache(directory=None)
-        cache.put_for(net, spec, payload)
-        assert cache.get_for(net, spec).hit
+        cache.put(cache_key(net, spec), payload)
+        assert cache.get(cache_key(net, spec)).hit
         assert cache.entry_path(cache_key(net, spec)) is None
 
     def test_memory_tier_is_lru_bounded(self, solved):
         net, spec, payload = solved
-        cache = ResultCache(directory=None, memory_entries=2)
-        cache.put(("n1", "s"), payload)
-        cache.put(("n2", "s"), payload)
-        cache.get(("n1", "s"))          # refresh n1
-        cache.put(("n3", "s"), payload)  # evicts n2, the LRU entry
-        assert cache.get(("n1", "s")).hit
-        assert not cache.get(("n2", "s")).hit
-        assert cache.get(("n3", "s")).hit
+        cache = ResultCache(directory=None)
+        for i in range(MEMORY_ENTRIES):
+            cache.put((f"n{i}", "s"), payload)
+        cache.get(("n0", "s"))              # refresh n0
+        cache.put(("new", "s"), payload)    # drops n1, the LRU entry
+        assert cache.get(("n0", "s")).hit
+        assert not cache.get(("n1", "s")).hit
+        assert cache.get(("new", "s")).hit
+        assert cache.stats()["memory_entries"] == MEMORY_ENTRIES
 
 
 # ---------------------------------------------------------------------------
@@ -104,13 +106,13 @@ class TestTiers:
 class TestDurability:
     def entry(self, cache, solved):
         net, spec, payload = solved
-        cache.put_for(net, spec, payload)
+        cache.put(cache_key(net, spec), payload)
         return cache.entry_path(cache_key(net, spec))
 
     def fresh_lookup(self, tmp_path, solved):
         """Look up through a cold cache (no memory tier to mask disk)."""
         net, spec, _ = solved
-        return ResultCache(directory=tmp_path).get_for(net, spec)
+        return ResultCache(directory=tmp_path).get(cache_key(net, spec))
 
     def test_truncation_at_every_byte_boundary(self, solved, tmp_path):
         """A torn disk entry is never served, wherever the tear is."""
@@ -157,20 +159,20 @@ class TestDurability:
     def test_hit_reports_its_tier(self, solved, tmp_path):
         net, spec, payload = solved
         cache = ResultCache(directory=tmp_path)
-        cache.put_for(net, spec, payload)
-        assert cache.get_for(net, spec).to_dict() == {"hit": True,
+        cache.put(cache_key(net, spec), payload)
+        assert cache.get(cache_key(net, spec)).to_dict() == {"hit": True,
                                                       "tier": "memory"}
 
     def test_miss_reports_its_reason(self, solved, tmp_path):
         net, spec, _ = solved
         cache = ResultCache(directory=tmp_path)
-        assert cache.get_for(net, spec).to_dict() == {"hit": False,
+        assert cache.get(cache_key(net, spec)).to_dict() == {"hit": False,
                                                       "reason": "absent"}
 
     def test_absent_is_a_counted_reason(self, solved, tmp_path):
         net, spec, _ = solved
         cache = ResultCache(directory=tmp_path)
-        assert cache.get_for(net, spec).reason == "absent"
+        assert cache.get(cache_key(net, spec)).reason == "absent"
         assert cache.stats()["misses"]["absent"] == 1
 
     # pids are always < pid_max, whose kernel ceiling is 2**22 — this
@@ -183,9 +185,9 @@ class TestDurability:
         tmp_path.mkdir(exist_ok=True)
         stale.write_text("partial garbage")
         cache = ResultCache(directory=tmp_path)
-        cache.put_for(net, spec, payload)
+        cache.put(cache_key(net, spec), payload)
         assert not stale.exists()
-        assert cache.get_for(net, spec).hit
+        assert cache.get(cache_key(net, spec)).hit
 
     def test_put_spares_live_writers_tmp_files(self, solved, tmp_path):
         """The disk tier is shared: a tmp file whose writer is alive is
@@ -195,7 +197,7 @@ class TestDurability:
         live = tmp_path / f"peer-peer.json.tmp.{os.getpid()}.7"
         tmp_path.mkdir(exist_ok=True)
         live.write_text('{"half": "written')
-        ResultCache(directory=tmp_path).put_for(net, spec, payload)
+        ResultCache(directory=tmp_path).put(cache_key(net, spec), payload)
         assert live.exists()
 
     def test_put_sweeps_ancient_tmp_files_regardless_of_pid(
@@ -203,7 +205,7 @@ class TestDurability:
         """pid-reuse backstop: an hour-old tmp file is stranded even
         when some process now wears its writer's pid."""
         import os
-        from repro.service.cache import STALE_TMP_SECONDS
+        from repro._atomic import STALE_TMP_SECONDS
         net, spec, payload = solved
         tmp_path.mkdir(exist_ok=True)
         ancient = tmp_path / f"old-old.json.tmp.{os.getpid()}.1"
@@ -213,7 +215,7 @@ class TestDurability:
         stamp = time.time() - STALE_TMP_SECONDS - 60
         os.utime(ancient, (stamp, stamp))
         os.utime(unparseable, (stamp, stamp))
-        ResultCache(directory=tmp_path).put_for(net, spec, payload)
+        ResultCache(directory=tmp_path).put(cache_key(net, spec), payload)
         assert not ancient.exists()
         assert not unparseable.exists()
 
@@ -241,10 +243,12 @@ def test_concurrent_writers_never_tear_an_entry(tmp_path):
          "feedfacefeedface", str(1000 + i)])
         for i in range(2)]
     seen = 0
-    reader = ResultCache(directory=tmp_path, memory_entries=0)
     deadline = time.monotonic() + 60
     while any(proc.poll() is None for proc in procs) or seen == 0:
         assert time.monotonic() < deadline, "writers never produced"
+        # A fresh cache per read: its memory tier is empty, so every
+        # lookup reads the disk entry.
+        reader = ResultCache(directory=tmp_path)
         lookup = reader.get(("feedfacefeedface", "cafecafecafecafe"))
         if lookup.hit:
             seen += 1
@@ -253,59 +257,23 @@ def test_concurrent_writers_never_tear_an_entry(tmp_path):
             assert lookup.reason == "absent"  # never corrupt/torn
     for proc in procs:
         assert proc.wait() == 0
-    final = reader.get(("feedfacefeedface", "cafecafecafecafe"))
+    final = ResultCache(directory=tmp_path).get(
+        ("feedfacefeedface", "cafecafecafecafe"))
     assert final.hit and seen > 0
-    assert reader.stats()["misses"]["corrupt"] == 0
 
 
 # ---------------------------------------------------------------------------
-# Eviction
+# Telemetry
 
 
-class TestEviction:
-    def test_max_entries_drops_oldest(self, solved, tmp_path):
-        import os
-        import time
-        _net, _spec, payload = solved
-        cache = ResultCache(directory=tmp_path, max_entries=3)
-        for i in range(5):
-            key = (f"{i:016x}", "feedfeedfeedfeed")
-            cache.put(key, payload)
-            # mtime granularity: make the write order unambiguous
-            # (back-dated so the entry being written is the newest).
-            stamp = time.time() - (100 - i)
-            os.utime(cache.entry_path(key), (stamp, stamp))
-        disk = sorted(p.name for p in tmp_path.iterdir()
-                      if p.name.endswith(".json"))
-        assert len(disk) == 3
-        assert cache.evictions == 2
-        # Survivors are the newest writes.
-        assert disk == [f"{i:016x}-feedfeedfeedfeed.json"
-                        for i in (2, 3, 4)]
-
-    def test_max_bytes_bounds_total_size(self, solved, tmp_path):
-        _net, _spec, payload = solved
-        entry_size = len(json.dumps({
-            "format": CACHE_FORMAT, "key": ["a" * 16, "b" * 16],
-            "sha256": result_digest(payload), "result": payload},
-            sort_keys=True))
-        cache = ResultCache(directory=tmp_path,
-                            max_bytes=int(entry_size * 2.5))
-        for i in range(4):
-            cache.put((f"{i:016x}", "feedfeedfeedfeed"), payload)
-        total = sum(p.stat().st_size for p in tmp_path.iterdir()
-                    if p.name.endswith(".json"))
-        assert total <= entry_size * 2.5
-        assert cache.evictions >= 1
-
+class TestTelemetry:
     def test_counters_snapshot(self, solved, tmp_path):
         net, spec, payload = solved
         cache = ResultCache(directory=tmp_path)
-        cache.get_for(net, spec)
-        cache.put_for(net, spec, payload)
-        cache.get_for(net, spec)
+        cache.get(cache_key(net, spec))
+        cache.put(cache_key(net, spec), payload)
+        cache.get(cache_key(net, spec))
         stats = cache.stats()
         assert stats["writes"] == 1
         assert stats["hits_memory"] == 1
         assert stats["misses"]["absent"] == 1
-        assert stats["evictions"] == 0

@@ -12,7 +12,7 @@ import os
 import signal
 
 import pytest
-from fake_workers import FakeHarness, NoWorkersHarness
+from fake_workers import NoWorkersHarness
 
 from repro.analysis import AnalysisSpec, analyze
 from repro.service import AnalysisService, ResultCache, ServiceError
@@ -160,27 +160,6 @@ def test_unavailable_pool_degrades_to_serial(baselines):
             semantic(payloads[("figure1", "default")])
         assert service.stats()["serial_solves"] == 1
         assert service.stats()["pool"]["mode"] == "serial-fallback"
-
-
-def test_drain_resolves_every_outstanding_request(baselines):
-    nets, specs, payloads = baselines
-    first = payloads[("figure1", "default")]
-    second = payloads[("phil4", "default")]
-    harness = FakeHarness({"service-0": [(1.0, ("result", 1, first)),
-                                         (2.0, ("result", 2, second))]},
-                          poll_interval=1.0)
-    with AnalysisService(workers=1, harness=harness) as service:
-        handles = [service.submit(nets["figure1"], specs["default"]),
-                   service.submit(nets["phil4"], specs["default"])]
-        assert not any(handle.done() for handle in handles)
-        service.drain()
-        assert [handle.result_dict() for handle in handles] \
-            == [first, second]
-        assert service.stats()["pool_solves"] == 2
-        # Drained results are cached like any other.
-        again = service.submit(nets["phil4"], specs["default"])
-        assert again.info["mode"] == "cache"
-    harness.assert_no_orphans()
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Unit tests for the symbolic model checker."""
 
 import pytest
-from net_strategies import backward_closure
+from net_strategies import backward_closure, exclusive
 
 from repro.analysis import Analysis, AnalysisSpec
+from repro.bdd import true
 from repro.encoding import SparseEncoding
-from repro.petri import Marking
+from repro.petri import Marking, find_smcs, single_token_smcs
 from repro.petri.generators import (dme_spec, figure1_net, figure4_net,
                                     jj_register, muller, philosophers,
                                     slotted_ring)
@@ -28,11 +29,13 @@ def fig4():
 
 class TestReachability:
     def test_reachable_markings(self, fig1):
-        assert fig1.is_reachable(Marking(["p1"]))
-        assert fig1.is_reachable(Marking(["p6", "p7"]))
+        for marking in (Marking(["p1"]), Marking(["p6", "p7"])):
+            minterm = fig1.symnet.marking_function(marking)
+            assert not (minterm & fig1.reachable).is_zero()
 
     def test_unreachable_marking(self, fig1):
-        assert not fig1.is_reachable(Marking(["p2", "p5"]))
+        minterm = fig1.symnet.marking_function(Marking(["p2", "p5"]))
+        assert (minterm & fig1.reachable).is_zero()
 
     def test_marking_count(self, fig1, fig4):
         assert fig1.marking_count() == 8
@@ -63,74 +66,68 @@ class TestDeadlocks:
 class TestMutualExclusion:
     def test_smc_places_are_exclusive(self, fig1):
         """Places of one SMC can never be marked together (Theorem 2.1)."""
-        assert fig1.check_mutual_exclusion(["p1", "p2", "p4", "p6"])
+        assert exclusive(fig1, ["p1", "p2", "p4", "p6"])
 
     def test_concurrent_places_are_not_exclusive(self, fig1):
-        report = fig1.check_mutual_exclusion(["p2", "p3"])
-        assert not report
-        assert report.witness == Marking(["p2", "p3"])
+        assert not exclusive(fig1, ["p2", "p3"])
 
     def test_violation_among_many_places_pins_witness(self, fig1):
-        """Four places, one concurrent pair: the union of the pairs is
-        intersected with the reachable set once, and the witness is the
-        one the per-pair union gave."""
-        report = fig1.check_mutual_exclusion(["p2", "p4", "p6", "p7"])
-        assert not report
-        assert report.witness == Marking(["p2", "p7"])
-        assert report.detail == "simultaneously marked"
+        """Four places, p7 concurrent with the other three (one SMC):
+        the violating markings are exactly p7 with one of p2, p4, p6."""
+        assert not exclusive(fig1, ["p2", "p4", "p6", "p7"])
+        places = fig1.symnet.places
+        two_at_once = fig1.reachable & (
+            (places["p2"] | places["p4"] | places["p6"]) & places["p7"])
+        assert set(fig1.symnet.markings_of(two_at_once)) == {
+            Marking([place, "p7"]) for place in ("p2", "p4", "p6")}
 
     def test_philosophers_eating_places(self):
         """Three philosophers on a ring of three forks never eat
         together; on four, two opposite ones can."""
         three = Analysis(philosophers(3)).checker()
-        eating = [f"ph{i}_eating" for i in range(3)]
-        report = three.check_mutual_exclusion(eating)
-        assert report and report.witness is None
-        assert report.detail == f"places {eating} mutually exclusive"
+        assert exclusive(three, [f"ph{i}_eating" for i in range(3)])
         four = Analysis(philosophers(4)).checker()
-        report = four.check_mutual_exclusion(
-            [f"ph{i}_eating" for i in range(4)])
-        assert not report
-        assert report.witness == Marking(
-            ["ph0_idle", "ph1_eating", "ph2_idle", "ph3_eating"])
+        assert not exclusive(four, [f"ph{i}_eating" for i in range(4)])
 
     def test_dme_critical_sections_exclusive(self):
-        net = dme_spec(3)
-        checker = Analysis(net, BFS).checker()
-        critical = [f"c{i}_uc" for i in range(3)]
-        assert checker.check_mutual_exclusion(critical)
+        checker = Analysis(dme_spec(3), BFS).checker()
+        assert exclusive(checker, [f"c{i}_uc" for i in range(3)])
 
 
 class TestInvariants:
     def test_tautological_invariant(self, fig1):
-        from repro.bdd import true
-        assert fig1.check_invariant(true(fig1.symnet.bdd))
+        """The reachable set is itself an invariant."""
+        assert fig1.ag(fig1.reachable) == fig1.reachable
 
     def test_place_invariant(self, fig1):
-        """p1 or p6 or ... : one place of SM1 is always marked."""
-        pred = (fig1.place_predicate("p1") | fig1.place_predicate("p2")
-                | fig1.place_predicate("p4") | fig1.place_predicate("p6"))
-        assert fig1.check_invariant(pred)
+        """p1 or p2 or p4 or p6: one place of SM1 is always marked."""
+        places = fig1.symnet.places
+        pred = places["p1"] | places["p2"] | places["p4"] | places["p6"]
+        assert fig1.ag(pred) == fig1.reachable
 
     def test_violated_invariant_gives_witness(self, fig1):
-        report = fig1.check_invariant(~fig1.place_predicate("p1"))
-        assert not report
-        assert report.witness == Marking(["p1"])
+        """AG not-p1 fails, and the initial marking is the only
+        reachable marking that violates it."""
+        not_p1 = ~fig1.symnet.places["p1"]
+        assert fig1.ag(not_p1) != fig1.reachable
+        assert fig1.symnet.markings_of(fig1.reachable - not_p1) \
+            == [Marking(["p1"])]
 
 
 class TestCtl:
     def test_ef_from_initial(self, fig1):
         """EF(p6 & p7) holds at the initial marking."""
-        target = fig1.place_predicate("p6") & fig1.place_predicate("p7")
+        places = fig1.symnet.places
+        target = places["p6"] & places["p7"]
         ef = fig1.ef(target)
         assert not (ef & fig1.symnet.initial).is_zero()
 
     def test_ef_of_unreachable_is_empty(self, fig1):
-        bad = fig1.place_predicate("p2") & fig1.place_predicate("p5")
+        places = fig1.symnet.places
+        bad = places["p2"] & places["p5"]
         assert fig1.ef(bad).is_zero()
 
     def test_ag_of_reachable_true(self, fig1):
-        from repro.bdd import true
         assert fig1.ag(true(fig1.symnet.bdd)) == fig1.reachable
 
     def test_home_marking(self, fig1):
@@ -144,12 +141,16 @@ class TestCtl:
         assert report.witness is not None
 
     def test_live_transitions(self, fig1):
-        assert fig1.live_transitions() == list(
-            fig1.symnet.net.transitions)
+        """Every transition of Figure 1 is enabled in some reachable
+        marking."""
+        symnet = fig1.symnet
+        assert all(not (fig1.reachable & symnet.enabling[t]).is_zero()
+                   for t in symnet.net.transitions)
 
     def test_enabled_predicate(self, fig1):
-        enabled = fig1.enabled_predicate("t1")
+        enabled = fig1.symnet.enabling["t1"]
         assert not (enabled & fig1.symnet.initial).is_zero()
+        assert (fig1.symnet.enabling["t3"] & fig1.symnet.initial).is_zero()
 
 
 class TestPrecomputedReachable:
@@ -214,7 +215,7 @@ def targets(checker):
     place = symnet.net.places[-1]
     return {"deadlock": checker.reachable & symnet.deadlock_condition(),
             "initial": symnet.initial,
-            place: checker.place_predicate(place)}
+            place: symnet.places[place]}
 
 
 class TestChainedEfMatchesFrontierBfs:
@@ -307,3 +308,61 @@ def test_each_query_starts_with_a_collection():
         query()
         assert bdd.gc_count == gcs + 1
     assert bdd.peak_live_nodes >= occupancy
+
+
+# ---------------------------------------------------------------------------
+# Queries on every generator family, against the explicit graph
+
+
+FAMILIES = ["figure1", "figure4", "muller3", "slot2", "phil3", "dme2",
+            "dmecir2", "jjreg-a2"]
+
+
+@pytest.fixture(scope="module")
+def family_checkers(make_net):
+    """Lazily built ``(net, checker, explicit graph)`` per family."""
+    built = {}
+
+    def get(name):
+        if name not in built:
+            net = make_net(name)
+            built[name] = (net, Analysis(net, BFS).checker(),
+                           ReachabilityGraph(net))
+        return built[name]
+
+    return get
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_smc_places_are_exclusive_and_covering(name, family_checkers):
+    """Theorem 2.1 on every single-token SMC the encodings use: exactly
+    one of its places is marked in every reachable marking."""
+    net, checker, _ = family_checkers(name)
+    components = single_token_smcs(find_smcs(net))
+    assert components
+    for component in components:
+        assert exclusive(checker, component.places)
+        some_marked = ~true(checker.symnet.bdd)
+        for place in component.places:
+            some_marked = some_marked | checker.symnet.places[place]
+        assert checker.ag(some_marked) == checker.reachable
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_live_transitions_match_explicit_graph(name, family_checkers):
+    net, checker, graph = family_checkers(name)
+    symbolic = [t for t in net.transitions
+                if not (checker.reachable
+                        & checker.symnet.enabling[t]).is_zero()]
+    explicit = {t for _, t, _ in graph.edges}
+    assert symbolic == [t for t in net.transitions if t in explicit]
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_deadlocks_match_explicit_graph(name, family_checkers):
+    _, checker, graph = family_checkers(name)
+    symnet = checker.symnet
+    dead = checker.reachable & symnet.deadlock_condition()
+    assert set(symnet.markings_of(dead)) == set(graph.deadlocks())
+    report = checker.find_deadlocks()
+    assert bool(report) == bool(graph.deadlocks())

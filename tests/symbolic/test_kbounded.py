@@ -62,10 +62,19 @@ class TestPredicates:
         assert not (knet.initial & knet.count_equals("a", 2)).is_zero()
         assert (knet.initial & knet.count_equals("a", 1)).is_zero()
 
-    def test_count_at_least(self):
+    def test_counts_partition_the_state_space(self):
+        """Each token count of a place is one of its bit patterns: the
+        ``count_equals`` predicates are disjoint and cover everything."""
         knet = KBoundedNet(two_token_cycle(), bound=2)
-        assert not (knet.initial & knet.count_at_least("a", 1)).is_zero()
-        assert (knet.initial & knet.count_at_least("b", 1)).is_zero()
+        counts = [knet.count_equals("b", value)
+                  for value in range(1 << knet.bits)]
+        union = counts[0]
+        for i, count in enumerate(counts):
+            assert not count.is_zero()
+            for other in counts[i + 1:]:
+                assert (count & other).is_zero()
+            union = union | count
+        assert (~union).is_zero()
 
     def test_count_out_of_range(self):
         knet = KBoundedNet(two_token_cycle(), bound=2)

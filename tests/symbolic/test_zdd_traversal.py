@@ -88,7 +88,7 @@ class TestZddRelationalNet:
         for transition, sparse in relnet.sparse_relations().items():
             pre = relnet.net.preset(transition)
             post = relnet.net.postset(transition)
-            sets = zdd.to_name_sets(sparse.relation)
+            sets = list(zdd.iter_name_sets(sparse.relation))
             assert sets == [frozenset(pre)
                             | frozenset(p + "'" for p in post)]
             assert len(sparse.support) < full_width
@@ -130,7 +130,7 @@ class TestZddRelationalNet:
         relnet = ZddRelationalNet(make_net("slot2"))
         relnet.partitions()
         zdd = relnet.zdd
-        elements = [zdd.var_at_level(level) for level in range(zdd.num_vars)]
+        elements = [zdd.var_index(name) for name in zdd.order()]
         pairs = [elements[i:i + 2] for i in range(0, len(elements), 2)]
         zdd.set_order([v for pair in pairs[::-1] for v in pair])
         tops = [relnet.top_level(block) for block in relnet.partitions()]

@@ -40,7 +40,11 @@ Code stays only if an entry point reaches it: every module under
 ``src/repro`` is imported, directly or through a chain, by the package,
 the CLI, the service or a paper-table experiment.  The STG front end,
 siphons and traps, the Graphviz dump and the scaling experiment, which
-only tests and one example used, were deleted so.
+only tests and one example used, were deleted so.  The same holds for
+every public function and method: code in src/, benchmarks/ or
+perfbench/ names it, or it is one of the few reference oracles, debug
+self-checks and test fixtures kept, each with its reason, in
+``KEPT_FOR_TESTS``.
 """
 
 import ast
@@ -633,3 +637,165 @@ def test_tripwire_sees_an_orphan_module(tmp_path):
         "from .tools import only_from_orphan\n")
     assert unreached_modules(root, ("repro",)) == [
         "repro.orphan", "repro.tools.only_from_orphan"]
+
+
+# The rule holds for definitions too: a public function or method stays
+# only if code outside it names it, in src/ or in the two benchmark
+# directories (perfbench's tracer resolves its spans by name, so string
+# constants count).  Tests and examples do not count.  Four kinds are
+# kept for the test suite, each with its reason.
+CALLER_ROOTS = (SRC, SRC.parents[1] / "benchmarks",
+                SRC.parents[1] / "perfbench")
+KEPT_FOR_TESTS = {
+    "petri/reachability.py:count_reachable_markings":
+        "reference oracle: explicit enumeration the engines are checked "
+        "against",
+    "petri/invariants.py:is_semipositive_invariant":
+        "reference oracle for the Farkas elimination",
+    "bdd/function.py:Function.cofactor":
+        "reference oracle: the composed step the fused kernel "
+        "operations are checked against",
+    "dd/manager.py:DDManager.assert_consistent":
+        "debug self-check of the node tables",
+    "bdd/zdd.py:ZDD.from_sets":
+        "test fixture: builds the families the ZDD operations are "
+        "checked on",
+    "symbolic/transition.py:SymbolicNet.markings_of":
+        "test fixture: decodes reached sets for the oracle comparisons",
+    "symbolic/kbounded.py:KBoundedNet.markings_of":
+        "test fixture: decodes reached sets for the oracle comparisons",
+    "symbolic/zdd_relational.py:ZddStateOps.markings_of":
+        "test fixture: decodes reached sets for the oracle comparisons",
+}
+# A string constant names a definition when it is a dotted identifier
+# (``"SymbolicNet.preimage_all"``, ``getattr(obj, "name")``).
+DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+
+
+def public_definitions(path):
+    """``(qualified name, name, node)`` of the public top-level functions
+    and the public methods of top-level classes of ``path``."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, defs) and not node.name.startswith("_"):
+            yield node.name, node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+def named_identifiers(path):
+    """``(name, line)`` of every identifier the code of ``path`` names:
+    names, attributes and dotted string constants, but not docstrings,
+    ``__all__`` lists or the export tables of ``lazy_exports``."""
+    tree = ast.parse(path.read_text())
+    skipped = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            skipped.update(id(stmt.value) for stmt in node.body
+                           if isinstance(stmt, ast.Expr)
+                           and isinstance(stmt.value, ast.Constant))
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            skipped.update(id(part) for part in ast.walk(node.value))
+        elif isinstance(node, ast.Call) and isinstance(
+                node.func, ast.Name) and node.func.id == "lazy_exports":
+            skipped.update(id(part) for arg in node.args
+                           for part in ast.walk(arg))
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and DOTTED_NAME.fullmatch(node.value)):
+            for name in node.value.split("."):
+                yield name, node.lineno
+
+
+def unnamed_definitions(root, callers=CALLER_ROOTS):
+    """``module:qualified name`` of every public definition under
+    ``root`` that no code under ``callers`` names outside the
+    definition itself, sorted."""
+    uses = {}
+    for caller in callers:
+        for path in caller.rglob("*.py"):
+            for name, line in named_identifiers(path):
+                uses.setdefault(name, []).append((path, line))
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for qualname, name, node in public_definitions(path):
+            start = min([node.lineno]
+                        + [dec.lineno for dec in node.decorator_list])
+            if not any(other != path or not start <= line <= node.end_lineno
+                       for other, line in uses.get(name, ())):
+                found.append(
+                    f"{path.relative_to(root).as_posix()}:{qualname}")
+    return found
+
+
+def test_every_public_definition_is_named_outside_tests():
+    """Every public function and method under ``src/repro`` is named by
+    code outside it in src/, benchmarks/ or perfbench/, or is one of
+    the few kept for the tests (``KEPT_FOR_TESTS``, with its reason).
+    A definition only tests name reproduces nothing the paper reports:
+    wire it into an entry point or delete it."""
+    unnamed = unnamed_definitions(SRC)
+    assert not set(unnamed) - set(KEPT_FOR_TESTS), (
+        f"{sorted(set(unnamed) - set(KEPT_FOR_TESTS))} are named by no "
+        f"code outside tests and examples; wire them in or delete them")
+    assert not set(KEPT_FOR_TESTS) - set(unnamed), (
+        f"{sorted(set(KEPT_FOR_TESTS) - set(unnamed))} are kept for the "
+        f"tests but have callers now; drop them from KEPT_FOR_TESTS")
+
+
+def test_tripwire_sees_an_orphan_definition(tmp_path):
+    """The definition scan itself: an orphan function is caught, and so
+    are a method only its own body names and one only ``__all__``, an
+    import or a docstring names; calls, attribute access and dotted
+    string constants in other definitions or modules count (a function
+    only an orphan calls is caught once the orphan is deleted)."""
+    root = tmp_path / "repro"
+    root.mkdir()
+    (root / "__init__.py").write_text(
+        "from .core import api, orphan\n"
+        "__all__ = ['api', 'orphan', 'Engine']\n")
+    (root / "core.py").write_text(
+        "class Engine:\n"
+        "    def step(self):\n"
+        "        return self.step()\n"
+        "    def run(self):\n"
+        "        return self.helper()\n"
+        "    def helper(self):\n"
+        "        '''Called by run.'''\n"
+        "    def traced(self):\n"
+        "        pass\n"
+        "    def documented(self):\n"
+        "        pass\n"
+        "\n"
+        "\n"
+        "def api():\n"
+        "    '''Not Engine.documented.'''\n"
+        "    return Engine().run()\n"
+        "\n"
+        "\n"
+        "def orphan():\n"
+        "    return only_from_orphan()\n"
+        "\n"
+        "\n"
+        "def only_from_orphan():\n"
+        "    pass\n")
+    bench = tmp_path / "perfbench"
+    bench.mkdir()
+    (bench / "tracer.py").write_text(
+        "SPANS = [('repro.core', 'Engine.traced', 'engine.traced')]\n"
+        "from repro import api\n"
+        "api()\n")
+    assert unnamed_definitions(root, (root, bench)) == [
+        "core.py:Engine.step", "core.py:Engine.documented",
+        "core.py:orphan"]
