@@ -19,7 +19,7 @@ from repro.petri.generators import figure4_net, muller, slotted_ring
 from repro.petri.smc import find_smcs
 
 # Plain BFS quantify-and-force firing on a fixed variable order, and
-# the relational engines on the same fixed order.
+# the relational form's saturation on the same fixed order.
 BFS = AnalysisSpec(strategy="bfs", use_toggle=False, reorder=False)
 RELATIONAL = AnalysisSpec(form="relational", reorder=False)
 
@@ -83,16 +83,9 @@ class TestImageImplementations:
                       BFS.replace(use_toggle=True))
         assert result.markings > 0
 
-    def test_relational_per_transition(self, once, instance):
+    def test_relational_saturation(self, once, instance):
         _, net, smcs = instance
-        result = once(analyze_improved, net, smcs,
-                      RELATIONAL.replace(engine="chained"))
-        assert result.markings > 0
-
-    def test_relational_monolithic(self, once, instance):
-        _, net, smcs = instance
-        result = once(analyze_improved, net, smcs,
-                      RELATIONAL.replace(engine="monolithic"))
+        result = once(analyze_improved, net, smcs, RELATIONAL)
         assert result.markings > 0
 
 

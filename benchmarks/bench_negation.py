@@ -1,10 +1,10 @@
-"""Negation-heavy benchmarks: checker queries and the chained sweep.
+"""Negation-heavy benchmarks: checker queries and the relational fixpoint.
 
 The traversal engines negate constantly — ``forall`` is ``NOT exists
-NOT``, the chained sweep narrows every block's working set by the
-difference ``current AND NOT expanded``, and every checker query pays
-negations (AG = ``NOT EF NOT``, deadlock = ``reached AND NOT
-enabled``).  This benchmark times exactly those paths:
+NOT``, a fixpoint's frontier is the difference ``image AND NOT
+reached``, and every checker query pays negations (AG = ``NOT EF NOT``,
+deadlock = ``reached AND NOT enabled``).  This benchmark times exactly
+those paths:
 
 1. **Checker queries** — deadlock detection, ``AG (no deadlock)`` and
    ``AG EF initial`` (home-marking) over the functional backend's
@@ -15,9 +15,11 @@ enabled``).  This benchmark times exactly those paths:
    run them on the path users run, ``Analysis(net).checker()`` on the
    default spec.  phil-12 is the full-scale row: it has no seed-commit
    numbers, so it records the default-spec checker without ratios.
-2. **Chained sweep** — the chained relational fixpoint (one sparse
-   relation per transition) on a fixed order; its ``peak_live_nodes``
-   carries the >= 1.5x node-count reduction bound.
+2. **Relational fixpoint** — the relational form's default engine
+   (saturation) on a fixed order; its ``peak_live_nodes`` carries the
+   >= 1.5x node-count reduction bound.  The ``sweep_*`` keys keep the
+   names the chained relational sweep, since retired, recorded them
+   under.
 3. **Raw negation** — ``apply_not`` on the full reachable set against a
    reference recursive rebuild (what negation cost before complement
    edges made it a bit flip), both in this process, so the ratio is
@@ -25,10 +27,11 @@ enabled``).  This benchmark times exactly those paths:
 
 ``PRE_PR`` carries the numbers measured at the seed commit (eda9dac,
 before complement edges) on the reference box.  Its sweep
-``peak_live_nodes`` was taken with the Coudert-Madre frontier
-restriction on (``frontier | ~reached`` every step), which has since
-been retired; the plain sweep measured now peaks lower on the
-structural order, so the ratio against it understates the gain.
+``peak_live_nodes`` was taken on the chained sweep with the
+Coudert-Madre frontier restriction on (``frontier | ~reached`` every
+step); both have since been retired, and the saturating fixpoint
+measured now peaks far lower on the structural order, so the ratio
+against it also counts the engine change, not complement edges alone.
 ``peak_live_nodes`` and
 ``markings`` are structural, so their ratios are machine-independent
 evidence, while the ``*_seconds`` ratios are honest only against the
@@ -137,10 +140,10 @@ def measure_default_checker(factory: Callable) -> Dict:
 
 
 def measure_negation(factory: Callable) -> Dict:
-    """Checker-query, chained-sweep and raw-negation timings."""
-    # 1. Chained sweep (the peak-live-node workload).
-    sweep = Analysis(factory(), AnalysisSpec(
-        form="relational", engine="chained", reorder=False)).run()
+    """Checker-query, relational-fixpoint and raw-negation timings."""
+    # 1. The relational default's fixpoint (the peak-live-node workload).
+    sweep = Analysis(factory(), AnalysisSpec(form="relational",
+                                             reorder=False)).run()
     # 2. Checker queries over the functional backend's plain BFS
     # fixpoint (fixed order, quantify-and-force firing).
     analysis = Analysis(factory(), AnalysisSpec(

@@ -1,38 +1,29 @@
-"""Relational-product benchmarks: fused vs. materialised, engines compared.
+"""Relational-product benchmarks: the fused image and the gated fixpoint.
 
-Three questions, answered on the slotted-ring and philosophers
+Two questions, answered on the slotted-ring and philosophers
 generators:
 
 1. **Fused vs. materialised image** — computing ``Img(R, S)`` with the
    one-pass ``and_exists`` against first building the conjunction
-   ``R AND S`` and quantifying afterwards.  The fused form is the hot
-   path of every relational traversal; the materialised form is the
-   naive baseline it replaces.
-2. **Image engines** — the monolithic relation vs. the chained sweep
-   through the disjunctive partition (see
-   :mod:`repro.symbolic.partition`).
-3. **Adaptive traversal** — the chained engine × reorder grid:
-   pair-grouped dynamic sifting at traversal safe points, measured
-   against the baseline fixed-order chained engine, declared in the
-   encoding's naming order.
-   The ``chained@structural`` row runs that engine on the structural
-   order every manager now declares (:mod:`repro.petri.order`).  The
-   structural order keeps the live diagram under the reorder trigger,
-   so ``chained+reorder`` rarely sifts; ``naming+reorder`` sifts from
-   the naming order, the bad order reordering exists for.
+   ``R AND S`` and quantifying afterwards, on the relational form's
+   interleaved manager.  ``R`` is the monolithic relation
+   ``OR_t R_t``, built here from the encoding: no engine runs it.
+2. **The gated fixpoint** — the relational form's default engine
+   (saturation) on :data:`GATE_ROW` against Table 3's ``strategy="bfs"``
+   functional spec on :data:`GATE_BASELINE`, both on a fixed order,
+   recorded in the ``"gate"`` section as the pass with the lowest time
+   ratio over :data:`RATIO_PASSES` interleaved passes in one process.
 
-Every engine row runs through ``repro.analysis.Analysis`` on a fixed
-variable order unless the row turns sifting on, and records the
-session's ``extras["fixpoint_seconds"]`` (the build is not included).
-Results are written to ``BENCH_relprod.json`` at the repository root so
-the speedups land in the perf trajectory.  Run either way::
+Every fixpoint row runs through ``repro.analysis.Analysis`` and records
+the session's ``extras["fixpoint_seconds"]`` (the build is not
+included).  Results are written to ``BENCH_relprod.json`` at the
+repository root.  Run either way::
 
     PYTHONPATH=src python benchmarks/bench_relprod.py
     PYTHONPATH=src python -m pytest benchmarks/bench_relprod.py -q
 
 Harness-scale instances by default; set ``REPRO_FULL=1`` to add
-phil-12, ``REPRO_QUICK=1`` for the two smallest plus slot-5 only (the
-CI regression gate, see ``benchmarks/check_regression.py``).
+phil-12, ``REPRO_QUICK=1`` for the two smallest only.
 """
 
 from __future__ import annotations
@@ -41,22 +32,20 @@ import json
 import os
 import time
 from typing import Callable, Dict, List, Tuple
-from unittest import mock
 
 import pytest
 
 from repro.analysis import Analysis, AnalysisSpec
-from repro.encoding import ImprovedEncoding
-from repro.petri.generators import philosophers, slotted_ring
-from repro.symbolic import RelationalNet, relational
+from repro.analysis.backends import SATURATION_BANDS
+from repro.bdd import Function, false, variable
+from repro.petri.generators import muller, philosophers, slotted_ring
+from repro.symbolic import RelationalNet
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 JSON_PATH = os.path.join(REPO_ROOT, "BENCH_relprod.json")
 
 QUICK = bool(os.environ.get("REPRO_QUICK"))
 
-# Ordered smallest to largest per family; the last entry of each family
-# is the instance the adaptive acceptance criteria are measured on.
 CONFIGS: List[Tuple[str, Callable]] = [
     ("slot-3", lambda: slotted_ring(3)),
     ("phil-6", lambda: philosophers(6)),
@@ -64,125 +53,52 @@ CONFIGS: List[Tuple[str, Callable]] = [
     ("slot-5", lambda: slotted_ring(5)),
     ("phil-8", lambda: philosophers(8)),
 ]
-# Quick mode (the CI regression gate) keeps the two smallest instances
-# plus slot-5: on the structural variable order the small instances'
-# chained fixpoints finish under check_regression's noise floor, and
-# slot-5's (~0.15 s on a 2-CPU box) keeps the BDD time gate measuring.
-QUICK_INSTANCES = ("slot-3", "phil-6", "slot-5")
 if QUICK:
-    CONFIGS = [config for config in CONFIGS if config[0] in QUICK_INSTANCES]
+    CONFIGS = CONFIGS[:2]
 elif os.environ.get("REPRO_FULL"):
     CONFIGS += [("phil-12", lambda: philosophers(12))]
 
-ENGINES = ("monolithic", "chained")
-OLD_ENGINE = "monolithic-materialised"
-# Wall-clock acceptance ratios re-measure a failing instance up to this
-# many times, so only a reproducible slowdown fails.
-ATTEMPTS = 3
-# Interleaved materialised/chained passes behind one recorded engine
-# row: the chained fixpoint of slot-5 takes about 0.1 s and runs the
-# same 8 iterations every time, yet one pass's chained/materialised
-# ratio spans 0.29-0.58 on a 2-CPU box.  The committed rows and the
-# regression gate's fresh ones both take the pass with the lowest ratio.
+#: The relational form's default engine (saturation) on a fixed order.
+RELATIONAL_DEFAULT = AnalysisSpec(form="relational", reorder=False)
+#: Table 3's spec (``experiments/table3.py``) on a fixed order.
+TABLE3_BFS = AnalysisSpec(strategy="bfs", reorder=False)
+
+#: The regression gate's pair, both measured in one process: the
+#: relational default's fixpoint on muller-20 over Table 3's BFS
+#: fixpoint on slot-5 (about 0.17-0.25 s and 0.17-0.26 s on a 2-CPU
+#: box).  The baseline normalises machine speed away.  The default
+#: fixpoint of smaller nets finishes near or under the gate's 0.1 s
+#: noise floor (muller-16: 0.09-0.15 s), where the gate would skip.
+GATE_ROW = ("muller-20", lambda: muller(20))
+GATE_BASELINE = ("slot-5", lambda: slotted_ring(5))
+# Interleaved passes behind the recorded gate: one pass's ratio spreads
+# widely on a shared box, so the committed gate and the regression
+# gate's fresh one both take the pass with the lowest ratio.
 RATIO_PASSES = 5
 
-# Threshold for the reorder-enabled configurations: low enough that the
-# first sifting pass runs before the state sets blow up (the whole point
-# of reordering *during* traversal), high enough that tiny instances
-# are not dominated by sifting overhead.
-REORDER_THRESHOLD = 5_000
 
-# The adaptive grid.  "chained" with no features, declared in the
-# encoding's interleaved naming order, is exactly the first relational
-# engine (one relation per transition, pinned interleaved order, raw
-# frontiers) and
-# is the baseline every other row's speedup/peak ratio refers to.
-# "chained@structural" is the same engine on the structural order
-# (repro.petri.order) every manager declares today, still unsifted.
-# "naming+reorder" sifts from the baseline's naming order.
-PR1_BASELINE = "chained"
-NAMING_REORDER = "naming+reorder"
-NAMING_ORDER_ROWS = (PR1_BASELINE, NAMING_REORDER)
-ADAPTIVE_GRID: List[Tuple[str, str, Dict]] = [
-    ("chained", "chained", {}),
-    ("chained@structural", "chained", {}),
-    ("chained+reorder", "chained", dict(reorder=True)),
-    (NAMING_REORDER, "chained", dict(reorder=True)),
-]
+def transition_relation(relnet: RelationalNet, transition: str) -> Function:
+    """``R_t(P, Q) = E_t(P) and AND_i (q_i <-> delta_i(P, t))``: the
+    identity-complete relation of Eq. 3 over the interleaved manager."""
+    bdd = relnet.bdd
+    forced = dict(relnet.encoding.transition_spec(transition).force)
+    relation = relnet.enabling[transition]
+    for name, copy in zip(relnet.current, relnet.next):
+        next_var = variable(bdd, copy)
+        if name in forced:
+            target = next_var if forced[name] else ~next_var
+        else:
+            target = next_var.iff(variable(bdd, name))
+        relation = relation & target
+    return relation
 
 
-def family_of(name: str) -> str:
-    return name.rsplit("-", 1)[0]
-
-
-def largest_per_family(instances) -> Dict[str, str]:
-    """Last CONFIGS entry of each family present in ``instances``."""
-    largest: Dict[str, str] = {}
-    for name, _ in CONFIGS:
-        if name in instances:
-            largest[family_of(name)] = name
-    return largest
-
-
-def relational_spec(engine: str, **options) -> AnalysisSpec:
-    """The relational spec one engine row runs (fixed order unless
-    ``reorder`` is set)."""
-    return AnalysisSpec(
-        form="relational", engine=engine,
-        reorder=options.get("reorder", False),
-        reorder_threshold=REORDER_THRESHOLD)
-
-
-def declaration_order_analysis(net, spec: AnalysisSpec) -> Analysis:
-    """An analysis whose manager declares the interleaved pairs in the
-    encoding's naming order, as the baseline engine did, instead of the
-    structural order.  The order is fixed at declaration (not by
-    ``set_order`` afterwards, whose garbage collection would drop the
-    construction garbage the baseline peak includes), so every
-    structural field of the baseline row stays as recorded."""
-    with mock.patch.object(relational, "variable_order",
-                           lambda encoding: encoding.variables):
-        analysis = Analysis(net, spec)
-    # Fail loudly if the patch stops reaching the declaration site: the
-    # row would silently run on the structural order and skew every
-    # ratio measured against it.
-    relnet = analysis.symbolic_net
-    assert relnet.bdd.order()[0::2] == list(relnet.current), \
-        "baseline manager is not declared in the naming order"
-    return analysis
-
-
-def materialised_fixpoint(factory: Callable) -> Dict:
-    """The materialised baseline row: the pre-``and_exists`` image,
-    which builds ``frontier AND R`` in full and then quantifies — one
-    intermediate conjunction BDD per step.  The analysis sessions only
-    run the library's own images, so this one is stepped here."""
-    relnet = RelationalNet(ImprovedEncoding(factory()))
-    start = time.perf_counter()
-    relation = relnet.monolithic_relation()
-
-    def step(reached, frontier):
-        # The intermediates die on return, before the safe point.
-        conjunction = frontier & relation
-        successors = conjunction.exists(relnet.current).rename(
-            relnet._to_current)
-        return reached | successors, successors - reached
-
-    reached = frontier = relnet.initial
-    iterations = 0
-    while not frontier.is_zero():
-        reached, frontier = step(reached, frontier)
-        iterations += 1
-        relnet.bdd.checkpoint()
-    return {
-        "markings": relnet.count_markings(reached),
-        "iterations": iterations,
-        "image_seconds": time.perf_counter() - start,
-        "peak_live_nodes": relnet.bdd.peak_live_nodes,
-        "final_bdd_nodes": reached.size(),
-        "ae_calls": relnet.bdd.ae_calls,
-        "ae_cache_hits": relnet.bdd.ae_cache_hits,
-    }
+def monolithic_relation(relnet: RelationalNet) -> Function:
+    """The single relation ``R = OR_t R_t`` of the textbook image."""
+    result = false(relnet.bdd)
+    for transition in relnet.net.transitions:
+        result = result | transition_relation(relnet, transition)
+    return result
 
 
 def measure_image(factory: Callable) -> Dict:
@@ -194,10 +110,10 @@ def measure_image(factory: Callable) -> Dict:
     node counts are sampled right after the image to expose the
     footprint of the materialised intermediate conjunction.
     """
-    analysis = Analysis(factory(), relational_spec("chained"))
+    analysis = Analysis(factory(), RELATIONAL_DEFAULT)
     relnet = analysis.symbolic_net
     bdd = relnet.bdd
-    relation = relnet.monolithic_relation()
+    relation = monolithic_relation(relnet)
     reached = analysis.reachable
 
     bdd.collect_garbage()
@@ -232,97 +148,52 @@ def measure_image(factory: Callable) -> Dict:
     }
 
 
-def measure_engines(factory: Callable,
-                    engines: Tuple[str, ...] = ENGINES) -> Dict[str, Dict]:
-    """Full fixpoint statistics per image engine, including the old
-    materialise-then-quantify baseline (fresh manager per engine, so
-    caches and peaks are not shared).  ``engines`` narrows the measured
-    set (the CI regression gate only needs ``("chained",)``)."""
-    rows: Dict[str, Dict] = {OLD_ENGINE: materialised_fixpoint(factory)}
-    for engine in engines:
-        result = Analysis(factory(), relational_spec(engine)).run()
-        rows[engine] = {
-            "markings": result.markings,
-            "iterations": result.iterations,
-            "image_seconds": result.extras["fixpoint_seconds"],
-            "peak_live_nodes": result.peak_nodes,
-            "final_bdd_nodes": result.final_nodes,
-            "ae_calls": result.extras["ae_calls"],
-            "ae_cache_hits": result.extras["ae_cache_hits"],
-        }
-    old_seconds = rows[OLD_ENGINE]["image_seconds"]
-    for engine in engines:
-        row = rows[engine]
-        row["speedup_vs_materialised"] = (
-            old_seconds / row["image_seconds"]
-            if row["image_seconds"] > 0 else float("inf"))
-    return rows
+def fixpoint_row(factory: Callable, spec: AnalysisSpec) -> Dict:
+    """One fixpoint's statistics on a fresh manager."""
+    result = Analysis(factory(), spec).run()
+    return {
+        "markings": result.markings,
+        "iterations": result.iterations,
+        "image_seconds": result.extras["fixpoint_seconds"],
+        "peak_live_nodes": result.peak_nodes,
+        "final_bdd_nodes": result.final_nodes,
+    }
 
 
-def best_engine_pass(factory: Callable,
-                     engines: Tuple[str, ...] = ENGINES) -> Dict[str, Dict]:
-    """:func:`measure_engines` ``RATIO_PASSES`` times in this process;
-    the pass whose chained/materialised image-time ratio is lowest."""
-    def ratio(rows: Dict[str, Dict]) -> float:
-        return (rows["chained"]["image_seconds"]
-                / rows[OLD_ENGINE]["image_seconds"])
-
-    return min((measure_engines(factory, engines)
-                for _ in range(RATIO_PASSES)), key=ratio)
+def gate_ratio(gate: Dict) -> float:
+    """The gated row's fixpoint seconds over the baseline's."""
+    return gate["saturation"]["image_seconds"] \
+        / gate["bfs"]["image_seconds"]
 
 
-def measure_adaptive(factory: Callable) -> Dict[str, Dict]:
-    """The chained engine × reorder grid.
+def measure_gate() -> Dict:
+    """One pass of the gate's pair, in this process."""
+    gate = {"row": GATE_ROW[0], "baseline": GATE_BASELINE[0],
+            "saturation": fixpoint_row(GATE_ROW[1], RELATIONAL_DEFAULT),
+            "bfs": fixpoint_row(GATE_BASELINE[1], TABLE3_BFS)}
+    gate["ratio"] = gate_ratio(gate)
+    return gate
 
-    Every row runs on a fresh manager.  ``reorder`` rows sift in
-    current/next pair groups at the traversal safe points (the sweep
-    re-sorts its partition by the new order); speedups and
-    peak-live-node ratios are relative to the first row, PR 1's
-    fixed-order chained engine on its declaration order.
-    """
-    rows: Dict[str, Dict] = {}
-    for label, engine, options in ADAPTIVE_GRID:
-        spec = relational_spec(engine, **options)
-        build = (declaration_order_analysis
-                 if label in NAMING_ORDER_ROWS else Analysis)
-        result = build(factory(), spec).run()
-        rows[label] = {
-            "engine": engine,
-            "reorder": spec.reorder,
-            "markings": result.markings,
-            "iterations": result.iterations,
-            "image_seconds": result.extras["fixpoint_seconds"],
-            "peak_live_nodes": result.peak_nodes,
-            "final_bdd_nodes": result.final_nodes,
-            "reorder_count": result.reorder_count,
-        }
-    base = rows[PR1_BASELINE]
-    for label, row in rows.items():
-        row["speedup_vs_pr1_chained"] = (
-            base["image_seconds"] / row["image_seconds"]
-            if row["image_seconds"] > 0 else float("inf"))
-        row["peak_reduction_vs_pr1_chained"] = (
-            base["peak_live_nodes"] / row["peak_live_nodes"]
-            if row["peak_live_nodes"] > 0 else float("inf"))
-    return rows
+
+def best_gate_pass() -> Dict:
+    """:func:`measure_gate` ``RATIO_PASSES`` times in this process; the
+    pass whose time ratio is lowest."""
+    return min((measure_gate() for _ in range(RATIO_PASSES)),
+               key=gate_ratio)
 
 
 def collect() -> Dict:
     """All measurements, in the JSON layout of ``BENCH_relprod.json``."""
     report: Dict = {
-        "benchmark": "relational product image engines",
-        "reorder_threshold": REORDER_THRESHOLD,
+        "benchmark": "relational product image and fixpoints",
         "full_scale": bool(os.environ.get("REPRO_FULL")),
         "quick": QUICK,
         "cpus": os.cpu_count() or 1,
         "instances": {},
     }
     for name, factory in CONFIGS:
-        report["instances"][name] = {
-            "image": measure_image(factory),
-            "engines": best_engine_pass(factory),
-            "adaptive": measure_adaptive(factory),
-        }
+        report["instances"][name] = {"image": measure_image(factory)}
+    report["gate"] = best_gate_pass()
     return report
 
 
@@ -330,8 +201,8 @@ def write_report(report: Dict) -> str:
     """Write the report, preserving foreign top-level sections.
 
     ``BENCH_relprod.json`` is shared with ``bench_zdd_relprod.py`` (the
-    ``"zdd"`` section); each benchmark overwrites only its own keys so
-    running one does not drop the other's numbers.
+    ``"zdd"`` section) and others; each benchmark overwrites only its
+    own keys so running one does not drop the other's numbers.
     """
     merged: Dict = {}
     try:
@@ -356,8 +227,9 @@ def report():
 def test_report_written(report):
     assert os.path.exists(JSON_PATH)
     with open(JSON_PATH) as handle:
-        assert json.load(handle)["instances"].keys() \
-            == report["instances"].keys()
+        written = json.load(handle)
+    assert written["instances"].keys() == report["instances"].keys()
+    assert written["gate"] == report["gate"]
 
 
 def test_fused_image_never_materialises(report):
@@ -370,100 +242,13 @@ def test_fused_image_never_materialises(report):
         assert image["conjunction_nodes"] > 0
 
 
-def test_chained_engine_beats_materialised_2x(report):
-    """The acceptance bound: >= 2x image-time improvement on the largest
-    configuration, new chained engine vs. the old materialise-then-
-    quantify monolithic baseline.
-
-    A wall-clock ratio, but a structural one: both sides run in the
-    same process on the same instance, and the chained engine does 4
-    fixpoint iterations on phil-8 against 21.  On the structural
-    variable order the chained fixpoint takes under 0.1 s, so a single
-    sample spreads widely (1.8x to 5.8x over six runs on a 2-CPU box);
-    a failing instance is re-measured up to ``ATTEMPTS`` times.
-    """
-    largest, factory = CONFIGS[-1]
-    speedup = report["instances"][largest]["engines"]["chained"][
-        "speedup_vs_materialised"]
-    attempt = 1
-    while speedup < 2.0 and attempt < ATTEMPTS:
-        fresh = measure_engines(factory, engines=("chained",))
-        speedup = max(speedup, fresh["chained"]["speedup_vs_materialised"])
-        attempt += 1
-    assert speedup >= 2.0, (largest, speedup)
-
-
-def test_engines_reach_same_fixpoint(report):
-    for name, rows in report["instances"].items():
-        counts = {rows["engines"][e]["markings"]
-                  for e in (OLD_ENGINE,) + ENGINES}
-        assert len(counts) == 1, (name, rows["engines"])
-
-
-def test_partitioned_engines_use_fewer_live_nodes(report):
-    largest = CONFIGS[-1][0]
-    engines = report["instances"][largest]["engines"]
-    old_peak = engines[OLD_ENGINE]["peak_live_nodes"]
-    assert engines["chained"]["peak_live_nodes"] < old_peak, engines
-
-
-def test_chained_engine_iterates_less(report):
-    """The chained sweep against the one-image-per-step BFS trajectory
-    of the monolithic relation."""
-    for name, rows in report["instances"].items():
-        engines = rows["engines"]
-        assert engines["chained"]["iterations"] \
-            <= engines["monolithic"]["iterations"], name
-
-
-def test_adaptive_rows_reach_same_fixpoint(report):
-    """Every engine × reorder configuration computes the same reachable
-    set."""
-    for name, rows in report["instances"].items():
-        counts = {row["markings"] for row in rows["adaptive"].values()}
-        reference = rows["engines"]["chained"]["markings"]
-        assert counts == {reference}, (name, rows["adaptive"])
-
-
-def test_reorder_configurations_actually_reorder(report):
-    """On the largest instances the reorder threshold must actually
-    trigger from the naming order — otherwise the grid is not measuring
-    reordering at all.  (The structural order's live diagram stays
-    under the trigger, so ``chained+reorder`` need not sift.)"""
-    for name in largest_per_family(report["instances"]).values():
-        adaptive = report["instances"][name]["adaptive"]
-        assert adaptive[NAMING_REORDER]["reorder_count"] > 0, name
-
-
-@pytest.mark.skipif(QUICK, reason="phil-8 excluded in quick mode")
-def test_naming_reorder_halves_the_naming_order_peak(report):
-    """A bad order still sifts, and sifting pays: from the naming order
-    phil-8 peaks at well under half its unsifted peak (282,360 ->
-    74,869 live nodes on a 2-CPU box)."""
-    adaptive = report["instances"]["phil-8"]["adaptive"]
-    assert (2 * adaptive[NAMING_REORDER]["peak_live_nodes"]
-            <= adaptive[PR1_BASELINE]["peak_live_nodes"]), adaptive
-
-
-@pytest.mark.skipif(QUICK, reason="acceptance instances excluded in "
-                                  "quick mode")
-def test_adaptive_beats_pr1_chained_on_two_families(report):
-    """The PR 2 acceptance bound: on the largest instance of at least
-    two net families, the reordering chained engine must deliver a
-    >= 1.5x image-fixpoint speedup or a >= 2x peak-live-node reduction
-    over PR 1's fixed-order chained engine.
-
-    Measured margins (2-CPU box): phil-8 reaches ~18-20x speedup AND
-    ~41.3x peak reduction, slot-5 ~7.07x peak reduction at a loss in
-    speed — there sifting costs more than it wins, and the unsifted
-    ``chained@structural`` row is faster than the reordered one.
-    """
-    largest = largest_per_family(report["instances"])
-    assert len(largest) >= 2, largest
-    for family, name in largest.items():
-        row = report["instances"][name]["adaptive"]["chained+reorder"]
-        assert (row["speedup_vs_pr1_chained"] >= 1.5
-                or row["peak_reduction_vs_pr1_chained"] >= 2.0), (name, row)
+def test_gate_pair_is_recorded(report):
+    gate = report["gate"]
+    assert (gate["row"], gate["baseline"]) == (GATE_ROW[0],
+                                               GATE_BASELINE[0])
+    assert gate["ratio"] == gate_ratio(gate) > 0
+    assert gate["saturation"]["iterations"] == SATURATION_BANDS
+    assert gate["bfs"]["iterations"] > SATURATION_BANDS
 
 
 def main() -> None:
@@ -475,22 +260,11 @@ def main() -> None:
               f"{image['materialised_seconds']:.3f}s vs fused "
               f"{image['fused_seconds']:.3f}s ({image['speedup']:.1f}x, "
               f"conjunction {image['conjunction_nodes']} nodes avoided)")
-        for engine in (OLD_ENGINE,) + ENGINES:
-            row = rows["engines"][engine]
-            speedup = row.get("speedup_vs_materialised")
-            suffix = f" speedup={speedup:.2f}x" if speedup else ""
-            print(f"  {engine:<24} markings={row['markings']} "
-                  f"iters={row['iterations']} "
-                  f"t={row['image_seconds']:.3f}s "
-                  f"peak={row['peak_live_nodes']}{suffix}")
-        print("  adaptive grid (vs PR 1 chained):")
-        for label, row in rows["adaptive"].items():
-            print(f"    {label:<28} t={row['image_seconds']:.3f}s "
-                  f"({row['speedup_vs_pr1_chained']:.2f}x) "
-                  f"peak={row['peak_live_nodes']} "
-                  f"({row['peak_reduction_vs_pr1_chained']:.2f}x) "
-                  f"iters={row['iterations']} "
-                  f"reorders={row['reorder_count']}")
+    gate = report["gate"]
+    print(f"gate: {gate['row']} saturation "
+          f"{gate['saturation']['image_seconds']:.3f}s over "
+          f"{gate['baseline']} bfs {gate['bfs']['image_seconds']:.3f}s "
+          f"= {gate['ratio']:.3f} (best of {RATIO_PASSES})")
     print(f"wrote {path}")
 
 

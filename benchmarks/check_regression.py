@@ -1,30 +1,31 @@
-"""CI gate: fail if a gated engine's image time regresses > 25 %.
+"""CI gate: fail if a gated engine's fixpoint time regresses > 25 %.
 
 Runs the benchmarks in quick mode (the two smallest instances each) and
-compares image-fixpoint times against the committed
-``BENCH_relprod.json`` baseline — the BDD chained rows, the ZDD chained
-rows, the analysis service's cache-hit speedup (an absolute >= 10x floor, see
-:func:`check_service`), and the complement-edge negation wins (the
-ISSUE 10 acceptance floors plus structural peak-live-node drift, see
-:func:`check_negation`).  Engine rows are read through :func:`image_seconds`, which
-understands both the native benchmark row shape and the serialized
+compares fixpoint times against the committed ``BENCH_relprod.json``
+baseline — the relational BDD default (the ``"gate"`` section, see
+:func:`check_default`), the ZDD chained rows, the analysis service's
+cache-hit speedup (an absolute >= 10x floor, see :func:`check_service`),
+and the complement-edge negation wins (acceptance floors plus
+structural peak-live-node drift, see :func:`check_negation`).
+Engine rows are read through :func:`image_seconds`, which understands
+both the native benchmark row shape and the serialized
 ``repro.analysis.AnalysisResult`` schema.  Raw wall-clock is
 meaningless across machines, so times are normalised by a baseline
-measured in the same process — the materialised-monolithic engine on
-the BDD side, the classic per-transition loop on the ZDD side::
+measured in the same process — Table 3's BFS fixpoint on slot-5 on the
+BDD side, the classic per-transition loop on the ZDD side::
 
-    normalised = chained_image_seconds / baseline_image_seconds
+    normalised = gated_fixpoint_seconds / baseline_fixpoint_seconds
 
 The gate fails when a fresh normalised time exceeds the committed one by
 more than ``TOLERANCE`` on any shared instance.  On the BDD side both
 are the same estimator: the lowest ratio over
 ``bench_relprod.RATIO_PASSES`` interleaved passes in one process
-(:func:`bench_relprod.best_engine_pass`).  Two noise guards keep
-it from crying wolf: instances whose committed chained fixpoint ran
-under the noise floor are skipped (``MIN_SECONDS`` for BDD rows,
-``MIN_SECONDS_ZDD`` for the much faster ZDD rows), and a failing
-instance is re-measured up to ``ATTEMPTS`` times — only a reproducible
-slowdown fails the gate.  Run from the repository root::
+(:func:`bench_relprod.best_gate_pass`).  Two noise guards keep
+it from crying wolf: rows whose committed fixpoint ran under the noise
+floor are skipped (``MIN_SECONDS`` for BDD rows, ``MIN_SECONDS_ZDD``
+for the much faster ZDD rows), and a failing row is re-measured up to
+``ATTEMPTS`` times — only a reproducible slowdown fails the gate.  Run
+from the repository root::
 
     PYTHONPATH=src python benchmarks/check_regression.py
 """
@@ -84,12 +85,44 @@ def image_seconds(entry: dict) -> float:
     return entry["image_seconds"]
 
 
-def normalised_chained(engines: dict) -> float:
-    materialised = image_seconds(engines[bench_relprod.OLD_ENGINE])
-    chained = image_seconds(engines["chained"])
-    if materialised <= 0:
+def normalised_default(gate: dict) -> float:
+    """The relational default's fixpoint over Table 3's BFS fixpoint,
+    both from one process."""
+    baseline = image_seconds(gate["bfs"])
+    if baseline <= 0:
         return float("inf")
-    return chained / materialised
+    return image_seconds(gate["saturation"]) / baseline
+
+
+def check_default(baseline: dict) -> "tuple[list, int, int]":
+    """Gate the relational BDD default: the fresh best-pass ratio
+    against the committed one, same tolerance/attempt policy as the ZDD
+    gate."""
+    committed = baseline.get("gate")
+    if committed is None:
+        print("gate: not in committed baseline, skipped")
+        return [], 0, 0
+    name = f"{committed['row']} over {committed['baseline']}"
+    committed_seconds = image_seconds(committed["saturation"])
+    if committed_seconds < MIN_SECONDS:
+        print(f"{name}: committed default fixpoint took "
+              f"{committed_seconds:.3f}s (< {MIN_SECONDS}s noise floor), "
+              f"skipped")
+        return [], 0, 1
+    old_ratio = normalised_default(committed)
+    bound = old_ratio * (1 + TOLERANCE)
+    new_ratio = float("inf")
+    for attempt in range(1, ATTEMPTS + 1):
+        new_ratio = min(new_ratio,
+                        normalised_default(bench_relprod.best_gate_pass()))
+        if new_ratio <= bound:
+            break
+    change = (new_ratio - old_ratio) / old_ratio if old_ratio else 0.0
+    verdict = "OK" if new_ratio <= bound else "REGRESSION"
+    print(f"{name}: relational default/Table 3 bfs time ratio "
+          f"{old_ratio:.3f} -> {new_ratio:.3f} "
+          f"({change:+.1%}, {attempt} attempt(s)) {verdict}")
+    return ([name] if verdict == "REGRESSION" else []), 1, 1
 
 
 def normalised_zdd_chained(rows: dict) -> float:
@@ -210,7 +243,7 @@ def check_negation(baseline: dict) -> "tuple[list, int, int]":
       committed numbers, so all instances gate regardless of quick
       mode or machine speed.
     * **Fresh drift** — the quick-mode instances are re-measured:
-      ``peak_live_nodes`` (the chained sweep) and
+      ``peak_live_nodes`` (the relational default's fixpoint) and
       ``checker_default_peak_live_nodes`` (the default-spec checker
       queries) are structural (deterministic for a code version), so a
       fresh peak above the committed one by ``TOLERANCE`` is a real
@@ -286,38 +319,7 @@ def main() -> int:
               f"nothing to gate against")
         return 0
 
-    failures = []
-    checked = 0
-    shared = 0
-    for name, factory in bench_relprod.CONFIGS:
-        committed = baseline["instances"].get(name)
-        if committed is None:
-            print(f"{name}: not in committed baseline, skipped")
-            continue
-        shared += 1
-        committed_seconds = image_seconds(committed["engines"]["chained"])
-        if committed_seconds < MIN_SECONDS:
-            print(f"{name}: committed chained fixpoint took "
-                  f"{committed_seconds:.3f}s (< {MIN_SECONDS}s noise "
-                  f"floor), skipped")
-            continue
-        old_ratio = normalised_chained(committed["engines"])
-        bound = old_ratio * (1 + TOLERANCE)
-        new_ratio = float("inf")
-        for attempt in range(1, ATTEMPTS + 1):
-            fresh = bench_relprod.best_engine_pass(factory,
-                                                   engines=("chained",))
-            new_ratio = min(new_ratio, normalised_chained(fresh))
-            if new_ratio <= bound:
-                break
-        change = (new_ratio - old_ratio) / old_ratio if old_ratio else 0.0
-        verdict = "OK" if new_ratio <= bound else "REGRESSION"
-        print(f"{name}: chained/materialised time ratio "
-              f"{old_ratio:.3f} -> {new_ratio:.3f} "
-              f"({change:+.1%}, {attempt} attempt(s)) {verdict}")
-        checked += 1
-        if verdict == "REGRESSION":
-            failures.append(name)
+    failures, checked, shared = check_default(baseline)
 
     zdd_failures, zdd_checked, zdd_shared = check_zdd(baseline)
     failures += zdd_failures

@@ -32,8 +32,7 @@ from ..bdd import Function, false
 from ..dd import ResourceBudgetExceeded
 from ..encoding import DenseEncoding, ImprovedEncoding, SparseEncoding
 from ..petri.net import PetriNet
-from ..symbolic.transition import SymbolicNet
-from ..symbolic.partition import TraversalLimitError
+from ..symbolic.transition import SymbolicNet, TraversalLimitError
 from .result import AnalysisResult
 from .spec import AnalysisSpec, SpecError
 
@@ -444,9 +443,9 @@ class _BddFunctionalSession(_BddSession):
 
 
 class _BddRelationalSession(_BddSession):
-    """The relational form over interleaved current/next variables:
-    saturation by the ``(force_t, E_t)`` pairs of the sparse relations,
-    one monolithic image or one chained sweep per step."""
+    """The relational form: the functional default's saturation over
+    :class:`~repro.symbolic.relational.RelationalNet`, whose manager
+    also declares each variable's next-state copy."""
 
     name = "bdd-relational"
 
@@ -458,43 +457,23 @@ class _BddRelationalSession(_BddSession):
         relnet = self.symbolic_net = RelationalNet(
             encoding, auto_reorder=spec.reorder,
             reorder_threshold=spec.reorder_threshold)
-        engine = spec.resolved_engine
-        if engine == "saturation":
-            self._events = relnet.saturation_events()
-        elif engine == "monolithic":
-            self._successors = \
-                lambda frontier, reached: relnet.image_monolithic(frontier)
-        else:
-            self._successors = relnet.image_chained
+        self._events = relnet.saturation_events()
         self.reached = relnet.initial
         self.frontier = relnet.initial
         super().__init__(spec, time.perf_counter() - start, net=net)
 
     def _advance(self) -> None:
-        if self._events is not None:
-            self._saturate_band()
-            return
-        reached = self.reached
-        swept = self._successors(self.frontier, reached)
-        self.reached = reached | swept
-        self.frontier = swept - reached
-        # Nothing but the new roots may stay referenced through the safe
-        # point: what it holds decides what the collection frees, and so
-        # the sifting trajectory and peak every benchmark row records.
-        del reached, swept
-        self.symbolic_net.bdd.checkpoint()
+        self._saturate_band()
 
     def _finish(self) -> AnalysisResult:
         relnet = self.symbolic_net
-        bdd = relnet.bdd
         return self._base_result(
             markings=relnet.count_markings(self.reached),
             variables=len(relnet.current),
             final_nodes=self.reached.size(),
-            reorder_count=bdd.reorder_count,
+            reorder_count=relnet.bdd.reorder_count,
             reachable=self.reached,
-            extras={"ae_calls": bdd.ae_calls,
-                    "ae_cache_hits": bdd.ae_cache_hits})
+            extras={})
 
 
 # ----------------------------------------------------------------------

@@ -142,8 +142,8 @@ def member_spec(spec: AnalysisSpec, member: str) -> AnalysisSpec:
     """The single-engine spec a portfolio member runs.
 
     Options meaningful to a member are threaded through from the
-    portfolio spec (the scheme for the BDD members, the
-    functional sweep knobs for ``bdd-functional``, ``k_bound`` for
+    portfolio spec (the scheme and the functional sweep knobs for
+    ``bdd-functional``, ``k_bound`` for
     ``kbounded``, reordering and ``max_iterations`` for everyone).
     Durability knobs thread through too: each member checkpoints to
     :func:`member_checkpoint_path` on the portfolio's cadence.
@@ -155,12 +155,9 @@ def member_spec(spec: AnalysisSpec, member: str) -> AnalysisSpec:
         checkpoint_every=spec.checkpoint_every,
         checkpoint_every_seconds=spec.checkpoint_every_seconds,
         resume=spec.resume)
-    bdd: Dict[str, Any] = dict(scheme=spec.scheme, **shared)
     if member == "bdd-functional":
-        return AnalysisSpec(strategy=spec.strategy,
-                            use_toggle=spec.use_toggle, **bdd)
-    if member == "bdd-chained":
-        return AnalysisSpec(form="relational", engine="chained", **bdd)
+        return AnalysisSpec(scheme=spec.scheme, strategy=spec.strategy,
+                            use_toggle=spec.use_toggle, **shared)
     if member == "zdd-chained":
         return AnalysisSpec(backend="zdd", form="relational",
                             engine="chained", **shared)

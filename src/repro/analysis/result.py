@@ -66,7 +66,7 @@ class AnalysisResult:
         The :class:`~repro.analysis.spec.AnalysisSpec` that produced
         this result (echoed so a result is self-describing).
     engine:
-        Engine identifier, e.g. ``functional``, ``relational/chained``,
+        Engine identifier, e.g. ``functional``, ``relational/saturation``,
         ``zdd/classic``, ``kbounded/3``.
     markings:
         Number of reachable markings.
@@ -84,7 +84,8 @@ class AnalysisResult:
         lives in ``extras["build_seconds"]`` /
         ``extras["fixpoint_seconds"]``).
     reorder_count:
-        Dynamic-reordering passes run (0 on the ZDD backend).
+        Dynamic-reordering passes run (sifting runs on both the BDD and
+        the ZDD managers; 0 for the k-bounded engine's fixed order).
     status:
         ``"complete"`` (the fixpoint converged) or ``"partial"`` (a
         resource budget aborted the run at a safe point; ``markings``

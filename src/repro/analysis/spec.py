@@ -47,13 +47,11 @@ __all__ = [
 SCHEMES = ("sparse", "dense", "improved")
 BACKEND_FAMILIES = ("bdd", "zdd", "portfolio")
 FORMS = ("functional", "relational")
-# The relational engine catalogue: ``saturation`` fires each
+# The relational engine catalogues.  ``saturation`` fires each
 # transition's ``(force, enabling)`` pair in place, one kernel recursion
-# per band of levels; ``chained`` is the Eq. 3 relational sweep and
-# ``monolithic`` the textbook single-relation baseline.  The ZDD backend
-# offers ``saturation`` and ``chained``; its ``monolithic`` lost to
-# ``chained`` on time and peak nodes on every benchmarked net.
-RELATIONAL_ENGINES = ("monolithic", "chained", "saturation")
+# per band of levels, and is the BDD relational form's only engine.  The
+# ZDD backend also offers ``chained``, the Eq. 3 relational sweep.
+RELATIONAL_ENGINES = ("saturation",)
 ZDD_RELATIONAL_ENGINES = ("chained", "saturation")
 STRATEGIES = ("bfs", "chaining", "saturation")
 
@@ -62,15 +60,11 @@ STRATEGIES = ("bfs", "chaining", "saturation")
 # builders live in ``repro.analysis.portfolio``).  Validation happens
 # here so a bad ``portfolio_members`` fails at spec construction, not
 # mid-race.
-PORTFOLIO_MEMBERS = (
-    "bdd-functional", "bdd-chained", "zdd-chained", "kbounded",
-)
+PORTFOLIO_MEMBERS = ("bdd-functional", "zdd-chained", "kbounded")
 # No single engine wins everywhere (the point of the race): the paper's
-# functional sweep, both relational-product families and the count-bit
+# functional fixpoint, the ZDD relational sweep and the count-bit
 # extension cover each other's weak instances.
-DEFAULT_PORTFOLIO_MEMBERS = (
-    "bdd-functional", "bdd-chained", "zdd-chained", "kbounded",
-)
+DEFAULT_PORTFOLIO_MEMBERS = ("bdd-functional", "zdd-chained", "kbounded")
 
 # The one place the project's engine defaults live.  ``bdd`` defaults to
 # the paper's functional form; ``zdd`` to the relational form.  Both
@@ -81,16 +75,20 @@ DEFAULT_RELATIONAL_ENGINE = "saturation"
 DEFAULT_REORDER_THRESHOLD = 2_000
 
 # Catalogue names retired because no benchmark row needs them: the
-# ``partitioned`` engine lost every row on the structural variable order
-# (docs/encodings.md has the numbers), and no default, workload,
-# experiment or benchmark raced the ``bdd-monolithic`` and
-# ``zdd-classic`` members (their engines stay, for the ablation and
-# Table 4).  Per field, each is mapped to its replacement: naming one is
-# a SpecError that says so, never a bare "unknown" that reads like a
-# typo.
-RETIRED_NAMES = {"engine": {"partitioned": "chained"},
-                 "portfolio member": {"bdd-partitioned": "bdd-chained",
-                                      "bdd-monolithic": "bdd-chained",
+# ``partitioned`` engine lost every row on the structural variable order,
+# and the BDD ``monolithic`` and ``chained`` sweeps lost every row to
+# saturation (docs/encodings.md has the numbers); no default, workload,
+# experiment or benchmark raced the ``bdd-monolithic`` and ``zdd-classic``
+# members.  Per field, each is mapped to its replacement: naming one is a
+# SpecError that says so, never a bare "unknown" that reads like a typo.
+# An engine the ZDD backend still offers (``chained``) is retired on the
+# BDD backend only.
+RETIRED_NAMES = {"engine": {"partitioned": "saturation",
+                            "monolithic": "saturation",
+                            "chained": "saturation"},
+                 "portfolio member": {"bdd-partitioned": "bdd-functional",
+                                      "bdd-monolithic": "bdd-functional",
+                                      "bdd-chained": "bdd-functional",
                                       "zdd-classic": "zdd-chained"}}
 # Retired semantic fields, at the one value that still loads, each with
 # the advice its SpecError gives.  They stay in semantic_fields() so
@@ -100,7 +98,7 @@ RETIRED_NAMES = {"engine": {"partitioned": "chained"},
 RETIRED_FIELD_DEFAULTS = {
     "simplify_frontier": (
         False, "it won no benchmark row on the structural variable "
-               "order; run the chained relational engine instead"),
+               "order; run the default saturation engine instead"),
     "chain_order": (
         "support", "the chaining sweep always fires transitions in "
                    "support-sorted order; drop the field"),
@@ -181,10 +179,9 @@ class AnalysisSpec:
         resolves per backend through :data:`DEFAULT_FORM`.
     engine:
         Relational engine: ``saturation`` (two kernel recursions, one
-        per band of levels, as the functional ``strategy`` runs),
-        ``chained`` or the ``monolithic`` baseline on the BDD backend;
-        the ZDD backend runs ``saturation`` and ``chained``.  Engines
-        that lost every ``BENCH_relprod.json`` row were retired
+        per band of levels, as the functional ``strategy`` runs), the
+        BDD backend's only one; the ZDD backend also runs ``chained``.
+        Engines that lost every benchmarked row were retired
         (:data:`RETIRED_NAMES`).  ``None`` resolves to
         :data:`DEFAULT_RELATIONAL_ENGINE` for the relational form, and
         both share one fingerprint; must be ``None`` with the
@@ -312,10 +309,10 @@ class AnalysisSpec:
         """The image engine actually run.
 
         ``functional`` for the functional BDD path, ``classic`` for the
-        functional ZDD path, one of :data:`RELATIONAL_ENGINES` for the
-        relational form, ``kbounded`` under a ``k_bound``,
-        ``portfolio`` for the racing backend (members resolve their
-        own engines).
+        functional ZDD path, one of :data:`RELATIONAL_ENGINES` (or
+        :data:`ZDD_RELATIONAL_ENGINES`) for the relational form,
+        ``kbounded`` under a ``k_bound``, ``portfolio`` for the racing
+        backend (members resolve their own engines).
         """
         if self.backend == "portfolio":
             return "portfolio"
@@ -334,7 +331,7 @@ class AnalysisSpec:
 
     @property
     def engine_id(self) -> str:
-        """The result's engine identifier, e.g. ``relational/chained``."""
+        """The result's engine identifier, e.g. ``zdd/chained``."""
         if self.backend == "portfolio":
             return "portfolio"
         if self.k_bound is not None:
@@ -351,14 +348,15 @@ class AnalysisSpec:
 
     def _validate(self) -> None:
         def require(value, allowed, label):
+            if value in allowed:
+                return
             replacement = RETIRED_NAMES.get(label, {}).get(value)
             if replacement is not None:
                 raise SpecError(
                     f"{label} {value!r} is retired: no benchmark row "
                     f"needs it (docs/api.md); use {replacement!r}")
-            if value not in allowed:
-                raise SpecError(f"unknown {label} {value!r}; expected one "
-                                f"of {allowed}")
+            raise SpecError(f"unknown {label} {value!r}; expected one "
+                            f"of {allowed}")
 
         require(self.scheme, SCHEMES, "scheme")
         require(self.backend, BACKEND_FAMILIES, "backend")
@@ -399,20 +397,14 @@ class AnalysisSpec:
                 raise SpecError(
                     f"{option} must be positive, got {value}")
         if self.engine is not None:
-            require(self.engine, RELATIONAL_ENGINES, "engine")
+            require(self.engine, ZDD_RELATIONAL_ENGINES
+                    if self.backend == "zdd" else RELATIONAL_ENGINES,
+                    "engine")
             if self.resolved_form == "functional":
                 raise SpecError(
                     f"engine={self.engine!r} is a relational image "
                     f"engine; it requires form='relational' (got "
                     f"form={self.form!r})")
-            if (self.backend == "zdd"
-                    and self.engine not in ZDD_RELATIONAL_ENGINES):
-                raise SpecError(
-                    f"engine={self.engine!r} is retired on the ZDD "
-                    f"backend, which offers {ZDD_RELATIONAL_ENGINES}: "
-                    f"chained beats it on time and peak nodes on every "
-                    f"benchmarked net; use one of those, or "
-                    f"form='functional' for the classic baseline")
         if self.reorder_threshold < 1:
             raise SpecError(
                 f"reorder_threshold must be positive, got "
@@ -594,14 +586,16 @@ class AnalysisSpec:
         supervised but never which states it visits — plus
         :data:`RETIRED_FIELD_DEFAULTS`, so retiring a field never moves
         a fingerprint.  The relational form records its resolved
-        engine, so ``engine=None`` shares the identity of the engine it
-        runs and moving :data:`DEFAULT_RELATIONAL_ENGINE` moves the
-        default key.
+        engine and the portfolio its resolved roster, so ``None`` shares
+        the identity of what it runs, and moving
+        :data:`DEFAULT_RELATIONAL_ENGINE` or
+        :data:`DEFAULT_PORTFOLIO_MEMBERS` moves the default key.
         """
         semantic = {key: value for key, value in self.to_dict().items()
                     if key not in NONSEMANTIC_FIELDS}
-        if (self.backend != "portfolio" and self.k_bound is None
-                and self.resolved_form == "relational"):
+        if self.backend == "portfolio":
+            semantic["portfolio_members"] = self.resolved_members
+        elif self.k_bound is None and self.resolved_form == "relational":
             semantic["engine"] = self.resolved_engine
         semantic.update((name, default) for name, (default, _)
                         in RETIRED_FIELD_DEFAULTS.items())

@@ -106,10 +106,6 @@ class ZDD(DDManager):
         """The empty family."""
         return EMPTY
 
-    def base(self) -> int:
-        """The family containing only the empty set."""
-        return BASE
-
     def singleton(self, elements: Iterable) -> int:
         """The family containing exactly one set with the given elements."""
         members = sorted({self.var_index(e) for e in elements},

@@ -40,7 +40,7 @@ Examples
     python -m repro.cli info muller4.pnet
     python -m repro.cli encode muller4.pnet --scheme improved
     python -m repro.cli analyze muller4.pnet --scheme improved --engine bdd
-    python -m repro.cli analyze muller4.pnet --image chained
+    python -m repro.cli analyze muller4.pnet --image saturation
     python -m repro.cli analyze muller4.pnet --engine zdd --image chained
     python -m repro.cli analyze --net phil --n 6 --backend portfolio
     python -m repro.cli analyze --net phil --n 8 --checkpoint run.ckpt
@@ -62,7 +62,7 @@ from typing import Any, Dict, List, Optional
 
 from . import analysis as analysis_api
 from .analysis import (DEFAULT_PORTFOLIO_MEMBERS, PORTFOLIO_MEMBERS,
-                       RELATIONAL_ENGINES, STRATEGIES, Analysis,
+                       STRATEGIES, ZDD_RELATIONAL_ENGINES, Analysis,
                        AnalysisSpec, SpecError)
 from .encoding import DenseEncoding, ImprovedEncoding, SparseEncoding
 from .encoding.improved import encoding_variable_summary
@@ -104,7 +104,9 @@ def _service_workers(value: str):
 def _add_service_arguments(sub) -> None:
     sub.add_argument("--cache-dir", default=None, metavar="DIR",
                      help="persistent result-cache directory (omitted: "
-                          "memory-only cache for this run)")
+                          "memory-only cache for this run); entries are "
+                          "never pruned, so pruning the directory is the "
+                          "caller's job")
     sub.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                      help="per-key checkpoint directory: cache misses "
                           "run with an injected checkpoint path and "
@@ -167,16 +169,15 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="functional BDD fixpoint schedule; when "
                           "omitted, AnalysisSpec's default applies")
     ana.add_argument("--image", default=None,
-                     choices=["functional"] + list(RELATIONAL_ENGINES),
+                     # The BDD's relational engines are a subset.
+                     choices=["functional"] + list(ZDD_RELATIONAL_ENGINES),
                      help="image computation: the renaming-free functional "
                           "operators or a relational engine: 'saturation' "
                           "fires each transition in place, one kernel "
-                          "recursion per band of levels, 'chained' and "
-                          "'monolithic' take relational products over "
-                          "partitioned transition relations (with "
-                          "--engine zdd, 'functional' selects the classic "
-                          "per-transition rewrite, and 'saturation' and "
-                          "'chained' are its relational engines); when "
+                          "recursion per band of levels (with --engine "
+                          "zdd, 'chained' sweeps one sparse relation per "
+                          "transition and 'functional' selects the "
+                          "classic per-transition rewrite); when "
                           "omitted, each backend's default from "
                           "AnalysisSpec applies (functional for bdd, "
                           "saturation for zdd)")

@@ -223,7 +223,7 @@ class DDManager:
         self.peak_live_nodes = 0
         # Bumped by every :meth:`swap_levels`, hence by every order
         # change; readers of the order compare it to the value they last
-        # saw (see PartitionedNet.partitions).
+        # saw (see ZddRelationalNet.partitions).
         self.order_version = 0
         # Variable groups that must stay adjacent during sifting (e.g.
         # interleaved current/next pairs of a transition relation, which

@@ -7,11 +7,10 @@ docs/encodings.md, "Generator substitutions"):
    variables does each refinement save (Sections 4.2 / 4.4 / extension)?
 2. **Gray vs. arbitrary codes** — toggle activity per fired transition
    (Section 5.2).
-3. **Quantify-force vs. toggle firing vs. relational image** — traversal
+3. **Quantify-force vs. toggle firing vs. saturation** — traversal
    time of the image implementations: BFS quantify-force and toggle
-   firing, the saturation schedule, the monolithic relation, the
-   chained relational-product sweep, without and with reordering, and
-   relational saturation.
+   firing, the saturation schedule, and saturation on the relational
+   form's interleaved manager.
 4. **Dynamic reordering on/off** — final BDD size and time, sifting
    from the structural initial order, not the paper's (see ``runner``).
 
@@ -97,14 +96,6 @@ IMAGE_CONFIGURATIONS: List[Tuple[str, AnalysisSpec]] = [
      AnalysisSpec(strategy="bfs", use_toggle=True, reorder=False)),
     ("strategy=saturation",
      AnalysisSpec(strategy="saturation", reorder=False)),
-    ("image=rel-monolithic",
-     AnalysisSpec(form="relational", engine="monolithic",
-                  reorder=False)),
-    ("image=rel-chained",
-     AnalysisSpec(form="relational", engine="chained", reorder=False)),
-    ("image=rel-chained+reorder",
-     AnalysisSpec(form="relational", engine="chained", reorder=True,
-                  reorder_threshold=REORDER_ABLATION_THRESHOLD)),
     ("image=rel-saturation",
      AnalysisSpec(form="relational", engine="saturation", reorder=False)),
 ]

@@ -63,9 +63,8 @@ def run(reorder: bool = True,
 
     ``zdd_engines`` selects which sparse-ZDD image engines to run —
     ``"classic"`` is the per-transition Yoneda baseline, ``"chained"``
-    (the one relational ZDD engine) sweeps the disjunctive partition of
-    Eq. 3, so the sparse baseline rides the same fused-image machinery
-    as the BDD engines.  Everything routes through ``analyze()``; the ZDD rows
+    sweeps the disjunctive partition of Eq. 3 with the fused relational
+    product.  Everything routes through ``analyze()``; the ZDD rows
     carry peak-live-node counts, so the table can finally print the
     paper's memory column.
     """
@@ -94,8 +93,9 @@ def main() -> None:
     print("Expected shape (paper): dense uses ~40-50% fewer variables and "
           "fewer nodes than the sparse ZDD; zdd-chained reaches the same "
           "fixpoint as zdd with fewer, cheaper iterations.  Peak columns "
-          "are live manager nodes (the paper's memory metric; the ZDD "
-          "manager never frees, so its peak is every node ever built).")
+          "are peak live manager nodes (the paper's memory metric; the "
+          "ZDD manager shares the BDD's garbage collection, so both "
+          "count the nodes alive at once, not every node ever built).")
 
 
 if __name__ == "__main__":

@@ -188,6 +188,9 @@ class AnalysisService:
         A :class:`~repro.service.cache.ResultCache` to use; or
     cache_dir:
         build one over this directory (``None`` → memory-only cache).
+        The service never prunes the directory: every entry written
+        stays until the caller deletes it, so pruning a long-lived
+        cache is the caller's job.
     workers:
         Pool size (``"auto"`` | int); ``0`` skips worker processes —
         every miss is solved serially in-process (deterministic, the

@@ -12,18 +12,22 @@ and the preimage is a plain cofactor:
     pre_t(M') = E_t & M'|forced-values
 
 The Section 5.2 toggle-based firing — valid on the reachable set of a
-safe net — is also provided (``image_toggle``), as is a relational
-cross-check implementation in :mod:`repro.symbolic.relational`.
+safe net — is also provided (``image_toggle``).
 
 Toggle images and pre-images accumulate into a running set one
 transition at a time (``image_toggle_into``, ``preimage_all``), each
 step one fused kernel recursion that builds neither the conjunction
 nor the toggled copy or cofactor.
+
+The support sort (:func:`sort_by_support`), which the chaining sweep
+here and the ZDD chained sweep both order transitions by, and
+:class:`TraversalLimitError`, which the analysis sessions raise on a
+``max_iterations`` overrun, live here too.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..bdd import BDD, Function, cube, false
 from ..encoding.characteristic import (declare_variables,
@@ -31,7 +35,50 @@ from ..encoding.characteristic import (declare_variables,
                                        place_functions, saturation_events)
 from ..encoding.scheme import Encoding, TransitionSpec
 from ..petri.marking import Marking
-from .partition import sort_by_support
+
+
+def sort_by_support(items: Sequence[str],
+                    support_of: Callable[[str], FrozenSet[int]],
+                    level_of: Callable[[int], int]) -> List[str]:
+    """``items`` ordered by the top (smallest) level of their support.
+
+    The standard heuristic for disjunctively partitioned relations:
+    relations whose support sits high in the variable order are applied
+    first, so a chained sweep pushes information down the order.  Ties
+    break by name; supportless items sort last.
+    """
+
+    bottom = 1 << 60  # below every real level
+
+    def top_level(item: str) -> int:
+        support = support_of(item)
+        if not support:
+            return bottom
+        return min(level_of(var) for var in support)
+
+    return sorted(items, key=lambda item: (top_level(item), item))
+
+
+class TraversalLimitError(RuntimeError):
+    """A fixpoint overran ``max_iterations``.
+
+    Subclasses ``RuntimeError`` for compatibility with callers that
+    caught the old generic exception, but carries the partial state the
+    old message discarded: ``reached`` and ``frontier`` are the sets at
+    the moment of the overrun (a :class:`~repro.bdd.Function` on the
+    BDD paths, a raw node id on the ZDD path, ``None`` when no state
+    applies) and ``iterations`` the completed step count.  The partial
+    reached set is a genuine under-approximation — every marking in it
+    is reachable — so callers can checkpoint it or report progress
+    instead of losing the work.
+    """
+
+    def __init__(self, message: str, *, reached=None, frontier=None,
+                 iterations: int = 0) -> None:
+        super().__init__(message)
+        self.reached = reached
+        self.frontier = frontier
+        self.iterations = iterations
 
 
 class SymbolicNet:

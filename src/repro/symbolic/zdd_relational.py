@@ -1,18 +1,12 @@
 """Partitioned transition relations for the sparse-ZDD engine.
 
-The BDD engines got their PR 1-2 wins from the relational-product form:
-sparse per-transition relations over paired current/next variables,
-applied in support order through a fused ``and_exists``.  This
-module ports that machinery to the token-set encoding of
+The relational-product form ported to the token-set encoding of
 :class:`~repro.symbolic.zdd_traversal.ZddNet`, where a marking is the
 *set of marked places* and firing is set algebra instead of boolean
-algebra.
-
-It is deliberately a *thin shim*: the partition, its sweep order and
-the sweep logic live once in
-:class:`~repro.symbolic.partition.PartitionedNet` (shared with the BDD
-side); this file contributes only the token-set encoding specifics —
-what a sparse relation *is* and how one block's image is computed.
+algebra: sparse per-transition relations over paired current/next
+elements, applied in support order through a fused ``and_exists``.
+:class:`ZddRelationalNet` owns Eq. 3's partition, one sparse relation
+per transition, and the chained sweep over it (``engine="chained"``).
 
 The element universe interleaves current and next elements — place ``p``
 at index ``2i``, its primed copy ``p'`` at ``2i + 1`` — so that renaming
@@ -27,15 +21,14 @@ is the fused three-step pipeline
    deposit the produced ones in one cached pass,
 3. ``rename(·, O' -> O)`` — monotone rename back to current elements.
 
-Untouched places flow through every step unchanged — the implicit
-identity that keeps the relations sparse, exactly as in
-:class:`~repro.symbolic.relational.RelationalNet`.  The default ZDD
-engine, saturation, fires the same relation in place instead: one
-``(I, O)`` pair of current elements per transition
+Untouched places flow through every step unchanged: the implicit
+identity that keeps the relations sparse.  The default ZDD engine,
+saturation, fires the same relation in place instead: one ``(I, O)``
+pair of current elements per transition
 (:meth:`ZddRelationalNet.saturation_events`), under which
 :meth:`~repro.bdd.zdd.ZDD.saturate_post` closes the family with no
 next element and no rename.  With the shared
-:class:`~repro.dd.manager.DDManager` kernel the ZDD manager now
+:class:`~repro.dd.manager.DDManager` kernel the ZDD manager
 reference-counts, garbage-collects and dynamically reorders; the net
 pins its long-lived families (initial marking, sparse relations) with
 ``ref`` and sifts in current/next pair groups so rename maps stay
@@ -52,7 +45,7 @@ from ..dd.manager import DEFAULT_REORDER_GROWTH
 from ..petri.marking import Marking
 from ..petri.net import PetriNet
 from ..petri.order import place_order
-from .partition import PartitionedNet, next_state_suffix
+from .relational import next_state_suffix
 
 __all__ = ["ZddSparseRelation", "ZddStateOps", "ZddRelationalNet"]
 
@@ -83,23 +76,11 @@ class ZddSparseRelation:
 
 
 class ZddStateOps:
-    """State-set algebra over raw ZDD node ids (the ``state_*`` hooks
-    of the generic layer), shared by :class:`ZddRelationalNet` and the
-    classic :class:`~repro.symbolic.zdd_traversal.ZddNet`."""
+    """Counting and decoding families over raw ZDD node ids, shared by
+    :class:`ZddRelationalNet` and the classic
+    :class:`~repro.symbolic.zdd_traversal.ZddNet`."""
 
     zdd: ZDD
-
-    def state_empty(self) -> int:
-        return EMPTY
-
-    def state_union(self, a: int, b: int) -> int:
-        return self.zdd.union(a, b)
-
-    def state_diff(self, a: int, b: int) -> int:
-        return self.zdd.diff(a, b)
-
-    def state_is_empty(self, states: int) -> bool:
-        return states == EMPTY
 
     def count_markings(self, states: int) -> int:
         """Number of markings in a family over current elements."""
@@ -111,7 +92,7 @@ class ZddStateOps:
                 for members in self.zdd.iter_name_sets(states)]
 
 
-class ZddRelationalNet(ZddStateOps, PartitionedNet):
+class ZddRelationalNet(ZddStateOps):
     """A safe net bound to a paired-element ZDD manager.
 
     Parameters
@@ -123,12 +104,11 @@ class ZddRelationalNet(ZddStateOps, PartitionedNet):
         gets ``2 |P|`` elements: the places in ``place_order``, each with
         its next-state copy ``p'`` right below it.
     auto_reorder:
-        Enable threshold-triggered sifting at traversal safe points —
-        the same dynamic reordering the BDD relational net has had since
-        PR 2, now served by the shared kernel.  Sifting is *grouped*:
-        each current/next element pair moves as one block
+        Enable threshold-triggered sifting at traversal safe points,
+        served by the shared kernel as on the BDD managers.  Sifting is
+        *grouped*: each current/next element pair moves as one block
         (``sift_groups``), which keeps the block rename maps
-        order-monotone; the chained sweep re-sorts its blocks by the
+        order-monotone; the chained sweep re-sorts its partition by the
         order it finds.
     reorder_threshold:
         Live-node threshold for the automatic sifting trigger.
@@ -146,7 +126,6 @@ class ZddRelationalNet(ZddStateOps, PartitionedNet):
                               growth=DEFAULT_REORDER_GROWTH)
         self.net = net
         self.zdd = zdd
-        self.manager = zdd
         suffix = next_state_suffix(net.places)
         for place in place_order(net):
             zdd.add_vars((place, place + suffix))
@@ -163,6 +142,10 @@ class ZddRelationalNet(ZddStateOps, PartitionedNet):
         self.initial = zdd.ref(zdd.singleton(net.initial_marking.support))
         self._sparse: Dict[str, ZddSparseRelation] = {
             t: self._build_sparse(t) for t in net.transitions}
+        self._partition: Optional[List[ZddSparseRelation]] = None
+        # The manager's ``order_version`` when the partition was last
+        # sorted.
+        self._sorted_at: Optional[int] = None
 
     def _build_sparse(self, transition: str) -> ZddSparseRelation:
         zdd = self.zdd
@@ -180,10 +163,6 @@ class ZddRelationalNet(ZddStateOps, PartitionedNet):
             transition=transition, consume=consume, produce=produce,
             relation=relation, support=support, rename=rename)
 
-    def sparse_relations(self) -> Dict[str, ZddSparseRelation]:
-        """All sparse per-transition relations (built at construction)."""
-        return self._sparse
-
     def saturation_events(self) -> List[Tuple[Tuple[int, ...],
                                               Tuple[int, ...]]]:
         """One ``(consume, produce)`` pair of current-element indices
@@ -196,21 +175,35 @@ class ZddRelationalNet(ZddStateOps, PartitionedNet):
                               for p in self.net.postset(t))))
                 for t in self.net.transitions]
 
-    def transition_support(self, transition: str) -> FrozenSet[int]:
-        """Element indices a transition touches: its current/next pairs.
-        Indices are stable across reordering, so this never goes stale."""
-        return self._sparse[transition].support
-
     # ------------------------------------------------------------------
-    # Partition-layer hooks (see PartitionedNet)
+    # The partition and the chained sweep
     # ------------------------------------------------------------------
 
-    def _make_block(self, transition: str) -> ZddSparseRelation:
-        return self._sparse[transition]
+    def partitions(self) -> List[ZddSparseRelation]:
+        """Eq. 3's disjunctive partition: one sparse relation per
+        transition, in support order (ties by transition name).
 
-    # ------------------------------------------------------------------
-    # Images
-    # ------------------------------------------------------------------
+        Before it is handed out, the list is stably re-sorted in place
+        by each block's :meth:`top_level` under the current element
+        order, but only when the manager's ``order_version`` moved since
+        the last sort, so a sweep between reorders pays nothing.  Blocks
+        that tie keep the order earlier sorts left them in.  Relations
+        themselves survive reordering untouched (node ids are stable).
+        """
+        if self._partition is None:
+            self._partition = sorted(self._sparse.values(),
+                                     key=lambda block: block.transition)
+        if self._sorted_at != self.zdd.order_version:
+            self._partition.sort(key=self.top_level)
+            self._sorted_at = self.zdd.order_version
+        return self._partition
+
+    def top_level(self, block: ZddSparseRelation) -> int:
+        """The shallowest current level of ``block``'s support (below
+        every element for an empty support)."""
+        level_of = self.zdd.level_of_var
+        return min((level_of(var) for var in block.support),
+                   default=self.zdd.num_vars)
 
     def image_partition(self, states: int,
                         block: ZddSparseRelation) -> int:
@@ -229,7 +222,34 @@ class ZddRelationalNet(ZddStateOps, PartitionedNet):
             zdd.and_exists(matched, block.produce, block.consume),
             block.rename)
 
-    def image_all(self, states: int) -> int:
-        """Successor family under all transitions (reference
-        implementation for tests)."""
-        return self.image_partitioned(states, self.partitions())
+    def image_chained(self, states: int, reached: int = EMPTY) -> int:
+        """One chained sweep: apply the blocks in support-sorted order,
+        feeding each block the states accumulated so far.
+
+        Returns ``states`` together with every state discovered during
+        the sweep: a superset of the one-step image, still contained in
+        the reachable closure, which is what makes chained fixpoints
+        converge in (often far) fewer iterations.
+
+        ``reached`` *narrows* each block's working set: states in
+        ``reached`` that were not part of this sweep's input have
+        already been fed through every block in an earlier complete
+        iteration, so their successors are already in ``reached``.
+        Each block therefore receives ``current - (reached - states)``,
+        the sweep's own discoveries plus its input.  The returned set
+        may then miss successors of already-expanded states, which is
+        harmless: the fixpoint absorbs the sweep into ``reached`` and
+        subtracts ``reached`` from the new frontier.  The fixpoint
+        trajectory is identical with or without narrowing; only the
+        per-block work shrinks.
+        """
+        zdd = self.zdd
+        current = states
+        expanded = zdd.diff(reached, states)
+        for block in self.partitions():
+            work = current if expanded == EMPTY \
+                else zdd.diff(current, expanded)
+            if work == EMPTY:
+                continue
+            current = zdd.union(current, self.image_partition(work, block))
+        return current

@@ -10,8 +10,8 @@ pass per place per transition, one :meth:`ZddNet.image_all` per
 fixpoint step.
 
 The relational-product form lives in
-:class:`~repro.symbolic.zdd_relational.ZddRelationalNet`, swept by the
-generic chained sweep of :mod:`repro.symbolic.partition`.  Both run
+:class:`~repro.symbolic.zdd_relational.ZddRelationalNet`, with its own
+partition and chained sweep.  Both run
 behind ``repro.analysis.analyze(net, AnalysisSpec(backend="zdd"))``,
 whose session owns the fixpoint loop and its per-iteration safe point.
 """

@@ -5,6 +5,8 @@ import pytest
 
 from repro.analysis import (Analysis, AnalysisSpec, SpecError, analyze,
                             open_session)
+from repro.analysis.backends import SATURATION_BANDS
+from repro.bdd import Function
 from repro.encoding import ImprovedEncoding
 from repro.petri import ReachabilityGraph
 from repro.petri.generators import figure1_net
@@ -17,18 +19,18 @@ SPECS = {
     "functional": AnalysisSpec(),
     "functional-sparse-bfs": AnalysisSpec(scheme="sparse",
                                           strategy="bfs"),
-    "rel-monolithic": AnalysisSpec(form="relational",
-                                   engine="monolithic"),
-    "rel-chained": AnalysisSpec(form="relational", engine="chained"),
-    # A low threshold makes sifting fire, so the sweep's re-sort by the
-    # new order after every reorder sits on the path these runs take.
-    "rel-chained-sifted": AnalysisSpec(form="relational", engine="chained",
-                                       reorder_threshold=20),
     "rel-saturation": AnalysisSpec(form="relational"),
+    "rel-saturation-fixed": AnalysisSpec(form="relational", reorder=False),
     "rel-saturation-sifted": AnalysisSpec(form="relational",
                                           reorder_threshold=20),
+    "rel-saturation-sparse": AnalysisSpec(form="relational",
+                                          scheme="sparse"),
+    "rel-saturation-dense": AnalysisSpec(form="relational",
+                                         scheme="dense"),
     "zdd-classic": AnalysisSpec(backend="zdd", form="functional"),
     "zdd-chained": AnalysisSpec(backend="zdd", engine="chained"),
+    # A low threshold makes sifting fire, so the sweep's re-sort by the
+    # new order after every reorder sits on the path these runs take.
     "zdd-chained-sifted": AnalysisSpec(backend="zdd", engine="chained",
                                        reorder_threshold=20),
     "zdd-saturation": AnalysisSpec(backend="zdd"),
@@ -70,7 +72,6 @@ class TestCrossBackend:
                                                explicit_counts):
         net = make_net(net_name)
         analysis = Analysis(net, AnalysisSpec(form="relational",
-                                              engine="chained",
                                               reorder=False))
         result = analysis.run()
         # RelationalNet exposes no marking decoder; count equality here,
@@ -78,7 +79,7 @@ class TestCrossBackend:
         # differential harness (tests/symbolic/test_engine_diff.py).
         assert result.markings == explicit_counts[net_name]
         assert result.variables == ImprovedEncoding(net).num_variables
-        assert result.engine == "relational/chained"
+        assert result.engine == "relational/saturation"
 
     @pytest.mark.parametrize("net_name", NETS)
     @pytest.mark.parametrize("spec", [
@@ -228,23 +229,23 @@ class TestSiftingTrajectory:
     """A relational session holds only its new roots through each safe
     point.  What stays referenced there decides what the collection
     frees, and with sifting on that moves the whole trajectory, so each
-    session is stepped against a reference loop that drops the swept
-    set before ``checkpoint()``."""
+    session is stepped against a reference loop that drops what it
+    replaced before ``checkpoint()``."""
 
     @staticmethod
     def bdd_reference(net, threshold):
         relnet = RelationalNet(ImprovedEncoding(net), auto_reorder=True,
                                reorder_threshold=threshold)
         bdd = relnet.bdd
-        reached = frontier = relnet.initial
-        iterations = 0
-        while not frontier.is_zero():
-            swept = relnet.image_chained(frontier, reached=reached)
-            reached, frontier = reached | swept, swept - reached
-            del swept
+        events = relnet.saturation_events()
+        reached = relnet.initial
+        for band in range(SATURATION_BANDS):
+            min_top = (bdd.num_vars * (SATURATION_BANDS - 1 - band)
+                       // SATURATION_BANDS)
+            reached = Function(bdd, bdd.saturate_post(reached.node, events,
+                                                      min_top))
             bdd.checkpoint()
-            iterations += 1
-        return (iterations, bdd.peak_live_nodes, bdd.reorder_count,
+        return (SATURATION_BANDS, bdd.peak_live_nodes, bdd.reorder_count,
                 reached.node)
 
     @staticmethod
@@ -272,10 +273,8 @@ class TestSiftingTrajectory:
     # once the safe point collects, so the threshold is lowered to one
     # at which sifting fires.
     @pytest.mark.parametrize("net_name, spec", [
-        ("slot4", AnalysisSpec(form="relational", engine="chained",
-                               reorder_threshold=200)),
-        ("phil6", AnalysisSpec(form="relational", engine="chained",
-                               reorder_threshold=200)),
+        ("slot4", AnalysisSpec(form="relational", reorder_threshold=200)),
+        ("phil6", AnalysisSpec(form="relational", reorder_threshold=200)),
         ("dme3", AnalysisSpec(backend="zdd", engine="chained",
                               reorder_threshold=200))],
         ids=["slot4-relational", "phil6-relational", "dme3-zdd"])
@@ -302,8 +301,6 @@ class TestRunnerIntegration:
                 (AnalysisSpec(scheme="dense"), "covering"),
                 (AnalysisSpec(), "dense"),
                 (AnalysisSpec(form="relational"), "rel-saturation"),
-                (AnalysisSpec(form="relational", engine="chained"),
-                 "rel-chained"),
                 (AnalysisSpec(backend="zdd", form="functional"), "zdd"),
                 (AnalysisSpec(backend="zdd"), "zdd-saturation"),
                 (AnalysisSpec(backend="zdd", engine="chained"),

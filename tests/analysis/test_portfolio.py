@@ -41,9 +41,8 @@ class TestMemberCatalog:
         assert functional.scheme == "sparse"
         assert functional.strategy == "bfs"
         assert functional.use_toggle is False
-        chained = member_spec(parent, "bdd-chained")
+        chained = member_spec(parent, "zdd-chained")
         assert chained.engine == "chained"
-        assert chained.scheme == "sparse"
         assert chained.reorder is False
         kbounded = member_spec(parent, "kbounded")
         assert kbounded.k_bound == 2
@@ -89,10 +88,10 @@ class TestSerialDegradation:
                             exploding_session)
         session, _ = serial_result(
             figure1_net(), portfolio_members=("zdd-chained",
-                                              "bdd-chained"))
+                                              "bdd-functional"))
         result = session.run()
         race = result.extras["portfolio"]
-        assert race["winner"] == "bdd-chained"
+        assert race["winner"] == "bdd-functional"
         assert result.markings == 8
         failure = MemberFailure.from_dict(race["failures"][0])
         assert failure.member == "zdd-chained"

@@ -21,8 +21,9 @@ import signal
 import pytest
 from fake_workers import Exit, FakeHarness, MidReplyKillHarness, Runs
 
-from repro.analysis import (AnalysisSpec, PortfolioError, PortfolioSession,
-                            WorkerHarness, analyze, member_spec)
+from repro.analysis import (DEFAULT_PORTFOLIO_MEMBERS, AnalysisSpec,
+                            PortfolioError, PortfolioSession, WorkerHarness,
+                            analyze, member_spec)
 from repro.petri.generators import figure1_net, philosophers
 
 
@@ -60,16 +61,16 @@ def outcome_of(result, member):
 class TestWorkerCrash:
     def test_crash_mid_solve_survivor_wins(self, payload_for):
         harness = FakeHarness({
-            "bdd-chained": [(0.2, Exit(-signal.SIGSEGV))],
+            "bdd-functional": [(0.2, Exit(-signal.SIGSEGV))],
             "zdd-chained": [payload_for("zdd-chained", 1.0)]})
         result = race(harness,
-                      portfolio_members=("bdd-chained", "zdd-chained"))
+                      portfolio_members=("bdd-functional", "zdd-chained"))
         assert result.markings == 8
         assert result.extras["portfolio"]["winner"] == "zdd-chained"
-        assert outcome_of(result, "bdd-chained") == "crash"
+        assert outcome_of(result, "bdd-functional") == "crash"
         failures = result.extras["portfolio"]["failures"]
         crash = next(f for f in failures if f["kind"] == "crash")
-        assert crash["member"] == "bdd-chained"
+        assert crash["member"] == "bdd-functional"
         # The exit code is surfaced in the structured record.
         assert crash["exitcode"] == -signal.SIGSEGV
         assert str(-signal.SIGSEGV) in crash["detail"]
@@ -84,21 +85,21 @@ class TestWorkerHang:
             {"zdd-chained": [payload_for("zdd-chained", 0.6)]},
             spawn_cost=0.3)
         result = race(harness,
-                      portfolio_members=("bdd-chained", "zdd-chained"),
+                      portfolio_members=("bdd-functional", "zdd-chained"),
                       member_timeout=0.5)
         assert result.extras["portfolio"]["winner"] == "zdd-chained"
-        assert outcome_of(result, "bdd-chained") == "timeout"
-        assert harness.processes["bdd-chained"].terminated
+        assert outcome_of(result, "bdd-functional") == "timeout"
+        assert harness.processes["bdd-functional"].terminated
         failures = result.extras["portfolio"]["failures"]
         assert any(f["kind"] == "timeout"
-                   and f["member"] == "bdd-chained" for f in failures)
+                   and f["member"] == "bdd-functional" for f in failures)
         harness.assert_no_orphans()
 
     def test_global_timeout_fails_the_race(self):
         harness = FakeHarness()  # nobody ever answers
         with pytest.raises(PortfolioError) as excinfo:
             race(harness,
-                 portfolio_members=("bdd-chained", "zdd-chained"),
+                 portfolio_members=("bdd-functional", "zdd-chained"),
                  timeout=2.0)
         kinds = {f.kind for f in excinfo.value.failures}
         assert kinds == {"timeout"}
@@ -110,13 +111,13 @@ class TestWorkerHang:
 class TestAllMembersFail:
     def test_every_member_erroring_raises_portfolio_error(self):
         harness = FakeHarness({
-            "bdd-chained": [(0.1, ("error", "RuntimeError: exceeded"))],
+            "bdd-functional": [(0.1, ("error", "RuntimeError: exceeded"))],
             "zdd-chained": [(0.2, ("error", "MemoryError: boom"))]})
         with pytest.raises(PortfolioError) as excinfo:
             race(harness,
-                 portfolio_members=("bdd-chained", "zdd-chained"))
+                 portfolio_members=("bdd-functional", "zdd-chained"))
         failures = excinfo.value.failures
-        assert {f.member for f in failures} == {"bdd-chained",
+        assert {f.member for f in failures} == {"bdd-functional",
                                                 "zdd-chained"}
         assert all(f.kind == "error" for f in failures)
         assert "MemoryError: boom" in str(excinfo.value)
@@ -127,8 +128,7 @@ class TestCancellation:
     def test_first_verdict_terminates_and_joins_losers(self, payload_for):
         harness = FakeHarness(
             {"bdd-functional": [payload_for("bdd-functional", 0.2)]})
-        members = ("bdd-functional", "bdd-chained", "zdd-chained",
-                   "kbounded")
+        members = ("bdd-functional", "zdd-chained", "kbounded")
         result = race(harness, portfolio_members=members)
         assert harness.spawned == list(members)
         assert result.extras["portfolio"]["winner"] == "bdd-functional"
@@ -142,11 +142,11 @@ class TestCancellation:
         # The loser's verdict lands after the winner's: no failure, no
         # double-win.
         harness = FakeHarness({
-            "bdd-chained": [payload_for("bdd-chained", 0.2)],
+            "bdd-functional": [payload_for("bdd-functional", 0.2)],
             "zdd-chained": [payload_for("zdd-chained", 0.2)]})
         result = race(harness,
-                      portfolio_members=("bdd-chained", "zdd-chained"))
-        assert result.extras["portfolio"]["winner"] == "bdd-chained"
+                      portfolio_members=("bdd-functional", "zdd-chained"))
+        assert result.extras["portfolio"]["winner"] == "bdd-functional"
 
 
 # ----------------------------------------------------------------------
@@ -231,7 +231,7 @@ class TestRealProcesses:
             analyze(philosophers(3),
                     AnalysisSpec(backend="portfolio", max_iterations=1,
                                  timeout=60.0))
-        assert len(excinfo.value.failures) == 4
+        assert len(excinfo.value.failures) == len(DEFAULT_PORTFOLIO_MEMBERS)
         assert all(f.kind == "error" for f in excinfo.value.failures)
         assert all("exceeded 1 iterations" in f.detail
                    for f in excinfo.value.failures)
@@ -282,27 +282,27 @@ def race_with_checkpoint(harness, tmp_path, members,
 class TestCheckpointRetries:
     def test_crash_with_checkpoint_is_retried_and_wins(
             self, payload_for, tmp_path):
-        harness = FakeHarness({"bdd-chained": Runs(
+        harness = FakeHarness({"bdd-functional": Runs(
             [(0.2, Exit(-signal.SIGKILL))],
-            [payload_for("bdd-chained", 2.5)])})
+            [payload_for("bdd-functional", 2.5)])})
         result = race_with_checkpoint(
-            harness, tmp_path, ("bdd-chained",),
-            checkpointed=("bdd-chained",))
+            harness, tmp_path, ("bdd-functional",),
+            checkpointed=("bdd-functional",))
         race = result.extras["portfolio"]
-        assert race["winner"] == "bdd-chained"
+        assert race["winner"] == "bdd-functional"
         assert result.markings == 8
         # The member was spawned twice and won on its second attempt.
-        assert harness.spawned == ["bdd-chained", "bdd-chained"]
+        assert harness.spawned == ["bdd-functional", "bdd-functional"]
         rows = {r["member"]: r for r in race["members"]}
-        assert rows["bdd-chained"]["outcome"] == "won"
-        assert rows["bdd-chained"]["attempts"] == 2
+        assert rows["bdd-functional"]["outcome"] == "won"
+        assert rows["bdd-functional"]["attempts"] == 2
         # The retry event is in the telemetry, with the crash on file.
         assert len(race["retries"]) == 1
         retry = race["retries"][0]
-        assert retry["member"] == "bdd-chained"
+        assert retry["member"] == "bdd-functional"
         assert retry["reason"] == "crash"
         assert retry["attempt"] == 1
-        assert retry["checkpoint"].endswith(".bdd-chained")
+        assert retry["checkpoint"].endswith(".bdd-functional")
         assert any(f["kind"] == "crash" for f in race["failures"])
         (_, dying, _), _revived = harness.workers
         assert not dying.is_alive()
@@ -311,40 +311,40 @@ class TestCheckpointRetries:
     def test_member_timeout_with_checkpoint_is_retried(
             self, payload_for, tmp_path):
         # The first attempt never finishes on its own.
-        harness = FakeHarness({"bdd-chained": Runs(
-            [], [payload_for("bdd-chained", 1.3)])})
+        harness = FakeHarness({"bdd-functional": Runs(
+            [], [payload_for("bdd-functional", 1.3)])})
         result = race_with_checkpoint(
-            harness, tmp_path, ("bdd-chained",),
-            checkpointed=("bdd-chained",),
+            harness, tmp_path, ("bdd-functional",),
+            checkpointed=("bdd-functional",),
             member_timeout=0.5)
         race = result.extras["portfolio"]
-        assert race["winner"] == "bdd-chained"
+        assert race["winner"] == "bdd-functional"
         (_, hung, _), _revived = harness.workers
         assert hung.terminated  # the hung attempt was really stopped
         assert len(race["retries"]) == 1
         assert race["retries"][0]["reason"] == "timeout"
         rows = {r["member"]: r for r in race["members"]}
-        assert rows["bdd-chained"]["attempts"] == 2
+        assert rows["bdd-functional"]["attempts"] == 2
 
     def test_no_checkpoint_file_means_no_retry(self, tmp_path):
         # checkpoint_path is set, but the member never wrote its file:
         # nothing to resume from, so the crash resolves immediately.
-        harness = FakeHarness({"bdd-chained": [(0.1, Exit(-9))]})
+        harness = FakeHarness({"bdd-functional": [(0.1, Exit(-9))]})
         with pytest.raises(PortfolioError):
-            race_with_checkpoint(harness, tmp_path, ("bdd-chained",),
+            race_with_checkpoint(harness, tmp_path, ("bdd-functional",),
                                  checkpointed=())
-        assert harness.spawned == ["bdd-chained"]
+        assert harness.spawned == ["bdd-functional"]
 
     def test_retries_are_bounded(self, tmp_path):
         # Every attempt crashes: the original plus MEMBER_MAX_RETRIES
         # retries, then the member is written off and the race fails.
         from repro.analysis.portfolio import MEMBER_MAX_RETRIES
-        harness = FakeHarness({"bdd-chained": Runs(
+        harness = FakeHarness({"bdd-functional": Runs(
             *([(0.1 + 2.0 * i, Exit(-9))]
               for i in range(MEMBER_MAX_RETRIES + 1)))})
         with pytest.raises(PortfolioError) as excinfo:
-            race_with_checkpoint(harness, tmp_path, ("bdd-chained",),
-                                 checkpointed=("bdd-chained",))
+            race_with_checkpoint(harness, tmp_path, ("bdd-functional",),
+                                 checkpointed=("bdd-functional",))
         assert len(harness.spawned) == MEMBER_MAX_RETRIES + 1
         crashes = [f for f in excinfo.value.failures
                    if f.kind == "crash"]
@@ -353,21 +353,21 @@ class TestCheckpointRetries:
 
     def test_winner_cancels_a_pending_retry(self, payload_for,
                                             tmp_path):
-        # bdd-chained crashes and is waiting out its backoff when
+        # bdd-functional crashes and is waiting out its backoff when
         # zdd-chained wins: the pending retry resolves as cancelled.
         harness = FakeHarness({
-            "bdd-chained": [(0.1, Exit(-9))],
+            "bdd-functional": [(0.1, Exit(-9))],
             "zdd-chained": [payload_for("zdd-chained", 0.55)]})
         result = race_with_checkpoint(
-            harness, tmp_path, ("bdd-chained", "zdd-chained"),
-            checkpointed=("bdd-chained",))
+            harness, tmp_path, ("bdd-functional", "zdd-chained"),
+            checkpointed=("bdd-functional",))
         race = result.extras["portfolio"]
         assert race["winner"] == "zdd-chained"
         rows = {r["member"]: r for r in race["members"]}
-        assert rows["bdd-chained"]["outcome"] == "cancelled"
+        assert rows["bdd-functional"]["outcome"] == "cancelled"
         assert len(race["retries"]) == 1
         # Only the two original spawns: the retry never launched.
-        assert sorted(harness.spawned) == ["bdd-chained", "zdd-chained"]
+        assert sorted(harness.spawned) == ["bdd-functional", "zdd-chained"]
 
     def test_member_specs_carry_per_member_checkpoints(self, tmp_path):
         from repro.analysis import member_checkpoint_path

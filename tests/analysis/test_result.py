@@ -11,8 +11,8 @@ from repro.petri.generators import figure1_net
 
 def sample_result(**overrides):
     values = dict(
-        spec=AnalysisSpec(form="relational", engine="chained"),
-        engine="relational/chained",
+        spec=AnalysisSpec(backend="zdd", engine="chained"),
+        engine="zdd/chained",
         markings=8,
         iterations=4,
         variables=4,
@@ -154,7 +154,7 @@ class TestForwardCompatibility:
         payload["spec"]["holographic_mode"] = True
         with caplog.at_level(logging.WARNING, "repro.analysis.spec"):
             restored = AnalysisResult.from_dict(payload)
-        assert restored.spec.engine_id == "relational/chained"
+        assert restored.spec.engine_id == "zdd/chained"
         assert any("unknown spec fields" in record.message
                    for record in caplog.records)
 

@@ -69,11 +69,11 @@ class TestValidationErrors:
         {"max_iterations": 0},
         {"backend": "portfolio", "engine": "chained"},
         {"backend": "portfolio", "form": "relational"},
-        {"portfolio_members": ("bdd-chained",)},     # bdd backend
+        {"portfolio_members": ("bdd-functional",)},     # bdd backend
         {"backend": "portfolio", "portfolio_members": ()},
         {"backend": "portfolio", "portfolio_members": ("sat-solver",)},
         {"backend": "portfolio",
-         "portfolio_members": ("bdd-chained", "bdd-chained")},
+         "portfolio_members": ("bdd-functional", "bdd-functional")},
         {"timeout": 60.0},                           # bdd backend
         {"backend": "zdd", "member_timeout": 5.0},
         {"backend": "portfolio", "timeout": 0},
@@ -85,7 +85,7 @@ class TestValidationErrors:
 
     def test_error_message_names_the_fix(self):
         with pytest.raises(SpecError, match="form='relational'"):
-            AnalysisSpec(engine="monolithic")
+            AnalysisSpec(engine="saturation")
 
 
 class TestWarnings:
@@ -156,11 +156,11 @@ class TestPortfolioSpec:
         # hash and compare like its tuple-built twin.
         spec = AnalysisSpec(backend="portfolio",
                             portfolio_members=["zdd-chained",
-                                               "bdd-chained"])
-        assert spec.portfolio_members == ("zdd-chained", "bdd-chained")
+                                               "bdd-functional"])
+        assert spec.portfolio_members == ("zdd-chained", "bdd-functional")
         assert spec == AnalysisSpec(
             backend="portfolio",
-            portfolio_members=("zdd-chained", "bdd-chained"))
+            portfolio_members=("zdd-chained", "bdd-functional"))
 
     def test_error_messages_name_the_fix(self):
         with pytest.raises(SpecError, match="races its members"):
@@ -173,7 +173,7 @@ class TestPortfolioSpec:
 
     def test_one_member_portfolio_warns(self):
         spec = AnalysisSpec(backend="portfolio",
-                            portfolio_members=("bdd-chained",))
+                            portfolio_members=("bdd-functional",))
         assert [w.option for w in spec.warnings()] == \
             ["portfolio_members"]
 
@@ -191,7 +191,7 @@ class TestPortfolioSpec:
         assert AnalysisSpec(backend="portfolio",
                             k_bound=2).warnings() == ()
         spec = AnalysisSpec(backend="portfolio", k_bound=2,
-                            portfolio_members=("bdd-chained",
+                            portfolio_members=("bdd-functional",
                                                "zdd-chained"))
         assert "k_bound" in {w.option for w in spec.warnings()}
 
@@ -208,17 +208,17 @@ class TestPortfolioSpec:
         args = _build_parser().parse_args(
             ["analyze", "--net", "phil", "--n", "3",
              "--backend", "portfolio",
-             "--portfolio-members", "bdd-chained,zdd-chained",
+             "--portfolio-members", "bdd-functional,zdd-chained",
              "--timeout", "60", "--member-timeout", "20"])
         spec = AnalysisSpec.from_args(args)
         assert spec == AnalysisSpec(
             backend="portfolio",
-            portfolio_members=("bdd-chained", "zdd-chained"),
+            portfolio_members=("bdd-functional", "zdd-chained"),
             timeout=60.0, member_timeout=20.0)
 
     def test_from_args_member_flags_need_portfolio_backend(self):
         args = _build_parser().parse_args(
-            ["analyze", "x.pnet", "--portfolio-members", "bdd-chained"])
+            ["analyze", "x.pnet", "--portfolio-members", "bdd-functional"])
         with pytest.raises(SpecError):
             AnalysisSpec.from_args(args)
 
@@ -227,7 +227,8 @@ class TestSerialization:
     @pytest.mark.parametrize("spec", [
         AnalysisSpec(),
         AnalysisSpec(backend="zdd"),
-        AnalysisSpec(form="relational", engine="chained", reorder=False),
+        AnalysisSpec(form="relational", engine="saturation", reorder=False),
+        AnalysisSpec(backend="zdd", engine="chained", reorder=False),
         AnalysisSpec(k_bound=3, max_iterations=50),
     ])
     def test_round_trip(self, spec):
@@ -240,7 +241,7 @@ class TestSerialization:
             AnalysisSpec.from_dict({"scheme": "improved", "speed": 11})
 
     def test_replace_revalidates(self):
-        spec = AnalysisSpec(form="relational", engine="chained")
+        spec = AnalysisSpec(form="relational", engine="saturation")
         assert spec.replace(reorder_threshold=800).reorder_threshold == 800
         with pytest.raises(SpecError):
             spec.replace(form="functional")
@@ -250,10 +251,10 @@ class TestFromArgs:
     def test_full_relational_namespace(self):
         args = _build_parser().parse_args(
             ["analyze", "x.pnet", "--scheme", "dense", "--image",
-             "chained", "--no-reorder"])
+             "saturation", "--no-reorder"])
         spec = AnalysisSpec.from_args(args)
         assert spec == AnalysisSpec(scheme="dense", form="relational",
-                                    engine="chained", reorder=False)
+                                    engine="saturation", reorder=False)
 
     def test_explicit_functional_image(self):
         args = _build_parser().parse_args(
@@ -311,9 +312,9 @@ class TestFieldClassification:
             checkpoint_path="/tmp/x.ckpt", checkpoint_every=7,
             checkpoint_every_seconds=1.5, resume=True,
             node_budget=10_000, deadline=3.0, max_iterations=5,
-            form="relational", engine="monolithic")
+            form="relational")
         # Same semantics modulo the relational switch...
-        rel = AnalysisSpec(form="relational", engine="monolithic")
+        rel = AnalysisSpec(form="relational")
         assert varied.semantic_fingerprint() == rel.semantic_fingerprint()
         # ...and the durability knobs alone change nothing.
         assert base.semantic_fingerprint() == AnalysisSpec(
@@ -329,8 +330,8 @@ class TestFieldClassification:
             "scheme": (dict(), dict(scheme="sparse")),
             "backend": (dict(), dict(backend="zdd")),
             "form": (dict(), dict(form="relational")),
-            "engine": (dict(form="relational"),
-                       dict(form="relational", engine="monolithic")),
+            "engine": (dict(backend="zdd"),
+                       dict(backend="zdd", engine="chained")),
             "strategy": (dict(), dict(strategy="bfs")),
             "use_toggle": (dict(), dict(use_toggle=False)),
             "reorder": (dict(), dict(reorder=False)),
@@ -363,18 +364,18 @@ class TestIdentityAcrossFieldRemoval:
 
     # semantic_fingerprint() values recorded while the spec still had
     # the ``workers`` and ``simplify_frontier`` fields, and ``chaining``
-    # was the default strategy.  The zdd and relational rows name the
-    # chained engine they were written for; their values are the ones
-    # recorded once the relational form started keying on its resolved
-    # engine (``e269d4c0f6edbfc6`` and ``1dfd5f449f324cf9`` before).
+    # was the default strategy.  The zdd row names the chained engine it
+    # was written for; its value is the one recorded once the relational
+    # form started keying on its resolved engine (``e269d4c0f6edbfc6``
+    # before).  The portfolio row is the one recorded once the portfolio
+    # started keying on its resolved roster (``e8c589da453b9cd3``
+    # before, under the four-member default roster).
     PINNED = [
         (dict(strategy="chaining"), "d7b8967606abd9af"),
         (dict(strategy="chaining", backend="zdd", engine="chained"),
          "4d3bab0d92216659"),
-        (dict(strategy="chaining", form="relational", engine="chained"),
-         "d61a8e3e3271d7ab"),
         (dict(strategy="chaining", backend="portfolio"),
-         "e8c589da453b9cd3"),
+         "e2d0125fa0863834"),
     ]
 
     @pytest.mark.parametrize("overrides,fingerprint", PINNED)
@@ -386,14 +387,16 @@ class TestIdentityAcrossFieldRemoval:
 
     # The default specs since saturation became the default strategy
     # (``strategy`` is semantic on every backend, so all four moved),
-    # and the zdd and relational ones again since saturation became the
+    # the zdd and relational ones again since saturation became the
     # default relational engine (``dcdd60c6c52aac2c`` and
-    # ``e66704f57edd1813`` before).
+    # ``e66704f57edd1813`` before), and the portfolio one again since
+    # the portfolio keys on its resolved roster (``6d6fc1d0042e35c4``
+    # before).
     DEFAULTS = [
         (dict(), "13dab6090abf8970"),
         (dict(backend="zdd"), "e51dca522beb3476"),
         (dict(form="relational"), "054ef09cf3517ef5"),
-        (dict(backend="portfolio"), "6d6fc1d0042e35c4"),
+        (dict(backend="portfolio"), "c9e48e13976ce59e"),
     ]
 
     @pytest.mark.parametrize("overrides,fingerprint", DEFAULTS)
@@ -408,8 +411,6 @@ class TestIdentityAcrossFieldRemoval:
     # keep the keys they had before the relational form started keying
     # on its resolved engine.
     UNMOVED = [
-        (dict(form="relational", engine="chained"), "e7cebacbb0e2c00b"),
-        (dict(form="relational", engine="monolithic"), "2f7655edf17b6bb8"),
         (dict(backend="zdd", engine="chained"), "0520ab3981e6cf5a"),
         (dict(backend="zdd", form="functional"), "fa6f7a526515e427"),
         (dict(k_bound=2), "33fe52d503a30db2"),
@@ -430,8 +431,25 @@ class TestIdentityAcrossFieldRemoval:
         assert default != named
         assert (default.semantic_fingerprint()
                 == named.semantic_fingerprint())
+
+    def test_zdd_default_engine_keys_apart_from_chained(self):
+        default = AnalysisSpec(backend="zdd")
         assert (default.semantic_fingerprint()
                 != default.replace(engine="chained").semantic_fingerprint())
+
+    def test_portfolio_keys_on_its_resolved_roster(self):
+        """``portfolio_members=None`` races the default roster, so it
+        keys the same cache entries as naming that roster; another
+        roster keys apart."""
+        default = AnalysisSpec(backend="portfolio")
+        named = default.replace(portfolio_members=DEFAULT_PORTFOLIO_MEMBERS)
+        assert default != named
+        assert (default.semantic_fingerprint()
+                == named.semantic_fingerprint())
+        other = default.replace(portfolio_members=("bdd-functional",
+                                                   "zdd-chained"))
+        assert (other.semantic_fingerprint()
+                != default.semantic_fingerprint())
 
     def test_result_written_with_workers_field_still_loads(self):
         from repro.analysis import AnalysisResult
@@ -458,7 +476,7 @@ class TestIdentityAcrossFieldRemoval:
     # Retired fields at values this build cannot reproduce, each with
     # the advice its SpecError gives.
     RETIRED_ON = [
-        ("simplify_frontier", True, "chained relational engine"),
+        ("simplify_frontier", True, "default saturation engine"),
         ("cluster_size", "auto", "one sparse relation per transition"),
         ("cluster_size", 4, "one sparse relation per transition"),
         ("cluster_size", 1, "one sparse relation per transition"),
@@ -480,12 +498,12 @@ class TestIdentityAcrossFieldRemoval:
         """A relational result as the build before the retirement wrote
         it (its extras name the partition granularity it ran)."""
         from repro.analysis import AnalysisResult
-        relational = AnalysisSpec(strategy="chaining", form="relational",
+        relational = AnalysisSpec(strategy="chaining", backend="zdd",
                                   engine="chained")
         spec_fields = dict(relational.to_dict(), **{field: value})
         payload = {
             "schema": 1, "schema_minor": 1, "spec": spec_fields,
-            "engine": "relational/chained", "markings": 8,
+            "engine": "zdd/chained", "markings": 8,
             "iterations": 2, "variables": 4, "final_nodes": 8,
             "peak_nodes": 48, "seconds": 0.01, "reorder_count": 0,
             "status": "complete",
@@ -494,7 +512,7 @@ class TestIdentityAcrossFieldRemoval:
         }
         result = AnalysisResult.from_dict(payload)
         assert result.spec == relational
-        assert result.spec.semantic_fingerprint() == "d61a8e3e3271d7ab"
+        assert result.spec.semantic_fingerprint() == "4d3bab0d92216659"
         assert field not in result.to_dict()["spec"]
 
     @pytest.mark.parametrize("ignore_unknown", [False, True])
@@ -519,7 +537,7 @@ class TestIdentityAcrossFieldRemoval:
             "schema": 1, "schema_minor": 1,
             "spec": dict(AnalysisSpec(form="relational").to_dict(),
                          **{field: value}),
-            "engine": "relational/chained", "markings": 8,
+            "engine": "relational/saturation", "markings": 8,
             "iterations": 2, "variables": 4, "final_nodes": 8,
             "peak_nodes": 48, "seconds": 0.01, "reorder_count": 0,
             "status": "complete", "extras": {},
@@ -527,6 +545,68 @@ class TestIdentityAcrossFieldRemoval:
         with pytest.raises(SpecError,
                            match=f"'{field}' is retired.*{advice}"):
             AnalysisResult.from_dict(payload)
+
+
+class TestRetiredBddSweeps:
+    """The BDD relational ``monolithic`` and ``chained`` sweeps and the
+    ``bdd-chained`` member lost every benchmarked net to saturation and
+    were retired; ZDD ``chained`` stays."""
+
+    @pytest.mark.parametrize("engine", ["monolithic", "chained"])
+    def test_spec_rejects_retired_bdd_engine(self, engine):
+        with pytest.raises(SpecError, match="retired.*'saturation'"):
+            AnalysisSpec(form="relational", engine=engine)
+
+    def test_zdd_keeps_its_chained_engine(self):
+        assert AnalysisSpec(backend="zdd",
+                            engine="chained").engine_id == "zdd/chained"
+
+    def test_spec_rejects_retired_member(self):
+        with pytest.raises(SpecError, match="retired.*'bdd-functional'"):
+            AnalysisSpec(backend="portfolio",
+                         portfolio_members=("bdd-chained", "zdd-chained"))
+
+    @pytest.mark.parametrize("engine", ["monolithic", "chained"])
+    def test_result_naming_a_retired_bdd_engine_raises_spec_error(
+            self, engine):
+        from repro.analysis import AnalysisResult
+        spec_fields = dict(AnalysisSpec().to_dict(), form="relational",
+                           engine=engine)
+        payload = {
+            "schema": 1, "schema_minor": 1, "spec": spec_fields,
+            "engine": f"relational/{engine}", "markings": 8,
+            "iterations": 4, "variables": 4, "final_nodes": 8,
+            "peak_nodes": 48, "seconds": 0.01, "reorder_count": 0,
+            "status": "complete", "extras": {},
+        }
+        with pytest.raises(SpecError, match="retired.*'saturation'"):
+            AnalysisResult.from_dict(payload)
+
+    def test_result_naming_the_retired_member_raises_spec_error(self):
+        """A portfolio result whose roster raced ``bdd-chained``."""
+        from repro.analysis import AnalysisResult
+        spec_fields = dict(AnalysisSpec().to_dict(), backend="portfolio",
+                           portfolio_members=["bdd-chained",
+                                              "zdd-chained"])
+        payload = {
+            "schema": 1, "schema_minor": 1, "spec": spec_fields,
+            "engine": "portfolio/bdd-chained", "markings": 8,
+            "iterations": 4, "variables": 4, "final_nodes": 8,
+            "peak_nodes": 48, "seconds": 0.01, "reorder_count": 0,
+            "status": "complete", "extras": {},
+        }
+        with pytest.raises(SpecError, match="retired.*'bdd-functional'"):
+            AnalysisResult.from_dict(payload)
+
+    def test_cli_rejects_retired_bdd_images(self, capsys):
+        from repro.cli import main
+        argv = ["analyze", "--net", "muller", "--n", "2"]
+        assert main(argv + ["--image", "chained"]) == 2
+        assert "'saturation'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--image", "monolithic"])
+        assert excinfo.value.code == 2
+        assert main(argv + ["--engine", "zdd", "--image", "chained"]) == 0
 
 
 class TestSerialEngineCatalogue:
@@ -539,8 +619,7 @@ class TestSerialEngineCatalogue:
         from repro.analysis import (PORTFOLIO_MEMBERS, RELATIONAL_ENGINES,
                                     ZDD_RELATIONAL_ENGINES)
         # One catalogue, defined in the spec that validates it.
-        assert RELATIONAL_ENGINES == ("monolithic", "chained",
-                                      "saturation")
+        assert RELATIONAL_ENGINES == ("saturation",)
         assert ZDD_RELATIONAL_ENGINES == ("chained", "saturation")
         assert not hasattr(repro.symbolic, "IMAGE_ENGINES")
         assert not [m for m in PORTFOLIO_MEMBERS if m.endswith("-mp")]
@@ -574,14 +653,14 @@ class TestRetiredZddEngines:
         with pytest.raises(SpecError, match="retired"):
             AnalysisSpec(backend="zdd", form="relational", engine=engine)
 
-    def test_cli_rejects_retired_zdd_engine(self, tmp_path, capsys):
+    def test_cli_rejects_retired_zdd_engine(self, tmp_path):
         from repro.cli import main
         path = tmp_path / "muller2.pnet"
         assert main(["generate", "muller", "2", "-o", str(path)]) == 0
-        capsys.readouterr()
-        assert main(["analyze", str(path), "--engine", "zdd",
-                     "--image", "monolithic"]) == 2
-        assert "retired" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", str(path), "--engine", "zdd",
+                  "--image", "monolithic"])
+        assert excinfo.value.code == 2
 
     def test_result_naming_a_retired_engine_raises_spec_error(self):
         """A result an older build wrote for ``engine="partitioned"``
@@ -607,28 +686,29 @@ class TestRetiredPartitionedEngine:
     """The BDD ``partitioned`` engine, its ``bdd-partitioned`` portfolio
     member and the ``simplify_frontier`` option won no benchmark row on
     the structural order and were retired: naming one fails loudly and
-    points at ``chained``."""
+    points at the engine that replaced it."""
 
     def test_spec_rejects_partitioned_engine(self):
-        with pytest.raises(SpecError, match="retired.*'chained'"):
+        with pytest.raises(SpecError, match="retired.*'saturation'"):
             AnalysisSpec(form="relational", engine="partitioned")
 
     def test_spec_rejects_partitioned_member(self):
-        with pytest.raises(SpecError, match="retired.*'bdd-chained'"):
+        with pytest.raises(SpecError, match="retired.*'bdd-functional'"):
             AnalysisSpec(backend="portfolio",
                          portfolio_members=("bdd-partitioned",))
 
     @pytest.mark.parametrize("member, replacement", [
-        ("bdd-monolithic", "bdd-chained"), ("zdd-classic", "zdd-chained")])
+        ("bdd-monolithic", "bdd-functional"),
+        ("zdd-classic", "zdd-chained")])
     def test_spec_rejects_members_no_race_ran(self, member, replacement):
         """No default, workload, experiment or benchmark raced these two
-        members; their engines stay, the race rosters point on."""
+        members; the race rosters point on."""
         with pytest.raises(SpecError, match=f"retired.*'{replacement}'"):
             AnalysisSpec(backend="portfolio", portfolio_members=(member,))
 
     def test_result_naming_partitioned_engine_raises_spec_error(self):
         """A result an older build wrote for the BDD ``partitioned``
-        engine fails to load and points at ``chained``."""
+        engine fails to load and points at ``saturation``."""
         from repro.analysis import AnalysisResult
         spec_fields = dict(AnalysisSpec().to_dict(), form="relational",
                            engine="partitioned", simplify_frontier=False)
@@ -639,7 +719,7 @@ class TestRetiredPartitionedEngine:
             "peak_nodes": 48, "seconds": 0.01, "reorder_count": 0,
             "status": "complete", "extras": {},
         }
-        with pytest.raises(SpecError, match="retired.*'chained'"):
+        with pytest.raises(SpecError, match="retired.*'saturation'"):
             AnalysisResult.from_dict(payload)
 
     @pytest.mark.parametrize("field,value", [

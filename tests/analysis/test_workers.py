@@ -26,14 +26,14 @@ from repro.petri.generators import figure1_net
 from repro.petri.parser import dumps
 from repro.service import AnalysisWorkerPool
 
-MEMBERS = ("bdd-chained", "zdd-chained")
+MEMBERS = ("bdd-functional", "zdd-chained")
 
 
 @pytest.fixture(scope="module")
 def verdict():
     result = analyze(figure1_net(),
                      member_spec(AnalysisSpec(backend="portfolio"),
-                                 "bdd-chained"))
+                                 "bdd-functional"))
     return ("result", result.to_dict(), result.seconds)
 
 
@@ -68,16 +68,16 @@ class TestReplyBeforeEndOfFile:
     """A verdict written just before exit is delivered, not a crash."""
 
     def test_race_delivers_a_verdict_sent_before_exit(self, verdict):
-        result = _race({"bdd-chained": [(1.0, verdict), (1.0, EOF)]})
+        result = _race({"bdd-functional": [(1.0, verdict), (1.0, EOF)]})
         race = result.extras["portfolio"]
-        assert race["winner"] == "bdd-chained"
+        assert race["winner"] == "bdd-functional"
         assert race["failures"] == []
 
     def test_race_books_end_of_file_without_a_verdict_as_a_crash(self):
         with pytest.raises(PortfolioError) as excinfo:
-            _race({"bdd-chained": [(1.0, Exit(3))]}, timeout=2.0)
+            _race({"bdd-functional": [(1.0, Exit(3))]}, timeout=2.0)
         crash, = [f for f in excinfo.value.failures if f.kind == "crash"]
-        assert (crash.member, crash.exitcode) == ("bdd-chained", 3)
+        assert (crash.member, crash.exitcode) == ("bdd-functional", 3)
 
     def test_pool_delivers_a_reply_sent_before_exit(self):
         pool, events = _pool([(1.0, REPLY), (1.0, EOF)])
@@ -105,12 +105,12 @@ class TestGarbledReply:
     @pytest.mark.parametrize("garbage", [GARBAGE, ("gibberish",)],
                              ids=["unreadable", "malformed"])
     def test_race_goes_on_with_the_survivors(self, verdict, garbage):
-        result = _race({"bdd-chained": [(0.1, garbage)],
+        result = _race({"bdd-functional": [(0.1, garbage)],
                         "zdd-chained": [(0.5, verdict)]})
         race = result.extras["portfolio"]
         assert race["winner"] == "zdd-chained"
         crash, = race["failures"]
-        assert crash["member"] == "bdd-chained"
+        assert crash["member"] == "bdd-functional"
         assert crash["kind"] == "crash"
 
     @pytest.mark.parametrize("garbage", [GARBAGE, ("gibberish",)],

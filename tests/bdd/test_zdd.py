@@ -17,7 +17,6 @@ def family(zdd, node):
 class TestConstruction:
     def test_terminals(self, zdd):
         assert zdd.empty() == EMPTY
-        assert zdd.base() == BASE
         assert family(zdd, EMPTY) == set()
         assert family(zdd, BASE) == {frozenset()}
 

@@ -1,9 +1,9 @@
 """Cross-engine differential harness: every engine, same marking sets.
 
-Runs each generator family through the BDD relational engines
-(monolithic / chained over ``RelationalNet``) and every
-ZDD engine (classic per-transition plus the relational chained engine
-over ``ZddRelationalNet``), all through ``analyze()``, and asserts they
+Runs each generator family through the BDD relational form
+(saturation over ``RelationalNet``) and every ZDD engine (classic
+per-transition plus saturation and the chained sweep over
+``ZddRelationalNet``), all through ``analyze()``, and asserts they
 compute *identical* reachable sets — identical counts and identical
 marking sets — against the explicit-enumeration oracle.
 
@@ -72,6 +72,7 @@ def assert_zdd_run_matches(net, spec, explicit, context):
     decoded = {m.support for m in
                analysis.symbolic_net.markings_of(result.reachable)}
     assert decoded == explicit, context
+    return analysis
 
 
 def run_differential_matrix(name, make_net):
@@ -249,7 +250,7 @@ def test_kill_and_resume_matches_oracle(name, make_net, explicit_counts,
         pytest.skip("multiprocessing unavailable in this environment")
     from repro.petri.parser import dumps
     path = str(tmp_path / f"{name}.ckpt")
-    spec = AnalysisSpec(form="relational", engine="chained",
+    spec = AnalysisSpec(backend="zdd", engine="chained",
                         checkpoint_path=path)
     process = multiprocessing.get_context().Process(
         target=_slow_checkpointing_worker,
@@ -276,28 +277,28 @@ def test_kill_and_resume_matches_oracle(name, make_net, explicit_counts,
 
 # ---------------------------------------------------------------------------
 # Finest disjunctive partition: one block per transition (Eq. 3), swept
-# serially by the chained engine — the configuration that runs in place
-# of the removed multiprocess and per-block union sweeps.
+# serially by the chained ZDD engine — the configuration that runs in
+# place of the removed multiprocess and per-block union sweeps.
 
 
 @pytest.mark.parametrize("name", SMALL_NETS)
 def test_per_transition_partition_agrees_small(name, make_net):
     """Every transition is its own block, so the chained sweep feeds
-    the most independent per-block images to each other; the BDD
+    the most independent per-block images to each other; the ZDD
     engine must still land on the explicit oracle's marking *set*, and
     the default (reordering) spec reports the same count."""
     net = make_net(name)
     explicit = explicit_marking_set(net)
     assert explicit
 
-    analysis = assert_bdd_run_matches(
-        make_net(name), BDD_RELATIONAL.replace(engine="chained"),
-        explicit, (name, "bdd/chained"))
+    analysis = assert_zdd_run_matches(
+        make_net(name), ZDD_RELATIONAL.replace(engine="chained"),
+        explicit, (name, "zdd/chained"))
     assert sorted(block.transition
                   for block in analysis.symbolic_net.partitions()) \
         == sorted(net.transitions)
 
-    spec = AnalysisSpec(form="relational", engine="chained")
+    spec = AnalysisSpec(backend="zdd", engine="chained")
     migrated = analyze(make_net(name), spec)
     assert migrated.engine == spec.engine_id
     assert migrated.markings == len(explicit), name

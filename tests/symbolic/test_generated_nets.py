@@ -7,7 +7,7 @@ machines with free-choice branches and two-machine synchronisations,
 engine must reach exactly the marking set explicit enumeration finds:
 the count, and the decoded markings themselves.
 Every run sifts from a low threshold, so dynamic reordering and the
-relational sweep's re-sort by the new order run on these nets too.
+ZDD chained sweep's re-sort by the new order run on these nets too.
 
 The checker's verdicts face the oracle too: the marking sets of
 ``ef(initial)`` and ``ag(not deadlock)`` and the ``find_deadlocks()``
@@ -24,13 +24,15 @@ from net_strategies import (backward_closure, compose_state_machines,
                             safe_nets)
 
 from repro.analysis import Analysis, AnalysisSpec, analyze
+from repro.bdd import Function
 from repro.dd.reorder import sift
+from repro.encoding import ImprovedEncoding
 from repro.petri.reachability import (ReachabilityGraph,
                                       count_reachable_markings)
+from repro.symbolic import RelationalNet
 
-# Low enough that sifting (and with it the relational partition
-# refresh) fires on most generated nets, at the saturation band
-# boundary too.
+# Low enough that sifting (and with it the ZDD partition re-sort) fires
+# on most generated nets, at the saturation band boundary too.
 SIFTING = dict(reorder_threshold=20)
 
 SPECS = {
@@ -45,13 +47,14 @@ SPECS = {
     **{f"relational-{scheme}": AnalysisSpec(
         scheme=scheme, form="relational", **SIFTING)
        for scheme in ("sparse", "dense", "improved")},
-    **{f"relational-chained-{scheme}": AnalysisSpec(
-        scheme=scheme, form="relational", engine="chained", **SIFTING)
-       for scheme in ("sparse", "dense", "improved")},
-    "relational-monolithic": AnalysisSpec(form="relational",
-                                          engine="monolithic", **SIFTING),
+    # The relational and ZDD fixpoints on the order they were built
+    # with: no sift between bands or sweeps.
+    "relational-fixed": AnalysisSpec(form="relational", reorder=False),
     "zdd": AnalysisSpec(backend="zdd", **SIFTING),
+    "zdd-fixed": AnalysisSpec(backend="zdd", reorder=False),
     "zdd-chained": AnalysisSpec(backend="zdd", engine="chained", **SIFTING),
+    "zdd-chained-fixed": AnalysisSpec(backend="zdd", engine="chained",
+                                      reorder=False),
     "zdd-classic": AnalysisSpec(backend="zdd", form="functional",
                                 **SIFTING),
     "kbounded-1": AnalysisSpec(k_bound=1, **SIFTING),
@@ -125,22 +128,38 @@ def test_generated_nets_saturate_to_the_bfs_edge(net):
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(net=safe_nets())
 def test_generated_nets_saturate_to_the_chained_edge(net):
-    """The relational and ZDD saturation bands, with a sift between
-    them, land on the node of the chained fixpoint in the same
-    manager."""
-    for options in (dict(form="relational"), dict(backend="zdd")):
-        analysis = Analysis(net, AnalysisSpec(engine="chained",
-                                              reorder=False, **options))
-        relnet = analysis.symbolic_net
-        manager = relnet.manager
-        reachable = getattr(analysis.reachable, "node", analysis.reachable)
-        initial = getattr(relnet.initial, "node", relnet.initial)
-        events = relnet.saturation_events()
-        lower = manager.ref(manager.saturate_post(
-            initial, events, min_top=manager.num_vars // 2))
-        sift(manager, groups=manager.sift_groups)
-        assert manager.saturate_post(lower, events) == reachable
-        manager.deref(lower)
+    """The ZDD saturation bands, with a sift between them, land on the
+    node of the chained fixpoint in the same manager."""
+    analysis = Analysis(net, AnalysisSpec(backend="zdd", engine="chained",
+                                          reorder=False))
+    relnet = analysis.symbolic_net
+    zdd = relnet.zdd
+    events = relnet.saturation_events()
+    lower = zdd.ref(zdd.saturate_post(relnet.initial, events,
+                                      min_top=zdd.num_vars // 2))
+    sift(zdd, groups=zdd.sift_groups)
+    assert zdd.saturate_post(lower, events) == analysis.reachable
+    zdd.deref(lower)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(net=safe_nets())
+def test_generated_nets_saturate_relationally_across_a_sift(net):
+    """The relational form's saturation bands, with a pair-grouped sift
+    between them, land on the node one recursion over the whole order
+    reaches in the same manager."""
+    relnet = RelationalNet(ImprovedEncoding(net))
+    bdd = relnet.bdd
+    events = relnet.saturation_events()
+    whole = bdd.ref(bdd.saturate_post(relnet.initial.node, events))
+    lower = bdd.ref(bdd.saturate_post(relnet.initial.node, events,
+                                      min_top=bdd.num_vars // 2))
+    sift(bdd, groups=bdd.sift_groups)
+    assert bdd.saturate_post(lower, events) == whole
+    assert relnet.count_markings(Function(bdd, whole)) \
+        == count_reachable_markings(net)
+    bdd.deref(lower)
+    bdd.deref(whole)
 
 
 # The checker runs on the functional BDD backend only.
@@ -200,11 +219,10 @@ def four_machine_ring():
     return compose_state_machines([machine] * 4, syncs, name="ring4")
 
 
-@pytest.mark.parametrize("label", ["relational-chained-improved",
-                                   "zdd-chained"])
+@pytest.mark.parametrize("label", ["zdd-chained"])
 def test_generated_ring_sifts_and_refreshes_the_partition(label):
-    """The threshold really does make the relational sessions sift on a
-    generated net, and the refreshed partition still lands on the
+    """The threshold really does make the chained ZDD session sift on a
+    generated net, and the re-sorted partition still lands on the
     oracle."""
     net = four_machine_ring()
     result = analyze(net, SPECS[label])
@@ -222,12 +240,15 @@ def test_generated_ring_sifts_between_saturation_bands():
     assert result.markings == count_reachable_markings(net)
 
 
-@pytest.mark.parametrize("label", ["relational-improved", "zdd"])
-def test_generated_ring_sifts_between_relational_saturation_bands(label):
+@pytest.mark.parametrize("label, manager", [("relational-improved", "bdd"),
+                                            ("zdd", "zdd")],
+                         ids=["relational-improved", "zdd"])
+def test_generated_ring_sifts_between_relational_saturation_bands(label,
+                                                                  manager):
     net = four_machine_ring()
     analysis = Analysis(net, SPECS[label])
     assert analysis.step()  # the first band, then its safe point
-    assert analysis.symbolic_net.manager.reorder_count > 0
+    assert getattr(analysis.symbolic_net, manager).reorder_count > 0
     result = analysis.run()
     assert result.engine.endswith("/saturation")
     assert result.markings == count_reachable_markings(net)

@@ -1,9 +1,10 @@
-"""Tests for partitioned transition relations and the image engines.
+"""Tests for the relational BDD form and the fused relational product.
 
-Covers the three acceptance properties of the relational-product layer:
-``and_exists`` agrees with (but never materialises) the conjunction, the
-partition blocks compose to exactly the per-transition image union, and
-all image engines reach the same fixpoint on the generator nets.
+Covers ``and_exists`` on real transition relations over the relational
+form's interleaved manager (it agrees with, but never materialises, the
+conjunction), breadth-first iteration of the Eq. 3 per-transition
+image union, and the relational engine reaching the explicit fixpoint
+on the generator nets, on every scheme and with pair-grouped sifting.
 """
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis import (RELATIONAL_ENGINES, Analysis, AnalysisSpec,
                             SpecError, analyze)
-from repro.dd import sift
+from repro.bdd import false, variable
 from repro.encoding import ImprovedEncoding, SparseEncoding
 from repro.petri import ReachabilityGraph
 from repro.petri.generators import (figure1_net, figure4_net, muller,
@@ -22,18 +23,56 @@ from repro.symbolic import RelationalNet, SymbolicNet, sort_by_support
 # (make_net builds them, explicit_counts is the enumeration oracle).
 FAMILIES = ["figure1", "figure4", "muller4", "slot2", "phil3"]
 SCHEMES = ["sparse", "dense", "improved"]
+# Every family on every scheme; the default (improved) scheme keeps the
+# bare family name as its id.
+SCHEME_CASES = [pytest.param(name, scheme, id=name if scheme == "improved"
+                             else f"{name}-{scheme}")
+                for name in FAMILIES for scheme in SCHEMES]
 
 
-def reversed_pair_order(relnet):
-    """The relational net's current/next pairs, last pair on top."""
-    pairs = [(name, name + "'") for name in relnet.current]
-    return [v for pair in reversed(pairs) for v in pair]
-
-
-def relational(engine="monolithic", **changes):
+def relational(engine="saturation", **changes):
     """A relational spec on a fixed variable order unless overridden."""
     return AnalysisSpec(form="relational", engine=engine,
                         **dict(dict(reorder=False), **changes))
+
+
+def transition_relation(relnet, transition):
+    """``R_t(P, Q) = E_t(P) and AND_i (q_i <-> delta_i(P, t))`` over the
+    interleaved manager: the identity-complete relation of Eq. 3."""
+    bdd = relnet.bdd
+    forced = dict(relnet.encoding.transition_spec(transition).force)
+    relation = relnet.enabling[transition]
+    for name, copy in zip(relnet.current, relnet.next):
+        next_var = variable(bdd, copy)
+        if name in forced:
+            target = next_var if forced[name] else ~next_var
+        else:
+            target = next_var.iff(variable(bdd, name))
+        relation = relation & target
+    return relation
+
+
+def monolithic_relation(relnet):
+    """``R = OR_t R_t``, the single relation of the textbook image."""
+    result = false(relnet.bdd)
+    for transition in relnet.net.transitions:
+        result = result | transition_relation(relnet, transition)
+    return result
+
+
+def bfs_through(relnet, relations):
+    """The breadth-first fixpoint of the image through ``relations``:
+    the union of ``exists P. S(P) and R(P, Q)`` renamed back to ``P``."""
+    back = dict(zip(relnet.next, relnet.current))
+    reached = frontier = relnet.initial
+    while not frontier.is_zero():
+        image = false(relnet.bdd)
+        for relation in relations:
+            image = image | frontier.and_exists(
+                relation, relnet.current).rename(back)
+        frontier = image - reached
+        reached = reached | frontier
+    return reached
 
 
 # ---------------------------------------------------------------------
@@ -49,7 +88,7 @@ class TestAndExists:
             bdd = relnet.bdd
             states = relnet.initial
             for transition in relnet.net.transitions:
-                relation = relnet.relations[transition]
+                relation = transition_relation(relnet, transition)
                 fused = bdd.and_exists(states.node, relation.node,
                                        relnet.current)
                 materialised = bdd.exists(
@@ -61,10 +100,10 @@ class TestAndExists:
         """The one-pass product must not conjoin the operands wholesale;
         only strict subproblems may reach ``apply_and`` (via the
         below-quantification fallback)."""
-        analysis = Analysis(muller(4), relational("chained"))
+        analysis = Analysis(muller(4), relational())
         relnet = analysis.symbolic_net
         bdd = relnet.bdd
-        relation = relnet.monolithic_relation()
+        relation = monolithic_relation(relnet)
         states = analysis.reachable
         bdd.clear_caches()
         conjoined = []
@@ -84,14 +123,14 @@ class TestAndExists:
     def test_empty_cube_degenerates_to_and(self):
         relnet = RelationalNet(SparseEncoding(figure1_net()))
         bdd = relnet.bdd
-        relation = relnet.monolithic_relation()
+        relation = monolithic_relation(relnet)
         assert bdd.and_exists(relnet.initial.node, relation.node, ()) \
             == bdd.apply_and(relnet.initial.node, relation.node)
 
     def test_dedicated_cache_survives_and_clears(self):
         relnet = RelationalNet(ImprovedEncoding(figure4_net()))
         bdd = relnet.bdd
-        relation = relnet.monolithic_relation()
+        relation = monolithic_relation(relnet)
         bdd.and_exists(relnet.initial.node, relation.node, relnet.current)
         assert bdd.ae_calls > 0 and bdd.ae_recursions > 0
         before = bdd.ae_cache_hits
@@ -104,8 +143,7 @@ class TestAndExists:
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_randomized_state_sets_image_equivalence(seed):
-    """Random reachable-subset images: fused == materialised, and the
-    sparse partition blocks union to the per-transition image union."""
+    """Random reachable-subset images: fused == materialised."""
     import random
 
     rng = random.Random(seed)
@@ -122,49 +160,22 @@ def test_randomized_state_sets_image_equivalence(seed):
         states = states | cube(bdd, assignment)
 
     # fused vs materialised, through the monolithic relation
-    relation = relnet.monolithic_relation()
+    relation = monolithic_relation(relnet)
     fused = bdd.and_exists(states.node, relation.node, relnet.current)
     materialised = bdd.exists(bdd.apply_and(states.node, relation.node),
                               relnet.current)
     assert fused == materialised
 
-    # partition blocks vs per-transition images
-    assert relnet.image_partitioned(states, relnet.partitions()) \
-        == relnet.image_all(states)
-
 
 # ---------------------------------------------------------------------
-# Partitioning
+# The support sort
 # ---------------------------------------------------------------------
 
-class TestPartitions:
-    def test_every_transition_in_exactly_one_block(self):
-        relnet = RelationalNet(ImprovedEncoding(philosophers(3)))
-        seen = [block.transition for block in relnet.partitions()]
-        assert sorted(seen) == sorted(relnet.net.transitions)
-
-    def test_blocks_are_support_sorted(self):
-        relnet = RelationalNet(ImprovedEncoding(slotted_ring(3)))
-        tops = [relnet.top_level(block) for block in relnet.partitions()]
-        assert tops == sorted(tops)
-
-    def test_partition_is_built_once(self):
-        relnet = RelationalNet(ImprovedEncoding(figure4_net()))
-        assert relnet.partitions() is relnet.partitions()
-
-    def test_sparse_block_support_is_local(self):
-        """Per-transition sparse relations must not mention every
-        variable the way the identity-complete relations do."""
-        relnet = RelationalNet(ImprovedEncoding(philosophers(4)))
-        full_width = 2 * len(relnet.current)
-        widths = [len(block.support) for block in relnet.partitions()]
-        assert max(widths) < full_width
-
-    def test_sort_by_support_orders_by_top_level(self):
-        supports = {"a": frozenset({3}), "b": frozenset({0}),
-                    "c": frozenset({1}), "d": frozenset()}
-        assert sort_by_support(["a", "b", "c", "d"], supports.__getitem__,
-                               lambda v: v) == ["b", "c", "a", "d"]
+def test_sort_by_support_orders_by_top_level():
+    supports = {"a": frozenset({3}), "b": frozenset({0}),
+                "c": frozenset({1}), "d": frozenset()}
+    assert sort_by_support(["a", "b", "c", "d"], supports.__getitem__,
+                           lambda v: v) == ["b", "c", "a", "d"]
 
 
 # ---------------------------------------------------------------------
@@ -172,28 +183,39 @@ class TestPartitions:
 # ---------------------------------------------------------------------
 
 class TestImageEngines:
-    @pytest.mark.parametrize("name", FAMILIES)
+    @pytest.mark.parametrize("name, scheme", SCHEME_CASES)
     @pytest.mark.parametrize("engine", RELATIONAL_ENGINES)
-    def test_engines_reach_explicit_fixpoint(self, name, engine, make_net,
-                                             explicit_counts):
-        result = analyze(make_net(name), relational(engine))
+    def test_engines_reach_explicit_fixpoint(self, name, engine, scheme,
+                                             make_net, explicit_counts):
+        result = analyze(make_net(name), relational(engine, scheme=scheme))
         assert result.markings == explicit_counts[name]
         assert result.engine == f"relational/{engine}"
 
-    @pytest.mark.parametrize("name", FAMILIES)
+    @pytest.mark.parametrize("name, scheme", SCHEME_CASES)
     def test_per_transition_union_reaches_explicit_fixpoint(
-            self, name, make_net, explicit_counts):
+            self, name, scheme, make_net, explicit_counts):
         """Breadth-first iteration of the Eq. 3 reference image (the
-        union of the per-transition images) reaches the explicit
-        fixpoint."""
-        relnet = RelationalNet(ImprovedEncoding(make_net(name)))
-        blocks = relnet.partitions()
-        reached = frontier = relnet.initial
-        while not relnet.state_is_empty(frontier):
-            image = relnet.image_partitioned(frontier, blocks)
-            frontier = relnet.state_diff(image, reached)
-            reached = relnet.state_union(reached, frontier)
+        union of the per-transition images through ``R_t``) reaches the
+        explicit fixpoint, on the node the relational engine lands on
+        in the same manager."""
+        analysis = Analysis(make_net(name), relational(scheme=scheme))
+        relnet = analysis.symbolic_net
+        reached = bfs_through(relnet, [
+            transition_relation(relnet, transition)
+            for transition in relnet.net.transitions])
         assert relnet.count_markings(reached) == explicit_counts[name]
+        assert reached == analysis.reachable
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_monolithic_relation_reaches_explicit_fixpoint(
+            self, name, make_net, explicit_counts):
+        """The textbook image through the one relation ``OR_t R_t``
+        lands on the same node."""
+        analysis = Analysis(make_net(name), relational())
+        relnet = analysis.symbolic_net
+        reached = bfs_through(relnet, [monolithic_relation(relnet)])
+        assert relnet.count_markings(reached) == explicit_counts[name]
+        assert reached == analysis.reachable
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("reorder", [False, True],
@@ -214,18 +236,12 @@ class TestImageEngines:
             functional = analyze(make_net(name),
                                  AnalysisSpec(strategy="chaining",
                                               reorder=False))
-            chained = analyze(make_net(name), relational("chained"))
-            assert functional.markings == chained.markings \
+            saturated = analyze(make_net(name), relational())
+            assert functional.markings == saturated.markings \
                 == explicit_counts[name]
 
-    def test_chained_cuts_iterations(self):
-        bfs = analyze(slotted_ring(3), relational("monolithic"))
-        chained = analyze(slotted_ring(3), relational("chained"))
-        assert chained.iterations < bfs.iterations
-        assert chained.markings == bfs.markings
-
     def test_unknown_engine_rejected(self):
-        with pytest.raises(SpecError, match="monolithic"):
+        with pytest.raises(SpecError, match="saturation"):
             relational("quantum")
 
     def test_max_iterations_guard(self):
@@ -238,58 +254,35 @@ class TestImageEngines:
 # ---------------------------------------------------------------------
 
 class TestAdaptiveTraversal:
-    @pytest.mark.parametrize("name", FAMILIES)
+    @pytest.mark.parametrize("name, scheme", SCHEME_CASES)
     @pytest.mark.parametrize("engine", RELATIONAL_ENGINES)
     def test_engines_agree_with_reordering_enabled(self, name, engine,
-                                                   make_net,
+                                                   scheme, make_net,
                                                    explicit_counts):
         """Acceptance: identical reachable sets with dynamic reordering
-        (pair-grouped sifting; the chained sweep re-sorts the
-        per-transition partition by the order it finds)."""
+        (pair-grouped sifting at the band boundaries), on every
+        scheme."""
         result = analyze(make_net(name), relational(
-            engine, reorder=True, reorder_threshold=200))
+            engine, scheme=scheme, reorder=True, reorder_threshold=20))
         assert result.markings == explicit_counts[name]
 
-    @pytest.mark.parametrize("name", FAMILIES)
-    def test_per_transition_chained_agrees_with_reordering_enabled(
-            self, name, make_net, explicit_counts):
-        """With one block per transition, every sweep after a reorder
-        re-sorts the whole per-transition partition; the fixpoint must
-        not move and the partition follows the final order."""
-        analysis = Analysis(make_net(name), relational(
-            "chained", reorder=True, reorder_threshold=200))
-        assert analysis.run().markings == explicit_counts[name]
-        relnet = analysis.symbolic_net
-        tops = [relnet.top_level(block) for block in relnet.partitions()]
-        assert tops == sorted(tops)
-
-    def test_auto_reorder_honored_on_supplied_manager(self,
-                                                      explicit_counts):
+    def test_auto_reorder_honored_on_supplied_manager(self):
         from repro.bdd import BDD
         relnet = RelationalNet(ImprovedEncoding(philosophers(3)),
                                bdd=BDD(), auto_reorder=True,
                                reorder_threshold=100)
         assert relnet.bdd.auto_reorder
-        # Step the chained sweep by hand: the fixpoint runs on this
-        # net's own manager, with its safe point after every step.
-        reached = frontier = relnet.initial
-        while not frontier.is_zero():
-            swept = relnet.image_chained(frontier, reached=reached)
-            reached, frontier = reached | swept, swept - reached
-            del swept
-            relnet.bdd.checkpoint()
-        assert relnet.bdd.reorder_count > 0
-        assert relnet.count_markings(reached) == explicit_counts["phil3"]
+        assert relnet.bdd.reorder_threshold == 100
 
     def test_reordering_actually_happens(self, explicit_counts):
         result = analyze(philosophers(3), relational(
-            "chained", reorder=True, reorder_threshold=100))
+            reorder=True, reorder_threshold=20))
         assert result.reorder_count > 0
         assert result.markings == explicit_counts["phil3"]
 
     def test_pairs_stay_adjacent_after_traversal_reorder(self):
         analysis = Analysis(slotted_ring(2), relational(
-            "chained", reorder=True, reorder_threshold=100))
+            reorder=True, reorder_threshold=20))
         analysis.run()
         relnet = analysis.symbolic_net
         assert relnet.bdd.reorder_count > 0
@@ -297,67 +290,6 @@ class TestAdaptiveTraversal:
             current = relnet.bdd.level_of_var(name)
             nxt = relnet.bdd.level_of_var(name + "'")
             assert nxt == current + 1
-
-    def test_partition_image_equals_per_transition_union(self):
-        relnet = RelationalNet(ImprovedEncoding(muller(4)))
-        states = relnet.initial
-        assert relnet.image_partitioned(states, relnet.partitions()) \
-            == relnet.image_all(states)
-
-    def test_sparse_relations_survive_reorder(self):
-        """Building the partition and re-sorting it after a reorder
-        must reuse the sparse relations and supports instead of
-        re-walking them."""
-        relnet = RelationalNet(ImprovedEncoding(philosophers(3)))
-        first = relnet.sparse_relations()
-        relnet.partitions()
-        relnet.bdd.set_order(reversed_pair_order(relnet))
-        relnet.partitions()
-        assert relnet.sparse_relations() is first
-        transition = relnet.net.transitions[0]
-        assert relnet.transition_support(transition) \
-            is relnet.transition_support(transition)
-
-
-class TestSweepFollowsOrder:
-    def test_blocks_follow_set_order(self):
-        """After an explicit set_order the partition is sorted by every
-        block's top level under the new order; the blocks, their
-        relations and their quantified variables stay as built."""
-        relnet = RelationalNet(ImprovedEncoding(slotted_ring(2)))
-        bdd = relnet.bdd
-        before = list(relnet.partitions())
-        bdd.set_order(reversed_pair_order(relnet))
-        after = relnet.partitions()
-        tops = [relnet.top_level(block) for block in after]
-        assert tops == sorted(tops)
-        assert tops != [relnet.top_level(block) for block in before]
-        assert sorted(after, key=id) == sorted(before, key=id)
-        for block in after:
-            assert relnet.top_level(block) == min(
-                bdd.level_of_var(v) for v in block.support)
-
-    def test_blocks_follow_sift(self):
-        """A sifting pass moves the order; the next partitions() call
-        sorts the blocks by it."""
-        relnet = RelationalNet(ImprovedEncoding(slotted_ring(3)))
-        bdd = relnet.bdd
-        relnet.partitions()
-        version = bdd.order_version
-        sift(bdd, groups=bdd.sift_groups)
-        assert bdd.order_version != version
-        tops = [relnet.top_level(block) for block in relnet.partitions()]
-        assert tops == sorted(tops)
-
-    def test_images_correct_after_set_order(self, explicit_counts):
-        analysis = Analysis(slotted_ring(2), relational("chained"))
-        relnet = analysis.symbolic_net
-        relnet.partitions()
-        expected = relnet.image_all(relnet.initial)
-        relnet.bdd.set_order(reversed_pair_order(relnet))
-        blocks = relnet.partitions()
-        assert relnet.image_partitioned(relnet.initial, blocks) == expected
-        assert analysis.result.markings == explicit_counts["slot2"]
 
 
 # ---------------------------------------------------------------------

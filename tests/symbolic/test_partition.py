@@ -1,93 +1,87 @@
-"""Tests for the shared relational layer (repro.symbolic.partition).
+"""Tests for the ZDD relational net's partition and chained sweep.
 
-Covers the behaviours the unified layer added on top of the old
-per-manager copies: the per-transition partition following the current
-variable order, diff-based working-set narrowing of the chained sweep,
-and the fact that one chained sweep drives both managers.  It also pins
-the order independence of the Eq. 3 union of per-block images and the
-sifting trajectories that depend on how the sweep order breaks ties.
+Covers the per-transition partition following the current element
+order, diff-based working-set narrowing of the chained sweep and the
+session calling the sweep.  It also pins the order independence of the
+Eq. 3 union of per-block images and the sifting trajectories that
+depend on how the sweep order breaks ties, with the relational BDD
+form's sifted saturation beside them.
 """
 
 import random
 
 import pytest
 
-from repro.analysis import (RELATIONAL_ENGINES, Analysis, AnalysisSpec,
-                            analyze)
+from repro.analysis import Analysis, AnalysisSpec, analyze
+from repro.bdd.zdd import EMPTY
 from repro.dd import sift
 from repro.encoding import ImprovedEncoding
 from repro.petri.generators import (figure4_net, muller, philosophers,
                                     slotted_ring)
 from repro.symbolic import RelationalNet, ZddRelationalNet
-from repro.symbolic.partition import PartitionedNet, next_state_suffix
+from repro.symbolic.relational import next_state_suffix
 
-# Relational fixpoints on a fixed variable order (BDD and ZDD).
-BDD_RELATIONAL = AnalysisSpec(form="relational", engine="chained",
-                              reorder=False)
+# The chained relational fixpoint on a fixed element order.
 ZDD_CHAINED = AnalysisSpec(backend="zdd", engine="chained", reorder=False)
 
 
 def chained_step(relnet, reached, frontier):
     """One chained fixpoint step by hand: sweep, then absorb the swept
     set into ``reached`` and keep what is new as the frontier."""
+    zdd = relnet.zdd
     swept = relnet.image_chained(frontier, reached=reached)
-    return (relnet.state_union(reached, swept),
-            relnet.state_diff(swept, reached))
+    return zdd.union(reached, swept), zdd.diff(swept, reached)
 
 
-class TestUnifiedLayer:
-    def test_both_nets_share_the_partition_layer(self):
-        assert issubclass(RelationalNet, PartitionedNet)
-        assert issubclass(ZddRelationalNet, PartitionedNet)
+def union_of_block_images(relnet, states, blocks):
+    """Eq. 3's one-step image: the union of the per-block images."""
+    result = EMPTY
+    for block in blocks:
+        result = relnet.zdd.union(result, relnet.image_partition(states,
+                                                                 block))
+    return result
 
-    @pytest.mark.parametrize("spec", [BDD_RELATIONAL, ZDD_CHAINED],
-                             ids=["bdd", "zdd"])
-    def test_sessions_run_the_generic_chained_sweep(self, spec,
-                                                    monkeypatch):
-        """Both relational sessions step through the shared
-        ``PartitionedNet.image_chained``, narrowed against their
-        reached set."""
+
+class TestSessions:
+    def test_session_runs_the_narrowed_chained_sweep(self, monkeypatch):
+        """The chained session steps through ``image_chained``,
+        narrowed against its reached set."""
         calls = []
-        original = PartitionedNet.image_chained
+        original = ZddRelationalNet.image_chained
 
-        def spy(relnet, states, reached=None):
+        def spy(relnet, states, reached=EMPTY):
             calls.append((relnet, states, reached))
             return original(relnet, states, reached=reached)
 
-        monkeypatch.setattr(PartitionedNet, "image_chained", spy)
-        analysis = Analysis(figure4_net(), spec)
+        monkeypatch.setattr(ZddRelationalNet, "image_chained", spy)
+        analysis = Analysis(figure4_net(), ZDD_CHAINED)
         session = analysis.session
         frontier, reached = session.frontier, session.reached
         analysis.step()
         assert calls == [(analysis.symbolic_net, frontier, reached)]
 
-    @pytest.mark.parametrize("spec, image", [
-        (BDD_RELATIONAL.replace(engine="monolithic"), "image_monolithic"),
-        (AnalysisSpec(backend="zdd", form="functional", reorder=False),
-         "image_all")], ids=["bdd-monolithic", "zdd-classic"])
-    def test_sessions_call_their_nets_image(self, spec, image):
-        """The other engines are one call on the session's net per
+    def test_classic_session_calls_its_nets_image(self):
+        """The classic engine is one call on the session's net per
         step, on the frontier alone."""
-        analysis = Analysis(figure4_net(), spec)
+        analysis = Analysis(figure4_net(), AnalysisSpec(
+            backend="zdd", form="functional", reorder=False))
         net = analysis.symbolic_net
         calls = []
-        original = getattr(net, image)
+        original = net.image_all
 
         def spy(states):
             calls.append(states)
             return original(states)
 
-        setattr(net, image, spy)
+        net.image_all = spy
         frontier = analysis.session.frontier
         analysis.step()
         assert calls == [frontier]
 
-    def test_chained_sweep_serves_the_zdd_net_too(self):
-        """The chained sweep is manager-agnostic: a ZDD relational net
-        stepped by hand reaches its fixpoint."""
+    def test_chained_sweep_stepped_by_hand_reaches_the_fixpoint(self):
         relnet = ZddRelationalNet(slotted_ring(2))
         reached = frontier = relnet.initial
-        while not relnet.state_is_empty(frontier):
+        while frontier != EMPTY:
             reached, frontier = chained_step(relnet, reached, frontier)
             relnet.zdd.checkpoint()
         assert relnet.count_markings(reached) == 40
@@ -97,16 +91,12 @@ class TestChainedNarrowing:
     def test_narrowed_sweep_matches_full_sweep_closure(self):
         """The diff-narrowed chained sweep reaches the same fixpoint
         (trajectory equivalence modulo already-reached states)."""
-        for make, net_cls in ((lambda: RelationalNet(
-                ImprovedEncoding(slotted_ring(3))), "bdd"),
-                (lambda: ZddRelationalNet(slotted_ring(3)), "zdd")):
-            relnet = make()
-            reached = relnet.initial
-            frontier = relnet.initial
-            plain = relnet.image_chained(frontier)
-            narrowed = relnet.image_chained(frontier, reached=reached)
-            # First step: nothing expanded yet, identical sweeps.
-            assert plain == narrowed, net_cls
+        relnet = ZddRelationalNet(slotted_ring(3))
+        frontier = relnet.initial
+        plain = relnet.image_chained(frontier)
+        narrowed = relnet.image_chained(frontier, reached=relnet.initial)
+        # First step: nothing expanded yet, identical sweeps.
+        assert plain == narrowed
 
     def test_narrowing_skips_expanded_states(self):
         """Per-block working sets must exclude states expanded in
@@ -136,12 +126,12 @@ class TestChainedNarrowing:
         assert first_counts  # sanity: the spy actually measured
 
     @pytest.mark.parametrize("spec", [
-        BDD_RELATIONAL.replace(engine=engine)
-        for engine in RELATIONAL_ENGINES] + [ZDD_CHAINED],
-        ids=[f"bdd-{engine}" for engine in RELATIONAL_ENGINES]
-        + ["zdd-chained"])
+        AnalysisSpec(form="relational", reorder=False), ZDD_CHAINED],
+        ids=["bdd-saturation", "zdd-chained"])
     def test_fixpoints_agree_across_narrowing_paths(self, spec, make_net,
                                                     explicit_counts):
+        """The narrowed chained sweep lands where the relational BDD
+        form's saturation, which narrows nothing, lands."""
         for name in ("figure4", "slot2", "phil3"):
             result = analyze(make_net(name), spec)
             assert result.markings == explicit_counts[name]
@@ -154,53 +144,60 @@ def reversed_pairs(manager):
     return [v for pair in pairs[::-1] for v in pair]
 
 
-NETS = {
-    "bdd": lambda: RelationalNet(ImprovedEncoding(philosophers(3))),
-    "zdd": lambda: ZddRelationalNet(philosophers(3)),
-}
-
-
 class TestSweepOrder:
-    @pytest.mark.parametrize("kind", sorted(NETS))
-    def test_blocks_follow_set_order(self, kind):
+    def test_blocks_start_in_support_order(self):
+        """The first partition sorts by top level, ties by name."""
+        relnet = ZddRelationalNet(slotted_ring(3))
+        blocks = relnet.partitions()
+        assert blocks == sorted(blocks, key=lambda block: (
+            relnet.top_level(block), block.transition))
+
+    def test_blocks_follow_set_order(self):
         """After set_order the same list holds the same blocks, stably
         re-sorted by their top level under the new order: blocks that
         tie keep the order they had before."""
-        relnet = NETS[kind]()
+        relnet = ZddRelationalNet(philosophers(3))
         blocks = relnet.partitions()
         before = list(blocks)
-        relnet.manager.set_order(reversed_pairs(relnet.manager))
+        relnet.zdd.set_order(reversed_pairs(relnet.zdd))
         after = relnet.partitions()
         assert after is blocks
         assert after == sorted(before, key=relnet.top_level)
         assert after != before
 
-    @pytest.mark.parametrize("kind", sorted(NETS))
-    def test_blocks_follow_sift(self, kind):
-        relnet = NETS[kind]()
-        manager = relnet.manager
+    def test_blocks_follow_sift(self):
+        relnet = ZddRelationalNet(philosophers(3))
+        zdd = relnet.zdd
         before = list(relnet.partitions())
-        version = manager.order_version
-        sift(manager, groups=manager.sift_groups)
-        assert manager.order_version != version
+        version = zdd.order_version
+        sift(zdd, groups=zdd.sift_groups)
+        assert zdd.order_version != version
         assert relnet.partitions() == sorted(before, key=relnet.top_level)
 
-    @pytest.mark.parametrize("kind", sorted(NETS))
-    def test_reorder_keeps_every_relation(self, kind):
+    def test_reorder_keeps_every_relation(self):
         """Reordering re-sorts the blocks only: every block keeps the
         relation it was built with."""
-        relnet = NETS[kind]()
+        relnet = ZddRelationalNet(philosophers(3))
         before = {b.transition: b.relation for b in relnet.partitions()}
-        relnet.manager.set_order(reversed_pairs(relnet.manager))
+        relnet.zdd.set_order(reversed_pairs(relnet.zdd))
         for block in relnet.partitions():
             assert block.relation is before[block.transition]
 
-    def test_traversal_correct_with_reordering(self, make_net,
-                                               explicit_counts):
-        result = analyze(make_net("phil3"), BDD_RELATIONAL.replace(
-            engine="chained", reorder=True, reorder_threshold=100))
-        assert result.reorder_count > 0
-        assert result.markings == explicit_counts["phil3"]
+    def test_images_correct_after_set_order(self):
+        """The re-sorted blocks still compute the one-step image they
+        computed on the build order."""
+        relnet = ZddRelationalNet(slotted_ring(2))
+        zdd = relnet.zdd
+        initial = relnet.initial
+        states = zdd.ref(zdd.union(initial, union_of_block_images(
+            relnet, initial, relnet.partitions())))
+        expected = zdd.ref(union_of_block_images(relnet, states,
+                                                 relnet.partitions()))
+        zdd.set_order(reversed_pairs(zdd))
+        assert union_of_block_images(relnet, states,
+                                     relnet.partitions()) == expected
+        zdd.deref(states)
+        zdd.deref(expected)
 
 
 class TestZddReorderTraversal:
@@ -228,21 +225,21 @@ class TestZddReorderTraversal:
 
 
 # ---------------------------------------------------------------------------
-# image_partitioned ordering
+# Eq. 3 union ordering
 
 
-def test_image_partitioned_is_order_independent(make_net):
+def test_union_of_block_images_is_order_independent(make_net):
     """Shuffling the block list never changes the computed image."""
-    relnet = RelationalNet(ImprovedEncoding(make_net("phil3")))
+    relnet = ZddRelationalNet(make_net("phil3"))
     blocks = relnet.partitions()
     assert len(blocks) > 1
     states = relnet.initial
-    baseline = relnet.image_partitioned(states, blocks)
+    baseline = union_of_block_images(relnet, states, blocks)
     rng = random.Random(7)
     for _ in range(5):
         shuffled = list(blocks)
         rng.shuffle(shuffled)
-        assert relnet.image_partitioned(states, shuffled) == baseline
+        assert union_of_block_images(relnet, states, shuffled) == baseline
 
 
 
@@ -274,12 +271,14 @@ def test_relational_nets_name_next_copies_apart_from_places(make_net):
 
 
 #: ``(markings, iterations, peak_nodes, reorder_count)`` with sifting
-#: at ``reorder_threshold=200``.  Each trajectory depends on how the
+#: at ``reorder_threshold=200``.  Each ZDD trajectory depends on how the
 #: sweep order breaks ties between blocks with the same top level after
 #: a sift: re-sorting fresh from the build order, or by another
-#: tie-break, moves at least one of these figures.
+#: tie-break, moves at least one of these figures.  The relational BDD
+#: form's saturation has no sweep order; its row pins what stays live
+#: at the band safe point, which steers its sift.
 SIFTED_TRAJECTORIES = [
-    ("relational", "muller-8", (16016, 13, 5197, 3)),
+    ("relational", "muller-8", (16016, 2, 749, 1)),
     ("zdd", "muller-6", (990, 11, 3076, 2)),
     ("zdd", "phil-7", (46708, 4, 6134, 1)),
 ]
@@ -291,8 +290,7 @@ def test_sifted_trajectory_is_pinned(spec, net, expected):
     family, size = net.rsplit("-", 1)
     build = {"muller": muller, "phil": philosophers}[family]
     options = ({"form": "relational"} if spec == "relational"
-               else {"backend": "zdd"})
-    options["engine"] = "chained"
+               else {"backend": "zdd", "engine": "chained"})
     result = analyze(build(int(size)), reorder_threshold=200, **options)
     assert (result.markings, result.iterations, result.peak_nodes,
             result.reorder_count) == expected

@@ -10,15 +10,16 @@ with an ordinary safe point between them.
 The relational form and the ZDD backend saturate the same way: the
 relational BDD over its current variables (``RelationalNet.
 saturation_events()``), the ZDD by ``ZDD.saturate_post`` over
-``(consume, produce)`` pairs.  Each must land on the node its chained
-engine reaches in the same manager.
+``(consume, produce)`` pairs.  Each must land on the node of a
+reference fixpoint in the same manager: a breadth-first loop over the
+same events for the relational form, the chained engine for the ZDD.
 """
 
 import pytest
 
 from repro.analysis import SCHEMES, Analysis, AnalysisSpec, analyze
 from repro.analysis.backends import SATURATION_BANDS
-from repro.bdd import EMPTY, Function
+from repro.bdd import EMPTY, Function, cube, false
 from repro.petri.generators import (dme_circuit, dme_spec, jj_register,
                                     muller, philosophers, slotted_ring)
 
@@ -108,12 +109,21 @@ def test_jjreg_a_at_paper_size():
 # The relational form and the ZDD backend
 # ----------------------------------------------------------------------
 
-def chained_fixpoint(net, **options):
-    """A finished chained relational analysis on the fixed order."""
-    analysis = Analysis(net, AnalysisSpec(engine="chained", reorder=False,
-                                          **options))
-    analysis.run()
-    return analysis
+def relational_bfs_fixpoint(relnet, events):
+    """The breadth-first fixpoint over ``events`` in the relational
+    net's own manager: each event fires by quantify-and-force,
+    ``exists(force vars, S & E_t) & cube(force)``."""
+    bdd = relnet.bdd
+    firings = [(Function(bdd, enabling), list(force), cube(bdd, force))
+               for force, enabling in events]
+    reached = frontier = relnet.initial
+    while not frontier.is_zero():
+        image = false(bdd)
+        for enabling, changed, forced in firings:
+            image = image | ((frontier & enabling).exists(changed) & forced)
+        frontier = image - reached
+        reached = reached | frontier
+    return reached
 
 
 def reversed_pairs(manager):
@@ -125,13 +135,16 @@ def reversed_pairs(manager):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("name", FAMILIES)
-def test_relational_saturation_is_the_chained_fixpoint(name, scheme):
-    analysis = chained_fixpoint(FAMILIES[name](), form="relational",
-                                scheme=scheme)
+def test_relational_saturation_is_the_bfs_fixpoint(name, scheme):
+    net = FAMILIES[name]()
+    analysis = Analysis(net, AnalysisSpec(form="relational", scheme=scheme,
+                                          reorder=False))
     relnet = analysis.symbolic_net
     bdd = relnet.bdd
-    reachable = analysis.reachable
     events = relnet.saturation_events()
+    reachable = relational_bfs_fixpoint(relnet, events)
+    assert relnet.count_markings(reachable) \
+        == analyze(net, BFS.replace(scheme=scheme)).markings
     bdd.clear_caches()
     assert bdd.saturate_post(relnet.initial.node, events) == reachable.node
     assert all(not cache for cache in bdd._op_caches)
@@ -146,7 +159,9 @@ def test_relational_saturation_is_the_chained_fixpoint(name, scheme):
 
 @pytest.mark.parametrize("name", FAMILIES)
 def test_zdd_saturation_is_the_chained_fixpoint(name):
-    analysis = chained_fixpoint(FAMILIES[name](), backend="zdd")
+    analysis = Analysis(FAMILIES[name](), AnalysisSpec(
+        backend="zdd", engine="chained", reorder=False))
+    analysis.run()
     znet = analysis.symbolic_net
     zdd = znet.zdd
     reachable = analysis.reachable

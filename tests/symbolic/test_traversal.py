@@ -15,9 +15,8 @@ SCHEMES = ["sparse", "dense", "improved"]
 
 # The plain BFS quantify-and-force fixpoint on a fixed variable order.
 BFS = AnalysisSpec(strategy="bfs", use_toggle=False, reorder=False)
-# The per-transition chained relational fixpoint, fixed order.
-PER_TRANSITION = AnalysisSpec(form="relational", engine="chained",
-                              reorder=False)
+# The relational form's saturation fixpoint, fixed order.
+RELATIONAL = AnalysisSpec(form="relational", reorder=False)
 
 
 @pytest.mark.parametrize("name", FAMILIES)
@@ -39,18 +38,12 @@ def test_toggle_firing_agrees(scheme, make_net, explicit_counts):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_relational_engine_agrees(scheme, explicit_counts):
-    """The Eq. 3 relational path reaches the same fixpoint."""
+    """The relational form reaches the same fixpoint."""
     for name, factory in [("figure1", figure1_net),
                           ("figure4", figure4_net),
                           ("slot2", lambda: slotted_ring(2))]:
-        result = analyze(factory(), PER_TRANSITION.replace(scheme=scheme))
+        result = analyze(factory(), RELATIONAL.replace(scheme=scheme))
         assert result.markings == explicit_counts[name]
-
-
-def test_monolithic_relation_agrees(explicit_counts):
-    result = analyze(figure4_net(), AnalysisSpec(
-        form="relational", engine="monolithic", reorder=False))
-    assert result.markings == explicit_counts["figure4"]
 
 
 def test_reachable_sets_decode_identically():
@@ -121,7 +114,7 @@ def test_limit_error_carries_partial_state():
 def test_limit_error_from_relational_and_zdd_and_kbounded():
     from repro.symbolic import TraversalLimitError
     net = figure4_net()
-    for spec in (PER_TRANSITION.replace(scheme="sparse"),
+    for spec in (RELATIONAL.replace(scheme="sparse"),
                  AnalysisSpec(backend="zdd", form="functional",
                               reorder=False),
                  AnalysisSpec(k_bound=1)):

@@ -7,6 +7,7 @@ the cross-engine set-identity matrix lives in ``test_engine_diff.py``.
 import pytest
 
 from repro.analysis import Analysis, AnalysisSpec, SpecError, analyze
+from repro.bdd.zdd import EMPTY
 from repro.dd import sift
 from repro.petri import Marking, ReachabilityGraph, place_order
 from repro.petri.generators import figure1_net, figure4_net
@@ -85,18 +86,17 @@ class TestZddRelationalNet:
         relnet = ZddRelationalNet(figure4_net())
         zdd = relnet.zdd
         full_width = 2 * len(relnet.net.places)
-        for transition, sparse in relnet.sparse_relations().items():
-            pre = relnet.net.preset(transition)
-            post = relnet.net.postset(transition)
+        for sparse in relnet.partitions():
+            pre = relnet.net.preset(sparse.transition)
+            post = relnet.net.postset(sparse.transition)
             sets = list(zdd.iter_name_sets(sparse.relation))
             assert sets == [frozenset(pre)
                             | frozenset(p + "'" for p in post)]
             assert len(sparse.support) < full_width
-            assert sparse.support == relnet.transition_support(transition)
 
-    def test_image_all_matches_classic(self, make_net):
-        """The relational per-transition image equals the classic
-        subset1/change rewrite on the same family."""
+    def test_block_images_match_classic(self, make_net):
+        """The union of the per-transition block images equals the
+        classic subset1/change rewrite on the same family."""
         for name in ("figure1", "muller3", "slot2"):
             net = make_net(name)
             classic = ZddNet(net)
@@ -105,7 +105,11 @@ class TestZddRelationalNet:
             rel_states = relational.initial
             for _ in range(3):
                 classic_img = classic.image_all(reached)
-                relational_img = relational.image_all(rel_states)
+                relational_img = EMPTY
+                for block in relational.partitions():
+                    relational_img = relational.zdd.union(
+                        relational_img,
+                        relational.image_partition(rel_states, block))
                 classic_sets = {m.support
                                 for m in classic.markings_of(classic_img)}
                 relational_sets = {
@@ -153,10 +157,22 @@ class TestZddRelationalNet:
     @pytest.mark.parametrize("name", ["muller4", "phil3", "slot2"])
     def test_partitioned_image_equals_per_transition_union(self, name,
                                                            make_net):
-        relnet = ZddRelationalNet(make_net(name))
-        states = relnet.initial
-        assert relnet.image_partitioned(states, relnet.partitions()) \
-            == relnet.image_all(states)
+        """The union of the block images of the reachable set is
+        exactly the set of explicit successors of its markings."""
+        net = make_net(name)
+        analysis = Analysis(net, AnalysisSpec(backend="zdd",
+                                              engine="chained",
+                                              reorder=False))
+        relnet = analysis.symbolic_net
+        states = analysis.reachable
+        image = EMPTY
+        for block in relnet.partitions():
+            image = relnet.zdd.union(image,
+                                     relnet.image_partition(states, block))
+        graph = ReachabilityGraph(net)
+        expected = {successor.support for marking in graph.markings
+                    for _, successor in graph.successors(marking)}
+        assert {m.support for m in relnet.markings_of(image)} == expected
 
     def test_rename_maps_are_order_monotone(self):
         relnet = ZddRelationalNet(figure4_net())

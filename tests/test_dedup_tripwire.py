@@ -1,10 +1,11 @@
-"""Duplication tripwire: the relational layer must stay unified.
+"""Duplication tripwire: the relational machinery lives once.
 
-PR 3 grew ``symbolic/zdd_relational.py`` into a near line-for-line copy
-of ``symbolic/relational.py``'s clustering/partition/sweep machinery;
-PR 5 collapsed both onto :mod:`repro.symbolic.partition`.  This test
-fails CI if either encoding shim regrows its own copy of that logic —
-the one place it may live is the shared layer.
+The chained sweep and its per-transition partition live in
+:class:`~repro.symbolic.zdd_relational.ZddRelationalNet`, their one
+client since saturation became the relational BDD form's only engine,
+and the support sort lives next to the functional chaining sweep in
+``symbolic/transition.py``.  This test fails CI if another symbolic
+module regrows its own copy of that logic.
 
 The same holds for the reachability fixpoint: the
 :mod:`repro.analysis` sessions drive it, and no module under
@@ -16,7 +17,10 @@ variables in the structural order of :mod:`repro.petri.order`, never by
 walking ``encoding.variables`` or ``net.places``.
 
 And retired code stays retired: the per-block union engine
-(``partitioned``), the Coudert-Madre frontier restriction and its
+(``partitioned``), the BDD relational ``monolithic`` and ``chained``
+sweeps with the abstract partition layer (``PartitionedNet``,
+``RelationPartition``) that only they shared with the ZDD, the
+Coudert-Madre frontier restriction and its
 ``simplify_frontier`` option won no benchmark row; the image-engine
 strategy objects only forwarded to the nets' images, the backend
 factories (and their ``BACKENDS`` registry) only called one session
@@ -53,21 +57,22 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
-# Methods/functions that must exist exactly once, in the shared layer.
-SHARED_ONLY_DEFS = (
-    "image_chained",
-    "image_partitioned",
-    "partitions",
-    "sort_by_support",
-)
+# Methods/functions that must exist exactly once, each in its home.
+SHARED_ONLY_DEFS = {
+    "image_chained": SRC / "symbolic" / "zdd_relational.py",
+    "partitions": SRC / "symbolic" / "zdd_relational.py",
+    "sort_by_support": SRC / "symbolic" / "transition.py",
+}
 
-# The encoding shims: allowed to *use* the shared layer, never to
+# The other symbolic modules: allowed to *use* that logic, never to
 # re-implement it.
 SHIMS = (
     SRC / "symbolic" / "zdd_relational.py",
     SRC / "symbolic" / "relational.py",
     SRC / "symbolic" / "transition.py",
     SRC / "symbolic" / "zdd_traversal.py",
+    SRC / "symbolic" / "kbounded.py",
+    SRC / "symbolic" / "checker.py",
 )
 
 
@@ -81,18 +86,21 @@ def definitions_in(path):
 def test_shims_do_not_redefine_shared_clustering_logic():
     for shim in SHIMS:
         defined = definitions_in(shim)
-        copies = sorted(set(SHARED_ONLY_DEFS) & defined)
+        copies = sorted(name for name, home in SHARED_ONLY_DEFS.items()
+                        if name in defined and shim != home)
         assert not copies, (
-            f"{shim.relative_to(SRC)} regrew its own copy of shared "
-            f"relational-layer logic: {copies}; extend "
-            f"repro/symbolic/partition.py instead")
+            f"{shim.relative_to(SRC)} regrew its own copy of "
+            f"relational logic: {copies}; extend its home instead")
 
 
-def test_shared_layer_defines_the_logic_exactly_once():
-    shared = definitions_in(SRC / "symbolic" / "partition.py")
-    missing = sorted(set(SHARED_ONLY_DEFS) - shared)
-    assert not missing, (
-        f"symbolic/partition.py lost shared definitions: {missing}")
+def test_shared_logic_is_defined_exactly_once():
+    for name, home in SHARED_ONLY_DEFS.items():
+        owners = [path.relative_to(SRC).as_posix()
+                  for path in sorted(SRC.rglob("*.py"))
+                  if name in definitions_in(path)]
+        assert owners == [home.relative_to(SRC).as_posix()], (
+            f"{name} is defined in {owners}; it lives once, in "
+            f"{home.relative_to(SRC)}")
 
 
 def test_managers_share_the_kernel():
@@ -280,7 +288,9 @@ def test_tripwire_sees_a_naming_order_declaration(tmp_path):
         ("legacy.py", 3), ("legacy.py", 4), ("legacy.py", 5)]
 
 
-# Identifiers of the retired per-block union engine, the Coudert-Madre
+# Identifiers of the retired per-block union engine, the monolithic
+# relational image and the partition layer's abstract base and BDD
+# block (the BDD sweeps were their only other client), the Coudert-Madre
 # frontier restriction, the image-engine strategy layer (the
 # ``ImageEngine`` substring covers every engine class), the backend
 # factory layer above the sessions, the partition clustering, the
@@ -314,7 +324,9 @@ RETIRED_IDENTIFIERS = ("restrict_cm", "narrow_frontier",
                        "largest_siphon_within", "largest_trap_within",
                        "empty_siphon_in_deadlock", "bdd_to_dot",
                        "zdd_to_dot", "ScalingRow", "size_many",
-                       "conflict_clusters", "transition_specs")
+                       "conflict_clusters", "transition_specs",
+                       "image_monolithic", "monolithic_relation",
+                       "RelationPartition", "PartitionedNet")
 # Retired spec fields: named only inside RETIRED_FIELD_DEFAULTS, which
 # keeps old fingerprints stable.
 RETIRED_FIELDS = ("simplify_frontier", "chain_order", "cluster_size")
@@ -359,15 +371,16 @@ def test_retired_engine_and_restriction_stay_deleted():
     and ``cluster_size`` may only be named as retired fields at their
     old defaults (which keeps old fingerprints stable)."""
     from repro.analysis import PORTFOLIO_MEMBERS, RELATIONAL_ENGINES
-    assert "partitioned" not in RELATIONAL_ENGINES
+    assert RELATIONAL_ENGINES == ("saturation",)
     assert not [m for m in PORTFOLIO_MEMBERS if "partitioned" in m]
+    assert "bdd-chained" not in PORTFOLIO_MEMBERS
     assert _constant_lines(
         ast.parse((SRC / "analysis" / "spec.py").read_text()),
         "RETIRED_FIELD_DEFAULTS"), \
         "spec.py lost its RETIRED_FIELD_DEFAULTS constant"
     found = retired_name_uses(SRC)
     assert not found, (
-        f"{found} brings back retired code; run the chained engine "
+        f"{found} brings back retired code; run the saturation engine "
         f"instead")
 
 
@@ -404,7 +417,11 @@ def test_tripwire_sees_retired_names(tmp_path):
         "manager.add_reorder_hook(self.refresh_partitions)\n"
         "blocks = [self._refresh_block(b) for b in blocks]\n"
         "block = ZddRelationPartition(transition, relation)\n"
-        "if self._sorted_at != manager.order_version:\n")
+        "if self._sorted_at != manager.order_version:\n"
+        "class RelationalNet(PartitionedNet):\n"
+        "    swept = self.image_monolithic(frontier)\n"
+        "relation = relnet.monolithic_relation()\n"
+        "block = RelationPartition(transition, relation)\n")
     (tmp_path / "checker.py").write_text(
         "steps = self._care_enabling()\n"
         "return bdd.saturate_pre(reachable, target, events)\n")
@@ -433,6 +450,11 @@ def test_tripwire_sees_retired_names(tmp_path):
         ("partition.py", 6, "refresh_partitions"),
         ("partition.py", 7, "_refresh_block"),
         ("partition.py", 8, "ZddRelationPartition"),
+        ("partition.py", 8, "RelationPartition"),
+        ("partition.py", 10, "PartitionedNet"),
+        ("partition.py", 11, "image_monolithic"),
+        ("partition.py", 12, "monolithic_relation"),
+        ("partition.py", 13, "RelationPartition"),
         ("structure.py", 1, "minimal_siphons"),
         ("structure.py", 2, "c_element"),
         ("structure.py", 3, "bdd_to_dot"),
