@@ -372,13 +372,13 @@ class _BddSession(SolverSession):
     def _saturate_band(self) -> None:
         """Saturate ``reached`` with the next band's events.
         ``frontier`` tracks ``reached`` until the last band empties
-        it."""
+        it; that band's safe point does not sift."""
         bdd = self.symbolic_net.bdd
         min_top, last = self._saturation_band(bdd.num_vars)
         self.reached = Function(bdd, bdd.saturate_post(
             self.reached.node, self._events, min_top))
         self.frontier = false(bdd) if last else self.reached
-        bdd.checkpoint()
+        bdd.checkpoint(sift=not last)
 
 
 class _BddFunctionalSession(_BddSession):
@@ -520,6 +520,7 @@ class _ZddSession(SolverSession):
 
     def _advance(self) -> None:
         zdd = self.zdd
+        last = False
         if self._events is not None:
             min_top, last = self._saturation_band(zdd.num_vars)
             reached = zdd.saturate_post(self.reached, self._events,
@@ -535,8 +536,9 @@ class _ZddSession(SolverSession):
         zdd.deref(self.frontier)
         self.reached, self.frontier = reached, frontier
         # Safe point: garbage collection / dynamic reordering, exactly
-        # as the BDD sessions checkpoint each iteration.
-        zdd.checkpoint()
+        # as the BDD sessions checkpoint each iteration (no sift after
+        # the last saturation band).
+        zdd.checkpoint(sift=not last)
 
     def _dump_payload(self) -> str:
         from ..bdd.io import dump_zdd_nodes

@@ -524,7 +524,7 @@ class DDManager:
         return (live >= self.reorder_growth_floor
                 and live > self._reorder_baseline * self.reorder_growth)
 
-    def checkpoint(self) -> None:
+    def checkpoint(self, sift: bool = True) -> None:
         """Safe point hook: garbage collect, maybe reorder, enforce
         budgets.
 
@@ -532,10 +532,12 @@ class DDManager:
         occupancy (which still holds every dead intermediate of the
         last operations): a safe point whose occupancy crosses the
         trigger collects first, and sifts only if the live diagram is
-        still over it.
+        still over it.  ``sift=False`` skips the trigger, as after the
+        step that reaches a fixpoint, where no later operation would
+        profit from a better order; collection and budgets still run.
         """
         live = self.live_nodes()
-        if self.auto_reorder and self._reorder_due(live):
+        if sift and self.auto_reorder and self._reorder_due(live):
             self.collect_garbage()
             live = self.live_nodes()
             if self._reorder_due(live):

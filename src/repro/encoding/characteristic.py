@@ -18,18 +18,15 @@ from typing import Dict, FrozenSet, List, Tuple
 
 from ..bdd import BDD, Function, cube, true
 from ..petri.marking import Marking
-from ..petri.order import force_order
+from ..petri.order import force_order, place_order
 from .scheme import Encoding
 
 
-def variable_order(encoding: Encoding) -> Tuple[str, ...]:
-    """The encoding's variables in FORCE order (:mod:`repro.petri.order`).
-
-    Each transition is one hyperedge: its ``quantify`` variables plus
-    the support of every preset place, where a place's support is its
-    owner-code variables and, recursively, its partners' (Eq. 4).
-    Purely structural — no BDD is built.
-    """
+def order_hyperedges(encoding: Encoding) -> List[FrozenSet[str]]:
+    """The FORCE hyperedges of :func:`variable_order`, one per
+    transition: its ``quantify`` variables plus the support of every
+    preset place, where a place's support is its owner-code variables
+    and, recursively, its partners' (Eq. 4)."""
     memo: Dict[str, FrozenSet[str]] = {}
 
     def support(place: str) -> FrozenSet[str]:
@@ -40,10 +37,34 @@ def variable_order(encoding: Encoding) -> Tuple[str, ...]:
         return memo[place]
 
     net = encoding.net
-    return force_order(encoding.variables, (
-        set(encoding.transition_spec(t).quantify).union(
-            *map(support, net.preset(t)))
-        for t in net.transitions))
+    return [frozenset(encoding.transition_spec(t).quantify).union(
+                *map(support, net.preset(t)))
+            for t in net.transitions]
+
+
+def variable_order(encoding: Encoding) -> Tuple[str, ...]:
+    """The encoding's variables in FORCE order (:mod:`repro.petri.order`)
+    over :func:`order_hyperedges`.
+
+    FORCE runs from two starts and keeps the order of smaller total
+    span, the first on a tie: the naming order, and each variable at
+    the mean :func:`~repro.petri.order.place_order` position of the
+    places whose owner code uses it (ties by naming index, unused
+    variables last).  The second start keeps one component's code bits
+    together where the naming order groups them by role across
+    components, as on DME's cells.  Purely structural — no BDD is
+    built.
+    """
+    users: Dict[str, List[int]] = {var: [] for var in encoding.variables}
+    for position, place in enumerate(place_order(encoding.net)):
+        for var, _ in encoding.owner_code(place):
+            users[var].append(position)
+    naming = {var: i for i, var in enumerate(encoding.variables)}
+    by_place = sorted(encoding.variables, key=lambda var: (
+        sum(users[var]) / len(users[var]) if users[var] else float("inf"),
+        naming[var]))
+    return force_order(encoding.variables, order_hyperedges(encoding),
+                       alternatives=[by_place])
 
 
 def declare_variables(encoding: Encoding, bdd: BDD) -> None:

@@ -27,7 +27,10 @@ from repro.analysis import (Analysis, AnalysisSpec, CheckpointData,
                             TraversalLimitError, analyze, net_fingerprint,
                             spec_fingerprint)
 from repro.analysis.checkpoint import dump_checkpoint, parse_checkpoint
-from repro.petri.generators import philosophers
+from repro.bdd.io import dump_functions, load_functions
+from repro.encoding.characteristic import order_hyperedges
+from repro.petri import force_order
+from repro.petri.generators import dme_spec, philosophers
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -415,6 +418,40 @@ class TestResumeEveryBackend:
         assert warm.extras["resume"]["status"] == "resumed"
         assert warm.extras["resume"]["iteration"] == 2
         assert warm.markings == analyze(net).markings == 10_054
+
+    def test_resume_from_a_naming_force_order_checkpoint(self, tmp_path):
+        """A checkpoint written in the order FORCE finds from the naming
+        order alone (DME's role-grouped order, which managers declared
+        before the place-order start) resumes in that order and lands on
+        the edge of an uninterrupted run in it."""
+        net = dme_spec(4)
+        path = str(tmp_path / "dme4.ckpt")
+        spec = AnalysisSpec(checkpoint_path=path, reorder=False)
+        reference = Analysis(net, reorder=False)
+        encoding = reference.symbolic_net.encoding
+        naming_force = list(force_order(encoding.variables,
+                                        order_hyperedges(encoding)))
+        assert reference.symbolic_net.bdd.order() != naming_force
+        reference.symbolic_net.bdd.set_order(naming_force)
+        expected = dump_functions({"reached": reference.reachable})
+
+        old = Analysis(net, spec)
+        old.symbolic_net.bdd.set_order(naming_force)
+        assert old.step()
+        with open(path) as handle:
+            data = parse_checkpoint(handle.read())
+        assert data.order == naming_force
+        assert data.iteration == 1
+
+        warm = Analysis(net, spec.replace(resume=True))
+        result = warm.run()
+        assert result.extras["resume"]["status"] == "resumed"
+        assert result.extras["resume"]["iteration"] == 1
+        bdd = warm.symbolic_net.bdd
+        assert bdd.order() == naming_force
+        assert load_functions(expected, bdd)["reached"].node \
+            == warm.reachable.node
+        assert result.markings == reference.result.markings == 756
 
 
 class TestColdStartFallback:

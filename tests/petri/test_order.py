@@ -8,11 +8,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from net_strategies import safe_nets
 from repro.analysis import analyze
 from repro.encoding import ImprovedEncoding, SparseEncoding, variable_order
+from repro.encoding.characteristic import order_hyperedges
 from repro.petri import PetriNet, force_order, place_order
-from repro.petri.generators import (dme_spec, figure1_net, muller,
-                                    philosophers, slotted_ring)
+from repro.petri.generators import (dme_circuit, dme_spec, figure1_net,
+                                    jj_register, muller, philosophers,
+                                    slotted_ring)
 from repro.symbolic import KBoundedNet, RelationalNet, ZddRelationalNet
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -68,6 +71,22 @@ def test_force_never_increases_the_total_span(case):
     assert total_span(result, hyperedges) <= total_span(items, hyperedges)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=12).flatmap(
+    lambda n: st.tuples(
+        st.permutations([f"v{i}" for i in range(n)]),
+        st.permutations([f"v{i}" for i in range(n)]),
+        st.lists(st.lists(st.sampled_from([f"v{i}" for i in range(n)]),
+                          max_size=5), max_size=10))))
+def test_force_keeps_the_start_of_smallest_span(case):
+    items, other, hyperedges = case
+    result = force_order(items, hyperedges, alternatives=[other])
+    from_items = force_order(items, hyperedges)
+    from_other = force_order(other, hyperedges)
+    assert result == (from_items if total_span(from_items, hyperedges)
+                      <= total_span(from_other, hyperedges) else from_other)
+
+
 def test_force_keeps_the_order_when_nothing_improves():
     assert force_order(["a", "b", "c"], [["a", "b"], ["b", "c"]]) \
         == ("a", "b", "c")
@@ -79,6 +98,52 @@ def test_force_pulls_hyperedge_members_together():
     # keeps its position and ties break by the previous one.
     assert force_order(["a", "x", "y", "b"], [["a", "b"], ["x", "b"]]) \
         == ("a", "b", "x", "y")
+
+
+# Every generator family at the sizes the suite runs.
+FAMILIES = {
+    "figure1": figure1_net,
+    "phil4": lambda: philosophers(4),
+    "slot3": lambda: slotted_ring(3),
+    "muller3": lambda: muller(3),
+    "dme3": lambda: dme_spec(3),
+    "dmecir2": lambda: dme_circuit(2, wire_depth=1),
+    "jjreg-a3": lambda: jj_register("a", bits=3),
+}
+
+
+def assert_span_at_most_naming_force(net):
+    for scheme in (SparseEncoding, ImprovedEncoding):
+        encoding = scheme(net)
+        edges = order_hyperedges(encoding)
+        naming = force_order(encoding.variables, edges)
+        assert total_span(variable_order(encoding), edges) \
+            <= total_span(naming, edges)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_variable_order_span_is_at_most_force_from_naming(name):
+    assert_span_at_most_naming_force(FAMILIES[name]())
+
+
+@settings(max_examples=60, deadline=None)
+@given(safe_nets())
+def test_variable_order_span_is_at_most_force_from_naming_on_safe_nets(net):
+    assert_span_at_most_naming_force(net)
+
+
+def test_dme_keeps_each_cells_code_bits_together():
+    """FORCE from the naming order groups DME's code bits by role
+    across cells; the place-order start wins the span, and the fixed
+    order peaks at 2,918 nodes under the role-grouped order."""
+    net = dme_spec(6)
+    encoding = ImprovedEncoding(net)
+    edges = order_hyperedges(encoding)
+    assert total_span(variable_order(encoding), edges) \
+        < total_span(force_order(encoding.variables, edges), edges)
+    result = analyze(net, reorder=False)
+    assert result.markings == 10_206
+    assert result.peak_nodes <= 2_000
 
 
 class TestDegenerateNets:

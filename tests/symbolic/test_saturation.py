@@ -203,6 +203,27 @@ def test_relational_sessions_step_one_band_at_a_time(name, kind):
     assert result.markings == analyze(net, BFS).markings
 
 
+@pytest.mark.parametrize("kind", ["functional", "relational", "zdd"])
+def test_the_band_that_reaches_the_fixpoint_does_not_sift(kind):
+    """A one-node trigger makes a sift due at every safe point (a sift
+    raises the trigger, so the test lowers it again): the bands before
+    the last one sift, the one that reaches the fixpoint does not, as
+    no later operation would profit from the order."""
+    spec = RELATIONAL_DEFAULTS.get(kind, AnalysisSpec())
+    net = muller(6)
+    analysis = Analysis(net, spec.replace(reorder_threshold=1))
+    manager = getattr(analysis.symbolic_net,
+                      "zdd" if kind == "zdd" else "bdd")
+    for band in range(1, SATURATION_BANDS):
+        assert analysis.step()
+        assert manager.reorder_count == band
+        manager.reorder_threshold = 1
+    assert analysis.step()
+    assert analysis.session.at_fixpoint()
+    assert manager.reorder_count == SATURATION_BANDS - 1
+    assert analysis.run().markings == analyze(net, BFS).markings
+
+
 def test_zdd_jjreg_a_at_paper_size():
     """496 elements deep (248 places, each with its next copy), in one
     recursion per band, with no RecursionError."""
