@@ -361,7 +361,7 @@ def _build_encoding(net: PetriNet, spec: AnalysisSpec,
 
 class _BddSession(SolverSession):
     """What the BDD sessions share: ``Function`` roots that the fixpoint
-    is done with once the frontier is empty, and the saturation step."""
+    is done with once the frontier is empty."""
 
     def at_fixpoint(self) -> bool:
         return self.frontier.is_zero()
@@ -369,111 +369,77 @@ class _BddSession(SolverSession):
     def _peak_nodes(self) -> int:
         return self.symbolic_net.bdd.peak_live_nodes
 
-    def _saturate_band(self) -> None:
-        """Saturate ``reached`` with the next band's events.
-        ``frontier`` tracks ``reached`` until the last band empties
-        it; that band's safe point does not sift."""
-        bdd = self.symbolic_net.bdd
-        min_top, last = self._saturation_band(bdd.num_vars)
-        self.reached = Function(bdd, bdd.saturate_post(
-            self.reached.node, self._events, min_top))
-        self.frontier = false(bdd) if last else self.reached
-        bdd.checkpoint(sift=not last)
 
+class _BddEncodedSession(_BddSession):
+    """An encoded safe net on a BDD, in either image form.
 
-class _BddFunctionalSession(_BddSession):
-    """Functional (renaming-free) image over an encoded safe net:
-    saturation by force events, or quantify-force or toggle firing in
-    BFS or chaining sweeps."""
-
-    name = "bdd-functional"
-    supports_model_checking = True
+    The functional form (:class:`SymbolicNet`) saturates by force events
+    or, under ``strategy="bfs"``, takes one quantify-force or toggle
+    image per iteration.  The relational form
+    (:class:`~repro.symbolic.relational.RelationalNet`, whose manager
+    also declares each variable's next-state copy) always saturates.
+    Both saturate through ``BDD.saturate_post`` over the same
+    ``(force_t, E_t)`` events; only the functional form answers
+    model-checking queries.
+    """
 
     def __init__(self, net: PetriNet, spec: AnalysisSpec,
                  encoding_factory: Optional[EncodingFactory]) -> None:
+        self.functional = spec.resolved_form == "functional"
+        if self.functional:
+            net_class = SymbolicNet
+            self.name = "bdd-functional"
+            self.supports_model_checking = True
+        else:
+            from ..symbolic.relational import RelationalNet as net_class
+            self.name = "bdd-relational"
         start = time.perf_counter()
         encoding = _build_encoding(net, spec, encoding_factory)
-        self.symbolic_net = SymbolicNet(
+        symnet = self.symbolic_net = net_class(
             encoding, auto_reorder=spec.reorder,
             reorder_threshold=spec.reorder_threshold)
-        symnet = self.symbolic_net
-        self._sweep_order = symnet.support_sorted_transitions()
-        if spec.strategy == "saturation":
+        if not self.functional or spec.strategy == "saturation":
             self._events = symnet.saturation_events()
         self.reached = symnet.initial
         self.frontier = symnet.initial
         super().__init__(spec, time.perf_counter() - start, net=net)
 
     def _advance(self) -> None:
-        spec = self.spec
-        symnet = self.symbolic_net
+        bdd = self.symbolic_net.bdd
         if self._events is not None:
-            self._saturate_band()
+            # Saturate ``reached`` with the next band's events.
+            # ``frontier`` tracks ``reached`` until the last band empties
+            # it; that band's safe point does not sift.
+            min_top, last = self._saturation_band(bdd.num_vars)
+            self.reached = Function(bdd, bdd.saturate_post(
+                self.reached.node, self._events, min_top))
+            self.frontier = false(bdd) if last else self.reached
+            bdd.checkpoint(sift=not last)
             return
         # The previous frontier stays referenced through the safe point
         # below, which fixes what that collection can free (and so the
         # sifting trajectory and peak every benchmark row records).
         frontier = self.frontier
-        if spec.strategy == "chaining":
-            step = (symnet.image_toggle_into if spec.use_toggle
-                    else lambda acc, s, t: acc | symnet.image(s, t))
-            current = frontier
-            for transition in self._sweep_order:
-                current = step(current, current, transition)
-            successors = current
-        else:
-            successors = symnet.image_all(frontier,
-                                          use_toggle=spec.use_toggle)
+        successors = self.symbolic_net.image_all(
+            frontier, use_toggle=self.spec.use_toggle)
         self.frontier = successors - self.reached
         self.reached = self.reached | successors
         # Safe point: garbage collection / dynamic reordering, as the
         # paper applies at each traversal iteration.
-        symnet.bdd.checkpoint()
+        bdd.checkpoint()
 
     def _finish(self) -> AnalysisResult:
         symnet = self.symbolic_net
+        extras = ({"strategy": self.spec.strategy,
+                   "use_toggle": self.spec.use_toggle}
+                  if self.functional else {})
         return self._base_result(
             markings=symnet.count_markings(self.reached),
             variables=symnet.encoding.num_variables,
             final_nodes=self.reached.size(),
             reorder_count=symnet.bdd.reorder_count,
             reachable=self.reached,
-            extras={"strategy": self.spec.strategy,
-                    "use_toggle": self.spec.use_toggle})
-
-
-class _BddRelationalSession(_BddSession):
-    """The relational form: the functional default's saturation over
-    :class:`~repro.symbolic.relational.RelationalNet`, whose manager
-    also declares each variable's next-state copy."""
-
-    name = "bdd-relational"
-
-    def __init__(self, net: PetriNet, spec: AnalysisSpec,
-                 encoding_factory: Optional[EncodingFactory]) -> None:
-        from ..symbolic.relational import RelationalNet
-        start = time.perf_counter()
-        encoding = _build_encoding(net, spec, encoding_factory)
-        relnet = self.symbolic_net = RelationalNet(
-            encoding, auto_reorder=spec.reorder,
-            reorder_threshold=spec.reorder_threshold)
-        self._events = relnet.saturation_events()
-        self.reached = relnet.initial
-        self.frontier = relnet.initial
-        super().__init__(spec, time.perf_counter() - start, net=net)
-
-    def _advance(self) -> None:
-        self._saturate_band()
-
-    def _finish(self) -> AnalysisResult:
-        relnet = self.symbolic_net
-        return self._base_result(
-            markings=relnet.count_markings(self.reached),
-            variables=len(relnet.current),
-            final_nodes=self.reached.size(),
-            reorder_count=relnet.bdd.reorder_count,
-            reachable=self.reached,
-            extras={})
+            extras=extras)
 
 
 # ----------------------------------------------------------------------
@@ -631,10 +597,8 @@ def open_session(net: PetriNet, spec: AnalysisSpec,
         session_class = _KBoundedSession
     elif spec.backend == "zdd":
         session_class = _ZddSession
-    elif spec.resolved_form == "relational":
-        return _BddRelationalSession(net, spec, encoding_factory)
     else:
-        return _BddFunctionalSession(net, spec, encoding_factory)
+        return _BddEncodedSession(net, spec, encoding_factory)
     if encoding_factory is not None:
         raise SpecError(f"encoding_factory only applies to the BDD "
                         f"backends; {session_class.own_representation}")

@@ -53,7 +53,7 @@ FORMS = ("functional", "relational")
 # ZDD backend also offers ``chained``, the Eq. 3 relational sweep.
 RELATIONAL_ENGINES = ("saturation",)
 ZDD_RELATIONAL_ENGINES = ("chained", "saturation")
-STRATEGIES = ("bfs", "chaining", "saturation")
+STRATEGIES = ("bfs", "saturation")
 
 # Member catalog for the portfolio backend: each id names one
 # heterogeneous solver configuration the race can spawn (the spec
@@ -76,16 +76,17 @@ DEFAULT_REORDER_THRESHOLD = 2_000
 
 # Catalogue names retired because no benchmark row needs them: the
 # ``partitioned`` engine lost every row on the structural variable order,
-# and the BDD ``monolithic`` and ``chained`` sweeps lost every row to
-# saturation (docs/encodings.md has the numbers); no default, workload,
-# experiment or benchmark raced the ``bdd-monolithic`` and ``zdd-classic``
-# members.  Per field, each is mapped to its replacement: naming one is a
-# SpecError that says so, never a bare "unknown" that reads like a typo.
-# An engine the ZDD backend still offers (``chained``) is retired on the
-# BDD backend only.
+# and the BDD ``monolithic`` and ``chained`` sweeps and the functional
+# ``chaining`` strategy lost every row to saturation (docs/encodings.md
+# has the numbers); no default, workload, experiment or benchmark raced
+# the ``bdd-monolithic`` and ``zdd-classic`` members.  Per field, each is
+# mapped to its replacement: naming one is a SpecError that says so,
+# never a bare "unknown" that reads like a typo.  An engine the ZDD
+# backend still offers (``chained``) is retired on the BDD backend only.
 RETIRED_NAMES = {"engine": {"partitioned": "saturation",
                             "monolithic": "saturation",
                             "chained": "saturation"},
+                 "strategy": {"chaining": "saturation"},
                  "portfolio member": {"bdd-partitioned": "bdd-functional",
                                       "bdd-monolithic": "bdd-functional",
                                       "bdd-chained": "bdd-functional",
@@ -100,8 +101,9 @@ RETIRED_FIELD_DEFAULTS = {
         False, "it won no benchmark row on the structural variable "
                "order; run the default saturation engine instead"),
     "chain_order": (
-        "support", "the chaining sweep always fires transitions in "
-                   "support-sorted order; drop the field"),
+        "support", "no sweep reads it: the support-sorted chaining "
+                   "sweep is retired, bfs fires in net order and "
+                   "saturation by support level; drop the field"),
     "cluster_size": (
         None, "the chained sweep always applies one sparse relation per "
               "transition, in support order; drop the field"),
@@ -192,14 +194,14 @@ class AnalysisSpec:
         ``strategy="saturation"`` fires every transition at the top
         level of its support until the node stops growing, one kernel
         recursion per band of levels (two steps);
-        ``"bfs"`` takes one synchronous image per iteration,
-        ``"chaining"`` feeds each transition's successors to the next
-        one within the sweep, in support-sorted order.  ``use_toggle``
-        makes the BFS and chaining sweeps fire with the Section 5.2
-        toggle operator instead of quantify-and-force; saturation fires
-        by force events, so turning it off there only warns.  Together
-        with ``reorder`` they pick the fixpoint trajectory (iteration
-        count, peak nodes).  Inapplicable elsewhere (structured warning
+        ``"bfs"`` takes one synchronous image per iteration, in net
+        order (the paper's traversal, Table 3).  The ``"chaining"``
+        sweep is retired (:data:`RETIRED_NAMES`).  ``use_toggle`` makes
+        the BFS image fire with the Section 5.2 toggle operator instead
+        of quantify-and-force; saturation fires by force events, so
+        turning it off there only warns.  Together with ``reorder``
+        they pick the fixpoint trajectory (iteration count, peak
+        nodes).  Inapplicable elsewhere (structured warning
         when moved off the default).
     reorder, reorder_threshold:
         Dynamic variable reordering at traversal safe points.  Applies

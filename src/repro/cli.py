@@ -165,7 +165,10 @@ def _build_parser() -> argparse.ArgumentParser:
                           "or 'portfolio' to race heterogeneous member "
                           "configurations in worker processes and "
                           "answer with the first verdict")
-    ana.add_argument("--strategy", default=None, choices=STRATEGIES,
+    # No argparse choices: AnalysisSpec validates the name, so a retired
+    # strategy exits 2 naming its replacement.
+    ana.add_argument("--strategy", default=None,
+                     metavar="{" + ",".join(STRATEGIES) + "}",
                      help="functional BDD fixpoint schedule; when "
                           "omitted, AnalysisSpec's default applies")
     ana.add_argument("--image", default=None,

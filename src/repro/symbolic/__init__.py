@@ -1,7 +1,6 @@
 """Symbolic analysis building blocks: encoded nets, images, checks.
 
-* :class:`SymbolicNet` — encoded net + BDD manager, image/preimage, and
-  the support sort (:func:`sort_by_support`) its chaining sweep uses.
+* :class:`SymbolicNet` — encoded net + BDD manager, image/preimage.
 * :class:`RelationalNet` — the relational BDD form: interleaved
   current/next variables, saturated by ``(force_t, E_t)`` events.
 * :class:`ZddRelationalNet` — the sparse-ZDD relational form with Eq. 3's
@@ -22,7 +21,7 @@ access to one of their names.
 
 from .._lazy import lazy_exports
 from .checker import CheckReport, ModelChecker
-from .transition import SymbolicNet, TraversalLimitError, sort_by_support
+from .transition import SymbolicNet, TraversalLimitError
 
 __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     "kbounded": ("KBoundedNet",),
@@ -33,7 +32,7 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
 })
 
 __all__ = [
-    "SymbolicNet", "RelationalNet", "sort_by_support", "TraversalLimitError",
+    "SymbolicNet", "RelationalNet", "TraversalLimitError",
     "ModelChecker", "CheckReport",
     "ZddNet",
     "ZddRelationalNet", "ZddSparseRelation", "ZddStateOps",

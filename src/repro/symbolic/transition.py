@@ -19,15 +19,13 @@ transition at a time (``image_toggle_into``, ``preimage_all``), each
 step one fused kernel recursion that builds neither the conjunction
 nor the toggled copy or cofactor.
 
-The support sort (:func:`sort_by_support`), which the chaining sweep
-here and the ZDD chained sweep both order transitions by, and
 :class:`TraversalLimitError`, which the analysis sessions raise on a
-``max_iterations`` overrun, live here too.
+``max_iterations`` overrun, lives here too.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..bdd import BDD, Function, cube, false
 from ..encoding.characteristic import (declare_variables,
@@ -35,28 +33,6 @@ from ..encoding.characteristic import (declare_variables,
                                        place_functions, saturation_events)
 from ..encoding.scheme import Encoding, TransitionSpec
 from ..petri.marking import Marking
-
-
-def sort_by_support(items: Sequence[str],
-                    support_of: Callable[[str], FrozenSet[int]],
-                    level_of: Callable[[int], int]) -> List[str]:
-    """``items`` ordered by the top (smallest) level of their support.
-
-    The standard heuristic for disjunctively partitioned relations:
-    relations whose support sits high in the variable order are applied
-    first, so a chained sweep pushes information down the order.  Ties
-    break by name; supportless items sort last.
-    """
-
-    bottom = 1 << 60  # below every real level
-
-    def top_level(item: str) -> int:
-        support = support_of(item)
-        if not support:
-            return bottom
-        return min(level_of(var) for var in support)
-
-    return sorted(items, key=lambda item: (top_level(item), item))
 
 
 class TraversalLimitError(RuntimeError):
@@ -140,8 +116,8 @@ class SymbolicNet:
     def image_toggle_into(self, acc: Function, states: Function,
                           transition: str) -> Function:
         """``acc | image_toggle(states, transition)`` in one fused
-        kernel recursion (``or_and_toggle``): the chained step of the
-        toggle fixpoint, with no intermediate diagram."""
+        kernel recursion (``or_and_toggle``): one transition's step of
+        the BFS toggle image, with no intermediate diagram."""
         return acc.or_and_toggle(states, self.enabling[transition],
                                  self.specs[transition].toggle)
 
@@ -167,24 +143,6 @@ class SymbolicNet:
         the list the kernel's saturation calls take (``E_t`` as an
         edge, kept referenced by :attr:`enabling`)."""
         return saturation_events(self.encoding, self.enabling)
-
-    # ------------------------------------------------------------------
-    # Support-sorted partitioning of the functional image
-    # ------------------------------------------------------------------
-
-    def transition_support(self, transition: str) -> FrozenSet[int]:
-        """Variables a transition's image depends on: the enabling
-        function's support plus the variables it quantifies away."""
-        support = set(self.enabling[transition].support())
-        spec = self.specs[transition]
-        support.update(self.bdd.var_index(v) for v in spec.quantify)
-        return frozenset(support)
-
-    def support_sorted_transitions(self) -> List[str]:
-        """Transitions ordered by the top level of their support."""
-        return sort_by_support(self.net.transitions,
-                               self.transition_support,
-                               self.bdd.level_of_var)
 
     def preimage_all(self, states: Function) -> Function:
         """Predecessors under all transitions."""

@@ -37,12 +37,12 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 # One spec per backend family; every one must checkpoint and resume.
 # The relational and ZDD defaults saturate: their first step is a whole
 # band, so a mid-flight resume picks up after band 1.  The functional
-# breadth-first and chaining sweeps carry a frontier apart from the
-# reached set, which a mid-flight resume must restore too.
+# breadth-first sweeps, toggle and quantify-force, carry a frontier
+# apart from the reached set, which a mid-flight resume must restore too.
 BACKEND_SPECS = {
     "bdd-functional": dict(),
     "bdd-bfs": dict(strategy="bfs"),
-    "bdd-chaining": dict(strategy="chaining"),
+    "bdd-bfs-quantify": dict(strategy="bfs", use_toggle=False),
     "bdd-relational": dict(form="relational"),
     "zdd": dict(backend="zdd"),
     "zdd-chained": dict(backend="zdd", form="relational",

@@ -9,7 +9,8 @@ from repro.analysis.backends import SATURATION_BANDS
 from repro.bdd import Function
 from repro.encoding import ImprovedEncoding
 from repro.petri import ReachabilityGraph
-from repro.petri.generators import figure1_net
+from repro.petri.generators import (dme_spec, figure1_net, philosophers,
+                                    slotted_ring)
 from repro.symbolic import (RelationalNet, SymbolicNet, ZddNet,
                             ZddRelationalNet)
 
@@ -223,6 +224,40 @@ class TestBackendRouting:
             Analysis(net, AnalysisSpec(backend="zdd",
                                        form="functional")).symbolic_net,
             ZddNet)
+
+
+    # The default spec on each BDD form: the net, its markings, then the
+    # functional and the relational (iterations, final, peak), as the
+    # two separate BDD sessions gave them before they were merged.
+    BDD_FORMS = {
+        "phil10": (lambda: philosophers(10), 4683382,
+                   (2, 163, 510), (2, 163, 459)),
+        "slot5": (lambda: slotted_ring(5), 8128,
+                  (2, 295, 654), (2, 295, 617)),
+        "dme4": (lambda: dme_spec(4), 756, (2, 177, 636), (2, 177, 596)),
+    }
+
+    @pytest.mark.parametrize("net_name", sorted(BDD_FORMS))
+    def test_one_bdd_session_runs_both_forms(self, net_name):
+        """The functional and relational defaults open one session
+        class, which keeps each form's name, result and trajectory."""
+        make, markings, *expected = self.BDD_FORMS[net_name]
+        net = make()
+        sessions = [open_session(net, AnalysisSpec(form=form))
+                    for form in ("functional", "relational")]
+        assert type(sessions[0]) is type(sessions[1])
+        assert [s.name for s in sessions] == ["bdd-functional",
+                                             "bdd-relational"]
+        results = [session.run() for session in sessions]
+        for result, trajectory in zip(results, expected):
+            assert result.markings == markings
+            assert (result.iterations, result.final_nodes,
+                    result.peak_nodes) == trajectory
+        functional, relational = results
+        assert functional.extras["strategy"] == "saturation"
+        assert "strategy" not in relational.extras
+        assert sessions[0].supports_model_checking
+        assert not sessions[1].supports_model_checking
 
 
 class TestSiftingTrajectory:

@@ -123,7 +123,7 @@ class TestWarnings:
         # functional path, whichever strategy the default is.
         assert AnalysisSpec().strategy == "saturation"
         assert AnalysisSpec(form="relational").warnings() == ()
-        spec = AnalysisSpec(form="relational", strategy="chaining")
+        spec = AnalysisSpec(form="relational", strategy="bfs")
         assert [w.option for w in spec.warnings()] == ["strategy"]
 
     def test_use_toggle_does_not_apply_to_saturation(self):
@@ -131,9 +131,8 @@ class TestWarnings:
         assert warning.option == "use_toggle"
         assert warning.value is False
         assert "force events" in warning.reason
-        for strategy in ("bfs", "chaining"):
-            assert AnalysisSpec(strategy=strategy,
-                                use_toggle=False).warnings() == ()
+        assert AnalysisSpec(strategy="bfs", use_toggle=False).warnings() \
+            == ()
 
     def test_k_bound_warns_on_inapplicable_options(self):
         spec = AnalysisSpec(k_bound=2, scheme="sparse", reorder=False,
@@ -362,20 +361,18 @@ class TestIdentityAcrossFieldRemoval:
     move cache or checkpoint identity: entries written before the
     removals stay valid."""
 
-    # semantic_fingerprint() values recorded while the spec still had
-    # the ``workers`` and ``simplify_frontier`` fields, and ``chaining``
-    # was the default strategy.  The zdd row names the chained engine it
-    # was written for; its value is the one recorded once the relational
-    # form started keying on its resolved engine (``e269d4c0f6edbfc6``
-    # before).  The portfolio row is the one recorded once the portfolio
-    # started keying on its resolved roster (``e8c589da453b9cd3``
-    # before, under the four-member default roster).
+    # semantic_fingerprint() values of ``strategy="bfs"`` specs, the
+    # paper's traversal.  The bdd and zdd rows are the values the spec
+    # gave while it still had the ``workers`` and ``simplify_frontier``
+    # fields; the zdd row names the chained engine it was written for.
+    # The portfolio row is the one recorded once the portfolio keyed on
+    # its resolved roster, before ``chaining`` was retired.  (These rows
+    # pinned ``strategy="chaining"`` specs until that retirement.)
     PINNED = [
-        (dict(strategy="chaining"), "d7b8967606abd9af"),
-        (dict(strategy="chaining", backend="zdd", engine="chained"),
-         "4d3bab0d92216659"),
-        (dict(strategy="chaining", backend="portfolio"),
-         "e2d0125fa0863834"),
+        (dict(strategy="bfs"), "3ca14e830475dc12"),
+        (dict(strategy="bfs", backend="zdd", engine="chained"),
+         "d523e3a0aab219c6"),
+        (dict(strategy="bfs", backend="portfolio"), "08d74d0c3d9c9eab"),
     ]
 
     @pytest.mark.parametrize("overrides,fingerprint", PINNED)
@@ -453,20 +450,20 @@ class TestIdentityAcrossFieldRemoval:
 
     def test_result_written_with_workers_field_still_loads(self):
         from repro.analysis import AnalysisResult
-        spec_fields = dict(AnalysisSpec(strategy="chaining").to_dict(),
+        spec_fields = dict(AnalysisSpec(strategy="bfs").to_dict(),
                            workers=None)
         payload = {
             "schema": 1, "schema_minor": 1, "spec": spec_fields,
             "engine": "functional", "markings": 8, "iterations": 2,
             "variables": 4, "final_nodes": 8, "peak_nodes": 48,
             "seconds": 0.01, "reorder_count": 0, "status": "complete",
-            "extras": {"strategy": "chaining", "chain_order": "support",
+            "extras": {"strategy": "bfs", "chain_order": "support",
                        "use_toggle": True, "build_seconds": 0.005,
                        "fixpoint_seconds": 0.005},
         }
         result = AnalysisResult.from_dict(payload)
-        assert result.spec == AnalysisSpec(strategy="chaining")
-        assert result.spec.semantic_fingerprint() == "d7b8967606abd9af"
+        assert result.spec == AnalysisSpec(strategy="bfs")
+        assert result.spec.semantic_fingerprint() == "3ca14e830475dc12"
         assert result.markings == 8
         assert "workers" not in result.to_dict()["spec"]
 
@@ -498,7 +495,7 @@ class TestIdentityAcrossFieldRemoval:
         """A relational result as the build before the retirement wrote
         it (its extras name the partition granularity it ran)."""
         from repro.analysis import AnalysisResult
-        relational = AnalysisSpec(strategy="chaining", backend="zdd",
+        relational = AnalysisSpec(strategy="bfs", backend="zdd",
                                   engine="chained")
         spec_fields = dict(relational.to_dict(), **{field: value})
         payload = {
@@ -512,7 +509,7 @@ class TestIdentityAcrossFieldRemoval:
         }
         result = AnalysisResult.from_dict(payload)
         assert result.spec == relational
-        assert result.spec.semantic_fingerprint() == "4d3bab0d92216659"
+        assert result.spec.semantic_fingerprint() == "d523e3a0aab219c6"
         assert field not in result.to_dict()["spec"]
 
     @pytest.mark.parametrize("ignore_unknown", [False, True])
@@ -607,6 +604,41 @@ class TestRetiredBddSweeps:
             main(argv + ["--image", "monolithic"])
         assert excinfo.value.code == 2
         assert main(argv + ["--engine", "zdd", "--image", "chained"]) == 0
+
+
+class TestRetiredChainingStrategy:
+    """The functional ``chaining`` sweep lost every benchmarked net to
+    saturation and was retired; ``bfs``, the paper's traversal, stays."""
+
+    def test_spec_rejects_chaining(self):
+        from repro.analysis import STRATEGIES
+        assert STRATEGIES == ("bfs", "saturation")
+        with pytest.raises(SpecError, match="strategy 'chaining' is "
+                                            "retired.*'saturation'"):
+            AnalysisSpec(strategy="chaining")
+
+    @pytest.mark.parametrize("ignore_unknown", [False, True])
+    def test_stored_spec_naming_chaining_fails_loudly(self,
+                                                      ignore_unknown):
+        spec_fields = dict(AnalysisSpec().to_dict(), strategy="chaining")
+        with pytest.raises(SpecError, match="retired.*'saturation'"):
+            AnalysisSpec.from_dict(spec_fields,
+                                   ignore_unknown=ignore_unknown)
+
+    def test_result_naming_chaining_raises_spec_error(self):
+        """A result an older build wrote for ``strategy="chaining"``
+        fails to load with the retirement error."""
+        from repro.analysis import AnalysisResult
+        payload = {
+            "schema": 1, "schema_minor": 1,
+            "spec": dict(AnalysisSpec().to_dict(), strategy="chaining"),
+            "engine": "functional", "markings": 8, "iterations": 2,
+            "variables": 4, "final_nodes": 8, "peak_nodes": 48,
+            "seconds": 0.01, "reorder_count": 0, "status": "complete",
+            "extras": {"strategy": "chaining", "use_toggle": True},
+        }
+        with pytest.raises(SpecError, match="retired.*'saturation'"):
+            AnalysisResult.from_dict(payload)
 
 
 class TestSerialEngineCatalogue:
@@ -742,10 +774,10 @@ class TestRetiredPartitionedEngine:
 
 
 class TestRetiredChainOrder:
-    """``chain_order`` had one value in use: the chaining sweep always
-    fires in support-sorted order.  A stored ``"support"`` still loads
-    with its old fingerprint; a stored ``"net"`` describes a run this
-    build cannot reproduce and fails with advice of its own."""
+    """``chain_order`` had one value in use: the retired chaining sweep
+    always fired in support-sorted order.  A stored ``"support"`` still
+    loads with its old fingerprint; a stored ``"net"`` describes a run
+    this build cannot reproduce and fails with advice of its own."""
 
     def test_chain_order_is_not_a_spec_field(self):
         with pytest.raises(TypeError):
@@ -753,11 +785,11 @@ class TestRetiredChainOrder:
         assert "chain_order" not in AnalysisSpec().to_dict()
 
     def test_stored_support_loads_with_the_default_fingerprint(self):
-        chaining = AnalysisSpec(strategy="chaining")
+        bfs = AnalysisSpec(strategy="bfs")
         loaded = AnalysisSpec.from_dict(
-            dict(chaining.to_dict(), chain_order="support"))
-        assert loaded == chaining
-        assert loaded.semantic_fingerprint() == "d7b8967606abd9af"
+            dict(bfs.to_dict(), chain_order="support"))
+        assert loaded == bfs
+        assert loaded.semantic_fingerprint() == "3ca14e830475dc12"
 
     @pytest.mark.parametrize("ignore_unknown", [False, True])
     def test_stored_net_order_fails_naming_the_field(self,
@@ -780,7 +812,7 @@ class TestRetiredChainOrder:
             "engine": "functional", "markings": 8, "iterations": 2,
             "variables": 4, "final_nodes": 8, "peak_nodes": 48,
             "seconds": 0.01, "reorder_count": 0, "status": "complete",
-            "extras": {"strategy": "chaining", "chain_order": "net",
+            "extras": {"strategy": "saturation", "chain_order": "net",
                        "use_toggle": True},
         }
         with pytest.raises(SpecError, match="'chain_order' is retired"):

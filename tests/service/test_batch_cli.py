@@ -136,6 +136,28 @@ class TestBatch:
         assert support["status"] == "ok"
         assert support["result"]["markings"] == 8
 
+    def test_retired_chaining_line_gets_a_spec_error(self, tmp_path):
+        """A request naming the retired ``chaining`` strategy gets a
+        structured error naming its replacement, not a traceback, and
+        the batch goes on with the next line."""
+        requests = write_requests(tmp_path, [
+            {"id": "chaining", "family": "figure1",
+             "spec": {"strategy": "chaining"}},
+            {"id": "bfs", "family": "figure1",
+             "spec": {"strategy": "bfs"}},
+        ])
+        out = tmp_path / "responses.jsonl"
+        assert main(["batch", requests, "-o", str(out),
+                     "--workers", "0"]) == 1
+        retired, bfs = read_responses(out)
+        assert retired["id"] == "chaining"
+        assert retired["status"] == "error"
+        assert retired["error"]["kind"] == "SpecError"
+        assert "retired" in retired["error"]["detail"]
+        assert "'saturation'" in retired["error"]["detail"]
+        assert bfs["status"] == "ok"
+        assert bfs["result"]["markings"] == 8
+
     def test_missing_net_file_error_keeps_request_id(self, tmp_path):
         requests = write_requests(
             tmp_path, [{"id": "lost", "net": "no/such/net.pnet"}])

@@ -1,13 +1,13 @@
 """The fused chained steps equal the composed formulas, edge for edge.
 
-The default fixpoint fires one transition at a time into the running
-set with ``or_and_toggle``, and ``SymbolicNet.preimage`` un-fires one
-with ``or_cofactor_and``.  Here the composed per-step formulas they
-replaced are re-run beside them on the six families, every operand
-triple is compared, and the fixpoints they reach, forward and
-backward, are compared with what the library computed (``ef`` by
-saturation).  BDDs are canonical, so equal functions
-are equal edges.
+The breadth-first toggle image fires one transition at a time into the
+running set with ``or_and_toggle``, and ``SymbolicNet.preimage``
+un-fires one with ``or_cofactor_and``.  Here the composed per-step
+formulas they replaced are re-run beside them on the six families,
+sweeping in net order: every operand triple is compared, and the
+fixpoints they reach, forward and backward, are compared with what the
+library computed (``ef`` by saturation).  BDDs are canonical, so equal
+functions are equal edges.
 """
 
 import pytest
@@ -38,7 +38,7 @@ def composed_unfire(current, force, care):
 
 def test_default_fixpoint_equals_composed_chain(analysis):
     symnet = analysis.symbolic_net
-    order = symnet.support_sorted_transitions()
+    order = symnet.net.transitions
     current = symnet.initial
     steps = 0
     while True:
@@ -86,7 +86,7 @@ def test_ef_equals_composed_chain(analysis):
     symnet = analysis.symbolic_net
     reachable = checker.reachable
     care = [(dict(symnet.specs[t].force), symnet.enabling[t] & reachable)
-            for t in symnet.support_sorted_transitions()]
+            for t in symnet.net.transitions]
     place = symnet.net.places[-1]
     for target in (reachable & symnet.deadlock_condition(), symnet.initial,
                    symnet.places[place]):

@@ -38,9 +38,10 @@ SIFTING = dict(reorder_threshold=20)
 SPECS = {
     **{f"functional-{scheme}": AnalysisSpec(scheme=scheme, **SIFTING)
        for scheme in ("sparse", "dense", "improved")},
-    "functional-chaining": AnalysisSpec(strategy="chaining", **SIFTING),
-    "functional-quantify": AnalysisSpec(strategy="chaining",
-                                        use_toggle=False, **SIFTING),
+    # The functional fixpoints on the order they were built with.
+    "functional-saturation-fixed": AnalysisSpec(reorder=False),
+    "functional-bfs-quantify-fixed": AnalysisSpec(
+        strategy="bfs", use_toggle=False, reorder=False),
     "functional-bfs": AnalysisSpec(strategy="bfs", **SIFTING),
     "functional-bfs-quantify": AnalysisSpec(strategy="bfs",
                                             use_toggle=False, **SIFTING),

@@ -17,7 +17,7 @@ from repro.encoding import ImprovedEncoding, SparseEncoding
 from repro.petri import ReachabilityGraph
 from repro.petri.generators import (figure1_net, figure4_net, muller,
                                     philosophers, slotted_ring)
-from repro.symbolic import RelationalNet, SymbolicNet, sort_by_support
+from repro.symbolic import RelationalNet, SymbolicNet
 
 # Net instances come from the shared fixtures in tests/conftest.py
 # (make_net builds them, explicit_counts is the enumeration oracle).
@@ -168,17 +168,6 @@ def test_randomized_state_sets_image_equivalence(seed):
 
 
 # ---------------------------------------------------------------------
-# The support sort
-# ---------------------------------------------------------------------
-
-def test_sort_by_support_orders_by_top_level():
-    supports = {"a": frozenset({3}), "b": frozenset({0}),
-                "c": frozenset({1}), "d": frozenset()}
-    assert sort_by_support(["a", "b", "c", "d"], supports.__getitem__,
-                           lambda v: v) == ["b", "c", "a", "d"]
-
-
-# ---------------------------------------------------------------------
 # Engines
 # ---------------------------------------------------------------------
 
@@ -234,8 +223,7 @@ class TestImageEngines:
                                                 explicit_counts):
         for name in FAMILIES:
             functional = analyze(make_net(name),
-                                 AnalysisSpec(strategy="chaining",
-                                              reorder=False))
+                                 AnalysisSpec(reorder=False))
             saturated = analyze(make_net(name), relational())
             assert functional.markings == saturated.markings \
                 == explicit_counts[name]
@@ -293,18 +281,18 @@ class TestAdaptiveTraversal:
 
 
 # ---------------------------------------------------------------------
-# Functional-path support ordering
+# The functional default: saturation by force events
 # ---------------------------------------------------------------------
 
-class TestFunctionalClusters:
-    def test_support_sorted_transitions_is_permutation(self):
+class TestFunctionalDefault:
+    def test_saturation_events_are_the_transitions_in_net_order(self):
         symnet = SymbolicNet(ImprovedEncoding(philosophers(3)))
-        assert sorted(symnet.support_sorted_transitions()) \
-            == sorted(symnet.net.transitions)
+        assert symnet.saturation_events() == [
+            (dict(symnet.specs[t].force), symnet.enabling[t].node)
+            for t in symnet.net.transitions]
 
-    def test_support_chain_order_reaches_fixpoint(self, make_net,
-                                                  explicit_counts):
+    def test_default_reaches_fixpoint(self, make_net, explicit_counts):
         for name in FAMILIES:
-            result = analyze(make_net(name), AnalysisSpec(
-                strategy="chaining", use_toggle=False, reorder=False))
+            result = analyze(make_net(name), AnalysisSpec(reorder=False))
             assert result.markings == explicit_counts[name]
+            assert result.iterations == 2

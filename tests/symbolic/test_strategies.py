@@ -19,7 +19,7 @@ FAMILIES = [
 
 @pytest.mark.parametrize("name,factory,expected", FAMILIES,
                          ids=[f[0] for f in FAMILIES])
-@pytest.mark.parametrize("strategy", ["bfs", "chaining"])
+@pytest.mark.parametrize("strategy", ["bfs", "saturation"])
 def test_all_strategies_reach_same_fixpoint(name, factory, expected,
                                             strategy):
     result = analyze(factory(), PLAIN.replace(
@@ -29,7 +29,7 @@ def test_all_strategies_reach_same_fixpoint(name, factory, expected,
 
 @pytest.mark.parametrize("name,factory,expected", FAMILIES,
                          ids=[f[0] for f in FAMILIES])
-@pytest.mark.parametrize("strategy", ["bfs", "chaining"])
+@pytest.mark.parametrize("strategy", ["bfs", "saturation"])
 def test_strategies_reach_same_fixpoint_with_reordering(name, factory,
                                                         expected,
                                                         strategy):
@@ -39,20 +39,25 @@ def test_strategies_reach_same_fixpoint_with_reordering(name, factory,
     assert result.markings == expected
 
 
-def test_chaining_needs_fewer_iterations():
+def test_saturation_needs_fewer_iterations():
+    """Saturation's two bands against one BFS image per iteration."""
     net = muller(6)
     bfs = analyze(net, PLAIN)
-    chain = analyze(net, PLAIN.replace(strategy="chaining"))
-    assert chain.iterations < bfs.iterations
-    assert chain.markings == bfs.markings
+    saturation = analyze(net, PLAIN.replace(strategy="saturation",
+                                            use_toggle=True))
+    assert saturation.iterations == 2
+    assert bfs.iterations > saturation.iterations
+    assert saturation.markings == bfs.markings
 
 
-def test_chaining_respects_transition_order_semantics():
-    """Chaining explores more per iteration but never invents states."""
+def test_saturation_respects_transition_order_semantics():
+    """Saturation fires every transition to a fixpoint per band but
+    never invents states."""
     net = figure4_net()
     explicit = {m.support for m in ReachabilityGraph(net).markings}
     analysis = Analysis(net, PLAIN.replace(scheme="sparse",
-                                           strategy="chaining"))
+                                           strategy="saturation",
+                                           use_toggle=True))
     reached = analysis.symbolic_net.markings_of(analysis.reachable)
     assert {m.support for m in reached} == explicit
 

@@ -78,9 +78,22 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert f"spec={AnalysisSpec().semantic_fingerprint()}" in out
         assert main(["analyze", str(muller_file), "--strategy",
-                     "chaining"]) == 0
-        chaining = AnalysisSpec(strategy="chaining").semantic_fingerprint()
-        assert f"spec={chaining}" in capsys.readouterr().out
+                     "bfs"]) == 0
+        bfs = AnalysisSpec(strategy="bfs").semantic_fingerprint()
+        assert f"spec={bfs}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("strategy, message", [
+        ("chaining", "retired"), ("dfs", "unknown strategy")])
+    def test_strategy_outside_the_catalogue_exits_2(self, muller_file,
+                                                    capsys, strategy,
+                                                    message):
+        """``AnalysisSpec`` validates ``--strategy``: the retired
+        chaining sweep names its replacement, a typo the catalogue."""
+        assert main(["analyze", str(muller_file), "--strategy",
+                     strategy]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "'saturation'" in err
 
     def test_zdd_engine(self, muller_file, capsys):
         assert main(["analyze", str(muller_file), "--engine", "zdd"]) == 0

@@ -2,10 +2,9 @@
 
 The chained sweep and its per-transition partition live in
 :class:`~repro.symbolic.zdd_relational.ZddRelationalNet`, their one
-client since saturation became the relational BDD form's only engine,
-and the support sort lives next to the functional chaining sweep in
-``symbolic/transition.py``.  This test fails CI if another symbolic
-module regrows its own copy of that logic.
+client since saturation became the relational BDD form's only engine.
+This test fails CI if another symbolic module regrows its own copy of
+that logic.
 
 The same holds for the reachability fixpoint: the
 :mod:`repro.analysis` sessions drive it, and no module under
@@ -27,7 +26,11 @@ factories (and their ``BACKENDS`` registry) only called one session
 constructor each, and ``chain_order`` had one value in use.  The
 partition is Eq. 3's, one sparse relation per transition: the
 ``cluster_size`` granularities, greedy auto-clustering and
-reorder-time reclustering lost the served traffic to it.  The partition
+reorder-time reclustering lost the served traffic to it.  The
+functional ``chaining`` sweep lost every row to saturation, so its
+support sort (``sort_by_support``, ``transition_support``,
+``support_sorted_transitions``) went with it, and the two BDD sessions
+that then differed only in the net they build became one.  The partition
 reads the variable order at sweep time, so the kernel's reorder hooks
 (``add_reorder_hook``, ``reorder_hooks``,
 ``deferred_reorder_notifications``), the partition refresh
@@ -61,7 +64,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 SHARED_ONLY_DEFS = {
     "image_chained": SRC / "symbolic" / "zdd_relational.py",
     "partitions": SRC / "symbolic" / "zdd_relational.py",
-    "sort_by_support": SRC / "symbolic" / "transition.py",
 }
 
 # The other symbolic modules: allowed to *use* that logic, never to
@@ -300,7 +302,10 @@ def test_tripwire_sees_a_naming_order_declaration(tmp_path):
 # it drove (the sweep reads the order instead), and the public names of
 # code no entry point reached (the STG front end, siphons and traps, the
 # Graphviz dump, the scaling experiment, ``size_many`` and
-# ``conflict_clusters``); none may reappear anywhere under src/repro.
+# ``conflict_clusters``), the support sort of the retired functional
+# chaining sweep, and the relational BDD session that only duplicated
+# the functional one once chaining was gone; none may reappear anywhere
+# under src/repro.
 RETIRED_IDENTIFIERS = ("restrict_cm", "narrow_frontier",
                        "SIMPLIFY_MIN_FRONTIER_NODES", "ImageEngine",
                        "make_image_engine", "ClassicZddEngine",
@@ -326,7 +331,9 @@ RETIRED_IDENTIFIERS = ("restrict_cm", "narrow_frontier",
                        "zdd_to_dot", "ScalingRow", "size_many",
                        "conflict_clusters", "transition_specs",
                        "image_monolithic", "monolithic_relation",
-                       "RelationPartition", "PartitionedNet")
+                       "RelationPartition", "PartitionedNet",
+                       "sort_by_support", "support_sorted_transitions",
+                       "transition_support", "_BddRelationalSession")
 # Retired spec fields: named only inside RETIRED_FIELD_DEFAULTS, which
 # keeps old fingerprints stable.
 RETIRED_FIELDS = ("simplify_frontier", "chain_order", "cluster_size")
@@ -421,7 +428,10 @@ def test_tripwire_sees_retired_names(tmp_path):
         "class RelationalNet(PartitionedNet):\n"
         "    swept = self.image_monolithic(frontier)\n"
         "relation = relnet.monolithic_relation()\n"
-        "block = RelationPartition(transition, relation)\n")
+        "block = RelationPartition(transition, relation)\n"
+        "order = symnet.support_sorted_transitions()\n"
+        "support = symnet.transition_support(transition)\n"
+        "return _BddRelationalSession(net, spec, factory)\n")
     (tmp_path / "checker.py").write_text(
         "steps = self._care_enabling()\n"
         "return bdd.saturate_pre(reachable, target, events)\n")
@@ -445,6 +455,7 @@ def test_tripwire_sees_retired_names(tmp_path):
         ("partition.py", 1, "cluster_greedily"),
         ("partition.py", 2, "recluster_count"),
         ("partition.py", 3, "_recluster"),
+        ("partition.py", 4, "sort_by_support"),
         ("partition.py", 5, "conflict_clusters"),
         ("partition.py", 6, "add_reorder_hook"),
         ("partition.py", 6, "refresh_partitions"),
@@ -455,6 +466,9 @@ def test_tripwire_sees_retired_names(tmp_path):
         ("partition.py", 11, "image_monolithic"),
         ("partition.py", 12, "monolithic_relation"),
         ("partition.py", 13, "RelationPartition"),
+        ("partition.py", 14, "support_sorted_transitions"),
+        ("partition.py", 15, "transition_support"),
+        ("partition.py", 16, "_BddRelationalSession"),
         ("structure.py", 1, "minimal_siphons"),
         ("structure.py", 2, "c_element"),
         ("structure.py", 3, "bdd_to_dot"),
@@ -465,7 +479,7 @@ def test_tripwire_sees_retired_names(tmp_path):
 # confined to (``None``: the whole module).
 STEP_SITES = ((SRC / "symbolic" / "transition.py", None),
               (SRC / "symbolic" / "checker.py", None),
-              (SRC / "analysis" / "backends.py", "_BddFunctionalSession"))
+              (SRC / "analysis" / "backends.py", "_BddEncodedSession"))
 
 
 def _is_method_call(node, methods):
