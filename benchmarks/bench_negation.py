@@ -13,8 +13,10 @@ those paths:
    complement-edge >= 1.3x acceptance floor is measured on it);
    ``checker_default_seconds`` and ``checker_default_peak_live_nodes``
    run them on the path users run, ``Analysis(net).checker()`` on the
-   default spec.  phil-12 is the full-scale row: it has no seed-commit
-   numbers, so it records the default-spec checker without ratios.
+   default spec.  The ``checker_relational_*`` keys run the same
+   queries on ``form="relational"``, which must give the same verdicts.
+   phil-12 is the full-scale row: it has no seed-commit numbers, so it
+   records the default-spec checkers without ratios.
 2. **Relational fixpoint** — the relational form's default engine
    (saturation) on a fixed order; its ``peak_live_nodes`` carries the
    >= 1.5x node-count reduction bound.  The ``sweep_*`` keys keep the
@@ -118,10 +120,13 @@ def recursive_not(bdd, u: int) -> int:
     return walk(u)
 
 
-def measure_default_checker(factory: Callable) -> Dict:
+def measure_default_checker(factory: Callable,
+                            form: str = "functional") -> Dict:
     """The three checker queries through ``Analysis(net).checker()`` on
-    the default spec; the peak covers the fixpoint and the queries."""
-    analysis = Analysis(factory())
+    the default spec of the BDD ``form``; the peak covers the fixpoint
+    and the queries.  Keys start ``checker_default_`` for the
+    functional form, ``checker_relational_`` for the relational one."""
+    analysis = Analysis(factory(), AnalysisSpec(form=form))
     checker = analysis.checker()
     symnet = analysis.symbolic_net
     start = time.perf_counter()
@@ -130,12 +135,14 @@ def measure_default_checker(factory: Callable) -> Dict:
     home = checker.can_always_recover(symnet.initial)
     seconds = time.perf_counter() - start
     symnet.bdd.live_nodes()  # fold the query phase into the peak
+    prefix = "checker_default" if form == "functional" \
+        else f"checker_{form}"
     return {
-        "checker_default_seconds": seconds,
-        "checker_default_peak_live_nodes": symnet.bdd.peak_live_nodes,
-        "checker_default_deadlocks": bool(deadlocks),
-        "checker_default_ag_markings": symnet.count_markings(no_deadlock),
-        "checker_default_home": bool(home),
+        f"{prefix}_seconds": seconds,
+        f"{prefix}_peak_live_nodes": symnet.bdd.peak_live_nodes,
+        f"{prefix}_deadlocks": bool(deadlocks),
+        f"{prefix}_ag_markings": symnet.count_markings(no_deadlock),
+        f"{prefix}_home": bool(home),
     }
 
 
@@ -158,6 +165,7 @@ def measure_negation(factory: Callable) -> Dict:
     home = checker.can_always_recover(initial)
     checker_seconds = time.perf_counter() - start
     default = measure_default_checker(factory)
+    relational = measure_default_checker(factory, "relational")
     # 3. Raw negation on the full reachable set.
     bdd = symnet.bdd
     root = reachable.node
@@ -183,6 +191,7 @@ def measure_negation(factory: Callable) -> Dict:
         "checker_ag_markings": symnet.count_markings(no_deadlock),
         "checker_home": bool(home),
         **default,
+        **relational,
         "reachable_nodes": reachable.size(),
         "not_o1_seconds": not_o1_seconds,
         "not_recursive_seconds": not_recursive_seconds,
@@ -268,6 +277,13 @@ def test_default_spec_gives_the_bfs_verdicts(report):
                     == row[f"checker_{query}"]), (name, query)
 
 
+def test_relational_form_gives_the_bfs_verdicts(report):
+    for name, row in report["negation"]["instances"].items():
+        for query in ("deadlocks", "ag_markings", "home"):
+            assert (row[f"checker_relational_{query}"]
+                    == row[f"checker_{query}"]), (name, query)
+
+
 def main() -> None:
     report = collect()
     path = write_report(report)
@@ -276,7 +292,9 @@ def main() -> None:
               f"peak={row['peak_live_nodes']} "
               f"checker {row['checker_seconds']:.3f}s "
               f"(default spec {row['checker_default_seconds']:.3f}s, "
-              f"peak={row['checker_default_peak_live_nodes']}) "
+              f"peak={row['checker_default_peak_live_nodes']}; "
+              f"relational {row['checker_relational_seconds']:.3f}s, "
+              f"peak={row['checker_relational_peak_live_nodes']}) "
               f"not O(1) {row['not_o1_seconds'] * 1e6:.2f}us vs "
               f"recursive {row['not_recursive_seconds'] * 1e3:.2f}ms "
               f"({row['not_speedup']:.0f}x)")

@@ -5,9 +5,12 @@ generators:
 
 1. **Fused vs. materialised image** — computing ``Img(R, S)`` with the
    one-pass ``and_exists`` against first building the conjunction
-   ``R AND S`` and quantifying afterwards, on the relational form's
-   interleaved manager.  ``R`` is the monolithic relation
-   ``OR_t R_t``, built here from the encoding: no engine runs it.
+   ``R AND S`` and quantifying afterwards, on an interleaved
+   current/next manager built here (:class:`InterleavedManager`): the
+   relational session saturates in place and declares no next-state
+   copy.  ``R`` is the monolithic relation ``OR_t R_t``, built here
+   from the encoding, and ``S`` the relational session's reached set,
+   loaded by variable name through :mod:`repro.bdd.io`.
 2. **The gated fixpoint** — the relational form's default engine
    (saturation) on :data:`GATE_ROW` against Table 3's ``strategy="bfs"``
    functional spec on :data:`GATE_BASELINE`, both on a fixed order,
@@ -37,9 +40,13 @@ import pytest
 
 from repro.analysis import Analysis, AnalysisSpec
 from repro.analysis.backends import SATURATION_BANDS
-from repro.bdd import Function, false, variable
+from repro.bdd import BDD, Function, false, variable
+from repro.bdd.io import dump_functions, load_functions
+from repro.encoding.characteristic import (enabling_functions,
+                                           place_functions, variable_order)
+from repro.encoding.scheme import Encoding
 from repro.petri.generators import muller, philosophers, slotted_ring
-from repro.symbolic import RelationalNet
+from repro.symbolic.zdd_relational import next_state_suffix
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 JSON_PATH = os.path.join(REPO_ROOT, "BENCH_relprod.json")
@@ -77,7 +84,31 @@ GATE_BASELINE = ("slot-5", lambda: slotted_ring(5))
 RATIO_PASSES = 5
 
 
-def transition_relation(relnet: RelationalNet, transition: str) -> Function:
+class InterleavedManager:
+    """An encoding's variables on a fresh BDD, each with its next-state
+    copy right below it (renaming either way is order-monotone), and
+    the enabling functions over the current ones."""
+
+    def __init__(self, encoding: Encoding) -> None:
+        bdd = self.bdd = BDD()
+        self.encoding = encoding
+        self.net = encoding.net
+        suffix = next_state_suffix(encoding.variables)
+        for name in variable_order(encoding):
+            bdd.add_vars((name, name + suffix))
+        self.current = tuple(encoding.variables)
+        self.next = tuple(name + suffix for name in self.current)
+        self.enabling = enabling_functions(
+            encoding, bdd, place_functions(encoding, bdd))
+
+    def load(self, function: Function) -> Function:
+        """``function`` (from another manager) rebuilt here by name."""
+        return load_functions(dump_functions({"f": function}),
+                              self.bdd)["f"]
+
+
+def transition_relation(relnet: InterleavedManager,
+                        transition: str) -> Function:
     """``R_t(P, Q) = E_t(P) and AND_i (q_i <-> delta_i(P, t))``: the
     identity-complete relation of Eq. 3 over the interleaved manager."""
     bdd = relnet.bdd
@@ -93,7 +124,7 @@ def transition_relation(relnet: RelationalNet, transition: str) -> Function:
     return relation
 
 
-def monolithic_relation(relnet: RelationalNet) -> Function:
+def monolithic_relation(relnet: InterleavedManager) -> Function:
     """The single relation ``R = OR_t R_t`` of the textbook image."""
     result = false(relnet.bdd)
     for transition in relnet.net.transitions:
@@ -111,10 +142,11 @@ def measure_image(factory: Callable) -> Dict:
     footprint of the materialised intermediate conjunction.
     """
     analysis = Analysis(factory(), RELATIONAL_DEFAULT)
-    relnet = analysis.symbolic_net
+    relnet = InterleavedManager(analysis.symbolic_net.encoding)
     bdd = relnet.bdd
     relation = monolithic_relation(relnet)
-    reached = analysis.reachable
+    reached = relnet.load(analysis.reachable)
+    del analysis
 
     bdd.collect_garbage()
     base_nodes = bdd.live_nodes()

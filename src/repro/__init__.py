@@ -23,8 +23,7 @@ Layer map (see ``docs/architecture.md`` for the full inventory):
 * :mod:`repro.experiments` — Table 3 / Table 4 / Figure 2 harnesses.
 
 Importing :mod:`repro` loads what a default analysis runs; the optional
-backends (ZDDs, the relational and k-bounded nets, checkpoints, the
-portfolio) and explicit reachability load on first use.
+backends (ZDDs, the k-bounded nets, checkpoints, the portfolio) and explicit reachability load on first use.
 """
 
 from ._lazy import lazy_exports

@@ -60,8 +60,8 @@ class SolverSession:
     """One in-progress analysis: the fixpoint state plus its clocks.
 
     Subclasses set ``symbolic_net`` (the wrapped net object — a
-    ``SymbolicNet``, ``RelationalNet``, ``ZddNet``/``ZddRelationalNet``
-    or ``KBoundedNet``) and implement :meth:`_advance` (one fixpoint
+    ``SymbolicNet``, ``ZddNet``/``ZddRelationalNet`` or
+    ``KBoundedNet``) and implement :meth:`_advance` (one fixpoint
     iteration), :meth:`at_fixpoint` and :meth:`_finish` (the final
     :class:`AnalysisResult`).  The base class owns the iteration loop,
     the timing breakdown and the shared ``stats()`` surface — plus the
@@ -373,29 +373,25 @@ class _BddSession(SolverSession):
 class _BddEncodedSession(_BddSession):
     """An encoded safe net on a BDD, in either image form.
 
-    The functional form (:class:`SymbolicNet`) saturates by force events
-    or, under ``strategy="bfs"``, takes one quantify-force or toggle
-    image per iteration.  The relational form
-    (:class:`~repro.symbolic.relational.RelationalNet`, whose manager
-    also declares each variable's next-state copy) always saturates.
-    Both saturate through ``BDD.saturate_post`` over the same
-    ``(force_t, E_t)`` events; only the functional form answers
-    model-checking queries.
+    Both forms run on :class:`SymbolicNet`, over the current-state
+    variables only: a safe net's transition forces constants, so
+    saturation fires each one in place (``BDD.saturate_post`` over its
+    ``(force_t, E_t)`` event) and never reads a next-state copy.  The
+    functional form saturates or, under ``strategy="bfs"``, takes one
+    quantify-force or toggle image per iteration; the relational form
+    always saturates.  Both answer model-checking queries.
     """
+
+    supports_model_checking = True
 
     def __init__(self, net: PetriNet, spec: AnalysisSpec,
                  encoding_factory: Optional[EncodingFactory]) -> None:
         self.functional = spec.resolved_form == "functional"
-        if self.functional:
-            net_class = SymbolicNet
-            self.name = "bdd-functional"
-            self.supports_model_checking = True
-        else:
-            from ..symbolic.relational import RelationalNet as net_class
-            self.name = "bdd-relational"
+        self.name = "bdd-functional" if self.functional \
+            else "bdd-relational"
         start = time.perf_counter()
         encoding = _build_encoding(net, spec, encoding_factory)
-        symnet = self.symbolic_net = net_class(
+        symnet = self.symbolic_net = SymbolicNet(
             encoding, auto_reorder=spec.reorder,
             reorder_threshold=spec.reorder_threshold)
         if not self.functional or spec.strategy == "saturation":
@@ -443,13 +439,14 @@ class _BddEncodedSession(_BddSession):
 
 
 # ----------------------------------------------------------------------
-# ZDD (classic and relational)
+# ZDD (classic, saturation and the chained sweep)
 # ----------------------------------------------------------------------
 
 class _ZddSession(SolverSession):
     """Sparse-ZDD representation: the Yoneda classic per-transition
-    rewrite, or saturation or the chained sweep over a
-    ``ZddRelationalNet``."""
+    rewrite or saturation over a ``ZddNet``'s one element per place, or
+    the chained sweep over a ``ZddRelationalNet``'s current/next
+    pairs."""
 
     name = "zdd"
     own_representation = "the zdd backend builds its own representation"
@@ -457,11 +454,11 @@ class _ZddSession(SolverSession):
 
     def __init__(self, net: PetriNet, spec: AnalysisSpec) -> None:
         engine = spec.resolved_engine
-        if engine == "classic":
-            from ..symbolic.zdd_traversal import ZddNet as net_class
-        else:
+        if engine == "chained":
             from ..symbolic.zdd_relational import \
                 ZddRelationalNet as net_class
+        else:
+            from ..symbolic.zdd_traversal import ZddNet as net_class
         start = time.perf_counter()
         znet = self.symbolic_net = net_class(
             net, auto_reorder=spec.reorder,
@@ -612,6 +609,6 @@ def import_backends() -> None:
     worker compiles a module in the middle of a request.
     """
     from ..bdd import io  # noqa: F401
-    from ..symbolic import (kbounded, relational,  # noqa: F401
-                            zdd_relational, zdd_traversal)
+    from ..symbolic import (kbounded, zdd_relational,  # noqa: F401
+                            zdd_traversal)
     from . import checkpoint, portfolio  # noqa: F401

@@ -81,24 +81,25 @@ class Analysis:
 
     @property
     def symbolic_net(self):
-        """The backend's wrapped net object (``SymbolicNet``,
-        ``RelationalNet``, ``ZddNet``/``ZddRelationalNet`` or
-        ``KBoundedNet``) for backend-specific queries."""
+        """The backend's wrapped net object (``SymbolicNet`` for both
+        BDD forms, ``ZddNet``/``ZddRelationalNet`` or ``KBoundedNet``)
+        for backend-specific queries."""
         return self.session.symbolic_net
 
     def checker(self):
         """A :class:`~repro.symbolic.checker.ModelChecker` over the
         already-computed reachable set.
 
-        Only the functional BDD backend carries the place/enabling
-        functions and pre-image operator the checker needs; any other
-        spec raises :class:`SpecError` pointing there.
+        Both BDD forms carry the place/enabling functions and the
+        saturation events the checker needs; any other session (ZDD,
+        k-bounded, a portfolio race run in worker processes) raises
+        :class:`SpecError`.
         """
         if not self.session.supports_model_checking:
             raise SpecError(
-                f"model checking needs the functional BDD backend "
-                f"(place characteristic functions and pre-images); "
-                f"this analysis runs {self.spec.engine_id}")
+                f"model checking needs a BDD backend on an encoded safe "
+                f"net (form 'functional' or 'relational'); this "
+                f"analysis runs {self.spec.engine_id}")
         return ModelChecker(self.session.symbolic_net,
                             reachable=self.reachable)
 

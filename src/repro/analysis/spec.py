@@ -177,8 +177,9 @@ class AnalysisSpec:
     form:
         Image computation form — ``functional`` (renaming-free
         operators; the ZDD's per-transition classic rewrite) or
-        ``relational`` (partitioned transition relations).  ``None``
-        resolves per backend through :data:`DEFAULT_FORM`.
+        ``relational`` (each transition's sparse relation, fired in
+        place by saturation or, on the ZDD, swept by ``chained``).
+        ``None`` resolves per backend through :data:`DEFAULT_FORM`.
     engine:
         Relational engine: ``saturation`` (two kernel recursions, one
         per band of levels, as the functional ``strategy`` runs), the
@@ -207,7 +208,8 @@ class AnalysisSpec:
         Dynamic variable reordering at traversal safe points.  Applies
         to the BDD backends *and*, since the managers share the
         ``repro.dd`` kernel, to the ZDD backend (pair-grouped sifting
-        for the relational engines, per-element sifting for classic).
+        for ``chained``, per-element sifting for saturation and
+        classic).
     k_bound:
         When set (``k >= 1``), analyse the net as ``k``-bounded with
         count-bit encodings (the paper's unsafe-net extension) in the

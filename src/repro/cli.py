@@ -240,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="disable dynamic variable reordering (the BDD "
                           "and ZDD managers share one sifting kernel and "
                           "both sift at traversal safe points by default; "
-                          "ZDD relational engines sift in current/next "
+                          "the ZDD chained sweep sifts in current/next "
                           "pair groups)")
     ana.add_argument("--deadlocks", action="store_true",
                      help="also report reachable deadlocks")
@@ -359,9 +359,10 @@ def _cmd_analyze(args) -> int:
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.deadlocks and spec.engine_id != "functional":
-        print("deadlocks: only supported with --engine bdd "
-              "--image functional", file=sys.stderr)
+    if args.deadlocks and (spec.backend != "bdd"
+                           or spec.k_bound is not None):
+        print("deadlocks: only supported with --engine bdd, without "
+              "--k-bound", file=sys.stderr)
         return 2
     # Inapplicable options come back as structured SpecWarning objects;
     # rendering them is the CLI's job, not the spec's.

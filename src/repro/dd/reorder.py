@@ -37,8 +37,8 @@ def sift(manager: DDManager, max_growth: float = 1.2,
         Variable groups (tuples of indices/names) that must stay
         adjacent: each group moves through the order as one block, and
         positions are only evaluated with every block whole.  Variables
-        not mentioned in any group sift individually.  This is how a
-        relational manager keeps its interleaved current/next pairs —
+        not mentioned in any group sift individually.  This is how the
+        chained ZDD net keeps its interleaved current/next pairs —
         and therefore the order-monotonicity of its rename maps —
         intact while still reordering (cf. CUDD's group sifting).
 

@@ -5,7 +5,6 @@ Builds, for a given encoding and BDD manager:
 * the place characteristic functions ``[p]`` of Eq. 4 (with the recursive
   generalization for shared-code chains),
 * the transition enabling functions ``E_t`` of Eq. 5,
-* the saturation events ``(force_t, E_t)`` built from them,
 * the encoded initial-state BDD.
 
 These are the raw ingredients of the symbolic traversal in
@@ -108,16 +107,6 @@ def enabling_functions(encoding: Encoding, bdd: BDD,
             func = func & places[place]
         enabling[transition] = func
     return enabling
-
-
-def saturation_events(encoding: Encoding, enabling: Dict[str, Function]
-                      ) -> List[Tuple[Dict[str, bool], int]]:
-    """One ``(force_t, E_t)`` event per transition, in net order: the
-    list the kernel's saturation calls take (``E_t`` as an edge, kept
-    referenced by ``enabling``).  A safe net's transition forces
-    constants (Eqs. 2 and 6), so the pair is its whole effect."""
-    return [(dict(encoding.transition_spec(t).force), enabling[t].node)
-            for t in encoding.net.transitions]
 
 
 def marking_function(encoding: Encoding, bdd: BDD,

@@ -9,8 +9,8 @@ docs/encodings.md, "Generator substitutions"):
    (Section 5.2).
 3. **Quantify-force vs. toggle firing vs. saturation** — traversal
    time of the image implementations: BFS quantify-force and toggle
-   firing, the saturation schedule, and saturation on the relational
-   form's interleaved manager.
+   firing, the saturation schedule, and the relational form's
+   saturation, which fires the same events on the same net.
 4. **Dynamic reordering on/off** — final BDD size and time, sifting
    from the structural initial order, not the paper's (see ``runner``).
 

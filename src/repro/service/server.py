@@ -197,7 +197,9 @@ class AnalysisService:
         benchmark mode).
     checkpoint_dir:
         When set, cache misses run with an injected per-key checkpoint
-        path + ``resume=True`` (see module docstring).
+        path + ``resume=True`` (see module docstring).  Those files
+        stay too, one per solved key: the caller prunes them as it
+        prunes the cache directory.
     harness:
         :class:`~repro.analysis.workers.WorkerHarness` forwarded to the
         pool (tests inject fakes here).

@@ -1,11 +1,11 @@
 """Symbolic analysis building blocks: encoded nets, images, checks.
 
-* :class:`SymbolicNet` — encoded net + BDD manager, image/preimage.
-* :class:`RelationalNet` — the relational BDD form: interleaved
-  current/next variables, saturated by ``(force_t, E_t)`` events.
-* :class:`ZddRelationalNet` — the sparse-ZDD relational form with Eq. 3's
-  per-transition partition and the chained sweep, and :class:`ZddNet` —
-  the Yoneda classic engine of Table 4.
+* :class:`SymbolicNet` — encoded net + BDD manager, image/preimage and
+  the ``(force_t, E_t)`` saturation events both BDD forms fire.
+* :class:`ZddNet` — one ZDD element per place: the Yoneda classic
+  engine of Table 4 and ZDD saturation, and :class:`ZddRelationalNet` —
+  paired current/next elements with Eq. 3's per-transition partition
+  and the chained sweep.
 * :class:`KBoundedNet` — count-bit encodings for k-bounded nets.
 * :class:`ModelChecker` — deadlock, mutual exclusion, EF/AG queries.
 
@@ -15,8 +15,8 @@ exist: :mod:`repro.analysis` (``analyze(net, AnalysisSpec())`` or the
 its sessions call these nets' image methods directly.  A session that
 overruns ``max_iterations`` raises :class:`TraversalLimitError`.
 
-The modules of the relational, ZDD and k-bounded nets load on first
-access to one of their names.
+The modules of the ZDD and k-bounded nets load on first access to one
+of their names.
 """
 
 from .._lazy import lazy_exports
@@ -25,14 +25,12 @@ from .transition import SymbolicNet, TraversalLimitError
 
 __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     "kbounded": ("KBoundedNet",),
-    "relational": ("RelationalNet",),
-    "zdd_relational": ("ZddRelationalNet", "ZddSparseRelation",
-                       "ZddStateOps"),
-    "zdd_traversal": ("ZddNet",),
+    "zdd_relational": ("ZddRelationalNet", "ZddSparseRelation"),
+    "zdd_traversal": ("ZddNet", "ZddStateOps"),
 })
 
 __all__ = [
-    "SymbolicNet", "RelationalNet", "TraversalLimitError",
+    "SymbolicNet", "TraversalLimitError",
     "ModelChecker", "CheckReport",
     "ZddNet",
     "ZddRelationalNet", "ZddSparseRelation", "ZddStateOps",

@@ -14,6 +14,10 @@ and the preimage is a plain cofactor:
 The Section 5.2 toggle-based firing — valid on the reachable set of a
 safe net — is also provided (``image_toggle``).
 
+Saturation fires each pair ``(force_t, E_t)`` in place, so both BDD
+forms, functional and relational, run on a :class:`SymbolicNet` whose
+manager declares no next-state copy.
+
 Toggle images and pre-images accumulate into a running set one
 transition at a time (``image_toggle_into``, ``preimage_all``), each
 step one fused kernel recursion that builds neither the conjunction
@@ -30,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 from ..bdd import BDD, Function, cube, false
 from ..encoding.characteristic import (declare_variables,
                                        enabling_functions, initial_function,
-                                       place_functions, saturation_events)
+                                       place_functions)
 from ..encoding.scheme import Encoding, TransitionSpec
 from ..petri.marking import Marking
 
@@ -68,7 +72,10 @@ class SymbolicNet:
         An empty BDD manager to use; created fresh when omitted.
     auto_reorder:
         Enable threshold-triggered sifting at safe points (the paper
-        applies dynamic reordering during traversal).
+        applies dynamic reordering during traversal), on a supplied
+        manager too.
+    reorder_threshold:
+        Live-node threshold for the automatic sifting trigger.
     """
 
     def __init__(self, encoding: Encoding, bdd: Optional[BDD] = None,
@@ -79,6 +86,7 @@ class SymbolicNet:
                       reorder_threshold=reorder_threshold)
         if bdd.num_vars:
             raise ValueError("SymbolicNet needs a fresh BDD manager")
+        bdd.configure_reorder(auto_reorder, reorder_threshold)
         self.encoding = encoding
         self.net = encoding.net
         self.bdd = bdd
@@ -88,10 +96,11 @@ class SymbolicNet:
             encoding, bdd, self.places)
         self.specs: Dict[str, TransitionSpec] = {
             t: encoding.transition_spec(t) for t in self.net.transitions}
-        self._force_cubes: Dict[str, Function] = {
-            t: cube(bdd, dict(spec.force))
-            for t, spec in self.specs.items()}
         self.initial: Function = initial_function(encoding, bdd)
+        # One cube of forced values per transition, built by the first
+        # quantify-force image: saturation and the toggle images never
+        # read them, so no other run keeps them live.
+        self._force_cubes: Optional[Dict[str, Function]] = None
 
     # ------------------------------------------------------------------
 
@@ -100,6 +109,10 @@ class SymbolicNet:
         spec = self.specs[transition]
         if not spec.quantify:
             return states & self.enabling[transition]
+        if self._force_cubes is None:
+            self._force_cubes = {
+                t: cube(self.bdd, dict(self.specs[t].force))
+                for t in self.net.transitions}
         shifted = states.and_exists(self.enabling[transition], spec.quantify)
         return shifted & self._force_cubes[transition]
 
@@ -141,8 +154,11 @@ class SymbolicNet:
     def saturation_events(self) -> List[Tuple[Dict[str, bool], int]]:
         """One ``(force_t, E_t)`` event per transition, in net order:
         the list the kernel's saturation calls take (``E_t`` as an
-        edge, kept referenced by :attr:`enabling`)."""
-        return saturation_events(self.encoding, self.enabling)
+        edge, kept referenced by :attr:`enabling`).  A safe net's
+        transition forces constants (Eqs. 2 and 6), so the pair is its
+        whole effect."""
+        return [(dict(self.specs[t].force), self.enabling[t].node)
+                for t in self.net.transitions]
 
     def preimage_all(self, states: Function) -> Function:
         """Predecessors under all transitions."""

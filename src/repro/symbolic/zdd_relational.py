@@ -1,4 +1,4 @@
-"""Partitioned transition relations for the sparse-ZDD engine.
+"""Partitioned transition relations for the sparse-ZDD chained sweep.
 
 The relational-product form ported to the token-set encoding of
 :class:`~repro.symbolic.zdd_traversal.ZddNet`, where a marking is the
@@ -7,6 +7,8 @@ algebra: sparse per-transition relations over paired current/next
 elements, applied in support order through a fused ``and_exists``.
 :class:`ZddRelationalNet` owns Eq. 3's partition, one sparse relation
 per transition, and the chained sweep over it (``engine="chained"``).
+The default ZDD engine, saturation, fires each transition in place on
+:class:`~repro.symbolic.zdd_traversal.ZddNet` and needs none of this.
 
 The element universe interleaves current and next elements — place ``p``
 at index ``2i``, its primed copy ``p'`` at ``2i + 1`` — so that renaming
@@ -22,12 +24,7 @@ is the fused three-step pipeline
 3. ``rename(·, O' -> O)`` — monotone rename back to current elements.
 
 Untouched places flow through every step unchanged: the implicit
-identity that keeps the relations sparse.  The default ZDD engine,
-saturation, fires the same relation in place instead: one ``(I, O)``
-pair of current elements per transition
-(:meth:`ZddRelationalNet.saturation_events`), under which
-:meth:`~repro.bdd.zdd.ZDD.saturate_post` closes the family with no
-next element and no rename.  With the shared
+identity that keeps the relations sparse.  With the shared
 :class:`~repro.dd.manager.DDManager` kernel the ZDD manager
 reference-counts, garbage-collects and dynamically reorders; the net
 pins its long-lived families (initial marking, sparse relations) with
@@ -38,16 +35,26 @@ order-monotone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..bdd.zdd import EMPTY, ZDD
 from ..dd.manager import DEFAULT_REORDER_GROWTH
-from ..petri.marking import Marking
 from ..petri.net import PetriNet
 from ..petri.order import place_order
-from .relational import next_state_suffix
+from .zdd_traversal import ZddStateOps
 
-__all__ = ["ZddSparseRelation", "ZddStateOps", "ZddRelationalNet"]
+__all__ = ["ZddSparseRelation", "ZddRelationalNet", "next_state_suffix"]
+
+
+def next_state_suffix(names: Iterable[str]) -> str:
+    """The suffix naming each element's next-state copy: the shortest
+    run of primes such that no name plus it is also one of ``names``
+    (``"'"`` unless a net has, say, both ``p`` and ``p'``)."""
+    names = set(names)
+    suffix = "'"
+    while any(name + suffix in names for name in names):
+        suffix += "'"
+    return suffix
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,23 +80,6 @@ class ZddSparseRelation:
         return (f"<ZddSparseRelation {self.transition!r} "
                 f"consume={len(self.consume)} "
                 f"support={len(self.support)}>")
-
-
-class ZddStateOps:
-    """Counting and decoding families over raw ZDD node ids, shared by
-    :class:`ZddRelationalNet` and the classic
-    :class:`~repro.symbolic.zdd_traversal.ZddNet`."""
-
-    zdd: ZDD
-
-    def count_markings(self, states: int) -> int:
-        """Number of markings in a family over current elements."""
-        return self.zdd.count(states)
-
-    def markings_of(self, states: int) -> List[Marking]:
-        """Decode a family over current elements into markings."""
-        return [Marking(sorted(members))
-                for members in self.zdd.iter_name_sets(states)]
 
 
 class ZddRelationalNet(ZddStateOps):
@@ -129,7 +119,6 @@ class ZddRelationalNet(ZddStateOps):
         suffix = next_state_suffix(net.places)
         for place in place_order(net):
             zdd.add_vars((place, place + suffix))
-        self.current = tuple(net.places)
         self._cur_index = {p: zdd.var_index(p) for p in net.places}
         self._next_index = {p: zdd.var_index(p + suffix)
                             for p in net.places}
@@ -162,18 +151,6 @@ class ZddRelationalNet(ZddStateOps):
         return ZddSparseRelation(
             transition=transition, consume=consume, produce=produce,
             relation=relation, support=support, rename=rename)
-
-    def saturation_events(self) -> List[Tuple[Tuple[int, ...],
-                                              Tuple[int, ...]]]:
-        """One ``(consume, produce)`` pair of current-element indices
-        per transition, in net order: the list
-        :meth:`ZDD.saturate_post <repro.bdd.zdd.ZDD.saturate_post>`
-        takes.  It fires ``M -> (M - pre) | post`` in place, so the
-        next elements and the renames stay unused."""
-        return [(self._sparse[t].consume,
-                 tuple(sorted(self._cur_index[p]
-                              for p in self.net.postset(t))))
-                for t in self.net.transitions]
 
     # ------------------------------------------------------------------
     # The partition and the chained sweep

@@ -9,10 +9,14 @@ over every input place, ``change`` over self-loops and outputs), one
 pass per place per transition, one :meth:`ZddNet.image_all` per
 fixpoint step.
 
-The relational-product form lives in
-:class:`~repro.symbolic.zdd_relational.ZddRelationalNet`, with its own
-partition and chained sweep.  Both run
-behind ``repro.analysis.analyze(net, AnalysisSpec(backend="zdd"))``,
+The default ZDD engine, saturation, runs on the same manager: each
+transition is one ``(I, O)`` pair of elements
+(:meth:`ZddNet.saturation_events`), which
+:meth:`~repro.bdd.zdd.ZDD.saturate_post` fires in place, with no next
+element and no rename.  The chained sweep's paired current/next
+elements live in
+:class:`~repro.symbolic.zdd_relational.ZddRelationalNet`.  All three
+run behind ``repro.analysis.analyze(net, AnalysisSpec(backend="zdd"))``,
 whose session owns the fixpoint loop and its per-iteration safe point.
 """
 
@@ -22,16 +26,34 @@ from typing import Dict, List, Optional, Tuple
 
 from ..bdd.zdd import ZDD
 from ..dd.manager import DEFAULT_REORDER_GROWTH
+from ..petri.marking import Marking
 from ..petri.net import PetriNet
 from ..petri.order import place_order
-from .zdd_relational import ZddStateOps
+
+
+class ZddStateOps:
+    """Counting and decoding families over raw ZDD node ids, shared by
+    :class:`ZddNet` and
+    :class:`~repro.symbolic.zdd_relational.ZddRelationalNet`."""
+
+    zdd: ZDD
+
+    def count_markings(self, states: int) -> int:
+        """Number of markings in a family over current elements."""
+        return self.zdd.count(states)
+
+    def markings_of(self, states: int) -> List[Marking]:
+        """Decode a family over current elements into markings."""
+        return [Marking(sorted(members))
+                for members in self.zdd.iter_name_sets(states)]
 
 
 class ZddNet(ZddStateOps):
     """A safe net bound to a ZDD manager (one element per place).
 
-    This is the *classic* per-transition engine; the relational form
-    lives in :class:`~repro.symbolic.zdd_relational.ZddRelationalNet`.
+    It serves the *classic* per-transition engine and saturation; the
+    chained sweep's paired elements live in
+    :class:`~repro.symbolic.zdd_relational.ZddRelationalNet`.
 
     ``auto_reorder`` enables threshold-triggered sifting at the
     traversal safe points (elements sift individually — the classic
@@ -85,4 +107,13 @@ class ZddNet(ZddStateOps):
         for transition in self.net.transitions:
             result = self.zdd.union(result, self.image(states, transition))
         return result
+
+    def saturation_events(self) -> List[Tuple[List[str], List[str]]]:
+        """One ``(preset, postset)`` pair of elements per transition,
+        in net order: the list
+        :meth:`ZDD.saturate_post <repro.bdd.zdd.ZDD.saturate_post>`
+        takes.  It fires ``M -> (M - pre) | post`` in place."""
+        net = self.net
+        return [(sorted(net.preset(t)), sorted(net.postset(t)))
+                for t in net.transitions]
 

@@ -21,16 +21,19 @@ import sys
 from pathlib import Path
 
 import pytest
+from interleaved import InterleavedNet
 
 from repro.analysis import (Analysis, AnalysisSpec, CheckpointData,
                             CheckpointError, CheckpointStore, SpecError,
                             TraversalLimitError, analyze, net_fingerprint,
                             spec_fingerprint)
 from repro.analysis.checkpoint import dump_checkpoint, parse_checkpoint
-from repro.bdd.io import dump_functions, load_functions
+from repro.bdd.io import dump_functions, dump_zdd_nodes, load_functions
+from repro.encoding import ImprovedEncoding
 from repro.encoding.characteristic import order_hyperedges
 from repro.petri import force_order
 from repro.petri.generators import dme_spec, philosophers
+from repro.symbolic import ZddRelationalNet
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -497,6 +500,41 @@ class TestColdStartFallback:
         assert result.markings == explicit_counts["phil3"]
         assert result.extras["resume"]["status"] == "cold-start"
         assert result.extras["resume"]["reason"] == "mismatch"
+
+    @pytest.mark.parametrize("overrides, kind", [
+        (dict(form="relational"), "bdd"),
+        (dict(backend="zdd"), "zdd")], ids=["bdd-relational", "zdd"])
+    def test_checkpoint_naming_next_state_copies_starts_cold(
+            self, tmp_path, make_net, explicit_counts, overrides, kind):
+        """The relational BDD form and the ZDD default once declared a
+        next-state copy of every variable, and their checkpoints name
+        the copies in the saved order.  Spec and net still match, so
+        such a file reaches the order check, which sends it to a cold
+        start instead of raising."""
+        net = make_net("phil3")
+        path = tmp_path / "old-layout.ckpt"
+        spec = AnalysisSpec(checkpoint_path=str(path), resume=True,
+                            **overrides)
+        if kind == "bdd":
+            old = InterleavedNet(ImprovedEncoding(net))
+            order = old.bdd.order()
+            payload = dump_functions({"reached": old.initial,
+                                      "frontier": old.initial})
+        else:
+            old = ZddRelationalNet(net)
+            order = old.zdd.order()
+            payload = dump_zdd_nodes(old.zdd, {"reached": old.initial,
+                                               "frontier": old.initial})
+        assert any(name.endswith("'") for name in order)
+        path.write_text(dump_checkpoint(CheckpointData(
+            spec_hash=spec_fingerprint(spec), net_hash=net_fingerprint(net),
+            kind=kind, iteration=1, order=order, payload=payload,
+            extra={"engine": spec.engine_id, "at_fixpoint": False})))
+        result = analyze(net, spec)
+        assert result.extras["resume"]["status"] == "cold-start"
+        assert result.extras["resume"]["reason"] == "mismatch"
+        assert result.iterations == 2
+        assert result.markings == explicit_counts["phil3"]
 
 
 # ----------------------------------------------------------------------

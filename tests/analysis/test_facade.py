@@ -11,8 +11,7 @@ from repro.encoding import ImprovedEncoding
 from repro.petri import ReachabilityGraph
 from repro.petri.generators import (dme_spec, figure1_net, philosophers,
                                     slotted_ring)
-from repro.symbolic import (RelationalNet, SymbolicNet, ZddNet,
-                            ZddRelationalNet)
+from repro.symbolic import SymbolicNet, ZddNet, ZddRelationalNet
 
 NETS = ("figure1", "phil4", "primes")
 
@@ -75,9 +74,8 @@ class TestCrossBackend:
         analysis = Analysis(net, AnalysisSpec(form="relational",
                                               reorder=False))
         result = analysis.run()
-        # RelationalNet exposes no marking decoder; count equality here,
-        # set-level equality across engines is pinned by the
-        # differential harness (tests/symbolic/test_engine_diff.py).
+        assert marking_sets(analysis.symbolic_net, result.reachable) \
+            == explicit_set(net)
         assert result.markings == explicit_counts[net_name]
         assert result.variables == ImprovedEncoding(net).num_variables
         assert result.engine == "relational/saturation"
@@ -132,14 +130,25 @@ class TestSession:
         assert checker.find_deadlocks().holds  # philosophers deadlock
 
     @pytest.mark.parametrize("spec", [
-        AnalysisSpec(form="relational"),
         AnalysisSpec(backend="zdd"),
         AnalysisSpec(k_bound=2),
-    ])
-    def test_checker_requires_functional_bdd(self, make_net, spec):
+    ], ids=["zdd", "kbounded"])
+    def test_checker_requires_a_bdd_backend(self, make_net, spec):
         analysis = Analysis(make_net("figure1"), spec)
-        with pytest.raises(SpecError, match="functional BDD"):
+        with pytest.raises(SpecError, match="needs a BDD backend"):
             analysis.checker()
+
+    def test_checker_runs_on_the_relational_form(self, make_net):
+        """Both BDD forms carry the place functions and saturation
+        events the checker reads, and answer alike."""
+        reports = []
+        for form in ("functional", "relational"):
+            analysis = Analysis(make_net("phil3"), AnalysisSpec(form=form))
+            checker = analysis.checker()
+            assert checker.reachable is analysis.reachable
+            reports.append(checker.find_deadlocks())
+        assert reports[0].holds and reports[1].holds
+        assert reports[0].detail == reports[1].detail
 
     def test_keyword_overrides_build_a_spec(self, make_net,
                                             explicit_counts):
@@ -219,29 +228,44 @@ class TestBackendRouting:
                           SymbolicNet)
         assert isinstance(
             Analysis(net, AnalysisSpec(form="relational")).symbolic_net,
-            RelationalNet)
+            SymbolicNet)
+        for spec in (AnalysisSpec(backend="zdd", form="functional"),
+                     AnalysisSpec(backend="zdd")):
+            assert isinstance(Analysis(net, spec).symbolic_net, ZddNet)
         assert isinstance(
             Analysis(net, AnalysisSpec(backend="zdd",
-                                       form="functional")).symbolic_net,
-            ZddNet)
+                                       engine="chained")).symbolic_net,
+            ZddRelationalNet)
+
+    @pytest.mark.parametrize("net_name", ["figure1", "phil4", "primes"])
+    def test_saturation_declares_only_current_state_variables(
+            self, make_net, net_name):
+        """Saturation fires each transition in place, so neither BDD
+        form's manager nor the ZDD default's declares a next-state
+        copy."""
+        net = make_net(net_name)
+        for form in ("functional", "relational"):
+            symnet = Analysis(net, AnalysisSpec(form=form)).symbolic_net
+            assert symnet.bdd.num_vars == symnet.encoding.num_variables
+        znet = Analysis(net, AnalysisSpec(backend="zdd")).symbolic_net
+        assert znet.zdd.num_vars == len(net.places)
 
 
-    # The default spec on each BDD form: the net, its markings, then the
-    # functional and the relational (iterations, final, peak), as the
-    # two separate BDD sessions gave them before they were merged.
+    # The default spec on each BDD form: the net, its markings and the
+    # (iterations, final, peak) both forms give, on one current-state
+    # manager with no force cube pinned.
     BDD_FORMS = {
-        "phil10": (lambda: philosophers(10), 4683382,
-                   (2, 163, 510), (2, 163, 459)),
-        "slot5": (lambda: slotted_ring(5), 8128,
-                  (2, 295, 654), (2, 295, 617)),
-        "dme4": (lambda: dme_spec(4), 756, (2, 177, 636), (2, 177, 596)),
+        "phil10": (lambda: philosophers(10), 4683382, (2, 163, 459)),
+        "slot5": (lambda: slotted_ring(5), 8128, (2, 295, 617)),
+        "dme4": (lambda: dme_spec(4), 756, (2, 177, 596)),
     }
 
     @pytest.mark.parametrize("net_name", sorted(BDD_FORMS))
     def test_one_bdd_session_runs_both_forms(self, net_name):
         """The functional and relational defaults open one session
-        class, which keeps each form's name, result and trajectory."""
-        make, markings, *expected = self.BDD_FORMS[net_name]
+        class, which keeps each form's name and gives both the same
+        result and trajectory."""
+        make, markings, trajectory = self.BDD_FORMS[net_name]
         net = make()
         sessions = [open_session(net, AnalysisSpec(form=form))
                     for form in ("functional", "relational")]
@@ -249,7 +273,7 @@ class TestBackendRouting:
         assert [s.name for s in sessions] == ["bdd-functional",
                                              "bdd-relational"]
         results = [session.run() for session in sessions]
-        for result, trajectory in zip(results, expected):
+        for result in results:
             assert result.markings == markings
             assert (result.iterations, result.final_nodes,
                     result.peak_nodes) == trajectory
@@ -257,7 +281,7 @@ class TestBackendRouting:
         assert functional.extras["strategy"] == "saturation"
         assert "strategy" not in relational.extras
         assert sessions[0].supports_model_checking
-        assert not sessions[1].supports_model_checking
+        assert sessions[1].supports_model_checking
 
 
 class TestSiftingTrajectory:
@@ -269,11 +293,11 @@ class TestSiftingTrajectory:
 
     @staticmethod
     def bdd_reference(net, threshold):
-        relnet = RelationalNet(ImprovedEncoding(net), auto_reorder=True,
-                               reorder_threshold=threshold)
-        bdd = relnet.bdd
-        events = relnet.saturation_events()
-        reached = relnet.initial
+        symnet = SymbolicNet(ImprovedEncoding(net), auto_reorder=True,
+                             reorder_threshold=threshold)
+        bdd = symnet.bdd
+        events = symnet.saturation_events()
+        reached = symnet.initial
         for band in range(SATURATION_BANDS):
             min_top = (bdd.num_vars * (SATURATION_BANDS - 1 - band)
                        // SATURATION_BANDS)

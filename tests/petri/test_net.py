@@ -159,7 +159,7 @@ OPTIONAL_MODULES = (
     "repro.bdd.zdd", "repro.bdd.io",
     "repro.analysis.checkpoint", "repro.analysis.portfolio",
     "repro.analysis.workers",
-    "repro.symbolic.relational", "repro.symbolic.zdd_relational",
+    "repro.symbolic.zdd_relational",
     "repro.symbolic.zdd_traversal", "repro.symbolic.kbounded",
     "repro.petri.reachability", "repro.petri.parser",
     "hashlib", "logging", "multiprocessing",
@@ -182,3 +182,18 @@ def test_default_analysis_loads_no_optional_module():
                          check=True, capture_output=True, text=True,
                          timeout=120).stdout
     assert out.strip() == "[]"
+
+
+def test_zdd_default_loads_no_chained_net():
+    """The ZDD default saturates on the classic engine's net, so only
+    the chained sweep loads the paired-element module."""
+    script = ("import sys\n"
+              "from repro.analysis import analyze\n"
+              "from repro.petri.generators import philosophers\n"
+              "print(analyze(philosophers(4), backend='zdd').markings,\n"
+              "      'repro.symbolic.zdd_relational' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         check=True, capture_output=True, text=True,
+                         timeout=120).stdout
+    assert out.split() == ["466", "False"]

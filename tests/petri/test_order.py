@@ -16,7 +16,7 @@ from repro.petri import PetriNet, force_order, place_order
 from repro.petri.generators import (dme_circuit, dme_spec, figure1_net,
                                     jj_register, muller, philosophers,
                                     slotted_ring)
-from repro.symbolic import KBoundedNet, RelationalNet, ZddRelationalNet
+from repro.symbolic import KBoundedNet, ZddRelationalNet
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -175,10 +175,12 @@ class TestDegenerateNets:
 
 class TestPairsStayAdjacent:
     def test_relational_net(self):
-        encoding = ImprovedEncoding(philosophers(4))
-        order = RelationalNet(encoding).bdd.order()
-        assert order[0::2] == list(variable_order(encoding))
-        assert order[1::2] == [name + "'" for name in order[0::2]]
+        """The relational BDD form saturates in place: its manager is
+        the functional one, the structural order with no copies."""
+        net = philosophers(4)
+        order = analyze(net, form="relational",
+                        reorder=False).reachable.bdd.order()
+        assert order == list(variable_order(ImprovedEncoding(net)))
 
     def test_zdd_relational_net(self):
         net = philosophers(4)

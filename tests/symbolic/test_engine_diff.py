@@ -1,8 +1,8 @@
 """Cross-engine differential harness: every engine, same marking sets.
 
 Runs each generator family through the BDD relational form
-(saturation over ``RelationalNet``) and every ZDD engine (classic
-per-transition plus saturation and the chained sweep over
+(saturation over ``SymbolicNet``) and every ZDD engine (classic
+per-transition and saturation over ``ZddNet``, the chained sweep over
 ``ZddRelationalNet``), all through ``analyze()``, and asserts they
 compute *identical* reachable sets — identical counts and identical
 marking sets — against the explicit-enumeration oracle.
@@ -110,8 +110,8 @@ def test_engines_agree_large(name, make_net):
 @pytest.mark.parametrize("name", SMALL_NETS)
 def test_zdd_engines_agree_with_reorder_enabled(name, make_net):
     """Acceptance for the shared DD kernel: every ZDD engine with
-    dynamic reordering on (pair-grouped sifting for the relational
-    engines, per-element sifting for classic) pins the identical
+    dynamic reordering on (pair-grouped sifting for the chained sweep,
+    per-element sifting for saturation and classic) pins the identical
     marking *sets* against the explicit oracle — sifting, GC and the
     sweep re-sorting its partition after a reorder must never change
     the computed family."""

@@ -20,16 +20,17 @@ The tier-1 profile draws a fixed-seed sample; the ``slow`` profile
 
 import pytest
 from hypothesis import given, settings
+from interleaved import InterleavedNet
 from net_strategies import (backward_closure, compose_state_machines,
                             safe_nets)
 
-from repro.analysis import Analysis, AnalysisSpec, analyze
+from repro.analysis import Analysis, AnalysisSpec
 from repro.bdd import Function
 from repro.dd.reorder import sift
 from repro.encoding import ImprovedEncoding
 from repro.petri.reachability import (ReachabilityGraph,
                                       count_reachable_markings)
-from repro.symbolic import RelationalNet
+from repro.symbolic import ZddNet
 
 # Low enough that sifting (and with it the ZDD partition re-sort) fires
 # on most generated nets, at the saturation band boundary too.
@@ -63,24 +64,9 @@ SPECS = {
 
 
 def decoded_markings(analysis):
-    """The reachable set of a finished analysis as supports of markings.
-
-    ``RelationalNet`` has no decoder of its own; its current variables
-    carry the encoding's names, so its minterms over them decode as the
-    functional net's do."""
-    symnet = analysis.symbolic_net
-    reachable = analysis.reachable
-    if hasattr(symnet, "markings_of"):
-        markings = symnet.markings_of(reachable)
-    else:
-        bdd, encoding = symnet.bdd, symnet.encoding
-        markings = [
-            encoding.assignment_to_marking(
-                {bdd.var_name(var): value
-                 for var, value in assignment.items()})
-            for assignment in bdd.iter_minterms(
-                reachable.node,
-                [bdd.var_index(name) for name in encoding.variables])]
+    """The reachable set of a finished analysis as supports of
+    markings."""
+    markings = analysis.symbolic_net.markings_of(analysis.reachable)
     return {frozenset(marking.support) for marking in markings}
 
 
@@ -129,13 +115,14 @@ def test_generated_nets_saturate_to_the_bfs_edge(net):
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(net=safe_nets())
 def test_generated_nets_saturate_to_the_chained_edge(net):
-    """The ZDD saturation bands, with a sift between them, land on the
-    node of the chained fixpoint in the same manager."""
+    """The ZDD saturation bands, with a pair-grouped sift between them,
+    land on the node of the chained fixpoint in the same manager (the
+    events name places, so they fire on the paired elements too)."""
     analysis = Analysis(net, AnalysisSpec(backend="zdd", engine="chained",
                                           reorder=False))
     relnet = analysis.symbolic_net
     zdd = relnet.zdd
-    events = relnet.saturation_events()
+    events = ZddNet(net).saturation_events()
     lower = zdd.ref(zdd.saturate_post(relnet.initial, events,
                                       min_top=zdd.num_vars // 2))
     sift(zdd, groups=zdd.sift_groups)
@@ -146,10 +133,10 @@ def test_generated_nets_saturate_to_the_chained_edge(net):
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(net=safe_nets())
 def test_generated_nets_saturate_relationally_across_a_sift(net):
-    """The relational form's saturation bands, with a pair-grouped sift
-    between them, land on the node one recursion over the whole order
-    reaches in the same manager."""
-    relnet = RelationalNet(ImprovedEncoding(net))
+    """Saturation bands over an interleaved current/next manager, with
+    a pair-grouped sift between them, land on the node one recursion
+    over the whole order reaches in the same manager."""
+    relnet = InterleavedNet(ImprovedEncoding(net))
     bdd = relnet.bdd
     events = relnet.saturation_events()
     whole = bdd.ref(bdd.saturate_post(relnet.initial.node, events))
@@ -163,10 +150,11 @@ def test_generated_nets_saturate_relationally_across_a_sift(net):
     bdd.deref(whole)
 
 
-# The checker runs on the functional BDD backend only.
+# The checker runs on both BDD forms.
 CHECKER_SPECS = {"default": AnalysisSpec(),
                  "sifting": AnalysisSpec(**SIFTING),
-                 "dense-bfs": AnalysisSpec(scheme="dense", strategy="bfs")}
+                 "dense-bfs": AnalysisSpec(scheme="dense", strategy="bfs"),
+                 "relational": AnalysisSpec(form="relational")}
 
 
 def assert_checker_matches_oracle(net, spec):
@@ -223,12 +211,16 @@ def four_machine_ring():
 @pytest.mark.parametrize("label", ["zdd-chained"])
 def test_generated_ring_sifts_and_refreshes_the_partition(label):
     """The threshold really does make the chained ZDD session sift on a
-    generated net, and the re-sorted partition still lands on the
-    oracle."""
+    generated net, each current/next pair as one block, and the
+    re-sorted partition still lands on the oracle."""
     net = four_machine_ring()
-    result = analyze(net, SPECS[label])
+    analysis = Analysis(net, SPECS[label])
+    result = analysis.run()
     assert result.reorder_count > 0
     assert result.markings == count_reachable_markings(net)
+    zdd = analysis.symbolic_net.zdd
+    for place in net.places:
+        assert zdd.level_of_var(place + "'") == zdd.level_of_var(place) + 1
 
 
 def test_generated_ring_sifts_between_saturation_bands():
@@ -241,13 +233,17 @@ def test_generated_ring_sifts_between_saturation_bands():
     assert result.markings == count_reachable_markings(net)
 
 
-@pytest.mark.parametrize("label, manager", [("relational-improved", "bdd"),
-                                            ("zdd", "zdd")],
-                         ids=["relational-improved", "zdd"])
-def test_generated_ring_sifts_between_relational_saturation_bands(label,
+# The ZDD default's one element per place keeps this ring's first band
+# at 14 live nodes, under SIFTING's threshold, so its case sifts from a
+# lower one.
+@pytest.mark.parametrize("spec, manager", [
+    (SPECS["relational-improved"], "bdd"),
+    (AnalysisSpec(backend="zdd", reorder_threshold=10), "zdd")],
+    ids=["relational-improved", "zdd"])
+def test_generated_ring_sifts_between_relational_saturation_bands(spec,
                                                                   manager):
     net = four_machine_ring()
-    analysis = Analysis(net, SPECS[label])
+    analysis = Analysis(net, spec)
     assert analysis.step()  # the first band, then its safe point
     assert getattr(analysis.symbolic_net, manager).reorder_count > 0
     result = analysis.run()

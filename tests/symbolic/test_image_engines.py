@@ -1,23 +1,27 @@
 """Tests for the relational BDD form and the fused relational product.
 
-Covers ``and_exists`` on real transition relations over the relational
-form's interleaved manager (it agrees with, but never materialises, the
+Covers ``and_exists`` on real transition relations over an interleaved
+current/next manager (it agrees with, but never materialises, the
 conjunction), breadth-first iteration of the Eq. 3 per-transition
-image union, and the relational engine reaching the explicit fixpoint
-on the generator nets, on every scheme and with pair-grouped sifting.
+image union up to the relational session's saturation set, and the
+relational engine reaching the explicit fixpoint on the generator
+nets, on every scheme and with sifting.  The relational session itself
+declares no next-state copy; the interleaved manager is built here
+(:mod:`interleaved`).
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from interleaved import (InterleavedNet, bfs_through, monolithic_relation,
+                         transfer, transition_relation)
 
 from repro.analysis import (RELATIONAL_ENGINES, Analysis, AnalysisSpec,
                             SpecError, analyze)
-from repro.bdd import false, variable
 from repro.encoding import ImprovedEncoding, SparseEncoding
 from repro.petri import ReachabilityGraph
 from repro.petri.generators import (figure1_net, figure4_net, muller,
                                     philosophers, slotted_ring)
-from repro.symbolic import RelationalNet, SymbolicNet
+from repro.symbolic import SymbolicNet
 
 # Net instances come from the shared fixtures in tests/conftest.py
 # (make_net builds them, explicit_counts is the enumeration oracle).
@@ -36,45 +40,6 @@ def relational(engine="saturation", **changes):
                         **dict(dict(reorder=False), **changes))
 
 
-def transition_relation(relnet, transition):
-    """``R_t(P, Q) = E_t(P) and AND_i (q_i <-> delta_i(P, t))`` over the
-    interleaved manager: the identity-complete relation of Eq. 3."""
-    bdd = relnet.bdd
-    forced = dict(relnet.encoding.transition_spec(transition).force)
-    relation = relnet.enabling[transition]
-    for name, copy in zip(relnet.current, relnet.next):
-        next_var = variable(bdd, copy)
-        if name in forced:
-            target = next_var if forced[name] else ~next_var
-        else:
-            target = next_var.iff(variable(bdd, name))
-        relation = relation & target
-    return relation
-
-
-def monolithic_relation(relnet):
-    """``R = OR_t R_t``, the single relation of the textbook image."""
-    result = false(relnet.bdd)
-    for transition in relnet.net.transitions:
-        result = result | transition_relation(relnet, transition)
-    return result
-
-
-def bfs_through(relnet, relations):
-    """The breadth-first fixpoint of the image through ``relations``:
-    the union of ``exists P. S(P) and R(P, Q)`` renamed back to ``P``."""
-    back = dict(zip(relnet.next, relnet.current))
-    reached = frontier = relnet.initial
-    while not frontier.is_zero():
-        image = false(relnet.bdd)
-        for relation in relations:
-            image = image | frontier.and_exists(
-                relation, relnet.current).rename(back)
-        frontier = image - reached
-        reached = reached | frontier
-    return reached
-
-
 # ---------------------------------------------------------------------
 # The fused relational product
 # ---------------------------------------------------------------------
@@ -84,7 +49,7 @@ class TestAndExists:
         """``and_exists(S, R, cube)`` == ``exists(S AND R, cube)`` on the
         real relation BDDs of every generator family."""
         for name in FAMILIES:
-            relnet = RelationalNet(ImprovedEncoding(make_net(name)))
+            relnet = InterleavedNet(ImprovedEncoding(make_net(name)))
             bdd = relnet.bdd
             states = relnet.initial
             for transition in relnet.net.transitions:
@@ -101,10 +66,10 @@ class TestAndExists:
         only strict subproblems may reach ``apply_and`` (via the
         below-quantification fallback)."""
         analysis = Analysis(muller(4), relational())
-        relnet = analysis.symbolic_net
+        relnet = InterleavedNet(analysis.symbolic_net.encoding)
         bdd = relnet.bdd
         relation = monolithic_relation(relnet)
-        states = analysis.reachable
+        states = transfer(analysis.reachable, relnet)
         bdd.clear_caches()
         conjoined = []
         original = bdd.apply_and
@@ -121,14 +86,14 @@ class TestAndExists:
         assert frozenset((states.node, relation.node)) not in conjoined
 
     def test_empty_cube_degenerates_to_and(self):
-        relnet = RelationalNet(SparseEncoding(figure1_net()))
+        relnet = InterleavedNet(SparseEncoding(figure1_net()))
         bdd = relnet.bdd
         relation = monolithic_relation(relnet)
         assert bdd.and_exists(relnet.initial.node, relation.node, ()) \
             == bdd.apply_and(relnet.initial.node, relation.node)
 
     def test_dedicated_cache_survives_and_clears(self):
-        relnet = RelationalNet(ImprovedEncoding(figure4_net()))
+        relnet = InterleavedNet(ImprovedEncoding(figure4_net()))
         bdd = relnet.bdd
         relation = monolithic_relation(relnet)
         bdd.and_exists(relnet.initial.node, relation.node, relnet.current)
@@ -148,7 +113,7 @@ def test_randomized_state_sets_image_equivalence(seed):
 
     rng = random.Random(seed)
     net = muller(3) if seed % 2 else slotted_ring(2)
-    relnet = RelationalNet(ImprovedEncoding(net))
+    relnet = InterleavedNet(ImprovedEncoding(net))
     bdd = relnet.bdd
     graph = ReachabilityGraph(net)
     markings = sorted(graph.markings, key=lambda m: sorted(m.support))
@@ -185,15 +150,16 @@ class TestImageEngines:
             self, name, scheme, make_net, explicit_counts):
         """Breadth-first iteration of the Eq. 3 reference image (the
         union of the per-transition images through ``R_t``) reaches the
-        explicit fixpoint, on the node the relational engine lands on
-        in the same manager."""
+        explicit fixpoint: the relational session's reached set, and
+        the saturation set of the interleaved manager itself."""
         analysis = Analysis(make_net(name), relational(scheme=scheme))
-        relnet = analysis.symbolic_net
+        relnet = InterleavedNet(analysis.symbolic_net.encoding)
         reached = bfs_through(relnet, [
             transition_relation(relnet, transition)
             for transition in relnet.net.transitions])
         assert relnet.count_markings(reached) == explicit_counts[name]
-        assert reached == analysis.reachable
+        assert reached == transfer(analysis.reachable, relnet) \
+            == relnet.saturate()
 
     @pytest.mark.parametrize("name", FAMILIES)
     def test_monolithic_relation_reaches_explicit_fixpoint(
@@ -201,10 +167,11 @@ class TestImageEngines:
         """The textbook image through the one relation ``OR_t R_t``
         lands on the same node."""
         analysis = Analysis(make_net(name), relational())
-        relnet = analysis.symbolic_net
+        relnet = InterleavedNet(analysis.symbolic_net.encoding)
         reached = bfs_through(relnet, [monolithic_relation(relnet)])
         assert relnet.count_markings(reached) == explicit_counts[name]
-        assert reached == analysis.reachable
+        assert reached == transfer(analysis.reachable, relnet) \
+            == relnet.saturate()
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("reorder", [False, True],
@@ -256,11 +223,11 @@ class TestAdaptiveTraversal:
 
     def test_auto_reorder_honored_on_supplied_manager(self):
         from repro.bdd import BDD
-        relnet = RelationalNet(ImprovedEncoding(philosophers(3)),
-                               bdd=BDD(), auto_reorder=True,
-                               reorder_threshold=100)
-        assert relnet.bdd.auto_reorder
-        assert relnet.bdd.reorder_threshold == 100
+        symnet = SymbolicNet(ImprovedEncoding(philosophers(3)),
+                             bdd=BDD(), auto_reorder=True,
+                             reorder_threshold=100)
+        assert symnet.bdd.auto_reorder
+        assert symnet.bdd.reorder_threshold == 100
 
     def test_reordering_actually_happens(self, explicit_counts):
         result = analyze(philosophers(3), relational(
@@ -269,14 +236,18 @@ class TestAdaptiveTraversal:
         assert result.markings == explicit_counts["phil3"]
 
     def test_pairs_stay_adjacent_after_traversal_reorder(self):
-        analysis = Analysis(slotted_ring(2), relational(
-            reorder=True, reorder_threshold=20))
+        """The chained ZDD sweep is what still declares next-state
+        copies; its traversal sifts each current/next pair as one
+        block."""
+        analysis = Analysis(slotted_ring(2), AnalysisSpec(
+            backend="zdd", engine="chained", reorder=True,
+            reorder_threshold=20))
         analysis.run()
-        relnet = analysis.symbolic_net
-        assert relnet.bdd.reorder_count > 0
-        for name in relnet.current:
-            current = relnet.bdd.level_of_var(name)
-            nxt = relnet.bdd.level_of_var(name + "'")
+        znet = analysis.symbolic_net
+        assert znet.zdd.reorder_count > 0
+        for name in znet.net.places:
+            current = znet.zdd.level_of_var(name)
+            nxt = znet.zdd.level_of_var(name + "'")
             assert nxt == current + 1
 
 

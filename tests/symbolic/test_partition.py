@@ -15,11 +15,11 @@ import pytest
 from repro.analysis import Analysis, AnalysisSpec, analyze
 from repro.bdd.zdd import EMPTY
 from repro.dd import sift
-from repro.encoding import ImprovedEncoding
+from repro.petri import place_order
 from repro.petri.generators import (figure4_net, muller, philosophers,
                                     slotted_ring)
-from repro.symbolic import RelationalNet, ZddRelationalNet
-from repro.symbolic.relational import next_state_suffix
+from repro.symbolic import ZddRelationalNet
+from repro.symbolic.zdd_relational import next_state_suffix
 
 # The chained relational fixpoint on a fixed element order.
 ZDD_CHAINED = AnalysisSpec(backend="zdd", engine="chained", reorder=False)
@@ -212,7 +212,7 @@ class TestZddReorderTraversal:
         relnet = analysis.symbolic_net
         assert result.markings == explicit_counts[name]
         assert result.reorder_count > 0
-        for place in relnet.current:
+        for place in relnet.net.places:
             cur = relnet.zdd.level_of_var(place)
             nxt = relnet.zdd.level_of_var(place + "'")
             assert nxt == cur + 1
@@ -261,13 +261,13 @@ def test_next_state_suffix_avoids_every_current_name(names, suffix):
 
 def test_relational_nets_name_next_copies_apart_from_places(make_net):
     net = make_net("primes")
-    relnet = RelationalNet(ImprovedEncoding(net))
-    assert not set(relnet.next) & set(relnet.current)
-    znet = ZddRelationalNet(net)
-    assert znet.zdd.num_vars == 4
+    order = ZddRelationalNet(net).zdd.order()
+    assert len(set(order)) == 4
+    assert set(net.places) < set(order)
     # Nets without such a pair keep the single prime.
-    plain = RelationalNet(ImprovedEncoding(philosophers(2)))
-    assert all(n == c + "'" for c, n in zip(plain.current, plain.next))
+    plain = philosophers(2)
+    assert ZddRelationalNet(plain).zdd.order()[1::2] == [
+        place + "'" for place in place_order(plain)]
 
 
 #: ``(markings, iterations, peak_nodes, reorder_count)`` with sifting

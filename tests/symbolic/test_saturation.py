@@ -8,11 +8,13 @@ The ``bdd-functional`` session runs it in ``SATURATION_BANDS`` steps
 with an ordinary safe point between them.
 
 The relational form and the ZDD backend saturate the same way: the
-relational BDD over its current variables (``RelationalNet.
-saturation_events()``), the ZDD by ``ZDD.saturate_post`` over
-``(consume, produce)`` pairs.  Each must land on the node of a
+relational BDD over the current variables of the functional form's own
+manager (``SymbolicNet.saturation_events()``), the ZDD by
+``ZDD.saturate_post`` over ``(consume, produce)`` pairs of places
+(``ZddNet.saturation_events()``).  Each must land on the node of a
 reference fixpoint in the same manager: a breadth-first loop over the
-same events for the relational form, the chained engine for the ZDD.
+same events for the relational form, the chained engine (whose manager
+also declares next-state copies) for the ZDD.
 """
 
 import pytest
@@ -22,6 +24,7 @@ from repro.analysis.backends import SATURATION_BANDS
 from repro.bdd import EMPTY, Function, cube, false
 from repro.petri.generators import (dme_circuit, dme_spec, jj_register,
                                     muller, philosophers, slotted_ring)
+from repro.symbolic import ZddNet
 
 # One instance of each of the six generator families, small enough for
 # the breadth-first reference (a one-gate wire keeps dmecir at 43
@@ -111,7 +114,7 @@ def test_jjreg_a_at_paper_size():
 
 def relational_bfs_fixpoint(relnet, events):
     """The breadth-first fixpoint over ``events`` in the relational
-    net's own manager: each event fires by quantify-and-force,
+    session's own manager: each event fires by quantify-and-force,
     ``exists(force vars, S & E_t) & cube(force)``."""
     bdd = relnet.bdd
     firings = [(Function(bdd, enabling), list(force), cube(bdd, force))
@@ -153,19 +156,22 @@ def test_relational_saturation_is_the_bfs_fixpoint(name, scheme):
         relnet.initial.node, events, min_top=bdd.num_vars // 2))
     assert (relnet.initial - lower).is_zero()
     assert (lower - reachable).is_zero()
-    bdd.set_order(reversed_pairs(bdd))
+    bdd.set_order(list(reversed(bdd.order())))
     assert bdd.saturate_post(lower.node, events) == reachable.node
 
 
 @pytest.mark.parametrize("name", FAMILIES)
 def test_zdd_saturation_is_the_chained_fixpoint(name):
-    analysis = Analysis(FAMILIES[name](), AnalysisSpec(
+    """The default's events name places, so they fire on the chained
+    net's paired elements too, and land on its fixpoint."""
+    net = FAMILIES[name]()
+    analysis = Analysis(net, AnalysisSpec(
         backend="zdd", engine="chained", reorder=False))
     analysis.run()
     znet = analysis.symbolic_net
     zdd = znet.zdd
     reachable = analysis.reachable
-    events = znet.saturation_events()
+    events = ZddNet(net).saturation_events()
     zdd.clear_caches()
     assert zdd.saturate_post(znet.initial, events) == reachable
     assert all(not cache for cache in zdd._op_caches)
@@ -225,8 +231,8 @@ def test_the_band_that_reaches_the_fixpoint_does_not_sift(kind):
 
 
 def test_zdd_jjreg_a_at_paper_size():
-    """496 elements deep (248 places, each with its next copy), in one
-    recursion per band, with no RecursionError."""
+    """248 elements deep (one per place), in one recursion per band,
+    with no RecursionError."""
     result = analyze(jj_register("a", bits=40), AnalysisSpec(backend="zdd"))
     assert result.engine == "zdd/saturation"
     assert result.variables == 248

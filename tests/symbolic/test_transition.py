@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis import Analysis, AnalysisSpec
 from repro.encoding import SparseEncoding, variable_order
-from repro.petri import Marking
+from repro.petri import Marking, ReachabilityGraph
 from repro.petri.generators import figure1_net, figure4_net
 from repro.symbolic import SymbolicNet
 
@@ -142,3 +142,41 @@ class TestEnablingFunctions:
         assignment2 = symnet.encoding.marking_to_assignment(
             Marking(["p6", "p3"]))
         assert not symnet.enabling["t7"](assignment2)
+
+
+class TestForceCubes:
+    """Only the quantify-force image reads the cubes of forced values,
+    so a net builds them on that image's first call and keeps them;
+    saturation and the toggle images leave them unbuilt."""
+
+    @pytest.mark.parametrize("spec", [
+        AnalysisSpec(reorder=False),
+        AnalysisSpec(form="relational", reorder=False),
+        AnalysisSpec(strategy="bfs", reorder=False)],
+        ids=["saturation", "relational", "toggle"])
+    def test_other_fixpoints_build_none(self, spec):
+        analysis = Analysis(figure4_net(), spec)
+        analysis.run()
+        assert analysis.symbolic_net._force_cubes is None
+
+    @pytest.mark.parametrize("name", ["figure1", "figure4", "muller4",
+                                      "slot2", "phil3"])
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    @pytest.mark.parametrize("reorder", [False, True],
+                             ids=["fixed", "sifted"])
+    def test_quantify_force_bfs_reaches_the_explicit_fixpoint(
+            self, name, scheme, reorder, make_net, explicit_counts):
+        net = make_net(name)
+        analysis = Analysis(net, BFS.replace(
+            scheme=scheme, reorder=reorder, reorder_threshold=20))
+        result = analysis.run()
+        assert result.markings == explicit_counts[name]
+        assert {m.support for m in analysis.symbolic_net.markings_of(
+            result.reachable)} == {
+            m.support for m in ReachabilityGraph(net).markings}
+        symnet = analysis.symbolic_net
+        cubes = symnet._force_cubes
+        assert set(cubes) == set(net.transitions)
+        for transition in net.transitions:
+            symnet.image(result.reachable, transition)
+        assert symnet._force_cubes is cubes

@@ -150,10 +150,25 @@ class TestAnalyze:
         default = AnalysisSpec(backend=engine, form="relational")
         assert f"spec={default.semantic_fingerprint()}" in out
 
-    def test_deadlocks_require_functional_image(self, muller_file, capsys):
-        assert main(["analyze", str(muller_file), "--image",
-                     "saturation", "--deadlocks"]) == 2
+    @pytest.mark.parametrize("flags", [["--engine", "zdd"],
+                                       ["--k-bound", "2"]],
+                             ids=["zdd", "kbounded"])
+    def test_deadlocks_require_a_bdd_backend(self, muller_file, capsys,
+                                             flags):
+        assert main(["analyze", str(muller_file), *flags,
+                     "--deadlocks"]) == 2
         assert "only supported" in capsys.readouterr().err
+
+    def test_deadlocks_on_the_relational_image(self, tmp_path, capsys):
+        path = tmp_path / "phil.pnet"
+        main(["generate", "phil", "2", "-o", str(path)])
+        capsys.readouterr()
+        assert main(["analyze", str(path), "--image", "saturation",
+                     "--deadlocks"]) == 0
+        out = capsys.readouterr().out
+        assert "image=relational/saturation" in out
+        assert "markings=22" in out
+        assert "deadlocks: 2 deadlocked marking(s)" in out
 
     def test_deadlock_report(self, tmp_path, capsys):
         path = tmp_path / "phil.pnet"

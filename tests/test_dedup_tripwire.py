@@ -70,7 +70,6 @@ SHARED_ONLY_DEFS = {
 # re-implement it.
 SHIMS = (
     SRC / "symbolic" / "zdd_relational.py",
-    SRC / "symbolic" / "relational.py",
     SRC / "symbolic" / "transition.py",
     SRC / "symbolic" / "zdd_traversal.py",
     SRC / "symbolic" / "kbounded.py",
@@ -304,8 +303,12 @@ def test_tripwire_sees_a_naming_order_declaration(tmp_path):
 # Graphviz dump, the scaling experiment, ``size_many`` and
 # ``conflict_clusters``), the support sort of the retired functional
 # chaining sweep, and the relational BDD session that only duplicated
-# the functional one once chaining was gone; none may reappear anywhere
-# under src/repro.
+# the functional one once chaining was gone, and the relational BDD
+# net with its module (``symbolic/relational.py``), whose next-state
+# copies no engine read once saturation fired in place; none may
+# reappear anywhere under src/repro.  The scan matches substrings, so
+# the net's retired names are spelled so that ``ZddRelationalNet`` and
+# ``zdd_relational``, which survive, match none of them.
 RETIRED_IDENTIFIERS = ("restrict_cm", "narrow_frontier",
                        "SIMPLIFY_MIN_FRONTIER_NODES", "ImageEngine",
                        "make_image_engine", "ClassicZddEngine",
@@ -333,7 +336,9 @@ RETIRED_IDENTIFIERS = ("restrict_cm", "narrow_frontier",
                        "image_monolithic", "monolithic_relation",
                        "RelationPartition", "PartitionedNet",
                        "sort_by_support", "support_sorted_transitions",
-                       "transition_support", "_BddRelationalSession")
+                       "transition_support", "_BddRelationalSession",
+                       "symbolic.relational", ".relational import",
+                       "class RelationalNet", "\"RelationalNet\"")
 # Retired spec fields: named only inside RETIRED_FIELD_DEFAULTS, which
 # keeps old fingerprints stable.
 RETIRED_FIELDS = ("simplify_frontier", "chain_order", "cluster_size")
@@ -431,7 +436,14 @@ def test_tripwire_sees_retired_names(tmp_path):
         "block = RelationPartition(transition, relation)\n"
         "order = symnet.support_sorted_transitions()\n"
         "support = symnet.transition_support(transition)\n"
-        "return _BddRelationalSession(net, spec, factory)\n")
+        "return _BddRelationalSession(net, spec, factory)\n"
+        "from ..symbolic.relational import RelationalNet\n"
+        "from .relational import next_state_suffix\n"
+        "class RelationalNet:\n"
+        "    \"relational\": (\"RelationalNet\",),\n"
+        "from .zdd_relational import ZddRelationalNet\n"
+        "class ZddRelationalNet(ZddStateOps):\n"
+        "    \"zdd_relational\": (\"ZddRelationalNet\",),\n")
     (tmp_path / "checker.py").write_text(
         "steps = self._care_enabling()\n"
         "return bdd.saturate_pre(reachable, target, events)\n")
@@ -463,12 +475,18 @@ def test_tripwire_sees_retired_names(tmp_path):
         ("partition.py", 8, "ZddRelationPartition"),
         ("partition.py", 8, "RelationPartition"),
         ("partition.py", 10, "PartitionedNet"),
+        ("partition.py", 10, "class RelationalNet"),
         ("partition.py", 11, "image_monolithic"),
         ("partition.py", 12, "monolithic_relation"),
         ("partition.py", 13, "RelationPartition"),
         ("partition.py", 14, "support_sorted_transitions"),
         ("partition.py", 15, "transition_support"),
         ("partition.py", 16, "_BddRelationalSession"),
+        ("partition.py", 17, "symbolic.relational"),
+        ("partition.py", 17, ".relational import"),
+        ("partition.py", 18, ".relational import"),
+        ("partition.py", 19, "class RelationalNet"),
+        ("partition.py", 20, "\"RelationalNet\""),
         ("structure.py", 1, "minimal_siphons"),
         ("structure.py", 2, "c_element"),
         ("structure.py", 3, "bdd_to_dot"),
@@ -700,7 +718,7 @@ KEPT_FOR_TESTS = {
         "test fixture: decodes reached sets for the oracle comparisons",
     "symbolic/kbounded.py:KBoundedNet.markings_of":
         "test fixture: decodes reached sets for the oracle comparisons",
-    "symbolic/zdd_relational.py:ZddStateOps.markings_of":
+    "symbolic/zdd_traversal.py:ZddStateOps.markings_of":
         "test fixture: decodes reached sets for the oracle comparisons",
 }
 # A string constant names a definition when it is a dotted identifier
